@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the resolvent identity G(z) = D(z) + I(z) G(z) over a grid of z.
 
-Reports the operator-norm residual of the identity and the norm of I(z)
-along a vertical line in the upper half plane, for two and three particles.
+Reports the residual of the identity, as a Frobenius bound on its operator
+norm, and the norm of I(z) along a vertical line in the upper half plane, for
+two and three particles.
 """
 
 import argparse
@@ -16,9 +17,9 @@ def sweep(p, w, heights):
     print(f"N = {p.N}  L = {w.L}")
     for y in heights:
         z = 1j * y
-        r = rsv.functional_equation_residual(z, p, w, ws)
-        inorm = rsv.operator_norm(rsv.build_I(z, ws))
-        print(f"  z = {y:g}i  residual {r:.3e}  ||I(z)|| {inorm:.3e}")
+        fe = rsv.functional_equation(z, ws)
+        inorm = rsv.operator_norm(fe.i)
+        print(f"  z = {y:g}i  residual {fe.residual:.3e}  ||I(z)|| {inorm:.3e}")
 
 
 def main():

@@ -44,7 +44,7 @@ def main():
             rep = localization.superexp_shell_fit(
                 res.eigenvectors[:, i], w, p.N, probe, center=c
             )
-            if rep.note == "point_support":
+            if rep.note == "point support":
                 continue
             n_checked += 1
             rates.append(rep.final_rate)

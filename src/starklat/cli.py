@@ -257,22 +257,26 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict) -> None:
     z_grid = [complex(a, b) for a, b in cfg.resolvent.get("z_grid", [[0.0, 8.0]])]
     entries = []
     ok = True
+    i_first = None
     for z in z_grid:
-        res = resolvent.functional_equation_residual(z, cfg.params, cfg.window, ws)
-        i_mat = resolvent.build_I(z, ws)
+        fe = resolvent.functional_equation(z, ws)
+        if i_first is None:
+            i_first = fe.i
         entries.append(
             {
                 "z": [z.real, z.imag],
-                "residual": res,
-                "norm_I": resolvent.operator_norm(i_mat),
-                "norm_D": resolvent.operator_norm(resolvent.build_D(z, ws)),
+                "residual": fe.residual,
+                "norm_I": resolvent.operator_norm(fe.i),
+                "norm_D": resolvent.operator_norm(fe.d),
+                "dist_to_spectrum": fe.dist_to_spectrum,
+                "resolvent_residual_bound": fe.resolvent_residual_bound,
             }
         )
-        ok &= res <= 1e-6
+        ok &= fe.residual <= 1e-6
     with open(os.path.join(out, "functional_eq.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    rep = resolvent.compactness_proxy(resolvent.build_I(z_grid[0], ws))
+    rep = resolvent.compactness_proxy(i_first)
     write_csv(
         os.path.join(out, "iz_singular_values.csv"),
         ["index", "singular_value"],
@@ -432,7 +436,6 @@ def main(argv=None) -> int:
         else:
             sp.add_argument("--config", required=True)
             sp.add_argument("--out", default=None)
-            sp.add_argument("--workers", type=int, default=1)
             sp.add_argument("--export-matrices", action="store_true")
     args = parser.parse_args(argv)
     if args.command == "plot-data":

@@ -1,13 +1,31 @@
-"""Cluster-expansion resolvent algebra: chains, I(z), D(z), functional equation."""
+"""Cluster-expansion resolvent algebra: chains, I(z), D(z), functional equation.
+
+Every cluster Hamiltonian H_D is a Kronecker sum of its block Hamiltonians,
+and a block of k particles acts on its legs as H^(k), the k-particle
+Hamiltonian of the same model. So with one eigendecomposition
+H^(k) = U_k diag(eps_k) U_k^T per block size,
+
+    G_D(z) = W diag(1 / (z - sum_b eps_b)) W^T,   W = (x)_b U_b,
+
+applied leg-wise; the couplings V_{D,D'} act on leg pairs through the one
+two-site operator. D(z) and I(z) come from a single pass over the chain tree.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, Window, build_cluster_hamiltonian, build_interaction
+from .model import (
+    ModelParams,
+    Window,
+    build_cluster_hamiltonian,
+    build_hamiltonian,
+    build_interaction,
+)
 from .spectra import ClusterDecomposition, enumerate_set_partitions
 
 RESIDUAL_TOL = 1e-10
@@ -70,14 +88,8 @@ def enumerate_chains(n: int, terminal: str = "all") -> list:
     return chains
 
 
-def inter_cluster_coupling(
-    d_fine: ClusterDecomposition,
-    d_coarse: ClusterDecomposition,
-    params: ModelParams,
-    window: Window,
-    basis: str = "stark",
-) -> np.ndarray:
-    """Sum of V_alpha over pairs joined by the coarsening step."""
+def _new_pairs(d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition) -> list:
+    """0-based leg pairs (i < j) joined by the coarsening step."""
     if not d_coarse.is_coarser_than(d_fine):
         raise ValueError("partitions are not strictly comparable")
 
@@ -90,14 +102,23 @@ def inter_cluster_coupling(
                     out.add((bs[i] - 1, bs[j] - 1))
         return out
 
-    new_pairs = sorted(intra(d_coarse) - intra(d_fine))
-    return build_interaction(params, window, basis, pair_list=new_pairs).toarray()
+    return sorted(intra(d_coarse) - intra(d_fine))
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """2-norm estimate: power iteration on A*A from the all-ones vector."""
-    v = np.ones(a.shape[1], dtype=complex)
-    v /= np.linalg.norm(v)
+def inter_cluster_coupling(
+    d_fine: ClusterDecomposition,
+    d_coarse: ClusterDecomposition,
+    params: ModelParams,
+    window: Window,
+    basis: str = "stark",
+) -> np.ndarray:
+    """Dense reference: sum of V_alpha over pairs joined by the coarsening step."""
+    pair_list = _new_pairs(d_fine, d_coarse)
+    return build_interaction(params, window, basis, pair_list=pair_list).toarray()
+
+
+def _power_norm(a: np.ndarray, v: np.ndarray) -> float:
+    v = v / np.linalg.norm(v)
     ah = a.conj().T
     est = 0.0
     for _ in range(POWER_STEPS):
@@ -109,16 +130,75 @@ def operator_norm(a: np.ndarray) -> float:
     return float(est)
 
 
+def operator_norm(a: np.ndarray) -> float:
+    """2-norm estimate (a lower bound): power iteration on A*A.
+
+    Starts from the all-ones vector; if the iterate collapses because that
+    vector is orthogonal to the row space, restarts from a fixed-seed random
+    vector, so a nonzero matrix does not come out as 0.
+    """
+    est = _power_norm(a, np.ones(a.shape[1], dtype=complex))
+    if est == 0.0:
+        rng = np.random.default_rng(0)
+        est = _power_norm(a, rng.standard_normal(a.shape[1]) + 0j)
+    return est
+
+
+def _on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) -> np.ndarray:
+    """Apply the real operator `op` to the row legs `legs` (sorted, 0-based) of x.
+
+    x has d**n rows, one leg per particle in lexicographic order, and any
+    number of columns; a complex x is handled as its real view, so each step
+    is one real BLAS product.
+    """
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x).view(np.float64)
+        return _on_legs(op, x, legs, d, n).view(complex)
+    k, a = len(legs), legs[0]
+    if legs == tuple(range(a, a + k)):
+        y = np.matmul(op, x.reshape(d**a, d**k, -1))
+    else:
+        t = x.reshape((d,) * n + (-1,))
+        perm = list(legs) + [ax for ax in range(n + 1) if ax not in legs]
+        y = op @ t.transpose(perm).reshape(d**k, -1)
+        y = y.reshape([t.shape[ax] for ax in perm]).transpose(np.argsort(perm))
+    return np.ascontiguousarray(y).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class BlockFactor:
+    """H^(k) = U diag(eps) U^T for one block size k, with its Frobenius defects."""
+
+    eps: np.ndarray
+    u: Optional[np.ndarray]  # None when H^(k) is diagonal, i.e. U = 1 exactly
+    orthogonality_defect: float  # ||U^T U - 1||_F
+    eigen_residual: float  # ||H^(k) U - U diag(eps)||_F
+
+
+@dataclass(frozen=True)
+class FactoredResolvent:
+    """G_D(z) = W diag(delta) W^T, with W = (x)_b U_b over the blocks of D."""
+
+    blocks: tuple  # (legs, BlockFactor) per block; legs sorted and 0-based
+    delta: np.ndarray  # 1 / (z - sum_b eps_b), flat over the window grid
+    residual_bound: float  # upper bound on ||(z - H_D) G_D - 1||
+
+
 @dataclass
 class ResolventWorkspace:
-    """Shared dense factor cache keyed by (partition, z)."""
+    """Cache of block factors and of dense and factored G_D(z)."""
 
     params: ModelParams
     window: Window
     basis: str = "stark"
     cache: dict = field(default_factory=dict)
 
+    @property
+    def dim(self) -> int:
+        return self.window.n_sites**self.params.N
+
     def hamiltonian(self, dec: ClusterDecomposition) -> np.ndarray:
+        """Dense H_D, the reference the factored resolvents are checked against."""
         key = ("H", dec.canonical())
         if key not in self.cache:
             self.cache[key] = build_cluster_hamiltonian(
@@ -126,41 +206,96 @@ class ResolventWorkspace:
             ).toarray()
         return self.cache[key]
 
-    def resolvent(self, dec: ClusterDecomposition, z: complex) -> np.ndarray:
-        key = ("G", dec.canonical(), complex(z))
+    def block(self, k: int) -> BlockFactor:
+        """Eigendecomposition of H^(k), shared by every block of k particles."""
+        key = ("U", k)
+        if key not in self.cache:
+            h = build_hamiltonian(self.params.with_n(k), self.window, self.basis).toarray()
+            if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
+                f = BlockFactor(np.diagonal(h).copy(), None, 0.0, 0.0)
+            else:
+                eps, u = np.linalg.eigh(h)
+                f = BlockFactor(
+                    eps,
+                    u,
+                    float(np.linalg.norm(u.T @ u - np.eye(eps.size))),
+                    float(np.linalg.norm(h @ u - u * eps)),
+                )
+            self.cache[key] = f
+        return self.cache[key]
+
+    def two_site(self) -> np.ndarray:
+        """The d^2 x d^2 pair operator, applied on every leg pair (i < j)."""
+        key = ("V2",)
+        if key not in self.cache:
+            self.cache[key] = build_interaction(
+                self.params.with_n(2), self.window, self.basis
+            ).toarray()
+        return self.cache[key]
+
+    def factor(self, dec: ClusterDecomposition, z: complex) -> FactoredResolvent:
+        """G_D(z) in factored form, after the near-spectrum and residual gates."""
+        key = ("F", dec.canonical(), complex(z))
         if key in self.cache:
             return self.cache[key]
-        h = self.hamiltonian(dec)
-        dim = h.shape[0]
-        a = z * np.eye(dim) - h
-        g = np.linalg.solve(a, np.eye(dim, dtype=complex))
-        norm_g = operator_norm(g)
-        if norm_g > COND_CAP:
+        d, n = self.window.n_sites, self.params.N
+        blocks = tuple(
+            (tuple(i - 1 for i in legs), self.block(len(legs))) for legs in dec.canonical()
+        )
+        energy = np.zeros((d,) * n)
+        for legs, f in blocks:
+            others = tuple(ax for ax in range(n) if ax not in legs)
+            energy = energy + np.expand_dims(f.eps.reshape((d,) * len(legs)), others)
+        delta = (1.0 / (z - energy)).ravel()
+        delta_max = float(np.abs(delta).max())
+        if delta_max > COND_CAP:
             raise np.linalg.LinAlgError(
-                f"z within ~{1.0 / norm_g:.2e} of the truncated spectrum of H_D"
+                f"z within {1.0 / delta_max:.2e} of the truncated spectrum of H_D"
             )
-        resid = np.abs(a @ g - np.eye(dim)).max()
-        if resid > RESIDUAL_TOL:
-            raise np.linalg.LinAlgError(f"resolvent solve residual {resid:.2e}")
-        self.cache[key] = g
-        return g
+        # (z - H_D) W diag(delta) W^T - 1 = (W W^T - 1) - R_W diag(delta) W^T with
+        # R_W = sum_b R_b (x) U_others and R_b = H_b U_b - U_b eps_b; bound each
+        # factor by Frobenius norms, ||U_b||^2 <= 1 + ||U_b^T U_b - 1||
+        u_norms = [math.sqrt(1.0 + f.orthogonality_defect) for _, f in blocks]
+        w_norm = math.prod(u_norms)
+        ortho = math.prod(1.0 + f.orthogonality_defect for _, f in blocks) - 1.0
+        r_w = sum(f.eigen_residual * w_norm / un for (_, f), un in zip(blocks, u_norms))
+        bound = ortho + r_w * delta_max * w_norm
+        if bound > RESIDUAL_TOL:
+            raise np.linalg.LinAlgError(f"resolvent residual bound {bound:.2e}")
+        self.cache[key] = FactoredResolvent(blocks, delta, bound)
+        return self.cache[key]
 
+    def apply_resolvent(self, dec: ClusterDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
+        """G_D(z) x = W diag(delta) W^T x, one block's legs at a time."""
+        d, n = self.window.n_sites, self.params.N
+        f = self.factor(dec, z)
+        for legs, b in f.blocks:
+            if b.u is not None:
+                x = _on_legs(b.u.T, x, legs, d, n)
+        x = f.delta[:, None] * x
+        for legs, b in f.blocks:
+            if b.u is not None:
+                x = _on_legs(b.u, x, legs, d, n)
+        return x
 
-def chain_product(
-    chain: DecompositionChain,
-    z: complex,
-    ws: ResolventWorkspace,
-    trailing_resolvent: bool,
-) -> np.ndarray:
-    """G_{D_N} V_{D_N,D_{N-1}} ... , with or without the final G_{D_k}."""
-    seq = chain.sequence
-    out = ws.resolvent(seq[0], z)
-    for a, b in zip(seq, seq[1:]):
-        v = inter_cluster_coupling(a, b, ws.params, ws.window, ws.basis)
-        out = out @ v
-        if b is not seq[-1] or trailing_resolvent:
-            out = out @ ws.resolvent(b, z)
-    return out
+    def apply_coupling(
+        self, d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition, x: np.ndarray
+    ) -> np.ndarray:
+        """V_{D,D'} x: the two-site operator on each leg pair the step joins."""
+        d, n = self.window.n_sites, self.params.N
+        v2 = self.two_site()
+        first, *rest = _new_pairs(d_fine, d_coarse)
+        out = _on_legs(v2, x, first, d, n)
+        for legs in rest:
+            out += _on_legs(v2, x, legs, d, n)
+        return out
+
+    def resolvent(self, dec: ClusterDecomposition, z: complex) -> np.ndarray:
+        """Dense G_D(z), cached."""
+        key = ("G", dec.canonical(), complex(z))
+        if key not in self.cache:
+            self.cache[key] = self.apply_resolvent(dec, z, np.eye(self.dim, dtype=complex))
+        return self.cache[key]
 
 
 def _expansion_chains(n: int, k_s_one: bool) -> list:
@@ -172,44 +307,87 @@ def _expansion_chains(n: int, k_s_one: bool) -> list:
     return [c for c in chains if c.k_s >= 2]
 
 
-def build_I(z: complex, ws: ResolventWorkspace) -> np.ndarray:
-    """I(z): sum over connected chains, no trailing resolvent."""
+def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
+    """(D(z), I(z)) in one pass over the single-merge chain tree.
+
+    Each node's prefix P = G_{D_0} V ... G_{D_k} is computed once, as its
+    transpose G_{D_k} V ... G_{D_0} (every H_D and V is real symmetric), so
+    each step is a left product on the row legs. A node with >= 2 blocks adds
+    P to D; one with exactly 2 blocks adds P V_{D_k, full} to I.
+    """
     n = ws.params.N
     if n < 2:
         raise ValueError("the expansion needs N >= 2")
-    chains = _expansion_chains(n, k_s_one=True)
-    dim = ws.window.n_sites**n
-    out = np.zeros((dim, dim), dtype=complex)
+    full = ClusterDecomposition((tuple(range(1, n + 1)),))
+    chains = sorted(
+        _expansion_chains(n, k_s_one=False),
+        key=lambda c: tuple(p.canonical() for p in c.sequence),
+    )
+    # the first chain is the root; in lexicographic order every later chain
+    # extends a prefix of the one before it, so `path` holds only its parent
+    root = chains[0].sequence[0]
+    q = ws.apply_resolvent(root, z, np.eye(ws.dim, dtype=complex))
+    path = [(root, q)]
+    d_t, i_t = q.copy(), np.zeros_like(q)
     for c in chains:
-        out += chain_product(c, z, ws, trailing_resolvent=False)
-    return out
+        dec = c.sequence[-1]
+        if len(c.sequence) > 1:
+            del path[len(c.sequence) - 1 :]
+            parent, q_parent = path[-1]
+            q = ws.apply_resolvent(dec, z, ws.apply_coupling(parent, dec, q_parent))
+            path.append((dec, q))
+            d_t += q
+        if dec.n_blocks == 2:
+            i_t += ws.apply_coupling(dec, full, q)
+    return d_t.T, i_t.T
+
+
+def build_I(z: complex, ws: ResolventWorkspace) -> np.ndarray:
+    """I(z): sum over connected chains, no trailing resolvent."""
+    return expansion(z, ws)[1]
 
 
 def build_D(z: complex, ws: ResolventWorkspace) -> np.ndarray:
     """D(z): sum over k_s >= 2 chains, each ending in its cluster resolvent."""
+    return expansion(z, ws)[0]
+
+
+@dataclass
+class FunctionalEquation:
+    """G, D and I at one z, with the numbers behind the verdict."""
+
+    z: complex
+    g: np.ndarray
+    d: np.ndarray
+    i: np.ndarray
+    residual: float  # ||G - D - I G||_F, an upper bound on the 2-norm
+    dist_to_spectrum: float  # min |z - eps| over the spectrum of the full H
+    resolvent_residual_bound: float  # largest per-partition residual bound
+
+
+def functional_equation(z: complex, ws: ResolventWorkspace) -> FunctionalEquation:
+    """Build G(z), D(z) and I(z) once and measure G - D - I G."""
     n = ws.params.N
-    chains = _expansion_chains(n, k_s_one=False)
-    dim = ws.window.n_sites**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for c in chains:
-        out += chain_product(c, z, ws, trailing_resolvent=True)
-    return out
-
-
-def full_resolvent(z: complex, ws: ResolventWorkspace) -> np.ndarray:
-    full = ClusterDecomposition((tuple(range(1, ws.params.N + 1)),))
-    return ws.resolvent(full, z)
+    full = ClusterDecomposition((tuple(range(1, n + 1)),))
+    g = ws.apply_resolvent(full, z, np.eye(ws.dim, dtype=complex))
+    d, i = expansion(z, ws)
+    return FunctionalEquation(
+        complex(z),
+        g,
+        d,
+        i,
+        float(np.linalg.norm(g - d - i @ g)),
+        float(np.abs(z - ws.block(n).eps).min()),
+        max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
+    )
 
 
 def functional_equation_residual(
     z: complex, params: ModelParams, window: Window, ws: Optional[ResolventWorkspace] = None
 ) -> float:
-    """||G - D - I G|| at truncation; solver-level for valid z."""
+    """Frobenius norm of G - D - I G at truncation: a bound on its 2-norm."""
     ws = ws or ResolventWorkspace(params, window)
-    g = full_resolvent(z, ws)
-    d = build_D(z, ws)
-    i = build_I(z, ws)
-    return operator_norm(g - d - i @ g)
+    return functional_equation(z, ws).residual
 
 
 @dataclass
@@ -248,8 +426,7 @@ def fredholm_probe(
 ) -> list:
     """Locate z with 1 in the spectrum of I(z); flags should track eigenvalues of H."""
     ws = ws or ResolventWorkspace(params, window)
-    h = ws.hamiltonian(ClusterDecomposition((tuple(range(1, params.N + 1)),)))
-    h_eigs = np.linalg.eigvalsh(h)
+    h_eigs = ws.block(params.N).eps
     out = []
     for z in z_grid:
         i_mat = build_I(complex(z), ws)

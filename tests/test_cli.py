@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from starklat import cli
+from starklat import cli, model
+from starklat.model import ModelParams, PairPotential, Window
 
 
 def write_config(path, **overrides):
@@ -169,3 +170,16 @@ def test_resolvent_check_run(tmp_path):
     assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_OK
     entries = json.loads((tmp_path / "out" / "functional_eq.json").read_text())
     assert entries[0]["residual"] <= 1e-8
+    params = ModelParams(1.0, 0.5, 2, PairPotential("nearest_neighbor", 1.0))
+    h = model.build_hamiltonian(params, Window(6, 2), "stark").toarray()
+    dist = np.abs(8j - np.linalg.eigvalsh(h)).min()
+    assert entries[0]["dist_to_spectrum"] == pytest.approx(dist, rel=1e-12)
+    assert 0.0 <= entries[0]["resolvent_residual_bound"] <= 1e-10
+
+
+def test_workers_flag_rejected(tmp_path):
+    p = tmp_path / "c.json"
+    write_config(p)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(p), "--workers", "2"])
+    assert exc.value.code == 2

@@ -91,6 +91,15 @@ def test_operator_norm_against_svd():
     assert rsv.operator_norm(np.zeros((5, 5))) == 0.0
 
 
+def test_operator_norm_rank_one_orthogonal_to_ones():
+    # the all-ones start lies in the kernel, so the first iterate is exactly 0
+    u = np.zeros(6)
+    u[:2] = (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0))
+    a = 1e-3 * np.outer(u, u)
+    assert not np.any(a @ np.ones(6))
+    assert rsv.operator_norm(a) == pytest.approx(1e-3, rel=1e-12)
+
+
 def test_cluster_resolvent_diagonal(pair_ws):
     fine = ClusterDecomposition(((1,), (2,)))
     z = 8j
@@ -194,3 +203,91 @@ def test_fredholm_probe(pair_ws):
     assert abs(pts[0].z.real - pts[0].nearest_h_eigenvalue) <= 1e-2
     assert not pts[1].flagged
     assert not pts[2].flagged and pts[2].nearest_h_eigenvalue is None
+
+
+ORACLE_SIZES = [(2, 6), (3, 3), (4, 2)]
+ORACLE_POINTS = [
+    (PairPotential("nearest_neighbor", 1.0), 8j),
+    (PairPotential("nearest_neighbor", 1.0), 0.5 + 1j),
+    (PairPotential("nearest_neighbor", 0.3), 0.5 + 0j),  # real, mid-gap
+    (PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1}), 0.5 + 1j),  # v(n) != v(-n)
+]
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", ORACLE_SIZES)
+@pytest.mark.parametrize("pot,z", ORACLE_POINTS)
+def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    w = Window(L=L, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    # dense oracle: one solve per partition, conditioning from its spectrum
+    dense, kappa = {}, 1.0
+    for dec in spectra.enumerate_set_partitions(n):
+        h = model.build_cluster_hamiltonian(p, w, dec, basis).toarray()
+        eye = np.eye(h.shape[0])
+        dense[dec.canonical()] = np.linalg.solve(z * eye - h, eye.astype(complex))
+        evs = np.linalg.eigvalsh(h)
+        kappa = max(kappa, (np.abs(evs).max() + abs(z)) / np.abs(z - evs).min())
+    tol = 64 * np.finfo(float).eps * kappa
+    for dec in spectra.enumerate_set_partitions(n):
+        want = dense[dec.canonical()]
+        assert np.abs(ws.resolvent(dec, z) - want).max() <= tol * np.abs(want).max()
+
+    # D and I against the chain-product sums, applied right to left to a probe block
+    probe = np.random.default_rng(5).standard_normal((ws.dim, 8)) + 0j
+    couplings = {}
+
+    def chain_on_probe(chain, trailing):
+        seq = chain.sequence
+        out = dense[seq[-1].canonical()] @ probe if trailing else probe
+        for a, b in reversed(list(zip(seq, seq[1:]))):
+            key = (a.canonical(), b.canonical())
+            if key not in couplings:
+                couplings[key] = rsv.inter_cluster_coupling(a, b, p, w, basis)
+            out = dense[a.canonical()] @ (couplings[key] @ out)
+        return out
+
+    d, i = rsv.expansion(z, ws)
+    for got, k_s_one in ((d, False), (i, True)):
+        terms = [chain_on_probe(c, not k_s_one) for c in rsv._expansion_chains(n, k_s_one)]
+        scale = sum(np.linalg.norm(t) for t in terms)
+        assert np.linalg.norm(got @ probe - sum(terms)) <= tol * scale
+
+
+def _perturbed_workspace(basis, size):
+    # block eigenvectors off by ~size, far above rounding, so the residual
+    # bound is exercised by a real defect
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("exponential", 0.8, 0.7))
+    w = Window(L=3, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3):
+        f = ws.block(k)
+        h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
+        u = (np.eye(f.eps.size) if f.u is None else f.u) + size * rng.standard_normal(h.shape)
+        ws.cache[("U", k)] = rsv.BlockFactor(
+            f.eps,
+            u,
+            np.linalg.norm(u.T @ u - np.eye(f.eps.size)),
+            np.linalg.norm(h @ u - u * f.eps),
+        )
+    return ws
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+def test_residual_bound_covers_inexact_factors(basis, monkeypatch):
+    monkeypatch.setattr(rsv, "RESIDUAL_TOL", 1.0)
+    ws = _perturbed_workspace(basis, 1e-7)
+    z = 0.5 + 0.01j  # near the spectrum, so the max |delta| factor is tested
+    eye = np.eye(ws.dim)
+    for dec in spectra.enumerate_set_partitions(3):
+        h, g = ws.hamiltonian(dec), ws.resolvent(dec, z)
+        measured = np.linalg.norm((z * eye - h) @ g - eye, 2)
+        assert 1e-9 < measured <= ws.factor(dec, z).residual_bound
+
+
+def test_residual_gate_rejects_inexact_factors():
+    ws = _perturbed_workspace("stark", 1e-7)
+    with pytest.raises(np.linalg.LinAlgError):
+        ws.resolvent(ClusterDecomposition(((1, 2, 3),)), 0.5 + 1j)

@@ -39,6 +39,9 @@ _SCHEMA = {
     "resolvent": {"z_grid"},
 }
 
+# tasks that run in one basis only; an explicit other `basis` is rejected
+TASK_BASIS = {"evolve": "position", "localization": "stark"}
+
 
 class ConfigError(Exception):
     pass
@@ -86,9 +89,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config needs model, window, and task")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
-    basis = raw.get("basis", "stark")
+    basis = raw.get("basis", TASK_BASIS.get(task, "stark"))
     if basis not in ("position", "stark"):
         raise ConfigError(f"unknown basis {basis!r}")
+    if basis != TASK_BASIS.get(task, basis):
+        raise ConfigError(
+            f"task {task!r} runs in the {TASK_BASIS[task]} basis only, not {basis!r}"
+        )
     pot_raw = m.get("potential", {})
     _check_keys("potential", pot_raw)
     try:
@@ -172,7 +179,7 @@ def _decay_probe(cfg: RunConfig) -> localization.DecayProbe:
 
 def _task_localization(cfg: RunConfig, out: str, checks: dict) -> None:
     probe = _decay_probe(cfg)
-    res = spectra.eigh(model.build_hamiltonian(cfg.params, cfg.window, "stark"))
+    res = spectra.eigh(model.build_hamiltonian(cfg.params, cfg.window, cfg.basis))
     mask = spectra.interior_mask(res, cfg.params)
     sig = spectra.cluster_spectrum(cfg.params, cfg.window) if cfg.params.N >= 2 else None
     profile_rows, shell_rows, report = [], [], []
@@ -222,9 +229,9 @@ def _task_localization(cfg: RunConfig, out: str, checks: dict) -> None:
     checks["decay_checks"] = all_pass and len(report) > 0
 
 
-def _task_evolve(cfg: RunConfig, out: str, checks: dict) -> None:
+def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> None:
     d = cfg.dynamics
-    op = model.build_hamiltonian(cfg.params, cfg.window, "position")
+    op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     sites = tuple(d.get("initial_sites", (0,) * cfg.params.N))
     if len(sites) != cfg.params.N:
         raise ConfigError("initial_sites length must equal N")
@@ -250,10 +257,18 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict) -> None:
     )
     checks["norm_drift"] = trace.norm_drift_max <= 1e-10
     checks["truncation_safe"] = trace.truncation_safe
+    diagnostics.update(
+        chebyshev_terms=trace.chebyshev_terms,
+        spectral_bounds=trace.spectral_bounds,
+        dt=trace.dt,
+        norm_drift_max=trace.norm_drift_max,
+        guard_radius=trace.guard_radius,
+        guard_tail=trace.guard_tail,
+    )
 
 
 def _task_resolvent(cfg: RunConfig, out: str, checks: dict) -> None:
-    ws = resolvent.ResolventWorkspace(cfg.params, cfg.window)
+    ws = resolvent.ResolventWorkspace(cfg.params, cfg.window, cfg.basis)
     z_grid = [complex(a, b) for a, b in cfg.resolvent.get("z_grid", [[0.0, 8.0]])]
     entries = []
     ok = True
@@ -330,11 +345,13 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
         return EXIT_CONFIG
     checks: dict = {}
     timings: dict = {}
+    diagnostics: dict = {}
     manifest = {
         "config": cfg.raw,
         "config_sha256": _config_hash(cfg.raw),
         "version": __version__,
         "complete": False,
+        "diagnostics": diagnostics,
     }
     t0 = time.monotonic()
     try:
@@ -342,7 +359,7 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
             "spectrum": lambda: _task_spectrum(cfg, out, checks, export_matrices),
             "cluster-spectrum": lambda: _task_cluster_spectrum(cfg, out, checks),
             "localization": lambda: _task_localization(cfg, out, checks),
-            "evolve": lambda: _task_evolve(cfg, out, checks),
+            "evolve": lambda: _task_evolve(cfg, out, checks, diagnostics),
             "resolvent-check": lambda: _task_resolvent(cfg, out, checks),
             "selftest": lambda: _task_selftest(cfg, out, checks),
         }[cfg.task]

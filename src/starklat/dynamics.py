@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import specfun
-from .model import OperatorMatrix, Window, flat_to_tuples
+from .model import OperatorMatrix, Window
 from .spectra import boundary_shell_mass
 
 NORM_TOL = 1e-10
@@ -41,6 +41,11 @@ class DensityTrace:
     sup_tails: np.ndarray  # (n_radii,)
     truncation_safe: bool
     norm_drift_max: float
+    chebyshev_terms: int  # expansion terms per step; one matvec each after the first
+    spectral_bounds: tuple
+    dt: float
+    guard_radius: int  # L - interior_margin
+    guard_tail: float  # sup over t of the tail beyond guard_radius; gates truncation_safe
 
 
 def gershgorin_bounds(op: OperatorMatrix, margin: float = SPECTRAL_MARGIN) -> tuple:
@@ -66,33 +71,62 @@ def chebyshev_coefficients(tau: float, tolerance: float) -> np.ndarray:
     return coef
 
 
+class ChebyshevStep:
+    """The one-step propagator e^{-i dt H}, set up once and applied at every step.
+
+    Set-up checks that H is symmetric and fixes the spectral bounds, the
+    coefficients for half*dt, the phase e^{-i center dt} and the rescaled
+    hs = (H - center)/half. hs is stored as complex CSR, so the matvecs on the
+    complex state do not upcast its real data on every call.
+    """
+
+    def __init__(self, op: OperatorMatrix, dt: float, config: PropagatorConfig):
+        if op.symmetry_defect() > 1e-12:
+            raise ValueError("propagator needs a symmetric Hamiltonian")
+        self.bounds = config.spectral_bounds or gershgorin_bounds(op)
+        lo, hi = self.bounds
+        center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self.coef = chebyshev_coefficients(half * dt, config.tolerance)
+        self.phase = np.exp(-1j * center * dt)
+        shifted = op.matrix - center * sp.identity(op.dim, format="csr")
+        self.hs = (shifted / half).astype(complex)
+
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """e^{-i dt H} psi for a normalized psi; raises if the norm drifts."""
+        hs, coef = self.hs, self.coef
+        tk_prev = psi
+        tk = hs @ tk_prev
+        acc = coef[0] * tk_prev + coef[1] * tk
+        for c in coef[2:]:
+            nxt = hs @ tk
+            nxt *= 2.0
+            nxt -= tk_prev
+            acc += c * nxt
+            tk_prev, tk = tk, nxt
+        acc *= self.phase
+        drift = abs(np.linalg.norm(acc) - 1.0)
+        if drift > NORM_TOL:
+            lo, hi = self.bounds
+            raise RuntimeError(
+                f"norm drift {drift:.2e}; spectral bounds ({lo:g}, {hi:g}) likely violated"
+            )
+        return acc
+
+
+def _check_normalized(psi: np.ndarray) -> None:
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+        raise ValueError("initial state must be normalized")
+
+
 def evolve(
     op: OperatorMatrix, psi0: np.ndarray, t: float, config: PropagatorConfig
 ) -> np.ndarray:
     """psi_t = e^{-itH} psi0 by a Chebyshev expansion on the rescaled spectrum."""
-    if op.symmetry_defect() > 1e-12:
-        raise ValueError("propagator needs a symmetric Hamiltonian")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
+    step = ChebyshevStep(op, t, config)
+    _check_normalized(psi0)
     if t == 0.0:
         return psi0.astype(complex)
-    lo, hi = config.spectral_bounds or gershgorin_bounds(op)
-    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coef = chebyshev_coefficients(half * t, config.tolerance)
-    hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
-    tk_prev = psi0.astype(complex)
-    tk = hs @ tk_prev
-    acc = coef[0] * tk_prev + coef[1] * tk
-    for c in coef[2:]:
-        tk_prev, tk = tk, 2.0 * (hs @ tk) - tk_prev
-        acc += c * tk
-    psi_t = np.exp(-1j * center * t) * acc
-    drift = abs(np.linalg.norm(psi_t) - 1.0)
-    if drift > NORM_TOL:
-        raise RuntimeError(
-            f"norm drift {drift:.2e}; spectral bounds ({lo:g}, {hi:g}) likely violated"
-        )
-    return psi_t
+    return step(psi0)
 
 
 def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
@@ -126,18 +160,18 @@ def tail_trace(
     w, n = op.window, op.n_particles
     if float(boundary_shell_mass(psi0, w, n)[0]) > 1e-10:
         raise ValueError("initial state must be supported in the interior")
+    _check_normalized(psi0)
     radii = np.asarray(sorted(radii), dtype=int)
     times = np.linspace(0.0, config.t_max, config.samples + 1)
-    bounds = config.spectral_bounds or gershgorin_bounds(op)
-    cfg = PropagatorConfig(config.t_max, config.samples, config.tolerance, bounds)
-    dt = times[1] - times[0] if config.samples else 0.0
+    dt = times[1] - times[0]
+    step = ChebyshevStep(op, dt, config)
     psi = psi0.astype(complex)
     dens = np.empty((times.size, w.n_sites))
     tails = np.empty((times.size, radii.size))
     drift = 0.0
-    for k, t in enumerate(times):
+    for k in range(times.size):
         if k > 0:
-            psi = evolve(op, psi, dt, cfg)
+            psi = step(psi)
         drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
         rho = density(psi, w, n)
         dens[k] = rho
@@ -146,7 +180,8 @@ def tail_trace(
     guard = w.L - w.interior_margin
     guard_sup = max(tail_mass(dens[k], w, guard) for k in range(times.size))
     return DensityTrace(
-        times, dens, radii, tails, sup_tails, guard_sup <= TRUNCATION_FLAG, drift
+        times, dens, radii, tails, sup_tails, guard_sup <= TRUNCATION_FLAG, float(drift),
+        int(step.coef.size), tuple(step.bounds), float(dt), guard, guard_sup,
     )
 
 

@@ -22,7 +22,6 @@ from . import specfun
 N_MAX = 4
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
-KERNEL_TRUNC = 1e-16
 
 POTENTIAL_KINDS = ("nearest_neighbor", "exponential", "power_law", "tabulated")
 STATISTICS = ("distinguishable", "boson", "fermion")

@@ -118,6 +118,22 @@ def test_evolve_run(tmp_path):
     rows = cli._read_csv(str(tmp_path / "out" / "tail_summary.csv"))
     sups = [float(r["sup_tail"]) for r in rows]
     assert sups == sorted(sups, reverse=True)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    diag = manifest["diagnostics"]
+    assert set(diag) == {
+        "chebyshev_terms", "spectral_bounds", "dt", "norm_drift_max",
+        "guard_radius", "guard_tail",
+    }
+    assert isinstance(diag["chebyshev_terms"], int) and diag["chebyshev_terms"] > 2
+    params = ModelParams(1.0, 0.5, 2, PairPotential("nearest_neighbor", 1.0))
+    vals = np.linalg.eigvalsh(model.build_hamiltonian(params, Window(12, 3), "position").toarray())
+    lo, hi = diag["spectral_bounds"]
+    assert lo < vals.min() and vals.max() < hi
+    assert diag["dt"] == pytest.approx(0.25, rel=1e-15)
+    assert 0.0 <= diag["norm_drift_max"] <= 1e-10
+    assert diag["guard_radius"] == 9
+    assert 0.0 <= diag["guard_tail"] <= 1e-4
+    assert manifest["checks"] == {"norm_drift": True, "truncation_safe": True}
 
 
 def test_failed_check_exit_two(tmp_path):
@@ -134,6 +150,7 @@ def test_failed_check_exit_two(tmp_path):
     assert cli.main(["evolve", "--config", str(p)]) == cli.EXIT_ASSERT
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["checks"]["truncation_safe"] is False
+    assert manifest["diagnostics"]["guard_tail"] > 1e-4
 
 
 def test_plot_data(tmp_path):
@@ -183,3 +200,60 @@ def test_workers_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "--config", str(p), "--workers", "2"])
     assert exc.value.code == 2
+
+
+EVOLVE_N2 = dict(
+    task="evolve",
+    model={"g": 1.0, "h": 0.5, "N": 2},
+    window={"L": 10, "interior_margin": 3},
+    dynamics={"t_max": 2.0, "samples": 4, "radii": [2], "initial_sites": [0, 1]},
+)
+LOCALIZATION_N1 = dict(
+    task="localization",
+    model={"g": 1.0, "h": 0.5, "N": 1},
+    window={"L": 14, "interior_margin": 5},
+    probes={"fit_range": [4, 12]},
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, basis, code",
+    [
+        (EVOLVE_N2, "position", cli.EXIT_OK),
+        (EVOLVE_N2, "stark", cli.EXIT_CONFIG),
+        (LOCALIZATION_N1, "stark", cli.EXIT_OK),
+        (LOCALIZATION_N1, "position", cli.EXIT_CONFIG),
+    ],
+)
+def test_single_basis_tasks(tmp_path, capsys, overrides, basis, code):
+    p = tmp_path / "c.json"
+    write_config(p, basis=basis, **overrides)
+    assert cli.main([overrides["task"], "--config", str(p)]) == code
+    if code == cli.EXIT_CONFIG:
+        assert "basis only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_resolvent_check_basis(tmp_path, monkeypatch):
+    seen = []
+
+    class Spy(cli.resolvent.ResolventWorkspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.basis)
+
+    monkeypatch.setattr(cli.resolvent, "ResolventWorkspace", Spy)
+    base = dict(
+        task="resolvent-check",
+        model={"g": 1.0, "h": 0.5, "N": 2},
+        window={"L": 5, "interior_margin": 2},
+        resolvent={"z_grid": [[0.0, 8.0]]},
+    )
+    for basis in (None, "position", "stark"):
+        p = tmp_path / f"{basis}.json"
+        write_config(p, **(base if basis is None else dict(base, basis=basis)))
+        assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_OK
+    assert seen == ["stark", "position", "stark"]
+    p = tmp_path / "bad.json"
+    write_config(p, basis="momentum", **base)
+    assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_CONFIG

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from starklat import dynamics as dyn
 from starklat import model
@@ -17,6 +18,36 @@ def spectral_propagate(op, psi0, t):
     dense = op.toarray()
     vals, vecs = np.linalg.eigh(dense)
     return vecs @ (np.exp(-1j * vals * t) * (vecs.T @ psi0))
+
+
+def per_sample_evolve(op, psi0, t, config):
+    """The propagator with its set-up redone on every call, as tail_trace used
+    it before the step was built once per trace; the reference for tail_trace."""
+    lo, hi = config.spectral_bounds or dyn.gershgorin_bounds(op)
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coef = dyn.chebyshev_coefficients(half * t, config.tolerance)
+    hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
+    tk_prev = psi0.astype(complex)
+    tk = hs @ tk_prev
+    acc = coef[0] * tk_prev + coef[1] * tk
+    for c in coef[2:]:
+        tk_prev, tk = tk, 2.0 * (hs @ tk) - tk_prev
+        acc += c * tk
+    return np.exp(-1j * center * t) * acc
+
+
+def traced_states(monkeypatch, op, psi0, config):
+    """tail_trace's state at every sample, read where it takes the density."""
+    states = []
+    density = dyn.density
+
+    def recording(psi, window, n_particles):
+        states.append(psi.copy())
+        return density(psi, window, n_particles)
+
+    monkeypatch.setattr(dyn, "density", recording)
+    trace = dyn.tail_trace(op, psi0, config, [2])
+    return trace, states
 
 
 def test_config_validation():
@@ -143,3 +174,44 @@ def test_grid_refinement_stable(pair_setup):
     fine = dyn.tail_trace(op, psi0, dyn.PropagatorConfig(10.0, 80), [4])
     assert fine.sup_tails[0] >= coarse.sup_tails[0] - 1e-12
     assert abs(coarse.sup_tails[0] - fine.sup_tails[0]) <= 1e-2 * fine.sup_tails[0]
+
+
+def test_tail_trace_matches_per_sample_evolve(pair_setup, monkeypatch):
+    p, w, op = pair_setup
+    psi0 = dyn.product_state(w, (0, 1))
+    cfg = dyn.PropagatorConfig(t_max=10.0, samples=40)
+    trace, states = traced_states(monkeypatch, op, psi0, cfg)
+    assert len(states) == trace.times.size == 41
+    dt = trace.times[1] - trace.times[0]
+    psi = psi0.astype(complex)
+    for k, state in enumerate(states):
+        if k > 0:
+            psi = per_sample_evolve(op, psi, dt, cfg)
+        assert np.linalg.norm(state - psi) <= 1e-12
+
+
+@pytest.mark.parametrize("n, L, sites", [(2, 6, (0, 1)), (3, 3, (0, 1, -1))])
+def test_tail_trace_matches_spectral_oracle(monkeypatch, n, L, sites):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=L, interior_margin=1)
+    op = model.build_hamiltonian(p, w, "position")
+    psi0 = dyn.product_state(w, sites)
+    trace, states = traced_states(monkeypatch, op, psi0, dyn.PropagatorConfig(10.0, 20))
+    assert len(states) == 21
+    for t, state in zip(trace.times, states):
+        assert np.linalg.norm(state - spectral_propagate(op, psi0, t)) <= 1e-9
+
+
+def test_tail_trace_guards(pair_setup):
+    p, w, op = pair_setup
+    psi0 = dyn.product_state(w, (0, 1))
+    narrow = dyn.PropagatorConfig(1.0, 2, spectral_bounds=(-0.5, 0.5))
+    with pytest.raises(RuntimeError, match="norm drift"):
+        dyn.tail_trace(op, psi0, narrow, [2])
+    skew = op.matrix.tolil()
+    skew[0, 1] += 0.1
+    bad_op = model.OperatorMatrix("position", w, 2, skew)
+    with pytest.raises(ValueError, match="symmetric"):
+        dyn.tail_trace(bad_op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
+    with pytest.raises(ValueError, match="normalized"):
+        dyn.tail_trace(op, 2.0 * psi0, dyn.PropagatorConfig(1.0, 2), [2])

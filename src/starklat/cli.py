@@ -29,7 +29,7 @@ TASKS = (
 )
 
 _SCHEMA = {
-    "": {"model", "window", "task", "output_dir", "seed", "basis",
+    "": {"model", "window", "task", "output_dir", "basis",
          "probes", "dynamics", "resolvent"},
     "model": {"g", "h", "N", "potential", "statistics"},
     "potential": {"kind", "strength", "decay", "table"},
@@ -40,7 +40,12 @@ _SCHEMA = {
 }
 
 # tasks that run in one basis only; an explicit other `basis` is rejected
-TASK_BASIS = {"evolve": "position", "localization": "stark"}
+TASK_BASIS = {
+    "evolve": "position",
+    "localization": "stark",
+    "cluster-spectrum": "stark",
+    "selftest": "position",
+}
 
 
 class ConfigError(Exception):
@@ -54,7 +59,6 @@ class RunConfig:
     task: str
     output_dir: str
     basis: str = "stark"
-    seed: int = 0
     probes: dict = field(default_factory=dict)
     dynamics: dict = field(default_factory=dict)
     resolvent: dict = field(default_factory=dict)
@@ -117,7 +121,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid model/window: {exc}") from exc
     return RunConfig(
         params, window, task,
-        raw.get("output_dir", "."), basis, int(raw.get("seed", 0)),
+        raw.get("output_dir", "."), basis,
         raw.get("probes", {}), raw.get("dynamics", {}), raw.get("resolvent", {}),
         raw,
     )
@@ -311,7 +315,7 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict) -> None:
     checks["bessel_bound"] = specfun.check_upper_bound(30, 2.0).passed
     p1 = ModelParams(1.0, 0.5, 1)
     w1 = Window(12, 4)
-    res = spectra.eigh(model.build_hamiltonian(p1, w1, "position"))
+    res = spectra.eigh(model.build_hamiltonian(p1, w1, cfg.basis))
     interior = res.eigenvalues[spectra.interior_mask(res, p1)]
     checks["ladder"] = bool(
         np.abs(interior - np.round(interior)).max() <= 1e-8
@@ -385,8 +389,24 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
     return EXIT_OK
 
 
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_manifest(out: str, manifest: dict, checks: dict, timings: dict) -> None:
-    manifest = dict(manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings)
+    files = {
+        name: _sha256(os.path.join(out, name))
+        for name in sorted(os.listdir(out))
+        if name not in ("manifest.json", "manifest.json.tmp")
+        and os.path.isfile(os.path.join(out, name))
+    }
+    manifest = dict(
+        manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings, files=files
+    )
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)

@@ -1,16 +1,17 @@
 """Truncated Hamiltonians: free part, pair interaction, cluster variants, symmetrizer.
 
 All operators act on the tensor-product window [-L, L]^N with lexicographic
-flat indexing; the stark-basis interaction kernel is assembled by a congruence
-transform of the position-basis multiplication operator through the
-single-particle eigenbasis matrix of Bessel overlaps.
+flat indexing, one leg per particle; H0 and the interaction are sums of a
+one-site and a two-site operator lifted onto legs by `embed_on_legs`. The
+stark-basis two-site kernel is assembled by a congruence transform of the
+position-basis multiplication operator through the single-particle
+eigenbasis matrix of Bessel overlaps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,21 +120,6 @@ class Window:
         if not (0 <= self.interior_margin <= self.L):
             raise ValueError("interior_margin must be in [0, L]")
 
-    @classmethod
-    def recommended(cls, params: ModelParams, extra: int = 0) -> "Window":
-        r = int(math.ceil(abs(params.x)))
-        return cls(2 * r + 10 + extra, r + 5)
-
-    def check_against(self, params: ModelParams) -> None:
-        r = int(math.ceil(abs(params.x)))
-        if self.L < 2 * r + 10 or self.interior_margin < r + 5:
-            warnings.warn(
-                f"window L={self.L}, margin={self.interior_margin} below the "
-                f"recommended size for |g/h|={abs(params.x):g}; interior "
-                "filtering must compensate",
-                stacklevel=2,
-            )
-
     @property
     def n_sites(self) -> int:
         return 2 * self.L + 1
@@ -219,14 +205,6 @@ def _check_caps(window: Window, n_particles: int) -> None:
         )
 
 
-def single_particle_h0(params: ModelParams, window: Window) -> sp.csr_matrix:
-    """g*Delta - 2h*X on [-L, L] with a Dirichlet cut at the edge."""
-    j = site_range(window)
-    diag = -2.0 * params.h * j
-    off = -params.g * np.ones(window.n_sites - 1)
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
-
-
 def stark_basis_matrix(params: ModelParams, window: Window, pad: int = 0) -> np.ndarray:
     """Xi[j, m] = J_{m-j}(g/h); rows j in [-L-pad, L+pad], columns m in [-L, L]."""
     x = params.x
@@ -285,39 +263,80 @@ def pair_element_stark(
     return float(u @ vm @ w)
 
 
-def _rest_offsets(window: Window, n_particles: int, legs: tuple) -> np.ndarray:
-    d = window.n_sites
-    strides = d ** np.arange(n_particles - 1, -1, -1)
-    rest = np.zeros(1, dtype=np.int64)
-    for k in range(n_particles):
-        if k in legs:
-            continue
-        rest = (rest[:, None] + (np.arange(d) * strides[k])[None, :]).ravel()
-    return rest
+def one_site_operator(params: ModelParams, window: Window, basis: str) -> sp.coo_matrix:
+    """One-particle H0 on [-L, L]: g*Delta - 2h*X (position, Dirichlet cut) or diag(-2h m)."""
+    m = site_range(window)
+    if basis == "stark":
+        return sp.diags(-2.0 * params.h * m, format="coo")
+    off = -params.g * np.ones(window.n_sites - 1)
+    return sp.diags([off, -2.0 * params.h * m, off], [-1, 0, 1], format="coo")
 
 
-def embed_pair_operator(
-    kernel: np.ndarray, window: Window, n_particles: int, i: int, j: int
-) -> sp.csr_matrix:
-    """Lift a two-site kernel onto legs (i, j) with identity elsewhere.
+def two_site_operator(params: ModelParams, window: Window, basis: str) -> sp.coo_matrix:
+    """Two-particle interaction on [-L, L]^2: diag v(j1 - j2) (position) or the stark kernel.
 
-    Legs are 0-based particle indices, i < j.
+    Returned as COO, the form `embed_on_legs` reads; a CSR copy of the dense
+    stark kernel raised the peak RSS of an N=2, L=20 localization run by 5 MB.
     """
-    if not (0 <= i < j < n_particles):
-        raise ValueError("invalid pair legs")
-    d = window.n_sites
-    dim = d**n_particles
-    ksp = sp.coo_matrix(kernel)
+    if basis == "stark":
+        return sp.coo_matrix(two_site_kernel(params, window))
+    return sp.diags(potential_matrix(params, window.L).ravel(), format="coo")
+
+
+def embed_on_legs(op, window: Window, n_particles: int, legs: tuple) -> sp.csr_matrix:
+    """Lift a d^k x d^k operator onto the sorted 0-based legs, identity elsewhere.
+
+    The operator's rows and columns index its k legs lexicographically, like
+    the full tensor-product index.
+    """
+    d, k = window.n_sites, len(legs)
+    if list(legs) != sorted(set(legs)) or not 0 <= legs[0] <= legs[-1] < n_particles:
+        raise ValueError(f"invalid legs {legs!r} for {n_particles} particles")
+    if op.shape != (d**k, d**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} legs")
+    coo = sp.coo_matrix(op)
     strides = d ** np.arange(n_particles - 1, -1, -1)
-    ni, nj = np.divmod(ksp.row, d)
-    mi, mj = np.divmod(ksp.col, d)
-    base_r = ni * strides[i] + nj * strides[j]
-    base_c = mi * strides[i] + mj * strides[j]
-    rest = _rest_offsets(window, n_particles, (i, j))
-    rows = (base_r[:, None] + rest[None, :]).ravel()
-    cols = (base_c[:, None] + rest[None, :]).ravel()
-    data = np.repeat(ksp.data, rest.size)
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+    leg_strides = strides[list(legs)]
+    rows = leg_strides @ np.unravel_index(coo.row, (d,) * k)
+    cols = leg_strides @ np.unravel_index(coo.col, (d,) * k)
+    # offsets of every site tuple on the other legs, where the lift is the identity
+    rest = np.zeros(1, dtype=np.int64)
+    for leg in range(n_particles):
+        if leg not in legs:
+            rest = (rest[:, None] + np.arange(d) * strides[leg]).ravel()
+    rows = (rows[:, None] + rest).ravel()
+    cols = (cols[:, None] + rest).ravel()
+    dim = d**n_particles
+    return sp.coo_matrix((np.repeat(coo.data, rest.size), (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) -> np.ndarray:
+    """Apply the real operator `op` to the row legs `legs` (sorted, 0-based) of x.
+
+    x has d**n rows, one leg per particle in lexicographic order, and any
+    number of columns; a complex x is handled as its real view, so each step
+    is one real BLAS product.
+    """
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x).view(np.float64)
+        return apply_on_legs(op, x, legs, d, n).view(complex)
+    k, a = len(legs), legs[0]
+    if legs == tuple(range(a, a + k)):
+        y = np.matmul(op, x.reshape(d**a, d**k, -1))
+    else:
+        t = x.reshape((d,) * n + (-1,))
+        perm = list(legs) + [ax for ax in range(n + 1) if ax not in legs]
+        y = op @ t.transpose(perm).reshape(d**k, -1)
+        y = y.reshape([t.shape[ax] for ax in perm]).transpose(np.argsort(perm))
+    return np.ascontiguousarray(y).reshape(x.shape)
+
+
+def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:
+    dim = dimension(window, n_particles)
+    total = sp.csr_matrix((dim, dim))
+    for legs in leg_list:
+        total = total + embed_on_legs(op, window, n_particles, legs)
+    return total
 
 
 def pairs(n_particles: int) -> list:
@@ -325,26 +344,13 @@ def pairs(n_particles: int) -> list:
 
 
 def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
-    """Free Hamiltonian: hopping + linear field (position) or COM diagonal (stark)."""
+    """Free Hamiltonian: the one-site operator on every leg."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     _check_caps(window, params.N)
-    d = window.n_sites
-    if basis == "position":
-        t = single_particle_h0(params, window)
-        eye = sp.identity(d, format="csr")
-        total = sp.csr_matrix((d**params.N, d**params.N))
-        for k in range(params.N):
-            ops = [eye] * params.N
-            ops[k] = t
-            term = ops[0]
-            for o in ops[1:]:
-                term = sp.kron(term, o, format="csr")
-            total = total + term
-        return OperatorMatrix("position", window, params.N, total)
-    coords = flat_to_tuples(window, params.N)
-    diag = -2.0 * params.h * coords.sum(axis=1)
-    return OperatorMatrix("stark", window, params.N, sp.diags(diag, format="csr"))
+    op = one_site_operator(params, window, basis)
+    legs = [(k,) for k in range(params.N)]
+    return OperatorMatrix(basis, window, params.N, _leg_sum(op, window, params.N, legs))
 
 
 def build_interaction(
@@ -359,21 +365,9 @@ def build_interaction(
     _check_caps(window, params.N)
     if pair_list is None:
         pair_list = pairs(params.N)
-    dim = dimension(window, params.N)
-    if params.N == 1 or not pair_list:
-        mat = sp.csr_matrix((dim, dim))
-        return OperatorMatrix(basis, window, params.N, mat)
-    if basis == "position":
-        coords = flat_to_tuples(window, params.N)
-        diag = np.zeros(dim)
-        for i, j in pair_list:
-            diag += params.potential.values(coords[:, i] - coords[:, j])
-        return OperatorMatrix("position", window, params.N, sp.diags(diag, format="csr"))
-    kernel = two_site_kernel(params, window)
-    total = sp.csr_matrix((dim, dim))
-    for i, j in pair_list:
-        total = total + embed_pair_operator(kernel, window, params.N, i, j)
-    return OperatorMatrix("stark", window, params.N, total)
+    # with no pair to place (N = 1, or an empty list) the operator is not needed
+    op = two_site_operator(params, window, basis) if pair_list else None
+    return OperatorMatrix(basis, window, params.N, _leg_sum(op, window, params.N, pair_list))
 
 
 def build_hamiltonian(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:

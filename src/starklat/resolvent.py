@@ -22,9 +22,11 @@ import numpy as np
 from .model import (
     ModelParams,
     Window,
+    apply_on_legs,
     build_cluster_hamiltonian,
     build_hamiltonian,
     build_interaction,
+    two_site_operator,
 )
 from .spectra import ClusterDecomposition, enumerate_set_partitions
 
@@ -144,27 +146,6 @@ def operator_norm(a: np.ndarray) -> float:
     return est
 
 
-def _on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) -> np.ndarray:
-    """Apply the real operator `op` to the row legs `legs` (sorted, 0-based) of x.
-
-    x has d**n rows, one leg per particle in lexicographic order, and any
-    number of columns; a complex x is handled as its real view, so each step
-    is one real BLAS product.
-    """
-    if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x).view(np.float64)
-        return _on_legs(op, x, legs, d, n).view(complex)
-    k, a = len(legs), legs[0]
-    if legs == tuple(range(a, a + k)):
-        y = np.matmul(op, x.reshape(d**a, d**k, -1))
-    else:
-        t = x.reshape((d,) * n + (-1,))
-        perm = list(legs) + [ax for ax in range(n + 1) if ax not in legs]
-        y = op @ t.transpose(perm).reshape(d**k, -1)
-        y = y.reshape([t.shape[ax] for ax in perm]).transpose(np.argsort(perm))
-    return np.ascontiguousarray(y).reshape(x.shape)
-
-
 @dataclass(frozen=True)
 class BlockFactor:
     """H^(k) = U diag(eps) U^T for one block size k, with its Frobenius defects."""
@@ -228,9 +209,7 @@ class ResolventWorkspace:
         """The d^2 x d^2 pair operator, applied on every leg pair (i < j)."""
         key = ("V2",)
         if key not in self.cache:
-            self.cache[key] = build_interaction(
-                self.params.with_n(2), self.window, self.basis
-            ).toarray()
+            self.cache[key] = two_site_operator(self.params, self.window, self.basis).toarray()
         return self.cache[key]
 
     def factor(self, dec: ClusterDecomposition, z: complex) -> FactoredResolvent:
@@ -271,11 +250,11 @@ class ResolventWorkspace:
         f = self.factor(dec, z)
         for legs, b in f.blocks:
             if b.u is not None:
-                x = _on_legs(b.u.T, x, legs, d, n)
+                x = apply_on_legs(b.u.T, x, legs, d, n)
         x = f.delta[:, None] * x
         for legs, b in f.blocks:
             if b.u is not None:
-                x = _on_legs(b.u, x, legs, d, n)
+                x = apply_on_legs(b.u, x, legs, d, n)
         return x
 
     def apply_coupling(
@@ -285,9 +264,9 @@ class ResolventWorkspace:
         d, n = self.window.n_sites, self.params.N
         v2 = self.two_site()
         first, *rest = _new_pairs(d_fine, d_coarse)
-        out = _on_legs(v2, x, first, d, n)
+        out = apply_on_legs(v2, x, first, d, n)
         for legs in rest:
-            out += _on_legs(v2, x, legs, d, n)
+            out += apply_on_legs(v2, x, legs, d, n)
         return out
 
     def resolvent(self, dec: ClusterDecomposition, z: complex) -> np.ndarray:

@@ -13,6 +13,7 @@ from .model import (
     ModelParams,
     OperatorMatrix,
     Window,
+    apply_on_legs,
     build_hamiltonian,
     flat_to_tuples,
     stark_basis_matrix,
@@ -77,15 +78,10 @@ class ClusterSpectrum:
 
 def transform_columns(vectors: np.ndarray, xi: np.ndarray, n_particles: int) -> np.ndarray:
     """Apply a one-particle basis matrix on every tensor leg of each column."""
-    d = xi.shape[0]
-    single = vectors.ndim == 1
-    v = vectors[:, None] if single else vectors
-    k = v.shape[1]
-    t = v.reshape((d,) * n_particles + (k,))
-    for axis in range(n_particles):
-        t = np.moveaxis(np.tensordot(xi, t, axes=([1], [axis])), 0, axis)
-    out = t.reshape(d**n_particles, k)
-    return out[:, 0] if single else out
+    out = vectors[:, None] if vectors.ndim == 1 else vectors
+    for leg in range(n_particles):
+        out = apply_on_legs(xi, out, (leg,), xi.shape[0], n_particles)
+    return out[:, 0] if vectors.ndim == 1 else out
 
 
 def boundary_shell_mass(
@@ -203,23 +199,16 @@ def enumerate_integer_partitions(n: int) -> list:
     return list(rec(n, n))
 
 
-def cluster_spectrum(
-    params: ModelParams,
-    window: Window,
-    depth_windows: Optional[dict] = None,
-    interior_tol: float = INTERIOR_TOL,
-) -> ClusterSpectrum:
+def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:
     """Union over integer partitions of Minkowski sums of smaller-N spectra."""
     if params.N < 2:
         raise ValueError("cluster spectrum needs N >= 2")
-    depth_windows = depth_windows or {}
     partitions = [p for p in enumerate_integer_partitions(params.N) if p != (params.N,)]
     needed = sorted({part for p in partitions for part in p})
     interior_spectra = {}
     for n_sub in needed:
-        w = depth_windows.get(n_sub, window)
-        res = eigh(build_hamiltonian(params.with_n(n_sub), w, "stark"))
-        mask = interior_mask(res, params.with_n(n_sub), tol=interior_tol)
+        res = eigh(build_hamiltonian(params.with_n(n_sub), window, "stark"))
+        mask = interior_mask(res, params.with_n(n_sub))
         interior_spectra[n_sub] = res.eigenvalues[mask]
     points = []
     gens = []
@@ -262,10 +251,9 @@ def spectral_periodicity_check(
     shift: float,
     params: ModelParams,
     tol: float = 1e-6,
-    interior_tol: float = INTERIOR_TOL,
 ) -> PeriodicityReport:
     """Interior spectrum invariance under the lattice energy shift 2hN."""
-    mask = interior_mask(result, params, tol=interior_tol)
+    mask = interior_mask(result, params)
     ev = np.sort(result.eigenvalues[mask])
     if ev.size < 3:
         return PeriodicityReport(shift, 0, np.inf, None, False)

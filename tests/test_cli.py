@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -20,9 +21,10 @@ def write_config(path, **overrides):
     return cfg
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("key", ["bogus", "seed"])
+def test_load_config_rejects_unknown_keys(tmp_path, key):
     p = tmp_path / "c.json"
-    write_config(p, bogus=1)
+    write_config(p, **{key: 1})
     with pytest.raises(cli.ConfigError):
         cli.load_config(str(p))
 
@@ -134,6 +136,10 @@ def test_evolve_run(tmp_path):
     assert diag["guard_radius"] == 9
     assert 0.0 <= diag["guard_tail"] <= 1e-4
     assert manifest["checks"] == {"norm_drift": True, "truncation_safe": True}
+    outputs = sorted(f for f in os.listdir(tmp_path / "out") if f != "manifest.json")
+    assert sorted(manifest["files"]) == outputs == ["density_trace.csv", "tail_summary.csv"]
+    for name, digest in manifest["files"].items():
+        assert digest == hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
 
 
 def test_failed_check_exit_two(tmp_path):
@@ -214,6 +220,12 @@ LOCALIZATION_N1 = dict(
     window={"L": 14, "interior_margin": 5},
     probes={"fit_range": [4, 12]},
 )
+CLUSTER_N2 = dict(
+    task="cluster-spectrum",
+    model={"g": 1.0, "h": 0.5, "N": 2},
+    window={"L": 12, "interior_margin": 3},
+)
+SELFTEST = dict(task="selftest")
 
 
 @pytest.mark.parametrize(
@@ -223,6 +235,10 @@ LOCALIZATION_N1 = dict(
         (EVOLVE_N2, "stark", cli.EXIT_CONFIG),
         (LOCALIZATION_N1, "stark", cli.EXIT_OK),
         (LOCALIZATION_N1, "position", cli.EXIT_CONFIG),
+        (CLUSTER_N2, "stark", cli.EXIT_OK),
+        (CLUSTER_N2, "position", cli.EXIT_CONFIG),
+        (SELFTEST, "position", cli.EXIT_OK),
+        (SELFTEST, "stark", cli.EXIT_CONFIG),
     ],
 )
 def test_single_basis_tasks(tmp_path, capsys, overrides, basis, code):

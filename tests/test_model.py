@@ -113,6 +113,28 @@ def test_hamiltonian_is_sum(params2, win):
     assert abs((h.matrix - (h0.matrix + v.matrix))).max() == 0.0
 
 
+def test_embed_and_apply_on_legs_match_kron():
+    w = Window(L=2, interior_margin=1)
+    d, n = w.n_sites, 3
+    rng = np.random.default_rng(11)
+    for legs in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+        k = len(legs)
+        op = rng.standard_normal((d**k, d**k))
+        # kron puts the op's legs first; permute the axes back to particle order
+        perm = list(legs) + [a for a in range(n) if a not in legs]
+        back = list(np.argsort(perm))
+        want = np.kron(op, np.eye(d ** (n - k))).reshape((d,) * (2 * n))
+        want = want.transpose(back + [n + a for a in back]).reshape(d**n, d**n)
+        got = model.embed_on_legs(op, w, n, legs)
+        assert np.array_equal(got.toarray(), want)
+        x = rng.standard_normal((d**n, 3)) + 1j * rng.standard_normal((d**n, 3))
+        assert np.abs(model.apply_on_legs(op, x, legs, d, n) - got @ x).max() <= 1e-13
+    with pytest.raises(ValueError):
+        model.embed_on_legs(np.eye(d * d), w, n, (1, 0))
+    with pytest.raises(ValueError):
+        model.embed_on_legs(np.eye(d), w, n, (0, 1))
+
+
 def test_symmetry_defect(params2, win):
     for basis in ("position", "stark"):
         h = model.build_hamiltonian(params2, win, basis)

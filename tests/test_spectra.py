@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -106,14 +108,15 @@ def test_transform_columns_shapes(params2):
     assert np.allclose(one, spectra.transform_columns(v, xi, 2)[:, 0])
 
 
-def test_transform_matches_kron():
-    p = ModelParams(g=1.0, h=0.5, N=2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_transform_matches_kron(n):
+    p = ModelParams(g=1.0, h=0.5, N=n)
     w = Window(L=3, interior_margin=1)
     xi = model.stark_basis_matrix(p, w)
     rng = np.random.default_rng(5)
-    v = rng.standard_normal((w.n_sites**2, 2))
-    want = np.kron(xi, xi) @ v
-    got = spectra.transform_columns(v, xi, 2)
+    v = rng.standard_normal((w.n_sites**n, 2))
+    want = functools.reduce(np.kron, [xi] * n) @ v
+    got = spectra.transform_columns(v, xi, n)
     assert np.abs(got - want).max() <= 1e-13
 
 

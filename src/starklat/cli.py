@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import __version__, dynamics, localization, model, resolvent, spectra
 from .model import ModelParams, PairPotential, Window
@@ -100,6 +101,12 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"task {task!r} runs in the {TASK_BASIS[task]} basis only, not {basis!r}"
         )
+    statistics = m.get("statistics", "distinguishable")
+    if statistics != "distinguishable":
+        raise ConfigError(
+            f"statistics {statistics!r} is not implemented; only 'distinguishable' runs "
+            "(boson and fermion sectors are ROADMAP item 4)"
+        )
     pot_raw = m.get("potential", {})
     _check_keys("potential", pot_raw)
     try:
@@ -112,10 +119,7 @@ def load_config(path: str) -> RunConfig:
             float(pot_raw.get("decay", 1.0)),
             table,
         )
-        params = ModelParams(
-            float(m["g"]), float(m["h"]), int(m["N"]), pot,
-            m.get("statistics", "distinguishable"),
-        )
+        params = ModelParams(float(m["g"]), float(m["h"]), int(m["N"]), pot)
         window = Window(int(w["L"]), int(w["interior_margin"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model/window: {exc}") from exc
@@ -146,11 +150,14 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _task_spectrum(cfg: RunConfig, out: str, checks: dict, export: bool) -> None:
+def _task_spectrum(
+    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, export: bool
+) -> None:
     op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     if export:
         op.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     res = spectra.eigh(op)
+    diagnostics["eigh"] = res.sectors
     mask = spectra.interior_mask(res, cfg.params)
     write_csv(
         os.path.join(out, "eigenvalues.csv"),
@@ -181,9 +188,10 @@ def _decay_probe(cfg: RunConfig) -> localization.DecayProbe:
     )
 
 
-def _task_localization(cfg: RunConfig, out: str, checks: dict) -> None:
+def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> None:
     probe = _decay_probe(cfg)
     res = spectra.eigh(model.build_hamiltonian(cfg.params, cfg.window, cfg.basis))
+    diagnostics["eigh"] = res.sectors
     mask = spectra.interior_mask(res, cfg.params)
     sig = spectra.cluster_spectrum(cfg.params, cfg.window) if cfg.params.N >= 2 else None
     profile_rows, shell_rows, report = [], [], []
@@ -271,16 +279,15 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> N
     )
 
 
-def _task_resolvent(cfg: RunConfig, out: str, checks: dict) -> None:
+def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> None:
     ws = resolvent.ResolventWorkspace(cfg.params, cfg.window, cfg.basis)
     z_grid = [complex(a, b) for a, b in cfg.resolvent.get("z_grid", [[0.0, 8.0]])]
     entries = []
     ok = True
-    i_first = None
-    for z in z_grid:
+    for k, z in enumerate(z_grid):
         fe = resolvent.functional_equation(z, ws)
-        if i_first is None:
-            i_first = fe.i
+        if k == 0:
+            rep = resolvent.compactness_proxy(fe.i, tensor=(cfg.window.n_sites, cfg.params.N))
         entries.append(
             {
                 "z": [z.real, z.imag],
@@ -292,10 +299,13 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict) -> None:
             }
         )
         ok &= fe.residual <= 1e-6
+        del fe  # free this z's dense G, D and I before the next z builds its own
     with open(os.path.join(out, "functional_eq.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    rep = resolvent.compactness_proxy(i_first)
+    blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
+    diagnostics["block_eigh"] = {str(k): f.sectors for k, f in blocks.items() if f.u is not None}
+    diagnostics["compactness_svd"] = rep.sectors
     write_csv(
         os.path.join(out, "iz_singular_values.csv"),
         ["index", "singular_value"],
@@ -353,31 +363,37 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
     manifest = {
         "config": cfg.raw,
         "config_sha256": _config_hash(cfg.raw),
-        "version": __version__,
+        "versions": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "starklat": __version__,
+        },
         "complete": False,
         "diagnostics": diagnostics,
     }
     t0 = time.monotonic()
     try:
         task_fn = {
-            "spectrum": lambda: _task_spectrum(cfg, out, checks, export_matrices),
+            "spectrum": lambda: _task_spectrum(cfg, out, checks, diagnostics, export_matrices),
             "cluster-spectrum": lambda: _task_cluster_spectrum(cfg, out, checks),
-            "localization": lambda: _task_localization(cfg, out, checks),
+            "localization": lambda: _task_localization(cfg, out, checks, diagnostics),
             "evolve": lambda: _task_evolve(cfg, out, checks, diagnostics),
-            "resolvent-check": lambda: _task_resolvent(cfg, out, checks),
+            "resolvent-check": lambda: _task_resolvent(cfg, out, checks, diagnostics),
             "selftest": lambda: _task_selftest(cfg, out, checks),
         }[cfg.task]
         task_fn()
         manifest["complete"] = True
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        _write_manifest(out, manifest, checks, timings)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - report and mark incomplete
-        print(f"run failed: {exc}", file=sys.stderr)
-        checks["run_completed"] = False
+        # a capacity limit is a config error: the run was asked for too much
+        config_fault = isinstance(exc, (ConfigError, model.CapacityError))
+        print(f"{'config error' if config_fault else 'run failed'}: {exc}", file=sys.stderr)
+        if not config_fault:
+            checks["run_completed"] = False
+        manifest.update(failed_stage=cfg.task, exception=type(exc).__name__)
+        timings[cfg.task] = time.monotonic() - t0
         _write_manifest(out, manifest, checks, timings)
-        return EXIT_ASSERT
+        return EXIT_CONFIG if config_fault else EXIT_ASSERT
     timings[cfg.task] = time.monotonic() - t0
     _write_manifest(out, manifest, checks, timings)
     if not all(checks.values()):

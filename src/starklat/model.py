@@ -23,6 +23,7 @@ from . import specfun
 N_MAX = 4
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
+SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a swap-sector split may drop
 
 POTENTIAL_KINDS = ("nearest_neighbor", "exponential", "power_law", "tabulated")
 STATISTICS = ("distinguishable", "boson", "fermion")
@@ -197,10 +198,14 @@ class OperatorMatrix:
         )
 
 
+class CapacityError(ValueError):
+    """A problem size above a fixed capacity limit: a configuration error, not a failed check."""
+
+
 def _check_caps(window: Window, n_particles: int) -> None:
     dim = dimension(window, n_particles)
     if dim * (2 * n_particles + 1) > NNZ_CAP:
-        raise ValueError(
+        raise CapacityError(
             f"dimension {dim} exceeds the configured nonzero cap; shrink L or N"
         )
 
@@ -329,6 +334,105 @@ def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) ->
         y = op @ t.transpose(perm).reshape(d**k, -1)
         y = y.reshape([t.shape[ax] for ax in perm]).transpose(np.argsort(perm))
     return np.ascontiguousarray(y).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """Orthonormal columns q_a = coef_a (e_rep_a + sign e_partner_a) of a leg-swap sector.
+
+    `partner` is None for the whole space (Q = 1). A representative on the
+    swap diagonal (m0 = m1) is its own partner, with coef 1/2, so its column
+    is the unit vector e_rep.
+    """
+
+    rep: np.ndarray
+    partner: Optional[np.ndarray]
+    coef: np.ndarray
+    sign: float
+
+    @property
+    def dim(self) -> int:
+        return self.rep.size
+
+    def lift(self, y: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
+        """Write Q y into the columns `cols` of out, which are zero before."""
+        if self.partner is None:
+            out[:, cols] = y
+            return
+        y = self.coef[:, None] * y
+        out[self.rep[:, None], cols] = y
+        if self.sign > 0:
+            out[self.partner[:, None], cols] += y
+        else:
+            out[self.partner[:, None], cols] -= y
+
+
+@dataclass(frozen=True)
+class SectorSplit:
+    """Sectors a dense solve runs in, Q^T a Q in each, and the norm of what is dropped."""
+
+    sectors: tuple
+    blocks: tuple
+    cross_norm: float  # Frobenius norm of the dropped off-diagonal blocks
+
+    def diagnostics(self) -> dict:
+        return {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
+
+
+def swap_sectors(d: int, n: int) -> tuple:
+    """Even and odd sectors of swapping legs 0 and 1 on the d^n tensor index (n >= 2).
+
+    Representatives are the flat indices with m0 <= m1 (even) and m0 < m1
+    (odd), in increasing order; each partner is the index with m0, m1 swapped.
+    """
+    idx = np.arange(d**n).reshape(d, d, -1)
+    i, j = np.triu_indices(d)
+    rep, partner = idx[i, j].ravel(), idx[j, i].ravel()
+    coef = np.repeat(np.where(i == j, 0.5, math.sqrt(0.5)), idx.shape[2])
+    off = rep != partner
+    return (
+        Sector(rep, partner, coef, 1.0),
+        Sector(rep[off], partner[off], coef[off], -1.0),
+    )
+
+
+def _frobenius(x: np.ndarray) -> float:
+    # an einsum over the real view; a BLAS dot (np.vdot, np.linalg.norm) of a
+    # sector block ran 25x slower with two OpenBLAS threads than with one
+    v = x.ravel().view(np.float64)
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
+def split_by_swap(a: np.ndarray, d: int, n: int) -> SectorSplit:
+    """Split a into its two leg-0/1 swap sectors when it commutes with the swap.
+
+    The off-diagonal blocks Q_+^T a Q_- and Q_-^T a Q_+ are what the split
+    drops; by Weyl's inequality every eigenvalue (a symmetric) and singular
+    value moves by at most their Frobenius norm. If that norm is above
+    SECTOR_TOL times ||a||_F (a non-symmetric v, say) the whole space is the
+    one sector, as it is for n < 2.
+    """
+    if n >= 2:
+        even, odd = swap_sectors(d, n)
+        # four sector-sized gathers over the even representatives r and their
+        # partners p; the odd representatives are the even ones off the diagonal
+        r, p, c = even.rep, even.partner, even.coef
+        off = np.nonzero(r != p)[0]
+        rr, pp = a[r[:, None], r], a[p[:, None], p]
+        s1, d1 = rr + pp, rr - pp
+        del rr, pp
+        rp, pr = a[r[:, None], p], a[p[:, None], r]
+        s2, d2 = rp + pr, pr - rp
+        del rp, pr
+        blocks = (c[:, None] * (s1 + s2) * c, 0.5 * (s1 - s2)[off[:, None], off])
+        cross = math.sqrt(0.5) * math.hypot(
+            _frobenius(c[:, None] * (d1 + d2)[:, off]), _frobenius((d1 - d2)[off] * c)
+        )
+        # Q is orthogonal, so ||a||_F^2 is the sum of the squared block norms
+        if cross <= SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks)):
+            return SectorSplit((even, odd), blocks, cross)
+    whole = Sector(np.arange(a.shape[0]), None, np.ones(a.shape[0]), 1.0)
+    return SectorSplit((whole,), (a,), 0.0)
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:

@@ -26,9 +26,10 @@ from .model import (
     build_cluster_hamiltonian,
     build_hamiltonian,
     build_interaction,
+    split_by_swap,
     two_site_operator,
 )
-from .spectra import ClusterDecomposition, enumerate_set_partitions
+from .spectra import ClusterDecomposition, enumerate_set_partitions, sector_eigh
 
 RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
@@ -154,6 +155,7 @@ class BlockFactor:
     u: Optional[np.ndarray]  # None when H^(k) is diagonal, i.e. U = 1 exactly
     orthogonality_defect: float  # ||U^T U - 1||_F
     eigen_residual: float  # ||H^(k) U - U diag(eps)||_F
+    sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the solve
 
 
 @dataclass(frozen=True)
@@ -188,19 +190,24 @@ class ResolventWorkspace:
         return self.cache[key]
 
     def block(self, k: int) -> BlockFactor:
-        """Eigendecomposition of H^(k), shared by every block of k particles."""
+        """Eigendecomposition of H^(k), shared by every block of k particles.
+
+        Solved in the leg-swap sectors; both defects are measured on the full
+        H^(k) and the lifted U.
+        """
         key = ("U", k)
         if key not in self.cache:
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis).toarray()
             if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
                 f = BlockFactor(np.diagonal(h).copy(), None, 0.0, 0.0)
             else:
-                eps, u = np.linalg.eigh(h)
+                eps, u, sectors = sector_eigh(h, self.window.n_sites, k)
                 f = BlockFactor(
                     eps,
                     u,
                     float(np.linalg.norm(u.T @ u - np.eye(eps.size))),
                     float(np.linalg.norm(h @ u - u * eps)),
+                    sectors,
                 )
             self.cache[key] = f
         return self.cache[key]
@@ -348,8 +355,9 @@ def functional_equation(z: complex, ws: ResolventWorkspace) -> FunctionalEquatio
     """Build G(z), D(z) and I(z) once and measure G - D - I G."""
     n = ws.params.N
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    g = ws.apply_resolvent(full, z, np.eye(ws.dim, dtype=complex))
+    # G after the expansion, so its dim x dim array is not live at the expansion's peak
     d, i = expansion(z, ws)
+    g = ws.apply_resolvent(full, z, np.eye(ws.dim, dtype=complex))
     return FunctionalEquation(
         complex(z),
         g,
@@ -374,17 +382,28 @@ class CompactnessReport:
     singular_values: np.ndarray
     k_drop: Optional[int]
     passed: bool
+    sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the SVD
 
 
-def compactness_proxy(i_matrix: np.ndarray, rel_tol: float = 1e-6) -> CompactnessReport:
-    """Singular value decay of I(z) as the finite-size compactness witness."""
-    s = np.linalg.svd(i_matrix, compute_uv=False)
+def compactness_proxy(
+    i_matrix: np.ndarray, rel_tol: float = 1e-6, tensor: tuple = (1, 1)
+) -> CompactnessReport:
+    """Singular value decay of I(z) as the finite-size compactness witness.
+
+    `tensor` = (d, n) says I(z) acts on the d^n tensor index; for n >= 2 the
+    SVD runs in the leg-swap sectors, which moves each singular value by at
+    most the reported cross norm.
+    """
+    split = split_by_swap(i_matrix, *tensor)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in split.blocks])
+    s = np.sort(s)[::-1]
+    sectors = split.diagnostics()
     if s.size == 0 or s[0] == 0.0:
-        return CompactnessReport(s, 0, True)
+        return CompactnessReport(s, 0, True, sectors)
     below = np.nonzero(s <= rel_tol * s[0])[0]
     k = int(below[0]) if below.size else None
     passed = k is not None and k < s.size / 2
-    return CompactnessReport(s, k, passed)
+    return CompactnessReport(s, k, passed, sectors)
 
 
 @dataclass
@@ -408,8 +427,10 @@ def fredholm_probe(
     h_eigs = ws.block(params.N).eps
     out = []
     for z in z_grid:
-        i_mat = build_I(complex(z), ws)
-        eigs = np.linalg.eigvals(i_mat)
+        # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the
+        # dropped blocks are at most SECTOR_TOL ||I||_F, a roundoff-size change of I
+        split = split_by_swap(build_I(complex(z), ws), window.n_sites, params.N)
+        eigs = np.concatenate([np.linalg.eigvals(b) for b in split.blocks])
         j = int(np.argmin(np.abs(eigs - 1.0)))
         prox = float(np.abs(eigs[j] - 1.0))
         flagged = prox < threshold

@@ -10,12 +10,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .model import (
+    CapacityError,
     ModelParams,
     OperatorMatrix,
     Window,
     apply_on_legs,
     build_hamiltonian,
     flat_to_tuples,
+    split_by_swap,
     stark_basis_matrix,
 )
 
@@ -33,6 +35,7 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_max: float
+    sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of a dense solve
 
     def gram_defect(self) -> float:
         g = self.eigenvectors.T @ self.eigenvectors
@@ -117,17 +120,42 @@ def interior_mask(
     return (m_native <= tol) & (m_other <= tol)
 
 
+def sector_eigh(a: np.ndarray, d: int, n: int) -> tuple:
+    """Eigenpairs of a symmetric a on the d^n tensor index, solved per leg-swap sector.
+
+    Returns (values ascending, vectors lifted to the tensor index, the split's
+    diagnostics); each vector lies in one sector, i.e. has a definite leg-0/1
+    parity when the split is taken.
+    """
+    split = split_by_swap(a, d, n)
+    parts = [np.linalg.eigh(b) for b in split.blocks]
+    vals = np.concatenate([w for w, _ in parts])
+    order = np.argsort(vals, kind="stable")
+    cols = np.empty_like(order)
+    cols[order] = np.arange(order.size)
+    vecs = np.zeros(a.shape)
+    start = 0
+    for sector, (w, y) in zip(split.sectors, parts):
+        sector.lift(y, vecs, cols[start : start + w.size])
+        start += w.size
+    return vals[order], vecs, split.diagnostics()
+
+
 def eigh(op: OperatorMatrix) -> SpectralResult:
-    """Full dense symmetric eigendecomposition with residual diagnostics."""
+    """Full dense symmetric eigendecomposition with residual diagnostics.
+
+    Solved in the leg-swap sectors (`sector_eigh`); the residual is measured
+    on the full matrix and the lifted eigenvectors.
+    """
     if op.dim > DENSE_CAP:
-        raise ValueError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
+        raise CapacityError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
     dense = op.toarray()
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs, sectors = sector_eigh(dense, op.window.n_sites, op.n_particles)
     resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
     return SpectralResult(
-        op.basis_tag, op.window, op.n_particles, vals, vecs, float(resid.max())
+        op.basis_tag, op.window, op.n_particles, vals, vecs, float(resid.max()), sectors
     )
 
 
@@ -139,7 +167,7 @@ def extremal_eigs(
 ) -> SpectralResult:
     """k extremal (or nearest-to-target) eigenpairs by a Krylov scheme."""
     if k > KRYLOV_K_MAX:
-        raise ValueError(f"k must be <= {KRYLOV_K_MAX}")
+        raise CapacityError(f"k must be <= {KRYLOV_K_MAX}")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
     mat = op.matrix

@@ -273,3 +273,84 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
     p = tmp_path / "bad.json"
     write_config(p, basis="momentum", **base)
     assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # dim 24389 passes the nonzero cap and stops at the dense cap
+        dict(task="spectrum", basis="position", model={"g": 1.0, "h": 0.5, "N": 3},
+             window={"L": 14, "interior_margin": 7}),
+        # dim 61^4 stops at the nonzero cap before anything is assembled
+        dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
+             window={"L": 30, "interior_margin": 7}),
+    ],
+    ids=["dense-cap", "nnz-cap"],
+)
+def test_capacity_limit_exit_config(tmp_path, capsys, overrides):
+    p = tmp_path / "c.json"
+    write_config(p, **overrides)
+    assert cli.main([overrides["task"], "--config", str(p)]) == cli.EXIT_CONFIG
+    assert "cap" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    assert manifest["failed_stage"] == overrides["task"]
+    assert manifest["exception"] == "CapacityError"
+    assert "run_completed" not in manifest["checks"]
+    assert set(manifest["timings"]) == {overrides["task"]}
+
+
+def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
+    def broken(op):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(cli.spectra, "eigh", broken)
+    p = tmp_path / "c.json"
+    write_config(p)
+    assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_ASSERT
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    assert manifest["failed_stage"] == "spectrum"
+    assert manifest["exception"] == "RuntimeError"
+    assert manifest["checks"] == {"run_completed": False}
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_statistics_other_than_distinguishable_rejected(tmp_path, capsys, statistics):
+    p = tmp_path / "c.json"
+    write_config(p, model={"g": 1.0, "h": 0.5, "N": 2, "statistics": statistics})
+    with pytest.raises(cli.ConfigError, match="ROADMAP item 4"):
+        cli.load_config(str(p))
+    assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    write_config(p, model={"g": 1.0, "h": 0.5, "N": 2, "statistics": "distinguishable"})
+    assert cli.load_config(str(p)).params.statistics == "distinguishable"
+
+
+def test_manifest_versions_and_sector_diagnostics(tmp_path):
+    pair = {"g": 1.0, "h": 0.5, "N": 2}
+    runs = {
+        "spectrum": dict(task="spectrum", model=pair, window={"L": 12, "interior_margin": 2}),
+        "resolvent-check": dict(task="resolvent-check", model=pair,
+                                window={"L": 8, "interior_margin": 2},
+                                resolvent={"z_grid": [[0.0, 8.0], [0.5, 4.0]]}),
+    }
+    manifests = {}
+    for task, overrides in runs.items():
+        p = tmp_path / f"{task}.json"
+        write_config(p, **overrides)
+        out = tmp_path / task
+        assert cli.main([task, "--config", str(p), "--out", str(out)]) == cli.EXIT_OK
+        manifests[task] = json.loads((out / "manifest.json").read_text())
+    for manifest in manifests.values():
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy", "starklat"}
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert "failed_stage" not in manifest and "exception" not in manifest
+    # leg-swap orbits: d (d + 1) / 2 even and d (d - 1) / 2 odd at d = 2L + 1
+    eigh = manifests["spectrum"]["diagnostics"]["eigh"]
+    assert eigh["sector_dims"] == [325, 300] and 0.0 <= eigh["cross_norm"] <= 1e-10
+    diag = manifests["resolvent-check"]["diagnostics"]
+    # the stark H^(1) is diagonal, so only H^(2) is solved
+    assert set(diag["block_eigh"]) == {"2"}
+    for entry in (diag["block_eigh"]["2"], diag["compactness_svd"]):
+        assert entry["sector_dims"] == [153, 136] and 0.0 <= entry["cross_norm"] <= 1e-10

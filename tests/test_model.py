@@ -236,7 +236,7 @@ def test_stark_transform_diagonalizes_h0():
 
 def test_nnz_cap():
     p = ModelParams(g=1.0, h=0.5, N=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(model.CapacityError):
         model.build_h0(p, Window(L=40, interior_margin=7), "position")
 
 

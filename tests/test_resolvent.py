@@ -291,3 +291,49 @@ def test_residual_gate_rejects_inexact_factors():
     ws = _perturbed_workspace("stark", 1e-7)
     with pytest.raises(np.linalg.LinAlgError):
         ws.resolvent(ClusterDecomposition(((1, 2, 3),)), 0.5 + 1j)
+
+
+SECTOR_POTENTIALS = [
+    PairPotential("nearest_neighbor", 1.0),
+    PairPotential("exponential", 0.8, 0.7),
+    PairPotential("power_law", 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", ORACLE_SIZES)
+@pytest.mark.parametrize("pot", SECTOR_POTENTIALS, ids=lambda p: p.kind)
+def test_sector_svd_of_I_matches_full(basis, n, L, pot):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    w = Window(L=L, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    i_mat = rsv.build_I(0.5 + 1j, ws)
+    rep = rsv.compactness_proxy(i_mat, tensor=(w.n_sites, n))
+    d, rest = w.n_sites, w.n_sites ** (n - 2)
+    assert rep.sectors["sector_dims"] == [d * (d + 1) // 2 * rest, d * (d - 1) // 2 * rest]
+    want = np.linalg.svd(i_mat, compute_uv=False)
+    tol = 64 * np.finfo(float).eps * want[0] + rep.sectors["cross_norm"]
+    assert np.abs(rep.singular_values - want).max() <= tol
+    # the block factors behind I(z) are split too, with exact-size defects
+    for k in range(2, n + 1):
+        f = ws.block(k)
+        assert len(f.sectors["sector_dims"]) == 2
+        assert np.all(np.diff(f.eps) >= 0.0)
+        assert f.orthogonality_defect <= 1e-12 and f.eigen_residual <= 1e-10
+
+
+def test_sector_svd_one_sector():
+    # a non-symmetric tabulated v: I(z) does not commute with the leg swap
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=ORACLE_POINTS[3][0])
+    w = Window(L=4, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w)
+    i_mat = rsv.build_I(0.5 + 1j, ws)
+    want = np.linalg.svd(i_mat, compute_uv=False)
+    for tensor in ((w.n_sites, 2), (1, 1)):  # the default is one particle
+        rep = rsv.compactness_proxy(i_mat, tensor=tensor)
+        assert rep.sectors == {"sector_dims": [w.n_sites**2], "cross_norm": 0.0}
+        assert np.abs(rep.singular_values - want).max() <= 64 * np.finfo(float).eps * want[0]
+    assert ws.block(2).sectors["sector_dims"] == [w.n_sites**2]
+    # one particle: H^(1) in the position basis is solved whole
+    one = rsv.ResolventWorkspace(p.with_n(1), w, "position").block(1)
+    assert one.sectors == {"sector_dims": [w.n_sites], "cross_norm": 0.0}

@@ -198,3 +198,99 @@ def test_periodicity_free_exact():
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
     rep = spectra.spectral_periodicity_check(res, 2.0, p)
     assert rep.passed and rep.max_deviation <= 1e-12
+
+
+SECTOR_SIZES = [(2, 6), (3, 3), (4, 2)]
+SYMMETRIC_POTENTIALS = [
+    PairPotential("nearest_neighbor", 1.0),
+    PairPotential("exponential", 0.8, 0.7),
+    PairPotential("power_law", 1.0, 2.0),
+]
+ASYMMETRIC = PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1})
+
+
+def swap_permutation(w, n):
+    """Flat index of each tensor index with legs 0 and 1 exchanged."""
+    coords = model.flat_to_tuples(w, n)
+    return model.tuple_to_flat(w, coords[:, [1, 0] + list(range(2, n))])
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", SECTOR_SIZES)
+@pytest.mark.parametrize("pot", SYMMETRIC_POTENTIALS, ids=lambda p: p.kind)
+def test_sector_eigh_matches_full(basis, n, L, pot):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    w = Window(L=L, interior_margin=1)
+    op = model.build_hamiltonian(p, w, basis)
+    dense = op.toarray()
+    want = np.linalg.eigvalsh(dense)
+    res = spectra.eigh(op)
+    d, rest = w.n_sites, w.n_sites ** (n - 2)
+    assert res.sectors["sector_dims"] == [d * (d + 1) // 2 * rest, d * (d - 1) // 2 * rest]
+    cross = res.sectors["cross_norm"]
+    assert 0.0 <= cross <= model.SECTOR_TOL * np.linalg.norm(dense)
+    assert np.all(np.diff(res.eigenvalues) >= 0.0)
+    tol = 1e-12 * max(1.0, np.abs(want).max()) + cross
+    assert np.abs(res.eigenvalues - want).max() <= tol
+    assert res.gram_defect() <= 1e-12
+    assert res.residual_max <= 1e-8  # the `spectrum` task's diagonalization gate
+    # every lifted eigenvector is even or odd under the leg-0/1 swap, exactly
+    v = res.eigenvectors
+    swapped = v[swap_permutation(w, n)]
+    even = np.all(swapped == v, axis=0)
+    odd = np.all(swapped == -v, axis=0)
+    assert np.all(even | odd)
+    assert even.sum() == res.sectors["sector_dims"][0]
+
+
+@pytest.mark.parametrize(
+    "n,pot", [(1, SYMMETRIC_POTENTIALS[0]), (2, ASYMMETRIC), (3, ASYMMETRIC)]
+)
+def test_sector_eigh_one_sector(n, pot):
+    # N = 1 has no leg pair; a non-symmetric v breaks the swap symmetry
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    w = Window(L=3, interior_margin=1)
+    for basis in model.BASES:
+        op = model.build_hamiltonian(p, w, basis)
+        res = spectra.eigh(op)
+        assert res.sectors == {"sector_dims": [op.dim], "cross_norm": 0.0}
+        want = np.linalg.eigvalsh(op.toarray())
+        assert np.abs(res.eigenvalues - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert res.residual_max <= 1e-8
+
+
+def test_sector_split_refuses_cross_coupling_above_constant():
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=SYMMETRIC_POTENTIALS[0])
+    w = Window(L=4, interior_margin=1)
+    a = model.build_hamiltonian(p, w, "stark").toarray()
+    d, norm = w.n_sites, np.linalg.norm(a)
+    # couple (0, 1) to (0, 2) but not their swap images (1, 0), (2, 0)
+    i, j = 1, 2
+    for scale, splits in ((1e3, False), (1e-3, True)):
+        b = a.copy()
+        b[i, j] += scale * model.SECTOR_TOL * norm
+        b[j, i] = b[i, j]
+        split = model.split_by_swap(b, d, 2)
+        assert len(split.sectors) == (2 if splits else 1)
+        if splits:
+            # the dropped coupling is measured: eps (e_i e_j^T + e_j e_i^T) has
+            # Frobenius norm sqrt(2) eps, half of it in the cross blocks
+            eps = scale * model.SECTOR_TOL * norm
+            assert split.cross_norm == pytest.approx(eps, rel=1e-3)
+            vals, _, diag = spectra.sector_eigh(b, d, 2)
+            want = np.linalg.eigvalsh(b)
+            assert np.abs(vals - want).max() <= 1e-12 * max(1.0, np.abs(want).max()) + diag[
+                "cross_norm"
+            ]
+        else:
+            assert split.cross_norm == 0.0 and split.blocks[0] is b
+
+
+def test_capacity_errors():
+    p = ModelParams(g=1.0, h=0.5, N=3)
+    big = model.build_h0(p, Window(L=9, interior_margin=3), "position")  # dim 6859
+    with pytest.raises(model.CapacityError):
+        spectra.eigh(big)
+    small = model.build_h0(p, Window(L=2, interior_margin=1), "position")
+    with pytest.raises(model.CapacityError):
+        spectra.extremal_eigs(small, spectra.KRYLOV_K_MAX + 1)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -19,6 +21,7 @@ from .model import ModelParams, PairPotential, Window
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ASSERT = 2
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TASKS = (
     "spectrum",
@@ -145,20 +148,51 @@ def write_csv(path: str, header: list, rows) -> None:
             )
 
 
+@contextlib.contextmanager
+def _stage(timings: dict, name: str):
+    """Add the wall time of the block to timings[name]; name is a perfbench span name."""
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.monotonic() - t0
+
+
+def _versions() -> dict:
+    # numpy and scipy each bundle a BLAS: np.linalg runs on the first,
+    # scipy.linalg (and the propagator's gemm) on the second
+    blas = {
+        lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        for lib in (np, scipy)
+    }
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "starklat": __version__,
+        "blas": {name: f"{b.get('name')} {b.get('version')}" for name, b in blas.items()},
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _config_hash(raw: dict) -> str:
     blob = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def _task_spectrum(
-    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, export: bool
+    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage, export: bool
 ) -> None:
-    op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
+    with stage("model.build_hamiltonian"):
+        op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     if export:
         op.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
-    res = spectra.eigh(op)
+    with stage("spectra.eigh"):
+        res = spectra.eigh(op)
     diagnostics["eigh"] = res.sectors
-    mask = spectra.interior_mask(res, cfg.params)
+    with stage("spectra.interior_mask"):
+        mask = spectra.interior_mask(res, cfg.params)
     write_csv(
         os.path.join(out, "eigenvalues.csv"),
         ["index", "eigenvalue", "interior"],
@@ -188,11 +222,18 @@ def _decay_probe(cfg: RunConfig) -> localization.DecayProbe:
     )
 
 
-def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> None:
+def _task_localization(
+    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
+) -> None:
     probe = _decay_probe(cfg)
-    res = spectra.eigh(model.build_hamiltonian(cfg.params, cfg.window, cfg.basis))
+    with stage("model.build_hamiltonian"):
+        op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
+    with stage("spectra.eigh"):
+        res = spectra.eigh(op)
+    del op
     diagnostics["eigh"] = res.sectors
-    mask = spectra.interior_mask(res, cfg.params)
+    with stage("spectra.interior_mask"):
+        mask = spectra.interior_mask(res, cfg.params)
     sig = spectra.cluster_spectrum(cfg.params, cfg.window) if cfg.params.N >= 2 else None
     profile_rows, shell_rows, report = [], [], []
     all_pass = True
@@ -214,9 +255,10 @@ def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict
         }
         if isolated:
             center = localization.localization_center(lam, cfg.params)
-            rep = localization.superexp_shell_fit(
-                psi, cfg.window, cfg.params.N, probe, center
-            )
+            with stage("localization.superexp_shell_fit"):
+                rep = localization.superexp_shell_fit(
+                    psi, cfg.window, cfg.params.N, probe, center
+                )
             for r, s in zip(rep.radii, rep.amplitudes):
                 if s > localization.AMPLITUDE_FLOOR:
                     rate = rep.rates[r] if rep.rates.size > r else float("nan")
@@ -241,9 +283,10 @@ def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict
     checks["decay_checks"] = all_pass and len(report) > 0
 
 
-def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> None:
+def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
     d = cfg.dynamics
-    op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
+    with stage("model.build_hamiltonian"):
+        op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     sites = tuple(d.get("initial_sites", (0,) * cfg.params.N))
     if len(sites) != cfg.params.N:
         raise ConfigError("initial_sites length must equal N")
@@ -253,7 +296,8 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> N
         psi0 = dynamics.product_state(cfg.window, sites)
     pcfg = dynamics.PropagatorConfig(float(d.get("t_max", 50.0)), int(d.get("samples", 200)))
     radii = [int(r) for r in d.get("radii", [2, 4, 6])]
-    trace = dynamics.tail_trace(op, psi0, pcfg, radii)
+    with stage("dynamics.tail_trace"):
+        trace = dynamics.tail_trace(op, psi0, pcfg, radii)
     x = np.arange(-cfg.window.L, cfg.window.L + 1)
     rows = [
         (float(t), int(xx), float(trace.densities[k, j]))
@@ -271,6 +315,8 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> N
     checks["truncation_safe"] = trace.truncation_safe
     diagnostics.update(
         chebyshev_terms=trace.chebyshev_terms,
+        samples_per_expansion=trace.samples_per_expansion,
+        matvecs=trace.matvecs,
         spectral_bounds=trace.spectral_bounds,
         dt=trace.dt,
         norm_drift_max=trace.norm_drift_max,
@@ -279,15 +325,23 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> N
     )
 
 
-def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict) -> None:
+def _task_resolvent(
+    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
+) -> None:
     ws = resolvent.ResolventWorkspace(cfg.params, cfg.window, cfg.basis)
     z_grid = [complex(a, b) for a, b in cfg.resolvent.get("z_grid", [[0.0, 8.0]])]
     entries = []
     ok = True
     for k, z in enumerate(z_grid):
-        fe = resolvent.functional_equation(z, ws)
+        with stage("resolvent.expansion"):
+            d, i = resolvent.expansion(z, ws)
+        fe = resolvent.functional_equation(z, ws, d, i)
+        del d, i
         if k == 0:
-            rep = resolvent.compactness_proxy(fe.i, tensor=(cfg.window.n_sites, cfg.params.N))
+            with stage("resolvent.compactness_proxy"):
+                rep = resolvent.compactness_proxy(
+                    fe.i, tensor=(cfg.window.n_sites, cfg.params.N)
+                )
         entries.append(
             {
                 "z": [z.real, z.imag],
@@ -360,26 +414,24 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
     checks: dict = {}
     timings: dict = {}
     diagnostics: dict = {}
+    stage = functools.partial(_stage, timings)
     manifest = {
         "config": cfg.raw,
         "config_sha256": _config_hash(cfg.raw),
-        "versions": {
-            "python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "starklat": __version__,
-        },
+        "versions": _versions(),
         "complete": False,
         "diagnostics": diagnostics,
     }
     t0 = time.monotonic()
     try:
         task_fn = {
-            "spectrum": lambda: _task_spectrum(cfg, out, checks, diagnostics, export_matrices),
+            "spectrum": lambda: _task_spectrum(
+                cfg, out, checks, diagnostics, stage, export_matrices
+            ),
             "cluster-spectrum": lambda: _task_cluster_spectrum(cfg, out, checks),
-            "localization": lambda: _task_localization(cfg, out, checks, diagnostics),
-            "evolve": lambda: _task_evolve(cfg, out, checks, diagnostics),
-            "resolvent-check": lambda: _task_resolvent(cfg, out, checks, diagnostics),
+            "localization": lambda: _task_localization(cfg, out, checks, diagnostics, stage),
+            "evolve": lambda: _task_evolve(cfg, out, checks, diagnostics, stage),
+            "resolvent-check": lambda: _task_resolvent(cfg, out, checks, diagnostics, stage),
             "selftest": lambda: _task_selftest(cfg, out, checks),
         }[cfg.task]
         task_fn()

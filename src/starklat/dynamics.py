@@ -7,15 +7,18 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 from . import specfun
-from .model import OperatorMatrix, Window
+from .model import OperatorMatrix, Window, _frobenius
 from .spectra import boundary_shell_mass
 
 NORM_TOL = 1e-10
 DENSITY_TOL = 1e-8
 TRUNCATION_FLAG = 1e-4
 SPECTRAL_MARGIN = 0.05
+SAMPLES_PER_EXPANSION = 8  # trace samples fed by one Chebyshev recurrence
+TERM_BUFFER = 4  # vectors folded in per gemm; >= 3 for the ring of T_k, T_{k-1}, T_{k-2}
 
 
 @dataclass
@@ -41,7 +44,9 @@ class DensityTrace:
     sup_tails: np.ndarray  # (n_radii,)
     truncation_safe: bool
     norm_drift_max: float
-    chebyshev_terms: int  # expansion terms per step; one matvec each after the first
+    chebyshev_terms: int  # terms of a full block's expansion; one matvec each after the first
+    samples_per_expansion: int  # m, the samples one recurrence feeds; the last block may be fewer
+    matvecs: int  # applications of the rescaled H to a state over the whole trace
     spectral_bounds: tuple
     dt: float
     guard_radius: int  # L - interior_margin
@@ -71,50 +76,93 @@ def chebyshev_coefficients(tau: float, tolerance: float) -> np.ndarray:
     return coef
 
 
-class ChebyshevStep:
-    """The one-step propagator e^{-i dt H}, set up once and applied at every step.
+class ChebyshevPropagator:
+    """e^{-i t_j H} psi for the offsets t_j = j*dt, j = 1..m, from one recurrence.
 
-    Set-up checks that H is symmetric and fixes the spectral bounds, the
-    coefficients for half*dt, the phase e^{-i center dt} and the rescaled
-    hs = (H - center)/half. hs is stored as complex CSR, so the matvecs on the
-    complex state do not upcast its real data on every call.
+    The vectors T_k(hs) psi do not depend on t; only the coefficients
+    c_k(t_j) = (2 - delta_k0) (-i)^k J_k(half*t_j) do. So one recurrence, run
+    to the longest offset's truncation, feeds all m accumulators. Set-up checks
+    that H is real symmetric and fixes the spectral bounds, each offset's
+    coefficients (truncated at config.tolerance, times the phase
+    e^{-i center t_j}) and the rescaled hs = (H - center)/half as real CSR.
+
+    A state is held as its real and imaginary planes, shape (2, dim): hs is
+    real, so each term costs two real matvecs and no complex copy of H.
+    TERM_BUFFER Chebyshev vectors at a time are folded into the accumulators by
+    one in-place gemm with the real form of the coefficient table.
     """
 
-    def __init__(self, op: OperatorMatrix, dt: float, config: PropagatorConfig):
-        if op.symmetry_defect() > 1e-12:
-            raise ValueError("propagator needs a symmetric Hamiltonian")
+    def __init__(self, op: OperatorMatrix, dt: float, m: int, config: PropagatorConfig):
+        if np.iscomplexobj(op.matrix.data) or op.symmetry_defect() > 1e-12:
+            raise ValueError("propagator needs a real symmetric Hamiltonian")
         self.bounds = config.spectral_bounds or gershgorin_bounds(op)
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        self.coef = chebyshev_coefficients(half * dt, config.tolerance)
-        self.phase = np.exp(-1j * center * dt)
-        shifted = op.matrix - center * sp.identity(op.dim, format="csr")
-        self.hs = (shifted / half).astype(complex)
+        offsets = dt * np.arange(1, m + 1)
+        coefs = [chebyshev_coefficients(half * t, config.tolerance) for t in offsets]
+        self.terms = np.array([c.size for c in coefs])  # expansion terms per offset
+        table = np.zeros((self.terms.max(), m), dtype=complex)
+        for j, c in enumerate(coefs):
+            table[: c.size, j] = c * np.exp(-1j * center * offsets[j])
+        # rows (2k, 2k+1) act on the real and imaginary plane of T_k, columns
+        # (2j, 2j+1) give the real and imaginary plane of offset j
+        real = np.empty((table.shape[0], 2, m, 2))
+        real[:, 0, :, 0] = real[:, 1, :, 1] = table.real
+        real[:, 0, :, 1] = table.imag
+        real[:, 1, :, 0] = -table.imag
+        self.table = real.reshape(2 * table.shape[0], 2 * m)
+        self.hs = op.matrix - center * sp.identity(op.dim, format="csr")
+        self.hs.data /= half
+        self.matvecs = 0  # applications of hs to a state, summed over calls
 
-    def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """e^{-i dt H} psi for a normalized psi; raises if the norm drifts."""
-        hs, coef = self.hs, self.coef
-        tk_prev = psi
-        tk = hs @ tk_prev
-        acc = coef[0] * tk_prev + coef[1] * tk
-        for c in coef[2:]:
-            nxt = hs @ tk
-            nxt *= 2.0
-            nxt -= tk_prev
-            acc += c * nxt
-            tk_prev, tk = tk, nxt
-        acc *= self.phase
-        drift = abs(np.linalg.norm(acc) - 1.0)
-        if drift > NORM_TOL:
-            lo, hi = self.bounds
-            raise RuntimeError(
-                f"norm drift {drift:.2e}; spectral bounds ({lo:g}, {hi:g}) likely violated"
-            )
+    def __call__(self, planes: np.ndarray, count: int) -> np.ndarray:
+        """The planes of the states at offsets 1..count from planes (2, dim).
+
+        Returns shape (count, 2, dim); raises if any state's norm drifts.
+        """
+        hs, dim = self.hs, planes.shape[1]
+        n_terms = int(self.terms[:count].max())
+        table = self.table[: 2 * n_terms, : 2 * count]
+        acc = np.zeros((count, 2, dim))
+        buf = np.empty((TERM_BUFFER, 2, dim))
+        acc_f, buf_f = acc.reshape(2 * count, dim).T, buf.reshape(2 * TERM_BUFFER, dim).T
+        for k in range(n_terms):
+            slot = buf[k % TERM_BUFFER]
+            if k == 0:
+                slot[...] = planes
+            else:
+                prev, prev2 = buf[(k - 1) % TERM_BUFFER], buf[(k - 2) % TERM_BUFFER]
+                for p in range(2):
+                    hv = hs @ prev[p]
+                    if k == 1:
+                        slot[p] = hv
+                    else:  # T_k = 2 hs T_{k-1} - T_{k-2}
+                        np.multiply(hv, 2.0, out=slot[p])
+                        slot[p] -= prev2[p]
+            used = k % TERM_BUFFER + 1
+            if used == TERM_BUFFER or k == n_terms - 1:
+                rows = slice(2 * (k + 1 - used), 2 * (k + 1))
+                blas.dgemm(
+                    1.0, buf_f[:, : 2 * used], table[rows], beta=1.0, c=acc_f, overwrite_c=True
+                )
+        self.matvecs += n_terms - 1
+        for j in range(count):
+            drift = abs(_frobenius(acc[j]) - 1.0)
+            if drift > NORM_TOL:
+                lo, hi = self.bounds
+                raise RuntimeError(
+                    f"norm drift {drift:.2e} at offset {j + 1}; "
+                    f"spectral bounds ({lo:g}, {hi:g}) likely violated"
+                )
         return acc
 
 
+def _planes(psi: np.ndarray) -> np.ndarray:
+    return np.array([psi.real, psi.imag], dtype=float)
+
+
 def _check_normalized(psi: np.ndarray) -> None:
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if abs(_frobenius(psi) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
 
 
@@ -122,11 +170,12 @@ def evolve(
     op: OperatorMatrix, psi0: np.ndarray, t: float, config: PropagatorConfig
 ) -> np.ndarray:
     """psi_t = e^{-itH} psi0 by a Chebyshev expansion on the rescaled spectrum."""
-    step = ChebyshevStep(op, t, config)
+    prop = ChebyshevPropagator(op, t, 1, config)
     _check_normalized(psi0)
     if t == 0.0:
         return psi0.astype(complex)
-    return step(psi0)
+    re, im = prop(_planes(psi0), 1)[0]
+    return re + 1j * im
 
 
 def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
@@ -164,24 +213,33 @@ def tail_trace(
     radii = np.asarray(sorted(radii), dtype=int)
     times = np.linspace(0.0, config.t_max, config.samples + 1)
     dt = times[1] - times[0]
-    step = ChebyshevStep(op, dt, config)
-    psi = psi0.astype(complex)
+    m = min(SAMPLES_PER_EXPANSION, config.samples)
+    prop = ChebyshevPropagator(op, dt, m, config)
     dens = np.empty((times.size, w.n_sites))
     tails = np.empty((times.size, radii.size))
     drift = 0.0
-    for k in range(times.size):
-        if k > 0:
-            psi = step(psi)
-        drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
-        rho = density(psi, w, n)
-        dens[k] = rho
-        tails[k] = [tail_mass(rho, w, r) for r in radii]
+
+    def record(k: int, psi: np.ndarray) -> None:
+        nonlocal drift
+        drift = max(drift, abs(_frobenius(psi) - 1.0))
+        dens[k] = density(psi, w, n)
+        tails[k] = [tail_mass(dens[k], w, r) for r in radii]
+
+    record(0, psi0.astype(complex))
+    base = _planes(psi0)
+    # blocks of m samples, each propagated from the last state of the block before
+    for first in range(1, times.size, m):
+        block = prop(base, min(m, times.size - first))
+        for j in range(block.shape[0]):
+            record(first + j, block[j, 0] + 1j * block[j, 1])
+        base = block[-1].copy()
+        del block  # release this block's states before the next is computed
     sup_tails = tails.max(axis=0)
     guard = w.L - w.interior_margin
     guard_sup = max(tail_mass(dens[k], w, guard) for k in range(times.size))
     return DensityTrace(
         times, dens, radii, tails, sup_tails, guard_sup <= TRUNCATION_FLAG, float(drift),
-        int(step.coef.size), tuple(step.bounds), float(dt), guard, guard_sup,
+        int(prop.terms.max()), m, prop.matvecs, tuple(prop.bounds), float(dt), guard, guard_sup,
     )
 
 
@@ -201,4 +259,4 @@ def product_state(window: Window, sites: tuple) -> np.ndarray:
 def symmetrized_pair(window: Window, x1: int, x2: int) -> np.ndarray:
     """Bosonic two-particle state on sites (x1, x2)."""
     psi = product_state(window, (x1, x2)) + product_state(window, (x2, x1))
-    return psi / np.linalg.norm(psi)
+    return psi / _frobenius(psi)

@@ -22,6 +22,7 @@ import numpy as np
 from .model import (
     ModelParams,
     Window,
+    _frobenius,
     apply_on_legs,
     build_cluster_hamiltonian,
     build_hamiltonian,
@@ -205,8 +206,8 @@ class ResolventWorkspace:
                 f = BlockFactor(
                     eps,
                     u,
-                    float(np.linalg.norm(u.T @ u - np.eye(eps.size))),
-                    float(np.linalg.norm(h @ u - u * eps)),
+                    _frobenius(u.T @ u - np.eye(eps.size)),
+                    _frobenius(h @ u - u * eps),
                     sectors,
                 )
             self.cache[key] = f
@@ -351,19 +352,23 @@ class FunctionalEquation:
     resolvent_residual_bound: float  # largest per-partition residual bound
 
 
-def functional_equation(z: complex, ws: ResolventWorkspace) -> FunctionalEquation:
-    """Build G(z), D(z) and I(z) once and measure G - D - I G."""
+def functional_equation(
+    z: complex, ws: ResolventWorkspace, d: np.ndarray, i: np.ndarray
+) -> FunctionalEquation:
+    """Build G(z) and measure G - D - I G for (D, I) = expansion(z, ws).
+
+    The caller runs the expansion first, so G's dim x dim array is not live at
+    the expansion's peak.
+    """
     n = ws.params.N
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    # G after the expansion, so its dim x dim array is not live at the expansion's peak
-    d, i = expansion(z, ws)
     g = ws.apply_resolvent(full, z, np.eye(ws.dim, dtype=complex))
     return FunctionalEquation(
         complex(z),
         g,
         d,
         i,
-        float(np.linalg.norm(g - d - i @ g)),
+        _frobenius(g - d - i @ g),
         float(np.abs(z - ws.block(n).eps).min()),
         max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
     )
@@ -374,7 +379,7 @@ def functional_equation_residual(
 ) -> float:
     """Frobenius norm of G - D - I G at truncation: a bound on its 2-norm."""
     ws = ws or ResolventWorkspace(params, window)
-    return functional_equation(z, ws).residual
+    return functional_equation(z, ws, *expansion(z, ws)).residual
 
 
 @dataclass

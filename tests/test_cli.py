@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from starklat import cli, model
+from starklat import cli, dynamics, model
 from starklat.model import ModelParams, PairPotential, Window
 
 
@@ -123,10 +123,16 @@ def test_evolve_run(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     diag = manifest["diagnostics"]
     assert set(diag) == {
-        "chebyshev_terms", "spectral_bounds", "dt", "norm_drift_max",
-        "guard_radius", "guard_tail",
+        "chebyshev_terms", "samples_per_expansion", "matvecs", "spectral_bounds", "dt",
+        "norm_drift_max", "guard_radius", "guard_tail",
     }
     assert isinstance(diag["chebyshev_terms"], int) and diag["chebyshev_terms"] > 2
+    # 20 samples: blocks of 8, 8 and 4, each one recurrence
+    assert diag["samples_per_expansion"] == dynamics.SAMPLES_PER_EXPANSION == 8
+    assert isinstance(diag["matvecs"], int)
+    assert 2 * (diag["chebyshev_terms"] - 1) < diag["matvecs"] < 3 * (diag["chebyshev_terms"] - 1)
+    assert set(manifest["timings"]) == {"evolve", "model.build_hamiltonian", "dynamics.tail_trace"}
+    assert 0.0 < manifest["timings"]["dynamics.tail_trace"] <= manifest["timings"]["evolve"]
     params = ModelParams(1.0, 0.5, 2, PairPotential("nearest_neighbor", 1.0))
     vals = np.linalg.eigvalsh(model.build_hamiltonian(params, Window(12, 3), "position").toarray())
     lo, hi = diag["spectral_bounds"]
@@ -169,6 +175,11 @@ def test_plot_data(tmp_path):
         probes={"fit_range": [4, 12]},
     )
     assert cli.main(["localization", "--config", str(p)]) == cli.EXIT_OK
+    timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings"]
+    assert set(timings) == {
+        "localization", "model.build_hamiltonian", "spectra.eigh", "spectra.interior_mask",
+        "localization.superexp_shell_fit",
+    }
     assert cli.main(["plot-data", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert (tmp_path / "out" / "shell_decay_plot.csv").exists()
     assert (tmp_path / "out" / "com_profile_plot.csv").exists()
@@ -276,18 +287,20 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, stages",
     [
         # dim 24389 passes the nonzero cap and stops at the dense cap
-        dict(task="spectrum", basis="position", model={"g": 1.0, "h": 0.5, "N": 3},
-             window={"L": 14, "interior_margin": 7}),
+        (dict(task="spectrum", basis="position", model={"g": 1.0, "h": 0.5, "N": 3},
+              window={"L": 14, "interior_margin": 7}),
+         {"model.build_hamiltonian", "spectra.eigh"}),
         # dim 61^4 stops at the nonzero cap before anything is assembled
-        dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
-             window={"L": 30, "interior_margin": 7}),
+        (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
+              window={"L": 30, "interior_margin": 7}),
+         {"model.build_hamiltonian"}),
     ],
     ids=["dense-cap", "nnz-cap"],
 )
-def test_capacity_limit_exit_config(tmp_path, capsys, overrides):
+def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages):
     p = tmp_path / "c.json"
     write_config(p, **overrides)
     assert cli.main([overrides["task"], "--config", str(p)]) == cli.EXIT_CONFIG
@@ -297,7 +310,8 @@ def test_capacity_limit_exit_config(tmp_path, capsys, overrides):
     assert manifest["failed_stage"] == overrides["task"]
     assert manifest["exception"] == "CapacityError"
     assert "run_completed" not in manifest["checks"]
-    assert set(manifest["timings"]) == {overrides["task"]}
+    # the task total, and each stage entered up to the one that stopped
+    assert set(manifest["timings"]) == {overrides["task"]} | stages
 
 
 def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
@@ -343,9 +357,24 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
         assert cli.main([task, "--config", str(p), "--out", str(out)]) == cli.EXIT_OK
         manifests[task] = json.loads((out / "manifest.json").read_text())
     for manifest in manifests.values():
-        assert set(manifest["versions"]) == {"python", "numpy", "scipy", "starklat"}
-        assert manifest["versions"]["numpy"] == np.__version__
+        versions = manifest["versions"]
+        assert set(versions) == {
+            "python", "numpy", "scipy", "starklat", "blas", "blas_threads", "cpu_count",
+        }
+        assert versions["numpy"] == np.__version__
+        assert set(versions["blas"]) == {"numpy", "scipy"}
+        assert versions["blas"]["numpy"].startswith(
+            np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        )
+        assert set(versions["blas_threads"]) == set(cli.BLAS_THREAD_VARS)
+        assert versions["cpu_count"] == os.cpu_count()
         assert "failed_stage" not in manifest and "exception" not in manifest
+    assert set(manifests["spectrum"]["timings"]) == {
+        "spectrum", "model.build_hamiltonian", "spectra.eigh", "spectra.interior_mask",
+    }
+    assert set(manifests["resolvent-check"]["timings"]) == {
+        "resolvent-check", "resolvent.expansion", "resolvent.compactness_proxy",
+    }
     # leg-swap orbits: d (d + 1) / 2 even and d (d - 1) / 2 odd at d = 2L + 1
     eigh = manifests["spectrum"]["diagnostics"]["eigh"]
     assert eigh["sector_dims"] == [325, 300] and 0.0 <= eigh["cross_norm"] <= 1e-10

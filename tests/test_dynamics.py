@@ -36,6 +36,17 @@ def per_sample_evolve(op, psi0, t, config):
     return np.exp(-1j * center * t) * acc
 
 
+def block_reference(op, psi0, dt, samples, config):
+    """per_sample_evolve from each block's base state over its offset j*dt; the
+    reference for every sample tail_trace takes."""
+    m = dyn.SAMPLES_PER_EXPANSION
+    states = [psi0.astype(complex)]
+    for k in range(1, samples + 1):
+        base = (k - 1) // m * m
+        states.append(per_sample_evolve(op, states[base], (k - base) * dt, config))
+    return states
+
+
 def traced_states(monkeypatch, op, psi0, config):
     """tail_trace's state at every sample, read where it takes the density."""
     states = []
@@ -183,11 +194,50 @@ def test_tail_trace_matches_per_sample_evolve(pair_setup, monkeypatch):
     trace, states = traced_states(monkeypatch, op, psi0, cfg)
     assert len(states) == trace.times.size == 41
     dt = trace.times[1] - trace.times[0]
-    psi = psi0.astype(complex)
-    for k, state in enumerate(states):
-        if k > 0:
-            psi = per_sample_evolve(op, psi, dt, cfg)
+    for state, psi in zip(states, block_reference(op, psi0, dt, 40, cfg)):
         assert np.linalg.norm(state - psi) <= 1e-12
+
+
+M = dyn.SAMPLES_PER_EXPANSION
+
+
+@pytest.mark.parametrize("samples", [1, M - 1, M + 1, 2 * M + 3])
+def test_tail_trace_block_edges(pair_setup, monkeypatch, samples):
+    # one sample, a single short block, one full block plus one sample, and a
+    # grid whose last block is short: both oracles at every sample
+    p, w, op = pair_setup
+    psi0 = dyn.product_state(w, (0, 1))
+    cfg = dyn.PropagatorConfig(t_max=0.25 * samples, samples=samples)
+    trace, states = traced_states(monkeypatch, op, psi0, cfg)
+    assert len(states) == samples + 1
+    assert trace.samples_per_expansion == min(M, samples)
+    blocks = -(-samples // M)
+    lo, hi = trace.spectral_bounds
+    last = samples - (blocks - 1) * M  # offsets in the final block
+    last_terms = dyn.chebyshev_coefficients(0.5 * (hi - lo) * last * trace.dt, cfg.tolerance).size
+    assert trace.matvecs == (blocks - 1) * (trace.chebyshev_terms - 1) + last_terms - 1
+    vals, vecs = np.linalg.eigh(op.toarray())
+    spectral = vecs @ (np.exp(-1j * np.outer(vals, trace.times)) * (vecs.T @ psi0)[:, None])
+    for k, psi in enumerate(block_reference(op, psi0, trace.dt, samples, cfg)):
+        assert np.linalg.norm(states[k] - psi) <= 1e-12
+        assert np.linalg.norm(states[k] - spectral[:, k]) <= 1e-9
+
+
+def test_norm_gate_fires_at_last_sample_of_block(pair_setup):
+    # bounds that cut off the top of psi0's spectrum: the truncated expansion
+    # drifts only at the longest offset of the first block
+    p, w, op = pair_setup
+    psi0 = dyn.product_state(w, (0, 1))
+    dt, bounds = 0.12, (dyn.gershgorin_bounds(op)[0], 6.25)
+    ref = dyn.PropagatorConfig(M * dt, M, spectral_bounds=bounds)
+    drifts = [abs(np.linalg.norm(per_sample_evolve(op, psi0, j * dt, ref)) - 1.0)
+              for j in range(1, M + 1)]
+    assert max(drifts[:-1]) <= dyn.NORM_TOL < drifts[-1]
+    short = dyn.tail_trace(op, psi0, dyn.PropagatorConfig((M - 1) * dt, M - 1,
+                                                          spectral_bounds=bounds), [2])
+    assert short.norm_drift_max <= dyn.NORM_TOL
+    with pytest.raises(RuntimeError, match=f"norm drift .* at offset {M};"):
+        dyn.tail_trace(op, psi0, ref, [2])
 
 
 @pytest.mark.parametrize("n, L, sites", [(2, 6, (0, 1)), (3, 3, (0, 1, -1))])

@@ -181,6 +181,14 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _eigh_diagnostics(res: spectra.SpectralResult) -> dict:
+    return dict(
+        res.sectors,
+        residual_max=res.residual_max,
+        orthogonality_defect=res.orthogonality_defect,
+    )
+
+
 def _task_spectrum(
     cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage, export: bool
 ) -> None:
@@ -190,7 +198,7 @@ def _task_spectrum(
         op.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
         res = spectra.eigh(op)
-    diagnostics["eigh"] = res.sectors
+    diagnostics["eigh"] = _eigh_diagnostics(res)
     with stage("spectra.interior_mask"):
         mask = spectra.interior_mask(res, cfg.params)
     write_csv(
@@ -226,47 +234,55 @@ def _task_localization(
     cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
 ) -> None:
     probe = _decay_probe(cfg)
+    params, window = cfg.params, cfg.window
     with stage("model.build_hamiltonian"):
-        op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
+        op = model.build_hamiltonian(params, window, cfg.basis)
     with stage("spectra.eigh"):
         res = spectra.eigh(op)
     del op
-    diagnostics["eigh"] = res.sectors
+    diagnostics["eigh"] = _eigh_diagnostics(res)
     with stage("spectra.interior_mask"):
-        mask = spectra.interior_mask(res, cfg.params)
-    sig = spectra.cluster_spectrum(cfg.params, cfg.window) if cfg.params.N >= 2 else None
-    profile_rows, shell_rows, report = [], [], []
-    all_pass = True
-    for i in np.where(mask)[0]:
-        lam = float(res.eigenvalues[i])
-        psi = res.eigenvectors[:, i]
-        prof = localization.com_profile(psi, lam, cfg.params, cfg.window, cfg.params.N)
-        com_rep = localization.com_decay_check(prof, max(probe.theta_list))
-        for a, nv in zip(prof.sectors, prof.norms):
-            if nv > localization.AMPLITUDE_FLOOR:
-                profile_rows.append((lam, float(prof.com_center), int(a), float(nv)))
-        isolated = sig is None or spectra.dist_to_cluster(lam, sig) >= 0.05
-        entry = {
-            "eigenvalue": lam,
-            "com_center": prof.com_center,
-            "com_slope": com_rep.tail_slope,
-            "com_C": com_rep.c_fit,
-            "isolated": bool(isolated),
+        mask = spectra.interior_mask(res, params)
+    sig = spectra.cluster_spectrum(params, window) if params.N >= 2 else None
+    lams = res.eigenvalues[mask]
+    states = res.eigenvectors[:, mask]
+    prof = localization.com_profile(states, lams, params, window, params.N)
+    coms = localization.com_decay_check(prof, max(probe.theta_list))
+    isolated = np.array(
+        [sig is None or spectra.dist_to_cluster(lam, sig) >= 0.05 for lam in lams], dtype=bool
+    )
+    centers = np.array(
+        [localization.localization_center(lam, params) for lam in lams[isolated]], dtype=int
+    )
+    with stage("localization.superexp_shell_fit"):
+        shells = localization.superexp_shell_fit(
+            states[:, isolated], window, params.N, probe, centers
+        )
+    state, sector = np.nonzero(prof.norms.T > localization.AMPLITUDE_FLOOR)
+    profile_rows = zip(
+        lams[state].tolist(),
+        prof.com_center[state].tolist(),
+        prof.sectors[sector].tolist(),
+        prof.norms[sector, state].tolist(),
+    )
+    report = [
+        {
+            "eigenvalue": float(lam),
+            "com_center": float(center),
+            "com_slope": com.tail_slope,
+            "com_C": com.c_fit,
+            "isolated": bool(iso),
         }
-        if isolated:
-            center = localization.localization_center(lam, cfg.params)
-            with stage("localization.superexp_shell_fit"):
-                rep = localization.superexp_shell_fit(
-                    psi, cfg.window, cfg.params.N, probe, center
-                )
-            for r, s in zip(rep.radii, rep.amplitudes):
-                if s > localization.AMPLITUDE_FLOOR:
-                    rate = rep.rates[r] if rep.rates.size > r else float("nan")
-                    shell_rows.append((lam, int(r), float(s), float(rate)))
-            entry["shell_passed"] = rep.passed
-            entry["final_rate"] = rep.final_rate
-            all_pass &= rep.passed and com_rep.passed
-        report.append(entry)
+        for lam, center, com, iso in zip(lams, prof.com_center, coms, isolated)
+    ]
+    shell_rows = []
+    for i, rep in zip(np.flatnonzero(isolated), shells):
+        lam = report[i]["eigenvalue"]
+        for r, s in zip(rep.radii, rep.amplitudes):
+            if s > localization.AMPLITUDE_FLOOR:
+                rate = rep.rates[r] if rep.rates.size > r else float("nan")
+                shell_rows.append((lam, int(r), float(s), float(rate)))
+        report[i].update(shell_passed=rep.passed, final_rate=rep.final_rate)
     write_csv(
         os.path.join(out, "com_profile.csv"),
         ["eigenvalue", "com_center", "a", "norm"],
@@ -280,7 +296,20 @@ def _task_localization(
     with open(os.path.join(out, "decay_report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    checks["decay_checks"] = all_pass and len(report) > 0
+    # only the isolated states carry the verdict
+    iso_coms = [com for com, iso in zip(coms, isolated) if iso]
+    finite_rates = [rep.final_rate for rep in shells if not np.isnan(rep.final_rate)]
+    diagnostics.update(
+        interior_states=len(report),
+        isolated_states=len(shells),
+        shell_fits_failed=sum(not rep.passed for rep in shells),
+        com_checks_failed=sum(not com.passed for com in iso_coms),
+        final_rate_min=min(finite_rates, default=None),
+    )
+    checks["diagonalization_residual"] = res.residual_max <= 1e-8
+    checks["decay_checks"] = (
+        all(rep.passed and com.passed for rep, com in zip(shells, iso_coms)) and len(report) > 0
+    )
 
 
 def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:

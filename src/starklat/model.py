@@ -24,6 +24,11 @@ N_MAX = 4
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a swap-sector split may drop
+UNIT_ROUNDOFF = 2.0**-53
+# ||Q^T Q - 1||_2 of a swap-sector lift: |2 c^2 - 1| for its coefficient c = fl(sqrt(1/2)),
+# exact in integer arithmetic (c = m 2^-53)
+_COEF_MANTISSA = int(math.sqrt(0.5) * 2**53)
+COEF_DEFECT = abs(2 * _COEF_MANTISSA**2 - 2**106) / 2**106
 
 POTENTIAL_KINDS = ("nearest_neighbor", "exponential", "power_law", "tabulated")
 STATISTICS = ("distinguishable", "boson", "fermion")
@@ -176,7 +181,22 @@ class OperatorMatrix:
         return self.matrix.toarray()
 
     def symmetry_defect(self) -> float:
-        delta = self.matrix - self.matrix.T
+        """max |H - H^T| over the entries.
+
+        When H and the canonical CSR of H^T store the same pattern, their data
+        line up entry by entry, so no sparse H - H^T is formed.
+        """
+        h = self.matrix
+        t = h.T.tocsr()
+        t.sort_indices()
+        if np.array_equal(h.indptr, t.indptr) and np.array_equal(h.indices, t.indices):
+            if h.nnz == 0:
+                return 0.0
+            d = t.data
+            d -= h.data
+            return float(np.abs(d, out=d).max())
+        # the patterns differ: H is not symmetric, so the rare full difference is paid
+        delta = h - t
         return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
 
     def export_coo_csv(self, path) -> None:

@@ -154,8 +154,8 @@ class BlockFactor:
 
     eps: np.ndarray
     u: Optional[np.ndarray]  # None when H^(k) is diagonal, i.e. U = 1 exactly
-    orthogonality_defect: float  # ||U^T U - 1||_F
-    eigen_residual: float  # ||H^(k) U - U diag(eps)||_F
+    orthogonality_defect: float  # an upper bound on ||U^T U - 1||_F
+    eigen_residual: float  # an upper bound on ||H^(k) U - U diag(eps)||_F
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the solve
 
 
@@ -193,8 +193,8 @@ class ResolventWorkspace:
     def block(self, k: int) -> BlockFactor:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        Solved in the leg-swap sectors; both defects are measured on the full
-        H^(k) and the lifted U.
+        Solved in the leg-swap sectors; both defects are the sector solve's
+        upper bounds for the full H^(k) and the lifted U.
         """
         key = ("U", k)
         if key not in self.cache:
@@ -202,13 +202,13 @@ class ResolventWorkspace:
             if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
                 f = BlockFactor(np.diagonal(h).copy(), None, 0.0, 0.0)
             else:
-                eps, u, sectors = sector_eigh(h, self.window.n_sites, k)
+                sol = sector_eigh(h, self.window.n_sites, k)
                 f = BlockFactor(
-                    eps,
-                    u,
-                    _frobenius(u.T @ u - np.eye(eps.size)),
-                    _frobenius(h @ u - u * eps),
-                    sectors,
+                    sol.values,
+                    sol.vectors,
+                    sol.orthogonality_defect,
+                    sol.residual_norm,
+                    sol.sectors,
                 )
             self.cache[key] = f
         return self.cache[key]

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .model import (
+    COEF_DEFECT,
+    UNIT_ROUNDOFF,
     CapacityError,
     ModelParams,
     OperatorMatrix,
     Window,
+    _frobenius,
     apply_on_legs,
     build_hamiltonian,
     flat_to_tuples,
@@ -35,6 +38,7 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual_max: float
+    orthogonality_defect: float  # an upper bound on ||V^T V - 1||_F
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of a dense solve
 
     def gram_defect(self) -> float:
@@ -120,16 +124,55 @@ def interior_mask(
     return (m_native <= tol) & (m_other <= tol)
 
 
-def sector_eigh(a: np.ndarray, d: int, n: int) -> tuple:
+class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
+    """Eigenpairs of a symmetric a, solved per leg-swap sector, with bounds on the lifted pairs."""
+
+    values: np.ndarray  # ascending
+    vectors: np.ndarray  # lifted to the tensor index, one sector per column
+    residuals: np.ndarray  # per column, >= ||a v - lambda v||
+    residual_norm: float  # >= ||a V - V diag(values)||_F
+    orthogonality_defect: float  # >= ||V^T V - 1||_F
+    sectors: dict  # SectorSplit.diagnostics
+
+
+def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
     """Eigenpairs of a symmetric a on the d^n tensor index, solved per leg-swap sector.
 
-    Returns (values ascending, vectors lifted to the tensor index, the split's
-    diagnostics); each vector lies in one sector, i.e. has a definite leg-0/1
-    parity when the split is taken.
+    Each vector lies in one sector, i.e. has a definite leg-0/1 parity when
+    the split is taken. The residual and orthogonality of the lifted pairs
+    are bounded from the sector solves alone, so no dim x dim product with a
+    is formed. The lift is Q = Q_exact D, with D = 1 on the swap diagonal and
+    sqrt(2) c elsewhere for the rounded coefficient c, so ||D^2 - 1|| <= theta
+    = model.COEF_DEFECT. For y in sector s with B_s y - lambda y = rho and the
+    dropped block C = Q_s'^T a Q_s,
+
+        a Q y - lambda Q y = Q_exact D^-1 (rho + C y - lambda (D^2 - 1) y),
+
+    the lifted column fl(Q y) is within u ||Q y|| (u = 2^-53) of Q y, and
+    ||y|| <= nu = sqrt(1 + max_s ||Y_s^T Y_s - 1||_F). The gathered blocks
+    B_s and every norm are floating-point evaluations of Q_s^T a Q_s and of
+    the exact norms, as a full-matrix a V - V Lambda is. With one sector
+    (n < 2, or a not swap-symmetric) Q = 1 and the bounds are the measured
+    a Y - Y Lambda and Y^T Y - 1 themselves.
     """
     split = split_by_swap(a, d, n)
-    parts = [np.linalg.eigh(b) for b in split.blocks]
+    lifted = len(split.sectors) > 1
+    theta, u = (COEF_DEFECT, UNIT_ROUNDOFF) if lifted else (0.0, 0.0)
+    parts, rho, frob, gram = [], [], [], []
+    for b in split.blocks:
+        w, y = np.linalg.eigh(b)
+        r = b @ y
+        r -= y * w
+        rho.append(np.sqrt(np.einsum("ij,ij->j", r, r)))
+        frob.append(_frobenius(r))
+        del r
+        g = y.T @ y
+        g.flat[:: w.size + 1] -= 1.0
+        gram.append(_frobenius(g))
+        del g
+        parts.append((w, y))
     vals = np.concatenate([w for w, _ in parts])
+    rho = np.concatenate(rho)
     order = np.argsort(vals, kind="stable")
     cols = np.empty_like(order)
     cols[order] = np.arange(order.size)
@@ -138,24 +181,56 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> tuple:
     for sector, (w, y) in zip(split.sectors, parts):
         sector.lift(y, vecs, cols[start : start + w.size])
         start += w.size
-    return vals[order], vecs, split.diagnostics()
+    o = max(gram)
+    nu = np.sqrt(1.0 + o)
+    cross = split.cross_norm
+    lam = np.abs(vals)
+    lam_norm = np.linalg.norm(lam)
+    k = 1.0 / (1.0 - theta)  # >= ||D^-1||
+    lift = 0.0  # the rounding of fl(Q y) adds (||a|| + |lambda|) u ||Q y||
+    norm_a = 0.0
+    if lifted:
+        # ||B_s|| <= (nu max|lambda| + ||R_s||_F) / sigma_min(Y_s), with
+        # sigma_min^2 >= 1 - o, and ||a|| <= (max_s ||B_s|| + ||C||) / min D^2
+        lift = u * (1.0 + theta) * nu
+        norm_b = (nu * lam.max() + max(frob)) / np.sqrt(1.0 - o) if o < 1.0 else np.inf
+        norm_a = k * (norm_b + cross)
+    residuals = k * (rho + (cross + theta * lam) * nu) + lift * (norm_a + lam)
+    residual_norm = k * (np.linalg.norm(frob) + (cross + theta * lam_norm) * nu) + lift * (
+        norm_a * np.sqrt(lam.size) + lam_norm
+    )
+    # V^T V - 1 = (Y^T Y - 1) + Y^T (D^2 - 1) Y + the cross terms of the lift rounding
+    orthogonality = np.linalg.norm(gram) + (theta + 3.0 * u) * nu**2 * np.sqrt(lam.size)
+    return SectorEigh(
+        vals[order],
+        vecs,
+        residuals[order],
+        float(residual_norm),
+        float(orthogonality),
+        split.diagnostics(),
+    )
 
 
 def eigh(op: OperatorMatrix) -> SpectralResult:
     """Full dense symmetric eigendecomposition with residual diagnostics.
 
-    Solved in the leg-swap sectors (`sector_eigh`); the residual is measured
-    on the full matrix and the lifted eigenvectors.
+    Solved in the leg-swap sectors (`sector_eigh`); residual_max and the
+    orthogonality defect are its bounds for the lifted eigenvectors.
     """
     if op.dim > DENSE_CAP:
         raise CapacityError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
-    dense = op.toarray()
-    vals, vecs, sectors = sector_eigh(dense, op.window.n_sites, op.n_particles)
-    resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
+    sol = sector_eigh(op.toarray(), op.window.n_sites, op.n_particles)
     return SpectralResult(
-        op.basis_tag, op.window, op.n_particles, vals, vecs, float(resid.max()), sectors
+        op.basis_tag,
+        op.window,
+        op.n_particles,
+        sol.values,
+        sol.vectors,
+        float(sol.residuals.max()),
+        sol.orthogonality_defect,
+        sol.sectors,
     )
 
 
@@ -184,8 +259,9 @@ def extremal_eigs(
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     resid = np.array([np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(k)])
+    ortho = _frobenius(vecs.T @ vecs - np.eye(k))
     return SpectralResult(
-        op.basis_tag, op.window, op.n_particles, vals, vecs, float(resid.max())
+        op.basis_tag, op.window, op.n_particles, vals, vecs, float(resid.max()), ortho
     )
 
 

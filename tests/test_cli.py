@@ -175,14 +175,52 @@ def test_plot_data(tmp_path):
         probes={"fit_range": [4, 12]},
     )
     assert cli.main(["localization", "--config", str(p)]) == cli.EXIT_OK
-    timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings"]
-    assert set(timings) == {
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(manifest["timings"]) == {
         "localization", "model.build_hamiltonian", "spectra.eigh", "spectra.interior_mask",
         "localization.superexp_shell_fit",
     }
+    assert manifest["checks"] == {"diagonalization_residual": True, "decay_checks": True}
+    diag = manifest["diagnostics"]
+    assert set(diag) == {
+        "eigh", "interior_states", "isolated_states", "shell_fits_failed", "com_checks_failed",
+        "final_rate_min",
+    }
+    # one particle: one sector, a diagonal stark H, and no cluster spectrum,
+    # so the eigenpairs are exact and every interior state is isolated
+    assert diag["eigh"] == {
+        "sector_dims": [29], "cross_norm": 0.0, "residual_max": 0.0, "orthogonality_defect": 0.0,
+    }
+    assert diag["interior_states"] == diag["isolated_states"] > 0
+    assert diag["shell_fits_failed"] == diag["com_checks_failed"] == 0
+    assert diag["final_rate_min"] > 1.0
     assert cli.main(["plot-data", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     assert (tmp_path / "out" / "shell_decay_plot.csv").exists()
     assert (tmp_path / "out" / "com_profile_plot.csv").exists()
+
+
+def test_localization_diagnostics_match_report(tmp_path):
+    p = tmp_path / "c.json"
+    write_config(
+        p,
+        task="localization",
+        model={"g": 1.0, "h": 0.5, "N": 2,
+               "potential": {"kind": "nearest_neighbor", "strength": 1.0}},
+        window={"L": 14, "interior_margin": 5},
+    )
+    assert cli.main(["localization", "--config", str(p)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = json.loads((out / "decay_report.json").read_text())
+    diag = manifest["diagnostics"]
+    isolated = [e for e in report if e["isolated"]]
+    assert diag["interior_states"] == len(report) > diag["isolated_states"] == len(isolated) > 0
+    assert diag["shell_fits_failed"] == sum(not e["shell_passed"] for e in isolated) == 0
+    assert diag["com_checks_failed"] == 0
+    assert diag["final_rate_min"] == min(e["final_rate"] for e in isolated)
+    assert diag["eigh"]["sector_dims"] == [435, 406]
+    assert diag["eigh"]["residual_max"] <= 1e-8
+    assert manifest["checks"] == {"diagonalization_residual": True, "decay_checks": True}
 
 
 def test_plot_data_missing_inputs(tmp_path):
@@ -377,7 +415,9 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     }
     # leg-swap orbits: d (d + 1) / 2 even and d (d - 1) / 2 odd at d = 2L + 1
     eigh = manifests["spectrum"]["diagnostics"]["eigh"]
+    assert set(eigh) == {"sector_dims", "cross_norm", "residual_max", "orthogonality_defect"}
     assert eigh["sector_dims"] == [325, 300] and 0.0 <= eigh["cross_norm"] <= 1e-10
+    assert 0.0 < eigh["residual_max"] <= 1e-8 and 0.0 < eigh["orthogonality_defect"] <= 1e-10
     diag = manifests["resolvent-check"]["diagnostics"]
     # the stark H^(1) is diagonal, so only H^(2) is solved
     assert set(diag["block_eigh"]) == {"2"}

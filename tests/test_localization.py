@@ -213,3 +213,162 @@ def test_position_decay_g0_identity():
     psi[model.tuple_to_flat(w, np.array([1, -1]))] = 1.0
     pd = loc.position_decay_check(psi, 0.0, p, w, 2, loc.DecayProbe())
     assert pd.shell.note == "point support" and pd.shell.passed
+
+
+# The per-state probes as they ran before the column-block form: one state per
+# call, np.maximum.at / np.bincount shells and a np.polyfit per rate window.
+def _ref_com(psi, lam, p, w, n, theta, fit_range=None):
+    coords = model.flat_to_tuples(w, n)
+    a = coords.sum(axis=1)
+    lo = int(a.min())
+    norms = np.sqrt(np.bincount(a - lo, weights=np.abs(psi) ** 2))
+    dist = np.abs(np.arange(lo, lo + norms.size) - lam / (-2.0 * p.h))
+    live = norms > loc.AMPLITUDE_FLOOR
+    if fit_range is not None:
+        live &= (dist >= fit_range[0]) & (dist <= fit_range[1])
+    if live.sum() == 0:
+        return norms, float(norms.max()), -np.inf, 0, True
+    c_fit = float(np.max(norms[live] * np.exp(theta * dist[live])))
+    if live.sum() < 3:
+        return norms, c_fit, -np.inf, int(live.sum()), True
+    slope = float(np.polyfit(dist[live], np.log(norms[live]), 1)[0])
+    return norms, c_fit, slope, int(live.sum()), bool(np.isfinite(c_fit) and slope <= -theta + 0.05)
+
+
+def _ref_shells(psi, w, n, stat, center):
+    r = np.abs(model.flat_to_tuples(w, n) - center).sum(axis=1)
+    n_shells = int(r.max()) + 1
+    a = np.abs(psi)
+    if stat == "max":
+        s = np.zeros(n_shells)
+        np.maximum.at(s, r, a)
+    else:
+        s = np.sqrt(np.bincount(r, weights=a**2, minlength=n_shells))
+    return np.arange(n_shells), s
+
+
+def _ref_slopes(s, halfwidth):
+    ls = np.where(s > loc.AMPLITUDE_FLOOR, np.log(np.maximum(s, 1e-300)), np.nan)
+    out = np.full(s.size, np.nan)
+    for r in range(s.size):
+        lo, hi = max(0, r - halfwidth), min(s.size, r + halfwidth + 1)
+        seg, xs = ls[lo:hi], np.arange(lo, hi)
+        m = np.isfinite(seg)
+        if m.sum() >= 3:
+            out[r] = -np.polyfit(xs[m], seg[m], 1)[0]
+    return out
+
+
+def _ref_shell_fit(psi, w, n, probe, center):
+    radii, s = _ref_shells(psi, w, n, probe.shell_stat, center)
+    if (s > loc.AMPLITUDE_FLOOR).sum() <= 1:
+        return radii, s, np.array([]), True, np.inf, True, "point support"
+    rates = _ref_slopes(s, probe.rate_halfwidth)
+    lo, hi = probe.fit_range
+    usable = np.isfinite(rates) & (radii >= lo) & (radii <= hi)
+    fitted = radii[usable]
+    if fitted.size < 2:
+        return radii, s, rates, False, np.nan, False, "fit range degenerate"
+    fr = rates[usable]
+    monotone = bool(np.all(np.diff(fr) >= -loc.RATE_NOISE_BAND))
+    final = float(fr[-1])
+    note = f"amplitudes underflowed past r={fitted[-1]}" if fitted[-1] < hi else ""
+    return radii, s, rates, monotone, final, monotone and final > max(probe.theta_list), note
+
+
+def _probe_states(n):
+    """Eigenvectors of a small stark H^(n), plus synthetic states that exercise the fit's edges."""
+    L = {1: 14, 2: 8, 3: 4}[n]
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=L, interior_margin=1)
+    res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
+    keep = spectra.boundary_shell_mass(res.eigenvectors, w, n) <= loc.BOUNDARY_TOL
+    vecs, lams = res.eigenvectors[:, keep][:, ::3], res.eigenvalues[keep][::3]
+    coords = model.flat_to_tuples(w, n)
+    r = np.abs(coords).sum(axis=1)
+    rng = np.random.default_rng(n)
+    synth = []
+    # a fast tail with shells zeroed inside the rate windows, one that lives on
+    # two shells only (no window reaches 3 points), and a point mass
+    for dead in ({3, 4}, {2, 5, 6}, {1, *range(3, 40)}):
+        v = rng.standard_normal(r.size) * np.exp(-0.3 * r**1.5)
+        v[np.isin(r, list(dead))] = 0.0
+        synth.append(v)
+    synth.append(np.where(r == 0, 1.0, 0.0))
+    synth = np.array(synth).T
+    synth[np.abs(coords).max(axis=1) == L] = 0.0  # interior: nothing on the face
+    synth /= np.linalg.norm(synth, axis=0)
+    return p, w, np.hstack([vecs, synth]), np.concatenate([lams, rng.uniform(-2, 2, 4)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("stat", ["max", "l2"])
+def test_block_probes_match_per_state_loop(n, stat):
+    p, w, states, lams = _probe_states(n)
+    probe = loc.DecayProbe(shell_stat=stat, fit_range=(2, 3 * w.L // 2), rate_halfwidth=3)
+    k = states.shape[1]
+    centers = np.array([loc.localization_center(lam, p) for lam in lams])
+    centers[::4] = np.arange(k)[::4] % 5 - 2  # a few centers off the ladder anchor
+    centers[-4:] = 0  # the synthetic states are built around the origin
+    prof = loc.com_profile(states, lams, p, w, n)
+    coms = loc.com_decay_check(prof, 0.8)
+    ranged = loc.com_decay_check(prof, 0.8, fit_range=(1, 3))
+    shells = loc.superexp_shell_fit(states, w, n, probe, centers)
+    assert len(coms) == len(ranged) == len(shells) == k
+    for j in range(k):
+        for got, fit_range in ((coms[j], None), (ranged[j], (1, 3))):
+            norms, c_fit, slope, n_pts, passed = _ref_com(
+                states[:, j], lams[j], p, w, n, 0.8, fit_range
+            )
+            assert np.array_equal(prof.norms[:, j], norms)
+            assert (got.c_fit, got.n_points, got.passed) == (c_fit, n_pts, passed)
+            np.testing.assert_allclose(got.tail_slope, slope, rtol=1e-12, atol=0)
+        radii, s, rates, monotone, final, passed, note = _ref_shell_fit(
+            states[:, j], w, n, probe, centers[j]
+        )
+        rep = shells[j]
+        assert np.array_equal(rep.radii, radii) and np.array_equal(rep.amplitudes, s)
+        assert rep.rates.shape == rates.shape
+        np.testing.assert_allclose(rep.rates, rates, rtol=1e-12, atol=0, equal_nan=True)
+        assert (rep.monotone, rep.passed, rep.note) == (monotone, passed, note)
+        np.testing.assert_allclose(rep.final_rate, final, rtol=1e-12, atol=0, equal_nan=True)
+        # the one-state call is the k = 1 case of the same code
+        one = loc.superexp_shell_fit(states[:, j], w, n, probe, int(centers[j]))
+        assert np.array_equal(one.amplitudes, rep.amplitudes)
+        np.testing.assert_allclose(one.rates, rep.rates, rtol=1e-12, atol=0, equal_nan=True)
+    notes = {rep.note for rep in shells}
+    assert {"point support", "fit range degenerate"} <= notes
+
+
+def test_local_log_slopes_match_polyfit_windows():
+    rng = np.random.default_rng(7)
+    s = np.exp(-rng.uniform(0.0, 40.0, (23, 12)))
+    s[rng.random(s.shape) < 0.3] = 0.0  # gaps, also at both ends
+    s[:, :2] = 0.0
+    s[[3, 5], 1] = 1e-3  # two live points: no window fits
+    s[0, 2] = s[-1, 2] = 0.5
+    for hw in (1, 2, 4):
+        got = loc.local_log_slopes(s, hw)
+        for j in range(s.shape[1]):
+            want = _ref_slopes(s[:, j], hw)
+            np.testing.assert_allclose(got[:, j], want, rtol=1e-12, atol=0, equal_nan=True)
+            np.testing.assert_allclose(
+                loc.local_log_slopes(s[:, j], hw), got[:, j], rtol=1e-12, atol=0, equal_nan=True
+            )
+        assert np.isnan(got[:, :2]).all()
+
+
+def test_one_state_probes_keep_scalar_types(desk):
+    p, w, res, mask, sig = desk
+    i = int(np.flatnonzero(mask)[0])
+    lam = float(res.eigenvalues[i])
+    prof = loc.com_profile(res.eigenvectors[:, i], lam, p, w, 2)
+    assert type(prof.lam) is float and type(prof.com_center) is float
+    assert type(prof.parseval_defect()) is float and type(prof.peak_sector) is int
+    rep = loc.com_decay_check(prof, 1.0)
+    assert (type(rep.c_fit), type(rep.tail_slope), type(rep.n_points), type(rep.passed)) == (
+        float, float, int, bool,
+    )
+    shell = loc.superexp_shell_fit(res.eigenvectors[:, i], w, 2, loc.DecayProbe(), 0)
+    assert isinstance(shell, loc.ShellFitReport)
+    assert type(shell.final_rate) is float and type(shell.passed) is bool

@@ -141,6 +141,33 @@ def test_symmetry_defect(params2, win):
         assert h.symmetry_defect() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1): 2.0, (1, 0): 2.0, (2, 2): -1.0},  # symmetric
+        {(0, 1): 2.0, (1, 0): 2.5, (2, 2): -1.0},  # values differ
+        {(0, 1): 2.0, (1, 0): 2.5, (0, 2): 0.3, (2, 2): -1.0},  # patterns differ too
+        {},
+    ],
+)
+def test_symmetry_defect_matches_full_difference(entries):
+    w = Window(L=1, interior_margin=0)
+    a = np.zeros((3, 3))
+    for (i, j), v in entries.items():
+        a[i, j] = v
+    op = model.OperatorMatrix("position", w, 1, a)
+    m = op.matrix
+    want = abs(m - m.T).max() if entries else 0.0
+    assert op.symmetry_defect() == want
+    assert np.array_equal(op.toarray(), a)  # the check leaves H as it was
+    big = model.build_hamiltonian(
+        ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0)),
+        Window(L=4, interior_margin=1),
+        "stark",
+    )
+    assert big.symmetry_defect() == abs(big.matrix - big.matrix.T).max()
+
+
 def test_determinism(params2):
     w = Window(L=8, interior_margin=3)
     a = model.build_hamiltonian(params2, w, "stark").toarray()

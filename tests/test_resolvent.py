@@ -322,6 +322,19 @@ def test_sector_svd_of_I_matches_full(basis, n, L, pot):
         assert f.orthogonality_defect <= 1e-12 and f.eigen_residual <= 1e-10
 
 
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", ORACLE_SIZES[:2])
+def test_block_bounds_cover_full_matrix_defects(basis, n, L):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=SECTOR_POTENTIALS[1])
+    w = Window(L=L, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    for k in range(2, n + 1):
+        f = ws.block(k)
+        h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
+        assert f.eigen_residual >= np.linalg.norm(h @ f.u - f.u * f.eps)
+        assert f.orthogonality_defect >= np.linalg.norm(f.u.T @ f.u - np.eye(f.eps.size))
+
+
 def test_sector_svd_one_sector():
     # a non-symmetric tabulated v: I(z) does not commute with the leg swap
     p = ModelParams(g=1.0, h=0.5, N=2, potential=ORACLE_POINTS[3][0])

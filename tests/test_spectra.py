@@ -243,6 +243,48 @@ def test_sector_eigh_matches_full(basis, n, L, pot):
     assert even.sum() == res.sectors["sector_dims"][0]
 
 
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", SECTOR_SIZES[:2])
+@pytest.mark.parametrize("pot", SYMMETRIC_POTENTIALS, ids=lambda p: p.kind)
+def test_sector_bounds_cover_full_matrix_defects(basis, n, L, pot):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    w = Window(L=L, interior_margin=1)
+    dense = model.build_hamiltonian(p, w, basis).toarray()
+    sol = spectra.sector_eigh(dense, w.n_sites, n)
+    assert len(sol.sectors["sector_dims"]) == 2
+    resid = dense @ sol.vectors - sol.vectors * sol.values
+    gram = sol.vectors.T @ sol.vectors - np.eye(sol.values.size)
+    assert sol.residuals.max() >= np.linalg.norm(resid, axis=0).max()
+    assert sol.residual_norm >= np.linalg.norm(resid)
+    assert sol.orthogonality_defect >= np.linalg.norm(gram)
+    # bounds, not estimates that can drift far above the measured defects
+    assert sol.residual_norm <= 2.0 * np.linalg.norm(resid)
+    assert sol.orthogonality_defect <= 2.0 * np.linalg.norm(gram)
+
+
+def test_perturbed_eigenvector_trips_residual_gate(monkeypatch):
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=SYMMETRIC_POTENTIALS[0])
+    w = Window(L=6, interior_margin=1)
+    op = model.build_hamiltonian(p, w, "stark")
+    assert spectra.eigh(op).residual_max <= 1e-8
+    solve = np.linalg.eigh
+    rng = np.random.default_rng(0)
+
+    def perturbed(b):
+        vals, vecs = solve(b)
+        kick = rng.standard_normal(vecs.shape[0])
+        vecs[:, 0] += 1e-7 * kick / np.linalg.norm(kick)
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    res = spectra.eigh(op)
+    dense = op.toarray()
+    measured = np.linalg.norm(dense @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
+    assert measured.max() > 1e-8  # the kick is a real defect of the lifted vectors
+    assert res.residual_max >= measured.max() > 1e-8
+    assert res.orthogonality_defect > 1e-8
+
+
 @pytest.mark.parametrize(
     "n,pot", [(1, SYMMETRIC_POTENTIALS[0]), (2, ASYMMETRIC), (3, ASYMMETRIC)]
 )
@@ -277,11 +319,11 @@ def test_sector_split_refuses_cross_coupling_above_constant():
             # Frobenius norm sqrt(2) eps, half of it in the cross blocks
             eps = scale * model.SECTOR_TOL * norm
             assert split.cross_norm == pytest.approx(eps, rel=1e-3)
-            vals, _, diag = spectra.sector_eigh(b, d, 2)
+            sol = spectra.sector_eigh(b, d, 2)
             want = np.linalg.eigvalsh(b)
-            assert np.abs(vals - want).max() <= 1e-12 * max(1.0, np.abs(want).max()) + diag[
-                "cross_norm"
-            ]
+            assert np.abs(sol.values - want).max() <= 1e-12 * max(
+                1.0, np.abs(want).max()
+            ) + sol.sectors["cross_norm"]
         else:
             assert split.cross_norm == 0.0 and split.blocks[0] is b
 

@@ -134,18 +134,22 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path: str, header: list, rows) -> None:
+    """One line per row: floats as %.17g, every other value as str().
+
+    The %-format of a row is built once per tuple of value types.
+    """
+    formats: dict = {}
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+                formats[types] = fmt
+            fh.write(fmt % row)
 
 
 @contextlib.contextmanager
@@ -382,7 +386,7 @@ def _task_resolvent(
             }
         )
         ok &= fe.residual <= 1e-6
-        del fe  # free this z's dense G, D and I before the next z builds its own
+        del fe  # free this z's dense D and I before the next z builds its own
     with open(os.path.join(out, "functional_eq.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,4 +1,4 @@
-"""Truncated Hamiltonians: free part, pair interaction, cluster variants, symmetrizer.
+"""Truncated Hamiltonians: free part, pair interaction, cluster variants, S_N sectors.
 
 All operators act on the tensor-product window [-L, L]^N with lexicographic
 flat indexing, one leg per particle; H0 and the interaction are sums of a
@@ -10,6 +10,7 @@ eigenbasis matrix of Bessel overlaps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,12 +24,8 @@ from . import specfun
 N_MAX = 4
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
-SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a swap-sector split may drop
+SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
 UNIT_ROUNDOFF = 2.0**-53
-# ||Q^T Q - 1||_2 of a swap-sector lift: |2 c^2 - 1| for its coefficient c = fl(sqrt(1/2)),
-# exact in integer arithmetic (c = m 2^-53)
-_COEF_MANTISSA = int(math.sqrt(0.5) * 2**53)
-COEF_DEFECT = abs(2 * _COEF_MANTISSA**2 - 2**106) / 2**106
 
 POTENTIAL_KINDS = ("nearest_neighbor", "exponential", "power_law", "tabulated")
 STATISTICS = ("distinguishable", "boson", "fermion")
@@ -358,62 +355,199 @@ def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) ->
 
 @dataclass(frozen=True)
 class Sector:
-    """Orthonormal columns q_a = coef_a (e_rep_a + sign e_partner_a) of a leg-swap sector.
+    """Sparse orthonormal columns Q of one symmetry sector, stored as the rows of Q^T.
 
-    `partner` is None for the whole space (Q = 1). A representative on the
-    swap diagonal (m0 = m1) is its own partner, with coef 1/2, so its column
-    is the unit vector e_rep.
+    `qt` is None for the whole space (Q = 1). A row of Q has at most `terms`
+    nonzeros, and a lifted fl(Q y) is within lift_error ||y|| of Q y.
     """
 
-    rep: np.ndarray
-    partner: Optional[np.ndarray]
-    coef: np.ndarray
-    sign: float
+    qt: Optional[sp.csr_matrix]
+    dim: int
+    terms: int = 1
+    lift_error: float = 0.0
 
-    @property
-    def dim(self) -> int:
-        return self.rep.size
-
-    def lift(self, y: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
-        """Write Q y into the columns `cols` of out, which are zero before."""
-        if self.partner is None:
-            out[:, cols] = y
-            return
-        y = self.coef[:, None] * y
-        out[self.rep[:, None], cols] = y
-        if self.sign > 0:
-            out[self.partner[:, None], cols] += y
+    def lift(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Write Q y into out; rows of several terms are summed in np.longdouble, rounded once."""
+        if self.qt is None:
+            out[...] = y
+        elif self.terms > 1:
+            out[...] = self.qt.T.astype(np.longdouble) @ y.astype(np.longdouble)
         else:
-            out[self.partner[:, None], cols] -= y
+            out[...] = self.qt.T @ y
 
 
 @dataclass(frozen=True)
 class SectorSplit:
-    """Sectors a dense solve runs in, Q^T a Q in each, and the norm of what is dropped."""
+    """Sectors a dense solve runs in, Q^T a Q in each, and what the split drops."""
 
     sectors: tuple
     blocks: tuple
     cross_norm: float  # Frobenius norm of the dropped off-diagonal blocks
+    basis_defect: float = 0.0  # >= ||Q^T Q - 1||_2 over the stored columns of all sectors
 
     def diagnostics(self) -> dict:
         return {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
 
 
-def swap_sectors(d: int, n: int) -> tuple:
-    """Even and odd sectors of swapping legs 0 and 1 on the d^n tensor index (n >= 2).
+def _orthogonal_in_span(first: Optional[list], vectors: list) -> list:
+    """Pairwise orthogonal integer vectors spanning span(vectors) minus the line of `first`.
 
-    Representatives are the flat indices with m0 <= m1 (even) and m0 < m1
-    (odd), in increasing order; each partner is the index with m0, m1 swapped.
+    Exact Gram-Schmidt in integers; `first` (None: no line) lies in the span.
     """
-    idx = np.arange(d**n).reshape(d, d, -1)
-    i, j = np.triu_indices(d)
-    rep, partner = idx[i, j].ravel(), idx[j, i].ravel()
-    coef = np.repeat(np.where(i == j, 0.5, math.sqrt(0.5)), idx.shape[2])
-    off = rep != partner
-    return (
-        Sector(rep, partner, coef, 1.0),
-        Sector(rep[off], partner[off], coef[off], -1.0),
-    )
+    basis, out = ([] if first is None else [first]), []
+    for v in vectors:
+        for b in basis:
+            vb, bb = sum(x * y for x, y in zip(v, b)), sum(y * y for y in b)
+            v = [bb * x - vb * y for x, y in zip(v, b)]
+        g = math.gcd(*v)
+        if g:
+            v = [x // g for x in v]
+            basis.append(v)
+            out.append(v)
+    return out
+
+
+def _unit_columns(vectors: list, size: int) -> np.ndarray:
+    """The size x k float columns v / ||v||, each entry sign(x) fl(sqrt(fl(x^2 / ||v||^2)))."""
+    cols = np.zeros((size, len(vectors)))
+    for c, v in enumerate(vectors):
+        s = sum(x * x for x in v)
+        # x * x / s divides Python ints: the quotient is rounded once
+        cols[:, c] = [math.copysign(math.sqrt(x * x / s), x) for x in v]
+    return cols
+
+
+@functools.cache
+def _orbit_bases(n: int) -> tuple:
+    """Local sector bases of the leg-permutation orbits of n >= 2 legs, one per orbit shape.
+
+    An orbit is the set of distinct leg arrangements of one sorted index
+    tuple. Its shape says which neighbours of the sorted tuple are equal
+    (bit k: entries k and k + 1), and every orbit of a shape has the same
+    local basis. Per shape: the sorted position on each leg of its arrangements
+    in lexicographic order, and their columns L_s in the boson, fermion, even-
+    and odd-remainder sectors. The remainders come from exact Gram-Schmidt
+    inside the leg-0/1-even span after the boson column and inside the odd
+    span after the fermion column.
+
+    Also returned, for the stored (rounded) columns: theta, the largest
+    absolute row sum of L^T L - 1 over the shapes' square bases L, computed
+    exactly and rounded up. It bounds ||Q^T Q - 1||_2 on the whole index: the
+    matrix is symmetric and block-diagonal over orbits. And per sector
+    (m, e): the most nonzeros m in a row of any L_s, and e >= ||fl(Q_s y) -
+    Q_s y|| / ||y|| for `Sector.lift`. With m = 1 each entry is one rounded
+    product, within u of the exact one. With m > 1 every entry, a sum of
+    m_p <= m products on the rows of shape p, is accumulated in np.longdouble
+    (unit roundoff u_l) and rounded once, so it is within u |sum_k x_k| +
+    (1 + u) gamma_(m_p)(u_l) sum_k |x_k|; e adds the largest (1 + u)
+    gamma_(m_p)(u_l) sqrt(k (1 + theta)) over the shapes to u sqrt(1 + theta),
+    L_s having k columns on shape p (sqrt(k (1 + theta)) >= || |L_s| ||_2).
+    """
+    from fractions import Fraction  # first use only: the import is not paid at start-up
+
+    shapes, theta, terms = [], Fraction(0), [[] for _ in range(4)]
+    for code in range(2 ** (n - 1)):
+        labels = [0]
+        for k in range(n - 1):
+            labels.append(labels[-1] + (0 if code >> k & 1 else 1))
+        arrangements = {}
+        for perm in itertools.permutations(range(n)):
+            arrangements.setdefault(tuple(labels[i] for i in perm), perm)
+        keys = sorted(arrangements)
+        size = len(keys)
+        at = {key: i for i, key in enumerate(keys)}
+        even, odd = [], []
+        for i, key in enumerate(keys):
+            j = at[(key[1], key[0]) + key[2:]]  # the arrangement with legs 0 and 1 swapped
+            for span, sign in ((even, 1), (odd, -1)):
+                if i < j or (i == j and sign > 0):
+                    v = [0] * size
+                    v[j] = sign
+                    v[i] = 1
+                    span.append(v)
+        ones = [1] * size
+        # with all labels distinct each arrangement is its own sorting permutation
+        signs = (
+            [(-1) ** _permutation_parity(key) for key in keys]
+            if size == math.factorial(n)
+            else None
+        )
+        local = tuple(
+            _unit_columns(vectors, size)
+            for vectors in (
+                [ones],
+                [] if signs is None else [signs],
+                _orthogonal_in_span(ones, even),
+                _orthogonal_in_span(signs, odd),
+            )
+        )
+        # exact Gram matrix of the rounded floats, on a common power-of-two scale
+        ratios = [x.as_integer_ratio() for x in np.hstack(local).ravel().tolist()]
+        scale = max(den for _, den in ratios).bit_length() - 1
+        q = np.array([num << (scale - den.bit_length() + 1) for num, den in ratios], dtype=object)
+        q = q.reshape(size, size)
+        gram = q.T.dot(q) - np.eye(size, dtype=int).astype(object) * (1 << 2 * scale)
+        theta = max(theta, Fraction(int(np.abs(gram).sum(axis=1).max()), 1 << 2 * scale))
+        for t, b in zip(terms, local):
+            if b.size:
+                t.append((int((b != 0).sum(axis=1).max()), b.shape[1]))
+        shapes.append((np.array([arrangements[key] for key in keys]), local))
+    exact, theta = theta, float(theta)
+    if Fraction(theta) < exact:
+        theta = math.nextafter(theta, math.inf)
+    u, u_l = UNIT_ROUNDOFF, float(np.finfo(np.longdouble).eps) / 2
+    lift = []
+    for t in terms:
+        most = max((m for m, _ in t), default=1)
+        e = u * math.sqrt(1.0 + theta)
+        if most > 1:  # every row of the sector is accumulated in np.longdouble
+            gamma = [(m * u_l / (1.0 - m * u_l), k) for m, k in t]
+            e += max(g * (1.0 + u) * math.sqrt(k * (1.0 + theta)) for g, k in gamma)
+        lift.append((most, e))
+    return tuple(shapes), theta, tuple(lift)
+
+
+def symmetry_sectors(d: int, n: int) -> tuple:
+    """The nonempty S_N sectors of the d^n tensor index (n >= 2), in a fixed order.
+
+    Bosons (one column per sorted index tuple, C(d + n - 1, n)), fermions
+    (one per strictly sorted tuple, signed by the sorting permutation,
+    C(d, n)), then the complement of the bosons in the leg-0/1-even span and
+    of the fermions in the odd span. Each column lives on one orbit, with at
+    most n! entries; columns run over the orbits in the order of their sorted
+    tuples, then over the local basis of the orbit's shape.
+    """
+    shapes, _, lift = _orbit_bases(n)
+    coords = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
+    steps = np.diff(coords, axis=0)
+    sorted_tuples = np.flatnonzero((steps >= 0).all(axis=0))
+    shape = (steps[:, sorted_tuples] == 0).T @ (1 << np.arange(n - 1))
+    strides = d ** np.arange(n - 1, -1, -1)
+    orbits = []  # per shape: its orbits and the flat index of each arrangement (M x orbits)
+    for code, (perms, _) in enumerate(shapes):
+        which = np.flatnonzero(shape == code)
+        flat = np.einsum("j,mjo->mo", strides, coords[:, sorted_tuples[which]][perms])
+        orbits.append((which, flat))
+    sectors = []
+    for s in range(4):
+        count = np.zeros(sorted_tuples.size, dtype=np.int64)
+        for (which, _), (_, local) in zip(orbits, shapes):
+            count[which] = local[s].shape[1]
+        first = np.cumsum(count) - count  # the orbit's first column in the sector
+        rows, cols, vals = [], [], []
+        for (which, flat), (_, local) in zip(orbits, shapes):
+            for i, c in zip(*np.nonzero(local[s])):
+                rows.append(first[which] + c)
+                cols.append(flat[i])
+                vals.append(np.full(which.size, local[s][i, c]))
+        dim = int(count.sum())
+        if dim:
+            qt = sp.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(dim, d**n),
+            )
+            sectors.append(Sector(qt, dim, *lift[s]))
+    return tuple(sectors)
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -423,36 +557,45 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", v, v))
 
 
-def split_by_swap(a: np.ndarray, d: int, n: int) -> SectorSplit:
-    """Split a into its two leg-0/1 swap sectors when it commutes with the swap.
+def _sparse_times(qt: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """qt @ x for a dense x, C-ordered first; a complex x as its real view."""
+    x = np.ascontiguousarray(x)
+    if np.iscomplexobj(x):
+        return (qt @ x.view(np.float64)).view(complex)
+    return qt @ x
 
-    The off-diagonal blocks Q_+^T a Q_- and Q_-^T a Q_+ are what the split
-    drops; by Weyl's inequality every eigenvalue (a symmetric) and singular
-    value moves by at most their Frobenius norm. If that norm is above
-    SECTOR_TOL times ||a||_F (a non-symmetric v, say) the whole space is the
-    one sector, as it is for n < 2.
+
+def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
+    """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
+
+    Each block Q_s^T a Q_s comes from the sparse product Q_s^T a (sector x
+    dim), then times Q; the off-diagonal blocks Q_t^T a Q_s are what the
+    split drops, and the Frobenius norm of all of them is measured directly.
+    By Weyl's inequality every eigenvalue (a symmetric) and singular value
+    moves by at most that norm, up to the basis defect of the rounded
+    columns. If it is above SECTOR_TOL times ||a||_F (a non-symmetric v, say)
+    the whole space is the one sector, as it is for n < 2. Beyond the blocks,
+    memory is a few sector x dim arrays.
     """
     if n >= 2:
-        even, odd = swap_sectors(d, n)
-        # four sector-sized gathers over the even representatives r and their
-        # partners p; the odd representatives are the even ones off the diagonal
-        r, p, c = even.rep, even.partner, even.coef
-        off = np.nonzero(r != p)[0]
-        rr, pp = a[r[:, None], r], a[p[:, None], p]
-        s1, d1 = rr + pp, rr - pp
-        del rr, pp
-        rp, pr = a[r[:, None], p], a[p[:, None], r]
-        s2, d2 = rp + pr, pr - rp
-        del rp, pr
-        blocks = (c[:, None] * (s1 + s2) * c, 0.5 * (s1 - s2)[off[:, None], off])
-        cross = math.sqrt(0.5) * math.hypot(
-            _frobenius(c[:, None] * (d1 + d2)[:, off]), _frobenius((d1 - d2)[off] * c)
-        )
-        # Q is orthogonal, so ||a||_F^2 is the sum of the squared block norms
+        sectors = symmetry_sectors(d, n)
+        # the sparse products read rows: a Fortran-ordered a (I(z) is built
+        # transposed) is split through a^T, whose blocks are those of a transposed
+        flip = not a.flags.c_contiguous and a.flags.f_contiguous
+        at = a.T if flip else a
+        q_all = sp.vstack([s.qt for s in sectors], format="csr")
+        blocks, cross, start = [], 0.0, 0
+        for s in sectors:
+            # row block t of col is (Q_s^T at Q_t)^T
+            col = _sparse_times(q_all, _sparse_times(s.qt, at).T)
+            stop = start + s.dim
+            blocks.append(col[start:stop].copy() if flip else col[start:stop].T.copy())
+            cross = math.hypot(cross, _frobenius(col[:start]), _frobenius(col[stop:]))
+            del col
+            start = stop
         if cross <= SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks)):
-            return SectorSplit((even, odd), blocks, cross)
-    whole = Sector(np.arange(a.shape[0]), None, np.ones(a.shape[0]), 1.0)
-    return SectorSplit((whole,), (a,), 0.0)
+            return SectorSplit(sectors, tuple(blocks), cross, _orbit_bases(n)[1])
+    return SectorSplit((Sector(None, a.shape[0]),), (a,), 0.0)
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:

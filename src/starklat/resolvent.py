@@ -27,7 +27,7 @@ from .model import (
     build_cluster_hamiltonian,
     build_hamiltonian,
     build_interaction,
-    split_by_swap,
+    split_by_symmetry,
     two_site_operator,
 )
 from .spectra import ClusterDecomposition, enumerate_set_partitions, sector_eigh
@@ -193,7 +193,7 @@ class ResolventWorkspace:
     def block(self, k: int) -> BlockFactor:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        Solved in the leg-swap sectors; both defects are the sector solve's
+        Solved in the S_N sectors; both defects are the sector solve's
         upper bounds for the full H^(k) and the lifted U.
         """
         key = ("U", k)
@@ -341,10 +341,9 @@ def build_D(z: complex, ws: ResolventWorkspace) -> np.ndarray:
 
 @dataclass
 class FunctionalEquation:
-    """G, D and I at one z, with the numbers behind the verdict."""
+    """D and I at one z, with the numbers behind the verdict."""
 
     z: complex
-    g: np.ndarray
     d: np.ndarray
     i: np.ndarray
     residual: float  # ||G - D - I G||_F, an upper bound on the 2-norm
@@ -355,20 +354,23 @@ class FunctionalEquation:
 def functional_equation(
     z: complex, ws: ResolventWorkspace, d: np.ndarray, i: np.ndarray
 ) -> FunctionalEquation:
-    """Build G(z) and measure G - D - I G for (D, I) = expansion(z, ws).
+    """Measure R = G - D - I G for (D, I) = expansion(z, ws) without forming G.
 
-    The caller runs the expansion first, so G's dim x dim array is not live at
-    the expansion's peak.
+    G is complex symmetric (H is real symmetric), so R^T = G (1 - I^T) - D^T:
+    one resolvent applied to the block 1 - I^T, and ||R||_F = ||R^T||_F.
     """
     n = ws.params.N
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    g = ws.apply_resolvent(full, z, np.eye(ws.dim, dtype=complex))
+    x = np.negative(i.T)  # the expansion's own accumulator, C-ordered
+    x.flat[:: ws.dim + 1] += 1.0
+    r = ws.apply_resolvent(full, z, x)
+    del x
+    r -= d.T
     return FunctionalEquation(
         complex(z),
-        g,
         d,
         i,
-        _frobenius(g - d - i @ g),
+        _frobenius(r),
         float(np.abs(z - ws.block(n).eps).min()),
         max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
     )
@@ -396,10 +398,10 @@ def compactness_proxy(
     """Singular value decay of I(z) as the finite-size compactness witness.
 
     `tensor` = (d, n) says I(z) acts on the d^n tensor index; for n >= 2 the
-    SVD runs in the leg-swap sectors, which moves each singular value by at
-    most the reported cross norm.
+    SVD runs in the S_N sectors, which moves each singular value by at most
+    the reported cross norm (and a relative basis defect of a few 1e-16).
     """
-    split = split_by_swap(i_matrix, *tensor)
+    split = split_by_symmetry(i_matrix, *tensor)
     s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in split.blocks])
     s = np.sort(s)[::-1]
     sectors = split.diagnostics()
@@ -434,7 +436,7 @@ def fredholm_probe(
     for z in z_grid:
         # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the
         # dropped blocks are at most SECTOR_TOL ||I||_F, a roundoff-size change of I
-        split = split_by_swap(build_I(complex(z), ws), window.n_sites, params.N)
+        split = split_by_symmetry(build_I(complex(z), ws), window.n_sites, params.N)
         eigs = np.concatenate([np.linalg.eigvals(b) for b in split.blocks])
         j = int(np.argmin(np.abs(eigs - 1.0)))
         prox = float(np.abs(eigs[j] - 1.0))

@@ -10,8 +10,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .model import (
-    COEF_DEFECT,
-    UNIT_ROUNDOFF,
     CapacityError,
     ModelParams,
     OperatorMatrix,
@@ -20,11 +18,12 @@ from .model import (
     apply_on_legs,
     build_hamiltonian,
     flat_to_tuples,
-    split_by_swap,
+    split_by_symmetry,
     stark_basis_matrix,
 )
 
 DENSE_CAP = 6000
+SORT_ROWS = 128  # rows per block when the lifted eigenvectors are put in eigenvalue order
 KRYLOV_K_MAX = 64
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
@@ -125,7 +124,7 @@ def interior_mask(
 
 
 class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
-    """Eigenpairs of a symmetric a, solved per leg-swap sector, with bounds on the lifted pairs."""
+    """Eigenpairs of a symmetric a, solved per symmetry sector, with bounds on the lifted pairs."""
 
     values: np.ndarray  # ascending
     vectors: np.ndarray  # lifted to the tensor index, one sector per column
@@ -136,30 +135,39 @@ class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every imp
 
 
 def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
-    """Eigenpairs of a symmetric a on the d^n tensor index, solved per leg-swap sector.
+    """Eigenpairs of a symmetric a on the d^n tensor index, solved per S_N sector.
 
-    Each vector lies in one sector, i.e. has a definite leg-0/1 parity when
-    the split is taken. The residual and orthogonality of the lifted pairs
-    are bounded from the sector solves alone, so no dim x dim product with a
-    is formed. The lift is Q = Q_exact D, with D = 1 on the swap diagonal and
-    sqrt(2) c elsewhere for the rounded coefficient c, so ||D^2 - 1|| <= theta
-    = model.COEF_DEFECT. For y in sector s with B_s y - lambda y = rho and the
-    dropped block C = Q_s'^T a Q_s,
+    Each vector lies in one sector of `model.split_by_symmetry`, so it is
+    exactly even or odd under the leg-0/1 swap when the split is taken. The
+    residual and orthogonality of the lifted pairs are bounded from the sector
+    solves alone, so no dim x dim product with a is formed.
 
-        a Q y - lambda Q y = Q_exact D^-1 (rho + C y - lambda (D^2 - 1) y),
+    Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
+    ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
+    is solved through its symmetric part S_s; K_s is dropped with the blocks
+    C_ts = Q_t^T a Q_s. For y with S_s y - lambda y = rho,
+    Q^T (a - lambda) Q_s y = (rho + K_s y (+) C_.s y) - lambda Delta_.s y, so
 
-    the lifted column fl(Q y) is within u ||Q y|| (u = 2^-53) of Q y, and
-    ||y|| <= nu = sqrt(1 + max_s ||Y_s^T Y_s - 1||_F). The gathered blocks
-    B_s and every norm are floating-point evaluations of Q_s^T a Q_s and of
-    the exact norms, as a full-matrix a V - V Lambda is. With one sector
-    (n < 2, or a not swap-symmetric) Q = 1 and the bounds are the measured
-    a Y - Y Lambda and Y^T Y - 1 themselves.
+        ||a Q_s y - lambda Q_s y|| <= kappa (||rho|| + (||K_s|| + ||C_.s||
+                                        + theta |lambda|) ||y||)
+
+    with kappa = 1 / sqrt(1 - theta) >= ||Q^-T||. The lifted column fl(Q_s y)
+    is within e_s ||y|| of Q_s y (e_s the sector's lift error), which adds
+    (||a|| + |lambda|) e_s ||y||, with ||y|| <= nu = sqrt(1 + max_s
+    ||Y_s^T Y_s - 1||_F). The blocks B_s and every norm are floating-point
+    evaluations of Q_s^T a Q_s and of the exact norms, as a full-matrix
+    a V - V Lambda is. With one sector (n < 2, or a not symmetric under the
+    leg permutations) Q = 1 and the bounds are the measured residual and
+    Y^T Y - 1 of the symmetric part of a, plus its skew part.
     """
-    split = split_by_swap(a, d, n)
-    lifted = len(split.sectors) > 1
-    theta, u = (COEF_DEFECT, UNIT_ROUNDOFF) if lifted else (0.0, 0.0)
-    parts, rho, frob, gram = [], [], [], []
+    split = split_by_symmetry(a, d, n)
+    theta = split.basis_defect
+    parts, rho, frob, gram, skew = [], [], [], [], []
     for b in split.blocks:
+        # eigh reads one triangle: solve the symmetric part and drop the skew part
+        skew.append(0.5 * _frobenius(b - b.T))
+        b = b + b.T
+        b *= 0.5
         w, y = np.linalg.eigh(b)
         r = b @ y
         r -= y * w
@@ -173,34 +181,37 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
         parts.append((w, y))
     vals = np.concatenate([w for w, _ in parts])
     rho = np.concatenate(rho)
+    e = np.concatenate([np.full(w.size, s.lift_error) for s, (w, _) in zip(split.sectors, parts)])
     order = np.argsort(vals, kind="stable")
-    cols = np.empty_like(order)
-    cols[order] = np.arange(order.size)
-    vecs = np.zeros(a.shape)
+    vecs = np.empty(a.shape)
     start = 0
     for sector, (w, y) in zip(split.sectors, parts):
-        sector.lift(y, vecs, cols[start : start + w.size])
+        sector.lift(y, vecs[:, start : start + w.size])
         start += w.size
+    # sort the columns a block of rows at a time: a whole-column scatter of
+    # each sector ran 3x slower at dim 1331
+    for i in range(0, a.shape[0], SORT_ROWS):
+        vecs[i : i + SORT_ROWS] = vecs[i : i + SORT_ROWS, order]
     o = max(gram)
     nu = np.sqrt(1.0 + o)
-    cross = split.cross_norm
+    dropped = split.cross_norm + np.linalg.norm(skew)
     lam = np.abs(vals)
-    lam_norm = np.linalg.norm(lam)
-    k = 1.0 / (1.0 - theta)  # >= ||D^-1||
-    lift = 0.0  # the rounding of fl(Q y) adds (||a|| + |lambda|) u ||Q y||
-    norm_a = 0.0
-    if lifted:
-        # ||B_s|| <= (nu max|lambda| + ||R_s||_F) / sigma_min(Y_s), with
-        # sigma_min^2 >= 1 - o, and ||a|| <= (max_s ||B_s|| + ||C||) / min D^2
-        lift = u * (1.0 + theta) * nu
-        norm_b = (nu * lam.max() + max(frob)) / np.sqrt(1.0 - o) if o < 1.0 else np.inf
-        norm_a = k * (norm_b + cross)
-    residuals = k * (rho + (cross + theta * lam) * nu) + lift * (norm_a + lam)
-    residual_norm = k * (np.linalg.norm(frob) + (cross + theta * lam_norm) * nu) + lift * (
-        norm_a * np.sqrt(lam.size) + lam_norm
+    kappa = 1.0 / np.sqrt(1.0 - theta)
+    # ||S_s|| <= (nu max|lambda| + ||R_s||_F) / sigma_min(Y_s), with sigma_min^2
+    # >= 1 - o, and ||a|| <= ||Q^-1||^2 ||Q^T a Q|| <= (max_s ||S_s|| + dropped) / (1 - theta)
+    norm_s = (nu * lam.max() + max(frob)) / np.sqrt(1.0 - o) if o < 1.0 else np.inf
+    norm_a = (norm_s + dropped) / (1.0 - theta)
+    lift = e * nu * (norm_a + lam) if e.any() else np.zeros_like(lam)
+    residuals = kappa * (rho + (dropped + theta * lam) * nu) + lift
+    residual_norm = kappa * (
+        np.linalg.norm(frob) + (dropped + theta * np.linalg.norm(lam)) * nu
+    ) + np.linalg.norm(lift)
+    # V^T V - 1 = (Y^T Y - 1) + Y^T Delta Y + the cross terms of the lift rounding F,
+    # with ||F||_F <= nu ||e||, ||Q Y|| <= sqrt(1 + theta) nu and ||Delta||_F <= theta sqrt(dim)
+    f = np.linalg.norm(e)
+    orthogonality = np.linalg.norm(gram) + nu**2 * (
+        theta * np.sqrt(lam.size) + f * (2.0 * np.sqrt(1.0 + theta) + f)
     )
-    # V^T V - 1 = (Y^T Y - 1) + Y^T (D^2 - 1) Y + the cross terms of the lift rounding
-    orthogonality = np.linalg.norm(gram) + (theta + 3.0 * u) * nu**2 * np.sqrt(lam.size)
     return SectorEigh(
         vals[order],
         vecs,
@@ -214,7 +225,7 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
 def eigh(op: OperatorMatrix) -> SpectralResult:
     """Full dense symmetric eigendecomposition with residual diagnostics.
 
-    Solved in the leg-swap sectors (`sector_eigh`); residual_max and the
+    Solved in the S_N sectors (`sector_eigh`); residual_max and the
     orthogonality defect are its bounds for the lifted eigenvectors.
     """
     if op.dim > DENSE_CAP:

@@ -100,6 +100,22 @@ def test_export_matrices_flag(tmp_path):
     assert (tmp_path / "m" / "hamiltonian_coo.csv").exists()
 
 
+def test_write_csv_formats(tmp_path):
+    rows = [
+        (0, 0.1, -0.0, float("nan"), float("inf"), np.float64(1e-300), "2+1", True),
+        (np.int64(7), 1.0, 2.5e17, -1.25, 3, np.float64(-0.5), "x", False),
+        [1, 2.0],
+        (),
+    ]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), ["a", "b"], rows)
+    want = "a,b\n" + "".join(
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+    assert path.read_bytes() == want.encode()
+
+
 def test_selftest(tmp_path):
     p = tmp_path / "c.json"
     write_config(p, task="selftest")

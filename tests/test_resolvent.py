@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,24 @@ def test_functional_equation_n3():
     assert r <= 1e-6
 
 
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", [(2, 6), (3, 3)])
+def test_functional_equation_matches_dense_g(basis, n, L):
+    # the residual comes from G (1 - I^T) - D^T; the oracle forms G and I G
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=L, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    z = 0.5 + 1j
+    d, i = rsv.expansion(z, ws)
+    g = ws.resolvent(ClusterDecomposition((tuple(range(1, n + 1)),)), z)
+    # the true (D, I), and an I off by 1e-3 so that the residual is far from roundoff
+    for scale in (1.0, 1.001):
+        fe = rsv.functional_equation(z, ws, d, scale * i)
+        want = np.linalg.norm(g - d - scale * i @ g)
+        assert abs(fe.residual - want) <= 1e-12 * max(1.0, want)
+        assert fe.i.shape == fe.d.shape == (ws.dim, ws.dim)
+
+
 def test_compactness_zero_potential():
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("tabulated", table={0: 0.0}))
     w = Window(L=6, interior_margin=2)
@@ -293,6 +313,13 @@ def test_residual_gate_rejects_inexact_factors():
         ws.resolvent(ClusterDecomposition(((1, 2, 3),)), 0.5 + 1j)
 
 
+def sector_dims(d, n):
+    """Bosons, fermions and the leg-0/1-even and -odd remainders; empty ones dropped."""
+    bosons, fermions = math.comb(d + n - 1, n), math.comb(d, n)
+    even, odd = d ** (n - 2) * d * (d + 1) // 2, d ** (n - 2) * d * (d - 1) // 2
+    return [m for m in (bosons, fermions, even - bosons, odd - fermions) if m]
+
+
 SECTOR_POTENTIALS = [
     PairPotential("nearest_neighbor", 1.0),
     PairPotential("exponential", 0.8, 0.7),
@@ -309,15 +336,14 @@ def test_sector_svd_of_I_matches_full(basis, n, L, pot):
     ws = rsv.ResolventWorkspace(p, w, basis)
     i_mat = rsv.build_I(0.5 + 1j, ws)
     rep = rsv.compactness_proxy(i_mat, tensor=(w.n_sites, n))
-    d, rest = w.n_sites, w.n_sites ** (n - 2)
-    assert rep.sectors["sector_dims"] == [d * (d + 1) // 2 * rest, d * (d - 1) // 2 * rest]
+    assert rep.sectors["sector_dims"] == sector_dims(w.n_sites, n)
     want = np.linalg.svd(i_mat, compute_uv=False)
     tol = 64 * np.finfo(float).eps * want[0] + rep.sectors["cross_norm"]
     assert np.abs(rep.singular_values - want).max() <= tol
     # the block factors behind I(z) are split too, with exact-size defects
     for k in range(2, n + 1):
         f = ws.block(k)
-        assert len(f.sectors["sector_dims"]) == 2
+        assert f.sectors["sector_dims"] == sector_dims(w.n_sites, k)
         assert np.all(np.diff(f.eps) >= 0.0)
         assert f.orthogonality_defect <= 1e-12 and f.eigen_residual <= 1e-10
 

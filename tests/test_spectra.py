@@ -1,4 +1,6 @@
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +211,18 @@ SYMMETRIC_POTENTIALS = [
 ASYMMETRIC = PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1})
 
 
+def sector_sizes(d, n):
+    """Bosons, fermions and the leg-0/1-even and -odd remainders, by name."""
+    bosons, fermions = math.comb(d + n - 1, n), math.comb(d, n)
+    even, odd = d ** (n - 1) * (d + 1) // 2, d ** (n - 1) * (d - 1) // 2
+    return {"boson": bosons, "fermion": fermions, "even": even - bosons, "odd": odd - fermions}
+
+
+def sector_dims(d, n):
+    """The nonempty sector sizes in split order."""
+    return [m for m in sector_sizes(d, n).values() if m]
+
+
 def swap_permutation(w, n):
     """Flat index of each tensor index with legs 0 and 1 exchanged."""
     coords = model.flat_to_tuples(w, n)
@@ -225,8 +239,8 @@ def test_sector_eigh_matches_full(basis, n, L, pot):
     dense = op.toarray()
     want = np.linalg.eigvalsh(dense)
     res = spectra.eigh(op)
-    d, rest = w.n_sites, w.n_sites ** (n - 2)
-    assert res.sectors["sector_dims"] == [d * (d + 1) // 2 * rest, d * (d - 1) // 2 * rest]
+    dims = sector_dims(w.n_sites, n)
+    assert res.sectors["sector_dims"] == dims
     cross = res.sectors["cross_norm"]
     assert 0.0 <= cross <= model.SECTOR_TOL * np.linalg.norm(dense)
     assert np.all(np.diff(res.eigenvalues) >= 0.0)
@@ -240,7 +254,75 @@ def test_sector_eigh_matches_full(basis, n, L, pot):
     even = np.all(swapped == v, axis=0)
     odd = np.all(swapped == -v, axis=0)
     assert np.all(even | odd)
-    assert even.sum() == res.sectors["sector_dims"][0]
+    # the bosons and the even remainder span the leg-0/1-even space
+    assert even.sum() == w.n_sites ** (n - 1) * (w.n_sites + 1) // 2
+
+
+def test_sector_dims_formula():
+    # the fe-n3 window (L = 5) and the L = 3 counts of the three irreps at N = 3
+    assert sector_dims(11, 3) == [286, 165, 440, 440]
+    assert sector_dims(7, 3) == [84, 35, 112, 112]
+    assert sector_dims(13, 2) == [91, 78]
+
+
+def exact_ints(x):
+    """Integer array equal to x times one common power of two (exactly)."""
+    ratios = [v.as_integer_ratio() for v in x.ravel().tolist()]
+    scale = max(den for _, den in ratios).bit_length() - 1
+    ints = [num << (scale - den.bit_length() + 1) for num, den in ratios]
+    return np.array(ints, dtype=object).reshape(x.shape), scale
+
+
+@pytest.mark.parametrize("n,L", [(2, 2), (3, 1), (3, 2), (4, 1)])
+def test_symmetry_sector_columns(n, L):
+    w = Window(L=L, interior_margin=0)
+    d = w.n_sites
+    sectors = model.symmetry_sectors(d, n)
+    assert [s.dim for s in sectors] == sector_dims(d, n)
+    names = [k for k, m in sector_sizes(d, n).items() if m]
+    q = {k: s.qt.T.toarray() for k, s in zip(names, sectors)}
+    plus = model.symmetrizer(n, w, 1).toarray()
+    minus = model.symmetrizer(n, w, -1).toarray()
+    swap = swap_permutation(w, n)
+    tol = 1e-15
+    # criterion 04's projectors fix the bosons and the fermions and annihilate the rest
+    for k, cols in q.items():
+        want_plus = cols if k == "boson" else 0.0
+        want_minus = cols if k == "fermion" else 0.0
+        assert np.abs(plus @ cols - want_plus).max() <= tol, k
+        assert np.abs(minus @ cols - want_minus).max() <= tol, k
+        parity = 1.0 if k in ("boson", "even") else -1.0
+        assert np.array_equal(cols[swap], parity * cols), k
+        # each column lives on one orbit of at most n! arrangements
+        assert (cols != 0).sum(axis=0).max() <= math.factorial(n)
+    whole = np.hstack(list(q.values()))
+    assert whole.shape == (d**n, d**n)
+    assert (whole != 0).sum(axis=1).max() <= math.factorial(n)  # 6 a row at N = 3
+    # the basis defect bounds ||Q^T Q - 1||_2, computed exactly over the whole index
+    h = model.build_hamiltonian(ModelParams(g=1.0, h=0.5, N=n), w, "position").toarray()
+    split = model.split_by_symmetry(h, d, n)
+    assert split.diagnostics()["sector_dims"] == sector_dims(d, n)
+    ints, scale = exact_ints(whole)
+    gram = ints.T.dot(ints) - np.eye(d**n, dtype=int).astype(object) * (1 << 2 * scale)
+    worst = Fraction(int(np.abs(gram).sum(axis=1).max()), 1 << 2 * scale)
+    assert 0 < worst <= Fraction(split.basis_defect)
+    if d >= n:  # every orbit shape occurs, the one that sets the defect too
+        assert Fraction(split.basis_defect) <= worst * (1 + 2.0**-50)
+    # every lifted column is within its sector's lift error of the exact Q y
+    rng = np.random.default_rng(n * 10 + L)
+    for s in sectors:
+        y = rng.standard_normal((s.dim, 3))
+        out = np.zeros((d**n, 3))
+        s.lift(y, out)
+        qs, qscale = exact_ints(s.qt.T.toarray())
+        ys, yscale = exact_ints(y)
+        exact = qs.dot(ys)
+        for j in range(3):
+            err = sum(
+                (Fraction(v) - Fraction(int(e), 1 << (qscale + yscale))) ** 2
+                for v, e in zip(out[:, j].tolist(), exact[:, j])
+            )
+            assert err <= Fraction(s.lift_error * np.linalg.norm(y[:, j])) ** 2
 
 
 @pytest.mark.parametrize("basis", model.BASES)
@@ -251,7 +333,7 @@ def test_sector_bounds_cover_full_matrix_defects(basis, n, L, pot):
     w = Window(L=L, interior_margin=1)
     dense = model.build_hamiltonian(p, w, basis).toarray()
     sol = spectra.sector_eigh(dense, w.n_sites, n)
-    assert len(sol.sectors["sector_dims"]) == 2
+    assert sol.sectors["sector_dims"] == sector_dims(w.n_sites, n)
     resid = dense @ sol.vectors - sol.vectors * sol.values
     gram = sol.vectors.T @ sol.vectors - np.eye(sol.values.size)
     assert sol.residuals.max() >= np.linalg.norm(resid, axis=0).max()
@@ -312,7 +394,7 @@ def test_sector_split_refuses_cross_coupling_above_constant():
         b = a.copy()
         b[i, j] += scale * model.SECTOR_TOL * norm
         b[j, i] = b[i, j]
-        split = model.split_by_swap(b, d, 2)
+        split = model.split_by_symmetry(b, d, 2)
         assert len(split.sectors) == (2 if splits else 1)
         if splits:
             # the dropped coupling is measured: eps (e_i e_j^T + e_j e_i^T) has

@@ -104,12 +104,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"task {task!r} runs in the {TASK_BASIS[task]} basis only, not {basis!r}"
         )
-    statistics = m.get("statistics", "distinguishable")
-    if statistics != "distinguishable":
-        raise ConfigError(
-            f"statistics {statistics!r} is not implemented; only 'distinguishable' runs "
-            "(boson and fermion sectors are ROADMAP item 4)"
-        )
     pot_raw = m.get("potential", {})
     _check_keys("potential", pot_raw)
     try:
@@ -122,10 +116,15 @@ def load_config(path: str) -> RunConfig:
             float(pot_raw.get("decay", 1.0)),
             table,
         )
-        params = ModelParams(float(m["g"]), float(m["h"]), int(m["N"]), pot)
+        params = ModelParams(
+            float(m["g"]), float(m["h"]), int(m["N"]), pot,
+            m.get("statistics", "distinguishable"),
+        )
         window = Window(int(w["L"]), int(w["interior_margin"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model/window: {exc}") from exc
+    if raw.get("dynamics", {}).get("symmetrized") and params.N != 2:
+        raise ConfigError(f"dynamics.symmetrized needs N = 2, not N = {params.N}")
     return RunConfig(
         params, window, task,
         raw.get("output_dir", "."), basis,
@@ -323,7 +322,7 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stag
     sites = tuple(d.get("initial_sites", (0,) * cfg.params.N))
     if len(sites) != cfg.params.N:
         raise ConfigError("initial_sites length must equal N")
-    if d.get("symmetrized") and cfg.params.N == 2:
+    if d.get("symmetrized"):
         psi0 = dynamics.symmetrized_pair(cfg.window, *sites)
     else:
         psi0 = dynamics.product_state(cfg.window, sites)
@@ -435,6 +434,8 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
             raise ConfigError(
                 f"config task {cfg.task!r} does not match subcommand {expect_task!r}"
             )
+        if export_matrices and cfg.task != "spectrum":
+            raise ConfigError(f"--export-matrices applies to spectrum only, not {cfg.task!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

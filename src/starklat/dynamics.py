@@ -53,13 +53,13 @@ class DensityTrace:
     guard_tail: float  # sup over t of the tail beyond guard_radius; gates truncation_safe
 
 
-def gershgorin_bounds(op: OperatorMatrix, margin: float = SPECTRAL_MARGIN) -> tuple:
+def gershgorin_bounds(op: OperatorMatrix) -> tuple:
     """Spectral enclosure from row discs, widened by a relative margin."""
     mat = op.matrix
     d = mat.diagonal()
     radius = np.abs(mat).sum(axis=1).A1 - np.abs(d)
     lo, hi = float((d - radius).min()), float((d + radius).max())
-    pad = margin * max(hi - lo, 1.0)
+    pad = SPECTRAL_MARGIN * max(hi - lo, 1.0)
     return lo - pad, hi + pad
 
 

@@ -12,7 +12,6 @@ from .spectra import boundary_shell_mass, transform_columns
 
 AMPLITUDE_FLOOR = 1e-14
 RATE_NOISE_BAND = 0.1
-PARSEVAL_TOL = 1e-10
 BOUNDARY_TOL = 1e-8
 
 

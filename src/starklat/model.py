@@ -28,7 +28,6 @@ SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector spli
 UNIT_ROUNDOFF = 2.0**-53
 
 POTENTIAL_KINDS = ("nearest_neighbor", "exponential", "power_law", "tabulated")
-STATISTICS = ("distinguishable", "boson", "fermion")
 BASES = ("position", "stark")
 
 
@@ -70,12 +69,6 @@ class PairPotential:
         return out
 
     @property
-    def is_symmetric(self) -> bool:
-        if self.kind != "tabulated":
-            return True
-        return all(self.table.get(-k, 0.0) == v for k, v in self.table.items())
-
-    @property
     def sup_norm(self) -> float:
         if self.kind == "tabulated":
             return max(abs(v) for v in self.table.values())
@@ -97,10 +90,11 @@ class ModelParams:
             raise ValueError(f"|h| must be >= {specfun.H_MIN:g} (Stark condition)")
         if not (1 <= self.N <= N_MAX):
             raise ValueError(f"N must be in [1, {N_MAX}]")
-        if self.statistics not in STATISTICS:
-            raise ValueError(f"unknown statistics {self.statistics!r}")
-        if self.statistics != "distinguishable" and not self.potential.is_symmetric:
-            raise ValueError("(anti)symmetric statistics require v(n) = v(-n)")
+        if self.statistics != "distinguishable":
+            raise ValueError(
+                f"statistics {self.statistics!r} is not implemented; only 'distinguishable' "
+                "runs (boson and fermion sectors are ROADMAP item 2)"
+            )
 
     @property
     def x(self) -> float:
@@ -228,15 +222,14 @@ def _check_caps(window: Window, n_particles: int) -> None:
 
 
 def stark_basis_matrix(params: ModelParams, window: Window, pad: int = 0) -> np.ndarray:
-    """Xi[j, m] = J_{m-j}(g/h); rows j in [-L-pad, L+pad], columns m in [-L, L]."""
-    x = params.x
-    lp = window.L + pad
-    rows = []
-    for j in range(-lp, lp + 1):
-        rows.append(specfun.bessel_row(-j, -window.L, window.L, x)[::-1])
-    # bessel_row(m=-j, ...) gives J_{-j-k}; reversing maps to J_{m-j} over m
-    out = np.array(rows)
-    return out
+    """Xi[j, m] = J_{m-j}(g/h); rows j in [-L-pad, L+pad], columns m in [-L, L].
+
+    Xi is Toeplitz, so every entry is read from one row J_K..J_{-K}, K = 2L + pad.
+    """
+    L = window.L
+    row = specfun.bessel_row(0, -(2 * L + pad), 2 * L + pad, params.x)
+    # row[i] = J_{K-i}, and J_{m-j} sits at i = (j + L + pad) - (m + L) + 2L
+    return row[np.subtract.outer(np.arange(2 * (L + pad) + 1), np.arange(2 * L + 1)) + 2 * L]
 
 
 def _kernel_pad(params: ModelParams) -> int:

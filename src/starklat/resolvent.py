@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    CapacityError,
     ModelParams,
     Window,
     _frobenius,
@@ -30,11 +31,13 @@ from .model import (
     split_by_symmetry,
     two_site_operator,
 )
-from .spectra import ClusterDecomposition, enumerate_set_partitions, sector_eigh
+from .spectra import DENSE_CAP, ClusterDecomposition, enumerate_set_partitions, sector_eigh
 
 RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
 POWER_STEPS = 30
+COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
+FREDHOLM_THRESHOLD = 1e-3  # |mu - 1| below which an eigenvalue mu of I(z) flags z
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,13 @@ class ResolventWorkspace:
     window: Window
     basis: str = "stark"
     cache: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # every G_D, D and I is a dense dim x dim complex matrix
+        if self.dim > DENSE_CAP:
+            raise CapacityError(
+                f"dimension {self.dim} above the dense cap {DENSE_CAP} of the workspace"
+            )
 
     @property
     def dim(self) -> int:
@@ -392,9 +402,7 @@ class CompactnessReport:
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the SVD
 
 
-def compactness_proxy(
-    i_matrix: np.ndarray, rel_tol: float = 1e-6, tensor: tuple = (1, 1)
-) -> CompactnessReport:
+def compactness_proxy(i_matrix: np.ndarray, tensor: tuple = (1, 1)) -> CompactnessReport:
     """Singular value decay of I(z) as the finite-size compactness witness.
 
     `tensor` = (d, n) says I(z) acts on the d^n tensor index; for n >= 2 the
@@ -407,7 +415,7 @@ def compactness_proxy(
     sectors = split.diagnostics()
     if s.size == 0 or s[0] == 0.0:
         return CompactnessReport(s, 0, True, sectors)
-    below = np.nonzero(s <= rel_tol * s[0])[0]
+    below = np.nonzero(s <= COMPACT_REL_TOL * s[0])[0]
     k = int(below[0]) if below.size else None
     passed = k is not None and k < s.size / 2
     return CompactnessReport(s, k, passed, sectors)
@@ -426,7 +434,6 @@ def fredholm_probe(
     z_grid: list,
     params: ModelParams,
     window: Window,
-    threshold: float = 1e-3,
     ws: Optional[ResolventWorkspace] = None,
 ) -> list:
     """Locate z with 1 in the spectrum of I(z); flags should track eigenvalues of H."""
@@ -440,7 +447,7 @@ def fredholm_probe(
         eigs = np.concatenate([np.linalg.eigvals(b) for b in split.blocks])
         j = int(np.argmin(np.abs(eigs - 1.0)))
         prox = float(np.abs(eigs[j] - 1.0))
-        flagged = prox < threshold
+        flagged = prox < FREDHOLM_THRESHOLD
         nearest_h = None
         if np.imag(z) == 0.0:
             nearest_h = float(h_eigs[np.argmin(np.abs(h_eigs - np.real(z)))])

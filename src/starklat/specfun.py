@@ -1,9 +1,9 @@
 """Integer-order Bessel kernel J_n(x) and numerical checks of its elementary bounds.
 
-The kernel is a hybrid: Miller-type downward recurrence (normalized by
-J_0 + 2*sum_k J_{2k} = 1) for the bulk of the parameter box, with a direct
-power series where it converges fast (small argument or order far above the
-turning point).  Values below 1e-300 are flushed to zero.
+Every value comes from `bessel_row`: Miller's downward recurrence (DLMF
+10.74(iv)), normalized by J_0 + 2*sum_k J_{2k} = 1, and for |x| < SMALL_X,
+where 2k/|x| overflows the recurrence, the leading power-series term.
+Values below 1e-300 are flushed to zero.
 """
 
 from __future__ import annotations
@@ -16,30 +16,11 @@ import numpy as np
 H_MIN = 1e-8
 X_MAX = 1e6
 UNDERFLOW_FLOOR = 1e-300
+# below this |x|, J_n(x) = (|x|/2)^|n| / |n|! to relative (x/2)^2 / (|n| + 1) < 2.5e-17
+SMALL_X = 1e-8
 
-# power series is used when |x| <= this, or when |n| >= 3|x| + 60
-_SERIES_X_CUTOFF = 0.5
 _MILLER_OFFSET = 30
 _RESCALE_LIMIT = 1e250
-
-
-@dataclass(frozen=True)
-class BesselArgument:
-    """Dimensionless hopping-to-field ratio x = g/h."""
-
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError("Bessel argument must be finite")
-        if abs(self.x) > X_MAX:
-            raise ValueError(f"|x| > {X_MAX:g} is out of supported range")
-
-    @classmethod
-    def from_ratio(cls, g: float, h: float) -> "BesselArgument":
-        if abs(h) < H_MIN:
-            raise ValueError(f"|h| < {H_MIN:g}: field too small for g/h")
-        return cls(g / h)
 
 
 @dataclass
@@ -60,38 +41,6 @@ class BoundReport:
     def passed(self) -> bool:
         return self.max_ratio <= 1.0 + 1e-12
 
-    def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "max_ratio": self.max_ratio,
-            "witnesses": [list(w) for w in self.witnesses],
-            "fitted": dict(self.fitted),
-            "passed": bool(self.passed),
-        }
-
-
-def _series_jn(n: int, x: float) -> float:
-    # J_n(x) = sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!),  n >= 0, x >= 0
-    half = 0.5 * x
-    if n < 170:
-        try:
-            t = half**n / math.factorial(n)
-        except OverflowError:
-            t = 0.0
-    else:
-        logt = n * math.log(half) - math.lgamma(n + 1.0) if half > 0 else -math.inf
-        t = math.exp(logt) if logt > -745.0 else 0.0
-    if t == 0.0 or abs(t) < UNDERFLOW_FLOOR:
-        return 0.0
-    total = t
-    q = half * half
-    for k in range(1, 400):
-        t *= -q / (k * (n + k))
-        total += t
-        if abs(t) <= 1e-18 * abs(total):
-            break
-    return total
-
 
 def _miller_orders(n_max: int, x: float) -> np.ndarray:
     """J_0(x)..J_{n_max}(x) by one downward recurrence pass, x > 0."""
@@ -100,8 +49,6 @@ def _miller_orders(n_max: int, x: float) -> np.ndarray:
     jp = 0.0
     j = 1e-30
     norm = 2.0 * j if m_start % 2 == 0 else 0.0
-    if m_start <= n_max:
-        out[m_start] = j
     for k in range(m_start, 0, -1):
         jm = (2.0 * k / x) * j - jp
         jp, j = j, jm
@@ -131,26 +78,7 @@ def _validate_x(x: float) -> None:
 
 def bessel_j(n: int, x: float) -> float:
     """Bessel function J_n(x) for integer n, real x."""
-    _validate_x(x)
-    n = int(n)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -sign
-    if x < 0:
-        x = -x
-        if n % 2 == 1:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x <= _SERIES_X_CUTOFF or n >= 3.0 * x + 60.0:
-        val = _series_jn(n, x)
-    else:
-        val = _miller_orders(n, x)[n]
-    if abs(val) < UNDERFLOW_FLOOR:
-        return 0.0
-    return sign * val
+    return float(bessel_row(int(n), 0, 0, x)[0])
 
 
 def bessel_row(m: int, j_lo: int, j_hi: int, x: float) -> np.ndarray:
@@ -159,41 +87,45 @@ def bessel_row(m: int, j_lo: int, j_hi: int, x: float) -> np.ndarray:
         raise ValueError("j_lo > j_hi")
     _validate_x(x)
     orders = m - np.arange(j_lo, j_hi + 1)
+    n = np.abs(orders)
     xa = abs(x)
     if xa == 0.0:
-        vals = np.where(orders == 0, 1.0, 0.0)
-        return vals.astype(float)
-    n_max = int(np.max(np.abs(orders)))
-    base = _miller_orders(n_max, xa)
-    vals = base[np.abs(orders)]
+        return np.where(orders == 0, 1.0, 0.0)
+    if xa < SMALL_X:
+        # (|x|/2)^k / k! as a running product, at most 2k roundings; exp(k ln(|x|/2) - lgamma)
+        # would carry the rounding of its large argument, 1.3e-13 relative at |x| = 1e-12
+        terms = np.cumprod(np.concatenate(([1.0], 0.5 * xa / np.arange(1, n.max() + 1))))
+        vals = terms[n]
+        vals[vals < UNDERFLOW_FLOOR] = 0.0
+    else:
+        vals = _miller_orders(int(n.max()), xa)[n]
     # J_{-n}(x) = (-1)^n J_n(x);  J_n(-x) = (-1)^n J_n(x)
-    odd = (np.abs(orders) % 2) == 1
-    neg = orders < 0
-    signs = np.ones_like(vals)
-    signs[odd & neg] = -1.0
-    if x < 0:
-        signs[odd] *= -1.0
-    return vals * signs
+    flip = (n % 2 == 1) & ((orders < 0) != (x < 0))
+    return np.where(flip, -vals, vals)
 
 
 def check_upper_bound(n_max: int, x: float) -> BoundReport:
     """|J_n(x)| <= (|x|/2)^|n| / |n|!  for all |n| <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _validate_x(x)
+    row = bessel_row(0, -n_max, n_max, x)[::-1]  # J_{-n_max} .. J_{n_max}
     worst = 0.0
     witnesses = []
-    for n in range(-n_max, n_max + 1):
-        lhs = abs(bessel_j(n, x))
-        log_rhs = abs(n) * math.log(abs(x) / 2.0) - math.lgamma(abs(n) + 1.0) if x != 0.0 else (0.0 if n == 0 else -math.inf)
+    for n, val in zip(range(-n_max, n_max + 1), row):
+        k = abs(n)
+        lhs = abs(float(val))
+        if k == 0:
+            log_rhs = 0.0
+        elif x == 0.0:
+            log_rhs = -math.inf
+        else:
+            log_rhs = k * (math.log(abs(x)) - math.log(2.0)) - math.lgamma(k + 1.0)
         if lhs == 0.0:
-            ratio = 0.0 if n != 0 or x != 0.0 else lhs
+            ratio = 0.0
         elif log_rhs < -700.0:
             ratio = math.inf
         else:
             ratio = lhs / math.exp(log_rhs)
-        if x == 0.0 and n == 0:
-            ratio = 1.0
         if ratio > worst:
             worst = ratio
             witnesses.append(((n,), lhs, math.exp(log_rhs) if log_rhs > -700 else 0.0))

@@ -27,6 +27,7 @@ SORT_ROWS = 128  # rows per block when the lifted eigenvectors are put in eigenv
 KRYLOV_K_MAX = 64
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
+PERIODICITY_TOL = 1e-6
 
 
 @dataclass
@@ -90,22 +91,15 @@ def transform_columns(vectors: np.ndarray, xi: np.ndarray, n_particles: int) -> 
     return out[:, 0] if vectors.ndim == 1 else out
 
 
-def boundary_shell_mass(
-    vectors: np.ndarray, window: Window, n_particles: int, band: int = 1
-) -> np.ndarray:
-    """Squared-norm mass on the outermost `band` index shells, per column."""
+def boundary_shell_mass(vectors: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
+    """Squared-norm mass on the outermost index shell (max_i |m_i| = L), per column."""
     coords = flat_to_tuples(window, n_particles)
-    mask = np.abs(coords).max(axis=1) > window.L - band
+    mask = np.abs(coords).max(axis=1) == window.L
     v = vectors[:, None] if vectors.ndim == 1 else vectors
     return (np.abs(v[mask, :]) ** 2).sum(axis=0)
 
 
-def interior_mask(
-    result: SpectralResult,
-    params: ModelParams,
-    tol: float = INTERIOR_TOL,
-    band: int = 1,
-) -> np.ndarray:
+def interior_mask(result: SpectralResult, params: ModelParams) -> np.ndarray:
     """Eigenvectors negligible at the truncation face in both representations.
 
     A single-representation test admits states that look interior in the
@@ -118,9 +112,9 @@ def interior_mask(
         other = transform_columns(result.eigenvectors, xi, result.n_particles)
     else:
         other = transform_columns(result.eigenvectors, xi.T, result.n_particles)
-    m_native = boundary_shell_mass(result.eigenvectors, result.window, result.n_particles, band)
-    m_other = boundary_shell_mass(other, result.window, result.n_particles, band)
-    return (m_native <= tol) & (m_other <= tol)
+    m_native = boundary_shell_mass(result.eigenvectors, result.window, result.n_particles)
+    m_other = boundary_shell_mass(other, result.window, result.n_particles)
+    return (m_native <= INTERIOR_TOL) & (m_other <= INTERIOR_TOL)
 
 
 class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
@@ -362,10 +356,7 @@ class PeriodicityReport:
 
 
 def spectral_periodicity_check(
-    result: SpectralResult,
-    shift: float,
-    params: ModelParams,
-    tol: float = 1e-6,
+    result: SpectralResult, shift: float, params: ModelParams
 ) -> PeriodicityReport:
     """Interior spectrum invariance under the lattice energy shift 2hN."""
     mask = interior_mask(result, params)
@@ -382,4 +373,5 @@ def spectral_periodicity_check(
         dev = float(np.min(np.abs(shifted - e)))
         if dev > worst_dev:
             worst_dev, worst_val = dev, float(e)
-    return PeriodicityReport(shift, band.size, worst_dev, worst_val, worst_dev <= tol and band.size > 0)
+    passed = worst_dev <= PERIODICITY_TOL and band.size > 0
+    return PeriodicityReport(shift, band.size, worst_dev, worst_val, passed)

@@ -111,7 +111,7 @@ def test_criterion_05_shift_covariance():
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
     shift = 2.0 * p.h * p.N
     for s in (shift, -shift):
-        rep = spectra.spectral_periodicity_check(res, s, p, tol=1e-6)
+        rep = spectra.spectral_periodicity_check(res, s, p)
         assert rep.passed and rep.max_deviation <= 1e-6
     _line(5, "interior spectrum invariant under the 2hN shift")
 
@@ -133,14 +133,12 @@ def test_criterion_06_functional_equation(pair_ws10):
 
 
 def test_criterion_07_norm_decay(pair_ws10):
-    v = model.build_interaction(
-        pair_ws10.params, pair_ws10.window, "stark"
-    ).toarray().astype(complex)
-    vnorm = rsv.operator_norm(v)
+    v = model.build_interaction(pair_ws10.params, pair_ws10.window, "stark").toarray()
+    vnorm = np.abs(np.linalg.eigvalsh(v)).max()  # exact ||V||_2 of the symmetric V
     prev = np.inf
     for k in (2, 4, 8, 16, 32):
         y = k * vnorm
-        val = rsv.operator_norm(rsv.build_I(1j * y, pair_ws10))
+        val = np.linalg.norm(rsv.build_I(1j * y, pair_ws10), 2)
         assert val <= vnorm / y + 1e-10
         assert val <= prev + 1e-12
         prev = val

@@ -51,6 +51,14 @@ def test_load_config_rejects_bad_physics(tmp_path):
     write_config(p, task="teleport")
     with pytest.raises(cli.ConfigError):
         cli.load_config(str(p))
+    # the symmetrized initial state is a pair state: any other N would ignore the key
+    for n in (1, 3):
+        write_config(p, task="evolve", model={"g": 1.0, "h": 0.5, "N": n},
+                     dynamics={"symmetrized": True, "initial_sites": [0] * n})
+        with pytest.raises(cli.ConfigError, match="symmetrized"):
+            cli.load_config(str(p))
+        assert cli.main(["evolve", "--config", str(p)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):
@@ -91,13 +99,20 @@ def test_determinism_byte_identical(tmp_path):
     assert b"\r" not in a
 
 
-def test_export_matrices_flag(tmp_path):
+def test_export_matrices_flag(tmp_path, capsys):
     p = tmp_path / "c.json"
     write_config(p)
     assert cli.main(
         ["spectrum", "--config", str(p), "--out", str(tmp_path / "m"), "--export-matrices"]
     ) == 0
     assert (tmp_path / "m" / "hamiltonian_coo.csv").exists()
+    # only spectrum exports; any other task would accept the flag and ignore it
+    write_config(p, **EVOLVE_N2)
+    assert cli.main(
+        ["evolve", "--config", str(p), "--out", str(tmp_path / "e"), "--export-matrices"]
+    ) == cli.EXIT_CONFIG
+    assert "--export-matrices" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_write_csv_formats(tmp_path):
@@ -315,6 +330,44 @@ def test_single_basis_tasks(tmp_path, capsys, overrides, basis, code):
         assert not (tmp_path / "out").exists()
 
 
+def test_evolve_symmetrized_pair(tmp_path):
+    p = tmp_path / "c.json"
+    write_config(p, **dict(EVOLVE_N2, dynamics=dict(EVOLVE_N2["dynamics"], symmetrized=True)))
+    assert cli.main(["evolve", "--config", str(p)]) == cli.EXIT_OK
+    got = [
+        (float(r["t"]), int(r["x"]), float(r["rho"]))
+        for r in cli._read_csv(str(tmp_path / "out" / "density_trace.csv"))
+    ]
+    w = Window(10, 3)
+    op = model.build_hamiltonian(ModelParams(1.0, 0.5, 2), w, "position")
+    pcfg = dynamics.PropagatorConfig(2.0, 4)
+    x = np.arange(-w.L, w.L + 1)
+    for psi0, same in ((dynamics.symmetrized_pair(w, 0, 1), True),
+                       (dynamics.product_state(w, (0, 1)), False)):
+        trace = dynamics.tail_trace(op, psi0, pcfg, [2])
+        want = [
+            (float(t), int(xx), float(trace.densities[k, j]))
+            for k, t in enumerate(trace.times)
+            for j, xx in enumerate(x)
+            if trace.densities[k, j] > 1e-16
+        ]
+        assert (got == want) is same
+
+
+def test_spectrum_tiny_hopping_matches_g0(tmp_path):
+    # J_n(g/h) at g/h = 2e-100 is its leading series term, not a NaN from the recurrence
+    eigenvalues = {}
+    for g in (1e-100, 0.0):
+        p = tmp_path / f"{g}.json"
+        write_config(p, model={"g": g, "h": 0.5, "N": 2}, window={"L": 6, "interior_margin": 2})
+        out = tmp_path / f"out-{g}"
+        assert cli.main(["spectrum", "--config", str(p), "--out", str(out)]) == cli.EXIT_OK
+        rows = cli._read_csv(str(out / "eigenvalues.csv"))
+        eigenvalues[g] = np.array([float(r["eigenvalue"]) for r in rows])
+    assert np.isfinite(eigenvalues[1e-100]).all()
+    assert np.abs(eigenvalues[1e-100] - eigenvalues[0.0]).max() <= 1e-12
+
+
 def test_resolvent_check_basis(tmp_path, monkeypatch):
     seen = []
 
@@ -351,8 +404,12 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
         (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
               window={"L": 30, "interior_margin": 7}),
          {"model.build_hamiltonian"}),
+        # dim 21^3 stops when the workspace is made, before any dense matrix is allocated
+        (dict(task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},
+              window={"L": 10, "interior_margin": 2}),
+         set()),
     ],
-    ids=["dense-cap", "nnz-cap"],
+    ids=["dense-cap", "nnz-cap", "resolvent-dense-cap"],
 )
 def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages):
     p = tmp_path / "c.json"
@@ -387,7 +444,7 @@ def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
 def test_statistics_other_than_distinguishable_rejected(tmp_path, capsys, statistics):
     p = tmp_path / "c.json"
     write_config(p, model={"g": 1.0, "h": 0.5, "N": 2, "statistics": statistics})
-    with pytest.raises(cli.ConfigError, match="ROADMAP item 4"):
+    with pytest.raises(cli.ConfigError, match="ROADMAP item 2"):
         cli.load_config(str(p))
     assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()

@@ -33,7 +33,7 @@ def test_potential_presets():
     pl = PairPotential("power_law", 3.0, 2.0)
     assert pl.value(2) == pytest.approx(3.0 / 9.0)
     tab = PairPotential("tabulated", table={0: 1.5, 2: 0.5, -2: 0.5})
-    assert tab.value(0) == 1.5 and tab.value(3) == 0.0 and tab.is_symmetric
+    assert tab.value(0) == 1.5 and tab.value(3) == 0.0
 
 
 def test_h0_position_3x3_example():
@@ -259,6 +259,19 @@ def test_stark_transform_diagonalizes_h0():
     off = d - np.diag(np.diag(d))
     assert np.abs(off[np.ix_(interior, interior)]).max() <= 1e-8
     assert np.abs(np.diag(d)[interior] - (-2 * p.h * m[interior])).max() <= 1e-8
+
+
+@pytest.mark.parametrize("pad", [0, 30])
+@pytest.mark.parametrize("g", [1.0, -3.7, 1e-100])
+def test_stark_basis_matrix_is_entrywise_bessel(pad, g):
+    p = ModelParams(g=g, h=0.5, N=1)
+    w = Window(L=6, interior_margin=2)
+    xi = model.stark_basis_matrix(p, w, pad)
+    j = np.arange(-w.L - pad, w.L + pad + 1)
+    m = np.arange(-w.L, w.L + 1)
+    want = np.array([[specfun.bessel_j(mm - jj, p.x) for mm in m] for jj in j])
+    assert xi.shape == want.shape
+    assert np.abs(xi - want).max() <= 1e-15
 
 
 def test_nnz_cap():

@@ -147,8 +147,19 @@ def test_pair_decay_symmetry():
     assert math.isfinite(a.fitted["C_fit"])
 
 
-def test_bessel_argument_guard():
-    with pytest.raises(ValueError):
-        specfun.BesselArgument.from_ratio(1.0, 1e-9)
-    arg = specfun.BesselArgument.from_ratio(1.0, 0.5)
-    assert arg.x == 2.0
+ROW_GRID_X = [5e-324, -5e-324, 1e-300, 1e-100, 1e-60, 1e-12, 1e-8, 1e-3, 0.5, 2.0, 20.0, 50.0]
+
+
+@pytest.mark.parametrize("x", ROW_GRID_X)
+def test_bessel_row_matches_mpmath(x):
+    # below |x| = 1e-8 the row is the leading series term; above it, Miller's recurrence
+    n_max = int(3 * abs(x)) + 60
+    row = specfun.bessel_row(0, -n_max, n_max, x)  # J_{n_max} .. J_{-n_max}
+    assert np.isfinite(row).all()
+    with mpmath.workdps(50):
+        for got, n in zip(row, range(n_max, -n_max - 1, -1)):
+            want = mpmath.besselj(n, mpmath.mpf(x))
+            if abs(want) < mpmath.mpf("1e-300"):
+                assert abs(got) < 1e-300, (n, x)
+            else:
+                assert abs((got - want) / want) <= 1e-13, (n, x)

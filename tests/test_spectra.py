@@ -334,7 +334,9 @@ def test_sector_bounds_cover_full_matrix_defects(basis, n, L, pot):
     dense = model.build_hamiltonian(p, w, basis).toarray()
     sol = spectra.sector_eigh(dense, w.n_sites, n)
     assert sol.sectors["sector_dims"] == sector_dims(w.n_sites, n)
-    resid = dense @ sol.vectors - sol.vectors * sol.values
+    # in extended precision: a float dense @ V - V * lambda overstates large-|lambda| columns
+    vecs = sol.vectors.astype(np.longdouble)
+    resid = dense.astype(np.longdouble) @ vecs - vecs * sol.values.astype(np.longdouble)
     gram = sol.vectors.T @ sol.vectors - np.eye(sol.values.size)
     assert sol.residuals.max() >= np.linalg.norm(resid, axis=0).max()
     assert sol.residual_norm >= np.linalg.norm(resid)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import blas
 
 from . import specfun
@@ -16,7 +15,6 @@ from .spectra import boundary_shell_mass
 NORM_TOL = 1e-10
 DENSITY_TOL = 1e-8
 TRUNCATION_FLAG = 1e-4
-SPECTRAL_MARGIN = 0.05
 SAMPLES_PER_EXPANSION = 8  # trace samples fed by one Chebyshev recurrence
 TERM_BUFFER = 4  # vectors folded in per gemm; >= 3 for the ring of T_k, T_{k-1}, T_{k-2}
 
@@ -54,13 +52,11 @@ class DensityTrace:
 
 
 def gershgorin_bounds(op: OperatorMatrix) -> tuple:
-    """Spectral enclosure from row discs, widened by a relative margin."""
+    """Spectral enclosure [min(d - r), max(d + r)] from the row discs."""
     mat = op.matrix
     d = mat.diagonal()
     radius = np.abs(mat).sum(axis=1).A1 - np.abs(d)
-    lo, hi = float((d - radius).min()), float((d + radius).max())
-    pad = SPECTRAL_MARGIN * max(hi - lo, 1.0)
-    return lo - pad, hi + pad
+    return float((d - radius).min()), float((d + radius).max())
 
 
 def chebyshev_coefficients(tau: float, tolerance: float) -> np.ndarray:
@@ -82,9 +78,11 @@ class ChebyshevPropagator:
     The vectors T_k(hs) psi do not depend on t; only the coefficients
     c_k(t_j) = (2 - delta_k0) (-i)^k J_k(half*t_j) do. So one recurrence, run
     to the longest offset's truncation, feeds all m accumulators. Set-up checks
-    that H is real symmetric and fixes the spectral bounds, each offset's
-    coefficients (truncated at config.tolerance, times the phase
-    e^{-i center t_j}) and the rescaled hs = (H - center)/half as real CSR.
+    that H is real symmetric and in the position basis, and fixes the spectral
+    bounds, each offset's coefficients (truncated at config.tolerance, times
+    the phase e^{-i center t_j}) and the rescaled hs = (H - center)/half. In the
+    position basis H^(N) has exactly 2N+1 occupied diagonals (offsets 0 and
+    +-d^k, k < N), so hs is stored in DIA format: no index arrays per entry.
 
     A state is held as its real and imaginary planes, shape (2, dim): hs is
     real, so each term costs two real matvecs and no complex copy of H.
@@ -95,6 +93,8 @@ class ChebyshevPropagator:
     def __init__(self, op: OperatorMatrix, dt: float, m: int, config: PropagatorConfig):
         if np.iscomplexobj(op.matrix.data) or op.symmetry_defect() > 1e-12:
             raise ValueError("propagator needs a real symmetric Hamiltonian")
+        if op.basis_tag != "position":
+            raise ValueError("propagator runs in the position basis only")
         self.bounds = config.spectral_bounds or gershgorin_bounds(op)
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -111,8 +111,9 @@ class ChebyshevPropagator:
         real[:, 0, :, 1] = table.imag
         real[:, 1, :, 0] = -table.imag
         self.table = real.reshape(2 * table.shape[0], 2 * m)
-        self.hs = op.matrix - center * sp.identity(op.dim, format="csr")
+        self.hs = op.matrix.todia()
         self.hs.data /= half
+        self.hs.setdiag(self.hs.diagonal() - center / half)
         self.matvecs = 0  # applications of hs to a state, summed over calls
 
     def __call__(self, planes: np.ndarray, count: int) -> np.ndarray:

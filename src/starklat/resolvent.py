@@ -126,10 +126,9 @@ def inter_cluster_coupling(
 
 def _power_norm(a: np.ndarray, v: np.ndarray) -> float:
     v = v / np.linalg.norm(v)
-    ah = a.conj().T
     est = 0.0
     for _ in range(POWER_STEPS):
-        v = ah @ (a @ v)
+        v = ((a @ v).conj() @ a).conj()  # A^H (A v) with no conjugate copy of A
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return 0.0

@@ -14,6 +14,13 @@ def pair_setup():
     return p, w, model.build_hamiltonian(p, w, "position")
 
 
+@pytest.fixture(scope="module")
+def triple_setup():
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=3, interior_margin=1)
+    return p, w, model.build_hamiltonian(p, w, "position")
+
+
 def spectral_propagate(op, psi0, t):
     dense = op.toarray()
     vals, vecs = np.linalg.eigh(dense)
@@ -75,6 +82,43 @@ def test_gershgorin_encloses_spectrum(pair_setup):
     lo, hi = dyn.gershgorin_bounds(op)
     vals = np.linalg.eigvalsh(op.toarray())
     assert lo < vals.min() and hi > vals.max()
+
+
+def test_gershgorin_is_the_disc_enclosure(pair_setup):
+    # no margin: the bounds are the extreme disc edges themselves
+    p, w, op = pair_setup
+    dense = op.toarray()
+    d = dense.diagonal()
+    r = np.abs(dense).sum(axis=1) - np.abs(d)
+    assert dyn.gershgorin_bounds(op) == ((d - r).min(), (d + r).max())
+    diag = np.random.default_rng(5).standard_normal(w.n_sites)
+    op1 = model.OperatorMatrix("position", w, 1, sp.diags(diag).tocsr())
+    assert dyn.gershgorin_bounds(op1) == (diag.min(), diag.max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_propagator_stores_2n_plus_1_diagonals(n):
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=3, interior_margin=1)
+    op = model.build_hamiltonian(p, w, "position")
+    prop = dyn.ChebyshevPropagator(op, 0.1, 1, dyn.PropagatorConfig(1.0, 1))
+    d = w.n_sites
+    assert isinstance(prop.hs, sp.dia_matrix)
+    assert sorted(prop.hs.offsets) == sorted([0] + [s * d**k for k in range(n) for s in (-1, 1)])
+    lo, hi = prop.bounds
+    rescaled = (op.toarray() - 0.5 * (hi + lo) * np.eye(op.dim)) / (0.5 * (hi - lo))
+    assert np.abs(prop.hs.toarray() - rescaled).max() <= 1e-15
+
+
+def test_propagator_rejects_stark_basis():
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=4, interior_margin=1)
+    op = model.build_hamiltonian(p, w, "stark")
+    psi0 = dyn.product_state(w, (0, 1))
+    with pytest.raises(ValueError, match="position basis"):
+        dyn.evolve(op, psi0, 1.0, dyn.PropagatorConfig(1.0, 1))
+    with pytest.raises(ValueError, match="position basis"):
+        dyn.tail_trace(op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
 
 
 def test_evolve_t0_identity(pair_setup):
@@ -201,12 +245,8 @@ def test_tail_trace_matches_per_sample_evolve(pair_setup, monkeypatch):
 M = dyn.SAMPLES_PER_EXPANSION
 
 
-@pytest.mark.parametrize("samples", [1, M - 1, M + 1, 2 * M + 3])
-def test_tail_trace_block_edges(pair_setup, monkeypatch, samples):
-    # one sample, a single short block, one full block plus one sample, and a
-    # grid whose last block is short: both oracles at every sample
-    p, w, op = pair_setup
-    psi0 = dyn.product_state(w, (0, 1))
+def check_block_edges(monkeypatch, op, psi0, samples):
+    """Both oracles at every sample of a trace with `samples` steps of 0.25."""
     cfg = dyn.PropagatorConfig(t_max=0.25 * samples, samples=samples)
     trace, states = traced_states(monkeypatch, op, psi0, cfg)
     assert len(states) == samples + 1
@@ -221,6 +261,23 @@ def test_tail_trace_block_edges(pair_setup, monkeypatch, samples):
     for k, psi in enumerate(block_reference(op, psi0, trace.dt, samples, cfg)):
         assert np.linalg.norm(states[k] - psi) <= 1e-12
         assert np.linalg.norm(states[k] - spectral[:, k]) <= 1e-9
+
+
+BLOCK_EDGES = [1, M - 1, M + 1, 2 * M + 3]
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGES)
+def test_tail_trace_block_edges(pair_setup, monkeypatch, samples):
+    # one sample, a single short block, one full block plus one sample, and a
+    # grid whose last block is short
+    p, w, op = pair_setup
+    check_block_edges(monkeypatch, op, dyn.product_state(w, (0, 1)), samples)
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGES)
+def test_tail_trace_block_edges_n3(triple_setup, monkeypatch, samples):
+    p, w, op = triple_setup
+    check_block_edges(monkeypatch, op, dyn.product_state(w, (0, 1, -1)), samples)
 
 
 def test_norm_gate_fires_at_last_sample_of_block(pair_setup):

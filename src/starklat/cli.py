@@ -42,6 +42,8 @@ _SCHEMA = {
     "dynamics": {"t_max", "samples", "radii", "initial_sites", "symmetrized"},
     "resolvent": {"z_grid"},
 }
+# the one task that reads each optional section
+SECTION_TASK = {"probes": "localization", "dynamics": "evolve", "resolvent": "resolvent-check"}
 
 # tasks that run in one basis only; an explicit other `basis` is rejected
 TASK_BASIS = {
@@ -97,6 +99,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config needs model, window, and task")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
+    for sec, reader in SECTION_TASK.items():
+        if sec in raw and task != reader:
+            raise ConfigError(f"section {sec!r} is read by {reader!r} only, not {task!r}")
     basis = raw.get("basis", TASK_BASIS.get(task, "stark"))
     if basis not in ("position", "stark"):
         raise ConfigError(f"unknown basis {basis!r}")
@@ -107,11 +112,15 @@ def load_config(path: str) -> RunConfig:
     pot_raw = m.get("potential", {})
     _check_keys("potential", pot_raw)
     try:
+        kind = pot_raw.get("kind", "nearest_neighbor")
+        unread = set(pot_raw) - {"kind"} - model.POTENTIAL_FIELDS.get(kind, set(pot_raw))
+        if unread:
+            raise ConfigError(f"potential kind {kind!r} does not read {sorted(unread)}")
         table = pot_raw.get("table")
         if table is not None:
             table = {int(k): float(v) for k, v in table.items()}
         pot = PairPotential(
-            pot_raw.get("kind", "nearest_neighbor"),
+            kind,
             float(pot_raw.get("strength", 1.0)),
             float(pot_raw.get("decay", 1.0)),
             table,
@@ -390,7 +399,9 @@ def _task_resolvent(
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
     blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
-    diagnostics["block_eigh"] = {str(k): f.sectors for k, f in blocks.items() if f.u is not None}
+    diagnostics["block_eigh"] = {
+        str(k): f.sectors for k, f in blocks.items() if f.vectors is not None
+    }
     diagnostics["compactness_svd"] = rep.sectors
     write_csv(
         os.path.join(out, "iz_singular_values.csv"),

@@ -27,7 +27,14 @@ DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
 UNIT_ROUNDOFF = 2.0**-53
 
-POTENTIAL_KINDS = ("nearest_neighbor", "exponential", "power_law", "tabulated")
+# the PairPotential fields each kind reads
+POTENTIAL_FIELDS = {
+    "nearest_neighbor": {"strength"},
+    "exponential": {"strength", "decay"},
+    "power_law": {"strength", "decay"},
+    "tabulated": {"table"},
+}
+POTENTIAL_KINDS = tuple(POTENTIAL_FIELDS)
 BASES = ("position", "stark")
 
 
@@ -67,12 +74,6 @@ class PairPotential:
         for k, v in self.table.items():
             out[n == int(k)] = v
         return out
-
-    @property
-    def sup_norm(self) -> float:
-        if self.kind == "tabulated":
-            return max(abs(v) for v in self.table.values())
-        return abs(self.strength)
 
 
 @dataclass(frozen=True)
@@ -211,14 +212,6 @@ class OperatorMatrix:
 
 class CapacityError(ValueError):
     """A problem size above a fixed capacity limit: a configuration error, not a failed check."""
-
-
-def _check_caps(window: Window, n_particles: int) -> None:
-    dim = dimension(window, n_particles)
-    if dim * (2 * n_particles + 1) > NNZ_CAP:
-        raise CapacityError(
-            f"dimension {dim} exceeds the configured nonzero cap; shrink L or N"
-        )
 
 
 def stark_basis_matrix(params: ModelParams, window: Window, pad: int = 0) -> np.ndarray:
@@ -592,6 +585,13 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:
+    # each lift of op onto k legs stores nnz(op) d^(N-k) entries; their sum
+    # bounds what the CSR of the total stores, checked before anything is lifted
+    stored = sum(op.nnz * window.n_sites ** (n_particles - len(legs)) for legs in leg_list)
+    if stored > NNZ_CAP:
+        raise CapacityError(
+            f"{stored} stored entries exceed the nonzero cap {NNZ_CAP}; shrink L or N"
+        )
     dim = dimension(window, n_particles)
     total = sp.csr_matrix((dim, dim))
     for legs in leg_list:
@@ -607,7 +607,6 @@ def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
     """Free Hamiltonian: the one-site operator on every leg."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    _check_caps(window, params.N)
     op = one_site_operator(params, window, basis)
     legs = [(k,) for k in range(params.N)]
     return OperatorMatrix(basis, window, params.N, _leg_sum(op, window, params.N, legs))
@@ -622,7 +621,6 @@ def build_interaction(
     """Pair interaction summed over the given (default: all) particle pairs."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    _check_caps(window, params.N)
     if pair_list is None:
         pair_list = pairs(params.N)
     # with no pair to place (N = 1, or an empty list) the operator is not needed

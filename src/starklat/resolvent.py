@@ -25,13 +25,17 @@ from .model import (
     Window,
     _frobenius,
     apply_on_legs,
-    build_cluster_hamiltonian,
     build_hamiltonian,
-    build_interaction,
     split_by_symmetry,
     two_site_operator,
 )
-from .spectra import DENSE_CAP, ClusterDecomposition, enumerate_set_partitions, sector_eigh
+from .spectra import (
+    DENSE_CAP,
+    ClusterDecomposition,
+    SectorEigh,
+    enumerate_set_partitions,
+    sector_eigh,
+)
 
 RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
@@ -112,18 +116,6 @@ def _new_pairs(d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition) -> 
     return sorted(intra(d_coarse) - intra(d_fine))
 
 
-def inter_cluster_coupling(
-    d_fine: ClusterDecomposition,
-    d_coarse: ClusterDecomposition,
-    params: ModelParams,
-    window: Window,
-    basis: str = "stark",
-) -> np.ndarray:
-    """Dense reference: sum of V_alpha over pairs joined by the coarsening step."""
-    pair_list = _new_pairs(d_fine, d_coarse)
-    return build_interaction(params, window, basis, pair_list=pair_list).toarray()
-
-
 def _power_norm(a: np.ndarray, v: np.ndarray) -> float:
     v = v / np.linalg.norm(v)
     est = 0.0
@@ -151,28 +143,17 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class BlockFactor:
-    """H^(k) = U diag(eps) U^T for one block size k, with its Frobenius defects."""
-
-    eps: np.ndarray
-    u: Optional[np.ndarray]  # None when H^(k) is diagonal, i.e. U = 1 exactly
-    orthogonality_defect: float  # an upper bound on ||U^T U - 1||_F
-    eigen_residual: float  # an upper bound on ||H^(k) U - U diag(eps)||_F
-    sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the solve
-
-
-@dataclass(frozen=True)
 class FactoredResolvent:
     """G_D(z) = W diag(delta) W^T, with W = (x)_b U_b over the blocks of D."""
 
-    blocks: tuple  # (legs, BlockFactor) per block; legs sorted and 0-based
+    blocks: tuple  # (legs, SectorEigh of H^(k)) per block; legs sorted and 0-based
     delta: np.ndarray  # 1 / (z - sum_b eps_b), flat over the window grid
     residual_bound: float  # upper bound on ||(z - H_D) G_D - 1||
 
 
 @dataclass
 class ResolventWorkspace:
-    """Cache of block factors and of dense and factored G_D(z)."""
+    """Cache of the block factors, the pair operator and the factored G_D(z)."""
 
     params: ModelParams
     window: Window
@@ -190,36 +171,21 @@ class ResolventWorkspace:
     def dim(self) -> int:
         return self.window.n_sites**self.params.N
 
-    def hamiltonian(self, dec: ClusterDecomposition) -> np.ndarray:
-        """Dense H_D, the reference the factored resolvents are checked against."""
-        key = ("H", dec.canonical())
-        if key not in self.cache:
-            self.cache[key] = build_cluster_hamiltonian(
-                self.params, self.window, dec, self.basis
-            ).toarray()
-        return self.cache[key]
-
-    def block(self, k: int) -> BlockFactor:
+    def block(self, k: int) -> SectorEigh:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        Solved in the S_N sectors; both defects are the sector solve's
-        upper bounds for the full H^(k) and the lifted U.
+        Solved in the S_N sectors, with the sector solve's upper bounds for
+        the full H^(k) and the lifted U. A diagonal H^(k) has U = 1 exactly:
+        its diagonal in index order, `vectors` None and zero defects.
         """
         key = ("U", k)
         if key not in self.cache:
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis).toarray()
             if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
-                f = BlockFactor(np.diagonal(h).copy(), None, 0.0, 0.0)
+                eps = np.diagonal(h).copy()
+                self.cache[key] = SectorEigh(eps, None, np.zeros_like(eps), 0.0, 0.0, {})
             else:
-                sol = sector_eigh(h, self.window.n_sites, k)
-                f = BlockFactor(
-                    sol.values,
-                    sol.vectors,
-                    sol.orthogonality_defect,
-                    sol.residual_norm,
-                    sol.sectors,
-                )
-            self.cache[key] = f
+                self.cache[key] = sector_eigh(h, self.window.n_sites, k)
         return self.cache[key]
 
     def two_site(self) -> np.ndarray:
@@ -241,7 +207,7 @@ class ResolventWorkspace:
         energy = np.zeros((d,) * n)
         for legs, f in blocks:
             others = tuple(ax for ax in range(n) if ax not in legs)
-            energy = energy + np.expand_dims(f.eps.reshape((d,) * len(legs)), others)
+            energy = energy + np.expand_dims(f.values.reshape((d,) * len(legs)), others)
         delta = (1.0 / (z - energy)).ravel()
         delta_max = float(np.abs(delta).max())
         if delta_max > COND_CAP:
@@ -254,7 +220,7 @@ class ResolventWorkspace:
         u_norms = [math.sqrt(1.0 + f.orthogonality_defect) for _, f in blocks]
         w_norm = math.prod(u_norms)
         ortho = math.prod(1.0 + f.orthogonality_defect for _, f in blocks) - 1.0
-        r_w = sum(f.eigen_residual * w_norm / un for (_, f), un in zip(blocks, u_norms))
+        r_w = sum(f.residual_norm * w_norm / un for (_, f), un in zip(blocks, u_norms))
         bound = ortho + r_w * delta_max * w_norm
         if bound > RESIDUAL_TOL:
             raise np.linalg.LinAlgError(f"resolvent residual bound {bound:.2e}")
@@ -266,12 +232,12 @@ class ResolventWorkspace:
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
         for legs, b in f.blocks:
-            if b.u is not None:
-                x = apply_on_legs(b.u.T, x, legs, d, n)
+            if b.vectors is not None:
+                x = apply_on_legs(b.vectors.T, x, legs, d, n)
         x = f.delta[:, None] * x
         for legs, b in f.blocks:
-            if b.u is not None:
-                x = apply_on_legs(b.u, x, legs, d, n)
+            if b.vectors is not None:
+                x = apply_on_legs(b.vectors, x, legs, d, n)
         return x
 
     def apply_coupling(
@@ -286,22 +252,6 @@ class ResolventWorkspace:
             out += apply_on_legs(v2, x, legs, d, n)
         return out
 
-    def resolvent(self, dec: ClusterDecomposition, z: complex) -> np.ndarray:
-        """Dense G_D(z), cached."""
-        key = ("G", dec.canonical(), complex(z))
-        if key not in self.cache:
-            self.cache[key] = self.apply_resolvent(dec, z, np.eye(self.dim, dtype=complex))
-        return self.cache[key]
-
-
-def _expansion_chains(n: int, k_s_one: bool) -> list:
-    # the resummation telescopes exactly over one-merge-per-step chains;
-    # admitting coarser jumps double-counts graphs and breaks G = D + I G
-    chains = [c for c in enumerate_chains(n, "all") if c.is_single_merge]
-    if k_s_one:
-        return [c for c in chains if c.k_s == 1]
-    return [c for c in chains if c.k_s >= 2]
-
 
 def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
     """(D(z), I(z)) in one pass over the single-merge chain tree.
@@ -315,8 +265,10 @@ def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
     if n < 2:
         raise ValueError("the expansion needs N >= 2")
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
+    # the resummation telescopes exactly over one-merge-per-step chains;
+    # admitting coarser jumps double-counts graphs and breaks G = D + I G
     chains = sorted(
-        _expansion_chains(n, k_s_one=False),
+        (c for c in enumerate_chains(n, "all") if c.is_single_merge and c.k_s >= 2),
         key=lambda c: tuple(p.canonical() for p in c.sequence),
     )
     # the first chain is the root; in lexicographic order every later chain
@@ -380,7 +332,7 @@ def functional_equation(
         d,
         i,
         _frobenius(r),
-        float(np.abs(z - ws.block(n).eps).min()),
+        float(np.abs(z - ws.block(n).values).min()),
         max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
     )
 
@@ -437,7 +389,7 @@ def fredholm_probe(
 ) -> list:
     """Locate z with 1 in the spectrum of I(z); flags should track eigenvalues of H."""
     ws = ws or ResolventWorkspace(params, window)
-    h_eigs = ws.block(params.N).eps
+    h_eigs = ws.block(params.N).values
     out = []
     for z in z_grid:
         # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the

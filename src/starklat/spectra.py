@@ -120,8 +120,8 @@ def interior_mask(result: SpectralResult, params: ModelParams) -> np.ndarray:
 class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
     """Eigenpairs of a symmetric a, solved per symmetry sector, with bounds on the lifted pairs."""
 
-    values: np.ndarray  # ascending
-    vectors: np.ndarray  # lifted to the tensor index, one sector per column
+    values: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
+    vectors: Optional[np.ndarray]  # lifted, one sector per column; None: a diagonal, V = 1
     residuals: np.ndarray  # per column, >= ||a v - lambda v||
     residual_norm: float  # >= ||a V - V diag(values)||_F
     orthogonality_defect: float  # >= ||V^T V - 1||_F

@@ -29,11 +29,38 @@ def test_load_config_rejects_unknown_keys(tmp_path, key):
         cli.load_config(str(p))
 
 
+def _potential(**pot):
+    return {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": pot}}
+
+
+UNREAD_KEYS = [
+    dict(window={"L": 12, "interior_margin": 4, "shape": "round"}),
+    # a section only another task reads
+    dict(probes={"fit_range": [4, 12]}),
+    dict(task="evolve", probes={"fit_range": [4, 12]}),
+    dict(dynamics={"t_max": 1.0}),
+    dict(task="localization", dynamics={"samples": 4}),
+    dict(resolvent={"z_grid": [[0.0, 8.0]]}),
+    dict(task="evolve", resolvent={"z_grid": [[0.0, 8.0]]}),
+    # a potential field its kind ignores
+    _potential(kind="nearest_neighbor", strength=1.0, decay=2.0),
+    _potential(decay=2.0),  # the default kind is nearest_neighbor
+    _potential(kind="tabulated", table={"1": 1.0}, decay=2.0),
+    _potential(kind="tabulated", table={"1": 1.0}, strength=2.0),
+    _potential(kind="nearest_neighbor", table={"1": 1.0}),
+    _potential(kind="exponential", strength=1.0, decay=1.0, table={"1": 1.0}),
+    _potential(kind="power_law", decay=2.0, table={"1": 1.0}),
+]
+
+
 def test_load_config_rejects_nested_unknown(tmp_path):
     p = tmp_path / "c.json"
-    write_config(p, window={"L": 12, "interior_margin": 4, "shape": "round"})
-    with pytest.raises(cli.ConfigError):
-        cli.load_config(str(p))
+    for overrides in UNREAD_KEYS:
+        cfg = write_config(p, **overrides)
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(str(p))
+        assert cli.main([cfg["task"], "--config", str(p)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_rejects_malformed(tmp_path):

@@ -275,9 +275,12 @@ def test_stark_basis_matrix_is_entrywise_bessel(pad, g):
 
 
 def test_nnz_cap():
-    p = ModelParams(g=1.0, h=0.5, N=4)
-    with pytest.raises(model.CapacityError):
-        model.build_h0(p, Window(L=40, interior_margin=7), "position")
+    # the cap counts what the lifts store: H0 at dim 81^4, and the stark kernel
+    # (400,479 entries) lifted onto the 3 pairs of N = 3 at L = 14, 34.8M in all
+    cases = [(4, 40, model.build_h0, "position"), (3, 14, model.build_interaction, "stark")]
+    for n, L, build, basis in cases:
+        with pytest.raises(model.CapacityError):
+            build(ModelParams(g=1.0, h=0.5, N=n), Window(L=L, interior_margin=7), basis)
 
 
 def test_export_coo_csv(tmp_path, params2, win):

@@ -47,8 +47,9 @@ def test_chain_counts():
 def test_coupling_n2_full_interaction(pair_ws):
     fine = ClusterDecomposition(((1,), (2,)))
     coarse = ClusterDecomposition(((1, 2),))
-    v = rsv.inter_cluster_coupling(fine, coarse, pair_ws.params, pair_ws.window)
-    full = model.build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
+    p, w = pair_ws.params, pair_ws.window
+    v = model.build_interaction(p, w, "stark", pair_list=rsv._new_pairs(fine, coarse)).toarray()
+    full = model.build_interaction(p, w, "stark").toarray()
     assert np.array_equal(v, full)
 
 
@@ -58,14 +59,14 @@ def test_coupling_n3_steps():
     single = ClusterDecomposition(((1,), (2,), (3,)))
     mid = ClusterDecomposition(((1, 2), (3,)))
     full = ClusterDecomposition(((1, 2, 3),))
-    v1 = rsv.inter_cluster_coupling(single, mid, p, w, "position")
+    v1 = model.build_interaction(p, w, "position", pair_list=rsv._new_pairs(single, mid)).toarray()
     only12 = model.build_interaction(p, w, "position", pair_list=[(0, 1)]).toarray()
     assert np.array_equal(v1, only12)
-    v2 = rsv.inter_cluster_coupling(mid, full, p, w, "position")
+    v2 = model.build_interaction(p, w, "position", pair_list=rsv._new_pairs(mid, full)).toarray()
     rest = model.build_interaction(p, w, "position", pair_list=[(0, 2), (1, 2)]).toarray()
     assert np.array_equal(v2, rest)
     with pytest.raises(ValueError):
-        rsv.inter_cluster_coupling(mid, mid, p, w)
+        model.build_interaction(p, w, "stark", pair_list=rsv._new_pairs(mid, mid))
 
 
 def test_coupling_completeness():
@@ -77,7 +78,9 @@ def test_coupling_completeness():
     for chain in rsv.enumerate_chains(3, "all"):
         acc = np.zeros_like(full_v)
         for a, b in zip(chain.sequence, chain.sequence[1:]):
-            acc += rsv.inter_cluster_coupling(a, b, p, w, "position")
+            acc += model.build_interaction(
+                p, w, "position", pair_list=rsv._new_pairs(a, b)
+            ).toarray()
         end = chain.sequence[-1]
         intra = model.build_cluster_hamiltonian(p, w, end, "position").toarray() - h0
         assert np.abs(acc - intra).max() == 0.0
@@ -105,7 +108,7 @@ def test_operator_norm_rank_one_orthogonal_to_ones():
 def test_cluster_resolvent_diagonal(pair_ws):
     fine = ClusterDecomposition(((1,), (2,)))
     z = 8j
-    g0 = pair_ws.resolvent(fine, z)
+    g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
     h0 = model.build_h0(pair_ws.params, pair_ws.window, "stark").toarray()
     want = np.diag(1.0 / (z - np.diag(h0)))
     assert np.abs(g0 - want).max() <= 1e-14
@@ -113,31 +116,40 @@ def test_cluster_resolvent_diagonal(pair_ws):
 
 def test_cluster_resolvent_norm_bound(pair_ws):
     full = ClusterDecomposition(((1, 2),))
-    g = pair_ws.resolvent(full, 8j)
+    g = pair_ws.apply_resolvent(full, 8j, np.eye(pair_ws.dim, dtype=complex))
     assert rsv.operator_norm(g) <= 1.0 / 8.0 + 1e-6
 
 
 def test_cluster_resolvent_rejects_near_spectrum(pair_ws):
     full = ClusterDecomposition(((1, 2),))
-    evs = np.linalg.eigvalsh(pair_ws.hamiltonian(full))
+    p, w = pair_ws.params, pair_ws.window
+    evs = np.linalg.eigvalsh(model.build_cluster_hamiltonian(p, w, full, "stark").toarray())
     with pytest.raises(np.linalg.LinAlgError):
-        rsv.ResolventWorkspace(pair_ws.params, pair_ws.window).resolvent(
-            full, complex(evs[0]) + 1e-14
+        rsv.ResolventWorkspace(p, w).apply_resolvent(
+            full, complex(evs[0]) + 1e-14, np.eye(pair_ws.dim, dtype=complex)
         )
 
 
 def test_resolvent_cache_reused(pair_ws):
     ws = rsv.ResolventWorkspace(pair_ws.params, pair_ws.window)
     fine = ClusterDecomposition(((1,), (2,)))
-    a = ws.resolvent(fine, 4j)
-    b = ws.resolvent(fine, 4j)
+    a = ws.factor(fine, 4j)
+    b = ws.factor(fine, 4j)
     assert a is b
+    assert ws.block(2) is ws.block(2)
+    # a block is the SectorEigh of its solve; the stark H^(1) is diagonal, so
+    # U = 1 is kept implicit, with zero defects
+    one, two = ws.block(1), ws.block(2)
+    assert isinstance(two, spectra.SectorEigh) and two.vectors.shape == (ws.dim, ws.dim)
+    assert isinstance(one, spectra.SectorEigh) and one.vectors is None
+    assert one.residual_norm == one.orthogonality_defect == 0.0
+    assert not one.residuals.any() and one.residuals.shape == one.values.shape
 
 
 def test_build_I_n2_closed_form(pair_ws):
     z = 8j
     fine = ClusterDecomposition(((1,), (2,)))
-    g0 = pair_ws.resolvent(fine, z)
+    g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
     v = model.build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
     assert np.abs(rsv.build_I(z, pair_ws) - g0 @ v).max() <= 1e-14
 
@@ -145,7 +157,8 @@ def test_build_I_n2_closed_form(pair_ws):
 def test_build_D_n2_is_g0(pair_ws):
     z = 8j
     fine = ClusterDecomposition(((1,), (2,)))
-    assert np.abs(rsv.build_D(z, pair_ws) - pair_ws.resolvent(fine, z)).max() == 0.0
+    g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
+    assert np.abs(rsv.build_D(z, pair_ws) - g0).max() == 0.0
 
 
 def test_norm_decay_ladder(pair_ws):
@@ -188,7 +201,8 @@ def test_functional_equation_matches_dense_g(basis, n, L):
     ws = rsv.ResolventWorkspace(p, w, basis)
     z = 0.5 + 1j
     d, i = rsv.expansion(z, ws)
-    g = ws.resolvent(ClusterDecomposition((tuple(range(1, n + 1)),)), z)
+    full = ClusterDecomposition((tuple(range(1, n + 1)),))
+    g = ws.apply_resolvent(full, z, np.eye(ws.dim, dtype=complex))
     # the true (D, I), and an I off by 1e-3 so that the residual is far from roundoff
     for scale in (1.0, 1.001):
         fe = rsv.functional_equation(z, ws, d, scale * i)
@@ -252,7 +266,8 @@ def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
     tol = 64 * np.finfo(float).eps * kappa
     for dec in spectra.enumerate_set_partitions(n):
         want = dense[dec.canonical()]
-        assert np.abs(ws.resolvent(dec, z) - want).max() <= tol * np.abs(want).max()
+        got = ws.apply_resolvent(dec, z, np.eye(ws.dim, dtype=complex))
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     # D and I against the chain-product sums, applied right to left to a probe block
     probe = np.random.default_rng(5).standard_normal((ws.dim, 8)) + 0j
@@ -264,13 +279,17 @@ def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
         for a, b in reversed(list(zip(seq, seq[1:]))):
             key = (a.canonical(), b.canonical())
             if key not in couplings:
-                couplings[key] = rsv.inter_cluster_coupling(a, b, p, w, basis)
+                pairs = rsv._new_pairs(a, b)
+                couplings[key] = model.build_interaction(p, w, basis, pair_list=pairs).toarray()
             out = dense[a.canonical()] @ (couplings[key] @ out)
         return out
 
+    # the expansion sums over single-merge chains: k_s >= 2 for D, k_s = 1 for I
+    single = [c for c in rsv.enumerate_chains(n, "all") if c.is_single_merge]
     d, i = rsv.expansion(z, ws)
     for got, k_s_one in ((d, False), (i, True)):
-        terms = [chain_on_probe(c, not k_s_one) for c in rsv._expansion_chains(n, k_s_one)]
+        chains = [c for c in single if (c.k_s == 1) == k_s_one]
+        terms = [chain_on_probe(c, not k_s_one) for c in chains]
         scale = sum(np.linalg.norm(t) for t in terms)
         assert np.linalg.norm(got @ probe - sum(terms)) <= tol * scale
 
@@ -285,12 +304,12 @@ def _perturbed_workspace(basis, size):
     for k in (1, 2, 3):
         f = ws.block(k)
         h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
-        u = (np.eye(f.eps.size) if f.u is None else f.u) + size * rng.standard_normal(h.shape)
-        ws.cache[("U", k)] = rsv.BlockFactor(
-            f.eps,
-            u,
-            np.linalg.norm(u.T @ u - np.eye(f.eps.size)),
-            np.linalg.norm(h @ u - u * f.eps),
+        eye = np.eye(f.values.size)
+        u = (eye if f.vectors is None else f.vectors) + size * rng.standard_normal(h.shape)
+        ws.cache[("U", k)] = f._replace(
+            vectors=u,
+            residual_norm=np.linalg.norm(h @ u - u * f.values),
+            orthogonality_defect=np.linalg.norm(u.T @ u - eye),
         )
     return ws
 
@@ -302,15 +321,17 @@ def test_residual_bound_covers_inexact_factors(basis, monkeypatch):
     z = 0.5 + 0.01j  # near the spectrum, so the max |delta| factor is tested
     eye = np.eye(ws.dim)
     for dec in spectra.enumerate_set_partitions(3):
-        h, g = ws.hamiltonian(dec), ws.resolvent(dec, z)
+        h = model.build_cluster_hamiltonian(ws.params, ws.window, dec, ws.basis).toarray()
+        g = ws.apply_resolvent(dec, z, np.eye(ws.dim, dtype=complex))
         measured = np.linalg.norm((z * eye - h) @ g - eye, 2)
         assert 1e-9 < measured <= ws.factor(dec, z).residual_bound
 
 
 def test_residual_gate_rejects_inexact_factors():
     ws = _perturbed_workspace("stark", 1e-7)
+    full = ClusterDecomposition(((1, 2, 3),))
     with pytest.raises(np.linalg.LinAlgError):
-        ws.resolvent(ClusterDecomposition(((1, 2, 3),)), 0.5 + 1j)
+        ws.apply_resolvent(full, 0.5 + 1j, np.eye(ws.dim, dtype=complex))
 
 
 def sector_dims(d, n):
@@ -344,8 +365,8 @@ def test_sector_svd_of_I_matches_full(basis, n, L, pot):
     for k in range(2, n + 1):
         f = ws.block(k)
         assert f.sectors["sector_dims"] == sector_dims(w.n_sites, k)
-        assert np.all(np.diff(f.eps) >= 0.0)
-        assert f.orthogonality_defect <= 1e-12 and f.eigen_residual <= 1e-10
+        assert np.all(np.diff(f.values) >= 0.0)
+        assert f.orthogonality_defect <= 1e-12 and f.residual_norm <= 1e-10
 
 
 @pytest.mark.parametrize("basis", model.BASES)
@@ -357,8 +378,9 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
     for k in range(2, n + 1):
         f = ws.block(k)
         h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
-        assert f.eigen_residual >= np.linalg.norm(h @ f.u - f.u * f.eps)
-        assert f.orthogonality_defect >= np.linalg.norm(f.u.T @ f.u - np.eye(f.eps.size))
+        v = f.vectors
+        assert f.residual_norm >= np.linalg.norm(h @ v - v * f.values)
+        assert f.orthogonality_defect >= np.linalg.norm(v.T @ v - np.eye(f.values.size))
 
 
 def test_sector_svd_one_sector():

@@ -7,6 +7,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -78,6 +79,26 @@ def _check_keys(section: str, data: dict) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _finite(x) -> bool:
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
+
+
+def _z_grid(grid) -> list:
+    """resolvent.z_grid as complex points: a nonempty list of finite [re, im] pairs."""
+    if not (
+        isinstance(grid, list)
+        and grid
+        and all(isinstance(z, list) and len(z) == 2 and all(map(_finite, z)) for z in grid)
+    ):
+        raise ConfigError(
+            f"resolvent.z_grid must be a nonempty list of finite [re, im] pairs, not {grid!r}"
+        )
+    return [complex(*z) for z in grid]
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -134,10 +155,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid model/window: {exc}") from exc
     if raw.get("dynamics", {}).get("symmetrized") and params.N != 2:
         raise ConfigError(f"dynamics.symmetrized needs N = 2, not N = {params.N}")
+    res = raw.get("resolvent", {})
+    if task == "resolvent-check":
+        res = {"z_grid": _z_grid(res.get("z_grid", [[0.0, 8.0]]))}
     return RunConfig(
         params, window, task,
         raw.get("output_dir", "."), basis,
-        raw.get("probes", {}), raw.get("dynamics", {}), raw.get("resolvent", {}),
+        raw.get("probes", {}), raw.get("dynamics", {}), res,
         raw,
     )
 
@@ -370,25 +394,34 @@ def _task_resolvent(
     cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
 ) -> None:
     ws = resolvent.ResolventWorkspace(cfg.params, cfg.window, cfg.basis)
-    z_grid = [complex(a, b) for a, b in cfg.resolvent.get("z_grid", [[0.0, 8.0]])]
+    even = resolvent.even_potential(cfg.params.potential)
+    orbits = resolvent.chain_orbits(cfg.params.N, even)
+    diagnostics["expansion"] = {
+        "chains": sum(len(images) for _, images in orbits),
+        "representatives": len(orbits),
+        "even_potential": even,
+    }
     entries = []
     ok = True
-    for k, z in enumerate(z_grid):
+    for k, z in enumerate(cfg.resolvent["z_grid"]):
         with stage("resolvent.expansion"):
             d, i = resolvent.expansion(z, ws)
-        fe = resolvent.functional_equation(z, ws, d, i)
+        with stage("resolvent.functional_equation"):
+            fe = resolvent.functional_equation(z, ws, d, i)
         del d, i
         if k == 0:
             with stage("resolvent.compactness_proxy"):
                 rep = resolvent.compactness_proxy(
                     fe.i, tensor=(cfg.window.n_sites, cfg.params.N)
                 )
+        with stage("resolvent.operator_norm"):
+            norm_i, norm_d = resolvent.operator_norm(fe.i), resolvent.operator_norm(fe.d)
         entries.append(
             {
                 "z": [z.real, z.imag],
                 "residual": fe.residual,
-                "norm_I": resolvent.operator_norm(fe.i),
-                "norm_D": resolvent.operator_norm(fe.d),
+                "norm_I": norm_i,
+                "norm_D": norm_d,
                 "dist_to_spectrum": fe.dist_to_spectrum,
                 "resolvent_residual_bound": fe.resolvent_residual_bound,
             }

@@ -7,8 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, Window, flat_to_tuples, stark_basis_matrix
-from .spectra import boundary_shell_mass, transform_columns
+from .model import ModelParams, Window, flat_to_tuples
+from .spectra import boundary_shell_mass
 
 AMPLITUDE_FLOOR = 1e-14
 RATE_NOISE_BAND = 0.1
@@ -291,34 +291,3 @@ def superexp_shell_fit(
 def localization_center(lam: float, params: ModelParams) -> int:
     """Per-coordinate shell anchor: the COM ladder index split evenly."""
     return int(round(lam / (-2.0 * params.h) / params.N))
-
-
-@dataclass
-class PositionDecayReport:
-    shell: ShellFitReport
-    com_check: ComDecayReport
-    rate_mismatch: float
-
-
-def position_decay_check(
-    psi_stark: np.ndarray,
-    lam: float,
-    params: ModelParams,
-    window: Window,
-    n_particles: int,
-    probe: DecayProbe,
-) -> PositionDecayReport:
-    """Repeat the shell fit after the Bessel transform and test the COM-sum decay."""
-    xi = stark_basis_matrix(params, window)
-    psi_pos = transform_columns(psi_stark, xi, n_particles)
-    center = localization_center(lam, params)
-    shell = superexp_shell_fit(psi_pos, window, n_particles, probe, center)
-    stark_shell = superexp_shell_fit(psi_stark, window, n_particles, probe, center)
-    if np.isfinite(shell.final_rate) and np.isfinite(stark_shell.final_rate):
-        denom = max(abs(stark_shell.final_rate), 1e-12)
-        mismatch = abs(shell.final_rate - stark_shell.final_rate) / denom
-    else:
-        mismatch = 0.0
-    prof = com_profile(psi_pos, lam, params, window, n_particles)
-    com_rep = com_decay_check(prof, min(probe.theta_list))
-    return PositionDecayReport(shell, com_rep, float(mismatch))

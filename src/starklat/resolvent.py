@@ -8,11 +8,14 @@ H^(k) = U_k diag(eps_k) U_k^T per block size,
     G_D(z) = W diag(1 / (z - sum_b eps_b)) W^T,   W = (x)_b U_b,
 
 applied leg-wise; the couplings V_{D,D'} act on leg pairs through the one
-two-site operator. D(z) and I(z) come from a single pass over the chain tree.
+two-site operator. D(z) and I(z) come from a single pass over the chain tree,
+one chain per orbit of the particle relabellings that leave H invariant.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +25,7 @@ import numpy as np
 from .model import (
     CapacityError,
     ModelParams,
+    PairPotential,
     Window,
     _frobenius,
     apply_on_legs,
@@ -208,12 +212,13 @@ class ResolventWorkspace:
         for legs, f in blocks:
             others = tuple(ax for ax in range(n) if ax not in legs)
             energy = energy + np.expand_dims(f.values.reshape((d,) * len(legs)), others)
-        delta = (1.0 / (z - energy)).ravel()
+        # gated before dividing, so a z on the spectrum raises and does not warn
+        gap = z - energy
+        dist = float(np.abs(gap).min())
+        if dist * COND_CAP < 1.0:
+            raise np.linalg.LinAlgError(f"z within {dist:.2e} of the truncated spectrum of H_D")
+        delta = (1.0 / gap).ravel()
         delta_max = float(np.abs(delta).max())
-        if delta_max > COND_CAP:
-            raise np.linalg.LinAlgError(
-                f"z within {1.0 / delta_max:.2e} of the truncated spectrum of H_D"
-            )
         # (z - H_D) W diag(delta) W^T - 1 = (W W^T - 1) - R_W diag(delta) W^T with
         # R_W = sum_b R_b (x) U_others and R_b = H_b U_b - U_b eps_b; bound each
         # factor by Frobenius norms, ||U_b||^2 <= 1 + ||U_b^T U_b - 1||
@@ -253,40 +258,93 @@ class ResolventWorkspace:
         return out
 
 
+def even_potential(potential: PairPotential) -> bool:
+    """v(n) = v(-n) exactly: every analytic kind reads |n|, a table must equal its mirror."""
+    if potential.kind != "tabulated":
+        return True
+    return all(v == potential.table.get(-k, 0.0) for k, v in potential.table.items())
+
+
+@functools.cache
+def chain_orbits(n: int, even: bool) -> tuple:
+    """The expansion's chains, one (representative, images) pair per orbit, in key order.
+
+    The chains are the single-merge ones with k_s >= 2, keyed by their
+    canonical partitions. With an even v every particle relabelling pi maps
+    H_D to P H_D P^T and V_{D,D'} to P V_{D,D'} P^T, so chain pi.c contributes
+    P X_c P^T when c contributes X_c; with any other v the group is trivial
+    and every chain is its own orbit. The representative is the orbit's
+    smallest key: if pi.parent < parent then pi.c < c, so the representatives
+    are closed under prefixes. `images` holds one tensor axis order per
+    distinct image, the identity first, for X of shape (d,) * 2n.
+    """
+
+    def key(c):
+        return tuple(p.canonical() for p in c.sequence)
+
+    # the resummation telescopes exactly over one-merge-per-step chains;
+    # admitting coarser jumps double-counts graphs and breaks G = D + I G
+    chains = sorted(
+        (c for c in enumerate_chains(n, "all") if c.is_single_merge and c.k_s >= 2), key=key
+    )
+    perms = list(itertools.permutations(range(n))) if even else [tuple(range(n))]
+    orbits = []
+    for c in chains:
+        images = {}
+        for perm in perms:  # particle i + 1 becomes perm[i] + 1, leg i becomes leg perm[i]
+            image = tuple(
+                ClusterDecomposition(tuple(tuple(perm[i - 1] + 1 for i in b) for b in p.blocks))
+                .canonical()
+                for p in c.sequence
+            )
+            inverse = tuple(int(a) for a in np.argsort(perm))
+            images.setdefault(image, inverse + tuple(n + a for a in inverse))
+        if min(images) == key(c):
+            orbits.append((c, tuple(images.values())))
+    return tuple(orbits)
+
+
+def _add_images(acc: np.ndarray, x: np.ndarray, images: tuple, shape: tuple) -> None:
+    """acc += P x P^T for each image, a strided add on the (d,) * 2n views."""
+    acc_t, x_t = acc.reshape(shape), x.reshape(shape)
+    for axes in images:
+        acc_t += x_t.transpose(axes)
+
+
 def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
-    """(D(z), I(z)) in one pass over the single-merge chain tree.
+    """(D(z), I(z)) in one pass over the representatives of the chain tree.
 
     Each node's prefix P = G_{D_0} V ... G_{D_k} is computed once, as its
     transpose G_{D_k} V ... G_{D_0} (every H_D and V is real symmetric), so
     each step is a left product on the row legs. A node with >= 2 blocks adds
-    P to D; one with exactly 2 blocks adds P V_{D_k, full} to I.
+    P to D; one with exactly 2 blocks adds P V_{D_k, full} to I. Each term is
+    added once per image of its chain (`chain_orbits`); conjugation by a leg
+    permutation commutes with the transpose.
     """
     n = ws.params.N
     if n < 2:
         raise ValueError("the expansion needs N >= 2")
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    # the resummation telescopes exactly over one-merge-per-step chains;
-    # admitting coarser jumps double-counts graphs and breaks G = D + I G
-    chains = sorted(
-        (c for c in enumerate_chains(n, "all") if c.is_single_merge and c.k_s >= 2),
-        key=lambda c: tuple(p.canonical() for p in c.sequence),
-    )
+    shape = (ws.window.n_sites,) * (2 * n)
+    orbits = chain_orbits(n, even_potential(ws.params.potential))
     # the first chain is the root; in lexicographic order every later chain
-    # extends a prefix of the one before it, so `path` holds only its parent
-    root = chains[0].sequence[0]
+    # extends a prefix of the one before it, so `path` keeps just the prefixes
+    # the next chain extends, and drops the rest before the I term is built
+    root = orbits[0][0].sequence[0]
     q = ws.apply_resolvent(root, z, np.eye(ws.dim, dtype=complex))
     path = [(root, q)]
-    d_t, i_t = q.copy(), np.zeros_like(q)
-    for c in chains:
+    d_t, i_t = q.copy(), np.zeros(q.shape, dtype=complex)  # no page of i_t touched until added to
+    next_lengths = [len(c.sequence) for c, _ in orbits[1:]] + [1]
+    for (c, images), next_length in zip(orbits, next_lengths):
         dec = c.sequence[-1]
         if len(c.sequence) > 1:
-            del path[len(c.sequence) - 1 :]
-            parent, q_parent = path[-1]
-            q = ws.apply_resolvent(dec, z, ws.apply_coupling(parent, dec, q_parent))
+            del q
+            q = ws.apply_resolvent(dec, z, ws.apply_coupling(path[-1][0], dec, path[-1][1]))
             path.append((dec, q))
-            d_t += q
+            _add_images(d_t, q, images, shape)
+        del path[next_length - 1 :]
         if dec.n_blocks == 2:
-            i_t += ws.apply_coupling(dec, full, q)
+            _add_images(i_t, ws.apply_coupling(dec, full, q), images, shape)
     return d_t.T, i_t.T
 
 

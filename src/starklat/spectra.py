@@ -41,10 +41,6 @@ class SpectralResult:
     orthogonality_defect: float  # an upper bound on ||V^T V - 1||_F
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of a dense solve
 
-    def gram_defect(self) -> float:
-        g = self.eigenvectors.T @ self.eigenvectors
-        return float(np.abs(g - np.eye(g.shape[0])).max())
-
 
 @dataclass(frozen=True)
 class ClusterDecomposition:

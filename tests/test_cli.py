@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_load_config_rejects_bad_physics(tmp_path):
         with pytest.raises(cli.ConfigError, match="symmetrized"):
             cli.load_config(str(p))
         assert cli.main(["evolve", "--config", str(p)]) == cli.EXIT_CONFIG
+    # z_grid is a nonempty list of finite [re, im] pairs
+    for z_grid in ([], [[0.5]], [[0.5, 8.0], [0.5]], [[0.5, float("nan")]], [[0.5, "8"]],
+                   [[True, 8.0]], [[0.5, 10**400]], [0.5, 8.0], {"z": [0.5, 8.0]}):
+        write_config(p, task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 2},
+                     resolvent={"z_grid": z_grid})
+        with pytest.raises(cli.ConfigError, match="z_grid"):
+            cli.load_config(str(p))
+        assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
 
 
@@ -307,6 +316,39 @@ def test_resolvent_check_run(tmp_path):
     assert 0.0 <= entries[0]["resolvent_residual_bound"] <= 1e-10
 
 
+def test_resolvent_z_on_spectrum_fails_without_warnings(tmp_path, capsys):
+    # z = 0 is an eigenvalue of the stark H_D of the singletons, -2h (m1 + m2)
+    p = tmp_path / "c.json"
+    write_config(p, task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 2},
+                 window={"L": 4, "interior_margin": 1}, resolvent={"z_grid": [[0.0, 0.0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_ASSERT
+    assert "z within 0.00e+00 of the truncated spectrum of H_D" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exception"] == "LinAlgError"
+
+
+@pytest.mark.parametrize(
+    "table,even,reps",
+    [({"-1": 1.0, "1": 1.0}, True, 2), ({"-1": 0.2, "1": 0.7, "2": 0.1}, False, 4)],
+)
+def test_resolvent_expansion_diagnostics(tmp_path, table, even, reps):
+    p = tmp_path / "c.json"
+    write_config(p, task="resolvent-check",
+                 model={"g": 1.0, "h": 0.5, "N": 3,
+                        "potential": {"kind": "tabulated", "table": table}},
+                 window={"L": 2, "interior_margin": 1}, resolvent={"z_grid": [[0.5, 8.0]]})
+    cli.main(["resolvent-check", "--config", str(p)])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"] is True
+    assert manifest["diagnostics"]["expansion"] == {
+        "chains": 4, "representatives": reps, "even_potential": even,
+    }
+    entries = json.loads((tmp_path / "out" / "functional_eq.json").read_text())
+    assert entries[0]["residual"] <= 1e-8
+
+
 def test_workers_flag_rejected(tmp_path):
     p = tmp_path / "c.json"
     write_config(p)
@@ -511,7 +553,8 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
         "spectrum", "model.build_hamiltonian", "spectra.eigh", "spectra.interior_mask",
     }
     assert set(manifests["resolvent-check"]["timings"]) == {
-        "resolvent-check", "resolvent.expansion", "resolvent.compactness_proxy",
+        "resolvent-check", "resolvent.expansion", "resolvent.functional_equation",
+        "resolvent.compactness_proxy", "resolvent.operator_norm",
     }
     # leg-swap orbits: d (d + 1) / 2 even and d (d - 1) / 2 odd at d = 2L + 1
     eigh = manifests["spectrum"]["diagnostics"]["eigh"]
@@ -519,6 +562,8 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     assert eigh["sector_dims"] == [325, 300] and 0.0 <= eigh["cross_norm"] <= 1e-10
     assert 0.0 < eigh["residual_max"] <= 1e-8 and 0.0 < eigh["orthogonality_defect"] <= 1e-10
     diag = manifests["resolvent-check"]["diagnostics"]
+    # N = 2: the chain tree is its root alone
+    assert diag["expansion"] == {"chains": 1, "representatives": 1, "even_potential": True}
     # the stark H^(1) is diagonal, so only H^(2) is solved
     assert set(diag["block_eigh"]) == {"2"}
     for entry in (diag["block_eigh"]["2"], diag["compactness_svd"]):

@@ -7,6 +7,8 @@ from starklat import localization as loc
 from starklat import model, spectra
 from starklat.model import ModelParams, PairPotential, Window
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def desk():
@@ -196,7 +198,7 @@ def test_position_decay_desk(desk):
         lam = res.eigenvalues[i]
         if spectra.dist_to_cluster(lam, sig) < 0.1:
             continue
-        pd = loc.position_decay_check(res.eigenvectors[:, i], lam, p, w, 2, probe)
+        pd = oracles.position_decay_check(res.eigenvectors[:, i], lam, p, w, 2, probe)
         assert pd.shell.passed
         assert pd.com_check.passed
         assert pd.rate_mismatch <= 0.35  # consistency probe, not a theorem rate
@@ -211,7 +213,7 @@ def test_position_decay_g0_identity():
     w = Window(L=5, interior_margin=2)
     psi = np.zeros(w.n_sites**2)
     psi[model.tuple_to_flat(w, np.array([1, -1]))] = 1.0
-    pd = loc.position_decay_check(psi, 0.0, p, w, 2, loc.DecayProbe())
+    pd = oracles.position_decay_check(psi, 0.0, p, w, 2, loc.DecayProbe())
     assert pd.shell.note == "point support" and pd.shell.passed
 
 

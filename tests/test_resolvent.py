@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -398,3 +399,62 @@ def test_sector_svd_one_sector():
     # one particle: H^(1) in the position basis is solved whole
     one = rsv.ResolventWorkspace(p.with_n(1), w, "position").block(1)
     assert one.sectors == {"sector_dims": [w.n_sites], "cross_norm": 0.0}
+
+
+def _conjugate(x, perm, d, n):
+    """P_pi x P_pi^T for the leg permutation pi (leg i of x becomes leg perm[i])."""
+    axes = tuple(np.argsort(perm))
+    return x.reshape((d,) * 2 * n).transpose(axes + tuple(n + a for a in axes)).reshape(x.shape)
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+def test_even_potential_expansion_commutes_with_leg_permutations(basis):
+    # the premise of the orbit sum: with v(r) = v(-r), G_{pi D} = P G_D P^T, and so
+    # D and I commute with every leg permutation
+    n = 3
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=SECTOR_POTENTIALS[1])
+    w = Window(L=3, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    d_sites, z = w.n_sites, 0.5 + 1j
+    d, i = rsv.expansion(z, ws)
+    eye = np.eye(ws.dim, dtype=complex)
+    decs = spectra.enumerate_set_partitions(n)
+    g = {dec.canonical(): ws.apply_resolvent(dec, z, eye) for dec in decs}
+    tol = 64 * np.finfo(float).eps
+    for perm in itertools.permutations(range(n)):
+        for x in (d, i):
+            assert np.abs(_conjugate(x, perm, d_sites, n) - x).max() <= tol * np.abs(x).max()
+        for dec in decs:
+            blocks = tuple(tuple(perm[j - 1] + 1 for j in b) for b in dec.blocks)
+            want = g[ClusterDecomposition(blocks).canonical()]
+            got = _conjugate(g[dec.canonical()], perm, d_sites, n)
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "n,pot,chains,reps",
+    [
+        (2, ORACLE_POINTS[0][0], 1, 1),
+        (3, ORACLE_POINTS[0][0], 4, 2),
+        (4, ORACLE_POINTS[0][0], 25, 4),
+        (3, ORACLE_POINTS[3][0], 4, 4),
+        (4, ORACLE_POINTS[3][0], 25, 25),
+    ],
+)
+def test_chain_orbit_counts(n, pot, chains, reps):
+    orbits = rsv.chain_orbits(n, rsv.even_potential(pot))
+    assert len(orbits) == reps
+    assert sum(len(images) for _, images in orbits) == chains
+    # every representative is the smallest key of its orbit, and its own first image
+    identity = tuple(range(2 * n))
+    assert all(images[0] == identity for _, images in orbits)
+    single = [c for c in rsv.enumerate_chains(n, "all") if c.is_single_merge and c.k_s >= 2]
+    assert len(single) == chains
+
+
+def test_even_potential():
+    assert all(rsv.even_potential(pot) for pot in SECTOR_POTENTIALS)
+    even = [{0: 0.0}, {-1: 0.5, 1: 0.5}, {1: 0.0}, {-2: 1.0, 0: 3.0, 2: 1.0}]
+    odd = [{1: 0.5}, {-1: 0.2, 1: 0.7, 2: 0.1}, {-1: 0.5, 1: -0.5}]
+    for table in even + odd:
+        assert rsv.even_potential(PairPotential("tabulated", table=table)) == (table in even)

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -24,15 +24,6 @@ EXIT_CONFIG = 1
 EXIT_ASSERT = 2
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-TASKS = (
-    "spectrum",
-    "cluster-spectrum",
-    "localization",
-    "evolve",
-    "resolvent-check",
-    "selftest",
-)
-
 _SCHEMA = {
     "": {"model", "window", "task", "output_dir", "basis",
          "probes", "dynamics", "resolvent"},
@@ -43,16 +34,6 @@ _SCHEMA = {
     "dynamics": {"t_max", "samples", "radii", "initial_sites", "symmetrized"},
     "resolvent": {"z_grid"},
 }
-# the one task that reads each optional section
-SECTION_TASK = {"probes": "localization", "dynamics": "evolve", "resolvent": "resolvent-check"}
-
-# tasks that run in one basis only; an explicit other `basis` is rejected
-TASK_BASIS = {
-    "evolve": "position",
-    "localization": "stark",
-    "cluster-spectrum": "stark",
-    "selftest": "position",
-}
 
 
 class ConfigError(Exception):
@@ -61,15 +42,21 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """A config parsed into the typed inputs of every task; raw is the file, for the manifest."""
+
     params: ModelParams
     window: Window
     task: str
     output_dir: str
-    basis: str = "stark"
-    probes: dict = field(default_factory=dict)
-    dynamics: dict = field(default_factory=dict)
-    resolvent: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    basis: str
+    probe: localization.DecayProbe
+    propagator: dynamics.PropagatorConfig
+    radii: list
+    initial_sites: tuple
+    symmetrized: bool
+    z_grid: list
+    raw: dict
+    export_matrices: bool = False
 
 
 def _check_keys(section: str, data: dict) -> None:
@@ -113,25 +100,23 @@ def load_config(path: str) -> RunConfig:
             if not isinstance(raw[sec], dict):
                 raise ConfigError(f"{sec} must be an object")
             _check_keys(sec, raw[sec])
-    m = raw.get("model")
-    w = raw.get("window")
-    task = raw.get("task")
+    m, w, task = raw.get("model"), raw.get("window"), raw.get("task")
     if m is None or w is None or task is None:
         raise ConfigError("config needs model, window, and task")
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
-    for sec, reader in SECTION_TASK.items():
-        if sec in raw and task != reader:
-            raise ConfigError(f"section {sec!r} is read by {reader!r} only, not {task!r}")
-    basis = raw.get("basis", TASK_BASIS.get(task, "stark"))
+    _, task_basis, section = TASKS[task]
+    for sec in ("probes", "dynamics", "resolvent"):
+        if sec in raw and sec != section:
+            raise ConfigError(f"section {sec!r} is not read by task {task!r}")
+    basis = raw.get("basis", task_basis or "stark")
     if basis not in ("position", "stark"):
         raise ConfigError(f"unknown basis {basis!r}")
-    if basis != TASK_BASIS.get(task, basis):
-        raise ConfigError(
-            f"task {task!r} runs in the {TASK_BASIS[task]} basis only, not {basis!r}"
-        )
+    if task_basis not in (None, basis):
+        raise ConfigError(f"task {task!r} runs in the {task_basis} basis only, not {basis!r}")
     pot_raw = m.get("potential", {})
     _check_keys("potential", pot_raw)
+    probes, dyn = raw.get("probes", {}), raw.get("dynamics", {})
     try:
         kind = pot_raw.get("kind", "nearest_neighbor")
         unread = set(pot_raw) - {"kind"} - model.POTENTIAL_FIELDS.get(kind, set(pot_raw))
@@ -141,28 +126,33 @@ def load_config(path: str) -> RunConfig:
         if table is not None:
             table = {int(k): float(v) for k, v in table.items()}
         pot = PairPotential(
-            kind,
-            float(pot_raw.get("strength", 1.0)),
-            float(pot_raw.get("decay", 1.0)),
-            table,
+            kind, float(pot_raw.get("strength", 1.0)), float(pot_raw.get("decay", 1.0)), table
         )
         params = ModelParams(
             float(m["g"]), float(m["h"]), int(m["N"]), pot,
             m.get("statistics", "distinguishable"),
         )
         window = Window(int(w["L"]), int(w["interior_margin"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model/window: {exc}") from exc
-    if raw.get("dynamics", {}).get("symmetrized") and params.N != 2:
+        cast = {"theta_list": tuple, "shell_stat": str, "fit_range": tuple, "rate_halfwidth": int}
+        probe = localization.DecayProbe(**{k: cast[k](v) for k, v in probes.items()})
+        propagator = dynamics.PropagatorConfig(
+            float(dyn.get("t_max", 50.0)), int(dyn.get("samples", 200))
+        )
+        radii = [int(r) for r in dyn.get("radii", [2, 4, 6])]
+        sites = tuple(dyn.get("initial_sites", (0,) * params.N))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"invalid {task} config: {exc}") from exc
+    if len(sites) != params.N or not all(type(x) is int and abs(x) < window.L for x in sites):
+        raise ConfigError(
+            f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
+            f"{window.L}, not {list(sites)}"
+        )
+    if dyn.get("symmetrized") and params.N != 2:
         raise ConfigError(f"dynamics.symmetrized needs N = 2, not N = {params.N}")
-    res = raw.get("resolvent", {})
-    if task == "resolvent-check":
-        res = {"z_grid": _z_grid(res.get("z_grid", [[0.0, 8.0]]))}
     return RunConfig(
-        params, window, task,
-        raw.get("output_dir", "."), basis,
-        raw.get("probes", {}), raw.get("dynamics", {}), res,
-        raw,
+        params, window, task, raw.get("output_dir", "."), basis, probe, propagator, radii,
+        sites, bool(dyn.get("symmetrized")),
+        _z_grid(raw.get("resolvent", {}).get("z_grid", [[0.0, 8.0]])), raw,
     )
 
 
@@ -185,13 +175,15 @@ def write_csv(path: str, header: list, rows) -> None:
 
 
 @contextlib.contextmanager
-def _stage(timings: dict, name: str):
+def _stage(timings: dict, open_stages: list, name: str):
     """Add the wall time of the block to timings[name]; name is a perfbench span name."""
+    open_stages.append(name)
     t0 = time.monotonic()
     try:
         yield
     finally:
         timings[name] = timings.get(name, 0.0) + time.monotonic() - t0
+    open_stages.pop()  # skipped by an exception, so the innermost failed stage stays last
 
 
 def _versions() -> dict:
@@ -217,37 +209,38 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _eigh_diagnostics(res: spectra.SpectralResult) -> dict:
-    return dict(
-        res.sectors,
-        residual_max=res.residual_max,
-        orthogonality_defect=res.orthogonality_defect,
-    )
-
-
-def _task_spectrum(
-    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage, export: bool
-) -> None:
+def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
+    """Build, export if asked, and diagonalize H; return the result and its interior mask."""
     with stage("model.build_hamiltonian"):
         op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
-    if export:
+    if cfg.export_matrices:
         op.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
         res = spectra.eigh(op)
-    diagnostics["eigh"] = _eigh_diagnostics(res)
+    del op
+    diagnostics["eigh"] = dict(
+        res.sectors, residual_max=res.residual_max, orthogonality_defect=res.orthogonality_defect
+    )
+    checks["diagonalization_residual"] = res.residual_max <= 1e-8
     with stage("spectra.interior_mask"):
-        mask = spectra.interior_mask(res, cfg.params)
+        return res, spectra.interior_mask(res, cfg.params)
+
+
+def _task_spectrum(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
+    res, mask = _solve(cfg, out, checks, diagnostics, stage)
     write_csv(
         os.path.join(out, "eigenvalues.csv"),
         ["index", "eigenvalue", "interior"],
         [(i, float(res.eigenvalues[i]), int(mask[i])) for i in range(res.eigenvalues.size)],
     )
-    checks["diagonalization_residual"] = res.residual_max <= 1e-8
     checks["interior_nonempty"] = bool(mask.any())
 
 
-def _task_cluster_spectrum(cfg: RunConfig, out: str, checks: dict) -> None:
-    sig = spectra.cluster_spectrum(cfg.params, cfg.window)
+def _task_cluster_spectrum(
+    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
+) -> None:
+    with stage("spectra.cluster_spectrum"):
+        sig = spectra.cluster_spectrum(cfg.params, cfg.window)
     write_csv(
         os.path.join(out, "cluster_spectrum.csv"),
         ["value", "partition"],
@@ -256,30 +249,13 @@ def _task_cluster_spectrum(cfg: RunConfig, out: str, checks: dict) -> None:
     checks["cluster_points_found"] = sig.points.size > 0
 
 
-def _decay_probe(cfg: RunConfig) -> localization.DecayProbe:
-    p = cfg.probes
-    return localization.DecayProbe(
-        tuple(p.get("theta_list", (0.5, 1.0))),
-        p.get("shell_stat", "max"),
-        tuple(p.get("fit_range", (6, 18))),
-        int(p.get("rate_halfwidth", 4)),
-    )
-
-
-def _task_localization(
-    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
-) -> None:
-    probe = _decay_probe(cfg)
-    params, window = cfg.params, cfg.window
-    with stage("model.build_hamiltonian"):
-        op = model.build_hamiltonian(params, window, cfg.basis)
-    with stage("spectra.eigh"):
-        res = spectra.eigh(op)
-    del op
-    diagnostics["eigh"] = _eigh_diagnostics(res)
-    with stage("spectra.interior_mask"):
-        mask = spectra.interior_mask(res, params)
-    sig = spectra.cluster_spectrum(params, window) if params.N >= 2 else None
+def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
+    params, window, probe = cfg.params, cfg.window, cfg.probe
+    res, mask = _solve(cfg, out, checks, diagnostics, stage)
+    sig = None
+    if params.N >= 2:
+        with stage("spectra.cluster_spectrum"):
+            sig = spectra.cluster_spectrum(params, window)
     lams = res.eigenvalues[mask]
     states = res.eigenvectors[:, mask]
     prof = localization.com_profile(states, lams, params, window, params.N)
@@ -342,27 +318,20 @@ def _task_localization(
         com_checks_failed=sum(not com.passed for com in iso_coms),
         final_rate_min=min(finite_rates, default=None),
     )
-    checks["diagonalization_residual"] = res.residual_max <= 1e-8
     checks["decay_checks"] = (
         all(rep.passed and com.passed for rep, com in zip(shells, iso_coms)) and len(report) > 0
     )
 
 
 def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
-    d = cfg.dynamics
     with stage("model.build_hamiltonian"):
         op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
-    sites = tuple(d.get("initial_sites", (0,) * cfg.params.N))
-    if len(sites) != cfg.params.N:
-        raise ConfigError("initial_sites length must equal N")
-    if d.get("symmetrized"):
-        psi0 = dynamics.symmetrized_pair(cfg.window, *sites)
+    if cfg.symmetrized:
+        psi0 = dynamics.symmetrized_pair(cfg.window, *cfg.initial_sites)
     else:
-        psi0 = dynamics.product_state(cfg.window, sites)
-    pcfg = dynamics.PropagatorConfig(float(d.get("t_max", 50.0)), int(d.get("samples", 200)))
-    radii = [int(r) for r in d.get("radii", [2, 4, 6])]
+        psi0 = dynamics.product_state(cfg.window, cfg.initial_sites)
     with stage("dynamics.tail_trace"):
-        trace = dynamics.tail_trace(op, psi0, pcfg, radii)
+        trace = dynamics.tail_trace(op, psi0, cfg.propagator, cfg.radii)
     x = np.arange(-cfg.window.L, cfg.window.L + 1)
     rows = [
         (float(t), int(xx), float(trace.densities[k, j]))
@@ -390,9 +359,7 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stag
     )
 
 
-def _task_resolvent(
-    cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage
-) -> None:
+def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
     ws = resolvent.ResolventWorkspace(cfg.params, cfg.window, cfg.basis)
     even = resolvent.even_potential(cfg.params.potential)
     orbits = resolvent.chain_orbits(cfg.params.N, even)
@@ -403,7 +370,7 @@ def _task_resolvent(
     }
     entries = []
     ok = True
-    for k, z in enumerate(cfg.resolvent["z_grid"]):
+    for k, z in enumerate(cfg.z_grid):
         with stage("resolvent.expansion"):
             d, i = resolvent.expansion(z, ws)
         with stage("resolvent.functional_equation"):
@@ -445,7 +412,7 @@ def _task_resolvent(
     checks["compactness_proxy"] = rep.passed
 
 
-def _task_selftest(cfg: RunConfig, out: str, checks: dict) -> None:
+def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
     from . import specfun
 
     checks["bessel_trivial"] = specfun.bessel_j(0, 0.0) == 1.0
@@ -471,6 +438,17 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict) -> None:
     checks["density_delta"] = rho.sum() == 2.0
 
 
+# task -> (task function, the one basis it runs in or None, the optional section it reads)
+TASKS = {
+    "spectrum": (_task_spectrum, None, None),
+    "cluster-spectrum": (_task_cluster_spectrum, "stark", None),
+    "localization": (_task_localization, "stark", "probes"),
+    "evolve": (_task_evolve, "position", "dynamics"),
+    "resolvent-check": (_task_resolvent, None, "resolvent"),
+    "selftest": (_task_selftest, "position", None),
+}
+
+
 def run(config_path: str, out_override=None, export_matrices=False, expect_task=None) -> int:
     try:
         cfg = load_config(config_path)
@@ -483,6 +461,7 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    cfg.export_matrices = export_matrices
     out = out_override or cfg.output_dir
     try:
         os.makedirs(out, exist_ok=True)
@@ -492,7 +471,8 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
     checks: dict = {}
     timings: dict = {}
     diagnostics: dict = {}
-    stage = functools.partial(_stage, timings)
+    open_stages = [cfg.task]  # the task is the outermost stage
+    stage = functools.partial(_stage, timings, open_stages)
     manifest = {
         "config": cfg.raw,
         "config_sha256": _config_hash(cfg.raw),
@@ -502,25 +482,15 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
     }
     t0 = time.monotonic()
     try:
-        task_fn = {
-            "spectrum": lambda: _task_spectrum(
-                cfg, out, checks, diagnostics, stage, export_matrices
-            ),
-            "cluster-spectrum": lambda: _task_cluster_spectrum(cfg, out, checks),
-            "localization": lambda: _task_localization(cfg, out, checks, diagnostics, stage),
-            "evolve": lambda: _task_evolve(cfg, out, checks, diagnostics, stage),
-            "resolvent-check": lambda: _task_resolvent(cfg, out, checks, diagnostics, stage),
-            "selftest": lambda: _task_selftest(cfg, out, checks),
-        }[cfg.task]
-        task_fn()
+        TASKS[cfg.task][0](cfg, out, checks, diagnostics, stage)
         manifest["complete"] = True
     except Exception as exc:  # noqa: BLE001 - report and mark incomplete
         # a capacity limit is a config error: the run was asked for too much
-        config_fault = isinstance(exc, (ConfigError, model.CapacityError))
+        config_fault = isinstance(exc, model.CapacityError)
         print(f"{'config error' if config_fault else 'run failed'}: {exc}", file=sys.stderr)
         if not config_fault:
             checks["run_completed"] = False
-        manifest.update(failed_stage=cfg.task, exception=type(exc).__name__)
+        manifest.update(failed_stage=open_stages[-1], exception=type(exc).__name__)
         timings[cfg.task] = time.monotonic() - t0
         _write_manifest(out, manifest, checks, timings)
         return EXIT_CONFIG if config_fault else EXIT_ASSERT
@@ -612,7 +582,7 @@ def main(argv=None) -> int:
         description="Truncated N-particle tilted-lattice numerics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in TASKS + ("plot-data",):
+    for name in (*TASKS, "plot-data"):
         sp = sub.add_parser(name)
         if name == "plot-data":
             sp.add_argument("--out", required=True, help="completed run directory")

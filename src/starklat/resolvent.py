@@ -370,6 +370,12 @@ class FunctionalEquation:
     resolvent_residual_bound: float  # largest per-partition residual bound
 
 
+def _identity_minus_transpose(i: np.ndarray) -> np.ndarray:
+    x = np.negative(i.T)  # the expansion's own accumulator, C-ordered
+    x.flat[:: x.shape[0] + 1] += 1.0
+    return x
+
+
 def functional_equation(
     z: complex, ws: ResolventWorkspace, d: np.ndarray, i: np.ndarray
 ) -> FunctionalEquation:
@@ -380,10 +386,8 @@ def functional_equation(
     """
     n = ws.params.N
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    x = np.negative(i.T)  # the expansion's own accumulator, C-ordered
-    x.flat[:: ws.dim + 1] += 1.0
-    r = ws.apply_resolvent(full, z, x)
-    del x
+    # no reference is kept here, so apply_resolvent frees the block after its first leg product
+    r = ws.apply_resolvent(full, z, _identity_minus_transpose(i))
     r -= d.T
     return FunctionalEquation(
         complex(z),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starklat import cli, dynamics, model
+from starklat import cli, dynamics, localization, model
 from starklat.model import ModelParams, PairPotential, Window
 
 
@@ -94,7 +94,29 @@ def test_load_config_rejects_bad_physics(tmp_path):
         with pytest.raises(cli.ConfigError, match="z_grid"):
             cli.load_config(str(p))
         assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_CONFIG
+    # every probes and dynamics value is parsed before the output dir is made
+    bad_sections = [
+        ("localization", 1, {"probes": {"shell_stat": "sup"}}),
+        ("localization", 1, {"probes": {"fit_range": [10, 4]}}),
+        ("localization", 1, {"probes": {"theta_list": 0.5}}),
+        ("localization", 1, {"probes": {"rate_halfwidth": 0}}),
+        ("evolve", 2, {"dynamics": {"t_max": -1}}),
+        ("evolve", 2, {"dynamics": {"samples": 0}}),
+        ("evolve", 2, {"dynamics": {"radii": ["a"]}}),
+        ("evolve", 2, {"dynamics": {"initial_sites": [0, 9]}}),  # outside the window
+        ("evolve", 2, {"dynamics": {"initial_sites": [0, 6]}}),  # on the face
+        ("evolve", 2, {"dynamics": {"initial_sites": [0]}}),  # one site for two particles
+    ]
+    for task, n, section in bad_sections:
+        write_config(p, task=task, model={"g": 1.0, "h": 0.5, "N": n},
+                     window={"L": 6, "interior_margin": 2}, **section)
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(str(p))
+        assert cli.main([task, "--config", str(p)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+    # the DecayProbe dataclass holds the only probe defaults
+    write_config(p, task="localization")
+    assert cli.load_config(str(p)).probe == localization.DecayProbe()
 
 
 def test_malformed_config_exit_code(tmp_path, capsys):
@@ -463,31 +485,32 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "overrides, stages",
+    "overrides, stages, failed_stage",
     [
         # dim 24389 passes the nonzero cap and stops at the dense cap
         (dict(task="spectrum", basis="position", model={"g": 1.0, "h": 0.5, "N": 3},
               window={"L": 14, "interior_margin": 7}),
-         {"model.build_hamiltonian", "spectra.eigh"}),
+         {"model.build_hamiltonian", "spectra.eigh"}, "spectra.eigh"),
         # dim 61^4 stops at the nonzero cap before anything is assembled
         (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
               window={"L": 30, "interior_margin": 7}),
-         {"model.build_hamiltonian"}),
-        # dim 21^3 stops when the workspace is made, before any dense matrix is allocated
+         {"model.build_hamiltonian"}, "model.build_hamiltonian"),
+        # dim 21^3 stops when the workspace is made, before any dense matrix is allocated;
+        # no stage is open then, so the task name stands for it
         (dict(task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},
               window={"L": 10, "interior_margin": 2}),
-         set()),
+         set(), "resolvent-check"),
     ],
     ids=["dense-cap", "nnz-cap", "resolvent-dense-cap"],
 )
-def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages):
+def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_stage):
     p = tmp_path / "c.json"
     write_config(p, **overrides)
     assert cli.main([overrides["task"], "--config", str(p)]) == cli.EXIT_CONFIG
     assert "cap" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["complete"] is False
-    assert manifest["failed_stage"] == overrides["task"]
+    assert manifest["failed_stage"] == failed_stage
     assert manifest["exception"] == "CapacityError"
     assert "run_completed" not in manifest["checks"]
     # the task total, and each stage entered up to the one that stopped
@@ -504,7 +527,7 @@ def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_ASSERT
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["complete"] is False
-    assert manifest["failed_stage"] == "spectrum"
+    assert manifest["failed_stage"] == "spectra.eigh"
     assert manifest["exception"] == "RuntimeError"
     assert manifest["checks"] == {"run_completed": False}
 

@@ -73,6 +73,20 @@ def _finite(x) -> bool:
         return False
 
 
+def _float(x) -> float:
+    """A float field: a finite number, not a bool or a string."""
+    if not _finite(x):
+        raise ValueError(f"expected a finite number, not {x!r}")
+    return float(x)
+
+
+def _int(x) -> int:
+    """An integer field: a number equal to an integer, not a bool or a string."""
+    if not (_finite(x) and x == int(x)):
+        raise ValueError(f"expected an integer, not {x!r}")
+    return int(x)
+
+
 def _z_grid(grid) -> list:
     """resolvent.z_grid as complex points: a nonempty list of finite [re, im] pairs."""
     if not (
@@ -124,25 +138,30 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"potential kind {kind!r} does not read {sorted(unread)}")
         table = pot_raw.get("table")
         if table is not None:
-            table = {int(k): float(v) for k, v in table.items()}
+            table = {int(k): _float(v) for k, v in table.items()}
         pot = PairPotential(
-            kind, float(pot_raw.get("strength", 1.0)), float(pot_raw.get("decay", 1.0)), table
+            kind, _float(pot_raw.get("strength", 1.0)), _float(pot_raw.get("decay", 1.0)), table
         )
         params = ModelParams(
-            float(m["g"]), float(m["h"]), int(m["N"]), pot,
+            _float(m["g"]), _float(m["h"]), _int(m["N"]), pot,
             m.get("statistics", "distinguishable"),
         )
-        window = Window(int(w["L"]), int(w["interior_margin"]))
-        cast = {"theta_list": tuple, "shell_stat": str, "fit_range": tuple, "rate_halfwidth": int}
+        window = Window(_int(w["L"]), _int(w["interior_margin"]))
+        cast = {
+            "theta_list": lambda v: tuple(map(_float, v)),
+            "shell_stat": str,
+            "fit_range": lambda v: tuple(map(_int, v)),
+            "rate_halfwidth": _int,
+        }
         probe = localization.DecayProbe(**{k: cast[k](v) for k, v in probes.items()})
         propagator = dynamics.PropagatorConfig(
-            float(dyn.get("t_max", 50.0)), int(dyn.get("samples", 200))
+            _float(dyn.get("t_max", 50.0)), _int(dyn.get("samples", 200))
         )
-        radii = [int(r) for r in dyn.get("radii", [2, 4, 6])]
-        sites = tuple(dyn.get("initial_sites", (0,) * params.N))
+        radii = [_int(r) for r in dyn.get("radii", [2, 4, 6])]
+        sites = tuple(map(_int, dyn.get("initial_sites", (0,) * params.N)))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid {task} config: {exc}") from exc
-    if len(sites) != params.N or not all(type(x) is int and abs(x) < window.L for x in sites):
+    if len(sites) != params.N or not all(abs(x) < window.L for x in sites):
         raise ConfigError(
             f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
             f"{window.L}, not {list(sites)}"
@@ -209,6 +228,15 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
+    """A solve's manifest entry: its sector split and its residual and orthogonality bounds."""
+    return dict(
+        sol.sectors,
+        residual_max=float(sol.residuals.max()),
+        orthogonality_defect=sol.orthogonality_defect,
+    )
+
+
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
     """Build, export if asked, and diagonalize H; return the result and its interior mask."""
     with stage("model.build_hamiltonian"):
@@ -218,12 +246,10 @@ def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> 
     with stage("spectra.eigh"):
         res = spectra.eigh(op)
     del op
-    diagnostics["eigh"] = dict(
-        res.sectors, residual_max=res.residual_max, orthogonality_defect=res.orthogonality_defect
-    )
-    checks["diagonalization_residual"] = res.residual_max <= 1e-8
+    diagnostics["eigh"] = _eigh_diagnostics(res)
+    checks["diagonalization_residual"] = diagnostics["eigh"]["residual_max"] <= 1e-8
     with stage("spectra.interior_mask"):
-        return res, spectra.interior_mask(res, cfg.params)
+        return res, spectra.interior_mask(res.eigenvectors, cfg.params, cfg.window, cfg.basis)
 
 
 def _task_spectrum(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
@@ -400,7 +426,7 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         fh.write("\n")
     blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
     diagnostics["block_eigh"] = {
-        str(k): f.sectors for k, f in blocks.items() if f.vectors is not None
+        str(k): _eigh_diagnostics(f) for k, f in blocks.items() if f.eigenvectors is not None
     }
     diagnostics["compactness_svd"] = rep.sectors
     write_csv(
@@ -423,7 +449,7 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, st
     p1 = ModelParams(1.0, 0.5, 1)
     w1 = Window(12, 4)
     res = spectra.eigh(model.build_hamiltonian(p1, w1, cfg.basis))
-    interior = res.eigenvalues[spectra.interior_mask(res, p1)]
+    interior = res.eigenvalues[spectra.interior_mask(res.eigenvectors, p1, w1, cfg.basis)]
     checks["ladder"] = bool(
         np.abs(interior - np.round(interior)).max() <= 1e-8
     )

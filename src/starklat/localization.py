@@ -50,7 +50,7 @@ class DecayProbe:
             raise ValueError("theta_list must be nonempty and positive")
         if self.shell_stat not in ("max", "l2"):
             raise ValueError(f"unknown shell statistic {self.shell_stat!r}")
-        if self.fit_range[0] > self.fit_range[1] or self.fit_range[0] < 0:
+        if len(self.fit_range) != 2 or not 0 <= self.fit_range[0] <= self.fit_range[1]:
             raise ValueError("bad fit_range")
         if self.rate_halfwidth < 1:
             raise ValueError("rate_halfwidth must be >= 1")

@@ -37,8 +37,8 @@ from .spectra import (
     DENSE_CAP,
     ClusterDecomposition,
     SectorEigh,
+    eigh,
     enumerate_set_partitions,
-    sector_eigh,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -178,18 +178,17 @@ class ResolventWorkspace:
     def block(self, k: int) -> SectorEigh:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        Solved in the S_N sectors, with the sector solve's upper bounds for
-        the full H^(k) and the lifted U. A diagonal H^(k) has U = 1 exactly:
-        its diagonal in index order, `vectors` None and zero defects.
+        `spectra.eigh` of H^(k), unless H^(k) is diagonal: then U = 1 exactly,
+        with its diagonal in index order, `eigenvectors` None and zero defects.
         """
         key = ("U", k)
         if key not in self.cache:
-            h = build_hamiltonian(self.params.with_n(k), self.window, self.basis).toarray()
-            if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)):
-                eps = np.diagonal(h).copy()
-                self.cache[key] = SectorEigh(eps, None, np.zeros_like(eps), 0.0, 0.0, {})
+            op = build_hamiltonian(self.params.with_n(k), self.window, self.basis)
+            diag = op.matrix.diagonal()
+            if np.count_nonzero(op.matrix.data) == np.count_nonzero(diag):
+                self.cache[key] = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
-                self.cache[key] = sector_eigh(h, self.window.n_sites, k)
+                self.cache[key] = eigh(op)
         return self.cache[key]
 
     def two_site(self) -> np.ndarray:
@@ -211,7 +210,7 @@ class ResolventWorkspace:
         energy = np.zeros((d,) * n)
         for legs, f in blocks:
             others = tuple(ax for ax in range(n) if ax not in legs)
-            energy = energy + np.expand_dims(f.values.reshape((d,) * len(legs)), others)
+            energy = energy + np.expand_dims(f.eigenvalues.reshape((d,) * len(legs)), others)
         # gated before dividing, so a z on the spectrum raises and does not warn
         gap = z - energy
         dist = float(np.abs(gap).min())
@@ -237,12 +236,12 @@ class ResolventWorkspace:
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
         for legs, b in f.blocks:
-            if b.vectors is not None:
-                x = apply_on_legs(b.vectors.T, x, legs, d, n)
+            if b.eigenvectors is not None:
+                x = apply_on_legs(b.eigenvectors.T, x, legs, d, n)
         x = f.delta[:, None] * x
         for legs, b in f.blocks:
-            if b.vectors is not None:
-                x = apply_on_legs(b.vectors, x, legs, d, n)
+            if b.eigenvectors is not None:
+                x = apply_on_legs(b.eigenvectors, x, legs, d, n)
         return x
 
     def apply_coupling(
@@ -394,7 +393,7 @@ def functional_equation(
         d,
         i,
         _frobenius(r),
-        float(np.abs(z - ws.block(n).values).min()),
+        float(np.abs(z - ws.block(n).eigenvalues).min()),
         max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
     )
 
@@ -451,7 +450,7 @@ def fredholm_probe(
 ) -> list:
     """Locate z with 1 in the spectrum of I(z); flags should track eigenvalues of H."""
     ws = ws or ResolventWorkspace(params, window)
-    h_eigs = ws.block(params.N).values
+    h_eigs = ws.block(params.N).eigenvalues
     out = []
     for z in z_grid:
         # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,18 +28,6 @@ KRYLOV_K_MAX = 64
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
 PERIODICITY_TOL = 1e-6
-
-
-@dataclass
-class SpectralResult:
-    basis_tag: str
-    window: Window
-    n_particles: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual_max: float
-    orthogonality_defect: float  # an upper bound on ||V^T V - 1||_F
-    sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of a dense solve
 
 
 @dataclass(frozen=True)
@@ -95,33 +83,34 @@ def boundary_shell_mass(vectors: np.ndarray, window: Window, n_particles: int) -
     return (np.abs(v[mask, :]) ** 2).sum(axis=0)
 
 
-def interior_mask(result: SpectralResult, params: ModelParams) -> np.ndarray:
-    """Eigenvectors negligible at the truncation face in both representations.
+def interior_mask(
+    vectors: np.ndarray, params: ModelParams, window: Window, basis: str
+) -> np.ndarray:
+    """Columns of `vectors` negligible at the truncation face in both representations.
 
-    A single-representation test admits states that look interior in the
-    stark window but lean on the position face (or vice versa); those carry
+    Each column is a params.N-particle state on `window`, in `basis`. A
+    single-representation test admits states that look interior in the stark
+    window but lean on the position face (or vice versa); those carry
     truncation errors far above the eigenvalue tolerances, so the face mass
     is required to be small both natively and after the Bessel transform.
     """
-    xi = stark_basis_matrix(params, result.window)
-    if result.basis_tag == "stark":
-        other = transform_columns(result.eigenvectors, xi, result.n_particles)
-    else:
-        other = transform_columns(result.eigenvectors, xi.T, result.n_particles)
-    m_native = boundary_shell_mass(result.eigenvectors, result.window, result.n_particles)
-    m_other = boundary_shell_mass(other, result.window, result.n_particles)
+    n = params.N
+    xi = stark_basis_matrix(params, window)
+    other = transform_columns(vectors, xi if basis == "stark" else xi.T, n)
+    m_native = boundary_shell_mass(vectors, window, n)
+    m_other = boundary_shell_mass(other, window, n)
     return (m_native <= INTERIOR_TOL) & (m_other <= INTERIOR_TOL)
 
 
 class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
-    """Eigenpairs of a symmetric a, solved per symmetry sector, with bounds on the lifted pairs."""
+    """Eigenpairs of a symmetric a with bounds on the lifted pairs (measured by extremal_eigs)."""
 
-    values: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
-    vectors: Optional[np.ndarray]  # lifted, one sector per column; None: a diagonal, V = 1
+    eigenvalues: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
+    eigenvectors: Optional[np.ndarray]  # lifted, one sector per column; None: a diagonal, V = 1
     residuals: np.ndarray  # per column, >= ||a v - lambda v||
-    residual_norm: float  # >= ||a V - V diag(values)||_F
+    residual_norm: float  # >= ||a V - V diag(eigenvalues)||_F
     orthogonality_defect: float  # >= ||V^T V - 1||_F
-    sectors: dict  # SectorSplit.diagnostics
+    sectors: dict  # SectorSplit.diagnostics; {} for a Krylov solve (extremal_eigs)
 
 
 def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
@@ -212,27 +201,13 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
     )
 
 
-def eigh(op: OperatorMatrix) -> SpectralResult:
-    """Full dense symmetric eigendecomposition with residual diagnostics.
-
-    Solved in the S_N sectors (`sector_eigh`); residual_max and the
-    orthogonality defect are its bounds for the lifted eigenvectors.
-    """
+def eigh(op: OperatorMatrix) -> SectorEigh:
+    """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`)."""
     if op.dim > DENSE_CAP:
         raise CapacityError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
-    sol = sector_eigh(op.toarray(), op.window.n_sites, op.n_particles)
-    return SpectralResult(
-        op.basis_tag,
-        op.window,
-        op.n_particles,
-        sol.values,
-        sol.vectors,
-        float(sol.residuals.max()),
-        sol.orthogonality_defect,
-        sol.sectors,
-    )
+    return sector_eigh(op.toarray(), op.window.n_sites, op.n_particles)
 
 
 def extremal_eigs(
@@ -240,7 +215,7 @@ def extremal_eigs(
     k: int,
     which: str = "lowest",
     target: Optional[float] = None,
-) -> SpectralResult:
+) -> SectorEigh:
     """k extremal (or nearest-to-target) eigenpairs by a Krylov scheme."""
     if k > KRYLOV_K_MAX:
         raise CapacityError(f"k must be <= {KRYLOV_K_MAX}")
@@ -261,9 +236,7 @@ def extremal_eigs(
     vals, vecs = vals[order], vecs[:, order]
     resid = np.array([np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(k)])
     ortho = _frobenius(vecs.T @ vecs - np.eye(k))
-    return SpectralResult(
-        op.basis_tag, op.window, op.n_particles, vals, vecs, float(resid.max()), ortho
-    )
+    return SectorEigh(vals, vecs, resid, float(np.linalg.norm(resid)), ortho, {})
 
 
 def enumerate_set_partitions(n: int) -> list:
@@ -313,7 +286,7 @@ def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:
     interior_spectra = {}
     for n_sub in needed:
         res = eigh(build_hamiltonian(params.with_n(n_sub), window, "stark"))
-        mask = interior_mask(res, params.with_n(n_sub))
+        mask = interior_mask(res.eigenvectors, params.with_n(n_sub), window, "stark")
         interior_spectra[n_sub] = res.eigenvalues[mask]
     points = []
     gens = []
@@ -352,10 +325,10 @@ class PeriodicityReport:
 
 
 def spectral_periodicity_check(
-    result: SpectralResult, shift: float, params: ModelParams
+    result: SectorEigh, shift: float, params: ModelParams, window: Window, basis: str
 ) -> PeriodicityReport:
     """Interior spectrum invariance under the lattice energy shift 2hN."""
-    mask = interior_mask(result, params)
+    mask = interior_mask(result.eigenvectors, params, window, basis)
     ev = np.sort(result.eigenvalues[mask])
     if ev.size < 3:
         return PeriodicityReport(shift, 0, np.inf, None, False)

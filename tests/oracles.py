@@ -113,7 +113,7 @@ def position_decay_check(
     return PositionDecayReport(shell, com_rep, float(mismatch))
 
 
-def gram_defect(result: spectra.SpectralResult) -> float:
+def gram_defect(result: spectra.SectorEigh) -> float:
     """max |V^T V - 1| over the entries, for the eigenvectors V of a spectral result."""
     g = result.eigenvectors.T @ result.eigenvectors
     return float(np.abs(g - np.eye(g.shape[0])).max())

@@ -94,7 +94,10 @@ def test_load_config_rejects_bad_physics(tmp_path):
         with pytest.raises(cli.ConfigError, match="z_grid"):
             cli.load_config(str(p))
         assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_CONFIG
-    # every probes and dynamics value is parsed before the output dir is made
+    # every section value is parsed and checked before the output dir is made:
+    # an integer field takes a number equal to an integer, a float field a
+    # finite number, and neither a bool or a string
+    nan, inf = float("nan"), float("inf")
     bad_sections = [
         ("localization", 1, {"probes": {"shell_stat": "sup"}}),
         ("localization", 1, {"probes": {"fit_range": [10, 4]}}),
@@ -106,10 +109,24 @@ def test_load_config_rejects_bad_physics(tmp_path):
         ("evolve", 2, {"dynamics": {"initial_sites": [0, 9]}}),  # outside the window
         ("evolve", 2, {"dynamics": {"initial_sites": [0, 6]}}),  # on the face
         ("evolve", 2, {"dynamics": {"initial_sites": [0]}}),  # one site for two particles
+        ("spectrum", 1, {"window": {"L": 8.5, "interior_margin": 2}}),
+        ("spectrum", 1, {"model": {"g": 1.0, "h": 0.5, "N": 1.9}}),
+        ("spectrum", 1, {"model": {"g": 1.0, "h": 0.5, "N": True}}),
+        ("evolve", 2, {"dynamics": {"samples": 2.5}}),
+        ("localization", 1, {"probes": {"rate_halfwidth": 4.5}}),
+        ("evolve", 2, {"dynamics": {"radii": [2.7]}}),
+        ("localization", 1, {"probes": {"fit_range": [4, 12, 99]}}),
+        ("localization", 1, {"probes": {"fit_range": [4.5, 12]}}),
+        ("localization", 1, {"probes": {"theta_list": [nan]}}),
+        ("spectrum", 1, {"model": {"g": 1.0, "h": inf, "N": 1}}),
+        ("spectrum", 1, {"model": {"g": "1.0", "h": 0.5, "N": 1}}),
+        ("spectrum", 1, {"model": {"g": nan, "h": 0.5, "N": 1}}),
+        ("evolve", 2, {"dynamics": {"t_max": nan}}),
+        ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {"strength": inf}}}),
     ]
     for task, n, section in bad_sections:
-        write_config(p, task=task, model={"g": 1.0, "h": 0.5, "N": n},
-                     window={"L": 6, "interior_margin": 2}, **section)
+        base = {"model": {"g": 1.0, "h": 0.5, "N": n}, "window": {"L": 6, "interior_margin": 2}}
+        write_config(p, task=task, **{**base, **section})
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(p))
         assert cli.main([task, "--config", str(p)]) == cli.EXIT_CONFIG
@@ -587,7 +604,8 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     diag = manifests["resolvent-check"]["diagnostics"]
     # N = 2: the chain tree is its root alone
     assert diag["expansion"] == {"chains": 1, "representatives": 1, "even_potential": True}
-    # the stark H^(1) is diagonal, so only H^(2) is solved
+    # the stark H^(1) is diagonal, so only H^(2) is solved; it reports what eigh does
     assert set(diag["block_eigh"]) == {"2"}
+    assert set(diag["block_eigh"]["2"]) == set(eigh)
     for entry in (diag["block_eigh"]["2"], diag["compactness_svd"]):
         assert entry["sector_dims"] == [153, 136] and 0.0 <= entry["cross_norm"] <= 1e-10

@@ -141,10 +141,10 @@ def test_resolvent_cache_reused(pair_ws):
     # a block is the SectorEigh of its solve; the stark H^(1) is diagonal, so
     # U = 1 is kept implicit, with zero defects
     one, two = ws.block(1), ws.block(2)
-    assert isinstance(two, spectra.SectorEigh) and two.vectors.shape == (ws.dim, ws.dim)
-    assert isinstance(one, spectra.SectorEigh) and one.vectors is None
+    assert isinstance(two, spectra.SectorEigh) and two.eigenvectors.shape == (ws.dim, ws.dim)
+    assert isinstance(one, spectra.SectorEigh) and one.eigenvectors is None
     assert one.residual_norm == one.orthogonality_defect == 0.0
-    assert not one.residuals.any() and one.residuals.shape == one.values.shape
+    assert not one.residuals.any() and one.residuals.shape == one.eigenvalues.shape
 
 
 def test_build_I_n2_closed_form(pair_ws):
@@ -305,11 +305,12 @@ def _perturbed_workspace(basis, size):
     for k in (1, 2, 3):
         f = ws.block(k)
         h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
-        eye = np.eye(f.values.size)
-        u = (eye if f.vectors is None else f.vectors) + size * rng.standard_normal(h.shape)
+        eye = np.eye(f.eigenvalues.size)
+        u = eye if f.eigenvectors is None else f.eigenvectors
+        u = u + size * rng.standard_normal(h.shape)
         ws.cache[("U", k)] = f._replace(
-            vectors=u,
-            residual_norm=np.linalg.norm(h @ u - u * f.values),
+            eigenvectors=u,
+            residual_norm=np.linalg.norm(h @ u - u * f.eigenvalues),
             orthogonality_defect=np.linalg.norm(u.T @ u - eye),
         )
     return ws
@@ -366,7 +367,7 @@ def test_sector_svd_of_I_matches_full(basis, n, L, pot):
     for k in range(2, n + 1):
         f = ws.block(k)
         assert f.sectors["sector_dims"] == sector_dims(w.n_sites, k)
-        assert np.all(np.diff(f.values) >= 0.0)
+        assert np.all(np.diff(f.eigenvalues) >= 0.0)
         assert f.orthogonality_defect <= 1e-12 and f.residual_norm <= 1e-10
 
 
@@ -378,10 +379,16 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
     ws = rsv.ResolventWorkspace(p, w, basis)
     for k in range(2, n + 1):
         f = ws.block(k)
-        h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
-        v = f.vectors
-        assert f.residual_norm >= np.linalg.norm(h @ v - v * f.values)
-        assert f.orthogonality_defect >= np.linalg.norm(v.T @ v - np.eye(f.values.size))
+        op = model.build_hamiltonian(p.with_n(k), w, basis)
+        # a block is the one dense solve, spectra.eigh of H^(k), bit for bit
+        want = spectra.eigh(op)
+        for name, got, exp in zip(f._fields, f, want):
+            same = got.tobytes() == exp.tobytes() if isinstance(got, np.ndarray) else got == exp
+            assert same, name
+        h = op.toarray()
+        v = f.eigenvectors
+        assert f.residual_norm >= np.linalg.norm(h @ v - v * f.eigenvalues)
+        assert f.orthogonality_defect >= np.linalg.norm(v.T @ v - np.eye(f.eigenvalues.size))
 
 
 def test_sector_svd_one_sector():

@@ -63,9 +63,9 @@ def test_eigh_single_particle_ladder():
     p = ModelParams(g=1.0, h=0.5, N=1)
     w = Window(L=20, interior_margin=7)
     res = spectra.eigh(model.build_hamiltonian(p, w, "position"))
-    assert res.residual_max <= 1e-10
+    assert res.residuals.max() <= 1e-10
     assert oracles.gram_defect(res) <= 1e-12
-    mask = spectra.interior_mask(res, p)
+    mask = spectra.interior_mask(res.eigenvectors, p, w, "position")
     interior = np.sort(res.eigenvalues[mask])
     target = -2.0 * p.h * np.round(interior / (-2.0 * p.h))
     assert np.abs(interior - target).max() <= 1e-8
@@ -91,6 +91,10 @@ def test_extremal_matches_dense(params2):
     tgt = spectra.extremal_eigs(op, 3, "target", target=0.05)
     near = dense.eigenvalues[np.argsort(np.abs(dense.eigenvalues - 0.05))[:3]]
     assert np.abs(np.sort(tgt.eigenvalues) - np.sort(near)).max() <= 1e-8
+    # a Krylov solve is a SectorEigh with no sector split
+    for sol in (lo, hi, tgt):
+        assert isinstance(sol, spectra.SectorEigh) and sol.sectors == {}
+        assert sol.residual_norm == np.linalg.norm(sol.residuals)
 
 
 def test_padded_transform_gram():
@@ -139,7 +143,7 @@ def test_interior_mask_g0():
     p = ModelParams(g=0.0, h=0.5, N=1)
     w = Window(L=4, interior_margin=1)
     res = spectra.eigh(model.build_hamiltonian(p, w, "position"))
-    mask = spectra.interior_mask(res, p)
+    mask = spectra.interior_mask(res.eigenvectors, p, w, "position")
     # at g = 0 the eigenvectors are lattice deltas; only the face sites fail
     assert mask.sum() == w.n_sites - 2
 
@@ -148,8 +152,10 @@ def test_basis_equivalence_interior(params2):
     w = Window(L=14, interior_margin=5)
     res_p = spectra.eigh(model.build_hamiltonian(params2, w, "position"))
     res_s = spectra.eigh(model.build_hamiltonian(params2, w, "stark"))
-    ev_p = np.sort(res_p.eigenvalues[spectra.interior_mask(res_p, params2)])
-    ev_s = np.sort(res_s.eigenvalues[spectra.interior_mask(res_s, params2)])
+    mask_p = spectra.interior_mask(res_p.eigenvectors, params2, w, "position")
+    mask_s = spectra.interior_mask(res_s.eigenvectors, params2, w, "stark")
+    ev_p = np.sort(res_p.eigenvalues[mask_p])
+    ev_s = np.sort(res_s.eigenvalues[mask_s])
     assert ev_p.size >= 10
     dev = max(float(np.min(np.abs(res_s.eigenvalues - e))) for e in ev_p)
     assert dev <= 1e-8
@@ -191,7 +197,7 @@ def test_periodicity_interacting(params2):
     res = spectra.eigh(model.build_hamiltonian(params2, w, "stark"))
     shift = 2.0 * params2.h * params2.N
     for s in (shift, -shift):
-        rep = spectra.spectral_periodicity_check(res, s, params2)
+        rep = spectra.spectral_periodicity_check(res, s, params2, w, "stark")
         assert rep.passed, rep
         assert rep.max_deviation <= 1e-6
 
@@ -200,7 +206,7 @@ def test_periodicity_free_exact():
     p = ModelParams(g=0.0, h=0.5, N=2)
     w = Window(L=6, interior_margin=2)
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
-    rep = spectra.spectral_periodicity_check(res, 2.0, p)
+    rep = spectra.spectral_periodicity_check(res, 2.0, p, w, "stark")
     assert rep.passed and rep.max_deviation <= 1e-12
 
 
@@ -249,7 +255,7 @@ def test_sector_eigh_matches_full(basis, n, L, pot):
     tol = 1e-12 * max(1.0, np.abs(want).max()) + cross
     assert np.abs(res.eigenvalues - want).max() <= tol
     assert oracles.gram_defect(res) <= 1e-12
-    assert res.residual_max <= 1e-8  # the `spectrum` task's diagonalization gate
+    assert res.residuals.max() <= 1e-8  # the `spectrum` task's diagonalization gate
     # every lifted eigenvector is even or odd under the leg-0/1 swap, exactly
     v = res.eigenvectors
     swapped = v[swap_permutation(w, n)]
@@ -337,9 +343,9 @@ def test_sector_bounds_cover_full_matrix_defects(basis, n, L, pot):
     sol = spectra.sector_eigh(dense, w.n_sites, n)
     assert sol.sectors["sector_dims"] == sector_dims(w.n_sites, n)
     # in extended precision: a float dense @ V - V * lambda overstates large-|lambda| columns
-    vecs = sol.vectors.astype(np.longdouble)
-    resid = dense.astype(np.longdouble) @ vecs - vecs * sol.values.astype(np.longdouble)
-    gram = sol.vectors.T @ sol.vectors - np.eye(sol.values.size)
+    vecs = sol.eigenvectors.astype(np.longdouble)
+    resid = dense.astype(np.longdouble) @ vecs - vecs * sol.eigenvalues.astype(np.longdouble)
+    gram = sol.eigenvectors.T @ sol.eigenvectors - np.eye(sol.eigenvalues.size)
     assert sol.residuals.max() >= np.linalg.norm(resid, axis=0).max()
     assert sol.residual_norm >= np.linalg.norm(resid)
     assert sol.orthogonality_defect >= np.linalg.norm(gram)
@@ -352,7 +358,7 @@ def test_perturbed_eigenvector_trips_residual_gate(monkeypatch):
     p = ModelParams(g=1.0, h=0.5, N=2, potential=SYMMETRIC_POTENTIALS[0])
     w = Window(L=6, interior_margin=1)
     op = model.build_hamiltonian(p, w, "stark")
-    assert spectra.eigh(op).residual_max <= 1e-8
+    assert spectra.eigh(op).residuals.max() <= 1e-8
     solve = np.linalg.eigh
     rng = np.random.default_rng(0)
 
@@ -367,7 +373,7 @@ def test_perturbed_eigenvector_trips_residual_gate(monkeypatch):
     dense = op.toarray()
     measured = np.linalg.norm(dense @ res.eigenvectors - res.eigenvectors * res.eigenvalues, axis=0)
     assert measured.max() > 1e-8  # the kick is a real defect of the lifted vectors
-    assert res.residual_max >= measured.max() > 1e-8
+    assert res.residuals.max() >= measured.max() > 1e-8
     assert res.orthogonality_defect > 1e-8
 
 
@@ -384,7 +390,7 @@ def test_sector_eigh_one_sector(n, pot):
         assert res.sectors == {"sector_dims": [op.dim], "cross_norm": 0.0}
         want = np.linalg.eigvalsh(op.toarray())
         assert np.abs(res.eigenvalues - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        assert res.residual_max <= 1e-8
+        assert res.residuals.max() <= 1e-8
 
 
 def test_sector_split_refuses_cross_coupling_above_constant():
@@ -407,7 +413,7 @@ def test_sector_split_refuses_cross_coupling_above_constant():
             assert split.cross_norm == pytest.approx(eps, rel=1e-3)
             sol = spectra.sector_eigh(b, d, 2)
             want = np.linalg.eigvalsh(b)
-            assert np.abs(sol.values - want).max() <= 1e-12 * max(
+            assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * max(
                 1.0, np.abs(want).max()
             ) + sol.sectors["cross_norm"]
         else:

@@ -138,7 +138,12 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"potential kind {kind!r} does not read {sorted(unread)}")
         table = pot_raw.get("table")
         if table is not None:
-            table = {int(k): _float(v) for k, v in table.items()}
+            if not isinstance(table, dict):
+                raise ConfigError(f"potential.table must be an object, not {table!r}")
+            lags = {int(k): _float(v) for k, v in table.items()}
+            if len(lags) != len(table):
+                raise ConfigError(f"potential.table names a lag twice: {sorted(table)}")
+            table = lags
         pot = PairPotential(
             kind, _float(pot_raw.get("strength", 1.0)), _float(pot_raw.get("decay", 1.0)), table
         )
@@ -166,11 +171,16 @@ def load_config(path: str) -> RunConfig:
             f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
             f"{window.L}, not {list(sites)}"
         )
-    if dyn.get("symmetrized") and params.N != 2:
+    symmetrized = dyn.get("symmetrized", False)
+    if not isinstance(symmetrized, bool):
+        raise ConfigError(f"dynamics.symmetrized must be true or false, not {symmetrized!r}")
+    if symmetrized and params.N != 2:
         raise ConfigError(f"dynamics.symmetrized needs N = 2, not N = {params.N}")
+    output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, not {output_dir!r}")
     return RunConfig(
-        params, window, task, raw.get("output_dir", "."), basis, probe, propagator, radii,
-        sites, bool(dyn.get("symmetrized")),
+        params, window, task, output_dir, basis, probe, propagator, radii, sites, symmetrized,
         _z_grid(raw.get("resolvent", {}).get("z_grid", [[0.0, 8.0]])), raw,
     )
 
@@ -244,8 +254,10 @@ def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> 
     if cfg.export_matrices:
         op.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
-        res = spectra.eigh(op)
-    del op
+        a = spectra.dense_symmetric(op)
+        del op  # no reference to the sparse H through the dense solve
+        res = spectra.sector_eigh(a, cfg.window.n_sites, cfg.params.N)
+    del a
     diagnostics["eigh"] = _eigh_diagnostics(res)
     checks["diagonalization_residual"] = diagnostics["eigh"]["residual_max"] <= 1e-8
     with stage("spectra.interior_mask"):
@@ -425,8 +437,8 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
     blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
-    diagnostics["block_eigh"] = {
-        str(k): _eigh_diagnostics(f) for k, f in blocks.items() if f.eigenvectors is not None
+    diagnostics["block_eigh"] = {  # a diagonal H^(k) is not solved and has no sectors
+        str(k): _eigh_diagnostics(f) for k, f in blocks.items() if f.sectors
     }
     diagnostics["compactness_svd"] = rep.sectors
     write_csv(

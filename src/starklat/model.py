@@ -343,15 +343,25 @@ class Sector:
 
 @dataclass(frozen=True)
 class SectorSplit:
-    """Sectors a dense solve runs in, Q^T a Q in each, and what the split drops."""
+    """Sectors a dense solve runs in, the blocks it solves, and what the split drops.
+
+    Block j stands for Q_s^T a Q_s of each sector s in serves[j]: one sector,
+    or the N = 3 remainder pair, whose blocks agree up to the pair defect and
+    are replaced by their mean.
+    """
 
     sectors: tuple
     blocks: tuple
+    serves: tuple  # per block, the indices of the sectors it is solved for
     cross_norm: float  # Frobenius norm of the dropped off-diagonal blocks
     basis_defect: float = 0.0  # >= ||Q^T Q - 1||_2 over the stored columns of all sectors
+    pair_defect: Optional[float] = None  # ||B_odd - B_even||_F of the remainders; None: no pair
 
     def diagnostics(self) -> dict:
-        return {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
+        out = {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
+        if self.pair_defect is not None:
+            out["pair_defect"] = self.pair_defect
+        return out
 
 
 def _orthogonal_in_span(first: Optional[list], vectors: list) -> list:
@@ -382,6 +392,22 @@ def _unit_columns(vectors: list, size: int) -> np.ndarray:
     return cols
 
 
+def _odd_partner(v: list, keys: list, at: dict) -> list:
+    """The leg-0/1-odd part of P v on three legs, P the cyclic leg permutation (1, 2, 0).
+
+    At n = 3 both remainders are copies of the 2-dim standard irrep, in which
+    P turns by 120 degrees: for a unit even e the odd part of P e is sqrt(3)/2
+    times a unit odd o of the same copy. So the partners of orthogonal even
+    vectors are orthogonal, with 3 times their squared norm before the gcd is
+    divided out, and Q_odd^T a Q_odd = Q_even^T a Q_even for every a that
+    commutes with the leg permutations (Schur's lemma).
+    """
+    pv = [v[at[key[1:] + key[:1]]] for key in keys]
+    w = [x - pv[at[(key[1], key[0]) + key[2:]]] for x, key in zip(pv, keys)]
+    g = math.gcd(*w)
+    return [x // g for x in w]
+
+
 @functools.cache
 def _orbit_bases(n: int) -> tuple:
     """Local sector bases of the leg-permutation orbits of n >= 2 legs, one per orbit shape.
@@ -391,9 +417,11 @@ def _orbit_bases(n: int) -> tuple:
     (bit k: entries k and k + 1), and every orbit of a shape has the same
     local basis. Per shape: the sorted position on each leg of its arrangements
     in lexicographic order, and their columns L_s in the boson, fermion, even-
-    and odd-remainder sectors. The remainders come from exact Gram-Schmidt
-    inside the leg-0/1-even span after the boson column and inside the odd
-    span after the fermion column.
+    and odd-remainder sectors. The even remainder comes from exact Gram-Schmidt
+    inside the leg-0/1-even span after the boson column. At n = 3 the odd
+    remainder is its partner (`_odd_partner`), so the two remainder blocks of
+    a symmetric operator agree; at other n it is the Gram-Schmidt complement
+    of the fermion column in the odd span.
 
     Also returned, for the stored (rounded) columns: theta, the largest
     absolute row sum of L^T L - 1 over the shapes' square bases L, computed
@@ -437,13 +465,16 @@ def _orbit_bases(n: int) -> tuple:
             if size == math.factorial(n)
             else None
         )
+        remainder = _orthogonal_in_span(ones, even)
         local = tuple(
             _unit_columns(vectors, size)
             for vectors in (
                 [ones],
                 [] if signs is None else [signs],
-                _orthogonal_in_span(ones, even),
-                _orthogonal_in_span(signs, odd),
+                remainder,
+                [_odd_partner(v, keys, at) for v in remainder]
+                if n == 3
+                else _orthogonal_in_span(signs, odd),
             )
         )
         # exact Gram matrix of the rounded floats, on a common power-of-two scale
@@ -541,6 +572,11 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
     columns. If it is above SECTOR_TOL times ||a||_F (a non-symmetric v, say)
     the whole space is the one sector, as it is for n < 2. Beyond the blocks,
     memory is a few sector x dim arrays.
+
+    At n = 3 the two remainder blocks are copies (`_odd_partner`): if their
+    measured difference, the pair defect, is within SECTOR_TOL ||a||_F too,
+    one block, their mean, serves both; each remainder then drops half the
+    difference. Otherwise both are kept.
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
@@ -558,9 +594,22 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
             cross = math.hypot(cross, _frobenius(col[:start]), _frobenius(col[stop:]))
             del col
             start = stop
-        if cross <= SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks)):
-            return SectorSplit(sectors, tuple(blocks), cross, _orbit_bases(n)[1])
-    return SectorSplit((Sector(None, a.shape[0]),), (a,), 0.0)
+        tol = SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks))
+        if cross <= tol:
+            serves = [(s,) for s in range(len(sectors))]
+            pair = None
+            if n == 3 and d > 1:  # the last two sectors are the remainders
+                even, odd = blocks[-2:]
+                pair = _frobenius(odd - even)
+                if pair <= tol:
+                    even += odd
+                    even *= 0.5
+                    del blocks[-1], serves[-1]
+                    serves[-1] += (len(sectors) - 1,)
+            return SectorSplit(
+                sectors, tuple(blocks), tuple(serves), cross, _orbit_bases(n)[1], pair
+            )
+    return SectorSplit((Sector(None, a.shape[0]),), (a,), ((0,),), 0.0)
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:

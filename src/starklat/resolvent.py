@@ -8,8 +8,11 @@ H^(k) = U_k diag(eps_k) U_k^T per block size,
     G_D(z) = W diag(1 / (z - sum_b eps_b)) W^T,   W = (x)_b U_b,
 
 applied leg-wise; the couplings V_{D,D'} act on leg pairs through the one
-two-site operator. D(z) and I(z) come from a single pass over the chain tree,
-one chain per orbit of the particle relabellings that leave H invariant.
+two-site operator. The N-particle block, which only the full partition has,
+is applied from its S_N sector factors, G = sum_s Q_s Y_s diag(1 / (z - eps))
+Y_s^T Q_s^T, with no dim x dim U formed. D(z) and I(z) come from a single
+pass over the chain tree, one chain per orbit of the particle relabellings
+that leave H invariant.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import (
     CapacityError,
@@ -28,6 +32,7 @@ from .model import (
     PairPotential,
     Window,
     _frobenius,
+    _sparse_times,
     apply_on_legs,
     build_hamiltonian,
     split_by_symmetry,
@@ -37,8 +42,9 @@ from .spectra import (
     DENSE_CAP,
     ClusterDecomposition,
     SectorEigh,
-    eigh,
+    dense_symmetric,
     enumerate_set_partitions,
+    sector_eigh,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -151,7 +157,9 @@ class FactoredResolvent:
     """G_D(z) = W diag(delta) W^T, with W = (x)_b U_b over the blocks of D."""
 
     blocks: tuple  # (legs, SectorEigh of H^(k)) per block; legs sorted and 0-based
-    delta: np.ndarray  # 1 / (z - sum_b eps_b), flat over the window grid
+    # 1 / (z - sum_b eps_b), flat over the window grid; for the N-particle
+    # block, 1 / (z - eps) over its factors' values in factor order
+    delta: np.ndarray
     residual_bound: float  # upper bound on ||(z - H_D) G_D - 1||
 
 
@@ -178,8 +186,10 @@ class ResolventWorkspace:
     def block(self, k: int) -> SectorEigh:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        `spectra.eigh` of H^(k), unless H^(k) is diagonal: then U = 1 exactly,
-        with its diagonal in index order, `eigenvectors` None and zero defects.
+        `spectra.sector_eigh` of H^(k), unless H^(k) is diagonal: then U = 1
+        exactly, with its diagonal in index order, `eigenvectors` None, no
+        factors and zero defects. Blocks with k < N are lifted to their
+        d^k x d^k U; the k = N block keeps its sector factors.
         """
         key = ("U", k)
         if key not in self.cache:
@@ -188,7 +198,26 @@ class ResolventWorkspace:
             if np.count_nonzero(op.matrix.data) == np.count_nonzero(diag):
                 self.cache[key] = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
-                self.cache[key] = eigh(op)
+                a = dense_symmetric(op)
+                del op, diag  # no reference to the sparse H^(k) through the dense solve
+                self.cache[key] = sector_eigh(
+                    a, self.window.n_sites, k, lift=k < self.params.N
+                )
+        return self.cache[key]
+
+    def sector_columns(self) -> Optional[tuple]:
+        """(Q^T, Q) as CSR over the sectors the N-block's factors serve, in factor order.
+
+        None when the factors serve the one whole-space sector (Q = 1).
+        """
+        key = ("Q",)
+        if key not in self.cache:
+            qts = [s.qt for f in self.block(self.params.N).factors for s in f.sectors]
+            if qts[0] is None:
+                self.cache[key] = None
+            else:
+                qt = sp.vstack(qts, format="csr")
+                self.cache[key] = (qt, qt.T.tocsr())
         return self.cache[key]
 
     def two_site(self) -> np.ndarray:
@@ -207,10 +236,13 @@ class ResolventWorkspace:
         blocks = tuple(
             (tuple(i - 1 for i in legs), self.block(len(legs))) for legs in dec.canonical()
         )
-        energy = np.zeros((d,) * n)
-        for legs, f in blocks:
-            others = tuple(ax for ax in range(n) if ax not in legs)
-            energy = energy + np.expand_dims(f.eigenvalues.reshape((d,) * len(legs)), others)
+        if blocks[0][1].factors:  # the N-particle block
+            energy = np.concatenate([s.values for s in blocks[0][1].factors])
+        else:
+            energy = np.zeros((d,) * n)
+            for legs, f in blocks:
+                others = tuple(ax for ax in range(n) if ax not in legs)
+                energy = energy + np.expand_dims(f.eigenvalues.reshape((d,) * len(legs)), others)
         # gated before dividing, so a z on the spectrum raises and does not warn
         gap = z - energy
         dist = float(np.abs(gap).min())
@@ -232,9 +264,25 @@ class ResolventWorkspace:
         return self.cache[key]
 
     def apply_resolvent(self, dec: ClusterDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
-        """G_D(z) x = W diag(delta) W^T x, one block's legs at a time."""
+        """G_D(z) x = W diag(delta) W^T x, one block's legs at a time.
+
+        The N-particle block is applied from its sector factors instead: one
+        sparse Q^T product, then per solve Y^T, delta and Y on the rows of
+        every sector it serves (stacked, so a remainder pair is one batch),
+        then one sparse Q product.
+        """
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
+        factors = f.blocks[0][1].factors
+        if factors:
+            q = self.sector_columns()
+            x = (
+                np.array(x, dtype=complex, order="C")
+                if q is None
+                else _sparse_times(q[0], np.asarray(x, dtype=complex))
+            )
+            x = _solve_in_sectors(factors, f.delta, x)
+            return x if q is None else _sparse_times(q[1], x)
         for legs, b in f.blocks:
             if b.eigenvectors is not None:
                 x = apply_on_legs(b.eigenvectors.T, x, legs, d, n)
@@ -255,6 +303,27 @@ class ResolventWorkspace:
         for legs in rest:
             out += apply_on_legs(v2, x, legs, d, n)
         return out
+
+
+def _solve_in_sectors(factors: tuple, delta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Y diag(delta) Y^T on the rows of every sector each solve serves, in place.
+
+    x is a C-ordered complex block in sector coordinates (the factors'
+    sectors stacked in order); delta runs over the factors' values.
+    """
+    xr, start, first = x.view(np.float64), 0, 0
+    # one buffer for every solve's Y^T product: a fresh one per solve
+    # page-faulted on each call at dim 625 and made G slower than the lifted U
+    buf = np.empty(max(fac.values.size * len(fac.sectors) for fac in factors) * xr.shape[1])
+    for fac in factors:
+        m, r = fac.values.size, len(fac.sectors)
+        rows = xr[start : start + r * m].reshape(r, m, -1)
+        t = np.matmul(fac.vectors.T, rows, out=buf[: rows.size].reshape(rows.shape))
+        scaled = t.view(complex)
+        scaled *= delta[first : first + m, None]
+        np.matmul(fac.vectors, t, out=rows)
+        start, first = start + r * m, first + m
+    return x
 
 
 def even_potential(potential: PairPotential) -> bool:
@@ -419,10 +488,16 @@ def compactness_proxy(i_matrix: np.ndarray, tensor: tuple = (1, 1)) -> Compactne
 
     `tensor` = (d, n) says I(z) acts on the d^n tensor index; for n >= 2 the
     SVD runs in the S_N sectors, which moves each singular value by at most
-    the reported cross norm (and a relative basis defect of a few 1e-16).
+    the reported cross norm, plus half the pair defect when one SVD serves
+    both N = 3 remainders (and a relative basis defect of a few 1e-16).
     """
     split = split_by_symmetry(i_matrix, *tensor)
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in split.blocks])
+    s = np.concatenate(
+        [
+            np.tile(np.linalg.svd(b, compute_uv=False), len(serves))
+            for b, serves in zip(split.blocks, split.serves)
+        ]
+    )
     s = np.sort(s)[::-1]
     sectors = split.diagnostics()
     if s.size == 0 or s[0] == 0.0:
@@ -454,9 +529,15 @@ def fredholm_probe(
     out = []
     for z in z_grid:
         # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the
-        # dropped blocks are at most SECTOR_TOL ||I||_F, a roundoff-size change of I
+        # dropped blocks (and a pair's half difference) are at most
+        # SECTOR_TOL ||I||_F, a roundoff-size change of I
         split = split_by_symmetry(build_I(complex(z), ws), window.n_sites, params.N)
-        eigs = np.concatenate([np.linalg.eigvals(b) for b in split.blocks])
+        eigs = np.concatenate(
+            [
+                np.tile(np.linalg.eigvals(b), len(serves))
+                for b, serves in zip(split.blocks, split.serves)
+            ]
+        )
         j = int(np.argmin(np.abs(eigs - 1.0)))
         prox = float(np.abs(eigs[j] - 1.0))
         flagged = prox < FREDHOLM_THRESHOLD

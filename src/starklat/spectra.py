@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -102,29 +103,46 @@ def interior_mask(
     return (m_native <= INTERIOR_TOL) & (m_other <= INTERIOR_TOL)
 
 
+class SectorFactor(NamedTuple):
+    """One dense solve B = Y diag(values) Y^T, standing for Q_s^T a Q_s of each of its sectors."""
+
+    values: np.ndarray  # ascending
+    vectors: np.ndarray  # Y
+    sectors: tuple  # the model.Sector of each sector it serves, in split order
+
+
 class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
     """Eigenpairs of a symmetric a with bounds on the lifted pairs (measured by extremal_eigs)."""
 
     eigenvalues: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
-    eigenvectors: Optional[np.ndarray]  # lifted, one sector per column; None: a diagonal, V = 1
-    residuals: np.ndarray  # per column, >= ||a v - lambda v||
+    # lifted, one sector per column, in eigenvalue order; None: not lifted (see
+    # factors), or a diagonal a with V = 1 (no factors either)
+    eigenvectors: Optional[np.ndarray]
+    residuals: np.ndarray  # per eigenvalue, >= ||a v - lambda v||
     residual_norm: float  # >= ||a V - V diag(eigenvalues)||_F
     orthogonality_defect: float  # >= ||V^T V - 1||_F
     sectors: dict  # SectorSplit.diagnostics; {} for a Krylov solve (extremal_eigs)
+    # the SectorFactor of each solve when not lifted: V = [Q_s Y_s] over the
+    # sectors each serves, so a = sum_s Q_s Y_s diag(values) Y_s^T Q_s^T
+    factors: tuple = ()
 
 
-def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
+def sector_eigh(a: np.ndarray, d: int, n: int, lift: bool = True) -> SectorEigh:
     """Eigenpairs of a symmetric a on the d^n tensor index, solved per S_N sector.
 
     Each vector lies in one sector of `model.split_by_symmetry`, so it is
-    exactly even or odd under the leg-0/1 swap when the split is taken. The
-    residual and orthogonality of the lifted pairs are bounded from the sector
-    solves alone, so no dim x dim product with a is formed.
+    exactly even or odd under the leg-0/1 swap when the split is taken. A
+    block that serves the N = 3 remainder pair is solved once for both. With
+    `lift` the pairs come as the dim x dim `eigenvectors`; without, as the
+    per-solve `factors`, and nothing of size dim x dim is formed. The residual
+    and orthogonality of the lifted pairs are bounded from the sector solves
+    alone, so no dim x dim product with a is formed either way.
 
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
-    is solved through its symmetric part S_s; K_s is dropped with the blocks
-    C_ts = Q_t^T a Q_s. For y with S_s y - lambda y = rho,
+    is solved through the symmetric part S_s of its solve's block; K_s (the
+    skew part, and for a remainder half the pair difference) is dropped with
+    the blocks C_ts = Q_t^T a Q_s. For y with S_s y - lambda y = rho,
     Q^T (a - lambda) Q_s y = (rho + K_s y (+) C_.s y) - lambda Delta_.s y, so
 
         ||a Q_s y - lambda Q_s y|| <= kappa (||rho|| + (||K_s|| + ||C_.s||
@@ -139,38 +157,50 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
     leg permutations) Q = 1 and the bounds are the measured residual and
     Y^T Y - 1 of the symmetric part of a, plus its skew part.
     """
+    dim = a.shape[0]
     split = split_by_symmetry(a, d, n)
     theta = split.basis_defect
-    parts, rho, frob, gram, skew = [], [], [], [], []
-    for b in split.blocks:
+    factors, rho, frob, gram, skew = [], [], [], [], []
+    for b, serves in zip(split.blocks, split.serves):
         # eigh reads one triangle: solve the symmetric part and drop the skew part
-        skew.append(0.5 * _frobenius(b - b.T))
+        drop = 0.5 * _frobenius(b - b.T)
+        if len(serves) > 1:
+            # B_even, B_odd = M +- Delta with M = b, ||Delta||_F = pair_defect / 2:
+            # ||K_even||^2 + ||K_odd||^2 = 2 (||skew M||^2 + ||Delta||^2)
+            drop = math.sqrt(2.0) * math.hypot(drop, 0.5 * split.pair_defect)
+        skew.append(drop)
         b = b + b.T
         b *= 0.5
         w, y = np.linalg.eigh(b)
         r = b @ y
         r -= y * w
-        rho.append(np.sqrt(np.einsum("ij,ij->j", r, r)))
-        frob.append(_frobenius(r))
+        rho.extend([np.sqrt(np.einsum("ij,ij->j", r, r))] * len(serves))
+        frob.extend([_frobenius(r)] * len(serves))
         del r
         g = y.T @ y
         g.flat[:: w.size + 1] -= 1.0
-        gram.append(_frobenius(g))
+        gram.extend([_frobenius(g)] * len(serves))
         del g
-        parts.append((w, y))
-    vals = np.concatenate([w for w, _ in parts])
+        factors.append(SectorFactor(w, y, tuple(split.sectors[s] for s in serves)))
+    vals = np.concatenate([fac.values for fac in factors for _ in fac.sectors])
     rho = np.concatenate(rho)
-    e = np.concatenate([np.full(w.size, s.lift_error) for s, (w, _) in zip(split.sectors, parts)])
+    e = np.concatenate(
+        [np.full(fac.values.size, s.lift_error) for fac in factors for s in fac.sectors]
+    )
     order = np.argsort(vals, kind="stable")
-    vecs = np.empty(a.shape)
-    start = 0
-    for sector, (w, y) in zip(split.sectors, parts):
-        sector.lift(y, vecs[:, start : start + w.size])
-        start += w.size
-    # sort the columns a block of rows at a time: a whole-column scatter of
-    # each sector ran 3x slower at dim 1331
-    for i in range(0, a.shape[0], SORT_ROWS):
-        vecs[i : i + SORT_ROWS] = vecs[i : i + SORT_ROWS, order]
+    vecs = None
+    if lift:
+        vecs = np.empty((dim, dim))
+        start = 0
+        for fac in factors:
+            for sector in fac.sectors:
+                sector.lift(fac.vectors, vecs[:, start : start + fac.values.size])
+                start += fac.values.size
+        factors = ()
+        # sort the columns a block of rows at a time: a whole-column scatter of
+        # each sector ran 3x slower at dim 1331
+        for i in range(0, dim, SORT_ROWS):
+            vecs[i : i + SORT_ROWS] = vecs[i : i + SORT_ROWS, order]
     o = max(gram)
     nu = np.sqrt(1.0 + o)
     dropped = split.cross_norm + np.linalg.norm(skew)
@@ -180,11 +210,11 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
     # >= 1 - o, and ||a|| <= ||Q^-1||^2 ||Q^T a Q|| <= (max_s ||S_s|| + dropped) / (1 - theta)
     norm_s = (nu * lam.max() + max(frob)) / np.sqrt(1.0 - o) if o < 1.0 else np.inf
     norm_a = (norm_s + dropped) / (1.0 - theta)
-    lift = e * nu * (norm_a + lam) if e.any() else np.zeros_like(lam)
-    residuals = kappa * (rho + (dropped + theta * lam) * nu) + lift
+    lift_err = e * nu * (norm_a + lam) if e.any() else np.zeros_like(lam)
+    residuals = kappa * (rho + (dropped + theta * lam) * nu) + lift_err
     residual_norm = kappa * (
         np.linalg.norm(frob) + (dropped + theta * np.linalg.norm(lam)) * nu
-    ) + np.linalg.norm(lift)
+    ) + np.linalg.norm(lift_err)
     # V^T V - 1 = (Y^T Y - 1) + Y^T Delta Y + the cross terms of the lift rounding F,
     # with ||F||_F <= nu ||e||, ||Q Y|| <= sqrt(1 + theta) nu and ||Delta||_F <= theta sqrt(dim)
     f = np.linalg.norm(e)
@@ -198,16 +228,26 @@ def sector_eigh(a: np.ndarray, d: int, n: int) -> SectorEigh:
         float(residual_norm),
         float(orthogonality),
         split.diagnostics(),
+        tuple(factors),
     )
 
 
-def eigh(op: OperatorMatrix) -> SectorEigh:
-    """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`)."""
+def dense_symmetric(op: OperatorMatrix) -> np.ndarray:
+    """op as a dense array, after the capacity and symmetry gates of every dense solve."""
     if op.dim > DENSE_CAP:
         raise CapacityError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
-    return sector_eigh(op.toarray(), op.window.n_sites, op.n_particles)
+    return op.toarray()
+
+
+def eigh(op: OperatorMatrix) -> SectorEigh:
+    """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`).
+
+    The eigenvectors are lifted. `op` stays referenced through the solve; a
+    caller that can drop it calls `dense_symmetric`, then `sector_eigh`.
+    """
+    return sector_eigh(dense_symmetric(op), op.window.n_sites, op.n_particles)
 
 
 def extremal_eigs(

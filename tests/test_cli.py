@@ -71,7 +71,7 @@ def test_load_config_rejects_malformed(tmp_path):
         cli.load_config(str(p))
 
 
-def test_load_config_rejects_bad_physics(tmp_path):
+def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
     p = tmp_path / "c.json"
     write_config(p, model={"g": 1.0, "h": 0.0, "N": 1})
     with pytest.raises(cli.ConfigError):
@@ -123,14 +123,23 @@ def test_load_config_rejects_bad_physics(tmp_path):
         ("spectrum", 1, {"model": {"g": nan, "h": 0.5, "N": 1}}),
         ("evolve", 2, {"dynamics": {"t_max": nan}}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {"strength": inf}}}),
+        # a string is not a bool; two keys of one lag; a directory name is a string
+        ("evolve", 2, {"dynamics": {"symmetrized": "false", "initial_sites": [0, 1]}}),
+        ("evolve", 2, {"dynamics": {"symmetrized": 0, "initial_sites": [0, 1]}}),
+        ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
+            "kind": "tabulated", "table": {"1": 0.5, "01": 0.7}}}}),
+        ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
+            "kind": "tabulated", "table": [[1, 0.5]]}}}),
+        ("spectrum", 1, {"output_dir": 5}),
     ]
+    monkeypatch.chdir(tmp_path)  # where a numeric output_dir would be made
     for task, n, section in bad_sections:
         base = {"model": {"g": 1.0, "h": 0.5, "N": n}, "window": {"L": 6, "interior_margin": 2}}
         write_config(p, task=task, **{**base, **section})
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(p))
         assert cli.main([task, "--config", str(p)]) == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
     # the DecayProbe dataclass holds the only probe defaults
     write_config(p, task="localization")
     assert cli.load_config(str(p)).probe == localization.DecayProbe()
@@ -535,10 +544,10 @@ def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_
 
 
 def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
-    def broken(op):
+    def broken(a, d, n):
         raise RuntimeError("solver exploded")
 
-    monkeypatch.setattr(cli.spectra, "eigh", broken)
+    monkeypatch.setattr(cli.spectra, "sector_eigh", broken)
     p = tmp_path / "c.json"
     write_config(p)
     assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_ASSERT
@@ -609,3 +618,20 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     assert set(diag["block_eigh"]["2"]) == set(eigh)
     for entry in (diag["block_eigh"]["2"], diag["compactness_svd"]):
         assert entry["sector_dims"] == [153, 136] and 0.0 <= entry["cross_norm"] <= 1e-10
+    # N = 3: the two remainders are solved once, and the manifest gives their pair defect
+    p = tmp_path / "n3.json"
+    write_config(p, task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},
+                 window={"L": 2, "interior_margin": 1}, resolvent={"z_grid": [[0.5, 8.0]]})
+    # the 5-site window is too small for the compactness criterion; the manifest is complete
+    code = cli.main(["resolvent-check", "--config", str(p), "--out", str(tmp_path / "n3")])
+    manifest = json.loads((tmp_path / "n3" / "manifest.json").read_text())
+    assert code == cli.EXIT_ASSERT and manifest["complete"]
+    assert manifest["checks"] == {"functional_equation": True, "compactness_proxy": False}
+    diag = manifest["diagnostics"]
+    assert set(diag["block_eigh"]) == {"2", "3"}
+    assert set(diag["block_eigh"]["2"]) == set(eigh)
+    assert set(diag["block_eigh"]["3"]) == set(eigh) | {"pair_defect"}
+    assert set(diag["compactness_svd"]) == {"sector_dims", "cross_norm", "pair_defect"}
+    for entry in (diag["block_eigh"]["3"], diag["compactness_svd"]):
+        assert entry["sector_dims"] == [35, 10, 40, 40]
+        assert 0.0 <= entry["cross_norm"] <= 1e-10 and 0.0 <= entry["pair_defect"] <= 1e-10

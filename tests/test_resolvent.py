@@ -139,10 +139,12 @@ def test_resolvent_cache_reused(pair_ws):
     assert a is b
     assert ws.block(2) is ws.block(2)
     # a block is the SectorEigh of its solve; the stark H^(1) is diagonal, so
-    # U = 1 is kept implicit, with zero defects
+    # U = 1 is kept implicit, with zero defects; the N-particle block keeps its
+    # sector factors, one per solve, and is not lifted
     one, two = ws.block(1), ws.block(2)
-    assert isinstance(two, spectra.SectorEigh) and two.eigenvectors.shape == (ws.dim, ws.dim)
-    assert isinstance(one, spectra.SectorEigh) and one.eigenvectors is None
+    assert isinstance(two, spectra.SectorEigh) and two.eigenvectors is None
+    assert sum(f.values.size * len(f.sectors) for f in two.factors) == ws.dim
+    assert isinstance(one, spectra.SectorEigh) and one.eigenvectors is None and not one.factors
     assert one.residual_norm == one.orthogonality_defect == 0.0
     assert not one.residuals.any() and one.residuals.shape == one.eigenvalues.shape
 
@@ -296,8 +298,8 @@ def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
 
 
 def _perturbed_workspace(basis, size):
-    # block eigenvectors off by ~size, far above rounding, so the residual
-    # bound is exercised by a real defect
+    # block eigenvectors (the N-block's sector factors) off by ~size, far
+    # above rounding, so the residual bound is exercised by a real defect
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("exponential", 0.8, 0.7))
     w = Window(L=3, interior_margin=1)
     ws = rsv.ResolventWorkspace(p, w, basis)
@@ -306,11 +308,21 @@ def _perturbed_workspace(basis, size):
         f = ws.block(k)
         h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
         eye = np.eye(f.eigenvalues.size)
-        u = eye if f.eigenvectors is None else f.eigenvectors
-        u = u + size * rng.standard_normal(h.shape)
+        if f.factors:
+            factors = tuple(
+                s._replace(vectors=s.vectors + size * rng.standard_normal(s.vectors.shape))
+                for s in f.factors
+            )
+            u = np.hstack([q.qt.T @ s.vectors for s in factors for q in s.sectors])
+            eps = np.concatenate([s.values for s in factors for _ in s.sectors])
+            f = f._replace(factors=factors)
+        else:
+            u = eye if f.eigenvectors is None else f.eigenvectors
+            u = u + size * rng.standard_normal(h.shape)
+            eps = f.eigenvalues
+            f = f._replace(eigenvectors=u)
         ws.cache[("U", k)] = f._replace(
-            eigenvectors=u,
-            residual_norm=np.linalg.norm(h @ u - u * f.eigenvalues),
+            residual_norm=np.linalg.norm(h @ u - u * eps),
             orthogonality_defect=np.linalg.norm(u.T @ u - eye),
         )
     return ws
@@ -380,8 +392,19 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
     for k in range(2, n + 1):
         f = ws.block(k)
         op = model.build_hamiltonian(p.with_n(k), w, basis)
-        # a block is the one dense solve, spectra.eigh of H^(k), bit for bit
+        # a block is the one dense solve, spectra.eigh of H^(k), bit for bit;
+        # the N-block is not lifted, and keeps its factors instead
         want = spectra.eigh(op)
+        if k == n:
+            factors = spectra.sector_eigh(op.toarray(), w.n_sites, k, lift=False).factors
+            assert f.eigenvectors is None and len(f.factors) == len(factors)
+            for got, exp in zip(f.factors, factors):
+                assert got.values.tobytes() == exp.values.tobytes()
+                assert got.vectors.tobytes() == exp.vectors.tobytes()
+                for a, b in zip(got.sectors, exp.sectors, strict=True):
+                    assert (a.dim, a.lift_error) == (b.dim, b.lift_error)
+                    assert (a.qt != b.qt).nnz == 0
+            f = f._replace(eigenvectors=want.eigenvectors, factors=())
         for name, got, exp in zip(f._fields, f, want):
             same = got.tobytes() == exp.tobytes() if isinstance(got, np.ndarray) else got == exp
             assert same, name
@@ -389,6 +412,47 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
         v = f.eigenvectors
         assert f.residual_norm >= np.linalg.norm(h @ v - v * f.eigenvalues)
         assert f.orthogonality_defect >= np.linalg.norm(v.T @ v - np.eye(f.eigenvalues.size))
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_factored_n_block_matches_solve(basis, L):
+    # the N-particle G is applied from its sector factors, one solve per irrep
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=SECTOR_POTENTIALS[0])
+    w = Window(L=L, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    block = ws.block(3)
+    assert block.eigenvectors is None
+    assert [len(f.sectors) for f in block.factors] == [1, 1, 2]
+    h = model.build_hamiltonian(p, w, basis).toarray()
+    full = ClusterDecomposition(((1, 2, 3),))
+    rng = np.random.default_rng(L)
+    x = rng.standard_normal((ws.dim, 4)) + 1j * rng.standard_normal((ws.dim, 4))
+    before = x.copy()
+    for z in (0.5 + 1j, -0.5 + 8j, 0.25 + 0.2j):
+        want = np.linalg.solve(z * np.eye(ws.dim) - h, x)
+        got = ws.apply_resolvent(full, z, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # a real block is applied as a complex one
+        real = ws.apply_resolvent(full, z, x.real.copy())
+        assert np.linalg.norm(real - np.linalg.solve(z * np.eye(ws.dim) - h, x.real)) <= (
+            1e-12 * np.linalg.norm(want)
+        )
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_paired_svd_of_I_matches_full(basis, L):
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=SECTOR_POTENTIALS[0])
+    w = Window(L=L, interior_margin=1)
+    ws = rsv.ResolventWorkspace(p, w, basis)
+    i_mat = rsv.build_I(0.5 + 1j, ws)
+    rep = rsv.compactness_proxy(i_mat, tensor=(w.n_sites, 3))
+    assert rep.sectors["sector_dims"] == sector_dims(w.n_sites, 3)
+    assert 0.0 < rep.sectors["pair_defect"] <= model.SECTOR_TOL * np.linalg.norm(i_mat)
+    want = np.linalg.svd(i_mat, compute_uv=False)
+    assert np.abs(rep.singular_values - want).max() <= 1e-12 * want[0]
 
 
 def test_sector_svd_one_sector():

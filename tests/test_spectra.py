@@ -393,6 +393,72 @@ def test_sector_eigh_one_sector(n, pot):
         assert res.residuals.max() <= 1e-8
 
 
+def served_values(sol):
+    """The factors' values, once per sector each solve serves."""
+    return np.concatenate([f.values for f in sol.factors for _ in f.sectors])
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_paired_remainder_solve_matches_full(basis, L):
+    # at N = 3 the two remainders are copies of the standard irrep: one solve serves both
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=SYMMETRIC_POTENTIALS[0])
+    w = Window(L=L, interior_margin=1)
+    op = model.build_hamiltonian(p, w, basis)
+    dense = op.toarray()
+    d = w.n_sites
+    sectors = model.symmetry_sectors(d, 3)
+    even, odd = (s.qt.T.toarray() for s in sectors[2:])
+    # the odd columns are the partners of the even ones: J = (2/sqrt 3) Q_odd^T P Q_even
+    # is the identity for the cyclic leg permutation (P x)[m0, m1, m2] = x[m1, m2, m0]
+    cyclic = np.arange(d**3).reshape(d, d, d).transpose(2, 0, 1).ravel()
+    j = 2.0 / np.sqrt(3.0) * odd.T @ even[cyclic]
+    assert np.abs(j - np.eye(j.shape[0])).max() <= 1e-14
+    sol = spectra.sector_eigh(dense, d, 3, lift=False)
+    assert sol.eigenvectors is None
+    assert [len(f.sectors) for f in sol.factors] == [1, 1, 2]
+    assert sol.sectors["sector_dims"] == sector_dims(d, 3)
+    assert 0.0 < sol.sectors["pair_defect"] <= model.SECTOR_TOL * np.linalg.norm(dense)
+    want = np.linalg.eigvalsh(dense)
+    assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(dense, 2)
+    # the eigenvalues are the factors' values, each remainder value exactly twice
+    assert np.array_equal(np.sort(served_values(sol)), sol.eigenvalues)
+    # the lifted solve is the same solve
+    lifted = spectra.eigh(op)
+    for name in ("eigenvalues", "residuals"):
+        assert getattr(lifted, name).tobytes() == getattr(sol, name).tobytes(), name
+    assert lifted.residual_norm == sol.residual_norm and lifted.factors == ()
+    assert lifted.orthogonality_defect == sol.orthogonality_defect
+    # each served sector's lifted columns Q_s Y are eigenvectors within the bounds
+    v = np.hstack([s.qt.T @ f.vectors for f in sol.factors for s in f.sectors])
+    resid = np.linalg.norm(dense @ v - v * served_values(sol), axis=0)
+    assert np.linalg.norm(resid) <= sol.residual_norm
+    assert resid.max() <= sol.residuals.max()
+
+
+def test_unequal_remainders_take_two_solves():
+    # a = sum_s Q_s B_s Q_s^T with unrelated random blocks: the split holds, but
+    # the two remainder blocks differ, so each is solved on its own
+    d, n = 5, 3
+    rng = np.random.default_rng(7)
+    a = np.zeros((d**n, d**n))
+    for s in model.symmetry_sectors(d, n):
+        b = rng.standard_normal((s.dim, s.dim))
+        q = s.qt.T.toarray()
+        a += q @ (b + b.T) @ q.T
+    split = model.split_by_symmetry(a, d, n)
+    assert split.serves == ((0,), (1,), (2,), (3,)) and len(split.blocks) == 4
+    assert split.pair_defect > model.SECTOR_TOL * np.linalg.norm(a)
+    sol = spectra.sector_eigh(a, d, n, lift=False)
+    assert [len(f.sectors) for f in sol.factors] == [1, 1, 1, 1]
+    assert sol.sectors["pair_defect"] == split.pair_defect
+    want = np.linalg.eigvalsh(a)
+    assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(a, 2)
+    lifted = spectra.sector_eigh(a, d, n)
+    v = lifted.eigenvectors
+    assert np.linalg.norm(a @ v - v * lifted.eigenvalues) <= lifted.residual_norm <= 1e-10
+
+
 def test_sector_split_refuses_cross_coupling_above_constant():
     p = ModelParams(g=1.0, h=0.5, N=2, potential=SYMMETRIC_POTENTIALS[0])
     w = Window(L=4, interior_margin=1)

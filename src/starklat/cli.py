@@ -250,14 +250,15 @@ def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
     """Build, export if asked, and diagonalize H; return the result and its interior mask."""
     with stage("model.build_hamiltonian"):
-        op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
+        held = [model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)]
     if cfg.export_matrices:
-        op.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
+        held[0].export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
-        a = spectra.dense_symmetric(op)
-        del op  # no reference to the sparse H through the dense solve
-        res = spectra.sector_eigh(a, cfg.window.n_sites, cfg.params.N)
-    del a
+        # no reference to either H through the solves: the sparse one is freed
+        # once densified, the dense one once sector_eigh has split it
+        res = spectra.sector_eigh(
+            spectra.dense_symmetric(held.pop()), cfg.window.n_sites, cfg.params.N
+        )
     diagnostics["eigh"] = _eigh_diagnostics(res)
     checks["diagonalization_residual"] = diagnostics["eigh"]["residual_max"] <= 1e-8
     with stage("spectra.interior_mask"):
@@ -406,33 +407,40 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         "representatives": len(orbits),
         "even_potential": even,
     }
-    entries = []
+    entries, stream_diagnostics = [], []
     ok = True
     for k, z in enumerate(cfg.z_grid):
-        with stage("resolvent.expansion"):
-            d, i = resolvent.expansion(z, ws)
-        with stage("resolvent.functional_equation"):
-            fe = resolvent.functional_equation(z, ws, d, i)
-        del d, i
+        # the expansion and residual stages are entered once per column chunk
+        fe = resolvent.stream_functional_equation(z, ws, stage)
         if k == 0:
             with stage("resolvent.compactness_proxy"):
-                rep = resolvent.compactness_proxy(
-                    fe.i, tensor=(cfg.window.n_sites, cfg.params.N)
-                )
+                rep = resolvent.compactness_proxy(fe.i)
         with stage("resolvent.operator_norm"):
-            norm_i, norm_d = resolvent.operator_norm(fe.i), resolvent.operator_norm(fe.d)
+            norms_i, norms_d = resolvent.sector_norms(fe.i), resolvent.sector_norms(fe.d)
         entries.append(
             {
                 "z": [z.real, z.imag],
                 "residual": fe.residual,
-                "norm_I": norm_i,
-                "norm_D": norm_d,
+                "norm_I": max(norms_i),
+                "norm_D": max(norms_d),
                 "dist_to_spectrum": fe.dist_to_spectrum,
                 "resolvent_residual_bound": fe.resolvent_residual_bound,
             }
         )
+        stream_diagnostics.append(
+            {
+                "chunk_columns": fe.chunk_columns,
+                "chunks": fe.chunks,
+                "cross_norm_D": fe.d.cross_norm,
+                "cross_norm_I": fe.i.cross_norm,
+                "sector_norms_D": norms_d,
+                "sector_norms_I": norms_i,
+                "norm_method": resolvent.NORM_METHOD,
+            }
+        )
         ok &= fe.residual <= 1e-6
-        del fe  # free this z's dense D and I before the next z builds its own
+        del fe  # free this z's sector blocks before the next z builds its own
+    diagnostics["functional_equation"] = stream_diagnostics
     with open(os.path.join(out, "functional_eq.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")

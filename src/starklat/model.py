@@ -26,6 +26,9 @@ NNZ_CAP = 2**24
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
 UNIT_ROUNDOFF = 2.0**-53
+# the S_N sectors of `symmetry_sectors`, in order: two one-dimensional irreps,
+# then the leg-0/1-even and -odd remainders
+SECTOR_KINDS = ("boson", "fermion", "even", "odd")
 
 # the PairPotential fields each kind reads
 POTENTIAL_FIELDS = {
@@ -323,13 +326,15 @@ class Sector:
     """Sparse orthonormal columns Q of one symmetry sector, stored as the rows of Q^T.
 
     `qt` is None for the whole space (Q = 1). A row of Q has at most `terms`
-    nonzeros, and a lifted fl(Q y) is within lift_error ||y|| of Q y.
+    nonzeros, and a lifted fl(Q y) is within lift_error ||y|| of Q y. `kind`
+    is one of SECTOR_KINDS, or "whole" for Q = 1.
     """
 
     qt: Optional[sp.csr_matrix]
     dim: int
     terms: int = 1
     lift_error: float = 0.0
+    kind: str = "whole"
 
     def lift(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write Q y into out; rows of several terms are summed in np.longdouble, rounded once."""
@@ -542,7 +547,7 @@ def symmetry_sectors(d: int, n: int) -> tuple:
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(dim, d**n),
             )
-            sectors.append(Sector(qt, dim, *lift[s]))
+            sectors.append(Sector(qt, dim, *lift[s], SECTOR_KINDS[s]))
     return tuple(sectors)
 
 
@@ -594,22 +599,33 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
             cross = math.hypot(cross, _frobenius(col[:start]), _frobenius(col[stop:]))
             del col
             start = stop
-        tol = SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks))
-        if cross <= tol:
-            serves = [(s,) for s in range(len(sectors))]
-            pair = None
-            if n == 3 and d > 1:  # the last two sectors are the remainders
-                even, odd = blocks[-2:]
-                pair = _frobenius(odd - even)
-                if pair <= tol:
-                    even += odd
-                    even *= 0.5
-                    del blocks[-1], serves[-1]
-                    serves[-1] += (len(sectors) - 1,)
-            return SectorSplit(
-                sectors, tuple(blocks), tuple(serves), cross, _orbit_bases(n)[1], pair
-            )
+        split = sector_split(sectors, blocks, cross, n)
+        if split is not None:
+            return split
     return SectorSplit((Sector(None, a.shape[0]),), (a,), ((0,),), 0.0)
+
+
+def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional[SectorSplit]:
+    """The split into the blocks Q_s^T a Q_s of `sectors`, or None if it drops too much.
+
+    None when the cross norm is above SECTOR_TOL ||a||_F. At n = 3 the two
+    remainder blocks (the last two) are folded into their mean, in place,
+    when their difference is within that tolerance too (`split_by_symmetry`).
+    """
+    tol = SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks))
+    if cross > tol:
+        return None
+    blocks, serves, pair = list(blocks), [(s,) for s in range(len(sectors))], None
+    if n == 3 and sectors[-1].kind == "odd":
+        even, odd = blocks[-2:]
+        pair = _frobenius(odd - even)
+        if pair <= tol:
+            even += odd
+            even *= 0.5
+            del blocks[-1], serves[-1]
+            serves[-1] += (len(sectors) - 1,)
+    theta = 0.0 if sectors[0].qt is None else _orbit_bases(n)[1]
+    return SectorSplit(sectors, tuple(blocks), tuple(serves), cross, theta, pair)
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:

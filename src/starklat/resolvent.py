@@ -10,18 +10,21 @@ H^(k) = U_k diag(eps_k) U_k^T per block size,
 applied leg-wise; the couplings V_{D,D'} act on leg pairs through the one
 two-site operator. The N-particle block, which only the full partition has,
 is applied from its S_N sector factors, G = sum_s Q_s Y_s diag(1 / (z - eps))
-Y_s^T Q_s^T, with no dim x dim U formed. D(z) and I(z) come from a single
-pass over the chain tree, one chain per orbit of the particle relabellings
-that leave H invariant.
+Y_s^T Q_s^T, with no dim x dim U formed. D(z)^T X and I(z)^T X come from a
+single pass over the chain tree on a column block X, one chain per orbit of
+the particle relabellings that leave H invariant. The resolvent check streams
+X over closed chunks of the S_N sector columns, so no dim x dim D, I or
+residual is formed; the dense D and I are the X = 1 case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,12 +33,17 @@ from .model import (
     CapacityError,
     ModelParams,
     PairPotential,
+    Sector,
+    SectorSplit,
     Window,
     _frobenius,
+    _permutation_parity,
     _sparse_times,
     apply_on_legs,
     build_hamiltonian,
+    sector_split,
     split_by_symmetry,
+    symmetry_sectors,
     two_site_operator,
 )
 from .spectra import (
@@ -52,6 +60,14 @@ COND_CAP = 1e12
 POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
 FREDHOLM_THRESHOLD = 1e-3  # |mu - 1| below which an eigenvalue mu of I(z) flags z
+# columns per streamed block of the resolvent check; at fe-n3 (N=3, L=5) the
+# blocks are a few MB and the peak RSS is set by the H^(3) solve instead
+CHUNK_COLUMNS = 64
+NORM_METHOD = (
+    f"max over the S_N sector blocks of a {POWER_STEPS}-step power iteration on B^H B, "
+    "the boson block (or the whole space) started from Q_b^T 1, every other from a fixed "
+    "random vector"
+)
 
 
 @dataclass(frozen=True)
@@ -138,14 +154,14 @@ def _power_norm(a: np.ndarray, v: np.ndarray) -> float:
     return float(est)
 
 
-def operator_norm(a: np.ndarray) -> float:
+def operator_norm(a: np.ndarray, start: Optional[np.ndarray] = None) -> float:
     """2-norm estimate (a lower bound): power iteration on A*A.
 
-    Starts from the all-ones vector; if the iterate collapses because that
-    vector is orthogonal to the row space, restarts from a fixed-seed random
-    vector, so a nonzero matrix does not come out as 0.
+    Starts from `start` (default the all-ones vector); if the iterate
+    collapses because that vector is orthogonal to the row space, restarts
+    from a fixed-seed random vector, so a nonzero matrix does not come out as 0.
     """
-    est = _power_norm(a, np.ones(a.shape[1], dtype=complex))
+    est = _power_norm(a, np.ones(a.shape[1], dtype=complex) if start is None else start)
     if est == 0.0:
         rng = np.random.default_rng(0)
         est = _power_norm(a, rng.standard_normal(a.shape[1]) + 0j)
@@ -173,10 +189,12 @@ class ResolventWorkspace:
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # every G_D, D and I is a dense dim x dim complex matrix
+        # the N-particle block is solved from the dense H^(N) (`block`); D and I
+        # are streamed by column blocks, so they set no cap of their own
         if self.dim > DENSE_CAP:
             raise CapacityError(
-                f"dimension {self.dim} above the dense cap {DENSE_CAP} of the workspace"
+                f"dimension {self.dim} above the dense cap {DENSE_CAP} of the dense "
+                "H^(N) solve of the workspace"
             )
 
     @property
@@ -193,15 +211,16 @@ class ResolventWorkspace:
         """
         key = ("U", k)
         if key not in self.cache:
-            op = build_hamiltonian(self.params.with_n(k), self.window, self.basis)
-            diag = op.matrix.diagonal()
-            if np.count_nonzero(op.matrix.data) == np.count_nonzero(diag):
+            held = [build_hamiltonian(self.params.with_n(k), self.window, self.basis)]
+            diag = held[0].matrix.diagonal()
+            if np.count_nonzero(held[0].matrix.data) == np.count_nonzero(diag):
                 self.cache[key] = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
-                a = dense_symmetric(op)
-                del op, diag  # no reference to the sparse H^(k) through the dense solve
+                del diag
+                # no reference to either H^(k) through the solves: the sparse one is
+                # freed once densified, the dense one once sector_eigh has split it
                 self.cache[key] = sector_eigh(
-                    a, self.window.n_sites, k, lift=k < self.params.N
+                    dense_symmetric(held.pop()), self.window.n_sites, k, lift=k < self.params.N
                 )
         return self.cache[key]
 
@@ -218,6 +237,23 @@ class ResolventWorkspace:
             else:
                 qt = sp.vstack(qts, format="csr")
                 self.cache[key] = (qt, qt.T.tocsr())
+        return self.cache[key]
+
+    def stream_sectors(self) -> tuple:
+        """(sectors, their stacked Q^T as CSR) whose columns the resolvent check streams.
+
+        The S_N sectors (`model.symmetry_sectors`) when v is even, so that
+        every leg permutation the expansion images by maps a sector's span to
+        itself; otherwise the whole space, with None for Q^T (Q = 1).
+        """
+        key = ("S",)
+        if key not in self.cache:
+            n = self.params.N
+            if n >= 2 and even_potential(self.params.potential):
+                sectors = symmetry_sectors(self.window.n_sites, n)
+                self.cache[key] = (sectors, sp.vstack([s.qt for s in sectors], format="csr"))
+            else:
+                self.cache[key] = ((Sector(None, self.dim),), None)
         return self.cache[key]
 
     def two_site(self) -> np.ndarray:
@@ -372,34 +408,137 @@ def chain_orbits(n: int, even: bool) -> tuple:
     return tuple(orbits)
 
 
-def _add_images(acc: np.ndarray, x: np.ndarray, images: tuple, shape: tuple) -> None:
-    """acc += P x P^T for each image, a strided add on the (d,) * 2n views."""
-    acc_t, x_t = acc.reshape(shape), x.reshape(shape)
+class ColumnChunk(NamedTuple):
+    """A column block X of the streamed check, closed under the leg permutations.
+
+    X = [Q_s[:, j0:j1] for (s, j0, j1) in parts] over the sectors of
+    `ResolventWorkspace.stream_sectors`, so P^T X = X M(pi) for every leg
+    permutation pi the expansion images by. `mix` maps each image (its axes
+    tuple in `chain_orbits`) to M(pi): the scalar +-1 on a one-dimensional
+    sector (and 1 for the identity), otherwise M(pi)^T as CSR. mix None (and
+    no parts) stands for X = 1, where M(pi) = P^T is a permutation of the
+    columns.
+    """
+
+    x: np.ndarray  # dim x b, complex, C-ordered
+    parts: tuple
+    mix: Optional[dict]
+
+
+def _column_parts(sectors: tuple, n: int, width: int) -> list:
+    """The parts of every chunk: closed column sets of at most `width` columns where possible.
+
+    Any columns of a one-dimensional sector (or of the whole space, whose
+    group is trivial) are closed. At n = 3 column j of the even remainder and
+    column j of the odd one span an invariant 2-plane (`model._odd_partner`),
+    so matching ranges of the two are one chunk. At n = 4 the remainders are
+    taken whole.
+    """
+    chunks = []
+    for s, sector in enumerate(sectors):
+        if sector.kind in ("whole", "boson", "fermion"):
+            chunks += [((s, j, min(j + width, sector.dim)),) for j in range(0, sector.dim, width)]
+        elif sector.kind == "even":  # the odd remainder is the next sector
+            odd = sectors[s + 1].dim
+            if n == 3:
+                w = max(1, width // 2)
+                chunks += [
+                    ((s, j, min(j + w, odd)), (s + 1, j, min(j + w, odd)))
+                    for j in range(0, odd, w)
+                ]
+            else:
+                chunks.append(((s, 0, sector.dim), (s + 1, 0, odd)))
+    return chunks
+
+
+def column_chunks(ws: ResolventWorkspace):
+    """The closed column chunks that cover the sector columns of the workspace, in order.
+
+    Each is at most CHUNK_COLUMNS wide, except an n = 3 remainder pair (at
+    least two columns) and the n = 4 remainders (taken whole). A generator:
+    each chunk's X is made when the caller asks for it, from the columns and
+    mixes the workspace caches for every z.
+    """
+    key = ("chunks", CHUNK_COLUMNS)
+    if key not in ws.cache:
+        n, d = ws.params.N, ws.window.n_sites
+        sectors, _ = ws.stream_sectors()
+        qts = [sp.identity(ws.dim, format="csr") if s.qt is None else s.qt for s in sectors]
+        orbits = chain_orbits(n, even_potential(ws.params.potential))
+        images = {axes for _, imgs in orbits for axes in imgs}
+        identity = tuple(range(n))
+        plans = []
+        for parts in _column_parts(sectors, n, CHUNK_COLUMNS):
+            qt = sp.vstack([qts[s][j0:j1] for s, j0, j1 in parts], format="csr")
+            kinds = {sectors[s].kind for s, _, _ in parts}
+            mix = {}
+            for axes in images:
+                legs = axes[:n]
+                if legs == identity or kinds == {"boson"}:
+                    mix[axes] = 1.0
+                elif kinds == {"fermion"}:
+                    mix[axes] = -1.0 if _permutation_parity(legs) else 1.0
+                else:
+                    # P^T X gathers the rows of X; M^T = (P^T X)^T X
+                    rows = np.arange(ws.dim).reshape((d,) * n).transpose(np.argsort(legs)).ravel()
+                    mix[axes] = (qt[:, rows] @ qt.T).tocsr()
+            plans.append((parts, qt.tocoo(), mix))
+        ws.cache[key] = tuple(plans)
+    for parts, xt, mix in ws.cache[key]:
+        x = np.zeros((ws.dim, xt.shape[0]), dtype=complex)
+        x[xt.col, xt.row] = xt.data
+        yield ColumnChunk(x, parts, mix)
+
+
+def _add_images(
+    acc: np.ndarray, x: np.ndarray, images: tuple, mix: Optional[dict], d: int, n: int
+) -> None:
+    """acc += P x M(pi) for each image: a strided add of the row legs, then the column mix.
+
+    With mix None (X = 1) M(pi) = P^T, and P x P^T is one strided add on the
+    (d,) * 2n views.
+    """
+    if mix is None:
+        acc_t, x_t = acc.reshape((d,) * 2 * n), x.reshape((d,) * 2 * n)
+        for axes in images:
+            acc_t += x_t.transpose(axes)
+        return
+    b = x.shape[1]
+    acc_t, x_t = acc.reshape((d,) * n + (b,)), x.reshape((d,) * n + (b,))
     for axes in images:
-        acc_t += x_t.transpose(axes)
+        m = mix[axes]
+        if isinstance(m, float):
+            if m > 0.0:
+                acc_t += x_t.transpose(axes[:n] + (n,))
+            else:
+                acc_t -= x_t.transpose(axes[:n] + (n,))
+        else:  # (P x) M = (M^T (P x)^T)^T
+            xt = np.ascontiguousarray(x_t.transpose((n,) + axes[:n])).reshape(b, -1)
+            acc += _sparse_times(m, xt).T
 
 
-def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
-    """(D(z), I(z)) in one pass over the representatives of the chain tree.
+def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) -> tuple:
+    """(D(z)^T X, I(z)^T X) for the chunk's columns X, in one pass over the chain tree.
 
-    Each node's prefix P = G_{D_0} V ... G_{D_k} is computed once, as its
-    transpose G_{D_k} V ... G_{D_0} (every H_D and V is real symmetric), so
-    each step is a left product on the row legs. A node with >= 2 blocks adds
-    P to D; one with exactly 2 blocks adds P V_{D_k, full} to I. Each term is
-    added once per image of its chain (`chain_orbits`); conjugation by a leg
-    permutation commutes with the transpose.
+    Each node's prefix P = G_{D_0} V ... G_{D_k} is applied as its transpose
+    G_{D_k} V ... G_{D_0} (every H_D and V is real symmetric), so each step is
+    a left product on the row legs of a dim x b block. A node with >= 2
+    blocks adds P^T X to D^T X; one with exactly 2 blocks adds
+    (P V_{D_k, full})^T X to I^T X. Each term is added once per image of its
+    chain (`chain_orbits`): image pi of a term T contributes P T P^T, and
+    P T P^T X = P (T X) M(pi) since the chunk is closed (`ColumnChunk`).
     """
     n = ws.params.N
     if n < 2:
         raise ValueError("the expansion needs N >= 2")
+    d = ws.window.n_sites
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    shape = (ws.window.n_sites,) * (2 * n)
     orbits = chain_orbits(n, even_potential(ws.params.potential))
     # the first chain is the root; in lexicographic order every later chain
     # extends a prefix of the one before it, so `path` keeps just the prefixes
     # the next chain extends, and drops the rest before the I term is built
     root = orbits[0][0].sequence[0]
-    q = ws.apply_resolvent(root, z, np.eye(ws.dim, dtype=complex))
+    q = ws.apply_resolvent(root, z, chunk.x)
     path = [(root, q)]
     d_t, i_t = q.copy(), np.zeros(q.shape, dtype=complex)  # no page of i_t touched until added to
     next_lengths = [len(c.sequence) for c, _ in orbits[1:]] + [1]
@@ -409,10 +548,17 @@ def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
             del q
             q = ws.apply_resolvent(dec, z, ws.apply_coupling(path[-1][0], dec, path[-1][1]))
             path.append((dec, q))
-            _add_images(d_t, q, images, shape)
+            _add_images(d_t, q, images, chunk.mix, d, n)
         del path[next_length - 1 :]
         if dec.n_blocks == 2:
-            _add_images(i_t, ws.apply_coupling(dec, full, q), images, shape)
+            _add_images(i_t, ws.apply_coupling(dec, full, q), images, chunk.mix, d, n)
+    return d_t, i_t
+
+
+def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
+    """(D(z), I(z)) as dense matrices: `expansion_columns` of X = 1, transposed."""
+    eye = ColumnChunk(np.eye(ws.dim, dtype=complex), (), None)
+    d_t, i_t = expansion_columns(z, ws, eye)
     return d_t.T, i_t.T
 
 
@@ -424,6 +570,30 @@ def build_I(z: complex, ws: ResolventWorkspace) -> np.ndarray:
 def build_D(z: complex, ws: ResolventWorkspace) -> np.ndarray:
     """D(z): sum over k_s >= 2 chains, each ending in its cluster resolvent."""
     return expansion(z, ws)[0]
+
+
+def residual_columns(
+    z: complex, ws: ResolventWorkspace, x: np.ndarray, ix: np.ndarray, dx: np.ndarray
+) -> np.ndarray:
+    """R^T X = G (X - I^T X) - D^T X for R = G - D - I G, from (D^T X, I^T X) of X.
+
+    G is complex symmetric (H is real symmetric), so R^T = G (1 - I^T) - D^T:
+    one resolvent applied to a block, with neither G nor I G formed.
+    """
+    n = ws.params.N
+    full = ClusterDecomposition((tuple(range(1, n + 1)),))
+    r = ws.apply_resolvent(full, z, x - ix)
+    r -= dx
+    return r
+
+
+def _gates(z: complex, ws: ResolventWorkspace) -> tuple:
+    """min |z - eps| over the spectrum of H, and the largest per-partition residual bound."""
+    n = ws.params.N
+    return (
+        float(np.abs(z - ws.block(n).eigenvalues).min()),
+        max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
+    )
 
 
 @dataclass
@@ -438,33 +608,12 @@ class FunctionalEquation:
     resolvent_residual_bound: float  # largest per-partition residual bound
 
 
-def _identity_minus_transpose(i: np.ndarray) -> np.ndarray:
-    x = np.negative(i.T)  # the expansion's own accumulator, C-ordered
-    x.flat[:: x.shape[0] + 1] += 1.0
-    return x
-
-
 def functional_equation(
     z: complex, ws: ResolventWorkspace, d: np.ndarray, i: np.ndarray
 ) -> FunctionalEquation:
-    """Measure R = G - D - I G for (D, I) = expansion(z, ws) without forming G.
-
-    G is complex symmetric (H is real symmetric), so R^T = G (1 - I^T) - D^T:
-    one resolvent applied to the block 1 - I^T, and ||R||_F = ||R^T||_F.
-    """
-    n = ws.params.N
-    full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    # no reference is kept here, so apply_resolvent frees the block after its first leg product
-    r = ws.apply_resolvent(full, z, _identity_minus_transpose(i))
-    r -= d.T
-    return FunctionalEquation(
-        complex(z),
-        d,
-        i,
-        _frobenius(r),
-        float(np.abs(z - ws.block(n).eigenvalues).min()),
-        max(ws.factor(p, z).residual_bound for p in enumerate_set_partitions(n)),
-    )
+    """Measure R = G - D - I G for (D, I) = expansion(z, ws): `residual_columns` of X = 1."""
+    r = residual_columns(z, ws, np.eye(ws.dim), i.T, d.T)
+    return FunctionalEquation(complex(z), d, i, _frobenius(r), *_gates(z, ws))
 
 
 def functional_equation_residual(
@@ -476,6 +625,92 @@ def functional_equation_residual(
 
 
 @dataclass
+class StreamedFunctionalEquation:
+    """The functional equation at one z from column chunks: D and I as their sector splits."""
+
+    z: complex
+    d: SectorSplit  # the blocks Q_s^T D Q_s, as split_by_symmetry(D) gives them
+    i: SectorSplit
+    residual: float  # an upper bound on ||G - D - I G||_F
+    dist_to_spectrum: float
+    resolvent_residual_bound: float
+    chunks: int
+    chunk_columns: int  # CHUNK_COLUMNS of the run
+
+
+def stream_functional_equation(
+    z: complex, ws: ResolventWorkspace, stage=contextlib.nullcontext
+) -> StreamedFunctionalEquation:
+    """R = G - D - I G, and the sector blocks of D and I, with no dim x dim array formed.
+
+    Per chunk X of `column_chunks`: (D^T X, I^T X) from `expansion_columns`,
+    R^T X from `residual_columns`, and the rows Q^T (D^T X) and Q^T (I^T X),
+    whose sector rows are columns of the transposed blocks Q_s^T D Q_s and
+    Q_s^T I Q_s and whose other rows are cross blocks. The chunks cover the
+    stored columns Q, with ||Q^T Q - 1||_2 <= theta (the basis defect), so
+    ||R^T Q||_F >= sqrt(1 - theta) ||R||_F: the sum of ||R^T X||_F^2 over the
+    chunks, divided by 1 - theta, bounds ||R||_F^2. The blocks are split by
+    `model.sector_split`, which measures the pair defect at n = 3. `stage(name)`
+    is entered around each chunk's expansion and residual.
+    """
+    sectors, q_all = ws.stream_sectors()
+    bounds = np.cumsum([0] + [s.dim for s in sectors])
+    blocks = {name: [np.empty((s.dim, s.dim), dtype=complex) for s in sectors] for name in "di"}
+    cross = dict.fromkeys("di", 0.0)
+    square, chunks = 0.0, 0
+    for chunk in column_chunks(ws):
+        with stage("resolvent.expansion"):
+            dx, ix = expansion_columns(z, ws, chunk)
+        with stage("resolvent.functional_equation"):
+            square += _frobenius(residual_columns(z, ws, chunk.x, ix, dx)) ** 2
+            for name, y in (("d", dx), ("i", ix)):
+                rows = y if q_all is None else _sparse_times(q_all, y)
+                col = 0
+                for s, j0, j1 in chunk.parts:
+                    part, (a, b) = rows[:, col : col + j1 - j0], bounds[s : s + 2]
+                    blocks[name][s][:, j0:j1] = part[a:b]
+                    out = _frobenius(part[:a]), _frobenius(part[b:])
+                    cross[name] = math.hypot(cross[name], *out)
+                    col += j1 - j0
+        del chunk, dx, ix
+        chunks += 1
+    splits = {}
+    for name in "di":
+        splits[name] = sector_split(sectors, [b.T for b in blocks[name]], cross[name], ws.params.N)
+        if splits[name] is None:
+            raise np.linalg.LinAlgError(
+                f"{name.upper()}(z) does not commute with the leg permutations: "
+                f"cross norm {cross[name]:.2e}"
+            )
+    residual = math.sqrt(square / (1.0 - splits["i"].basis_defect))
+    return StreamedFunctionalEquation(
+        complex(z), splits["d"], splits["i"], residual, *_gates(z, ws), chunks, CHUNK_COLUMNS
+    )
+
+
+def sector_norms(split: SectorSplit) -> list:
+    """`operator_norm` of each sector's block, one entry per sector (a shared block counts twice).
+
+    The first block (bosons, or the whole space) starts from Q_b^T 1, where
+    operator_norm of the full matrix starts (1 lies in the boson sector);
+    block j >= 1 starts from a fixed random vector of seed j. The max over the
+    sectors lies between that boson-only estimate and the 2-norm (to within
+    the basis defect).
+    """
+    out = [0.0] * len(split.sectors)
+    for j, (b, serves) in enumerate(zip(split.blocks, split.serves)):
+        qt = split.sectors[serves[0]].qt
+        if j == 0:
+            start = np.ones(b.shape[1]) if qt is None else qt @ np.ones(qt.shape[1])
+        else:
+            start = np.random.default_rng(j).standard_normal(b.shape[1])
+        est = operator_norm(b, start.astype(complex))
+        for s in serves:
+            out[s] = est
+    return out
+
+
+@dataclass
 class CompactnessReport:
     singular_values: np.ndarray
     k_drop: Optional[int]
@@ -483,15 +718,19 @@ class CompactnessReport:
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the SVD
 
 
-def compactness_proxy(i_matrix: np.ndarray, tensor: tuple = (1, 1)) -> CompactnessReport:
+def compactness_proxy(i_matrix, tensor: tuple = (1, 1)) -> CompactnessReport:
     """Singular value decay of I(z) as the finite-size compactness witness.
 
-    `tensor` = (d, n) says I(z) acts on the d^n tensor index; for n >= 2 the
-    SVD runs in the S_N sectors, which moves each singular value by at most
-    the reported cross norm, plus half the pair defect when one SVD serves
-    both N = 3 remainders (and a relative basis defect of a few 1e-16).
+    `i_matrix` is I(z), dense or as its SectorSplit (`stream_functional_equation`).
+    For a dense I(z), `tensor` = (d, n) says it acts on the d^n tensor index;
+    for n >= 2 the SVD runs in the S_N sectors, which moves each singular value
+    by at most the reported cross norm, plus half the pair defect when one SVD
+    serves both N = 3 remainders (and a relative basis defect of a few 1e-16).
     """
-    split = split_by_symmetry(i_matrix, *tensor)
+    if isinstance(i_matrix, SectorSplit):
+        split = i_matrix
+    else:
+        split = split_by_symmetry(i_matrix, *tensor)
     s = np.concatenate(
         [
             np.tile(np.linalg.svd(b, compute_uv=False), len(serves))

@@ -136,7 +136,8 @@ def sector_eigh(a: np.ndarray, d: int, n: int, lift: bool = True) -> SectorEigh:
     `lift` the pairs come as the dim x dim `eigenvectors`; without, as the
     per-solve `factors`, and nothing of size dim x dim is formed. The residual
     and orthogonality of the lifted pairs are bounded from the sector solves
-    alone, so no dim x dim product with a is formed either way.
+    alone, so no dim x dim product with a is formed either way. Once split,
+    a is no longer referenced here.
 
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
@@ -159,6 +160,7 @@ def sector_eigh(a: np.ndarray, d: int, n: int, lift: bool = True) -> SectorEigh:
     """
     dim = a.shape[0]
     split = split_by_symmetry(a, d, n)
+    del a  # a caller that passed a as a temporary gets it freed before the solves
     theta = split.basis_defect
     factors, rho, frob, gram, skew = [], [], [], [], []
     for b, serves in zip(split.blocks, split.serves):

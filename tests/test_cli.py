@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starklat import cli, dynamics, localization, model
+from starklat import cli, dynamics, localization, model, resolvent
 from starklat.model import ModelParams, PairPotential, Window
 
 
@@ -618,6 +618,21 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     assert set(diag["block_eigh"]["2"]) == set(eigh)
     for entry in (diag["block_eigh"]["2"], diag["compactness_svd"]):
         assert entry["sector_dims"] == [153, 136] and 0.0 <= entry["cross_norm"] <= 1e-10
+    # per z, the column stream: 64-column chunks of the 153 bosons and 136 fermions,
+    # and the norms of each sector's blocks, whose max is what functional_eq.json reports
+    entries = json.loads((tmp_path / "resolvent-check" / "functional_eq.json").read_text())
+    assert len(diag["functional_equation"]) == len(entries) == 2
+    for stream, entry in zip(diag["functional_equation"], entries):
+        assert set(stream) == {
+            "chunk_columns", "chunks", "cross_norm_D", "cross_norm_I", "sector_norms_D",
+            "sector_norms_I", "norm_method",
+        }
+        assert stream["chunk_columns"] == resolvent.CHUNK_COLUMNS == 64 and stream["chunks"] == 6
+        assert stream["norm_method"] == resolvent.NORM_METHOD
+        for name in ("D", "I"):
+            assert 0.0 <= stream[f"cross_norm_{name}"] <= 1e-10
+            assert len(stream[f"sector_norms_{name}"]) == 2
+            assert max(stream[f"sector_norms_{name}"]) == entry[f"norm_{name}"]
     # N = 3: the two remainders are solved once, and the manifest gives their pair defect
     p = tmp_path / "n3.json"
     write_config(p, task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},

@@ -529,3 +529,104 @@ def test_even_potential():
     odd = [{1: 0.5}, {-1: 0.2, 1: 0.7, 2: 0.1}, {-1: 0.5, 1: -0.5}]
     for table in even + odd:
         assert rsv.even_potential(PairPotential("tabulated", table=table)) == (table in even)
+
+
+STREAM_CASES = [
+    ("stark", 2, 6, PairPotential("nearest_neighbor", 1.0)),
+    ("stark", 3, 3, PairPotential("nearest_neighbor", 1.0)),
+    ("position", 3, 3, PairPotential("nearest_neighbor", 1.0)),
+    ("stark", 4, 2, PairPotential("nearest_neighbor", 1.0)),
+    ("stark", 3, 2, ORACLE_POINTS[3][0]),  # v(n) != v(-n): the trivial group, identity columns
+]
+
+
+def _dense_check(ws, z):
+    d, i = rsv.expansion(z, ws)
+    split = {}
+    for name, x in (("d", d), ("i", i)):
+        if ws.stream_sectors()[1] is None:
+            # the trivial group streams the whole space, even where a split of x
+            # exists (D = G_0 at N = 2 commutes with the leg swap for every v)
+            split[name] = model.SectorSplit((model.Sector(None, ws.dim),), (x,), ((0,),), 0.0)
+        else:
+            split[name] = model.split_by_symmetry(x, ws.window.n_sites, ws.params.N)
+    return d, i, split
+
+
+def _assert_streamed_matches(st, d, i, split, ws, z):
+    # every comparison is relative to the size of the dense matrices it is computed from
+    scale = np.linalg.norm(d) + np.linalg.norm(i)
+    fe = rsv.functional_equation(z, ws, d, i)
+    assert abs(st.residual - fe.residual) <= 1e-14 * scale
+    assert (st.dist_to_spectrum, st.resolvent_residual_bound) == (
+        fe.dist_to_spectrum, fe.resolvent_residual_bound)
+    for got, want, x in ((st.d, split["d"], d), (st.i, split["i"], i)):
+        assert got.diagnostics().keys() == want.diagnostics().keys()
+        assert [s.dim for s in got.sectors] == [s.dim for s in want.sectors]
+        assert got.serves == want.serves and got.basis_defect == want.basis_defect
+        assert abs(got.cross_norm - want.cross_norm) <= 1e-14 * np.linalg.norm(x)
+        if want.pair_defect is not None:
+            assert abs(got.pair_defect - want.pair_defect) <= 1e-14 * np.linalg.norm(x)
+        for a, b in zip(got.blocks, want.blocks, strict=True):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    got = rsv.compactness_proxy(st.i).singular_values
+    want = rsv.compactness_proxy(i, tensor=(ws.window.n_sites, ws.params.N)).singular_values
+    assert np.abs(got - want).max() <= 1e-14 * want[0]
+
+
+@pytest.mark.parametrize("basis,n,L,pot", STREAM_CASES)
+def test_streamed_check_matches_dense(basis, n, L, pot):
+    # the column-chunk stream against the dense D, I and 1 - I^T of expansion(z, ws)
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1), basis)
+    z = 0.5 + 1j
+    d, i, split = _dense_check(ws, z)
+    st = rsv.stream_functional_equation(z, ws)
+    _assert_streamed_matches(st, d, i, split, ws, z)
+    # an I off by 1e-3 through the chunk kernel, so the residual is far from roundoff
+    square = 0.0
+    for chunk in rsv.column_chunks(ws):
+        dx, ix = rsv.expansion_columns(z, ws, chunk)
+        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk.x, 1.001 * ix, dx)) ** 2
+    want = rsv.functional_equation(z, ws, d, 1.001 * i).residual
+    got = math.sqrt(square / (1.0 - st.i.basis_defect))
+    assert want > 1e-6 and abs(got - want) <= 1e-14 * (np.linalg.norm(d) + np.linalg.norm(i))
+
+
+@pytest.mark.parametrize("n,L,pot", [(3, 2, STREAM_CASES[1][3]), (4, 1, STREAM_CASES[1][3]),
+                                     (2, 3, ORACLE_POINTS[3][0])])
+@pytest.mark.parametrize("width", [1, 7])
+def test_chunk_width_does_not_change_results(n, L, pot, width, monkeypatch):
+    # N = 4, L = 1 has no fermion sector (3 sites, 4 particles)
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
+    z = 0.5 + 1j
+    d, i, split = _dense_check(ws, z)
+    default = rsv.stream_functional_equation(z, ws)
+    monkeypatch.setattr(rsv, "CHUNK_COLUMNS", width)
+    st = rsv.stream_functional_equation(z, ws)
+    assert st.chunk_columns == width and st.chunks > default.chunks
+    for got in (default, st):
+        _assert_streamed_matches(got, d, i, split, ws, z)
+    chunks = list(rsv.column_chunks(ws))
+    assert sum(c.x.shape[1] for c in chunks) == ws.dim
+    # only the N = 4 remainders, taken whole, may be wider than the width
+    assert all(c.x.shape[1] <= max(width, 2) for c in chunks if n < 4 or len(c.parts) == 1)
+
+
+def test_sector_norms_see_every_sector():
+    # at N = 2, L = 6 the largest singular value of I(z) lies in the fermion sector,
+    # which a power iteration from the all-ones (boson) vector never reaches
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=6, interior_margin=1))
+    z = 0.5 + 1j
+    st = rsv.stream_functional_equation(z, ws)
+    d, i = rsv.expansion(z, ws)
+    for split, x in ((st.i, i), (st.d, d)):
+        norms = rsv.sector_norms(split)
+        boson = rsv.operator_norm(x)
+        assert len(norms) == 2 and abs(norms[0] - boson) <= 1e-12 * boson
+        assert max(norms) <= np.linalg.norm(x, 2) * (1.0 + 1e-12)
+    norm_i, boson_i = max(rsv.sector_norms(st.i)), rsv.operator_norm(i)
+    assert norm_i > 1.01 * boson_i
+    assert abs(norm_i - np.linalg.norm(i, 2)) <= 1e-9 * norm_i

@@ -494,3 +494,39 @@ def test_capacity_errors():
     small = model.build_h0(p, Window(L=2, interior_margin=1), "position")
     with pytest.raises(model.CapacityError):
         spectra.extremal_eigs(small, spectra.KRYLOV_K_MAX + 1)
+
+
+def test_dense_h_freed_before_the_sector_solves(tmp_path, monkeypatch):
+    # sector_eigh, ResolventWorkspace.block and the CLI's solve hold no reference
+    # to the dense H once it is split, so each sector eigh runs without it
+    import json
+    import weakref
+
+    from starklat import cli, resolvent
+
+    refs, alive = [], []
+    dense, eigh = spectra.dense_symmetric, np.linalg.eigh
+
+    def spy_dense(op):
+        a = dense(op)
+        refs.append(weakref.ref(a))
+        return a
+
+    def spy_eigh(b):
+        alive.append(any(r() is not None for r in refs))
+        return eigh(b)
+
+    monkeypatch.setattr(spectra, "dense_symmetric", spy_dense)
+    monkeypatch.setattr(resolvent, "dense_symmetric", spy_dense)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=4, interior_margin=1)
+    held = [model.build_hamiltonian(p, w, "stark")]
+    spectra.sector_eigh(spectra.dense_symmetric(held.pop()), w.n_sites, 2)
+    resolvent.ResolventWorkspace(p, w).block(2)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": {"g": 1.0, "h": 0.5, "N": 2},
+                               "window": {"L": 4, "interior_margin": 1}, "task": "spectrum",
+                               "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["spectrum", "--config", str(cfg)]) in (cli.EXIT_OK, cli.EXIT_ASSERT)
+    assert len(refs) == 3 and len(alive) == 6 and not any(alive)

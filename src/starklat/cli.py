@@ -255,9 +255,11 @@ def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> 
         held[0].export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
         # no reference to either H through the solves: the sparse one is freed
-        # once densified, the dense one once sector_eigh has split it
+        # once densified, the dense one once split_by_symmetry returns its blocks
         res = spectra.sector_eigh(
-            spectra.dense_symmetric(held.pop()), cfg.window.n_sites, cfg.params.N
+            model.split_by_symmetry(
+                spectra.dense_symmetric(held.pop()), cfg.window.n_sites, cfg.params.N
+            )
         )
     diagnostics["eigh"] = _eigh_diagnostics(res)
     checks["diagonalization_residual"] = diagnostics["eigh"]["residual_max"] <= 1e-8

@@ -362,6 +362,11 @@ class SectorSplit:
     basis_defect: float = 0.0  # >= ||Q^T Q - 1||_2 over the stored columns of all sectors
     pair_defect: Optional[float] = None  # ||B_odd - B_even||_F of the remainders; None: no pair
 
+    @classmethod
+    def whole(cls, a: np.ndarray) -> "SectorSplit":
+        """a unsplit: the whole space is the one sector, and a its one block."""
+        return cls((Sector(None, a.shape[0]),), (a,), ((0,),), 0.0)
+
     def diagnostics(self) -> dict:
         out = {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
         if self.pair_defect is not None:
@@ -602,7 +607,7 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
         split = sector_split(sectors, blocks, cross, n)
         if split is not None:
             return split
-    return SectorSplit((Sector(None, a.shape[0]),), (a,), ((0,),), 0.0)
+    return SectorSplit.whole(a)
 
 
 def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional[SectorSplit]:

@@ -218,43 +218,43 @@ class ResolventWorkspace:
             else:
                 del diag
                 # no reference to either H^(k) through the solves: the sparse one is
-                # freed once densified, the dense one once sector_eigh has split it
-                self.cache[key] = sector_eigh(
-                    dense_symmetric(held.pop()), self.window.n_sites, k, lift=k < self.params.N
-                )
+                # freed once densified, the dense one once split_by_symmetry returns
+                split = split_by_symmetry(dense_symmetric(held.pop()), self.window.n_sites, k)
+                self.cache[key] = sector_eigh(split, lift=k < self.params.N)
         return self.cache[key]
 
-    def sector_columns(self) -> Optional[tuple]:
-        """(Q^T, Q) as CSR over the sectors the N-block's factors serve, in factor order.
+    def sector_columns(self) -> tuple:
+        """(sectors, Q^T, Q): the sectors the N-block's factors serve, in factor order.
 
-        None when the factors serve the one whole-space sector (Q = 1).
+        `apply_resolvent` projects the N-particle block onto these columns,
+        and the resolvent check streams them. If H^(N) is diagonal (no
+        factors) they are the S_N sectors (`model.symmetry_sectors`) when v is
+        even and N >= 2, else the whole space. Q^T and Q are CSR, both None
+        for the whole space (Q = 1).
         """
         key = ("Q",)
         if key not in self.cache:
-            qts = [s.qt for f in self.block(self.params.N).factors for s in f.sectors]
-            if qts[0] is None:
-                self.cache[key] = None
-            else:
-                qt = sp.vstack(qts, format="csr")
-                self.cache[key] = (qt, qt.T.tocsr())
-        return self.cache[key]
-
-    def stream_sectors(self) -> tuple:
-        """(sectors, their stacked Q^T as CSR) whose columns the resolvent check streams.
-
-        The S_N sectors (`model.symmetry_sectors`) when v is even, so that
-        every leg permutation the expansion images by maps a sector's span to
-        itself; otherwise the whole space, with None for Q^T (Q = 1).
-        """
-        key = ("S",)
-        if key not in self.cache:
             n = self.params.N
-            if n >= 2 and even_potential(self.params.potential):
+            factors = self.block(n).factors
+            if factors:
+                sectors = tuple(s for f in factors for s in f.sectors)
+            elif n >= 2 and even_potential(self.params.potential):
                 sectors = symmetry_sectors(self.window.n_sites, n)
-                self.cache[key] = (sectors, sp.vstack([s.qt for s in sectors], format="csr"))
             else:
-                self.cache[key] = ((Sector(None, self.dim),), None)
+                sectors = (Sector(None, self.dim),)
+            if sectors[0].qt is None:
+                self.cache[key] = (sectors, None, None)
+            else:
+                qt = sp.vstack([s.qt for s in sectors], format="csr")
+                self.cache[key] = (sectors, qt, qt.T.tocsr())
         return self.cache[key]
+
+    def sector_rows(self, y: np.ndarray) -> np.ndarray:
+        """Q^T y over `sector_columns`, complex and C-ordered; a copy of y when Q = 1."""
+        qt = self.sector_columns()[1]
+        if qt is None:
+            return np.array(y, dtype=complex, order="C")
+        return _sparse_times(qt, np.asarray(y, dtype=complex))
 
     def two_site(self) -> np.ndarray:
         """The d^2 x d^2 pair operator, applied on every leg pair (i < j)."""
@@ -303,22 +303,12 @@ class ResolventWorkspace:
         """G_D(z) x = W diag(delta) W^T x, one block's legs at a time.
 
         The N-particle block is applied from its sector factors instead: one
-        sparse Q^T product, then per solve Y^T, delta and Y on the rows of
-        every sector it serves (stacked, so a remainder pair is one batch),
-        then one sparse Q product.
+        sparse Q^T product (`sector_rows`), then `resolve_rows`.
         """
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
-        factors = f.blocks[0][1].factors
-        if factors:
-            q = self.sector_columns()
-            x = (
-                np.array(x, dtype=complex, order="C")
-                if q is None
-                else _sparse_times(q[0], np.asarray(x, dtype=complex))
-            )
-            x = _solve_in_sectors(factors, f.delta, x)
-            return x if q is None else _sparse_times(q[1], x)
+        if f.blocks[0][1].factors:
+            return self.resolve_rows(z, self.sector_rows(x))
         for legs, b in f.blocks:
             if b.eigenvectors is not None:
                 x = apply_on_legs(b.eigenvectors.T, x, legs, d, n)
@@ -327,6 +317,18 @@ class ResolventWorkspace:
             if b.eigenvectors is not None:
                 x = apply_on_legs(b.eigenvectors, x, legs, d, n)
         return x
+
+    def resolve_rows(self, z: complex, rows: np.ndarray) -> np.ndarray:
+        """G(z) y of the full H from the rows Q^T y of `sector_rows`; overwrites rows.
+
+        Per solve of the N-block's factors, Y^T, delta and Y on the rows of
+        every sector it serves (stacked, so a remainder pair is one batch),
+        then one sparse Q product.
+        """
+        f = self.factor(ClusterDecomposition((tuple(range(1, self.params.N + 1)),)), z)
+        q = self.sector_columns()[2]
+        rows = _solve_in_sectors(f.blocks[0][1].factors, f.delta, rows)
+        return rows if q is None else _sparse_times(q, rows)
 
     def apply_coupling(
         self, d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition, x: np.ndarray
@@ -412,7 +414,7 @@ class ColumnChunk(NamedTuple):
     """A column block X of the streamed check, closed under the leg permutations.
 
     X = [Q_s[:, j0:j1] for (s, j0, j1) in parts] over the sectors of
-    `ResolventWorkspace.stream_sectors`, so P^T X = X M(pi) for every leg
+    `ResolventWorkspace.sector_columns`, so P^T X = X M(pi) for every leg
     permutation pi the expansion images by. `mix` maps each image (its axes
     tuple in `chain_orbits`) to M(pi): the scalar +-1 on a one-dimensional
     sector (and 1 for the identity), otherwise M(pi)^T as CSR. mix None (and
@@ -423,6 +425,12 @@ class ColumnChunk(NamedTuple):
     x: np.ndarray  # dim x b, complex, C-ordered
     parts: tuple
     mix: Optional[dict]
+    qx: Optional[sp.csr_matrix]  # Q^T X over the sector columns; None when Q = 1
+
+
+def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
+    """X = 1 as a chunk: the dense D^T, I^T and residual of the same kernels."""
+    return ColumnChunk(np.eye(ws.dim, dtype=complex), (), None, ws.sector_columns()[1])
 
 
 def _column_parts(sectors: tuple, n: int, width: int) -> list:
@@ -462,10 +470,13 @@ def column_chunks(ws: ResolventWorkspace):
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:
         n, d = ws.params.N, ws.window.n_sites
-        sectors, _ = ws.stream_sectors()
-        qts = [sp.identity(ws.dim, format="csr") if s.qt is None else s.qt for s in sectors]
+        sectors, q_all, _ = ws.sector_columns()
         orbits = chain_orbits(n, even_potential(ws.params.potential))
         images = {axes for _, imgs in orbits for axes in imgs}
+        if len(images) > 1 and q_all is None:
+            # an even v with H^(N) left whole: columns of 1 are not closed
+            raise np.linalg.LinAlgError("H^(N) does not split into the S_N sectors")
+        qts = [sp.identity(ws.dim, format="csr") if s.qt is None else s.qt for s in sectors]
         identity = tuple(range(n))
         plans = []
         for parts in _column_parts(sectors, n, CHUNK_COLUMNS):
@@ -482,12 +493,13 @@ def column_chunks(ws: ResolventWorkspace):
                     # P^T X gathers the rows of X; M^T = (P^T X)^T X
                     rows = np.arange(ws.dim).reshape((d,) * n).transpose(np.argsort(legs)).ravel()
                     mix[axes] = (qt[:, rows] @ qt.T).tocsr()
-            plans.append((parts, qt.tocoo(), mix))
+            qx = None if q_all is None else (q_all @ qt.T).tocsr()
+            plans.append((parts, qt.tocoo(), mix, qx))
         ws.cache[key] = tuple(plans)
-    for parts, xt, mix in ws.cache[key]:
+    for parts, xt, mix, qx in ws.cache[key]:
         x = np.zeros((ws.dim, xt.shape[0]), dtype=complex)
         x[xt.col, xt.row] = xt.data
-        yield ColumnChunk(x, parts, mix)
+        yield ColumnChunk(x, parts, mix, qx)
 
 
 def _add_images(
@@ -557,8 +569,7 @@ def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) ->
 
 def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
     """(D(z), I(z)) as dense matrices: `expansion_columns` of X = 1, transposed."""
-    eye = ColumnChunk(np.eye(ws.dim, dtype=complex), (), None)
-    d_t, i_t = expansion_columns(z, ws, eye)
+    d_t, i_t = expansion_columns(z, ws, _identity_chunk(ws))
     return d_t.T, i_t.T
 
 
@@ -573,16 +584,26 @@ def build_D(z: complex, ws: ResolventWorkspace) -> np.ndarray:
 
 
 def residual_columns(
-    z: complex, ws: ResolventWorkspace, x: np.ndarray, ix: np.ndarray, dx: np.ndarray
+    z: complex,
+    ws: ResolventWorkspace,
+    chunk: ColumnChunk,
+    ix: np.ndarray,
+    dx: np.ndarray,
+    ri: np.ndarray,
 ) -> np.ndarray:
-    """R^T X = G (X - I^T X) - D^T X for R = G - D - I G, from (D^T X, I^T X) of X.
+    """R^T X = G (X - I^T X) - D^T X for R = G - D - I G, from (D^T X, I^T X) of the chunk's X.
 
     G is complex symmetric (H is real symmetric), so R^T = G (1 - I^T) - D^T:
-    one resolvent applied to a block, with neither G nor I G formed.
+    one resolvent applied to a block, with neither G nor I G formed. When G is
+    applied from the N-block's sector factors, its rows Q^T (X - I^T X) are
+    Q^T X - ri, with ri = Q^T (I^T X) (`ResolventWorkspace.sector_rows`), so X
+    is not projected again.
     """
     n = ws.params.N
-    full = ClusterDecomposition((tuple(range(1, n + 1)),))
-    r = ws.apply_resolvent(full, z, x - ix)
+    if ws.block(n).factors:
+        r = ws.resolve_rows(z, (chunk.x if chunk.qx is None else chunk.qx.toarray()) - ri)
+    else:
+        r = ws.apply_resolvent(ClusterDecomposition((tuple(range(1, n + 1)),)), z, chunk.x - ix)
     r -= dx
     return r
 
@@ -612,7 +633,7 @@ def functional_equation(
     z: complex, ws: ResolventWorkspace, d: np.ndarray, i: np.ndarray
 ) -> FunctionalEquation:
     """Measure R = G - D - I G for (D, I) = expansion(z, ws): `residual_columns` of X = 1."""
-    r = residual_columns(z, ws, np.eye(ws.dim), i.T, d.T)
+    r = residual_columns(z, ws, _identity_chunk(ws), i.T, d.T, ws.sector_rows(i.T))
     return FunctionalEquation(complex(z), d, i, _frobenius(r), *_gates(z, ws))
 
 
@@ -644,16 +665,17 @@ def stream_functional_equation(
     """R = G - D - I G, and the sector blocks of D and I, with no dim x dim array formed.
 
     Per chunk X of `column_chunks`: (D^T X, I^T X) from `expansion_columns`,
-    R^T X from `residual_columns`, and the rows Q^T (D^T X) and Q^T (I^T X),
-    whose sector rows are columns of the transposed blocks Q_s^T D Q_s and
-    Q_s^T I Q_s and whose other rows are cross blocks. The chunks cover the
-    stored columns Q, with ||Q^T Q - 1||_2 <= theta (the basis defect), so
-    ||R^T Q||_F >= sqrt(1 - theta) ||R||_F: the sum of ||R^T X||_F^2 over the
-    chunks, divided by 1 - theta, bounds ||R||_F^2. The blocks are split by
-    `model.sector_split`, which measures the pair defect at n = 3. `stage(name)`
-    is entered around each chunk's expansion and residual.
+    the rows Q^T (D^T X) and Q^T (I^T X) (`ResolventWorkspace.sector_rows`),
+    and R^T X from `residual_columns`, which reuses Q^T (I^T X). The sector
+    rows are columns of the transposed blocks Q_s^T D Q_s and Q_s^T I Q_s;
+    the other rows are cross blocks. The chunks cover the stored columns Q,
+    with ||Q^T Q - 1||_2 <= theta (the basis defect), so ||R^T Q||_F >=
+    sqrt(1 - theta) ||R||_F: the sum of ||R^T X||_F^2 over the chunks,
+    divided by 1 - theta, bounds ||R||_F^2. The blocks are split by
+    `model.sector_split`, which measures the pair defect at n = 3.
+    `stage(name)` is entered around each chunk's expansion and residual.
     """
-    sectors, q_all = ws.stream_sectors()
+    sectors = ws.sector_columns()[0]
     bounds = np.cumsum([0] + [s.dim for s in sectors])
     blocks = {name: [np.empty((s.dim, s.dim), dtype=complex) for s in sectors] for name in "di"}
     cross = dict.fromkeys("di", 0.0)
@@ -662,17 +684,17 @@ def stream_functional_equation(
         with stage("resolvent.expansion"):
             dx, ix = expansion_columns(z, ws, chunk)
         with stage("resolvent.functional_equation"):
-            square += _frobenius(residual_columns(z, ws, chunk.x, ix, dx)) ** 2
-            for name, y in (("d", dx), ("i", ix)):
-                rows = y if q_all is None else _sparse_times(q_all, y)
+            rows = {"d": ws.sector_rows(dx), "i": ws.sector_rows(ix)}
+            square += _frobenius(residual_columns(z, ws, chunk, ix, dx, rows["i"])) ** 2
+            for name in "di":
                 col = 0
                 for s, j0, j1 in chunk.parts:
-                    part, (a, b) = rows[:, col : col + j1 - j0], bounds[s : s + 2]
+                    part, (a, b) = rows[name][:, col : col + j1 - j0], bounds[s : s + 2]
                     blocks[name][s][:, j0:j1] = part[a:b]
                     out = _frobenius(part[:a]), _frobenius(part[b:])
                     cross[name] = math.hypot(cross[name], *out)
                     col += j1 - j0
-        del chunk, dx, ix
+        del chunk, dx, ix, rows
         chunks += 1
     splits = {}
     for name in "di":
@@ -718,19 +740,16 @@ class CompactnessReport:
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the SVD
 
 
-def compactness_proxy(i_matrix, tensor: tuple = (1, 1)) -> CompactnessReport:
+def compactness_proxy(i_matrix) -> CompactnessReport:
     """Singular value decay of I(z) as the finite-size compactness witness.
 
-    `i_matrix` is I(z), dense or as its SectorSplit (`stream_functional_equation`).
-    For a dense I(z), `tensor` = (d, n) says it acts on the d^n tensor index;
-    for n >= 2 the SVD runs in the S_N sectors, which moves each singular value
-    by at most the reported cross norm, plus half the pair defect when one SVD
-    serves both N = 3 remainders (and a relative basis defect of a few 1e-16).
+    `i_matrix` is I(z) as its SectorSplit (`stream_functional_equation`, or
+    `model.split_by_symmetry` of a dense I(z)), whose SVD runs per sector
+    block. That moves each singular value by at most the reported cross norm,
+    plus half the pair defect when one SVD serves both N = 3 remainders (and
+    a relative basis defect of a few 1e-16). A dense I(z) is taken unsplit.
     """
-    if isinstance(i_matrix, SectorSplit):
-        split = i_matrix
-    else:
-        split = split_by_symmetry(i_matrix, *tensor)
+    split = i_matrix if isinstance(i_matrix, SectorSplit) else SectorSplit.whole(i_matrix)
     s = np.concatenate(
         [
             np.tile(np.linalg.svd(b, compute_uv=False), len(serves))

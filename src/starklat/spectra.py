@@ -14,6 +14,7 @@ from .model import (
     CapacityError,
     ModelParams,
     OperatorMatrix,
+    SectorSplit,
     Window,
     _frobenius,
     apply_on_legs,
@@ -127,17 +128,18 @@ class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every imp
     factors: tuple = ()
 
 
-def sector_eigh(a: np.ndarray, d: int, n: int, lift: bool = True) -> SectorEigh:
-    """Eigenpairs of a symmetric a on the d^n tensor index, solved per S_N sector.
+def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
+    """Eigenpairs of a symmetric a from its S_N sector split, `model.split_by_symmetry(a, d, n)`.
 
-    Each vector lies in one sector of `model.split_by_symmetry`, so it is
-    exactly even or odd under the leg-0/1 swap when the split is taken. A
-    block that serves the N = 3 remainder pair is solved once for both. With
-    `lift` the pairs come as the dim x dim `eigenvectors`; without, as the
-    per-solve `factors`, and nothing of size dim x dim is formed. The residual
-    and orthogonality of the lifted pairs are bounded from the sector solves
-    alone, so no dim x dim product with a is formed either way. Once split,
-    a is no longer referenced here.
+    Each vector lies in one sector of the split, so it is exactly even or odd
+    under the leg-0/1 swap when the split is taken. A block that serves the
+    N = 3 remainder pair is solved once for both. With `lift` the pairs come
+    as the dim x dim `eigenvectors`; without, as the per-solve `factors`, and
+    nothing of size dim x dim is formed. The residual and orthogonality of
+    the lifted pairs are bounded from the sector solves alone, so no dim x dim
+    product with a is formed either way. A caller that passes
+    `split_by_symmetry(a, d, n)` with a temporary a has the dense a freed
+    before the solves (unless a is the one whole-space block).
 
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
@@ -158,9 +160,7 @@ def sector_eigh(a: np.ndarray, d: int, n: int, lift: bool = True) -> SectorEigh:
     leg permutations) Q = 1 and the bounds are the measured residual and
     Y^T Y - 1 of the symmetric part of a, plus its skew part.
     """
-    dim = a.shape[0]
-    split = split_by_symmetry(a, d, n)
-    del a  # a caller that passed a as a temporary gets it freed before the solves
+    dim = sum(s.dim for s in split.sectors)
     theta = split.basis_defect
     factors, rho, frob, gram, skew = [], [], [], [], []
     for b, serves in zip(split.blocks, split.serves):
@@ -247,9 +247,11 @@ def eigh(op: OperatorMatrix) -> SectorEigh:
     """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`).
 
     The eigenvectors are lifted. `op` stays referenced through the solve; a
-    caller that can drop it calls `dense_symmetric`, then `sector_eigh`.
+    caller that can drop it splits `dense_symmetric` of it, then calls `sector_eigh`.
     """
-    return sector_eigh(dense_symmetric(op), op.window.n_sites, op.n_particles)
+    return sector_eigh(
+        split_by_symmetry(dense_symmetric(op), op.window.n_sites, op.n_particles)
+    )
 
 
 def extremal_eigs(

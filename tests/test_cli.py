@@ -544,7 +544,7 @@ def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_
 
 
 def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
-    def broken(a, d, n):
+    def broken(*args, **kwargs):
         raise RuntimeError("solver exploded")
 
     monkeypatch.setattr(cli.spectra, "sector_eigh", broken)

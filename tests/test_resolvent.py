@@ -370,7 +370,7 @@ def test_sector_svd_of_I_matches_full(basis, n, L, pot):
     w = Window(L=L, interior_margin=1)
     ws = rsv.ResolventWorkspace(p, w, basis)
     i_mat = rsv.build_I(0.5 + 1j, ws)
-    rep = rsv.compactness_proxy(i_mat, tensor=(w.n_sites, n))
+    rep = rsv.compactness_proxy(model.split_by_symmetry(i_mat, w.n_sites, n))
     assert rep.sectors["sector_dims"] == sector_dims(w.n_sites, n)
     want = np.linalg.svd(i_mat, compute_uv=False)
     tol = 64 * np.finfo(float).eps * want[0] + rep.sectors["cross_norm"]
@@ -396,7 +396,9 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
         # the N-block is not lifted, and keeps its factors instead
         want = spectra.eigh(op)
         if k == n:
-            factors = spectra.sector_eigh(op.toarray(), w.n_sites, k, lift=False).factors
+            factors = spectra.sector_eigh(
+                model.split_by_symmetry(op.toarray(), w.n_sites, k), lift=False
+            ).factors
             assert f.eigenvectors is None and len(f.factors) == len(factors)
             for got, exp in zip(f.factors, factors):
                 assert got.values.tobytes() == exp.values.tobytes()
@@ -448,7 +450,7 @@ def test_paired_svd_of_I_matches_full(basis, L):
     w = Window(L=L, interior_margin=1)
     ws = rsv.ResolventWorkspace(p, w, basis)
     i_mat = rsv.build_I(0.5 + 1j, ws)
-    rep = rsv.compactness_proxy(i_mat, tensor=(w.n_sites, 3))
+    rep = rsv.compactness_proxy(model.split_by_symmetry(i_mat, w.n_sites, 3))
     assert rep.sectors["sector_dims"] == sector_dims(w.n_sites, 3)
     assert 0.0 < rep.sectors["pair_defect"] <= model.SECTOR_TOL * np.linalg.norm(i_mat)
     want = np.linalg.svd(i_mat, compute_uv=False)
@@ -462,8 +464,8 @@ def test_sector_svd_one_sector():
     ws = rsv.ResolventWorkspace(p, w)
     i_mat = rsv.build_I(0.5 + 1j, ws)
     want = np.linalg.svd(i_mat, compute_uv=False)
-    for tensor in ((w.n_sites, 2), (1, 1)):  # the default is one particle
-        rep = rsv.compactness_proxy(i_mat, tensor=tensor)
+    for arg in (model.split_by_symmetry(i_mat, w.n_sites, 2), i_mat):  # a dense I is unsplit
+        rep = rsv.compactness_proxy(arg)
         assert rep.sectors == {"sector_dims": [w.n_sites**2], "cross_norm": 0.0}
         assert np.abs(rep.singular_values - want).max() <= 64 * np.finfo(float).eps * want[0]
     assert ws.block(2).sectors["sector_dims"] == [w.n_sites**2]
@@ -544,7 +546,7 @@ def _dense_check(ws, z):
     d, i = rsv.expansion(z, ws)
     split = {}
     for name, x in (("d", d), ("i", i)):
-        if ws.stream_sectors()[1] is None:
+        if ws.sector_columns()[1] is None:
             # the trivial group streams the whole space, even where a split of x
             # exists (D = G_0 at N = 2 commutes with the leg swap for every v)
             split[name] = model.SectorSplit((model.Sector(None, ws.dim),), (x,), ((0,),), 0.0)
@@ -570,7 +572,9 @@ def _assert_streamed_matches(st, d, i, split, ws, z):
         for a, b in zip(got.blocks, want.blocks, strict=True):
             assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
     got = rsv.compactness_proxy(st.i).singular_values
-    want = rsv.compactness_proxy(i, tensor=(ws.window.n_sites, ws.params.N)).singular_values
+    want = rsv.compactness_proxy(
+        model.split_by_symmetry(i, ws.window.n_sites, ws.params.N)
+    ).singular_values
     assert np.abs(got - want).max() <= 1e-14 * want[0]
 
 
@@ -587,10 +591,48 @@ def test_streamed_check_matches_dense(basis, n, L, pot):
     square = 0.0
     for chunk in rsv.column_chunks(ws):
         dx, ix = rsv.expansion_columns(z, ws, chunk)
-        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk.x, 1.001 * ix, dx)) ** 2
+        ri = ws.sector_rows(1.001 * ix)
+        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, 1.001 * ix, dx, ri)) ** 2
     want = rsv.functional_equation(z, ws, d, 1.001 * i).residual
     got = math.sqrt(square / (1.0 - st.i.basis_defect))
     assert want > 1e-6 and abs(got - want) <= 1e-14 * (np.linalg.norm(d) + np.linalg.norm(i))
+
+
+def test_streamed_check_with_diagonal_n_block():
+    # v = 0 in the Stark basis: H^(2) is diagonal, so the N-block has no sector
+    # factors; the chunks still run over the S_N sectors, and the residual
+    # applies G to X - I^T X itself instead of to the rows Q^T X - Q^T (I^T X)
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 0.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=3, interior_margin=1))
+    z = 0.5 + 1j
+    assert ws.block(2).factors == () and ws.sector_columns()[1] is not None
+    d, i, split = _dense_check(ws, z)
+    st = rsv.stream_functional_equation(z, ws)
+    _assert_streamed_matches(st, d, i, split, ws, z)
+    # I' = I + 1e-3 (I = 0 here) through the chunk kernel, against a dense G
+    square = 0.0
+    for chunk in rsv.column_chunks(ws):
+        dx, ix = rsv.expansion_columns(z, ws, chunk)
+        ix = ix + 1e-3 * chunk.x
+        ri = ws.sector_rows(ix)
+        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, ix, dx, ri)) ** 2
+    h = model.build_hamiltonian(p, ws.window, "stark").toarray()
+    g = np.linalg.inv(z * np.eye(ws.dim) - h)
+    want = np.linalg.norm(g - d - (i + 1e-3 * np.eye(ws.dim)) @ g)
+    got = math.sqrt(square / (1.0 - st.i.basis_defect))
+    assert want > 1e-6 and abs(got - want) <= 1e-12 * np.linalg.norm(g)
+
+
+def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
+    # the chunks follow the N-block's sectors; with an even v and H^(N) left
+    # whole, columns of 1 are not closed under the leg permutations (N = 3
+    # images each chain by the relabellings; at N = 2 there is one chain)
+    monkeypatch.setattr(model, "SECTOR_TOL", -1.0)
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=1, interior_margin=1))
+    assert ws.sector_columns()[1] is None
+    with pytest.raises(np.linalg.LinAlgError, match="S_N sectors"):
+        rsv.stream_functional_equation(0.5 + 1j, ws)
 
 
 @pytest.mark.parametrize("n,L,pot", [(3, 2, STREAM_CASES[1][3]), (4, 1, STREAM_CASES[1][3]),

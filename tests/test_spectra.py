@@ -340,7 +340,7 @@ def test_sector_bounds_cover_full_matrix_defects(basis, n, L, pot):
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     w = Window(L=L, interior_margin=1)
     dense = model.build_hamiltonian(p, w, basis).toarray()
-    sol = spectra.sector_eigh(dense, w.n_sites, n)
+    sol = spectra.sector_eigh(model.split_by_symmetry(dense, w.n_sites, n))
     assert sol.sectors["sector_dims"] == sector_dims(w.n_sites, n)
     # in extended precision: a float dense @ V - V * lambda overstates large-|lambda| columns
     vecs = sol.eigenvectors.astype(np.longdouble)
@@ -414,7 +414,7 @@ def test_paired_remainder_solve_matches_full(basis, L):
     cyclic = np.arange(d**3).reshape(d, d, d).transpose(2, 0, 1).ravel()
     j = 2.0 / np.sqrt(3.0) * odd.T @ even[cyclic]
     assert np.abs(j - np.eye(j.shape[0])).max() <= 1e-14
-    sol = spectra.sector_eigh(dense, d, 3, lift=False)
+    sol = spectra.sector_eigh(model.split_by_symmetry(dense, d, 3), lift=False)
     assert sol.eigenvectors is None
     assert [len(f.sectors) for f in sol.factors] == [1, 1, 2]
     assert sol.sectors["sector_dims"] == sector_dims(d, 3)
@@ -449,12 +449,12 @@ def test_unequal_remainders_take_two_solves():
     split = model.split_by_symmetry(a, d, n)
     assert split.serves == ((0,), (1,), (2,), (3,)) and len(split.blocks) == 4
     assert split.pair_defect > model.SECTOR_TOL * np.linalg.norm(a)
-    sol = spectra.sector_eigh(a, d, n, lift=False)
+    sol = spectra.sector_eigh(model.split_by_symmetry(a, d, n), lift=False)
     assert [len(f.sectors) for f in sol.factors] == [1, 1, 1, 1]
     assert sol.sectors["pair_defect"] == split.pair_defect
     want = np.linalg.eigvalsh(a)
     assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(a, 2)
-    lifted = spectra.sector_eigh(a, d, n)
+    lifted = spectra.sector_eigh(model.split_by_symmetry(a, d, n))
     v = lifted.eigenvectors
     assert np.linalg.norm(a @ v - v * lifted.eigenvalues) <= lifted.residual_norm <= 1e-10
 
@@ -477,7 +477,7 @@ def test_sector_split_refuses_cross_coupling_above_constant():
             # Frobenius norm sqrt(2) eps, half of it in the cross blocks
             eps = scale * model.SECTOR_TOL * norm
             assert split.cross_norm == pytest.approx(eps, rel=1e-3)
-            sol = spectra.sector_eigh(b, d, 2)
+            sol = spectra.sector_eigh(model.split_by_symmetry(b, d, 2))
             want = np.linalg.eigvalsh(b)
             assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * max(
                 1.0, np.abs(want).max()
@@ -497,8 +497,9 @@ def test_capacity_errors():
 
 
 def test_dense_h_freed_before_the_sector_solves(tmp_path, monkeypatch):
-    # sector_eigh, ResolventWorkspace.block and the CLI's solve hold no reference
-    # to the dense H once it is split, so each sector eigh runs without it
+    # sector_eigh takes the split, so a caller that passes split_by_symmetry of a
+    # temporary dense H (ResolventWorkspace.block, the CLI's solve) holds no
+    # reference to it once the split returns, and each sector eigh runs without it
     import json
     import weakref
 
@@ -522,7 +523,9 @@ def test_dense_h_freed_before_the_sector_solves(tmp_path, monkeypatch):
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
     w = Window(L=4, interior_margin=1)
     held = [model.build_hamiltonian(p, w, "stark")]
-    spectra.sector_eigh(spectra.dense_symmetric(held.pop()), w.n_sites, 2)
+    spectra.sector_eigh(
+        model.split_by_symmetry(spectra.dense_symmetric(held.pop()), w.n_sites, 2)
+    )
     resolvent.ResolventWorkspace(p, w).block(2)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": {"g": 1.0, "h": 0.5, "N": 2},

@@ -447,7 +447,7 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
     blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
-    diagnostics["block_eigh"] = {  # a diagonal H^(k) is not solved and has no sectors
+    diagnostics["block_eigh"] = {  # a diagonal H^(k), k < N, is not solved and has no sectors
         str(k): _eigh_diagnostics(f) for k, f in blocks.items() if f.sectors
     }
     diagnostics["compactness_svd"] = rep.sectors
@@ -587,37 +587,23 @@ def _read_csv(path: str) -> list:
 
 def plot_data(run_dir: str) -> int:
     """Reshape run outputs into tidy log-scale tables for plotting."""
+    tables = (  # input CSV, output CSV, header, row function (None drops the row)
+        ("shell_decay.csv", "shell_decay_plot.csv", ["r", "log10_amplitude", "rate"],
+         lambda r: (int(r["r"]), float(np.log10(float(r["amplitude"]))), float(r["rate"]))
+         if float(r["amplitude"]) > 0 else None),
+        ("com_profile.csv", "com_profile_plot.csv", ["a_minus_center", "log10_norm"],
+         lambda r: (float(int(r["a"]) - float(r["com_center"])),
+                    float(np.log10(float(r["norm"]))))),
+        ("tail_summary.csv", "tail_summary_plot.csv", ["r", "log10_sup_tail"],
+         lambda r: (int(r["r"]), float(np.log10(max(float(r["sup_tail"]), 1e-300))))),
+    )
     wrote = 0
-    shell = os.path.join(run_dir, "shell_decay.csv")
-    if os.path.exists(shell):
-        rows = [
-            (int(r["r"]), float(np.log10(float(r["amplitude"]))), float(r["rate"]))
-            for r in _read_csv(shell)
-            if float(r["amplitude"]) > 0
-        ]
-        write_csv(os.path.join(run_dir, "shell_decay_plot.csv"),
-                  ["r", "log10_amplitude", "rate"], rows)
-        wrote += 1
-    prof = os.path.join(run_dir, "com_profile.csv")
-    if os.path.exists(prof):
-        rows = []
-        for r in _read_csv(prof):
-            center = float(r["com_center"])
-            rows.append(
-                (float(int(r["a"]) - center), float(np.log10(float(r["norm"]))))
-            )
-        write_csv(os.path.join(run_dir, "com_profile_plot.csv"),
-                  ["a_minus_center", "log10_norm"], rows)
-        wrote += 1
-    tail = os.path.join(run_dir, "tail_summary.csv")
-    if os.path.exists(tail):
-        rows = [
-            (int(r["r"]), float(np.log10(max(float(r["sup_tail"]), 1e-300))))
-            for r in _read_csv(tail)
-        ]
-        write_csv(os.path.join(run_dir, "tail_summary_plot.csv"),
-                  ["r", "log10_sup_tail"], rows)
-        wrote += 1
+    for source, target, header, row in tables:
+        path = os.path.join(run_dir, source)
+        if os.path.exists(path):
+            rows = [out for out in map(row, _read_csv(path)) if out is not None]
+            write_csv(os.path.join(run_dir, target), header, rows)
+            wrote += 1
     if wrote == 0:
         print(f"no plottable outputs under {run_dir}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,20 +17,18 @@ DENSITY_TOL = 1e-8
 TRUNCATION_FLAG = 1e-4
 SAMPLES_PER_EXPANSION = 8  # trace samples fed by one Chebyshev recurrence
 TERM_BUFFER = 4  # vectors folded in per gemm; >= 3 for the ring of T_k, T_{k-1}, T_{k-2}
+CHEB_TOL = 1e-12  # Chebyshev coefficients below this are truncated
 
 
 @dataclass
 class PropagatorConfig:
     t_max: float
     samples: int
-    tolerance: float = 1e-12
     spectral_bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if self.t_max < 0 or self.samples < 1:
             raise ValueError("need t_max >= 0 and samples >= 1")
-        if self.tolerance > 1e-10:
-            raise ValueError("tolerance must be <= 1e-10")
 
 
 @dataclass
@@ -59,13 +57,13 @@ def gershgorin_bounds(op: OperatorMatrix) -> tuple:
     return float((d - radius).min()), float((d + radius).max())
 
 
-def chebyshev_coefficients(tau: float, tolerance: float) -> np.ndarray:
-    """c_k = (2 - delta_k0) (-i)^k J_k(tau), truncated below tolerance."""
+def chebyshev_coefficients(tau: float) -> np.ndarray:
+    """c_k = (2 - delta_k0) (-i)^k J_k(tau), truncated below CHEB_TOL."""
     k_max = int(abs(tau) + 40 + 10.0 * abs(tau) ** (1.0 / 3.0))
     # bessel_row(0, -k_max, 0, tau) lists J_{k_max}..J_0
     row = specfun.bessel_row(0, -k_max, 0, tau)[::-1]
     keep = k_max
-    while keep > 1 and abs(row[keep]) < tolerance and abs(row[keep - 1]) < tolerance:
+    while keep > 1 and abs(row[keep]) < CHEB_TOL and abs(row[keep - 1]) < CHEB_TOL:
         keep -= 1
     k = np.arange(keep + 1)
     coef = (2.0 - (k == 0)) * (-1j) ** k * row[: keep + 1]
@@ -79,7 +77,7 @@ class ChebyshevPropagator:
     c_k(t_j) = (2 - delta_k0) (-i)^k J_k(half*t_j) do. So one recurrence, run
     to the longest offset's truncation, feeds all m accumulators. Set-up checks
     that H is real symmetric and in the position basis, and fixes the spectral
-    bounds, each offset's coefficients (truncated at config.tolerance, times
+    bounds, each offset's coefficients (truncated at CHEB_TOL, times
     the phase e^{-i center t_j}) and the rescaled hs = (H - center)/half. In the
     position basis H^(N) has exactly 2N+1 occupied diagonals (offsets 0 and
     +-d^k, k < N), so hs is stored in DIA format: no index arrays per entry.
@@ -99,7 +97,7 @@ class ChebyshevPropagator:
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         offsets = dt * np.arange(1, m + 1)
-        coefs = [chebyshev_coefficients(half * t, config.tolerance) for t in offsets]
+        coefs = [chebyshev_coefficients(half * t) for t in offsets]
         self.terms = np.array([c.size for c in coefs])  # expansion terms per offset
         table = np.zeros((self.terms.max(), m), dtype=complex)
         for j, c in enumerate(coefs):

@@ -571,17 +571,39 @@ def _sparse_times(qt: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return qt @ x
 
 
+def fill_sector_blocks(
+    rows: np.ndarray, parts: tuple, blocks: list, bounds: np.ndarray, cross: float
+) -> float:
+    """File the rows Q^T (A^T X) into the transposed sector blocks; the cross norm after them.
+
+    X = [Q_s[:, j0:j1] for (s, j0, j1) in parts], and `bounds` are the first
+    rows of the sectors in Q^T. Row block s of part (s, j0, j1) is columns
+    j0:j1 of (Q_s^T A Q_s)^T, written into blocks[s]; every other row block
+    is part of a dropped cross block Q_t^T A Q_s, and their Frobenius norms
+    are added to `cross` in quadrature.
+    """
+    col = 0
+    for s, j0, j1 in parts:
+        part, (a, b) = rows[:, col : col + j1 - j0], bounds[s : s + 2]
+        blocks[s][:, j0:j1] = part[a:b]
+        cross = math.hypot(cross, _frobenius(part[:a]), _frobenius(part[b:]))
+        col += j1 - j0
+    return cross
+
+
 def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
     """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
 
-    Each block Q_s^T a Q_s comes from the sparse product Q_s^T a (sector x
-    dim), then times Q; the off-diagonal blocks Q_t^T a Q_s are what the
-    split drops, and the Frobenius norm of all of them is measured directly.
-    By Weyl's inequality every eigenvalue (a symmetric) and singular value
-    moves by at most that norm, up to the basis defect of the rounded
-    columns. If it is above SECTOR_TOL times ||a||_F (a non-symmetric v, say)
-    the whole space is the one sector, as it is for n < 2. Beyond the blocks,
-    memory is a few sector x dim arrays.
+    Per sector s, the rows Q^T (a^T Q_s) come from the sparse product
+    Q_s^T a (sector x dim), then times Q, and are filed by
+    `fill_sector_blocks`: its own rows are the block Q_s^T a Q_s, transposed;
+    the off-diagonal blocks Q_t^T a Q_s are what the split drops, and the
+    Frobenius norm of all of them is measured directly. By Weyl's inequality
+    every eigenvalue (a symmetric) and singular value moves by at most that
+    norm, up to the basis defect of the rounded columns. If it is above
+    SECTOR_TOL times ||a||_F (a non-symmetric v, say) the whole space is the
+    one sector, as it is for n < 2. Beyond the blocks, memory is a few
+    sector x dim arrays, and a C-ordered copy of a Fortran-ordered a.
 
     At n = 3 the two remainder blocks are copies (`_odd_partner`): if their
     measured difference, the pair defect, is within SECTOR_TOL ||a||_F too,
@@ -590,21 +612,17 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
-        # the sparse products read rows: a Fortran-ordered a (I(z) is built
-        # transposed) is split through a^T, whose blocks are those of a transposed
-        flip = not a.flags.c_contiguous and a.flags.f_contiguous
-        at = a.T if flip else a
+        a = np.ascontiguousarray(a)  # read by rows in every sector: one copy of a Fortran-ordered a
         q_all = sp.vstack([s.qt for s in sectors], format="csr")
-        blocks, cross, start = [], 0.0, 0
-        for s in sectors:
-            # row block t of col is (Q_s^T at Q_t)^T
-            col = _sparse_times(q_all, _sparse_times(s.qt, at).T)
-            stop = start + s.dim
-            blocks.append(col[start:stop].copy() if flip else col[start:stop].T.copy())
-            cross = math.hypot(cross, _frobenius(col[:start]), _frobenius(col[stop:]))
-            del col
-            start = stop
-        split = sector_split(sectors, blocks, cross, n)
+        bounds = np.cumsum([0] + [s.dim for s in sectors])
+        blocks, cross = [], 0.0
+        for s, sector in enumerate(sectors):
+            rows = _sparse_times(q_all, _sparse_times(sector.qt, a).T)
+            # Fortran-ordered, so the block (its transpose) comes out C-ordered
+            blocks.append(np.empty((sector.dim, sector.dim), rows.dtype, order="F"))
+            cross = fill_sector_blocks(rows, ((s, 0, sector.dim),), blocks, bounds, cross)
+            del rows
+        split = sector_split(sectors, [b.T for b in blocks], cross, n)
         if split is not None:
             return split
     return SectorSplit.whole(a)

@@ -33,7 +33,6 @@ from .model import (
     CapacityError,
     ModelParams,
     PairPotential,
-    Sector,
     SectorSplit,
     Window,
     _frobenius,
@@ -41,9 +40,9 @@ from .model import (
     _sparse_times,
     apply_on_legs,
     build_hamiltonian,
+    fill_sector_blocks,
     sector_split,
     split_by_symmetry,
-    symmetry_sectors,
     two_site_operator,
 )
 from .spectra import (
@@ -204,16 +203,17 @@ class ResolventWorkspace:
     def block(self, k: int) -> SectorEigh:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        `spectra.sector_eigh` of H^(k), unless H^(k) is diagonal: then U = 1
-        exactly, with its diagonal in index order, `eigenvectors` None, no
-        factors and zero defects. Blocks with k < N are lifted to their
-        d^k x d^k U; the k = N block keeps its sector factors.
+        `spectra.sector_eigh` of H^(k). The k = N block keeps its sector
+        factors; blocks with k < N are lifted to their d^k x d^k U, unless
+        H^(k) is diagonal: then U = 1 exactly, with its diagonal in index
+        order, `eigenvectors` None, no factors and zero defects.
         """
         key = ("U", k)
         if key not in self.cache:
             held = [build_hamiltonian(self.params.with_n(k), self.window, self.basis)]
             diag = held[0].matrix.diagonal()
-            if np.count_nonzero(held[0].matrix.data) == np.count_nonzero(diag):
+            diagonal = np.count_nonzero(held[0].matrix.data) == np.count_nonzero(diag)
+            if diagonal and k < self.params.N:
                 self.cache[key] = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
                 del diag
@@ -224,37 +224,26 @@ class ResolventWorkspace:
         return self.cache[key]
 
     def sector_columns(self) -> tuple:
-        """(sectors, Q^T, Q): the sectors the N-block's factors serve, in factor order.
+        """(sectors, Q^T, Q): the sectors of the N-block's factors, in factor order.
 
         `apply_resolvent` projects the N-particle block onto these columns,
-        and the resolvent check streams them. If H^(N) is diagonal (no
-        factors) they are the S_N sectors (`model.symmetry_sectors`) when v is
-        even and N >= 2, else the whole space. Q^T and Q are CSR, both None
-        for the whole space (Q = 1).
+        and the resolvent check streams them. Q^T and Q are CSR: the stacked
+        sector columns, or the identity when H^(N) was not split (the whole
+        space, whose one sector has `qt` None).
         """
         key = ("Q",)
         if key not in self.cache:
-            n = self.params.N
-            factors = self.block(n).factors
-            if factors:
-                sectors = tuple(s for f in factors for s in f.sectors)
-            elif n >= 2 and even_potential(self.params.potential):
-                sectors = symmetry_sectors(self.window.n_sites, n)
-            else:
-                sectors = (Sector(None, self.dim),)
+            sectors = tuple(s for f in self.block(self.params.N).factors for s in f.sectors)
             if sectors[0].qt is None:
-                self.cache[key] = (sectors, None, None)
+                qt = sp.identity(self.dim, format="csr")
             else:
                 qt = sp.vstack([s.qt for s in sectors], format="csr")
-                self.cache[key] = (sectors, qt, qt.T.tocsr())
+            self.cache[key] = (sectors, qt, qt.T.tocsr())
         return self.cache[key]
 
     def sector_rows(self, y: np.ndarray) -> np.ndarray:
-        """Q^T y over `sector_columns`, complex and C-ordered; a copy of y when Q = 1."""
-        qt = self.sector_columns()[1]
-        if qt is None:
-            return np.array(y, dtype=complex, order="C")
-        return _sparse_times(qt, np.asarray(y, dtype=complex))
+        """Q^T y over `sector_columns`, complex and C-ordered."""
+        return _sparse_times(self.sector_columns()[1], np.asarray(y, dtype=complex))
 
     def two_site(self) -> np.ndarray:
         """The d^2 x d^2 pair operator, applied on every leg pair (i < j)."""
@@ -326,9 +315,8 @@ class ResolventWorkspace:
         then one sparse Q product.
         """
         f = self.factor(ClusterDecomposition((tuple(range(1, self.params.N + 1)),)), z)
-        q = self.sector_columns()[2]
         rows = _solve_in_sectors(f.blocks[0][1].factors, f.delta, rows)
-        return rows if q is None else _sparse_times(q, rows)
+        return _sparse_times(self.sector_columns()[2], rows)
 
     def apply_coupling(
         self, d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition, x: np.ndarray
@@ -414,23 +402,41 @@ class ColumnChunk(NamedTuple):
     """A column block X of the streamed check, closed under the leg permutations.
 
     X = [Q_s[:, j0:j1] for (s, j0, j1) in parts] over the sectors of
-    `ResolventWorkspace.sector_columns`, so P^T X = X M(pi) for every leg
-    permutation pi the expansion images by. `mix` maps each image (its axes
-    tuple in `chain_orbits`) to M(pi): the scalar +-1 on a one-dimensional
-    sector (and 1 for the identity), otherwise M(pi)^T as CSR. mix None (and
-    no parts) stands for X = 1, where M(pi) = P^T is a permutation of the
-    columns.
+    `ResolventWorkspace.sector_columns`, or X = 1 with no parts, so
+    P^T X = X M(pi) for every leg permutation pi the expansion images by.
+    `mix` maps each image (its axes tuple in `chain_orbits`) to M(pi): the
+    scalar +-1 on a one-dimensional sector (and 1 for the identity),
+    otherwise M(pi)^T as CSR (for X = 1 the permutation P).
     """
 
     x: np.ndarray  # dim x b, complex, C-ordered
     parts: tuple
-    mix: Optional[dict]
-    qx: Optional[sp.csr_matrix]  # Q^T X over the sector columns; None when Q = 1
+    mix: dict
+    qx: sp.csr_matrix  # Q^T X over the sector columns
+
+
+def _chunk_plan(ws: ResolventWorkspace, xt: sp.csr_matrix, kinds: set) -> tuple:
+    """(mix, Q^T X) of the closed chunk X = xt^T, whose columns lie in sectors of `kinds`."""
+    n, d = ws.params.N, ws.window.n_sites
+    orbits = chain_orbits(n, even_potential(ws.params.potential))
+    identity, mix = tuple(range(n)), {}
+    for axes in {axes for _, images in orbits for axes in images}:
+        legs = axes[:n]
+        if legs == identity or kinds == {"boson"}:
+            mix[axes] = 1.0
+        elif kinds == {"fermion"}:
+            mix[axes] = -1.0 if _permutation_parity(legs) else 1.0
+        else:
+            # P^T X gathers the rows of X; M^T = (P^T X)^T X
+            rows = np.arange(ws.dim).reshape((d,) * n).transpose(np.argsort(legs)).ravel()
+            mix[axes] = (xt[:, rows] @ xt.T).tocsr()
+    return mix, (ws.sector_columns()[1] @ xt.T).tocsr()
 
 
 def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
     """X = 1 as a chunk: the dense D^T, I^T and residual of the same kernels."""
-    return ColumnChunk(np.eye(ws.dim, dtype=complex), (), None, ws.sector_columns()[1])
+    xt = sp.identity(ws.dim, format="csr")
+    return ColumnChunk(np.eye(ws.dim, dtype=complex), (), *_chunk_plan(ws, xt, set()))
 
 
 def _column_parts(sectors: tuple, n: int, width: int) -> list:
@@ -469,32 +475,19 @@ def column_chunks(ws: ResolventWorkspace):
     """
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:
-        n, d = ws.params.N, ws.window.n_sites
+        n = ws.params.N
         sectors, q_all, _ = ws.sector_columns()
         orbits = chain_orbits(n, even_potential(ws.params.potential))
-        images = {axes for _, imgs in orbits for axes in imgs}
-        if len(images) > 1 and q_all is None:
+        if sectors[0].qt is None and any(len(images) > 1 for _, images in orbits):
             # an even v with H^(N) left whole: columns of 1 are not closed
             raise np.linalg.LinAlgError("H^(N) does not split into the S_N sectors")
-        qts = [sp.identity(ws.dim, format="csr") if s.qt is None else s.qt for s in sectors]
-        identity = tuple(range(n))
+        bounds = np.cumsum([0] + [s.dim for s in sectors])
         plans = []
         for parts in _column_parts(sectors, n, CHUNK_COLUMNS):
-            qt = sp.vstack([qts[s][j0:j1] for s, j0, j1 in parts], format="csr")
+            rows = [q_all[bounds[s] + j0 : bounds[s] + j1] for s, j0, j1 in parts]
+            xt = sp.vstack(rows, format="csr")
             kinds = {sectors[s].kind for s, _, _ in parts}
-            mix = {}
-            for axes in images:
-                legs = axes[:n]
-                if legs == identity or kinds == {"boson"}:
-                    mix[axes] = 1.0
-                elif kinds == {"fermion"}:
-                    mix[axes] = -1.0 if _permutation_parity(legs) else 1.0
-                else:
-                    # P^T X gathers the rows of X; M^T = (P^T X)^T X
-                    rows = np.arange(ws.dim).reshape((d,) * n).transpose(np.argsort(legs)).ravel()
-                    mix[axes] = (qt[:, rows] @ qt.T).tocsr()
-            qx = None if q_all is None else (q_all @ qt.T).tocsr()
-            plans.append((parts, qt.tocoo(), mix, qx))
+            plans.append((parts, xt.tocoo(), *_chunk_plan(ws, xt, kinds)))
         ws.cache[key] = tuple(plans)
     for parts, xt, mix, qx in ws.cache[key]:
         x = np.zeros((ws.dim, xt.shape[0]), dtype=complex)
@@ -502,19 +495,8 @@ def column_chunks(ws: ResolventWorkspace):
         yield ColumnChunk(x, parts, mix, qx)
 
 
-def _add_images(
-    acc: np.ndarray, x: np.ndarray, images: tuple, mix: Optional[dict], d: int, n: int
-) -> None:
-    """acc += P x M(pi) for each image: a strided add of the row legs, then the column mix.
-
-    With mix None (X = 1) M(pi) = P^T, and P x P^T is one strided add on the
-    (d,) * 2n views.
-    """
-    if mix is None:
-        acc_t, x_t = acc.reshape((d,) * 2 * n), x.reshape((d,) * 2 * n)
-        for axes in images:
-            acc_t += x_t.transpose(axes)
-        return
+def _add_images(acc: np.ndarray, x: np.ndarray, images: tuple, mix: dict, d: int, n: int) -> None:
+    """acc += P x M(pi) for each image: a strided add of the row legs, then the column mix."""
     b = x.shape[1]
     acc_t, x_t = acc.reshape((d,) * n + (b,)), x.reshape((d,) * n + (b,))
     for axes in images:
@@ -584,26 +566,16 @@ def build_D(z: complex, ws: ResolventWorkspace) -> np.ndarray:
 
 
 def residual_columns(
-    z: complex,
-    ws: ResolventWorkspace,
-    chunk: ColumnChunk,
-    ix: np.ndarray,
-    dx: np.ndarray,
-    ri: np.ndarray,
+    z: complex, ws: ResolventWorkspace, chunk: ColumnChunk, dx: np.ndarray, ri: np.ndarray
 ) -> np.ndarray:
-    """R^T X = G (X - I^T X) - D^T X for R = G - D - I G, from (D^T X, I^T X) of the chunk's X.
+    """R^T X = G (X - I^T X) - D^T X for R = G - D - I G, from D^T X and ri = Q^T (I^T X).
 
     G is complex symmetric (H is real symmetric), so R^T = G (1 - I^T) - D^T:
-    one resolvent applied to a block, with neither G nor I G formed. When G is
-    applied from the N-block's sector factors, its rows Q^T (X - I^T X) are
-    Q^T X - ri, with ri = Q^T (I^T X) (`ResolventWorkspace.sector_rows`), so X
-    is not projected again.
+    one resolvent applied to a block, with neither G nor I G formed. G is
+    applied from the N-block's sector factors to the rows Q^T (X - I^T X) =
+    Q^T X - ri (`ResolventWorkspace.resolve_rows`), so X is not projected again.
     """
-    n = ws.params.N
-    if ws.block(n).factors:
-        r = ws.resolve_rows(z, (chunk.x if chunk.qx is None else chunk.qx.toarray()) - ri)
-    else:
-        r = ws.apply_resolvent(ClusterDecomposition((tuple(range(1, n + 1)),)), z, chunk.x - ix)
+    r = ws.resolve_rows(z, chunk.qx.toarray() - ri)
     r -= dx
     return r
 
@@ -633,7 +605,7 @@ def functional_equation(
     z: complex, ws: ResolventWorkspace, d: np.ndarray, i: np.ndarray
 ) -> FunctionalEquation:
     """Measure R = G - D - I G for (D, I) = expansion(z, ws): `residual_columns` of X = 1."""
-    r = residual_columns(z, ws, _identity_chunk(ws), i.T, d.T, ws.sector_rows(i.T))
+    r = residual_columns(z, ws, _identity_chunk(ws), d.T, ws.sector_rows(i.T))
     return FunctionalEquation(complex(z), d, i, _frobenius(r), *_gates(z, ws))
 
 
@@ -666,9 +638,10 @@ def stream_functional_equation(
 
     Per chunk X of `column_chunks`: (D^T X, I^T X) from `expansion_columns`,
     the rows Q^T (D^T X) and Q^T (I^T X) (`ResolventWorkspace.sector_rows`),
-    and R^T X from `residual_columns`, which reuses Q^T (I^T X). The sector
-    rows are columns of the transposed blocks Q_s^T D Q_s and Q_s^T I Q_s;
-    the other rows are cross blocks. The chunks cover the stored columns Q,
+    and R^T X from `residual_columns`, which reuses Q^T (I^T X). The rows
+    are filed by `model.fill_sector_blocks`, as `split_by_symmetry` files
+    its own: the sector rows are columns of the transposed blocks
+    Q_s^T D Q_s and Q_s^T I Q_s, the other rows cross blocks. The chunks cover the stored columns Q,
     with ||Q^T Q - 1||_2 <= theta (the basis defect), so ||R^T Q||_F >=
     sqrt(1 - theta) ||R||_F: the sum of ||R^T X||_F^2 over the chunks,
     divided by 1 - theta, bounds ||R||_F^2. The blocks are split by
@@ -685,15 +658,11 @@ def stream_functional_equation(
             dx, ix = expansion_columns(z, ws, chunk)
         with stage("resolvent.functional_equation"):
             rows = {"d": ws.sector_rows(dx), "i": ws.sector_rows(ix)}
-            square += _frobenius(residual_columns(z, ws, chunk, ix, dx, rows["i"])) ** 2
+            square += _frobenius(residual_columns(z, ws, chunk, dx, rows["i"])) ** 2
             for name in "di":
-                col = 0
-                for s, j0, j1 in chunk.parts:
-                    part, (a, b) = rows[name][:, col : col + j1 - j0], bounds[s : s + 2]
-                    blocks[name][s][:, j0:j1] = part[a:b]
-                    out = _frobenius(part[:a]), _frobenius(part[b:])
-                    cross[name] = math.hypot(cross[name], *out)
-                    col += j1 - j0
+                cross[name] = fill_sector_blocks(
+                    rows[name], chunk.parts, blocks[name], bounds, cross[name]
+                )
         del chunk, dx, ix, rows
         chunks += 1
     splits = {}

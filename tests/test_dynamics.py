@@ -32,7 +32,7 @@ def per_sample_evolve(op, psi0, t, config):
     it before the step was built once per trace; the reference for tail_trace."""
     lo, hi = config.spectral_bounds or dyn.gershgorin_bounds(op)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coef = dyn.chebyshev_coefficients(half * t, config.tolerance)
+    coef = dyn.chebyshev_coefficients(half * t)
     hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
     tk_prev = psi0.astype(complex)
     tk = hs @ tk_prev
@@ -73,8 +73,6 @@ def test_config_validation():
         dyn.PropagatorConfig(t_max=-1.0, samples=10)
     with pytest.raises(ValueError):
         dyn.PropagatorConfig(t_max=1.0, samples=0)
-    with pytest.raises(ValueError):
-        dyn.PropagatorConfig(t_max=1.0, samples=10, tolerance=1e-6)
 
 
 def test_gershgorin_encloses_spectrum(pair_setup):
@@ -254,7 +252,7 @@ def check_block_edges(monkeypatch, op, psi0, samples):
     blocks = -(-samples // M)
     lo, hi = trace.spectral_bounds
     last = samples - (blocks - 1) * M  # offsets in the final block
-    last_terms = dyn.chebyshev_coefficients(0.5 * (hi - lo) * last * trace.dt, cfg.tolerance).size
+    last_terms = dyn.chebyshev_coefficients(0.5 * (hi - lo) * last * trace.dt).size
     assert trace.matvecs == (blocks - 1) * (trace.chebyshev_terms - 1) + last_terms - 1
     vals, vecs = np.linalg.eigh(op.toarray())
     spectral = vecs @ (np.exp(-1j * np.outer(vals, trace.times)) * (vecs.T @ psi0)[:, None])

@@ -546,7 +546,7 @@ def _dense_check(ws, z):
     d, i = rsv.expansion(z, ws)
     split = {}
     for name, x in (("d", d), ("i", i)):
-        if ws.sector_columns()[1] is None:
+        if ws.sector_columns()[0][0].qt is None:
             # the trivial group streams the whole space, even where a split of x
             # exists (D = G_0 at N = 2 commutes with the leg swap for every v)
             split[name] = model.SectorSplit((model.Sector(None, ws.dim),), (x,), ((0,),), 0.0)
@@ -578,6 +578,22 @@ def _assert_streamed_matches(st, d, i, split, ws, z):
     assert np.abs(got - want).max() <= 1e-14 * want[0]
 
 
+def test_split_of_fortran_ordered_i_matches_c_ordered():
+    # expansion returns I(z) transposed, so Fortran-ordered; its split must not
+    # depend on the memory order
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=3, interior_margin=1))
+    i = rsv.build_I(0.5 + 1j, ws)
+    assert i.flags.f_contiguous and not i.flags.c_contiguous
+    f, c = (model.split_by_symmetry(x, ws.window.n_sites, 3) for x in (i, np.ascontiguousarray(i)))
+    scale = np.linalg.norm(i)
+    assert len(f.sectors) == 4 and f.serves == c.serves
+    assert abs(f.cross_norm - c.cross_norm) <= 1e-14 * scale
+    assert abs(f.pair_defect - c.pair_defect) <= 1e-14 * scale
+    for a, b in zip(f.blocks, c.blocks, strict=True):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
 @pytest.mark.parametrize("basis,n,L,pot", STREAM_CASES)
 def test_streamed_check_matches_dense(basis, n, L, pot):
     # the column-chunk stream against the dense D, I and 1 - I^T of expansion(z, ws)
@@ -592,20 +608,19 @@ def test_streamed_check_matches_dense(basis, n, L, pot):
     for chunk in rsv.column_chunks(ws):
         dx, ix = rsv.expansion_columns(z, ws, chunk)
         ri = ws.sector_rows(1.001 * ix)
-        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, 1.001 * ix, dx, ri)) ** 2
+        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, dx, ri)) ** 2
     want = rsv.functional_equation(z, ws, d, 1.001 * i).residual
     got = math.sqrt(square / (1.0 - st.i.basis_defect))
     assert want > 1e-6 and abs(got - want) <= 1e-14 * (np.linalg.norm(d) + np.linalg.norm(i))
 
 
 def test_streamed_check_with_diagonal_n_block():
-    # v = 0 in the Stark basis: H^(2) is diagonal, so the N-block has no sector
-    # factors; the chunks still run over the S_N sectors, and the residual
-    # applies G to X - I^T X itself instead of to the rows Q^T X - Q^T (I^T X)
+    # v = 0 in the Stark basis: H^(2) is diagonal, but the N-block is still
+    # solved in the S_N sectors and applied from its factors, like any other
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 0.0))
     ws = rsv.ResolventWorkspace(p, Window(L=3, interior_margin=1))
     z = 0.5 + 1j
-    assert ws.block(2).factors == () and ws.sector_columns()[1] is not None
+    assert ws.block(2).factors != () and ws.sector_columns()[0][0].qt is not None
     d, i, split = _dense_check(ws, z)
     st = rsv.stream_functional_equation(z, ws)
     _assert_streamed_matches(st, d, i, split, ws, z)
@@ -615,7 +630,7 @@ def test_streamed_check_with_diagonal_n_block():
         dx, ix = rsv.expansion_columns(z, ws, chunk)
         ix = ix + 1e-3 * chunk.x
         ri = ws.sector_rows(ix)
-        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, ix, dx, ri)) ** 2
+        square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, dx, ri)) ** 2
     h = model.build_hamiltonian(p, ws.window, "stark").toarray()
     g = np.linalg.inv(z * np.eye(ws.dim) - h)
     want = np.linalg.norm(g - d - (i + 1e-3 * np.eye(ws.dim)) @ g)
@@ -630,7 +645,7 @@ def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
     monkeypatch.setattr(model, "SECTOR_TOL", -1.0)
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     ws = rsv.ResolventWorkspace(p, Window(L=1, interior_margin=1))
-    assert ws.sector_columns()[1] is None
+    assert ws.sector_columns()[0][0].qt is None
     with pytest.raises(np.linalg.LinAlgError, match="S_N sectors"):
         rsv.stream_functional_equation(0.5 + 1j, ws)
 

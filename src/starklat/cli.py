@@ -373,13 +373,12 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stag
         psi0 = dynamics.product_state(cfg.window, cfg.initial_sites)
     with stage("dynamics.tail_trace"):
         trace = dynamics.tail_trace(op, psi0, cfg.propagator, cfg.radii)
-    x = np.arange(-cfg.window.L, cfg.window.L + 1)
-    rows = [
-        (float(t), int(xx), float(trace.densities[k, j]))
-        for k, t in enumerate(trace.times)
-        for j, xx in enumerate(x)
-        if trace.densities[k, j] > 1e-16
-    ]
+    sample, site = np.nonzero(trace.densities > 1e-16)
+    rows = zip(
+        trace.times[sample].tolist(),
+        (site - cfg.window.L).tolist(),
+        trace.densities[sample, site].tolist(),
+    )
     write_csv(os.path.join(out, "density_trace.csv"), ["t", "x", "rho"], rows)
     write_csv(
         os.path.join(out, "tail_summary.csv"),

@@ -70,6 +70,34 @@ def chebyshev_coefficients(tau: float) -> np.ndarray:
     return coef
 
 
+def position_stencil(op: OperatorMatrix) -> tuple:
+    """H's diagonal and its one hop, checked exactly against every stored entry.
+
+    In the position basis H^(N) is diagonal apart from one constant hop between
+    grid neighbours on each leg, at flat offsets +-d^k, k < N. Raises ValueError
+    for a hop that varies, an entry at any other offset, or one that wraps
+    across a leg edge.
+    """
+    d, n = op.window.n_sites, op.n_particles
+    dia = op.matrix.todia()
+    strides = [d**k for k in range(n)]
+    hop = float(dia.diagonal(1)[0])
+    for offset in set(dia.offsets.tolist()) | {s * k for k in strides for s in (-1, 1)}:
+        if offset == 0:
+            continue
+        # H[i, i + offset] or H[i - offset, i]: the pair's lower index is i
+        vals = dia.diagonal(offset)
+        want = np.zeros(vals.size)
+        if abs(offset) in strides:
+            lower = np.arange(vals.size)
+            want[lower // abs(offset) % d < d - 1] = hop
+        if not np.array_equal(vals, want):
+            raise ValueError(
+                f"propagator needs one constant nearest-neighbour hop; offset {offset} differs"
+            )
+    return dia.diagonal(), hop
+
+
 class ChebyshevPropagator:
     """e^{-i t_j H} psi for the offsets t_j = j*dt, j = 1..m, from one recurrence.
 
@@ -78,14 +106,17 @@ class ChebyshevPropagator:
     to the longest offset's truncation, feeds all m accumulators. Set-up checks
     that H is real symmetric and in the position basis, and fixes the spectral
     bounds, each offset's coefficients (truncated at CHEB_TOL, times
-    the phase e^{-i center t_j}) and the rescaled hs = (H - center)/half. In the
-    position basis H^(N) has exactly 2N+1 occupied diagonals (offsets 0 and
-    +-d^k, k < N), so hs is stored in DIA format: no index arrays per entry.
+    the phase e^{-i center t_j}) and the rescaled hs = (H - center)/half.
 
-    A state is held as its real and imaginary planes, shape (2, dim): hs is
-    real, so each term costs two real matvecs and no complex copy of H.
-    TERM_BUFFER Chebyshev vectors at a time are folded into the accumulators by
-    one in-place gemm with the real form of the coefficient table.
+    hs is applied matrix-free, as a nearest-neighbour stencil: its diagonal
+    and one hop constant (`position_stencil`). States live on a padded grid of
+    shape (d,) + (d+1,)*(N-1): every leg but the slowest carries one zero ghost
+    layer, so the hop along leg k is two contiguous slice-adds at the flat
+    stride (d+1)^k, and a hop off a leg's edge lands on a ghost, zeroed after
+    each term. A state is held as its real and imaginary planes, shape (2, P):
+    hs is real, so each term updates both planes at once. TERM_BUFFER Chebyshev
+    vectors at a time are folded into the accumulators by one in-place gemm
+    with the real form of the coefficient table.
     """
 
     def __init__(self, op: OperatorMatrix, dt: float, m: int, config: PropagatorConfig):
@@ -93,6 +124,7 @@ class ChebyshevPropagator:
             raise ValueError("propagator needs a real symmetric Hamiltonian")
         if op.basis_tag != "position":
             raise ValueError("propagator runs in the position basis only")
+        diag, hop = position_stencil(op)
         self.bounds = config.spectral_bounds or gershgorin_bounds(op)
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -109,35 +141,63 @@ class ChebyshevPropagator:
         real[:, 0, :, 1] = table.imag
         real[:, 1, :, 0] = -table.imag
         self.table = real.reshape(2 * table.shape[0], 2 * m)
-        self.hs = op.matrix.todia()
-        self.hs.data /= half
-        self.hs.setdiag(self.hs.diagonal() - center / half)
+        d, n = op.window.n_sites, op.n_particles
+        self.grid = (d,) + (d + 1,) * (n - 1)
+        self.interior = (Ellipsis,) + (slice(0, d),) * (n - 1)
+        # index d on each padded grid axis a = 1..N-1: that axis's ghost layer
+        self.ghosts = [(Ellipsis, d) + (slice(None),) * (n - 1 - a) for a in range(1, n)]
+        padded = np.zeros(self.grid)
+        padded[self.interior] = (diag / half - center / half).reshape((d,) * n)
+        self.diag = padded.ravel()
+        # one row per plane: a multiply that broadcasts the diagonal ran 2x slower
+        self.diag2 = np.stack([2.0 * self.diag] * 2)
+        self.hop = hop / half
+        self.strides = [(d + 1) ** k for k in range(n)] if hop else []
         self.matvecs = 0  # applications of hs to a state, summed over calls
 
-    def __call__(self, planes: np.ndarray, count: int) -> np.ndarray:
-        """The planes of the states at offsets 1..count from planes (2, dim).
+    def step(self, prev: np.ndarray, out: np.ndarray, prev2, hopped: np.ndarray) -> None:
+        """out = 2 hs prev - prev2, or hs prev if prev2 is None, on padded planes (2, P).
 
-        Returns shape (count, 2, dim); raises if any state's norm drifts.
+        The ghosts of prev must be zero; those of out are zeroed. hopped is scratch.
         """
-        hs, dim = self.hs, planes.shape[1]
+        if prev2 is None:
+            np.multiply(prev, self.diag, out=out)
+            hop = self.hop
+        else:
+            np.multiply(prev, self.diag2, out=out)
+            out -= prev2
+            hop = 2.0 * self.hop
+        if self.strides:
+            np.multiply(prev, hop, out=hopped)
+        for s in self.strides:
+            out[:, s:] += hopped[:, :-s]
+            out[:, :-s] += hopped[:, s:]
+        grid = out.reshape((2,) + self.grid)
+        for ghost in self.ghosts:
+            grid[ghost] = 0.0
+
+    def __call__(self, planes: np.ndarray, count: int) -> np.ndarray:
+        """The planes of the states at offsets 1..count from planes (2, dim) or (2,) + (d,)*N.
+
+        Returns an unpadded view of shape (count, 2) + (d,)*N; raises if any
+        state's norm drifts.
+        """
+        size, d = self.diag.size, self.grid[0]
         n_terms = int(self.terms[:count].max())
         table = self.table[: 2 * n_terms, : 2 * count]
-        acc = np.zeros((count, 2, dim))
-        buf = np.empty((TERM_BUFFER, 2, dim))
-        acc_f, buf_f = acc.reshape(2 * count, dim).T, buf.reshape(2 * TERM_BUFFER, dim).T
+        acc = np.zeros((count, 2, size))
+        buf = np.zeros((TERM_BUFFER, 2, size))
+        hopped = np.empty((2, size))
+        acc_f, buf_f = acc.reshape(2 * count, size).T, buf.reshape(2 * TERM_BUFFER, size).T
         for k in range(n_terms):
             slot = buf[k % TERM_BUFFER]
             if k == 0:
-                slot[...] = planes
+                slot.reshape((2,) + self.grid)[self.interior] = planes.reshape(
+                    (2,) + (d,) * len(self.grid)
+                )
             else:
-                prev, prev2 = buf[(k - 1) % TERM_BUFFER], buf[(k - 2) % TERM_BUFFER]
-                for p in range(2):
-                    hv = hs @ prev[p]
-                    if k == 1:
-                        slot[p] = hv
-                    else:  # T_k = 2 hs T_{k-1} - T_{k-2}
-                        np.multiply(hv, 2.0, out=slot[p])
-                        slot[p] -= prev2[p]
+                prev2 = buf[(k - 2) % TERM_BUFFER] if k > 1 else None
+                self.step(buf[(k - 1) % TERM_BUFFER], slot, prev2, hopped)
             used = k % TERM_BUFFER + 1
             if used == TERM_BUFFER or k == n_terms - 1:
                 rows = slice(2 * (k + 1 - used), 2 * (k + 1))
@@ -153,11 +213,15 @@ class ChebyshevPropagator:
                     f"norm drift {drift:.2e} at offset {j + 1}; "
                     f"spectral bounds ({lo:g}, {hi:g}) likely violated"
                 )
-        return acc
+        return acc.reshape((count, 2) + self.grid)[self.interior]
 
 
 def _planes(psi: np.ndarray) -> np.ndarray:
     return np.array([psi.real, psi.imag], dtype=float)
+
+
+def _state(planes: np.ndarray) -> np.ndarray:
+    return (planes[0] + 1j * planes[1]).ravel()
 
 
 def _check_normalized(psi: np.ndarray) -> None:
@@ -173,8 +237,7 @@ def evolve(
     _check_normalized(psi0)
     if t == 0.0:
         return psi0.astype(complex)
-    re, im = prop(_planes(psi0), 1)[0]
-    return re + 1j * im
+    return _state(prop(_planes(psi0), 1)[0])
 
 
 def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
@@ -230,7 +293,7 @@ def tail_trace(
     for first in range(1, times.size, m):
         block = prop(base, min(m, times.size - first))
         for j in range(block.shape[0]):
-            record(first + j, block[j, 0] + 1j * block[j, 1])
+            record(first + j, _state(block[j]))
         base = block[-1].copy()
         del block  # release this block's states before the next is computed
     sup_tails = tails.max(axis=0)

@@ -94,18 +94,60 @@ def test_gershgorin_is_the_disc_enclosure(pair_setup):
     assert dyn.gershgorin_bounds(op1) == (diag.min(), diag.max())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_propagator_stores_2n_plus_1_diagonals(n):
-    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
-    w = Window(L=3, interior_margin=1)
-    op = model.build_hamiltonian(p, w, "position")
+def position_op(n, L=3, g=1.0):
+    p = ModelParams(g=g, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    return model.build_hamiltonian(p, Window(L=L, interior_margin=1), "position")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stencil_step_matches_dense_rescaled_h(n):
+    op = position_op(n, L=2 if n == 4 else 3)
     prop = dyn.ChebyshevPropagator(op, 0.1, 1, dyn.PropagatorConfig(1.0, 1))
-    d = w.n_sites
-    assert isinstance(prop.hs, sp.dia_matrix)
-    assert sorted(prop.hs.offsets) == sorted([0] + [s * d**k for k in range(n) for s in (-1, 1)])
     lo, hi = prop.bounds
-    rescaled = (op.toarray() - 0.5 * (hi + lo) * np.eye(op.dim)) / (0.5 * (hi - lo))
-    assert np.abs(prop.hs.toarray() - rescaled).max() <= 1e-15
+    hs = (op.toarray() - 0.5 * (hi + lo) * np.eye(op.dim)) / (0.5 * (hi - lo))
+    d = op.window.n_sites
+
+    def padded(planes):
+        grid = np.zeros((2,) + prop.grid)
+        grid[prop.interior] = planes.reshape((2,) + (d,) * n)
+        return grid.reshape(2, -1)
+
+    def unpadded(planes):
+        return planes.reshape((2,) + prop.grid)[prop.interior].reshape(2, -1)
+
+    x, y = np.random.default_rng(n).standard_normal((2, 2, op.dim))
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)  # two normalized states
+    out, hopped = np.empty_like(padded(x)), np.empty_like(padded(x))
+    prop.step(padded(x), out, None, hopped)  # k = 1: T_1 = hs T_0
+    assert np.abs(unpadded(out) - x @ hs).max() <= 1e-15
+    assert np.array_equal(out, padded(unpadded(out)))  # the ghosts are zero
+    prop.step(padded(x), out, padded(y), hopped)  # k >= 2: T_k = 2 hs T_{k-1} - T_{k-2}
+    assert np.abs(unpadded(out) - (2.0 * x @ hs - y)).max() <= 1e-15
+    assert np.array_equal(out, padded(unpadded(out)))
+
+
+def with_pair(op, i, j, value):
+    """op with the symmetric pair of entries (i, j), (j, i) set to value."""
+    mat = op.matrix.tolil()
+    mat[i, j] = mat[j, i] = value
+    return model.OperatorMatrix("position", op.window, op.n_particles, mat)
+
+
+def test_propagator_accepts_only_its_stencil():
+    op = position_op(2)
+    d, cfg = op.window.n_sites, dyn.PropagatorConfig(1.0, 1)
+    refused = [
+        with_pair(op, d + 1, d + 2, -1.5),  # a hop that is not the constant -g
+        with_pair(op, 0, 2, 0.3),  # offset 2, not +-1 or +-d
+        with_pair(op, d - 1, d, -1.0),  # offset 1, wrapping from x_2 = L to x_2 = -L
+        with_pair(op, d * (d - 1) - 1, d * d - 1, 0.0),  # a missing hop at offset d
+    ]
+    for bad in refused:
+        assert bad.symmetry_defect() == 0.0
+        with pytest.raises(ValueError, match="nearest-neighbour hop"):
+            dyn.ChebyshevPropagator(bad, 0.1, 1, cfg)
+    free = dyn.ChebyshevPropagator(position_op(2, g=0.0), 0.1, 1, cfg)  # no hop at all
+    assert free.hop == 0.0 and free.strides == []
 
 
 def test_propagator_rejects_stark_basis():
@@ -295,7 +337,9 @@ def test_norm_gate_fires_at_last_sample_of_block(pair_setup):
         dyn.tail_trace(op, psi0, ref, [2])
 
 
-@pytest.mark.parametrize("n, L, sites", [(2, 6, (0, 1)), (3, 3, (0, 1, -1))])
+@pytest.mark.parametrize(
+    "n, L, sites", [(2, 6, (0, 1)), (3, 3, (0, 1, -1)), (4, 2, (0, 1, -1, 0))]
+)
 def test_tail_trace_matches_spectral_oracle(monkeypatch, n, L, sites):
     p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
     w = Window(L=L, interior_margin=1)
@@ -314,7 +358,7 @@ def test_tail_trace_guards(pair_setup):
     with pytest.raises(RuntimeError, match="norm drift"):
         dyn.tail_trace(op, psi0, narrow, [2])
     skew = op.matrix.tolil()
-    skew[0, 1] += 0.1
+    skew[0, 1] += 0.1  # a varying hop too, but the symmetry check comes first
     bad_op = model.OperatorMatrix("position", w, 2, skew)
     with pytest.raises(ValueError, match="symmetric"):
         dyn.tail_trace(bad_op, psi0, dyn.PropagatorConfig(1.0, 2), [2])

@@ -248,23 +248,24 @@ def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
 
 
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
-    """Build, export if asked, and diagonalize H; return the result and its interior mask."""
+    """Build, export if asked, and diagonalize H; return its sector factors and interior mask."""
     with stage("model.build_hamiltonian"):
         held = [model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)]
     if cfg.export_matrices:
         held[0].export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
-        # no reference to either H through the solves: the sparse one is freed
-        # once densified, the dense one once split_by_symmetry returns its blocks
+        # no reference to H through the solves: split_by_symmetry is its last
+        # reader, and the eigenvectors stay in their sector factors
         res = spectra.sector_eigh(
             model.split_by_symmetry(
-                spectra.dense_symmetric(held.pop()), cfg.window.n_sites, cfg.params.N
-            )
+                spectra.symmetric_matrix(held.pop()), cfg.window.n_sites, cfg.params.N
+            ),
+            lift=False,
         )
     diagnostics["eigh"] = _eigh_diagnostics(res)
     checks["diagonalization_residual"] = diagnostics["eigh"]["residual_max"] <= 1e-8
     with stage("spectra.interior_mask"):
-        return res, spectra.interior_mask(res.eigenvectors, cfg.params, cfg.window, cfg.basis)
+        return res, spectra.interior_mask(res, cfg.params, cfg.window, cfg.basis)
 
 
 def _task_spectrum(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
@@ -298,7 +299,7 @@ def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict
         with stage("spectra.cluster_spectrum"):
             sig = spectra.cluster_spectrum(params, window)
     lams = res.eigenvalues[mask]
-    states = res.eigenvectors[:, mask]
+    states = spectra.lift_states(res, np.flatnonzero(mask))  # only the interior states
     prof = localization.com_profile(states, lams, params, window, params.N)
     coms = localization.com_decay_check(prof, max(probe.theta_list))
     isolated = np.array(

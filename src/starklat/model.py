@@ -3,9 +3,11 @@
 All operators act on the tensor-product window [-L, L]^N with lexicographic
 flat indexing, one leg per particle; H0 and the interaction are sums of a
 one-site and a two-site operator lifted onto legs by `embed_on_legs`. The
-stark-basis two-site kernel is assembled by a congruence transform of the
-position-basis multiplication operator through the single-particle
-eigenbasis matrix of Bessel overlaps.
+stark-basis two-site kernel is the Bessel transform of the position-basis
+pair potential; it is translation invariant, so its CSR entries are read
+from one table over the index offsets (`two_site_kernel`). The S_N sector
+split (`split_by_symmetry`) forms the dense sector blocks of a sparse or
+dense operator a chunk of sector columns at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ N_MAX = 4
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
+SPLIT_COLUMNS = 64  # sector columns per product when a split forms its blocks
 UNIT_ROUNDOFF = 2.0**-53
 # the S_N sectors of `symmetry_sectors`, in order: two one-dimensional irreps,
 # then the leg-0/1-even and -odd remainders
@@ -238,19 +241,46 @@ def potential_matrix(params: ModelParams, half_width: int) -> np.ndarray:
     return params.potential.values(j[:, None] - j[None, :])
 
 
-def two_site_kernel(params: ModelParams, window: Window) -> np.ndarray:
-    """Dense stark-basis kernel V2[(n1,n2),(m1,m2)] via the Bessel transform."""
-    pad = _kernel_pad(params)
-    xi = stark_basis_matrix(params, window, pad=pad)  # (dp, d)
-    vmat = potential_matrix(params, window.L + pad)  # (dp, dp)
-    d = window.n_sites
-    # A[(n,m), j] = Xi[j,n] * Xi[j,m]
-    a = np.einsum("jn,jm->nmj", xi, xi).reshape(d * d, -1)
-    b = a @ vmat @ a.T  # indexed (n1,m1),(n2,m2)
-    k = b.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    k = 0.5 * (k + k.T)
-    k[np.abs(k) < DROP_TOL] = 0.0
-    return k
+def two_site_kernel(params: ModelParams, window: Window) -> sp.csr_matrix:
+    """Stark-basis kernel V2[(n1,n2),(m1,m2)] as CSR, from one translation-invariant table.
+
+    V2 = sum_{j1,j2} J_{n1-j1} J_{m1-j1} v(j1 - j2) J_{n2-j2} J_{m2-j2}. With
+    j1 = n1 + p and j2 = n2 + q it depends only on the offsets a = m1 - n1,
+    b = m2 - n2 and c = n1 - n2: V2 = T(a, b, c) = (A V_c A^T)[a, b], with
+    A[a, p] = J_{-p}(x) J_{a-p}(x) for |p| <= `_kernel_pad` and V_c[p, q] =
+    v(c + p - q). Each table entry is symmetrized with its transpose partner,
+    0.5 (T(a, b, c) + T(-a, -b, c + a - b)), so the kernel is exactly
+    symmetric, and entries below DROP_TOL are dropped. Row (n1, n2) is the
+    d x d window T(-L - n1 .. L - n1, -L - n2 .. L - n2, n1 - n2) of the table,
+    read one n1 (d rows) at a time, so no d^2 x d^2 array is formed.
+    """
+    L, pad, d = window.L, _kernel_pad(params), window.n_sites
+    w = 2 * L  # every offset lies in [-w, w]; table index = offset + w
+    row = specfun.bessel_row(0, -(w + pad), w + pad, params.x)  # row[i] = J_{w+pad-i}
+    p = np.arange(-pad, pad + 1)
+    off = np.arange(-w, w + 1)
+    a_mat = row[w + pad + p] * row[(w + pad - off)[:, None] + p]
+    v = params.potential.values(np.arange(-w - 2 * pad, w + 2 * pad + 1))
+    t = a_mat @ v[(off + w + 2 * pad)[:, None, None] + p[:, None] - p] @ a_mat.T  # t[c, a, b]
+    # the partner (-a, -b, c + a - b) of every entry; offsets outside the table
+    # are never read, as no window pair has them
+    c, a, b = np.ogrid[: 2 * w + 1, : 2 * w + 1, : 2 * w + 1]
+    table = 0.5 * (t + t[np.clip(c + a - b, 0, 2 * w), 2 * w - a, 2 * w - b])
+    table[np.abs(table) < DROP_TOL] = 0.0
+    sites = np.arange(d)  # n + L
+    b_index = sites - sites[:, None, None] + w  # [n2, 0, m2]: m2 - n2
+    indptr, indices, data = [np.zeros(1, dtype=np.int32)], [], []
+    for n1 in sites:
+        # rows (n1, n2) for every n2: table[n1 - n2, m1 - n1, m2 - n2] over (m1, m2)
+        rows = table[(n1 - sites + w)[:, None, None], (sites - n1 + w)[:, None], b_index]
+        rows = rows.reshape(d, d * d)
+        nz = np.flatnonzero(rows)
+        counts = np.count_nonzero(rows, axis=1)
+        indptr.append(indptr[-1][-1] + np.cumsum(counts, dtype=np.int32))
+        indices.append((nz % (d * d)).astype(np.int32))
+        data.append(rows.ravel()[nz])
+    data, indices, indptr = (np.concatenate(x) for x in (data, indices, indptr))
+    return sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
 
 
 def one_site_operator(params: ModelParams, window: Window, basis: str) -> sp.coo_matrix:
@@ -262,14 +292,10 @@ def one_site_operator(params: ModelParams, window: Window, basis: str) -> sp.coo
     return sp.diags([off, -2.0 * params.h * m, off], [-1, 0, 1], format="coo")
 
 
-def two_site_operator(params: ModelParams, window: Window, basis: str) -> sp.coo_matrix:
-    """Two-particle interaction on [-L, L]^2: diag v(j1 - j2) (position) or the stark kernel.
-
-    Returned as COO, the form `embed_on_legs` reads; a CSR copy of the dense
-    stark kernel raised the peak RSS of an N=2, L=20 localization run by 5 MB.
-    """
+def two_site_operator(params: ModelParams, window: Window, basis: str) -> sp.spmatrix:
+    """Two-particle interaction on [-L, L]^2: diag v(j1 - j2) (position) or the stark kernel."""
     if basis == "stark":
-        return sp.coo_matrix(two_site_kernel(params, window))
+        return two_site_kernel(params, window)
     return sp.diags(potential_matrix(params, window.L).ravel(), format="coo")
 
 
@@ -327,7 +353,8 @@ class Sector:
 
     `qt` is None for the whole space (Q = 1). A row of Q has at most `terms`
     nonzeros, and a lifted fl(Q y) is within lift_error ||y|| of Q y. `kind`
-    is one of SECTOR_KINDS, or "whole" for Q = 1.
+    is one of SECTOR_KINDS, or "whole" for Q = 1. `abs_gain` bounds
+    || |Q| ||_2^2, |Q| the entrywise absolute value.
     """
 
     qt: Optional[sp.csr_matrix]
@@ -335,6 +362,7 @@ class Sector:
     terms: int = 1
     lift_error: float = 0.0
     kind: str = "whole"
+    abs_gain: float = 1.0
 
     def lift(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write Q y into out; rows of several terms are summed in np.longdouble, rounded once."""
@@ -361,11 +389,13 @@ class SectorSplit:
     cross_norm: float  # Frobenius norm of the dropped off-diagonal blocks
     basis_defect: float = 0.0  # >= ||Q^T Q - 1||_2 over the stored columns of all sectors
     pair_defect: Optional[float] = None  # ||B_odd - B_even||_F of the remainders; None: no pair
+    norm: float = 0.0  # ||Q^T a Q||_F over all blocks, dropped ones too; 0 for the whole space
 
     @classmethod
-    def whole(cls, a: np.ndarray) -> "SectorSplit":
-        """a unsplit: the whole space is the one sector, and a its one block."""
-        return cls((Sector(None, a.shape[0]),), (a,), ((0,),), 0.0)
+    def whole(cls, a) -> "SectorSplit":
+        """a unsplit: the whole space is the one sector, and a (dense) its one block."""
+        block = a.toarray() if sp.issparse(a) else a
+        return cls((Sector(None, a.shape[0]),), (block,), ((0,),), 0.0)
 
     def diagnostics(self) -> dict:
         out = {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
@@ -445,6 +475,8 @@ def _orbit_bases(n: int) -> tuple:
     (1 + u) gamma_(m_p)(u_l) sum_k |x_k|; e adds the largest (1 + u)
     gamma_(m_p)(u_l) sqrt(k (1 + theta)) over the shapes to u sqrt(1 + theta),
     L_s having k columns on shape p (sqrt(k (1 + theta)) >= || |L_s| ||_2).
+    The last entry per sector, the largest k (1 + theta), bounds || |Q_s| ||_2^2:
+    |Q_s| is block-diagonal over the orbits.
     """
     from fractions import Fraction  # first use only: the import is not paid at start-up
 
@@ -509,7 +541,7 @@ def _orbit_bases(n: int) -> tuple:
         if most > 1:  # every row of the sector is accumulated in np.longdouble
             gamma = [(m * u_l / (1.0 - m * u_l), k) for m, k in t]
             e += max(g * (1.0 + u) * math.sqrt(k * (1.0 + theta)) for g, k in gamma)
-        lift.append((most, e))
+        lift.append((most, e, max((k for _, k in t), default=1) * (1.0 + theta)))
     return tuple(shapes), theta, tuple(lift)
 
 
@@ -552,7 +584,8 @@ def symmetry_sectors(d: int, n: int) -> tuple:
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(dim, d**n),
             )
-            sectors.append(Sector(qt, dim, *lift[s], SECTOR_KINDS[s]))
+            most, e, gain = lift[s]
+            sectors.append(Sector(qt, dim, most, e, SECTOR_KINDS[s], gain))
     return tuple(sectors)
 
 
@@ -591,37 +624,56 @@ def fill_sector_blocks(
     return cross
 
 
-def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
+def _sector_rows(q_all: sp.csr_matrix, xt: sp.csr_matrix, a) -> np.ndarray:
+    """Q^T (a^T X) for the sector columns X = xt^T, a sparse or dense.
+
+    X^T a adds the rows of a that each column of X touches, in the same order
+    for a sparse a as for its dense copy, and a dense sum's signed zeros are
+    made +0, so both give the same bits.
+    """
+    t = xt @ a if sp.issparse(a) else _sparse_times(xt, a)
+    if sp.issparse(t):
+        t = t.toarray()
+    else:
+        t += 0.0
+    return _sparse_times(q_all, t.T)
+
+
+def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
 
-    Per sector s, the rows Q^T (a^T Q_s) come from the sparse product
-    Q_s^T a (sector x dim), then times Q, and are filed by
-    `fill_sector_blocks`: its own rows are the block Q_s^T a Q_s, transposed;
-    the off-diagonal blocks Q_t^T a Q_s are what the split drops, and the
-    Frobenius norm of all of them is measured directly. By Weyl's inequality
-    every eigenvalue (a symmetric) and singular value moves by at most that
-    norm, up to the basis defect of the rounded columns. If it is above
-    SECTOR_TOL times ||a||_F (a non-symmetric v, say) the whole space is the
-    one sector, as it is for n < 2. Beyond the blocks, memory is a few
-    sector x dim arrays, and a C-ordered copy of a Fortran-ordered a.
+    a is sparse (the CSR H of a solve) or dense (an oracle's H, or I(z)); both
+    run the same products. Per chunk of SPLIT_COLUMNS columns X of a sector
+    Q_s, the rows Q^T (a^T X) come from the sparse product X^T a, then times
+    Q, and are filed by `fill_sector_blocks`: its own rows are columns of
+    the block Q_s^T a Q_s, transposed; the off-diagonal blocks Q_t^T a Q_s
+    are what the split drops, and the Frobenius norm of all of them is
+    measured directly. By Weyl's inequality every eigenvalue (a symmetric)
+    and singular value moves by at most that norm, up to the basis defect of
+    the rounded columns. If it is above SECTOR_TOL times ||Q^T a Q||_F (a
+    non-symmetric v, say) the whole space is the one sector, as it is for
+    n < 2. Beyond the blocks, memory is a few dim x SPLIT_COLUMNS arrays, and
+    a C-ordered copy of a Fortran-ordered dense a.
 
     At n = 3 the two remainder blocks are copies (`_odd_partner`): if their
-    measured difference, the pair defect, is within SECTOR_TOL ||a||_F too,
-    one block, their mean, serves both; each remainder then drops half the
-    difference. Otherwise both are kept.
+    measured difference, the pair defect, is within SECTOR_TOL ||Q^T a Q||_F
+    too, one block, their mean, serves both; each remainder then drops half
+    the difference. Otherwise both are kept.
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
-        a = np.ascontiguousarray(a)  # read by rows in every sector: one copy of a Fortran-ordered a
+        # read by rows in every chunk: CSR, or one copy of a Fortran-ordered dense a
+        a = a.tocsr() if sp.issparse(a) else np.ascontiguousarray(a)
         q_all = sp.vstack([s.qt for s in sectors], format="csr")
         bounds = np.cumsum([0] + [s.dim for s in sectors])
-        blocks, cross = [], 0.0
+        # Fortran-ordered, so each block (its transpose) comes out C-ordered
+        blocks = [np.empty((s.dim, s.dim), a.dtype, order="F") for s in sectors]
+        cross = 0.0
         for s, sector in enumerate(sectors):
-            rows = _sparse_times(q_all, _sparse_times(sector.qt, a).T)
-            # Fortran-ordered, so the block (its transpose) comes out C-ordered
-            blocks.append(np.empty((sector.dim, sector.dim), rows.dtype, order="F"))
-            cross = fill_sector_blocks(rows, ((s, 0, sector.dim),), blocks, bounds, cross)
-            del rows
+            for j0 in range(0, sector.dim, SPLIT_COLUMNS):
+                j1 = min(j0 + SPLIT_COLUMNS, sector.dim)
+                rows = _sector_rows(q_all, sector.qt[j0:j1], a)
+                cross = fill_sector_blocks(rows, ((s, j0, j1),), blocks, bounds, cross)
         split = sector_split(sectors, [b.T for b in blocks], cross, n)
         if split is not None:
             return split
@@ -631,11 +683,12 @@ def split_by_symmetry(a: np.ndarray, d: int, n: int) -> SectorSplit:
 def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional[SectorSplit]:
     """The split into the blocks Q_s^T a Q_s of `sectors`, or None if it drops too much.
 
-    None when the cross norm is above SECTOR_TOL ||a||_F. At n = 3 the two
-    remainder blocks (the last two) are folded into their mean, in place,
+    None when the cross norm is above SECTOR_TOL ||Q^T a Q||_F. At n = 3 the
+    two remainder blocks (the last two) are folded into their mean, in place,
     when their difference is within that tolerance too (`split_by_symmetry`).
     """
-    tol = SECTOR_TOL * math.hypot(cross, *map(_frobenius, blocks))
+    norm = math.hypot(cross, *map(_frobenius, blocks))
+    tol = SECTOR_TOL * norm
     if cross > tol:
         return None
     blocks, serves, pair = list(blocks), [(s,) for s in range(len(sectors))], None
@@ -648,7 +701,7 @@ def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional
             del blocks[-1], serves[-1]
             serves[-1] += (len(sectors) - 1,)
     theta = 0.0 if sectors[0].qt is None else _orbit_bases(n)[1]
-    return SectorSplit(sectors, tuple(blocks), tuple(serves), cross, theta, pair)
+    return SectorSplit(sectors, tuple(blocks), tuple(serves), cross, theta, pair, norm)
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:

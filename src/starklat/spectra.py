@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import (
+    UNIT_ROUNDOFF,
     CapacityError,
     ModelParams,
     OperatorMatrix,
@@ -26,6 +28,7 @@ from .model import (
 
 DENSE_CAP = 6000
 SORT_ROWS = 128  # rows per block when the lifted eigenvectors are put in eigenvalue order
+MASK_COLUMNS = 64  # lifted eigenvectors per chunk of the interior mask
 KRYLOV_K_MAX = 64
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
@@ -77,31 +80,70 @@ def transform_columns(vectors: np.ndarray, xi: np.ndarray, n_particles: int) -> 
     return out[:, 0] if vectors.ndim == 1 else out
 
 
+def _face_rows(window: Window, n_particles: int) -> np.ndarray:
+    """Flat indices of the outermost index shell, max_i |m_i| = L."""
+    return np.flatnonzero(np.abs(flat_to_tuples(window, n_particles)).max(axis=1) == window.L)
+
+
 def boundary_shell_mass(vectors: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
     """Squared-norm mass on the outermost index shell (max_i |m_i| = L), per column."""
-    coords = flat_to_tuples(window, n_particles)
-    mask = np.abs(coords).max(axis=1) == window.L
     v = vectors[:, None] if vectors.ndim == 1 else vectors
-    return (np.abs(v[mask, :]) ** 2).sum(axis=0)
+    return (np.abs(v[_face_rows(window, n_particles)]) ** 2).sum(axis=0)
 
 
-def interior_mask(
-    vectors: np.ndarray, params: ModelParams, window: Window, basis: str
-) -> np.ndarray:
-    """Columns of `vectors` negligible at the truncation face in both representations.
+def interior_mask(states, params: ModelParams, window: Window, basis: str) -> np.ndarray:
+    """States negligible at the truncation face in both representations, one bool each.
 
-    Each column is a params.N-particle state on `window`, in `basis`. A
+    `states` holds params.N-particle states on `window`, in `basis`: the
+    columns of an array, or the eigenvectors of a `SectorEigh`, in
+    eigenvalue order (lifted from its factors when it has none). A
     single-representation test admits states that look interior in the stark
     window but lean on the position face (or vice versa); those carry
     truncation errors far above the eigenvalue tolerances, so the face mass
     is required to be small both natively and after the Bessel transform.
+    Both masses are taken on chunks of MASK_COLUMNS states, so no more than
+    a dim x MASK_COLUMNS block is lifted or transformed at a time.
     """
     n = params.N
     xi = stark_basis_matrix(params, window)
-    other = transform_columns(vectors, xi if basis == "stark" else xi.T, n)
-    m_native = boundary_shell_mass(vectors, window, n)
-    m_other = boundary_shell_mass(other, window, n)
-    return (m_native <= INTERIOR_TOL) & (m_other <= INTERIOR_TOL)
+    xi = xi if basis == "stark" else xi.T
+    face = _face_rows(window, n)
+    if isinstance(states, SectorEigh):
+        size = states.eigenvalues.size
+        states = states.factors if states.eigenvectors is None else states.eigenvectors
+    else:
+        states = states[:, None] if states.ndim == 1 else states
+        size = states.shape[1]
+    mask = np.empty(size, dtype=bool)
+    for where, v in _lifted_chunks(states):
+        m_native = (np.abs(v[face]) ** 2).sum(axis=0)
+        m_other = (np.abs(transform_columns(v, xi, n)[face]) ** 2).sum(axis=0)
+        mask[where] = (m_native <= INTERIOR_TOL) & (m_other <= INTERIOR_TOL)
+    return mask
+
+
+def _lifted_chunks(states):
+    """(eigenvalue-order positions, dim x k lifted columns) per chunk of MASK_COLUMNS.
+
+    `states` is an array of columns, or the factors of a `SectorEigh`, whose
+    columns are lifted with `Sector.lift` a chunk at a time.
+    """
+    if isinstance(states, np.ndarray):
+        for j in range(0, states.shape[1], MASK_COLUMNS):
+            yield slice(j, j + MASK_COLUMNS), states[:, j : j + MASK_COLUMNS]
+        return
+    order = _served_order(states)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    dim, start = order.size, 0
+    for fac in states:
+        for sector in fac.sectors:
+            for j in range(0, fac.values.size, MASK_COLUMNS):
+                y = fac.vectors[:, j : j + MASK_COLUMNS]
+                v = np.empty((dim, y.shape[1]))
+                sector.lift(y, v)
+                yield rank[start + j : start + j + y.shape[1]], v
+            start += fac.values.size
 
 
 class SectorFactor(NamedTuple):
@@ -128,6 +170,46 @@ class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every imp
     factors: tuple = ()
 
 
+def _served_order(factors: tuple) -> np.ndarray:
+    """The eigenvalue order of the factors' columns, taken once per sector each solve serves."""
+    vals = np.concatenate([fac.values for fac in factors for _ in fac.sectors])
+    return np.argsort(vals, kind="stable")
+
+
+def lift_states(res: SectorEigh, index: np.ndarray) -> np.ndarray:
+    """The lifted eigenvectors at the eigenvalue-order positions `index`, as dim x k columns.
+
+    From the factors, each selected column is lifted by its sector's
+    `Sector.lift`, as `sector_eigh(..., lift=True)` lifts it: the same bits.
+    """
+    index = np.asarray(index)
+    if res.eigenvectors is not None:
+        return res.eigenvectors[:, index]
+    served = _served_order(res.factors)[index]
+    out = np.empty((res.eigenvalues.size, index.size))
+    start = 0
+    for fac in res.factors:
+        for sector in fac.sectors:
+            where = np.flatnonzero((served >= start) & (served < start + fac.values.size))
+            if where.size:
+                v = np.empty((out.shape[0], where.size))
+                sector.lift(fac.vectors[:, served[where] - start], v)
+                out[:, where] = v
+            start += fac.values.size
+    return out
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of k floating-point operations."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def _abs_row_sum_max(b: np.ndarray) -> float:
+    """max_i sum_j |b_ij|, over blocks of SORT_ROWS rows (no n x n temporary)."""
+    rows = range(0, b.shape[0], SORT_ROWS)
+    return max(float(np.abs(b[i : i + SORT_ROWS]).sum(axis=1).max()) for i in rows)
+
+
 def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
     """Eigenpairs of a symmetric a from its S_N sector split, `model.split_by_symmetry(a, d, n)`.
 
@@ -138,8 +220,8 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
     nothing of size dim x dim is formed. The residual and orthogonality of
     the lifted pairs are bounded from the sector solves alone, so no dim x dim
     product with a is formed either way. A caller that passes
-    `split_by_symmetry(a, d, n)` with a temporary a has the dense a freed
-    before the solves (unless a is the one whole-space block).
+    `split_by_symmetry(a, d, n)` with a temporary a has a freed before the
+    solves (unless a is dense and the one whole-space block).
 
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
@@ -154,14 +236,44 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
     with kappa = 1 / sqrt(1 - theta) >= ||Q^-T||. The lifted column fl(Q_s y)
     is within e_s ||y|| of Q_s y (e_s the sector's lift error), which adds
     (||a|| + |lambda|) e_s ||y||, with ||y|| <= nu = sqrt(1 + max_s
-    ||Y_s^T Y_s - 1||_F). The blocks B_s and every norm are floating-point
-    evaluations of Q_s^T a Q_s and of the exact norms, as a full-matrix
-    a V - V Lambda is. With one sector (n < 2, or a not symmetric under the
-    leg permutations) Q = 1 and the bounds are the measured residual and
-    Y^T Y - 1 of the symmetric part of a, plus its skew part.
+    ||Y_s^T Y_s - 1||_F).
+
+    rho is bounded from the computed residual r of the solved block S^_s,
+    with gamma_k = k u / (1 - k u) for k roundings. S^_s differs from S_s
+    by F_s, from three roundings:
+    - The block is fl(Q^T fl(X^T a)), two sparse products whose entries sum
+      at most c terms each, c the largest orbit (row of Q_s^T) of the
+      sector: entrywise within gamma_2c |Q_s|^T |a^T| |Q_s|, of 2-norm at
+      most gamma_2c g_s ||a||_F, with g_s >= || |Q_s| ||_2^2 (`Sector.abs_gain`)
+      and ||a||_F <= ||Q^T a Q||_F / (1 - theta - gamma_2c c (1 + theta))
+      from the split's `norm`. A whole-space block is a itself: no term.
+    - The remainder mean and the symmetric part 0.5 (b + b^T) round once
+      each: entrywise within gamma_3 |S^_s|, of 2-norm at most gamma_3
+      sigma_s, sigma_s the largest absolute row sum of S^_s (>= || |S^_s| ||_2).
+    The computed r = fl(fl(S^_s y) - fl(y lambda)) is entrywise within
+    gamma_n |S^_s| |y| + u |lambda| |y| + u |r| of S^_s y - lambda y, n the
+    order of the block (any summation order), and its computed norm within
+    a factor 1 + gamma_(n+2). So per eigenpair
+
+        ||rho|| <= (1 + gamma_(n+3)) ||r|| + (gamma_n sigma_s + u |lambda|
+                   + gamma_2c g_s ||a||_F + gamma_3 sigma_s) ||y||.
+
+    A diagonal S^_s is solved exactly (its sorted diagonal and a permutation),
+    so r is exact and only the formation term is added.
+    The other norms (sigma_s, ||a||_F, the dropped parts) enter as computed:
+    their relative rounding moves the bound in its second order only.
+    `residual_norm` is the Frobenius bound from the computed block residuals,
+    without these terms: summed over n columns they grow as n^(3/2) u and
+    would stand far above the defect they bound. With one sector (n < 2, or
+    a not symmetric under the leg permutations) Q = 1 and the bounds are
+    those of the symmetric part of a, plus its skew part.
     """
     dim = sum(s.dim for s in split.sectors)
     theta = split.basis_defect
+    # c: the largest orbit, the most terms of a sum in the block products
+    qts = [s.qt for s in split.sectors if s.qt is not None]
+    c = max((int(np.diff(qt.indptr).max()) for qt in qts), default=0)
+    a_frob = split.norm / (1.0 - theta - _gamma(2 * c) * c * (1.0 + theta)) if qts else 0.0
     factors, rho, frob, gram, skew = [], [], [], [], []
     for b, serves in zip(split.blocks, split.serves):
         # eigh reads one triangle: solve the symmetric part and drop the skew part
@@ -173,23 +285,39 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
         skew.append(drop)
         b = b + b.T
         b *= 0.5
-        w, y = np.linalg.eigh(b)
-        r = b @ y
-        r -= y * w
-        rho.extend([np.sqrt(np.einsum("ij,ij->j", r, r))] * len(serves))
-        frob.extend([_frobenius(r)] * len(serves))
-        del r
+        n, diag = b.shape[0], b.diagonal()
+        # a diagonal block is its own eigendecomposition, and nothing below rounds
+        diagonal = np.count_nonzero(b) == np.count_nonzero(diag)
+        if diagonal:
+            perm = np.argsort(diag, kind="stable")
+            w, y = diag[perm], np.eye(n)[:, perm]
+        else:
+            w, y = np.linalg.eigh(b)
         g = y.T @ y
-        g.flat[:: w.size + 1] -= 1.0
+        g.flat[:: n + 1] -= 1.0
         gram.extend([_frobenius(g)] * len(serves))
         del g
+        nu_b = math.sqrt(1.0 + gram[-1])  # >= ||y|| for every column of this solve
+        r = b @ y
+        r -= y * w
+        rho_b = np.sqrt(np.einsum("ij,ij->j", r, r))
+        frob.extend([_frobenius(r)] * len(serves))
+        del r
+        if not diagonal:
+            sigma = _abs_row_sum_max(b)
+            rounding = (_gamma(n) + _gamma(3)) * sigma + UNIT_ROUNDOFF * np.abs(w)
+            rho_b = (1.0 + _gamma(n + 3)) * rho_b + rounding * nu_b
+        if qts:
+            gain = max(split.sectors[s].abs_gain for s in serves)
+            rho_b = rho_b + _gamma(2 * c) * gain * a_frob * nu_b
+        rho.extend([rho_b] * len(serves))
         factors.append(SectorFactor(w, y, tuple(split.sectors[s] for s in serves)))
     vals = np.concatenate([fac.values for fac in factors for _ in fac.sectors])
     rho = np.concatenate(rho)
     e = np.concatenate(
         [np.full(fac.values.size, s.lift_error) for fac in factors for s in fac.sectors]
     )
-    order = np.argsort(vals, kind="stable")
+    order = _served_order(factors)
     vecs = None
     if lift:
         vecs = np.empty((dim, dim))
@@ -234,23 +362,24 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
     )
 
 
-def dense_symmetric(op: OperatorMatrix) -> np.ndarray:
-    """op as a dense array, after the capacity and symmetry gates of every dense solve."""
+def symmetric_matrix(op: OperatorMatrix) -> sp.csr_matrix:
+    """op's CSR matrix, after the capacity and symmetry gates of every dense solve."""
     if op.dim > DENSE_CAP:
         raise CapacityError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
-    return op.toarray()
+    return op.matrix
 
 
 def eigh(op: OperatorMatrix) -> SectorEigh:
     """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`).
 
-    The eigenvectors are lifted. `op` stays referenced through the solve; a
-    caller that can drop it splits `dense_symmetric` of it, then calls `sector_eigh`.
+    The eigenvectors are lifted: the small-size oracle of the factor path.
+    `op` stays referenced through the solve; a caller that can drop it
+    splits `symmetric_matrix` of it, then calls `sector_eigh`.
     """
     return sector_eigh(
-        split_by_symmetry(dense_symmetric(op), op.window.n_sites, op.n_particles)
+        split_by_symmetry(symmetric_matrix(op), op.window.n_sites, op.n_particles)
     )
 
 
@@ -372,7 +501,7 @@ def spectral_periodicity_check(
     result: SectorEigh, shift: float, params: ModelParams, window: Window, basis: str
 ) -> PeriodicityReport:
     """Interior spectrum invariance under the lattice energy shift 2hN."""
-    mask = interior_mask(result.eigenvectors, params, window, basis)
+    mask = interior_mask(result, params, window, basis)
     ev = np.sort(result.eigenvalues[mask])
     if ev.size < 3:
         return PeriodicityReport(shift, 0, np.inf, None, False)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,15 +78,35 @@ def test_pair_element_symmetric(params2, win):
     assert a == pytest.approx(b, abs=1e-14)
 
 
-def test_kernel_matches_per_element(params2, win):
-    k = model.two_site_kernel(params2, win)
+KERNEL_POTENTIALS = [
+    PairPotential("nearest_neighbor", 1.0),
+    PairPotential("exponential", 0.8, 0.7),
+    PairPotential("power_law", 1.0, 2.0),
+    PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1}),  # not even
+]
+
+
+def test_kernel_matches_per_element(win):
     d = win.n_sites
-    rng = np.random.default_rng(7)
-    for _ in range(15):
-        n1, n2, m1, m2 = rng.integers(-win.L, win.L + 1, size=4)
-        a = k[(n1 + win.L) * d + (n2 + win.L), (m1 + win.L) * d + (m2 + win.L)]
-        b = oracles.pair_element_stark(int(n1), int(n2), int(m1), int(m2), params2, win)
-        assert a == pytest.approx(b, abs=5e-14)
+    pairs = model.flat_to_tuples(win, 2)
+    for g, pot in itertools.product([1.0, 0.0, 10.0], KERNEL_POTENTIALS):  # g/h = 2, 0, 20
+        params = ModelParams(g=g, h=0.5, N=2, potential=pot)
+        k = model.two_site_kernel(params, win)
+        assert k.shape == (d * d, d * d) and k.indices.dtype == np.int32
+        assert (k != k.T).nnz == 0  # exactly symmetric
+        rng = np.random.default_rng(7)
+        for _ in range(15):
+            n1, n2, m1, m2 = rng.integers(-win.L, win.L + 1, size=4)
+            a = k[(n1 + win.L) * d + (n2 + win.L), (m1 + win.L) * d + (m2 + win.L)]
+            b = oracles.pair_element_stark(int(n1), int(n2), int(m1), int(m2), params, win)
+            assert a == pytest.approx(b, abs=5e-14), (g, pot.kind)
+        # one full row, dropped entries included, and the diagonal
+        n1, n2 = 1, -2
+        row = k[(n1 + win.L) * d + (n2 + win.L)].toarray().ravel()
+        want = [oracles.pair_element_stark(n1, n2, m1, m2, params, win) for m1, m2 in pairs]
+        assert np.abs(row - want).max() <= 5e-14, (g, pot.kind)
+        diag = [oracles.pair_element_stark(i, j, i, j, params, win) for i, j in pairs]
+        assert np.abs(k.diagonal() - diag).max() <= 5e-14, (g, pot.kind)
 
 
 def test_interaction_position_diagonal(params2):

@@ -496,40 +496,76 @@ def test_capacity_errors():
         spectra.extremal_eigs(small, spectra.KRYLOV_K_MAX + 1)
 
 
-def test_dense_h_freed_before_the_sector_solves(tmp_path, monkeypatch):
-    # sector_eigh takes the split, so a caller that passes split_by_symmetry of a
-    # temporary dense H (ResolventWorkspace.block, the CLI's solve) holds no
-    # reference to it once the split returns, and each sector eigh runs without it
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", [(2, 6), (2, 12), (3, 3), (3, 4), (3, 5)])
+def test_factor_path_matches_lifted_oracle(basis, n, L):
+    # the CLI's solve (sparse split, factors, chunked mask, interior-only lift)
+    # against spectra.eigh, which lifts every eigenvector of the same split
+    from starklat import cli
+
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=L, interior_margin=1)
+    op = model.build_hamiltonian(p, w, basis)
+    sparse = model.split_by_symmetry(spectra.symmetric_matrix(op), w.n_sites, n)
+    dense = model.split_by_symmetry(op.toarray(), w.n_sites, n)
+    assert sparse.serves == dense.serves and sparse.pair_defect == dense.pair_defect
+    for got, want in zip(sparse.blocks, dense.blocks):
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert abs(sparse.cross_norm - dense.cross_norm) <= 1e-15 * dense.cross_norm
+    res = spectra.sector_eigh(sparse, lift=False)
+    oracle = spectra.eigh(op)
+    assert res.eigenvectors is None and oracle.factors == ()
+    assert res.eigenvalues.tobytes() == oracle.eigenvalues.tobytes()
+    assert cli._eigh_diagnostics(res) == cli._eigh_diagnostics(oracle)
+    mask = spectra.interior_mask(res, p, w, basis)
+    assert mask.dtype == bool and mask.shape == res.eigenvalues.shape
+    assert np.array_equal(mask, spectra.interior_mask(oracle.eigenvectors, p, w, basis))
+    assert mask.any() == (L == 12)  # of these windows only N = 2, L = 12 has interior states
+    # both lift with Sector.lift: the interior columns, and a spread of others, bit for bit
+    index = np.union1d(np.flatnonzero(mask), np.arange(0, op.dim, 7))
+    lifted = spectra.lift_states(res, index)
+    assert lifted.tobytes() == oracle.eigenvectors[:, index].tobytes()
+
+
+def test_no_dim_square_array_in_the_sector_solves(tmp_path, monkeypatch):
+    # the CLI's solve and ResolventWorkspace.block gate the sparse H, split it a
+    # chunk of sector columns at a time and solve the sector blocks: from the
+    # built H to the last solve, traced memory never grows by a dim x dim array
     import json
-    import weakref
+    import tracemalloc
 
     from starklat import cli, resolvent
 
-    refs, alive = [], []
-    dense, eigh = spectra.dense_symmetric, np.linalg.eigh
+    n, w = 3, Window(L=4, interior_margin=1)
+    dim = w.n_sites**n
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    base, grown = [], []
+    build, solve = model.build_hamiltonian, spectra.sector_eigh
 
-    def spy_dense(op):
-        a = dense(op)
-        refs.append(weakref.ref(a))
-        return a
+    def spy_build(*args):
+        op = build(*args)
+        tracemalloc.reset_peak()
+        base.append(tracemalloc.get_traced_memory()[0])
+        return op
 
-    def spy_eigh(b):
-        alive.append(any(r() is not None for r in refs))
-        return eigh(b)
+    def spy_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        grown.append(tracemalloc.get_traced_memory()[1] - base.pop())
+        return out
 
-    monkeypatch.setattr(spectra, "dense_symmetric", spy_dense)
-    monkeypatch.setattr(resolvent, "dense_symmetric", spy_dense)
-    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
-    w = Window(L=4, interior_margin=1)
-    held = [model.build_hamiltonian(p, w, "stark")]
-    spectra.sector_eigh(
-        model.split_by_symmetry(spectra.dense_symmetric(held.pop()), w.n_sites, 2)
-    )
-    resolvent.ResolventWorkspace(p, w).block(2)
+    monkeypatch.setattr(model, "build_hamiltonian", spy_build)
+    monkeypatch.setattr(resolvent, "build_hamiltonian", spy_build)
+    monkeypatch.setattr(spectra, "sector_eigh", spy_solve)
+    monkeypatch.setattr(resolvent, "sector_eigh", spy_solve)
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"model": {"g": 1.0, "h": 0.5, "N": 2},
-                               "window": {"L": 4, "interior_margin": 1}, "task": "spectrum",
+    cfg.write_text(json.dumps({"model": {"g": 1.0, "h": 0.5, "N": n},
+                               "window": {"L": w.L, "interior_margin": 1}, "task": "spectrum",
                                "output_dir": str(tmp_path / "out")}))
-    assert cli.main(["spectrum", "--config", str(cfg)]) in (cli.EXIT_OK, cli.EXIT_ASSERT)
-    assert len(refs) == 3 and len(alive) == 6 and not any(alive)
+    tracemalloc.start()
+    try:
+        assert cli.main(["spectrum", "--config", str(cfg)]) in (cli.EXIT_OK, cli.EXIT_ASSERT)
+        assert resolvent.ResolventWorkspace(p, w).block(n).factors
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 2 and not base
+    assert max(grown) < dim * dim * 8, (grown, dim * dim * 8)

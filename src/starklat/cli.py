@@ -250,18 +250,16 @@ def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
     """Build, export if asked, and diagonalize H; return its sector factors and interior mask."""
     with stage("model.build_hamiltonian"):
-        held = [model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)]
+        h = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     if cfg.export_matrices:
-        held[0].export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
+        h.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
-        # no reference to H through the solves: split_by_symmetry is its last
-        # reader, and the eigenvectors stay in their sector factors
-        res = spectra.sector_eigh(
-            model.split_by_symmetry(
-                spectra.symmetric_matrix(held.pop()), cfg.window.n_sites, cfg.params.N
-            ),
-            lift=False,
+        split = model.split_by_symmetry(
+            spectra.symmetric_matrix(h), cfg.window.n_sites, cfg.params.N
         )
+        del h  # split_by_symmetry was its last reader: no H through the solves
+        res = spectra.sector_eigh(split)
+        del split
     diagnostics["eigh"] = _eigh_diagnostics(res)
     checks["diagonalization_residual"] = diagnostics["eigh"]["residual_max"] <= 1e-8
     with stage("spectra.interior_mask"):
@@ -470,8 +468,9 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, st
     checks["bessel_bound"] = specfun.check_upper_bound(30, 2.0).passed
     p1 = ModelParams(1.0, 0.5, 1)
     w1 = Window(12, 4)
-    res = spectra.eigh(model.build_hamiltonian(p1, w1, cfg.basis))
-    interior = res.eigenvalues[spectra.interior_mask(res.eigenvectors, p1, w1, cfg.basis)]
+    h = model.build_hamiltonian(p1, w1, cfg.basis)
+    res = spectra.sector_eigh(model.split_by_symmetry(spectra.symmetric_matrix(h), w1.n_sites, 1))
+    interior = res.eigenvalues[spectra.interior_mask(res, p1, w1, cfg.basis)]
     checks["ladder"] = bool(
         np.abs(interior - np.round(interior)).max() <= 1e-8
     )

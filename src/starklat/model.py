@@ -27,7 +27,9 @@ N_MAX = 4
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
-SPLIT_COLUMNS = 64  # sector columns per product when a split forms its blocks
+# columns per chunk wherever a sector basis is streamed: the split's products,
+# the interior mask's lifts and the resolvent check's column blocks
+CHUNK_COLUMNS = 64
 UNIT_ROUNDOFF = 2.0**-53
 # the S_N sectors of `symmetry_sectors`, in order: two one-dimensional irreps,
 # then the leg-0/1-even and -odd remainders
@@ -643,7 +645,7 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
 
     a is sparse (the CSR H of a solve) or dense (an oracle's H, or I(z)); both
-    run the same products. Per chunk of SPLIT_COLUMNS columns X of a sector
+    run the same products. Per chunk of CHUNK_COLUMNS columns X of a sector
     Q_s, the rows Q^T (a^T X) come from the sparse product X^T a, then times
     Q, and are filed by `fill_sector_blocks`: its own rows are columns of
     the block Q_s^T a Q_s, transposed; the off-diagonal blocks Q_t^T a Q_s
@@ -652,7 +654,7 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     and singular value moves by at most that norm, up to the basis defect of
     the rounded columns. If it is above SECTOR_TOL times ||Q^T a Q||_F (a
     non-symmetric v, say) the whole space is the one sector, as it is for
-    n < 2. Beyond the blocks, memory is a few dim x SPLIT_COLUMNS arrays, and
+    n < 2. Beyond the blocks, memory is a few dim x CHUNK_COLUMNS arrays, and
     a C-ordered copy of a Fortran-ordered dense a.
 
     At n = 3 the two remainder blocks are copies (`_odd_partner`): if their
@@ -670,8 +672,8 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
         blocks = [np.empty((s.dim, s.dim), a.dtype, order="F") for s in sectors]
         cross = 0.0
         for s, sector in enumerate(sectors):
-            for j0 in range(0, sector.dim, SPLIT_COLUMNS):
-                j1 = min(j0 + SPLIT_COLUMNS, sector.dim)
+            for j0 in range(0, sector.dim, CHUNK_COLUMNS):
+                j1 = min(j0 + CHUNK_COLUMNS, sector.dim)
                 rows = _sector_rows(q_all, sector.qt[j0:j1], a)
                 cross = fill_sector_blocks(rows, ((s, j0, j1),), blocks, bounds, cross)
         split = sector_split(sectors, [b.T for b in blocks], cross, n)

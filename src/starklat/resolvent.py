@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import (
+    CHUNK_COLUMNS,
     CapacityError,
     ModelParams,
     PairPotential,
@@ -50,6 +51,7 @@ from .spectra import (
     ClusterDecomposition,
     SectorEigh,
     enumerate_set_partitions,
+    lift_states,
     sector_eigh,
     symmetric_matrix,
 )
@@ -59,9 +61,6 @@ COND_CAP = 1e12
 POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
 FREDHOLM_THRESHOLD = 1e-3  # |mu - 1| below which an eigenvalue mu of I(z) flags z
-# columns per streamed block of the resolvent check; at fe-n3 (N=3, L=5) the
-# blocks are a few MB and the peak RSS is set by the H^(3) solve instead
-CHUNK_COLUMNS = 64
 # dim x CHUNK_COLUMNS complex blocks the workspace keeps room for in the heap (`_heap_room`)
 HEAP_CHUNKS = 8
 NORM_METHOD = (
@@ -223,22 +222,26 @@ class ResolventWorkspace:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
         `spectra.sector_eigh` of H^(k). The k = N block keeps its sector
-        factors; blocks with k < N are lifted to their d^k x d^k U, unless
-        H^(k) is diagonal: then U = 1 exactly, with its diagonal in index
-        order, `eigenvectors` None, no factors and zero defects.
+        factors; blocks with k < N are lifted to their d^k x d^k U by
+        `lift_states` and keep no factors, unless H^(k) is diagonal: then
+        U = 1 exactly, with its diagonal in index order, `eigenvectors` None,
+        no factors and zero defects.
         """
         key = ("U", k)
         if key not in self.cache:
-            held = [build_hamiltonian(self.params.with_n(k), self.window, self.basis)]
-            diag = held[0].matrix.diagonal()
-            diagonal = np.count_nonzero(held[0].matrix.data) == np.count_nonzero(diag)
-            if diagonal and k < self.params.N:
-                self.cache[key] = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
+            h = build_hamiltonian(self.params.with_n(k), self.window, self.basis)
+            diag = h.matrix.diagonal()
+            if k < self.params.N and np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
+                res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
-                del diag
-                # no reference to H^(k) through the solves: split_by_symmetry is its last reader
-                split = split_by_symmetry(symmetric_matrix(held.pop()), self.window.n_sites, k)
-                self.cache[key] = sector_eigh(split, lift=k < self.params.N)
+                split = split_by_symmetry(symmetric_matrix(h), self.window.n_sites, k)
+                del h, diag  # split_by_symmetry was the last reader of H^(k)
+                res = sector_eigh(split)
+                del split
+                if k < self.params.N:  # lifted, with no factors: factors mark the N-block
+                    u = lift_states(res, np.arange(res.eigenvalues.size))
+                    res = res._replace(eigenvectors=u, factors=())
+            self.cache[key] = res
         return self.cache[key]
 
     def sector_columns(self) -> tuple:

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import (
+    CHUNK_COLUMNS,
     UNIT_ROUNDOFF,
     CapacityError,
     ModelParams,
@@ -27,8 +28,6 @@ from .model import (
 )
 
 DENSE_CAP = 6000
-SORT_ROWS = 128  # rows per block when the lifted eigenvectors are put in eigenvalue order
-MASK_COLUMNS = 64  # lifted eigenvectors per chunk of the interior mask
 KRYLOV_K_MAX = 64
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
@@ -91,59 +90,37 @@ def boundary_shell_mass(vectors: np.ndarray, window: Window, n_particles: int) -
     return (np.abs(v[_face_rows(window, n_particles)]) ** 2).sum(axis=0)
 
 
-def interior_mask(states, params: ModelParams, window: Window, basis: str) -> np.ndarray:
-    """States negligible at the truncation face in both representations, one bool each.
+def interior_mask(res: SectorEigh, params: ModelParams, window: Window, basis: str) -> np.ndarray:
+    """Eigenpairs of `res` negligible at the truncation face in both representations, one bool each.
 
-    `states` holds params.N-particle states on `window`, in `basis`: the
-    columns of an array, or the eigenvectors of a `SectorEigh`, in
-    eigenvalue order (lifted from its factors when it has none). A
-    single-representation test admits states that look interior in the stark
-    window but lean on the position face (or vice versa); those carry
-    truncation errors far above the eigenvalue tolerances, so the face mass
-    is required to be small both natively and after the Bessel transform.
-    Both masses are taken on chunks of MASK_COLUMNS states, so no more than
-    a dim x MASK_COLUMNS block is lifted or transformed at a time.
+    `res` is a `sector_eigh` of a params.N-particle H on `window`, in
+    `basis`; the mask is in its eigenvalue order. A single-representation
+    test admits states that look interior in the stark window but lean on
+    the position face (or vice versa); those carry truncation errors far
+    above the eigenvalue tolerances, so the face mass is required to be
+    small both natively and after the Bessel transform. Each solve's columns
+    are lifted by `Sector.lift` and transformed CHUNK_COLUMNS at a time, so
+    no more than a dim x CHUNK_COLUMNS block is formed.
     """
-    n = params.N
+    n, dim = params.N, res.eigenvalues.size
     xi = stark_basis_matrix(params, window)
     xi = xi if basis == "stark" else xi.T
     face = _face_rows(window, n)
-    if isinstance(states, SectorEigh):
-        size = states.eigenvalues.size
-        states = states.factors if states.eigenvectors is None else states.eigenvectors
-    else:
-        states = states[:, None] if states.ndim == 1 else states
-        size = states.shape[1]
-    mask = np.empty(size, dtype=bool)
-    for where, v in _lifted_chunks(states):
-        m_native = (np.abs(v[face]) ** 2).sum(axis=0)
-        m_other = (np.abs(transform_columns(v, xi, n)[face]) ** 2).sum(axis=0)
-        mask[where] = (m_native <= INTERIOR_TOL) & (m_other <= INTERIOR_TOL)
-    return mask
-
-
-def _lifted_chunks(states):
-    """(eigenvalue-order positions, dim x k lifted columns) per chunk of MASK_COLUMNS.
-
-    `states` is an array of columns, or the factors of a `SectorEigh`, whose
-    columns are lifted with `Sector.lift` a chunk at a time.
-    """
-    if isinstance(states, np.ndarray):
-        for j in range(0, states.shape[1], MASK_COLUMNS):
-            yield slice(j, j + MASK_COLUMNS), states[:, j : j + MASK_COLUMNS]
-        return
-    order = _served_order(states)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    dim, start = order.size, 0
-    for fac in states:
+    interior = np.empty(dim, dtype=bool)  # in the order the factors serve their sectors
+    start = 0
+    for fac in res.factors:
         for sector in fac.sectors:
-            for j in range(0, fac.values.size, MASK_COLUMNS):
-                y = fac.vectors[:, j : j + MASK_COLUMNS]
+            for j in range(0, fac.values.size, CHUNK_COLUMNS):
+                y = fac.vectors[:, j : j + CHUNK_COLUMNS]
                 v = np.empty((dim, y.shape[1]))
                 sector.lift(y, v)
-                yield rank[start + j : start + j + y.shape[1]], v
+                mass = np.maximum(
+                    (np.abs(v[face]) ** 2).sum(axis=0),
+                    (np.abs(transform_columns(v, xi, n)[face]) ** 2).sum(axis=0),
+                )
+                interior[start + j : start + j + y.shape[1]] = mass <= INTERIOR_TOL
             start += fac.values.size
+    return interior[_served_order(res.factors)]
 
 
 class SectorFactor(NamedTuple):
@@ -158,15 +135,15 @@ class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every imp
     """Eigenpairs of a symmetric a with bounds on the lifted pairs (measured by extremal_eigs)."""
 
     eigenvalues: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
-    # lifted, one sector per column, in eigenvalue order; None: not lifted (see
-    # factors), or a diagonal a with V = 1 (no factors either)
+    # dense, in eigenvalue order: `lift_states` of every column (eigh, resolvent.block)
+    # or a Krylov solve's; None: only the factors, or a diagonal a with V = 1
     eigenvectors: Optional[np.ndarray]
     residuals: np.ndarray  # per eigenvalue, >= ||a v - lambda v||
     residual_norm: float  # >= ||a V - V diag(eigenvalues)||_F
     orthogonality_defect: float  # >= ||V^T V - 1||_F
     sectors: dict  # SectorSplit.diagnostics; {} for a Krylov solve (extremal_eigs)
-    # the SectorFactor of each solve when not lifted: V = [Q_s Y_s] over the
-    # sectors each serves, so a = sum_s Q_s Y_s diag(values) Y_s^T Q_s^T
+    # the SectorFactor of each solve: V = [Q_s Y_s] over the sectors each
+    # serves, so a = sum_s Q_s Y_s diag(values) Y_s^T Q_s^T
     factors: tuple = ()
 
 
@@ -179,12 +156,9 @@ def _served_order(factors: tuple) -> np.ndarray:
 def lift_states(res: SectorEigh, index: np.ndarray) -> np.ndarray:
     """The lifted eigenvectors at the eigenvalue-order positions `index`, as dim x k columns.
 
-    From the factors, each selected column is lifted by its sector's
-    `Sector.lift`, as `sector_eigh(..., lift=True)` lifts it: the same bits.
+    Each selected column of the factors is lifted by its sector's `Sector.lift`.
     """
     index = np.asarray(index)
-    if res.eigenvectors is not None:
-        return res.eigenvectors[:, index]
     served = _served_order(res.factors)[index]
     out = np.empty((res.eigenvalues.size, index.size))
     start = 0
@@ -205,21 +179,20 @@ def _gamma(k: int) -> float:
 
 
 def _abs_row_sum_max(b: np.ndarray) -> float:
-    """max_i sum_j |b_ij|, over blocks of SORT_ROWS rows (no n x n temporary)."""
-    rows = range(0, b.shape[0], SORT_ROWS)
-    return max(float(np.abs(b[i : i + SORT_ROWS]).sum(axis=1).max()) for i in rows)
+    """max_i sum_j |b_ij|, over blocks of CHUNK_COLUMNS rows (no n x n temporary)."""
+    rows = range(0, b.shape[0], CHUNK_COLUMNS)
+    return max(float(np.abs(b[i : i + CHUNK_COLUMNS]).sum(axis=1).max()) for i in rows)
 
 
-def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
+def sector_eigh(split: SectorSplit) -> SectorEigh:
     """Eigenpairs of a symmetric a from its S_N sector split, `model.split_by_symmetry(a, d, n)`.
 
     Each vector lies in one sector of the split, so it is exactly even or odd
     under the leg-0/1 swap when the split is taken. A block that serves the
-    N = 3 remainder pair is solved once for both. With `lift` the pairs come
-    as the dim x dim `eigenvectors`; without, as the per-solve `factors`, and
-    nothing of size dim x dim is formed. The residual and orthogonality of
-    the lifted pairs are bounded from the sector solves alone, so no dim x dim
-    product with a is formed either way. A caller that passes
+    N = 3 remainder pair is solved once for both. The pairs come as the
+    per-solve `factors` (`lift_states` lifts them), and nothing of size
+    dim x dim is formed: the residual and orthogonality of the lifted pairs
+    are bounded from the sector solves alone. A caller that passes
     `split_by_symmetry(a, d, n)` with a temporary a has a freed before the
     solves (unless a is dense and the one whole-space block).
 
@@ -268,7 +241,6 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
     a not symmetric under the leg permutations) Q = 1 and the bounds are
     those of the symmetric part of a, plus its skew part.
     """
-    dim = sum(s.dim for s in split.sectors)
     theta = split.basis_defect
     # c: the largest orbit, the most terms of a sum in the block products
     qts = [s.qt for s in split.sectors if s.qt is not None]
@@ -318,19 +290,6 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
         [np.full(fac.values.size, s.lift_error) for fac in factors for s in fac.sectors]
     )
     order = _served_order(factors)
-    vecs = None
-    if lift:
-        vecs = np.empty((dim, dim))
-        start = 0
-        for fac in factors:
-            for sector in fac.sectors:
-                sector.lift(fac.vectors, vecs[:, start : start + fac.values.size])
-                start += fac.values.size
-        factors = ()
-        # sort the columns a block of rows at a time: a whole-column scatter of
-        # each sector ran 3x slower at dim 1331
-        for i in range(0, dim, SORT_ROWS):
-            vecs[i : i + SORT_ROWS] = vecs[i : i + SORT_ROWS, order]
     o = max(gram)
     nu = np.sqrt(1.0 + o)
     dropped = split.cross_norm + np.linalg.norm(skew)
@@ -353,7 +312,7 @@ def sector_eigh(split: SectorSplit, lift: bool = True) -> SectorEigh:
     )
     return SectorEigh(
         vals[order],
-        vecs,
+        None,
         residuals[order],
         float(residual_norm),
         float(orthogonality),
@@ -374,13 +333,13 @@ def symmetric_matrix(op: OperatorMatrix) -> sp.csr_matrix:
 def eigh(op: OperatorMatrix) -> SectorEigh:
     """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`).
 
-    The eigenvectors are lifted: the small-size oracle of the factor path.
-    `op` stays referenced through the solve; a caller that can drop it
-    splits `symmetric_matrix` of it, then calls `sector_eigh`.
+    The small-size oracle: its factors, and every column lifted by
+    `lift_states` as the dense `eigenvectors`. `op` stays referenced through
+    the solve; a caller that can drop it splits `symmetric_matrix` of it,
+    then calls `sector_eigh`.
     """
-    return sector_eigh(
-        split_by_symmetry(symmetric_matrix(op), op.window.n_sites, op.n_particles)
-    )
+    res = sector_eigh(split_by_symmetry(symmetric_matrix(op), op.window.n_sites, op.n_particles))
+    return res._replace(eigenvectors=lift_states(res, np.arange(op.dim)))
 
 
 def extremal_eigs(
@@ -458,9 +417,14 @@ def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:
     needed = sorted({part for p in partitions for part in p})
     interior_spectra = {}
     for n_sub in needed:
-        res = eigh(build_hamiltonian(params.with_n(n_sub), window, "stark"))
-        mask = interior_mask(res.eigenvectors, params.with_n(n_sub), window, "stark")
-        interior_spectra[n_sub] = res.eigenvalues[mask]
+        sub = params.with_n(n_sub)
+        # H and its split are temporaries: neither outlives its last reader
+        res = sector_eigh(
+            split_by_symmetry(
+                symmetric_matrix(build_hamiltonian(sub, window, "stark")), window.n_sites, n_sub
+            )
+        )
+        interior_spectra[n_sub] = res.eigenvalues[interior_mask(res, sub, window, "stark")]
     points = []
     gens = []
     for p in partitions:

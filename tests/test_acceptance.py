@@ -30,7 +30,7 @@ def desk14():
     p = ModelParams(N=2, **DESK)
     w = Window(L=14, interior_margin=5)
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
-    mask = spectra.interior_mask(res.eigenvectors, p, w, "stark")
+    mask = spectra.interior_mask(res, p, w, "stark")
     sig = spectra.cluster_spectrum(p, w)
     return p, w, res, mask, sig
 
@@ -67,7 +67,7 @@ def test_criterion_02_stark_ladder():
     p = ModelParams(N=1, **DESK)
     w = Window(L=40, interior_margin=13)
     res = spectra.eigh(model.build_hamiltonian(p, w, "position"))
-    interior = res.eigenvalues[spectra.interior_mask(res.eigenvectors, p, w, "position")]
+    interior = res.eigenvalues[spectra.interior_mask(res, p, w, "position")]
     lattice = -2.0 * p.h * np.round(interior / (-2.0 * p.h))
     assert interior.size > 20
     assert np.abs(interior - lattice).max() <= 1e-8
@@ -87,8 +87,8 @@ def test_criterion_03_basis_equivalence():
     w = Window(L=12, interior_margin=4)
     res_p = spectra.eigh(model.build_hamiltonian(p, w, "position"))
     res_s = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
-    ev_p = res_p.eigenvalues[spectra.interior_mask(res_p.eigenvectors, p, w, "position")]
-    ev_s = res_s.eigenvalues[spectra.interior_mask(res_s.eigenvectors, p, w, "stark")]
+    ev_p = res_p.eigenvalues[spectra.interior_mask(res_p, p, w, "position")]
+    ev_s = res_s.eigenvalues[spectra.interior_mask(res_s, p, w, "stark")]
     assert ev_p.size >= 10 and ev_s.size >= 10
     d1 = max(float(np.min(np.abs(res_s.eigenvalues - e))) for e in ev_p)
     d2 = max(float(np.min(np.abs(res_p.eigenvalues - e))) for e in ev_s)

@@ -16,7 +16,7 @@ def desk():
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
     w = Window(L=14, interior_margin=5)
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
-    mask = spectra.interior_mask(res.eigenvectors, p, w, "stark")
+    mask = spectra.interior_mask(res, p, w, "stark")
     sig = spectra.cluster_spectrum(p, w)
     return p, w, res, mask, sig
 

@@ -393,11 +393,11 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
         f = ws.block(k)
         op = model.build_hamiltonian(p.with_n(k), w, basis)
         # a block is the one dense solve, spectra.eigh of H^(k), bit for bit;
-        # the N-block is not lifted, and keeps its factors instead
+        # the N-block is not lifted, and keeps its factors; the others keep none
         want = spectra.eigh(op)
         if k == n:
             factors = spectra.sector_eigh(
-                model.split_by_symmetry(op.toarray(), w.n_sites, k), lift=False
+                model.split_by_symmetry(op.toarray(), w.n_sites, k)
             ).factors
             assert f.eigenvectors is None and len(f.factors) == len(factors)
             for got, exp in zip(f.factors, factors):
@@ -407,7 +407,9 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
                     assert (a.dim, a.lift_error) == (b.dim, b.lift_error)
                     assert (a.qt != b.qt).nnz == 0
             f = f._replace(eigenvectors=want.eigenvectors, factors=())
-        for name, got, exp in zip(f._fields, f, want):
+        else:
+            assert f.factors == ()
+        for name, got, exp in zip(f._fields, f, want._replace(factors=())):
             same = got.tobytes() == exp.tobytes() if isinstance(got, np.ndarray) else got == exp
             assert same, name
         h = op.toarray()

@@ -65,7 +65,7 @@ def test_eigh_single_particle_ladder():
     res = spectra.eigh(model.build_hamiltonian(p, w, "position"))
     assert res.residuals.max() <= 1e-10
     assert oracles.gram_defect(res) <= 1e-12
-    mask = spectra.interior_mask(res.eigenvectors, p, w, "position")
+    mask = spectra.interior_mask(res, p, w, "position")
     interior = np.sort(res.eigenvalues[mask])
     target = -2.0 * p.h * np.round(interior / (-2.0 * p.h))
     assert np.abs(interior - target).max() <= 1e-8
@@ -143,7 +143,7 @@ def test_interior_mask_g0():
     p = ModelParams(g=0.0, h=0.5, N=1)
     w = Window(L=4, interior_margin=1)
     res = spectra.eigh(model.build_hamiltonian(p, w, "position"))
-    mask = spectra.interior_mask(res.eigenvectors, p, w, "position")
+    mask = spectra.interior_mask(res, p, w, "position")
     # at g = 0 the eigenvectors are lattice deltas; only the face sites fail
     assert mask.sum() == w.n_sites - 2
 
@@ -152,8 +152,8 @@ def test_basis_equivalence_interior(params2):
     w = Window(L=14, interior_margin=5)
     res_p = spectra.eigh(model.build_hamiltonian(params2, w, "position"))
     res_s = spectra.eigh(model.build_hamiltonian(params2, w, "stark"))
-    mask_p = spectra.interior_mask(res_p.eigenvectors, params2, w, "position")
-    mask_s = spectra.interior_mask(res_s.eigenvectors, params2, w, "stark")
+    mask_p = spectra.interior_mask(res_p, params2, w, "position")
+    mask_s = spectra.interior_mask(res_s, params2, w, "stark")
     ev_p = np.sort(res_p.eigenvalues[mask_p])
     ev_s = np.sort(res_s.eigenvalues[mask_s])
     assert ev_p.size >= 10
@@ -342,10 +342,11 @@ def test_sector_bounds_cover_full_matrix_defects(basis, n, L, pot):
     dense = model.build_hamiltonian(p, w, basis).toarray()
     sol = spectra.sector_eigh(model.split_by_symmetry(dense, w.n_sites, n))
     assert sol.sectors["sector_dims"] == sector_dims(w.n_sites, n)
+    v = spectra.lift_states(sol, np.arange(sol.eigenvalues.size))
     # in extended precision: a float dense @ V - V * lambda overstates large-|lambda| columns
-    vecs = sol.eigenvectors.astype(np.longdouble)
+    vecs = v.astype(np.longdouble)
     resid = dense.astype(np.longdouble) @ vecs - vecs * sol.eigenvalues.astype(np.longdouble)
-    gram = sol.eigenvectors.T @ sol.eigenvectors - np.eye(sol.eigenvalues.size)
+    gram = v.T @ v - np.eye(sol.eigenvalues.size)
     assert sol.residuals.max() >= np.linalg.norm(resid, axis=0).max()
     assert sol.residual_norm >= np.linalg.norm(resid)
     assert sol.orthogonality_defect >= np.linalg.norm(gram)
@@ -414,7 +415,7 @@ def test_paired_remainder_solve_matches_full(basis, L):
     cyclic = np.arange(d**3).reshape(d, d, d).transpose(2, 0, 1).ravel()
     j = 2.0 / np.sqrt(3.0) * odd.T @ even[cyclic]
     assert np.abs(j - np.eye(j.shape[0])).max() <= 1e-14
-    sol = spectra.sector_eigh(model.split_by_symmetry(dense, d, 3), lift=False)
+    sol = spectra.sector_eigh(model.split_by_symmetry(dense, d, 3))
     assert sol.eigenvectors is None
     assert [len(f.sectors) for f in sol.factors] == [1, 1, 2]
     assert sol.sectors["sector_dims"] == sector_dims(d, 3)
@@ -427,8 +428,10 @@ def test_paired_remainder_solve_matches_full(basis, L):
     lifted = spectra.eigh(op)
     for name in ("eigenvalues", "residuals"):
         assert getattr(lifted, name).tobytes() == getattr(sol, name).tobytes(), name
-    assert lifted.residual_norm == sol.residual_norm and lifted.factors == ()
+    assert lifted.residual_norm == sol.residual_norm
     assert lifted.orthogonality_defect == sol.orthogonality_defect
+    for got, want in zip(lifted.factors, sol.factors, strict=True):
+        assert got.vectors.tobytes() == want.vectors.tobytes()
     # each served sector's lifted columns Q_s Y are eigenvectors within the bounds
     v = np.hstack([s.qt.T @ f.vectors for f in sol.factors for s in f.sectors])
     resid = np.linalg.norm(dense @ v - v * served_values(sol), axis=0)
@@ -449,14 +452,13 @@ def test_unequal_remainders_take_two_solves():
     split = model.split_by_symmetry(a, d, n)
     assert split.serves == ((0,), (1,), (2,), (3,)) and len(split.blocks) == 4
     assert split.pair_defect > model.SECTOR_TOL * np.linalg.norm(a)
-    sol = spectra.sector_eigh(model.split_by_symmetry(a, d, n), lift=False)
+    sol = spectra.sector_eigh(model.split_by_symmetry(a, d, n))
     assert [len(f.sectors) for f in sol.factors] == [1, 1, 1, 1]
     assert sol.sectors["pair_defect"] == split.pair_defect
     want = np.linalg.eigvalsh(a)
     assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(a, 2)
-    lifted = spectra.sector_eigh(model.split_by_symmetry(a, d, n))
-    v = lifted.eigenvectors
-    assert np.linalg.norm(a @ v - v * lifted.eigenvalues) <= lifted.residual_norm <= 1e-10
+    v = spectra.lift_states(sol, np.arange(a.shape[0]))
+    assert np.linalg.norm(a @ v - v * sol.eigenvalues) <= sol.residual_norm <= 1e-10
 
 
 def test_sector_split_refuses_cross_coupling_above_constant():
@@ -496,35 +498,71 @@ def test_capacity_errors():
         spectra.extremal_eigs(small, spectra.KRYLOV_K_MAX + 1)
 
 
+def lifted_by_dense_q(res):
+    """Every eigenvector in eigenvalue order, as dense Q_s Y_s products (no `Sector.lift`)."""
+    v = np.hstack([s.qt.T @ f.vectors for f in res.factors for s in f.sectors])
+    return v[:, np.argsort(served_values(res), kind="stable")]
+
+
 @pytest.mark.parametrize("basis", model.BASES)
 @pytest.mark.parametrize("n,L", [(2, 6), (2, 12), (3, 3), (3, 4), (3, 5)])
 def test_factor_path_matches_lifted_oracle(basis, n, L):
     # the CLI's solve (sparse split, factors, chunked mask, interior-only lift)
-    # against spectra.eigh, which lifts every eigenvector of the same split
-    from starklat import cli
-
+    # against oracles that share none of its code: the split of the dense H,
+    # eigvalsh of it, and dense residuals and face masses of the lifted columns
     p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
     w = Window(L=L, interior_margin=1)
     op = model.build_hamiltonian(p, w, basis)
+    h = op.toarray()
     sparse = model.split_by_symmetry(spectra.symmetric_matrix(op), w.n_sites, n)
-    dense = model.split_by_symmetry(op.toarray(), w.n_sites, n)
+    dense = model.split_by_symmetry(h, w.n_sites, n)
     assert sparse.serves == dense.serves and sparse.pair_defect == dense.pair_defect
     for got, want in zip(sparse.blocks, dense.blocks):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     assert abs(sparse.cross_norm - dense.cross_norm) <= 1e-15 * dense.cross_norm
-    res = spectra.sector_eigh(sparse, lift=False)
-    oracle = spectra.eigh(op)
-    assert res.eigenvectors is None and oracle.factors == ()
-    assert res.eigenvalues.tobytes() == oracle.eigenvalues.tobytes()
-    assert cli._eigh_diagnostics(res) == cli._eigh_diagnostics(oracle)
+    res = spectra.sector_eigh(sparse)
+    assert res.eigenvectors is None and res.factors
+    want = np.linalg.eigvalsh(h)
+    tol = 1e-12 * max(1.0, np.abs(want).max()) + res.sectors["cross_norm"]
+    assert np.abs(res.eigenvalues - want).max() <= tol
     mask = spectra.interior_mask(res, p, w, basis)
     assert mask.dtype == bool and mask.shape == res.eigenvalues.shape
-    assert np.array_equal(mask, spectra.interior_mask(oracle.eigenvectors, p, w, basis))
     assert mask.any() == (L == 12)  # of these windows only N = 2, L = 12 has interior states
-    # both lift with Sector.lift: the interior columns, and a spread of others, bit for bit
+    # the face masses of all eigenvectors at once, natively and transformed
+    v = lifted_by_dense_q(res)
+    xi = model.stark_basis_matrix(p, w)
+    other = spectra.transform_columns(v, xi if basis == "stark" else xi.T, n)
+    native, transformed = (spectra.boundary_shell_mass(x, w, n) for x in (v, other))
+    assert np.array_equal(mask, np.maximum(native, transformed) <= spectra.INTERIOR_TOL)
+    # the interior columns, and a spread of others, are lifted within their bounds
     index = np.union1d(np.flatnonzero(mask), np.arange(0, op.dim, 7))
     lifted = spectra.lift_states(res, index)
-    assert lifted.tobytes() == oracle.eigenvectors[:, index].tobytes()
+    assert np.abs(lifted - v[:, index]).max() <= 1e-15
+    resid = np.linalg.norm(h @ lifted - lifted * res.eigenvalues[index], axis=0)
+    assert np.all(resid <= res.residuals[index])
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L,field", [(2, 6, 4.0), (3, 3, 32.0)])
+@pytest.mark.parametrize("width", [1, 7])
+def test_chunk_width_does_not_change_the_solve(basis, n, L, field, width, monkeypatch):
+    # the split's products and the mask's lifts, one column or seven at a time;
+    # each field is strong enough for its window to hold interior states
+    p = ModelParams(g=1.0, h=field, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=L, interior_margin=1)
+
+    def solve():
+        op = model.build_hamiltonian(p, w, basis)
+        res = spectra.sector_eigh(model.split_by_symmetry(op.matrix, w.n_sites, n))
+        return res.eigenvalues, spectra.interior_mask(res, p, w, basis)
+
+    vals, mask = solve()
+    assert mask.any()
+    monkeypatch.setattr(model, "CHUNK_COLUMNS", width)
+    monkeypatch.setattr(spectra, "CHUNK_COLUMNS", width)
+    got_vals, got_mask = solve()
+    assert got_vals.tobytes() == vals.tobytes()
+    assert np.array_equal(got_mask, mask)
 
 
 def test_no_dim_square_array_in_the_sector_solves(tmp_path, monkeypatch):

@@ -431,6 +431,8 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
             {
                 "chunk_columns": fe.chunk_columns,
                 "chunks": fe.chunks,
+                "residual_sector": fe.residual_sector,
+                "residual_dropped": fe.residual_dropped,
                 "cross_norm_D": fe.d.cross_norm,
                 "cross_norm_I": fe.i.cross_norm,
                 "sector_norms_D": norms_d,
@@ -438,6 +440,8 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
                 "norm_method": resolvent.NORM_METHOD,
             }
         )
+        if k == 0:  # the largest singular value of the sector SVD: ||I||_2 to the cross norm
+            stream_diagnostics[0]["norm_I_svd"] = float(rep.singular_values[0])
         ok &= fe.residual <= 1e-6
         del fe  # free this z's sector blocks before the next z builds its own
     diagnostics["functional_equation"] = stream_diagnostics

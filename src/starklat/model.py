@@ -305,13 +305,16 @@ def embed_on_legs(op, window: Window, n_particles: int, legs: tuple) -> sp.csr_m
     """Lift a d^k x d^k operator onto the sorted 0-based legs, identity elsewhere.
 
     The operator's rows and columns index its k legs lexicographically, like
-    the full tensor-product index.
+    the full tensor-product index, so on all n legs it is its own lift: its
+    CSR, which may share its arrays with op.
     """
     d, k = window.n_sites, len(legs)
     if list(legs) != sorted(set(legs)) or not 0 <= legs[0] <= legs[-1] < n_particles:
         raise ValueError(f"invalid legs {legs!r} for {n_particles} particles")
     if op.shape != (d**k, d**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} legs")
+    if k == n_particles:
+        return sp.csr_matrix(op)
     coo = sp.coo_matrix(op)
     strides = d ** np.arange(n_particles - 1, -1, -1)
     leg_strides = strides[list(legs)]
@@ -714,9 +717,11 @@ def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_mat
         raise CapacityError(
             f"{stored} stored entries exceed the nonzero cap {NNZ_CAP}; shrink L or N"
         )
-    dim = dimension(window, n_particles)
-    total = sp.csr_matrix((dim, dim))
-    for legs in leg_list:
+    if not leg_list:
+        return sp.csr_matrix((dimension(window, n_particles),) * 2)
+    # a lift may share its arrays with op: the sum is never formed in place
+    total = embed_on_legs(op, window, n_particles, leg_list[0])
+    for legs in leg_list[1:]:
         total = total + embed_on_legs(op, window, n_particles, legs)
     return total
 
@@ -739,19 +744,31 @@ def build_interaction(
     window: Window,
     basis: str,
     pair_list: Optional[list] = None,
+    pair_operator=None,
 ) -> OperatorMatrix:
-    """Pair interaction summed over the given (default: all) particle pairs."""
+    """Pair interaction summed over the given (default: all) particle pairs.
+
+    `pair_operator` is `two_site_operator(params, window, basis)` when the
+    caller has already built it; it is built here otherwise.
+    """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if pair_list is None:
         pair_list = pairs(params.N)
     # with no pair to place (N = 1, or an empty list) the operator is not needed
-    op = two_site_operator(params, window, basis) if pair_list else None
+    op = pair_operator
+    if op is None and pair_list:
+        op = two_site_operator(params, window, basis)
     return OperatorMatrix(basis, window, params.N, _leg_sum(op, window, params.N, pair_list))
 
 
-def build_hamiltonian(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
-    return build_h0(params, window, basis) + build_interaction(params, window, basis)
+def build_hamiltonian(
+    params: ModelParams, window: Window, basis: str, pair_operator=None
+) -> OperatorMatrix:
+    """H = H0 + the interaction on every pair; `pair_operator` as in `build_interaction`."""
+    return build_h0(params, window, basis) + build_interaction(
+        params, window, basis, pair_operator=pair_operator
+    )
 
 
 def build_cluster_hamiltonian(

@@ -14,7 +14,8 @@ Y_s^T Q_s^T, with no dim x dim U formed. D(z)^T X and I(z)^T X come from a
 single pass over the chain tree on a column block X, one chain per orbit of
 the particle relabellings that leave H invariant. The resolvent check streams
 X over closed chunks of the S_N sector columns, so no dim x dim D, I or
-residual is formed; the dense D and I are the X = 1 case.
+residual is formed, and applies G to each column's own sector rows only;
+the dense D and I are the X = 1 case.
 """
 
 from __future__ import annotations
@@ -229,7 +230,13 @@ class ResolventWorkspace:
         """
         key = ("U", k)
         if key not in self.cache:
-            h = build_hamiltonian(self.params.with_n(k), self.window, self.basis)
+            pair = self._pair_operator() if k > 1 else None
+            h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
+            del pair
+            others = [("U", j) in self.cache for j in range(2, self.params.N + 1) if j != k]
+            if k > 1 and all(others):  # the last reader of the built pair operator
+                self.two_site()  # which keeps only its dense copy
+                del self.cache[("V2 built",)]
             diag = h.matrix.diagonal()
             if k < self.params.N and np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
                 res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
@@ -266,11 +273,18 @@ class ResolventWorkspace:
         """Q^T y over `sector_columns`, complex and C-ordered."""
         return _sparse_times(self.sector_columns()[1], np.asarray(y, dtype=complex))
 
+    def _pair_operator(self) -> sp.spmatrix:
+        """`two_site_operator` as built, once per workspace, until every H^(k), k >= 2, has it."""
+        key = ("V2 built",)
+        if key not in self.cache:
+            self.cache[key] = two_site_operator(self.params, self.window, self.basis)
+        return self.cache[key]
+
     def two_site(self) -> np.ndarray:
         """The d^2 x d^2 pair operator, applied on every leg pair (i < j)."""
         key = ("V2",)
         if key not in self.cache:
-            self.cache[key] = two_site_operator(self.params, self.window, self.basis).toarray()
+            self.cache[key] = self._pair_operator().toarray()
         return self.cache[key]
 
     def factor(self, dec: ClusterDecomposition, z: complex) -> FactoredResolvent:
@@ -328,6 +342,10 @@ class ResolventWorkspace:
                 x = apply_on_legs(b.eigenvectors, x, legs, d, n)
         return x
 
+    def full_factor(self, z: complex) -> FactoredResolvent:
+        """G(z) of the full H: `factor` of the one-block partition, from the N-block's factors."""
+        return self.factor(ClusterDecomposition((tuple(range(1, self.params.N + 1)),)), z)
+
     def resolve_rows(self, z: complex, rows: np.ndarray) -> np.ndarray:
         """G(z) y of the full H from the rows Q^T y of `sector_rows`; overwrites rows.
 
@@ -335,7 +353,7 @@ class ResolventWorkspace:
         every sector it serves (stacked, so a remainder pair is one batch),
         then one sparse Q product.
         """
-        f = self.factor(ClusterDecomposition((tuple(range(1, self.params.N + 1)),)), z)
+        f = self.full_factor(z)
         rows = _solve_in_sectors(f.blocks[0][1].factors, f.delta, rows)
         return _sparse_times(self.sector_columns()[2], rows)
 
@@ -591,6 +609,10 @@ def residual_columns(
 ) -> np.ndarray:
     """R^T X = G (X - I^T X) - D^T X for R = G - D - I G, from D^T X and ri = Q^T (I^T X).
 
+    The full-coordinate residual of the dense oracle (`functional_equation`,
+    X = 1); the stream forms its residual in sector coordinates instead
+    (`sector_residual`).
+
     G is complex symmetric (H is real symmetric), so R^T = G (1 - I^T) - D^T:
     one resolvent applied to a block, with neither G nor I G formed. G is
     applied from the N-block's sector factors to the rows Q^T (X - I^T X) =
@@ -599,6 +621,45 @@ def residual_columns(
     r = ws.resolve_rows(z, chunk.qx.toarray() - ri)
     r -= dx
     return r
+
+
+def sector_residual(
+    z: complex, ws: ResolventWorkspace, chunk: ColumnChunk, rd: np.ndarray, ri: np.ndarray
+) -> tuple:
+    """Squared Frobenius norms (own, u_off, u) of a chunk's residual in sector coordinates.
+
+    With u = Q^T X - ri, ri = Q^T (I^T X) and rd = Q^T (D^T X), and G = Q M Q^T
+    for M = (+)_s Y_s diag(delta) Y_s^T over the N-block's factors,
+    Q^T R^T X = (1 + Delta) M u - rd. For each part (s, j0, j1) the own rows
+    M_s u_s - rd_s are formed from the solve serving sector s (one solve for
+    both halves of an N = 3 remainder pair); the other rows of u (u_off) are
+    only measured, and their M products are bounded in
+    `stream_functional_equation`. The chunk needs parts: X = 1 is the dense
+    oracle's `residual_columns`.
+    """
+    f = ws.full_factor(z)
+    solves, first = [], 0
+    for fac in f.blocks[0][1].factors:
+        solves += [(fac, first)] * len(fac.sectors)
+        first += fac.values.size
+    bounds = np.cumsum([0] + [s.dim for s in ws.sector_columns()[0]])
+    u = chunk.qx.toarray() - ri
+    own = off = inside = 0.0
+    col = 0
+    for s, j0, j1 in chunk.parts:
+        (fac, first), (a, b), cols = solves[s], bounds[s : s + 2], slice(col, col + j1 - j0)
+        part = u[:, cols]
+        off += _frobenius(part[:a]) ** 2 + _frobenius(part[b:]) ** 2
+        own_u = np.ascontiguousarray(part[a:b])
+        inside += _frobenius(own_u) ** 2
+        t = fac.vectors.T @ own_u.view(np.float64)
+        scaled = t.view(complex)
+        scaled *= f.delta[first : first + fac.values.size, None]
+        r = (fac.vectors @ t).view(complex)
+        r -= rd[a:b, cols]
+        own += _frobenius(r) ** 2
+        col += j1 - j0
+    return own, off, inside + off
 
 
 def _gates(z: complex, ws: ResolventWorkspace) -> tuple:
@@ -640,16 +701,28 @@ def functional_equation_residual(
 
 @dataclass
 class StreamedFunctionalEquation:
-    """The functional equation at one z from column chunks: D and I as their sector splits."""
+    """The functional equation at one z from column chunks: D and I as their sector splits.
+
+    `residual` = `residual_sector` + `residual_dropped` bounds ||G - D - I G||_F
+    (`stream_functional_equation`): the first is the part formed on each
+    column's own sector rows, the second bounds the rows that are not formed
+    (the gamma, D cross and theta terms).
+    """
 
     z: complex
     d: SectorSplit  # the blocks Q_s^T D Q_s, as split_by_symmetry(D) gives them
     i: SectorSplit
-    residual: float  # an upper bound on ||G - D - I G||_F
+    residual_sector: float  # (1 - theta)^-1 sqrt(sum ||own||^2)
+    residual_dropped: float
     dist_to_spectrum: float
     resolvent_residual_bound: float
     chunks: int
     chunk_columns: int  # CHUNK_COLUMNS of the run
+
+    @property
+    def residual(self) -> float:
+        """An upper bound on ||G - D - I G||_F."""
+        return self.residual_sector + self.residual_dropped
 
 
 def stream_functional_equation(
@@ -658,28 +731,42 @@ def stream_functional_equation(
     """R = G - D - I G, and the sector blocks of D and I, with no dim x dim array formed.
 
     Per chunk X of `column_chunks`: (D^T X, I^T X) from `expansion_columns`,
-    the rows Q^T (D^T X) and Q^T (I^T X) (`ResolventWorkspace.sector_rows`),
-    and R^T X from `residual_columns`, which reuses Q^T (I^T X). The rows
-    are filed by `model.fill_sector_blocks`, as `split_by_symmetry` files
-    its own: the sector rows are columns of the transposed blocks
-    Q_s^T D Q_s and Q_s^T I Q_s, the other rows cross blocks. The chunks cover the stored columns Q,
-    with ||Q^T Q - 1||_2 <= theta (the basis defect), so ||R^T Q||_F >=
-    sqrt(1 - theta) ||R||_F: the sum of ||R^T X||_F^2 over the chunks,
-    divided by 1 - theta, bounds ||R||_F^2. The blocks are split by
-    `model.sector_split`, which measures the pair defect at n = 3.
+    then the rows r_D = Q^T (D^T X) and Q^T (I^T X) (`ResolventWorkspace.sector_rows`).
+    The rows are filed by `model.fill_sector_blocks`, as `split_by_symmetry`
+    files its own: the sector rows are columns of the transposed blocks
+    Q_s^T D Q_s and Q_s^T I Q_s, the other rows cross blocks. The blocks are
+    split by `model.sector_split`, which measures the pair defect at n = 3.
+
+    The residual is formed in sector coordinates (`sector_residual`). With
+    Q^T Q = 1 + Delta, ||Delta||_2 <= theta (the basis defect), and
+    G = Q M Q^T, M = (+)_s Y_s diag(delta) Y_s^T, every chunk has
+    Q^T R^T X = M u - r_D + Delta M u for u = Q^T X - Q^T (I^T X). Its rows
+    on each column's own sector ("own") are formed; on the other rows
+    ||M u_off - r_D,off|| <= gamma ||u_off|| + ||r_D,off||, with
+    gamma = max|delta| (1 + the N-block's orthogonality defect) >= ||M||_2.
+    The chunks cover Q, ||R^T y|| <= ||Q^T R^T y|| / sqrt(1 - theta) and
+    ||R||_F <= ||R^T Q||_F / sqrt(1 - theta), so by the triangle inequality
+    per chunk and Minkowski's over the chunks
+
+        ||R||_F <= (1 - theta)^-1 [ sqrt(sum ||own||^2) + gamma sqrt(sum ||u_off||^2)
+                                    + sqrt(sum ||r_D,off||^2) + theta gamma sqrt(sum ||u||^2) ],
+
+    where sqrt(sum ||r_D,off||^2) is the cross norm of D. `residual_sector`
+    is the first term over 1 - theta, `residual_dropped` the rest. G is
+    applied on each column's own sector only, and no row is lifted back by Q.
     `stage(name)` is entered around each chunk's expansion and residual.
     """
     sectors = ws.sector_columns()[0]
     bounds = np.cumsum([0] + [s.dim for s in sectors])
     blocks = {name: [np.empty((s.dim, s.dim), dtype=complex) for s in sectors] for name in "di"}
     cross = dict.fromkeys("di", 0.0)
-    square, chunks = 0.0, 0
+    squares, chunks = np.zeros(3), 0  # sum ||own||^2, ||u_off||^2, ||u||^2
     for chunk in column_chunks(ws):
         with stage("resolvent.expansion"):
             dx, ix = expansion_columns(z, ws, chunk)
         with stage("resolvent.functional_equation"):
             rows = {"d": ws.sector_rows(dx), "i": ws.sector_rows(ix)}
-            square += _frobenius(residual_columns(z, ws, chunk, dx, rows["i"])) ** 2
+            squares += sector_residual(z, ws, chunk, rows["d"], rows["i"])
             for name in "di":
                 cross[name] = fill_sector_blocks(
                     rows[name], chunk.parts, blocks[name], bounds, cross[name]
@@ -694,9 +781,15 @@ def stream_functional_equation(
                 f"{name.upper()}(z) does not commute with the leg permutations: "
                 f"cross norm {cross[name]:.2e}"
             )
-    residual = math.sqrt(square / (1.0 - splits["i"].basis_defect))
+    theta = splits["i"].basis_defect
+    ortho = ws.block(ws.params.N).orthogonality_defect
+    gamma = float(np.abs(ws.full_factor(z).delta).max()) * (1.0 + ortho)
+    own, u_off, u = map(float, np.sqrt(squares))
+    sector = own / (1.0 - theta)
+    dropped = (gamma * u_off + cross["d"] + theta * gamma * u) / (1.0 - theta)
     return StreamedFunctionalEquation(
-        complex(z), splits["d"], splits["i"], residual, *_gates(z, ws), chunks, CHUNK_COLUMNS
+        complex(z), splits["d"], splits["i"], sector, dropped, *_gates(z, ws), chunks,
+        CHUNK_COLUMNS,
     )
 
 

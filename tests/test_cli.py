@@ -622,12 +622,17 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     # and the norms of each sector's blocks, whose max is what functional_eq.json reports
     entries = json.loads((tmp_path / "resolvent-check" / "functional_eq.json").read_text())
     assert len(diag["functional_equation"]) == len(entries) == 2
-    for stream, entry in zip(diag["functional_equation"], entries):
+    for k, (stream, entry) in enumerate(zip(diag["functional_equation"], entries)):
+        # the compactness SVD runs at the first z only, and gives ||I||_2 there
         assert set(stream) == {
-            "chunk_columns", "chunks", "cross_norm_D", "cross_norm_I", "sector_norms_D",
-            "sector_norms_I", "norm_method",
-        }
+            "chunk_columns", "chunks", "residual_sector", "residual_dropped", "cross_norm_D",
+            "cross_norm_I", "sector_norms_D", "sector_norms_I", "norm_method",
+        } | ({"norm_I_svd"} if k == 0 else set())
         assert stream["chunk_columns"] == resolvent.CHUNK_COLUMNS == 64 and stream["chunks"] == 6
+        assert stream["residual_sector"] + stream["residual_dropped"] == entry["residual"]
+        assert 0.0 < stream["residual_dropped"] <= 1e-12
+        if k == 0:
+            assert stream["norm_I_svd"] >= entry["norm_I"] * (1.0 - 1e-12)
         assert stream["norm_method"] == resolvent.NORM_METHOD
         for name in ("D", "I"):
             assert 0.0 <= stream[f"cross_norm_{name}"] <= 1e-10

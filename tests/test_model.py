@@ -141,7 +141,7 @@ def test_embed_and_apply_on_legs_match_kron():
     w = Window(L=2, interior_margin=1)
     d, n = w.n_sites, 3
     rng = np.random.default_rng(11)
-    for legs in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+    for legs in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
         k = len(legs)
         op = rng.standard_normal((d**k, d**k))
         # kron puts the op's legs first; permute the axes back to particle order
@@ -157,6 +157,20 @@ def test_embed_and_apply_on_legs_match_kron():
         model.embed_on_legs(np.eye(d * d), w, n, (1, 0))
     with pytest.raises(ValueError):
         model.embed_on_legs(np.eye(d), w, n, (0, 1))
+
+
+def test_prebuilt_pair_operator_is_left_unchanged(params2, win):
+    # at N = 2 the interaction is the kernel's own CSR (a lift on all legs is
+    # the operator itself), sharing its arrays with the caller's kernel
+    k = model.two_site_kernel(params2, win)
+    before = [x.copy() for x in (k.data, k.indices, k.indptr)]
+    h = model.build_hamiltonian(params2, win, "stark", pair_operator=k)
+    assert h.symmetry_defect() <= 1e-12
+    assert all(np.array_equal(a, b) for a, b in zip(before, (k.data, k.indices, k.indptr)))
+    want = model.build_hamiltonian(params2, win, "stark").matrix
+    assert np.array_equal(h.matrix.toarray(), want.toarray()) and h.matrix.nnz == want.nnz
+    lift = model.embed_on_legs(k, win, 2, (0, 1))
+    assert lift.data is k.data or np.shares_memory(lift.data, k.data)
 
 
 def test_symmetry_defect(params2, win):

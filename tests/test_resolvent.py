@@ -149,6 +149,26 @@ def test_resolvent_cache_reused(pair_ws):
     assert not one.residuals.any() and one.residuals.shape == one.eigenvalues.shape
 
 
+@pytest.mark.parametrize("n,L", [(2, 3), (3, 2)])
+def test_pair_kernel_built_once_per_workspace(n, L, monkeypatch):
+    # every H^(k), k >= 2, is assembled from one pair operator, and only its
+    # dense copy is kept once the last block is built
+    calls = []
+    kernel = model.two_site_kernel
+    monkeypatch.setattr(model, "two_site_kernel", lambda *a: calls.append(a) or kernel(*a))
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
+    st = rsv.stream_functional_equation(0.5 + 1j, ws)
+    assert len(calls) == 1 and st.residual <= 1e-12
+    assert ("V2 built",) not in ws.cache
+    assert np.array_equal(ws.two_site(), kernel(p, ws.window).toarray())
+    for k in range(2, n + 1):
+        h = model.build_hamiltonian(p.with_n(k), ws.window, "stark").toarray()
+        b = ws.block(k)  # H^(N) keeps its factors, a smaller block its lifted U
+        u = b.eigenvectors if k < n else spectra.lift_states(b, np.arange(h.shape[0]))
+        assert np.abs(u.T @ h @ u - np.diag(b.eigenvalues)).max() <= 1e-12
+
+
 def test_build_I_n2_closed_form(pair_ws):
     z = 8j
     fine = ClusterDecomposition(((1,), (2,)))
@@ -638,6 +658,61 @@ def test_streamed_check_with_diagonal_n_block():
     want = np.linalg.norm(g - d - (i + 1e-3 * np.eye(ws.dim)) @ g)
     got = math.sqrt(square / (1.0 - st.i.basis_defect))
     assert want > 1e-6 and abs(got - want) <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("basis,n,L,pot", STREAM_CASES)
+def test_streamed_bound_holds_off_sector(basis, n, L, pot):
+    # I^T X of the last chunk plus a perturbation that no leg permutation leaves
+    # invariant: the rows off each column's sector, which the stream bounds
+    # instead of forming, are then far from rounding level
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1), basis)
+    z = 0.5 + 1j
+    d, i = rsv.expansion(z, ws)
+    st = rsv.stream_functional_equation(z, ws)
+    sectors, _, q = ws.sector_columns()
+    bounds = np.cumsum([0] + [s.dim for s in sectors])
+    chunks = list(rsv.column_chunks(ws))
+    rng = np.random.default_rng(5)
+    shape = (ws.dim, chunks[-1].x.shape[1])
+    perturbation = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    theta = st.i.basis_defect
+    gamma = np.abs(ws.full_factor(z).delta).max() * (1.0 + ws.block(n).orthogonality_defect)
+
+    def bound(last):
+        squares, cross = np.zeros(3), 0.0
+        blocks = [np.empty((s.dim, s.dim), dtype=complex) for s in sectors]
+        for chunk in chunks:
+            dx, ix = rsv.expansion_columns(z, ws, chunk)
+            if chunk is chunks[-1]:
+                ix = ix + last
+            rd = ws.sector_rows(dx)
+            squares += rsv.sector_residual(z, ws, chunk, rd, ws.sector_rows(ix))
+            cross = model.fill_sector_blocks(rd, chunk.parts, blocks, bounds, cross)
+        own, u_off, u = np.sqrt(squares)
+        return own / (1.0 - theta), (gamma * u_off + cross + theta * gamma * u) / (1.0 - theta), u
+
+    # unperturbed, the terms are the stream's own
+    sector, dropped, _ = bound(0.0)
+    assert (sector, dropped) == (st.residual_sector, st.residual_dropped)
+    assert st.residual == sector + dropped
+    # E with E^T X = the perturbation on the last chunk's columns X of Q, 0 on the others
+    parts = chunks[-1].parts
+    cols = np.concatenate([np.arange(bounds[s] + j0, bounds[s] + j1) for s, j0, j1 in parts])
+    w = np.zeros((ws.dim, ws.dim), dtype=complex)
+    w[:, cols] = perturbation
+    e = np.linalg.solve(q.toarray().T, w.T)
+    want = rsv.functional_equation(z, ws, d, i + e).residual
+    sector, dropped, u = bound(perturbation)
+    got = sector + dropped
+    scale = np.linalg.norm(d) + np.linalg.norm(i)
+    assert want > 1e-6
+    if len(sectors) > 1:
+        assert dropped > 1e-6
+    assert want <= got + 1e-14 * scale
+    # ||own|| <= ||Q^T R^T X|| + theta gamma ||u|| and ||Q^T R^T Q||_F <= (1 + theta) ||R||_F
+    slack = theta * gamma * u / (1.0 - theta) + 1e-14 * scale
+    assert got <= (1.0 + theta) / (1.0 - theta) * want + dropped + slack
 
 
 def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):

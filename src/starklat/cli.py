@@ -176,6 +176,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"dynamics.symmetrized must be true or false, not {symmetrized!r}")
     if symmetrized and params.N != 2:
         raise ConfigError(f"dynamics.symmetrized needs N = 2, not N = {params.N}")
+    # a radius at or past the face has no tail to measure
+    if section == "dynamics" and (
+        len(set(radii)) != len(radii) or not all(0 <= r < window.L for r in radii)
+    ):
+        raise ConfigError(
+            f"dynamics.radii must be distinct integers r with 0 <= r < L = {window.L}, "
+            f"not {radii}"
+        )
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, not {output_dir!r}")

@@ -229,17 +229,6 @@ def _check_normalized(psi: np.ndarray) -> None:
         raise ValueError("initial state must be normalized")
 
 
-def evolve(
-    op: OperatorMatrix, psi0: np.ndarray, t: float, config: PropagatorConfig
-) -> np.ndarray:
-    """psi_t = e^{-itH} psi0 by a Chebyshev expansion on the rescaled spectrum."""
-    prop = ChebyshevPropagator(op, t, 1, config)
-    _check_normalized(psi0)
-    if t == 0.0:
-        return psi0.astype(complex)
-    return _state(prop(_planes(psi0), 1)[0])
-
-
 def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
     """One-site particle density rho(x); sums to N."""
     d = window.n_sites

@@ -1,8 +1,8 @@
-"""Eigenvector decay diagnostics: COM sector profiles, weighted norms, shell fits."""
+"""Eigenvector decay diagnostics: COM sector profiles and their decay, shell fits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,15 +27,6 @@ class ComProfile:
     norms: np.ndarray
     lam: float
     com_center: float
-
-    def parseval_defect(self):
-        defect = np.abs(np.sum(self.norms**2, axis=0) - 1.0)
-        return float(defect) if self.norms.ndim == 1 else defect
-
-    @property
-    def peak_sector(self):
-        peak = self.sectors[np.argmax(self.norms, axis=0)]
-        return int(peak) if self.norms.ndim == 1 else peak
 
 
 @dataclass(frozen=True)
@@ -156,19 +147,6 @@ def com_decay_check(
         for c, t, m, p in zip(c_fit, slope, n_live, passed)
     ]
     return reports[0] if profile.norms.ndim == 1 else reports
-
-
-def weighted_norm(
-    psi: np.ndarray, window: Window, n_particles: int, i: int, theta: float
-) -> float:
-    """||W_{i,theta} psi|| with the diagonal weight e^{theta |m_i|} on leg i (1-based)."""
-    if not (1 <= i <= n_particles):
-        raise ValueError("coordinate index out of range")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    coords = flat_to_tuples(window, n_particles)
-    w = np.exp(theta * np.abs(coords[:, i - 1]))
-    return float(np.linalg.norm(w * psi))
 
 
 def shell_amplitudes(

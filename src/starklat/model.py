@@ -151,14 +151,6 @@ def flat_to_tuples(window: Window, n_particles: int) -> np.ndarray:
     return out
 
 
-def tuple_to_flat(window: Window, coords: np.ndarray) -> np.ndarray:
-    coords = np.asarray(coords)
-    d = window.n_sites
-    n = coords.shape[-1]
-    strides = d ** np.arange(n - 1, -1, -1)
-    return (coords + window.L) @ strides
-
-
 @dataclass
 class OperatorMatrix:
     """Truncated symmetric operator with its basis tag and index map."""
@@ -740,22 +732,17 @@ def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
 
 
 def build_interaction(
-    params: ModelParams,
-    window: Window,
-    basis: str,
-    pair_list: Optional[list] = None,
-    pair_operator=None,
+    params: ModelParams, window: Window, basis: str, pair_operator=None
 ) -> OperatorMatrix:
-    """Pair interaction summed over the given (default: all) particle pairs.
+    """Pair interaction summed over every particle pair.
 
     `pair_operator` is `two_site_operator(params, window, basis)` when the
     caller has already built it; it is built here otherwise.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    if pair_list is None:
-        pair_list = pairs(params.N)
-    # with no pair to place (N = 1, or an empty list) the operator is not needed
+    pair_list = pairs(params.N)
+    # with no pair to place (N = 1) the operator is not needed
     op = pair_operator
     if op is None and pair_list:
         op = two_site_operator(params, window, basis)
@@ -768,23 +755,6 @@ def build_hamiltonian(
     """H = H0 + the interaction on every pair; `pair_operator` as in `build_interaction`."""
     return build_h0(params, window, basis) + build_interaction(
         params, window, basis, pair_operator=pair_operator
-    )
-
-
-def build_cluster_hamiltonian(
-    params: ModelParams, window: Window, decomposition, basis: str
-) -> OperatorMatrix:
-    """H_D: interactions restricted to intra-cluster pairs of the partition."""
-    blocks = [tuple(sorted(b)) for b in decomposition.blocks]
-    flat = sorted(p for b in blocks for p in b)
-    if flat != list(range(1, params.N + 1)):
-        raise ValueError("decomposition must partition {1..N}")
-    intra = []
-    for b in blocks:
-        for i, j in itertools.combinations(b, 2):
-            intra.append((i - 1, j - 1))
-    return build_h0(params, window, basis) + build_interaction(
-        params, window, basis, pair_list=sorted(intra)
     )
 
 

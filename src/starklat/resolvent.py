@@ -61,7 +61,6 @@ RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
 POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
-FREDHOLM_THRESHOLD = 1e-3  # |mu - 1| below which an eigenvalue mu of I(z) flags z
 # dim x CHUNK_COLUMNS complex blocks the workspace keeps room for in the heap (`_heap_room`)
 HEAP_CHUNKS = 8
 NORM_METHOD = (
@@ -230,13 +229,9 @@ class ResolventWorkspace:
         """
         key = ("U", k)
         if key not in self.cache:
-            pair = self._pair_operator() if k > 1 else None
+            pair = sp.csr_matrix(self.two_site()) if k > 1 else None
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
             del pair
-            others = [("U", j) in self.cache for j in range(2, self.params.N + 1) if j != k]
-            if k > 1 and all(others):  # the last reader of the built pair operator
-                self.two_site()  # which keeps only its dense copy
-                del self.cache[("V2 built",)]
             diag = h.matrix.diagonal()
             if k < self.params.N and np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
                 res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
@@ -273,18 +268,14 @@ class ResolventWorkspace:
         """Q^T y over `sector_columns`, complex and C-ordered."""
         return _sparse_times(self.sector_columns()[1], np.asarray(y, dtype=complex))
 
-    def _pair_operator(self) -> sp.spmatrix:
-        """`two_site_operator` as built, once per workspace, until every H^(k), k >= 2, has it."""
-        key = ("V2 built",)
-        if key not in self.cache:
-            self.cache[key] = two_site_operator(self.params, self.window, self.basis)
-        return self.cache[key]
-
     def two_site(self) -> np.ndarray:
-        """The d^2 x d^2 pair operator, applied on every leg pair (i < j)."""
+        """The d^2 x d^2 pair operator, applied on every leg pair (i < j).
+
+        Built once per workspace; every H^(k), k >= 2, is assembled from its CSR.
+        """
         key = ("V2",)
         if key not in self.cache:
-            self.cache[key] = self._pair_operator().toarray()
+            self.cache[key] = two_site_operator(self.params, self.window, self.basis).toarray()
         return self.cache[key]
 
     def factor(self, dec: ClusterDecomposition, z: complex) -> FactoredResolvent:
@@ -847,43 +838,3 @@ def compactness_proxy(i_matrix) -> CompactnessReport:
     k = int(below[0]) if below.size else None
     passed = k is not None and k < s.size / 2
     return CompactnessReport(s, k, passed, sectors)
-
-
-@dataclass
-class FredholmPoint:
-    z: complex
-    nearest_to_one: complex
-    proximity: float
-    flagged: bool
-    nearest_h_eigenvalue: Optional[float]
-
-
-def fredholm_probe(
-    z_grid: list,
-    params: ModelParams,
-    window: Window,
-    ws: Optional[ResolventWorkspace] = None,
-) -> list:
-    """Locate z with 1 in the spectrum of I(z); flags should track eigenvalues of H."""
-    ws = ws or ResolventWorkspace(params, window)
-    h_eigs = ws.block(params.N).eigenvalues
-    out = []
-    for z in z_grid:
-        # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the
-        # dropped blocks (and a pair's half difference) are at most
-        # SECTOR_TOL ||I||_F, a roundoff-size change of I
-        split = split_by_symmetry(build_I(complex(z), ws), window.n_sites, params.N)
-        eigs = np.concatenate(
-            [
-                np.tile(np.linalg.eigvals(b), len(serves))
-                for b, serves in zip(split.blocks, split.serves)
-            ]
-        )
-        j = int(np.argmin(np.abs(eigs - 1.0)))
-        prox = float(np.abs(eigs[j] - 1.0))
-        flagged = prox < FREDHOLM_THRESHOLD
-        nearest_h = None
-        if np.imag(z) == 0.0:
-            nearest_h = float(h_eigs[np.argmin(np.abs(h_eigs - np.real(z)))])
-        out.append(FredholmPoint(complex(z), complex(eigs[j]), prox, flagged, nearest_h))
-    return out

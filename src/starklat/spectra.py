@@ -1,15 +1,13 @@
-"""Diagonalization, partition combinatorics, cluster spectra, shift covariance."""
+"""Diagonalization, the interior filter, partition combinatorics, cluster spectra."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import (
     CHUNK_COLUMNS,
@@ -28,10 +26,8 @@ from .model import (
 )
 
 DENSE_CAP = 6000
-KRYLOV_K_MAX = 64
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
-PERIODICITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,16 +128,16 @@ class SectorFactor(NamedTuple):
 
 
 class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every import
-    """Eigenpairs of a symmetric a with bounds on the lifted pairs (measured by extremal_eigs)."""
+    """Eigenpairs of a symmetric a with bounds on the lifted pairs."""
 
     eigenvalues: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
-    # dense, in eigenvalue order: `lift_states` of every column (eigh, resolvent.block)
-    # or a Krylov solve's; None: only the factors, or a diagonal a with V = 1
+    # dense, in eigenvalue order: `lift_states` of every column (eigh, resolvent.block);
+    # None: only the factors, or a diagonal a with V = 1
     eigenvectors: Optional[np.ndarray]
     residuals: np.ndarray  # per eigenvalue, >= ||a v - lambda v||
     residual_norm: float  # >= ||a V - V diag(eigenvalues)||_F
     orthogonality_defect: float  # >= ||V^T V - 1||_F
-    sectors: dict  # SectorSplit.diagnostics; {} for a Krylov solve (extremal_eigs)
+    sectors: dict  # SectorSplit.diagnostics; {} for a diagonal a (resolvent.block)
     # the SectorFactor of each solve: V = [Q_s Y_s] over the sectors each
     # serves, so a = sum_s Q_s Y_s diag(values) Y_s^T Q_s^T
     factors: tuple = ()
@@ -324,7 +320,7 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
 def symmetric_matrix(op: OperatorMatrix) -> sp.csr_matrix:
     """op's CSR matrix, after the capacity and symmetry gates of every dense solve."""
     if op.dim > DENSE_CAP:
-        raise CapacityError(f"dimension {op.dim} above the dense cap; use extremal_eigs")
+        raise CapacityError(f"dimension {op.dim} above the dense cap {DENSE_CAP}")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
     return op.matrix
@@ -340,35 +336,6 @@ def eigh(op: OperatorMatrix) -> SectorEigh:
     """
     res = sector_eigh(split_by_symmetry(symmetric_matrix(op), op.window.n_sites, op.n_particles))
     return res._replace(eigenvectors=lift_states(res, np.arange(op.dim)))
-
-
-def extremal_eigs(
-    op: OperatorMatrix,
-    k: int,
-    which: str = "lowest",
-    target: Optional[float] = None,
-) -> SectorEigh:
-    """k extremal (or nearest-to-target) eigenpairs by a Krylov scheme."""
-    if k > KRYLOV_K_MAX:
-        raise CapacityError(f"k must be <= {KRYLOV_K_MAX}")
-    if op.symmetry_defect() > 1e-12:
-        raise ValueError("matrix is not symmetric")
-    mat = op.matrix
-    rng = np.random.default_rng(12345)
-    v0 = rng.standard_normal(op.dim)
-    if which == "target":
-        if target is None:
-            raise ValueError("target mode needs a target value")
-        vals, vecs = spla.eigsh(mat.tocsc(), k=k, sigma=target, which="LM", v0=v0)
-    elif which in ("lowest", "highest"):
-        vals, vecs = spla.eigsh(mat, k=k, which={"lowest": "SA", "highest": "LA"}[which], v0=v0)
-    else:
-        raise ValueError(f"unknown which={which!r}")
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    resid = np.array([np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(k)])
-    ortho = _frobenius(vecs.T @ vecs - np.eye(k))
-    return SectorEigh(vals, vecs, resid, float(np.linalg.norm(resid)), ortho, {})
 
 
 def enumerate_set_partitions(n: int) -> list:
@@ -450,34 +417,3 @@ def dist_to_cluster(lam: float, sigma: ClusterSpectrum) -> float:
     if sigma.points.size == 0:
         raise ValueError("empty cluster spectrum")
     return float(np.min(np.abs(sigma.points - lam)))
-
-
-@dataclass
-class PeriodicityReport:
-    shift: float
-    n_compared: int
-    max_deviation: float
-    worst_value: Optional[float]
-    passed: bool
-
-
-def spectral_periodicity_check(
-    result: SectorEigh, shift: float, params: ModelParams, window: Window, basis: str
-) -> PeriodicityReport:
-    """Interior spectrum invariance under the lattice energy shift 2hN."""
-    mask = interior_mask(result, params, window, basis)
-    ev = np.sort(result.eigenvalues[mask])
-    if ev.size < 3:
-        return PeriodicityReport(shift, 0, np.inf, None, False)
-    lo, hi = ev.min() + abs(shift), ev.max() - abs(shift)
-    band = ev[(ev >= lo) & (ev <= hi)]
-    # partners one lattice shift away sit a site closer to a face and may
-    # drop out of the interior set, so match against the full spectrum
-    shifted = np.sort(result.eigenvalues) + shift
-    worst_dev, worst_val = 0.0, None
-    for e in band:
-        dev = float(np.min(np.abs(shifted - e)))
-        if dev > worst_dev:
-            worst_dev, worst_val = dev, float(e)
-    passed = worst_dev <= PERIODICITY_TOL and band.size > 0
-    return PeriodicityReport(shift, band.size, worst_dev, worst_val, passed)

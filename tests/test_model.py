@@ -50,7 +50,7 @@ def test_h0_position_3x3_example():
 
 def test_h0_stark_diagonal(params2, win):
     h0 = model.build_h0(params2, win, "stark")
-    f = model.tuple_to_flat(win, np.array([2, -1]))
+    f = oracles.tuple_to_flat(win, np.array([2, -1]))
     assert h0.matrix[f, f] == pytest.approx(-2 * params2.h * 1)
     off = h0.matrix - np.diag(h0.matrix.diagonal())
     assert abs(off).max() == 0.0
@@ -112,9 +112,9 @@ def test_kernel_matches_per_element(win):
 def test_interaction_position_diagonal(params2):
     w = Window(L=6, interior_margin=2)
     v = model.build_interaction(params2, w, "position")
-    f = model.tuple_to_flat(w, np.array([3, 4]))
+    f = oracles.tuple_to_flat(w, np.array([3, 4]))
     assert v.matrix[f, f] == pytest.approx(1.0)
-    f2 = model.tuple_to_flat(w, np.array([3, 6]))
+    f2 = oracles.tuple_to_flat(w, np.array([3, 6]))
     assert v.matrix[f2, f2] == 0.0
 
 
@@ -124,7 +124,7 @@ def test_three_pair_terms():
     w = Window(L=3, interior_margin=1)
     v_all = model.build_interaction(p, w, "position").toarray()
     v_sum = sum(
-        model.build_interaction(p, w, "position", pair_list=[pr]).toarray()
+        oracles.pair_interaction(p, w, "position", [pr]).toarray()
         for pr in model.pairs(3)
     )
     assert np.array_equal(v_all, v_sum)
@@ -220,24 +220,24 @@ def test_cluster_hamiltonian():
     w = Window(L=3, interior_margin=1)
     full = ClusterDecomposition(((1, 2, 3),))
     assert np.array_equal(
-        model.build_cluster_hamiltonian(p, w, full, "position").toarray(),
+        oracles.build_cluster_hamiltonian(p, w, full, "position").toarray(),
         model.build_hamiltonian(p, w, "position").toarray(),
     )
     finest = ClusterDecomposition(((1,), (2,), (3,)))
     assert np.array_equal(
-        model.build_cluster_hamiltonian(p, w, finest, "position").toarray(),
+        oracles.build_cluster_hamiltonian(p, w, finest, "position").toarray(),
         model.build_h0(p, w, "position").toarray(),
     )
     mid = ClusterDecomposition(((1, 2), (3,)))
-    got = model.build_cluster_hamiltonian(p, w, mid, "position").toarray()
+    got = oracles.build_cluster_hamiltonian(p, w, mid, "position").toarray()
     want = (
         model.build_h0(p, w, "position").matrix
-        + model.build_interaction(p, w, "position", pair_list=[(0, 1)]).matrix
+        + oracles.pair_interaction(p, w, "position", [(0, 1)]).matrix
     ).toarray()
     assert np.array_equal(got, want)
     bad = ClusterDecomposition(((1, 2),))
     with pytest.raises(ValueError):
-        model.build_cluster_hamiltonian(p, w, bad, "position")
+        oracles.build_cluster_hamiltonian(p, w, bad, "position")
 
 
 def test_symmetrizer_projector(win):
@@ -249,14 +249,14 @@ def test_symmetrizer_projector(win):
 
 def test_symmetrizer_fermion_exclusion(win):
     p = oracles.symmetrizer(2, win, -1).toarray()
-    f = model.tuple_to_flat(win, np.array([2, 2]))
+    f = oracles.tuple_to_flat(win, np.array([2, 2]))
     assert np.abs(p[:, f]).max() == 0.0
 
 
 def test_symmetrizer_boson_pair(win):
     p = oracles.symmetrizer(2, win, 1).toarray()
-    fxy = model.tuple_to_flat(win, np.array([1, 3]))
-    fyx = model.tuple_to_flat(win, np.array([3, 1]))
+    fxy = oracles.tuple_to_flat(win, np.array([1, 3]))
+    fyx = oracles.tuple_to_flat(win, np.array([3, 1]))
     col = p[:, fxy]
     assert col[fxy] == pytest.approx(0.5)
     assert col[fyx] == pytest.approx(0.5)

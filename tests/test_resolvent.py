@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from starklat import model, resolvent as rsv, spectra
 from starklat.model import ModelParams, PairPotential, Window
 from starklat.spectra import ClusterDecomposition
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +52,7 @@ def test_coupling_n2_full_interaction(pair_ws):
     fine = ClusterDecomposition(((1,), (2,)))
     coarse = ClusterDecomposition(((1, 2),))
     p, w = pair_ws.params, pair_ws.window
-    v = model.build_interaction(p, w, "stark", pair_list=rsv._new_pairs(fine, coarse)).toarray()
+    v = oracles.pair_interaction(p, w, "stark", rsv._new_pairs(fine, coarse)).toarray()
     full = model.build_interaction(p, w, "stark").toarray()
     assert np.array_equal(v, full)
 
@@ -60,14 +63,14 @@ def test_coupling_n3_steps():
     single = ClusterDecomposition(((1,), (2,), (3,)))
     mid = ClusterDecomposition(((1, 2), (3,)))
     full = ClusterDecomposition(((1, 2, 3),))
-    v1 = model.build_interaction(p, w, "position", pair_list=rsv._new_pairs(single, mid)).toarray()
-    only12 = model.build_interaction(p, w, "position", pair_list=[(0, 1)]).toarray()
+    v1 = oracles.pair_interaction(p, w, "position", rsv._new_pairs(single, mid)).toarray()
+    only12 = oracles.pair_interaction(p, w, "position", [(0, 1)]).toarray()
     assert np.array_equal(v1, only12)
-    v2 = model.build_interaction(p, w, "position", pair_list=rsv._new_pairs(mid, full)).toarray()
-    rest = model.build_interaction(p, w, "position", pair_list=[(0, 2), (1, 2)]).toarray()
+    v2 = oracles.pair_interaction(p, w, "position", rsv._new_pairs(mid, full)).toarray()
+    rest = oracles.pair_interaction(p, w, "position", [(0, 2), (1, 2)]).toarray()
     assert np.array_equal(v2, rest)
     with pytest.raises(ValueError):
-        model.build_interaction(p, w, "stark", pair_list=rsv._new_pairs(mid, mid))
+        oracles.pair_interaction(p, w, "stark", rsv._new_pairs(mid, mid))
 
 
 def test_coupling_completeness():
@@ -79,11 +82,9 @@ def test_coupling_completeness():
     for chain in rsv.enumerate_chains(3, "all"):
         acc = np.zeros_like(full_v)
         for a, b in zip(chain.sequence, chain.sequence[1:]):
-            acc += model.build_interaction(
-                p, w, "position", pair_list=rsv._new_pairs(a, b)
-            ).toarray()
+            acc += oracles.pair_interaction(p, w, "position", rsv._new_pairs(a, b)).toarray()
         end = chain.sequence[-1]
-        intra = model.build_cluster_hamiltonian(p, w, end, "position").toarray() - h0
+        intra = oracles.build_cluster_hamiltonian(p, w, end, "position").toarray() - h0
         assert np.abs(acc - intra).max() == 0.0
         if chain.k_s == 1:
             assert np.abs(acc - full_v).max() == 0.0
@@ -124,7 +125,7 @@ def test_cluster_resolvent_norm_bound(pair_ws):
 def test_cluster_resolvent_rejects_near_spectrum(pair_ws):
     full = ClusterDecomposition(((1, 2),))
     p, w = pair_ws.params, pair_ws.window
-    evs = np.linalg.eigvalsh(model.build_cluster_hamiltonian(p, w, full, "stark").toarray())
+    evs = np.linalg.eigvalsh(oracles.build_cluster_hamiltonian(p, w, full, "stark").toarray())
     with pytest.raises(np.linalg.LinAlgError):
         rsv.ResolventWorkspace(p, w).apply_resolvent(
             full, complex(evs[0]) + 1e-14, np.eye(pair_ws.dim, dtype=complex)
@@ -151,8 +152,8 @@ def test_resolvent_cache_reused(pair_ws):
 
 @pytest.mark.parametrize("n,L", [(2, 3), (3, 2)])
 def test_pair_kernel_built_once_per_workspace(n, L, monkeypatch):
-    # every H^(k), k >= 2, is assembled from one pair operator, and only its
-    # dense copy is kept once the last block is built
+    # every H^(k), k >= 2, is assembled from the one dense pair operator the
+    # workspace keeps, and no sparse copy of it outlives a block build
     calls = []
     kernel = model.two_site_kernel
     monkeypatch.setattr(model, "two_site_kernel", lambda *a: calls.append(a) or kernel(*a))
@@ -160,7 +161,7 @@ def test_pair_kernel_built_once_per_workspace(n, L, monkeypatch):
     ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
     st = rsv.stream_functional_equation(0.5 + 1j, ws)
     assert len(calls) == 1 and st.residual <= 1e-12
-    assert ("V2 built",) not in ws.cache
+    assert not any(sp.issparse(v) for v in ws.cache.values())
     assert np.array_equal(ws.two_site(), kernel(p, ws.window).toarray())
     for k in range(2, n + 1):
         h = model.build_hamiltonian(p.with_n(k), ws.window, "stark").toarray()
@@ -255,7 +256,7 @@ def test_fredholm_probe(pair_ws):
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
     lam = res.eigenvalues[np.argmin(np.abs(res.eigenvalues - 0.367))]
     far = 16j
-    pts = rsv.fredholm_probe([lam + 1e-4, 0.437, far], p, w, ws=pair_ws)
+    pts = oracles.fredholm_probe([lam + 1e-4, 0.437, far], p, w, ws=pair_ws)
     assert pts[0].flagged
     assert abs(pts[0].z.real - pts[0].nearest_h_eigenvalue) <= 1e-2
     assert not pts[1].flagged
@@ -281,7 +282,7 @@ def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
     # dense oracle: one solve per partition, conditioning from its spectrum
     dense, kappa = {}, 1.0
     for dec in spectra.enumerate_set_partitions(n):
-        h = model.build_cluster_hamiltonian(p, w, dec, basis).toarray()
+        h = oracles.build_cluster_hamiltonian(p, w, dec, basis).toarray()
         eye = np.eye(h.shape[0])
         dense[dec.canonical()] = np.linalg.solve(z * eye - h, eye.astype(complex))
         evs = np.linalg.eigvalsh(h)
@@ -303,7 +304,7 @@ def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
             key = (a.canonical(), b.canonical())
             if key not in couplings:
                 pairs = rsv._new_pairs(a, b)
-                couplings[key] = model.build_interaction(p, w, basis, pair_list=pairs).toarray()
+                couplings[key] = oracles.pair_interaction(p, w, basis, pairs).toarray()
             out = dense[a.canonical()] @ (couplings[key] @ out)
         return out
 
@@ -355,7 +356,7 @@ def test_residual_bound_covers_inexact_factors(basis, monkeypatch):
     z = 0.5 + 0.01j  # near the spectrum, so the max |delta| factor is tested
     eye = np.eye(ws.dim)
     for dec in spectra.enumerate_set_partitions(3):
-        h = model.build_cluster_hamiltonian(ws.params, ws.window, dec, ws.basis).toarray()
+        h = oracles.build_cluster_hamiltonian(ws.params, ws.window, dec, ws.basis).toarray()
         g = ws.apply_resolvent(dec, z, np.eye(ws.dim, dtype=complex))
         measured = np.linalg.norm((z * eye - h) @ g - eye, 2)
         assert 1e-9 < measured <= ws.factor(dec, z).residual_bound

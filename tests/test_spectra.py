@@ -80,23 +80,6 @@ def test_eigh_rejects_asymmetric():
         spectra.eigh(bad)
 
 
-def test_extremal_matches_dense(params2):
-    w = Window(L=8, interior_margin=3)
-    op = model.build_hamiltonian(params2, w, "stark")
-    dense = spectra.eigh(op)
-    lo = spectra.extremal_eigs(op, 5, "lowest")
-    hi = spectra.extremal_eigs(op, 5, "highest")
-    assert np.abs(lo.eigenvalues - dense.eigenvalues[:5]).max() <= 1e-8
-    assert np.abs(hi.eigenvalues - dense.eigenvalues[-5:]).max() <= 1e-8
-    tgt = spectra.extremal_eigs(op, 3, "target", target=0.05)
-    near = dense.eigenvalues[np.argsort(np.abs(dense.eigenvalues - 0.05))[:3]]
-    assert np.abs(np.sort(tgt.eigenvalues) - np.sort(near)).max() <= 1e-8
-    # a Krylov solve is a SectorEigh with no sector split
-    for sol in (lo, hi, tgt):
-        assert isinstance(sol, spectra.SectorEigh) and sol.sectors == {}
-        assert sol.residual_norm == np.linalg.norm(sol.residuals)
-
-
 def test_padded_transform_gram():
     # with enough row padding the Bessel columns are orthonormal
     p = ModelParams(g=1.0, h=0.5, N=1)
@@ -132,10 +115,10 @@ def test_boundary_shell_mass():
     w = Window(L=2, interior_margin=1)
     dim = w.n_sites**2
     v = np.zeros(dim)
-    v[model.tuple_to_flat(w, np.array([0, 0]))] = 1.0
+    v[oracles.tuple_to_flat(w, np.array([0, 0]))] = 1.0
     assert spectra.boundary_shell_mass(v, w, 2)[0] == 0.0
     v2 = np.zeros(dim)
-    v2[model.tuple_to_flat(w, np.array([2, 0]))] = 1.0
+    v2[oracles.tuple_to_flat(w, np.array([2, 0]))] = 1.0
     assert spectra.boundary_shell_mass(v2, w, 2)[0] == 1.0
 
 
@@ -197,7 +180,7 @@ def test_periodicity_interacting(params2):
     res = spectra.eigh(model.build_hamiltonian(params2, w, "stark"))
     shift = 2.0 * params2.h * params2.N
     for s in (shift, -shift):
-        rep = spectra.spectral_periodicity_check(res, s, params2, w, "stark")
+        rep = oracles.spectral_periodicity_check(res, s, params2, w, "stark")
         assert rep.passed, rep
         assert rep.max_deviation <= 1e-6
 
@@ -206,7 +189,7 @@ def test_periodicity_free_exact():
     p = ModelParams(g=0.0, h=0.5, N=2)
     w = Window(L=6, interior_margin=2)
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
-    rep = spectra.spectral_periodicity_check(res, 2.0, p, w, "stark")
+    rep = oracles.spectral_periodicity_check(res, 2.0, p, w, "stark")
     assert rep.passed and rep.max_deviation <= 1e-12
 
 
@@ -234,7 +217,7 @@ def sector_dims(d, n):
 def swap_permutation(w, n):
     """Flat index of each tensor index with legs 0 and 1 exchanged."""
     coords = model.flat_to_tuples(w, n)
-    return model.tuple_to_flat(w, coords[:, [1, 0] + list(range(2, n))])
+    return oracles.tuple_to_flat(w, coords[:, [1, 0] + list(range(2, n))])
 
 
 @pytest.mark.parametrize("basis", model.BASES)
@@ -493,9 +476,6 @@ def test_capacity_errors():
     big = model.build_h0(p, Window(L=9, interior_margin=3), "position")  # dim 6859
     with pytest.raises(model.CapacityError):
         spectra.eigh(big)
-    small = model.build_h0(p, Window(L=2, interior_margin=1), "position")
-    with pytest.raises(model.CapacityError):
-        spectra.extremal_eigs(small, spectra.KRYLOV_K_MAX + 1)
 
 
 def lifted_by_dense_q(res):

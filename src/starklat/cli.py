@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ASSERT = 2
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+KERNEL_BOUND_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)  # the g/h of selftest's kernel bounds
 
 _SCHEMA = {
     "": {"model", "window", "task", "output_dir", "basis",
@@ -477,7 +478,25 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, st
     checks["bessel_reflection"] = (
         specfun.bessel_j(-3, 2.5) == -specfun.bessel_j(3, 2.5)
     )
-    checks["bessel_bound"] = specfun.check_upper_bound(30, 2.0).passed
+    # the explicit bounds on J_n(g/h) the proof starts from, over a grid of g/h
+    reports = []
+    for x in KERNEL_BOUND_GRID:
+        tail = 2 * int(abs(x)) + 60
+        upper, summed = specfun.check_upper_bound(40, x), specfun.check_summability(x, tail)
+        reports.append((x, upper, summed, specfun.pair_decay_sum(0, 8, x, tail)))
+    diagnostics["kernel_bounds"] = [
+        {
+            "x": x,
+            "factorial_max_ratio": upper.max_ratio,
+            "summability_sum": summed.fitted["sum"],
+            "summability_bound": summed.fitted["bound"],
+            "pair_decay_value": pair.fitted["value"],
+            "pair_decay_C_fit": pair.fitted["C_fit"],
+        }
+        for x, upper, summed, pair in reports
+    ]
+    checks["bessel_bound"] = all(upper.passed for _, upper, _, _ in reports)
+    checks["bessel_summability"] = all(summed.passed for _, _, summed, _ in reports)
     p1 = ModelParams(1.0, 0.5, 1)
     w1 = Window(12, 4)
     h = model.build_hamiltonian(p1, w1, cfg.basis)

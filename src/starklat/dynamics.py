@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import blas
 
 from . import specfun
-from .model import OperatorMatrix, Window, _frobenius
+from .model import CapacityError, OperatorMatrix, Window, _frobenius
 from .spectra import boundary_shell_mass
 
 NORM_TOL = 1e-10
@@ -24,7 +23,6 @@ CHEB_TOL = 1e-12  # Chebyshev coefficients below this are truncated
 class PropagatorConfig:
     t_max: float
     samples: int
-    spectral_bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if self.t_max < 0 or self.samples < 1:
@@ -125,10 +123,16 @@ class ChebyshevPropagator:
         if op.basis_tag != "position":
             raise ValueError("propagator runs in the position basis only")
         diag, hop = position_stencil(op)
-        self.bounds = config.spectral_bounds or gershgorin_bounds(op)
+        self.bounds = gershgorin_bounds(op)
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         offsets = dt * np.arange(1, m + 1)
+        if half * offsets[-1] > specfun.X_MAX:  # the largest Bessel argument of the expansion
+            raise CapacityError(
+                f"t_max = {config.t_max:g} over samples = {config.samples} gives a Chebyshev "
+                f"argument {half * offsets[-1]:.3g} above the Bessel cap {specfun.X_MAX:g}; "
+                "raise samples or lower t_max"
+            )
         coefs = [chebyshev_coefficients(half * t) for t in offsets]
         self.terms = np.array([c.size for c in coefs])  # expansion terms per offset
         table = np.zeros((self.terms.max(), m), dtype=complex)

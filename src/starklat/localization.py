@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -118,11 +117,7 @@ def com_profile(
     return ComProfile(sectors, norms, np.asarray(lam, dtype=float), center)
 
 
-def com_decay_check(
-    profile: ComProfile,
-    theta: float,
-    fit_range: Optional[tuple] = None,
-):
+def com_decay_check(profile: ComProfile, theta: float):
     """Fit the envelope norm(a) <= C e^{-theta |a - com_center|} and its tail slope.
 
     Returns one report, or a list with one report per column of a block profile.
@@ -132,8 +127,6 @@ def com_decay_check(
     norms = profile.norms.reshape(profile.sectors.size, -1)
     dist = np.abs(profile.sectors[:, None] - np.reshape(profile.com_center, -1))
     live = norms > AMPLITUDE_FLOOR
-    if fit_range is not None:
-        live &= (dist >= fit_range[0]) & (dist <= fit_range[1])
     n_live = live.sum(axis=0)
     # a point-mass profile (no live point) meets the bound with C = max norm for any theta
     with np.errstate(over="ignore"):  # far dead points may overflow; they are masked

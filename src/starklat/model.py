@@ -66,9 +66,6 @@ class PairPotential:
             if any(not math.isfinite(v) for v in self.table.values()):
                 raise ValueError("tabulated potential must be bounded")
 
-    def value(self, n: int) -> float:
-        return float(self.values(np.asarray([n]))[0])
-
     def values(self, n: np.ndarray) -> np.ndarray:
         n = np.asarray(n)
         a = np.abs(n)
@@ -246,10 +243,18 @@ def two_site_kernel(params: ModelParams, window: Window) -> sp.csr_matrix:
     0.5 (T(a, b, c) + T(-a, -b, c + a - b)), so the kernel is exactly
     symmetric, and entries below DROP_TOL are dropped. Row (n1, n2) is the
     d x d window T(-L - n1 .. L - n1, -L - n2 .. L - n2, n1 - n2) of the table,
-    read one n1 (d rows) at a time, so no d^2 x d^2 array is formed.
+    read one n1 (d rows) at a time, so no d^2 x d^2 array is formed. The
+    product gathers (2w + 1)(2 pad + 1)^2 potential values, w = 2L, with their
+    int64 indices: above NNZ_CAP of them a CapacityError is raised first.
     """
     L, pad, d = window.L, _kernel_pad(params), window.n_sites
     w = 2 * L  # every offset lies in [-w, w]; table index = offset + w
+    gathered = (2 * w + 1) * (2 * pad + 1) ** 2
+    if gathered > NNZ_CAP:
+        raise CapacityError(
+            f"the stark pair kernel at |g/h| = {abs(params.x):g}, L = {L} gathers {gathered} "
+            f"potential values, above the cap {NNZ_CAP}; shrink |g/h| or L"
+        )
     row = specfun.bessel_row(0, -(w + pad), w + pad, params.x)  # row[i] = J_{w+pad-i}
     p = np.arange(-pad, pad + 1)
     off = np.arange(-w, w + 1)
@@ -346,15 +351,15 @@ def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) ->
 
 @dataclass(frozen=True)
 class Sector:
-    """Sparse orthonormal columns Q of one symmetry sector, stored as the rows of Q^T.
+    """Sparse orthonormal columns Q of one symmetry sector, stored as the rows of Q^T (CSR).
 
-    `qt` is None for the whole space (Q = 1). A row of Q has at most `terms`
-    nonzeros, and a lifted fl(Q y) is within lift_error ||y|| of Q y. `kind`
-    is one of SECTOR_KINDS, or "whole" for Q = 1. `abs_gain` bounds
+    A row of Q has at most `terms` nonzeros, and a lifted fl(Q y) is within
+    lift_error ||y|| of Q y. `kind` is one of SECTOR_KINDS, or "whole" for
+    the whole space, Q = 1 (`SectorSplit.whole`). `abs_gain` bounds
     || |Q| ||_2^2, |Q| the entrywise absolute value.
     """
 
-    qt: Optional[sp.csr_matrix]
+    qt: sp.csr_matrix
     dim: int
     terms: int = 1
     lift_error: float = 0.0
@@ -363,9 +368,7 @@ class Sector:
 
     def lift(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write Q y into out; rows of several terms are summed in np.longdouble, rounded once."""
-        if self.qt is None:
-            out[...] = y
-        elif self.terms > 1:
+        if self.terms > 1:
             out[...] = self.qt.T.astype(np.longdouble) @ y.astype(np.longdouble)
         else:
             out[...] = self.qt.T @ y
@@ -390,9 +393,10 @@ class SectorSplit:
 
     @classmethod
     def whole(cls, a) -> "SectorSplit":
-        """a unsplit: the whole space is the one sector, and a (dense) its one block."""
+        """a unsplit: the whole space is the one sector (Q = 1), and a (dense) its one block."""
         block = a.toarray() if sp.issparse(a) else a
-        return cls((Sector(None, a.shape[0]),), (block,), ((0,),), 0.0)
+        whole = Sector(sp.identity(a.shape[0], format="csr"), a.shape[0])
+        return cls((whole,), (block,), ((0,),), 0.0)
 
     def diagnostics(self) -> dict:
         out = {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
@@ -697,7 +701,7 @@ def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional
             even *= 0.5
             del blocks[-1], serves[-1]
             serves[-1] += (len(sectors) - 1,)
-    theta = 0.0 if sectors[0].qt is None else _orbit_bases(n)[1]
+    theta = 0.0 if sectors[0].kind == "whole" else _orbit_bases(n)[1]
     return SectorSplit(sectors, tuple(blocks), tuple(serves), cross, theta, pair, norm)
 
 

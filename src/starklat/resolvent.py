@@ -251,16 +251,12 @@ class ResolventWorkspace:
 
         `apply_resolvent` projects the N-particle block onto these columns,
         and the resolvent check streams them. Q^T and Q are CSR: the stacked
-        sector columns, or the identity when H^(N) was not split (the whole
-        space, whose one sector has `qt` None).
+        sector columns, the identity when H^(N) was not split (the whole space).
         """
         key = ("Q",)
         if key not in self.cache:
             sectors = tuple(s for f in self.block(self.params.N).factors for s in f.sectors)
-            if sectors[0].qt is None:
-                qt = sp.identity(self.dim, format="csr")
-            else:
-                qt = sp.vstack([s.qt for s in sectors], format="csr")
+            qt = sp.vstack([s.qt for s in sectors], format="csr")
             self.cache[key] = (sectors, qt, qt.T.tocsr())
         return self.cache[key]
 
@@ -508,7 +504,7 @@ def column_chunks(ws: ResolventWorkspace):
         n = ws.params.N
         sectors, q_all, _ = ws.sector_columns()
         orbits = chain_orbits(n, even_potential(ws.params.potential))
-        if sectors[0].qt is None and any(len(images) > 1 for _, images in orbits):
+        if sectors[0].kind == "whole" and any(len(images) > 1 for _, images in orbits):
             # an even v with H^(N) left whole: columns of 1 are not closed
             raise np.linalg.LinAlgError("H^(N) does not split into the S_N sectors")
         bounds = np.cumsum([0] + [s.dim for s in sectors])
@@ -795,9 +791,9 @@ def sector_norms(split: SectorSplit) -> list:
     """
     out = [0.0] * len(split.sectors)
     for j, (b, serves) in enumerate(zip(split.blocks, split.serves)):
-        qt = split.sectors[serves[0]].qt
         if j == 0:
-            start = np.ones(b.shape[1]) if qt is None else qt @ np.ones(qt.shape[1])
+            qt = split.sectors[serves[0]].qt
+            start = qt @ np.ones(qt.shape[1])
         else:
             start = np.random.default_rng(j).standard_normal(b.shape[1])
         est = operator_norm(b, start.astype(complex))

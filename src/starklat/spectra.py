@@ -215,7 +215,8 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
       sector: entrywise within gamma_2c |Q_s|^T |a^T| |Q_s|, of 2-norm at
       most gamma_2c g_s ||a||_F, with g_s >= || |Q_s| ||_2^2 (`Sector.abs_gain`)
       and ||a||_F <= ||Q^T a Q||_F / (1 - theta - gamma_2c c (1 + theta))
-      from the split's `norm`. A whole-space block is a itself: no term.
+      from the split's `norm`. A whole-space block is a itself, and its
+      split's `norm` is 0, so the term is exactly 0.
     - The remainder mean and the symmetric part 0.5 (b + b^T) round once
       each: entrywise within gamma_3 |S^_s|, of 2-norm at most gamma_3
       sigma_s, sigma_s the largest absolute row sum of S^_s (>= || |S^_s| ||_2).
@@ -239,9 +240,8 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     """
     theta = split.basis_defect
     # c: the largest orbit, the most terms of a sum in the block products
-    qts = [s.qt for s in split.sectors if s.qt is not None]
-    c = max((int(np.diff(qt.indptr).max()) for qt in qts), default=0)
-    a_frob = split.norm / (1.0 - theta - _gamma(2 * c) * c * (1.0 + theta)) if qts else 0.0
+    c = max(int(np.diff(s.qt.indptr).max()) for s in split.sectors)
+    a_frob = split.norm / (1.0 - theta - _gamma(2 * c) * c * (1.0 + theta))
     factors, rho, frob, gram, skew = [], [], [], [], []
     for b, serves in zip(split.blocks, split.serves):
         # eigh reads one triangle: solve the symmetric part and drop the skew part
@@ -275,9 +275,8 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
             sigma = _abs_row_sum_max(b)
             rounding = (_gamma(n) + _gamma(3)) * sigma + UNIT_ROUNDOFF * np.abs(w)
             rho_b = (1.0 + _gamma(n + 3)) * rho_b + rounding * nu_b
-        if qts:
-            gain = max(split.sectors[s].abs_gain for s in serves)
-            rho_b = rho_b + _gamma(2 * c) * gain * a_frob * nu_b
+        gain = max(split.sectors[s].abs_gain for s in serves)
+        rho_b = rho_b + _gamma(2 * c) * gain * a_frob * nu_b
         rho.extend([rho_b] * len(serves))
         factors.append(SectorFactor(w, y, tuple(split.sectors[s] for s in serves)))
     vals = np.concatenate([fac.values for fac in factors for _ in fac.sectors])

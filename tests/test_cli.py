@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starklat import cli, dynamics, localization, model, resolvent
+from starklat import cli, dynamics, localization, model, resolvent, specfun
 from starklat.model import ModelParams, PairPotential, Window
 
 
@@ -223,6 +223,22 @@ def test_selftest(tmp_path):
     p = tmp_path / "c.json"
     write_config(p, task="selftest")
     assert cli.main(["selftest", "--config", str(p)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["checks"]["bessel_bound"] and manifest["checks"]["bessel_summability"]
+    bounds = manifest["diagnostics"]["kernel_bounds"]
+    assert [b["x"] for b in bounds] == list(cli.KERNEL_BOUND_GRID)
+    for b in bounds:  # the floats of the specfun reports, unrounded
+        x, tail = b["x"], 2 * int(abs(b["x"])) + 60
+        summed = specfun.check_summability(x, tail).fitted
+        pair = specfun.pair_decay_sum(0, 8, x, tail).fitted
+        assert b == {
+            "x": x,
+            "factorial_max_ratio": specfun.check_upper_bound(40, x).max_ratio,
+            "summability_sum": summed["sum"],
+            "summability_bound": summed["bound"],
+            "pair_decay_value": pair["value"],
+            "pair_decay_C_fit": pair["C_fit"],
+        }
 
 
 def test_evolve_run(tmp_path):
@@ -530,8 +546,17 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
         (dict(task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},
               window={"L": 10, "interior_margin": 2}),
          set(), "resolvent-check"),
+        # |g/h| = 2000 stops before the stark pair kernel gathers its table
+        (dict(task="spectrum", model={"g": 1000.0, "h": 0.5, "N": 2},
+              window={"L": 3, "interior_margin": 1}),
+         {"model.build_hamiltonian"}, "model.build_hamiltonian"),
+        # one sample over t_max = 1e9: the Chebyshev step's Bessel argument is above X_MAX
+        (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 1},
+              window={"L": 8, "interior_margin": 3},
+              dynamics={"t_max": 1e9, "samples": 1}),
+         {"model.build_hamiltonian", "dynamics.tail_trace"}, "dynamics.tail_trace"),
     ],
-    ids=["dense-cap", "nnz-cap", "resolvent-dense-cap"],
+    ids=["dense-cap", "nnz-cap", "resolvent-dense-cap", "kernel-gather-cap", "evolve-step-cap"],
 )
 def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_stage):
     p = tmp_path / "c.json"

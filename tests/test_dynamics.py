@@ -29,10 +29,10 @@ def spectral_propagate(op, psi0, t):
     return vecs @ (np.exp(-1j * vals * t) * (vecs.T @ psi0))
 
 
-def per_sample_evolve(op, psi0, t, config):
+def per_sample_evolve(op, psi0, t):
     """The propagator with its set-up redone on every call, as tail_trace used
     it before the step was built once per trace; the reference for tail_trace."""
-    lo, hi = config.spectral_bounds or dyn.gershgorin_bounds(op)
+    lo, hi = dyn.gershgorin_bounds(op)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coef = dyn.chebyshev_coefficients(half * t)
     hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
@@ -45,14 +45,14 @@ def per_sample_evolve(op, psi0, t, config):
     return np.exp(-1j * center * t) * acc
 
 
-def block_reference(op, psi0, dt, samples, config):
+def block_reference(op, psi0, dt, samples):
     """per_sample_evolve from each block's base state over its offset j*dt; the
     reference for every sample tail_trace takes."""
     m = dyn.SAMPLES_PER_EXPANSION
     states = [psi0.astype(complex)]
     for k in range(1, samples + 1):
         base = (k - 1) // m * m
-        states.append(per_sample_evolve(op, states[base], (k - base) * dt, config))
+        states.append(per_sample_evolve(op, states[base], (k - base) * dt))
     return states
 
 
@@ -280,7 +280,7 @@ def test_tail_trace_matches_per_sample_evolve(pair_setup, monkeypatch):
     trace, states = traced_states(monkeypatch, op, psi0, cfg)
     assert len(states) == trace.times.size == 41
     dt = trace.times[1] - trace.times[0]
-    for state, psi in zip(states, block_reference(op, psi0, dt, 40, cfg)):
+    for state, psi in zip(states, block_reference(op, psi0, dt, 40)):
         assert np.linalg.norm(state - psi) <= 1e-12
 
 
@@ -300,7 +300,7 @@ def check_block_edges(monkeypatch, op, psi0, samples):
     assert trace.matvecs == (blocks - 1) * (trace.chebyshev_terms - 1) + last_terms - 1
     vals, vecs = np.linalg.eigh(op.toarray())
     spectral = vecs @ (np.exp(-1j * np.outer(vals, trace.times)) * (vecs.T @ psi0)[:, None])
-    for k, psi in enumerate(block_reference(op, psi0, trace.dt, samples, cfg)):
+    for k, psi in enumerate(block_reference(op, psi0, trace.dt, samples)):
         assert np.linalg.norm(states[k] - psi) <= 1e-12
         assert np.linalg.norm(states[k] - spectral[:, k]) <= 1e-9
 
@@ -322,18 +322,18 @@ def test_tail_trace_block_edges_n3(triple_setup, monkeypatch, samples):
     check_block_edges(monkeypatch, op, dyn.product_state(w, (0, 1, -1)), samples)
 
 
-def test_norm_gate_fires_at_last_sample_of_block(pair_setup):
+def test_norm_gate_fires_at_last_sample_of_block(pair_setup, monkeypatch):
     # bounds that cut off the top of psi0's spectrum: the truncated expansion
     # drifts only at the longest offset of the first block
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1))
     dt, bounds = 0.12, (dyn.gershgorin_bounds(op)[0], 6.25)
-    ref = dyn.PropagatorConfig(M * dt, M, spectral_bounds=bounds)
-    drifts = [abs(np.linalg.norm(per_sample_evolve(op, psi0, j * dt, ref)) - 1.0)
+    monkeypatch.setattr(dyn, "gershgorin_bounds", lambda op: bounds)
+    ref = dyn.PropagatorConfig(M * dt, M)
+    drifts = [abs(np.linalg.norm(per_sample_evolve(op, psi0, j * dt)) - 1.0)
               for j in range(1, M + 1)]
     assert max(drifts[:-1]) <= dyn.NORM_TOL < drifts[-1]
-    short = dyn.tail_trace(op, psi0, dyn.PropagatorConfig((M - 1) * dt, M - 1,
-                                                          spectral_bounds=bounds), [2])
+    short = dyn.tail_trace(op, psi0, dyn.PropagatorConfig((M - 1) * dt, M - 1), [2])
     assert short.norm_drift_max <= dyn.NORM_TOL
     with pytest.raises(RuntimeError, match=f"norm drift .* at offset {M};"):
         dyn.tail_trace(op, psi0, ref, [2])
@@ -353,12 +353,13 @@ def test_tail_trace_matches_spectral_oracle(monkeypatch, n, L, sites):
         assert np.linalg.norm(state - spectral_propagate(op, psi0, t)) <= 1e-9
 
 
-def test_tail_trace_guards(pair_setup):
+def test_tail_trace_guards(pair_setup, monkeypatch):
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1))
-    narrow = dyn.PropagatorConfig(1.0, 2, spectral_bounds=(-0.5, 0.5))
-    with pytest.raises(RuntimeError, match="norm drift"):
-        dyn.tail_trace(op, psi0, narrow, [2])
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "gershgorin_bounds", lambda op: (-0.5, 0.5))
+        with pytest.raises(RuntimeError, match="norm drift"):
+            dyn.tail_trace(op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
     skew = op.matrix.tolil()
     skew[0, 1] += 0.1  # a varying hop too, but the symmetry check comes first
     bad_op = model.OperatorMatrix("position", w, 2, skew)
@@ -366,3 +367,7 @@ def test_tail_trace_guards(pair_setup):
         dyn.tail_trace(bad_op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
     with pytest.raises(ValueError, match="normalized"):
         dyn.tail_trace(op, 2.0 * psi0, dyn.PropagatorConfig(1.0, 2), [2])
+    # one sample over t_max = 1e9: the expansion's Bessel argument half * t_max is
+    # above specfun.X_MAX, refused before any coefficient is computed
+    with pytest.raises(model.CapacityError, match=r"t_max = 1e\+09 over samples = 1"):
+        dyn.tail_trace(op, psi0, dyn.PropagatorConfig(1e9, 1), [2])

@@ -219,15 +219,13 @@ def test_position_decay_g0_identity():
 
 # The per-state probes as they ran before the column-block form: one state per
 # call, np.maximum.at / np.bincount shells and a np.polyfit per rate window.
-def _ref_com(psi, lam, p, w, n, theta, fit_range=None):
+def _ref_com(psi, lam, p, w, n, theta):
     coords = model.flat_to_tuples(w, n)
     a = coords.sum(axis=1)
     lo = int(a.min())
     norms = np.sqrt(np.bincount(a - lo, weights=np.abs(psi) ** 2))
     dist = np.abs(np.arange(lo, lo + norms.size) - lam / (-2.0 * p.h))
     live = norms > loc.AMPLITUDE_FLOOR
-    if fit_range is not None:
-        live &= (dist >= fit_range[0]) & (dist <= fit_range[1])
     if live.sum() == 0:
         return norms, float(norms.max()), -np.inf, 0, True
     c_fit = float(np.max(norms[live] * np.exp(theta * dist[live])))
@@ -314,17 +312,14 @@ def test_block_probes_match_per_state_loop(n, stat):
     centers[-4:] = 0  # the synthetic states are built around the origin
     prof = loc.com_profile(states, lams, p, w, n)
     coms = loc.com_decay_check(prof, 0.8)
-    ranged = loc.com_decay_check(prof, 0.8, fit_range=(1, 3))
     shells = loc.superexp_shell_fit(states, w, n, probe, centers)
-    assert len(coms) == len(ranged) == len(shells) == k
+    assert len(coms) == len(shells) == k
     for j in range(k):
-        for got, fit_range in ((coms[j], None), (ranged[j], (1, 3))):
-            norms, c_fit, slope, n_pts, passed = _ref_com(
-                states[:, j], lams[j], p, w, n, 0.8, fit_range
-            )
-            assert np.array_equal(prof.norms[:, j], norms)
-            assert (got.c_fit, got.n_points, got.passed) == (c_fit, n_pts, passed)
-            np.testing.assert_allclose(got.tail_slope, slope, rtol=1e-12, atol=0)
+        got = coms[j]
+        norms, c_fit, slope, n_pts, passed = _ref_com(states[:, j], lams[j], p, w, n, 0.8)
+        assert np.array_equal(prof.norms[:, j], norms)
+        assert (got.c_fit, got.n_points, got.passed) == (c_fit, n_pts, passed)
+        np.testing.assert_allclose(got.tail_slope, slope, rtol=1e-12, atol=0)
         radii, s, rates, monotone, final, passed, note = _ref_shell_fit(
             states[:, j], w, n, probe, centers[j]
         )

@@ -31,13 +31,13 @@ def test_params_validation():
 
 def test_potential_presets():
     nn = PairPotential("nearest_neighbor", 2.0)
-    assert nn.value(1) == 2.0 and nn.value(-1) == 2.0 and nn.value(2) == 0.0
+    assert nn.values([1, -1, 2]).tolist() == [2.0, 2.0, 0.0]
     ex = PairPotential("exponential", 1.0, 0.5)
-    assert ex.value(2) == pytest.approx(np.exp(-1.0))
+    assert ex.values(2) == pytest.approx(np.exp(-1.0))
     pl = PairPotential("power_law", 3.0, 2.0)
-    assert pl.value(2) == pytest.approx(3.0 / 9.0)
+    assert pl.values(2) == pytest.approx(3.0 / 9.0)
     tab = PairPotential("tabulated", table={0: 1.5, 2: 0.5, -2: 0.5})
-    assert tab.value(0) == 1.5 and tab.value(3) == 0.0
+    assert tab.values([0, 3]).tolist() == [1.5, 0.0]
 
 
 def test_h0_position_3x3_example():
@@ -68,7 +68,7 @@ def test_g0_degeneration():
 def test_pair_element_stark_g0_delta():
     p = ModelParams(g=0.0, h=0.5, N=2, potential=PairPotential("exponential", 1.0, 0.5))
     w = Window(L=5, interior_margin=2)
-    assert oracles.pair_element_stark(2, -1, 2, -1, p, w) == pytest.approx(p.potential.value(3))
+    assert oracles.pair_element_stark(2, -1, 2, -1, p, w) == pytest.approx(p.potential.values(3))
     assert oracles.pair_element_stark(2, -1, 2, 0, p, w) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -275,7 +275,7 @@ def test_envelope_g0():
     p = ModelParams(g=0.0, h=0.5, N=2, potential=PairPotential("exponential", 1.0, 0.5))
     for n in (0, 2, -3):
         assert oracles.interaction_envelope_f(n, p, tail=40) == pytest.approx(
-            abs(p.potential.value(n))
+            abs(p.potential.values(n))
         )
 
 

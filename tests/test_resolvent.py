@@ -569,10 +569,10 @@ def _dense_check(ws, z):
     d, i = rsv.expansion(z, ws)
     split = {}
     for name, x in (("d", d), ("i", i)):
-        if ws.sector_columns()[0][0].qt is None:
+        if ws.sector_columns()[0][0].kind == "whole":
             # the trivial group streams the whole space, even where a split of x
             # exists (D = G_0 at N = 2 commutes with the leg swap for every v)
-            split[name] = model.SectorSplit((model.Sector(None, ws.dim),), (x,), ((0,),), 0.0)
+            split[name] = model.SectorSplit.whole(x)
         else:
             split[name] = model.split_by_symmetry(x, ws.window.n_sites, ws.params.N)
     return d, i, split
@@ -643,7 +643,7 @@ def test_streamed_check_with_diagonal_n_block():
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 0.0))
     ws = rsv.ResolventWorkspace(p, Window(L=3, interior_margin=1))
     z = 0.5 + 1j
-    assert ws.block(2).factors != () and ws.sector_columns()[0][0].qt is not None
+    assert ws.block(2).factors != () and ws.sector_columns()[0][0].kind != "whole"
     d, i, split = _dense_check(ws, z)
     st = rsv.stream_functional_equation(z, ws)
     _assert_streamed_matches(st, d, i, split, ws, z)
@@ -723,7 +723,7 @@ def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
     monkeypatch.setattr(model, "SECTOR_TOL", -1.0)
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     ws = rsv.ResolventWorkspace(p, Window(L=1, interior_margin=1))
-    assert ws.sector_columns()[0][0].qt is None
+    assert ws.sector_columns()[0][0].kind == "whole"
     with pytest.raises(np.linalg.LinAlgError, match="S_N sectors"):
         rsv.stream_functional_equation(0.5 + 1j, ws)
 

@@ -1,9 +1,10 @@
 """The library surface is closed: every public name of starklat has a caller outside the tests.
 
-A public top-level function, class or constant of `src/starklat`, or a public
-non-dunder method of one of its classes, must appear as a NAME token outside
-its own definition in `src/starklat/*.py`, `scripts/*.py` or
-`perfbench/*.py`. A name only the tests reach belongs in `tests/oracles.py`.
+A public top-level function, class or constant of `src/starklat` must appear
+as a NAME token outside its own definition in `src/starklat/*.py` or
+`perfbench/*.py`; a public non-dunder method of one of its classes must be
+read as an attribute (`x.name`) there, outside its own definition. A name only
+the tests reach belongs in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starklat"
-CALLER_GLOBS = ("src/starklat/*.py", "scripts/*.py", "perfbench/*.py")
+CALLER_GLOBS = ("src/starklat/*.py", "perfbench/*.py")
 
 
 def _public(name: str) -> bool:
@@ -59,13 +60,26 @@ def name_tokens() -> dict:
     return out
 
 
+def attribute_reads() -> dict:
+    """Attribute name -> [(file, line)] of each `x.name` over every caller file."""
+    out = {}
+    for pattern in CALLER_GLOBS:
+        for path in sorted(ROOT.glob(pattern)):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    out.setdefault(node.attr, []).append((path, node.lineno))
+    return out
+
+
 def uncalled() -> list:
-    tokens = name_tokens()
+    tokens, attributes = name_tokens(), attribute_reads()
     return sorted(
         f"{path.stem}.{qual}"
         for path, qual, name, first, last in public_definitions()
+        # a method (qualified name Class.method) counts only when read as an attribute
         if not any(
-            p != path or not first <= line <= last for p, line in tokens.get(name, ())
+            p != path or not first <= line <= last
+            for p, line in (attributes if "." in qual else tokens).get(name, ())
         )
     )
 

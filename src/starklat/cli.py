@@ -167,6 +167,8 @@ def load_config(path: str) -> RunConfig:
         sites = tuple(map(_int, dyn.get("initial_sites", (0,) * params.N)))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid {task} config: {exc}") from exc
+    if task in ("cluster-spectrum", "resolvent-check") and params.N < 2:
+        raise ConfigError(f"task {task!r} needs N >= 2, not N = {params.N}")
     if len(sites) != params.N or not all(abs(x) < window.L for x in sites):
         raise ConfigError(
             f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
@@ -263,10 +265,8 @@ def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> 
     if cfg.export_matrices:
         h.export_coo_csv(os.path.join(out, "hamiltonian_coo.csv"))
     with stage("spectra.eigh"):
-        split = model.split_by_symmetry(
-            spectra.symmetric_matrix(h), cfg.window.n_sites, cfg.params.N
-        )
-        del h  # split_by_symmetry was its last reader: no H through the solves
+        split = spectra.split_operator(h)
+        del h  # the split was its last reader: no H through the solves
         res = spectra.sector_eigh(split)
         del split
     diagnostics["eigh"] = _eigh_diagnostics(res)
@@ -499,17 +499,14 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, st
     checks["bessel_summability"] = all(summed.passed for _, _, summed, _ in reports)
     p1 = ModelParams(1.0, 0.5, 1)
     w1 = Window(12, 4)
-    h = model.build_hamiltonian(p1, w1, cfg.basis)
-    res = spectra.sector_eigh(model.split_by_symmetry(spectra.symmetric_matrix(h), w1.n_sites, 1))
+    res = spectra.sector_eigh(spectra.split_operator(model.build_hamiltonian(p1, w1, cfg.basis)))
     interior = res.eigenvalues[spectra.interior_mask(res, p1, w1, cfg.basis)]
     checks["ladder"] = bool(
         np.abs(interior - np.round(interior)).max() <= 1e-8
     )
     checks["bell_3"] = len(spectra.enumerate_set_partitions(3)) == 5
-    checks["chains_n3"] = (
-        len(resolvent.enumerate_chains(3, "connected_only")) == 4
-        and len(resolvent.enumerate_chains(3, "all")) == 8
-    )
+    chains = resolvent.enumerate_chains(3)
+    checks["chains_n3"] = len(chains) == 8 and sum(c.k_s == 1 for c in chains) == 4
     w2 = Window(5, 2)
     psi = dynamics.product_state(w2, (1, -2))
     rho = dynamics.density(psi, w2, 2)

@@ -6,8 +6,8 @@ one-site and a two-site operator lifted onto legs by `embed_on_legs`. The
 stark-basis two-site kernel is the Bessel transform of the position-basis
 pair potential; it is translation invariant, so its CSR entries are read
 from one table over the index offsets (`two_site_kernel`). The S_N sector
-split (`split_by_symmetry`) forms the dense sector blocks of a sparse or
-dense operator a chunk of sector columns at a time.
+split (`split_by_symmetry`) forms the dense sector blocks of an operator,
+converted to CSR once, a chunk of sector columns at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class PairPotential:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "power_law" and self.decay < 1.0:
             raise ValueError("power-law exponent must be >= 1")
+        if self.kind == "exponential" and not self.decay > 0.0:
+            raise ValueError("exponential decay rate must be > 0")
         if self.kind == "tabulated":
             if not self.table:
                 raise ValueError("tabulated potential needs a table")
@@ -360,11 +362,14 @@ class Sector:
     """
 
     qt: sp.csr_matrix
-    dim: int
     terms: int = 1
     lift_error: float = 0.0
     kind: str = "whole"
     abs_gain: float = 1.0
+
+    @property
+    def dim(self) -> int:
+        return self.qt.shape[0]
 
     def lift(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write Q y into out; rows of several terms are summed in np.longdouble, rounded once."""
@@ -395,7 +400,7 @@ class SectorSplit:
     def whole(cls, a) -> "SectorSplit":
         """a unsplit: the whole space is the one sector (Q = 1), and a (dense) its one block."""
         block = a.toarray() if sp.issparse(a) else a
-        whole = Sector(sp.identity(a.shape[0], format="csr"), a.shape[0])
+        whole = Sector(sp.identity(a.shape[0], format="csr"))
         return cls((whole,), (block,), ((0,),), 0.0)
 
     def diagnostics(self) -> dict:
@@ -586,7 +591,7 @@ def symmetry_sectors(d: int, n: int) -> tuple:
                 shape=(dim, d**n),
             )
             most, e, gain = lift[s]
-            sectors.append(Sector(qt, dim, most, e, SECTOR_KINDS[s], gain))
+            sectors.append(Sector(qt, most, e, SECTOR_KINDS[s], gain))
     return tuple(sectors)
 
 
@@ -625,36 +630,26 @@ def fill_sector_blocks(
     return cross
 
 
-def _sector_rows(q_all: sp.csr_matrix, xt: sp.csr_matrix, a) -> np.ndarray:
-    """Q^T (a^T X) for the sector columns X = xt^T, a sparse or dense.
-
-    X^T a adds the rows of a that each column of X touches, in the same order
-    for a sparse a as for its dense copy, and a dense sum's signed zeros are
-    made +0, so both give the same bits.
-    """
-    t = xt @ a if sp.issparse(a) else _sparse_times(xt, a)
-    if sp.issparse(t):
-        t = t.toarray()
-    else:
-        t += 0.0
-    return _sparse_times(q_all, t.T)
+def _sector_rows(q_all: sp.csr_matrix, xt: sp.csr_matrix, a: sp.csr_matrix) -> np.ndarray:
+    """Q^T (a^T X) for the sector columns X = xt^T: the sparse X^T a, then times Q."""
+    return _sparse_times(q_all, (xt @ a).toarray().T)
 
 
 def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
 
-    a is sparse (the CSR H of a solve) or dense (an oracle's H, or I(z)); both
-    run the same products. Per chunk of CHUNK_COLUMNS columns X of a sector
-    Q_s, the rows Q^T (a^T X) come from the sparse product X^T a, then times
-    Q, and are filed by `fill_sector_blocks`: its own rows are columns of
-    the block Q_s^T a Q_s, transposed; the off-diagonal blocks Q_t^T a Q_s
-    are what the split drops, and the Frobenius norm of all of them is
-    measured directly. By Weyl's inequality every eigenvalue (a symmetric)
-    and singular value moves by at most that norm, up to the basis defect of
-    the rounded columns. If it is above SECTOR_TOL times ||Q^T a Q||_F (a
-    non-symmetric v, say) the whole space is the one sector, as it is for
-    n < 2. Beyond the blocks, memory is a few dim x CHUNK_COLUMNS arrays, and
-    a C-ordered copy of a Fortran-ordered dense a.
+    a is the CSR H of a solve, or any matrix scipy converts to CSR (an
+    oracle's dense H, or I(z)), converted once. Per chunk of CHUNK_COLUMNS
+    columns X of a sector Q_s, the rows Q^T (a^T X) come from the sparse
+    product X^T a, then times Q, and are filed by `fill_sector_blocks`: its
+    own rows are columns of the block Q_s^T a Q_s, transposed; the
+    off-diagonal blocks Q_t^T a Q_s are what the split drops, and the
+    Frobenius norm of all of them is measured directly. By Weyl's inequality
+    every eigenvalue (a symmetric) and singular value moves by at most that
+    norm, up to the basis defect of the rounded columns. If it is above
+    SECTOR_TOL times ||Q^T a Q||_F (a non-symmetric v, say) the whole space
+    is the one sector, as it is for n < 2, and a itself (dense) its one
+    block. Beyond the blocks, memory is a few dim x CHUNK_COLUMNS arrays.
 
     At n = 3 the two remainder blocks are copies (`_odd_partner`): if their
     measured difference, the pair defect, is within SECTOR_TOL ||Q^T a Q||_F
@@ -663,17 +658,16 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
-        # read by rows in every chunk: CSR, or one copy of a Fortran-ordered dense a
-        a = a.tocsr() if sp.issparse(a) else np.ascontiguousarray(a)
+        csr = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)  # read by rows in every chunk
         q_all = sp.vstack([s.qt for s in sectors], format="csr")
         bounds = np.cumsum([0] + [s.dim for s in sectors])
         # Fortran-ordered, so each block (its transpose) comes out C-ordered
-        blocks = [np.empty((s.dim, s.dim), a.dtype, order="F") for s in sectors]
+        blocks = [np.empty((s.dim, s.dim), csr.dtype, order="F") for s in sectors]
         cross = 0.0
         for s, sector in enumerate(sectors):
             for j0 in range(0, sector.dim, CHUNK_COLUMNS):
                 j1 = min(j0 + CHUNK_COLUMNS, sector.dim)
-                rows = _sector_rows(q_all, sector.qt[j0:j1], a)
+                rows = _sector_rows(q_all, sector.qt[j0:j1], csr)
                 cross = fill_sector_blocks(rows, ((s, j0, j1),), blocks, bounds, cross)
         split = sector_split(sectors, [b.T for b in blocks], cross, n)
         if split is not None:

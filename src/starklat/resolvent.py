@@ -44,17 +44,16 @@ from .model import (
     build_hamiltonian,
     fill_sector_blocks,
     sector_split,
-    split_by_symmetry,
     two_site_operator,
 )
 from .spectra import (
     DENSE_CAP,
     ClusterDecomposition,
     SectorEigh,
+    eigh,
     enumerate_set_partitions,
-    lift_states,
     sector_eigh,
-    symmetric_matrix,
+    split_operator,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -99,16 +98,14 @@ class DecompositionChain:
         )
 
 
-def enumerate_chains(n: int, terminal: str = "all") -> list:
+def enumerate_chains(n: int) -> list:
     """Every strictly coarsening chain from the singleton partition.
 
-    terminal = "connected_only" keeps chains ending in a single block (these
-    index I(z)); "all" returns the rest too (k_s >= 2 chains index D(z)).
+    Chains ending in a single block (k_s = 1) index I(z); the rest (k_s >= 2)
+    index D(z).
     """
     if n > 5:
         raise ValueError("chain enumeration limited to N <= 5")
-    if terminal not in ("all", "connected_only"):
-        raise ValueError(f"unknown terminal mode {terminal!r}")
     parts = enumerate_set_partitions(n)
     start = ClusterDecomposition(tuple((i,) for i in range(1, n + 1)))
 
@@ -119,8 +116,6 @@ def enumerate_chains(n: int, terminal: str = "all") -> list:
                 yield from extend(chain + (p,))
 
     chains = [DecompositionChain(c) for c in extend((start,))]
-    if terminal == "connected_only":
-        chains = [c for c in chains if c.k_s == 1]
     chains.sort(key=lambda c: (len(c.sequence), tuple(d.canonical() for d in c.sequence)))
     return chains
 
@@ -202,7 +197,7 @@ class ResolventWorkspace:
     params: ModelParams
     window: Window
     basis: str = "stark"
-    cache: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         # the N-particle block is solved in dense sector blocks of H^(N) (`block`);
@@ -221,11 +216,11 @@ class ResolventWorkspace:
     def block(self, k: int) -> SectorEigh:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        `spectra.sector_eigh` of H^(k). The k = N block keeps its sector
-        factors; blocks with k < N are lifted to their d^k x d^k U by
-        `lift_states` and keep no factors, unless H^(k) is diagonal: then
-        U = 1 exactly, with its diagonal in index order, `eigenvectors` None,
-        no factors and zero defects.
+        The k = N block is `spectra.sector_eigh` of H^(N) and is applied from
+        its sector factors; blocks with k < N are `spectra.eigh` of H^(k),
+        factors and lifted d^k x d^k U, and are applied leg-wise by U,
+        unless H^(k) is diagonal: then U = 1 exactly, with its diagonal in
+        index order, `eigenvectors` None, no factors and zero defects.
         """
         key = ("U", k)
         if key not in self.cache:
@@ -233,16 +228,14 @@ class ResolventWorkspace:
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
             del pair
             diag = h.matrix.diagonal()
-            if k < self.params.N and np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
+            if k == self.params.N:
+                split = split_operator(h)
+                del h, diag  # the split was the last reader of H^(N)
+                res = sector_eigh(split)
+            elif np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
                 res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
-                split = split_by_symmetry(symmetric_matrix(h), self.window.n_sites, k)
-                del h, diag  # split_by_symmetry was the last reader of H^(k)
-                res = sector_eigh(split)
-                del split
-                if k < self.params.N:  # lifted, with no factors: factors mark the N-block
-                    u = lift_states(res, np.arange(res.eigenvalues.size))
-                    res = res._replace(eigenvectors=u, factors=())
+                res = eigh(h)
             self.cache[key] = res
         return self.cache[key]
 
@@ -283,7 +276,7 @@ class ResolventWorkspace:
         blocks = tuple(
             (tuple(i - 1 for i in legs), self.block(len(legs))) for legs in dec.canonical()
         )
-        if blocks[0][1].factors:  # the N-particle block
+        if len(blocks[0][0]) == n:  # the N-particle block
             energy = np.concatenate([s.values for s in blocks[0][1].factors])
         else:
             energy = np.zeros((d,) * n)
@@ -318,7 +311,7 @@ class ResolventWorkspace:
         """
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
-        if f.blocks[0][1].factors:
+        if len(f.blocks[0][0]) == n:
             return self.resolve_rows(z, self.sector_rows(x))
         for legs, b in f.blocks:
             if b.eigenvectors is not None:
@@ -405,7 +398,7 @@ def chain_orbits(n: int, even: bool) -> tuple:
     # the resummation telescopes exactly over one-merge-per-step chains;
     # admitting coarser jumps double-counts graphs and breaks G = D + I G
     chains = sorted(
-        (c for c in enumerate_chains(n, "all") if c.is_single_merge and c.k_s >= 2), key=key
+        (c for c in enumerate_chains(n) if c.is_single_merge and c.k_s >= 2), key=key
     )
     perms = list(itertools.permutations(range(n))) if even else [tuple(range(n))]
     orbits = []

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (
     CHUNK_COLUMNS,
@@ -131,7 +130,7 @@ class SectorEigh(NamedTuple):  # a frozen dataclass would add ~1 ms to every imp
     """Eigenpairs of a symmetric a with bounds on the lifted pairs."""
 
     eigenvalues: np.ndarray  # ascending, except a diagonal a's diagonal (resolvent.block)
-    # dense, in eigenvalue order: `lift_states` of every column (eigh, resolvent.block);
+    # dense, in eigenvalue order: `lift_states` of every column (eigh);
     # None: only the factors, or a diagonal a with V = 1
     eigenvectors: Optional[np.ndarray]
     residuals: np.ndarray  # per eigenvalue, >= ||a v - lambda v||
@@ -181,16 +180,16 @@ def _abs_row_sum_max(b: np.ndarray) -> float:
 
 
 def sector_eigh(split: SectorSplit) -> SectorEigh:
-    """Eigenpairs of a symmetric a from its S_N sector split, `model.split_by_symmetry(a, d, n)`.
+    """Eigenpairs of a symmetric a from its S_N sector split (`split_operator`).
 
     Each vector lies in one sector of the split, so it is exactly even or odd
     under the leg-0/1 swap when the split is taken. A block that serves the
     N = 3 remainder pair is solved once for both. The pairs come as the
     per-solve `factors` (`lift_states` lifts them), and nothing of size
     dim x dim is formed: the residual and orthogonality of the lifted pairs
-    are bounded from the sector solves alone. A caller that passes
-    `split_by_symmetry(a, d, n)` with a temporary a has a freed before the
-    solves (unless a is dense and the one whole-space block).
+    are bounded from the sector solves alone. A caller that drops a after
+    the split has it freed before the solves (unless a is dense and the one
+    whole-space block).
 
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
@@ -316,24 +315,27 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     )
 
 
-def symmetric_matrix(op: OperatorMatrix) -> sp.csr_matrix:
-    """op's CSR matrix, after the capacity and symmetry gates of every dense solve."""
+def split_operator(op: OperatorMatrix) -> SectorSplit:
+    """op's S_N sector split, after the capacity and symmetry gates of every dense solve.
+
+    The one path from an operator to `sector_eigh`: a caller that can drop
+    op does so before the solves (`split = split_operator(h); del h`).
+    """
     if op.dim > DENSE_CAP:
         raise CapacityError(f"dimension {op.dim} above the dense cap {DENSE_CAP}")
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
-    return op.matrix
+    return split_by_symmetry(op.matrix, op.window.n_sites, op.n_particles)
 
 
 def eigh(op: OperatorMatrix) -> SectorEigh:
     """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`).
 
-    The small-size oracle: its factors, and every column lifted by
-    `lift_states` as the dense `eigenvectors`. `op` stays referenced through
-    the solve; a caller that can drop it splits `symmetric_matrix` of it,
-    then calls `sector_eigh`.
+    Its factors, and every column lifted by `lift_states` as the dense
+    `eigenvectors`: the U of a resolvent block H^(k < N), and the small-size
+    oracle. `op` stays referenced through the solve.
     """
-    res = sector_eigh(split_by_symmetry(symmetric_matrix(op), op.window.n_sites, op.n_particles))
+    res = sector_eigh(split_operator(op))
     return res._replace(eigenvectors=lift_states(res, np.arange(op.dim)))
 
 
@@ -385,11 +387,7 @@ def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:
     for n_sub in needed:
         sub = params.with_n(n_sub)
         # H and its split are temporaries: neither outlives its last reader
-        res = sector_eigh(
-            split_by_symmetry(
-                symmetric_matrix(build_hamiltonian(sub, window, "stark")), window.n_sites, n_sub
-            )
-        )
+        res = sector_eigh(split_operator(build_hamiltonian(sub, window, "stark")))
         interior_spectra[n_sub] = res.eigenvalues[interior_mask(res, sub, window, "stark")]
     points = []
     gens = []

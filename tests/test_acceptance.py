@@ -266,8 +266,8 @@ def test_criterion_14_combinatorics():
     pn = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
     for n, c in pn.items():
         assert len(spectra.enumerate_integer_partitions(n)) == c
-    con = rsv.enumerate_chains(3, "connected_only")
-    allc = rsv.enumerate_chains(3, "all")
+    allc = rsv.enumerate_chains(3)
+    con = [c for c in allc if c.k_s == 1]
     assert len(con) == 4
     assert len(allc) - len(con) == 4
     _line(14, "Bell numbers, partition counts, and chain counts")

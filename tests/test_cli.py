@@ -135,6 +135,13 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
             "kind": "tabulated", "table": [[1, 0.5]]}}}),
         ("spectrum", 1, {"output_dir": 5}),
+        # the cluster spectrum and the expansion need N >= 2; a growing exponential v
+        ("cluster-spectrum", 1, {}),
+        ("resolvent-check", 1, {}),
+        ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
+            "kind": "exponential", "decay": -1.0}}}),
+        ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
+            "kind": "exponential", "decay": 0.0}}}),
     ]
     monkeypatch.chdir(tmp_path)  # where a numeric output_dir would be made
     for task, n, section in bad_sections:

@@ -24,6 +24,9 @@ def test_params_validation():
         ModelParams(g=1.0, h=0.0, N=1)
     with pytest.raises(ValueError):
         ModelParams(g=1.0, h=0.5, N=9)
+    for decay in (0.0, -1.0, float("nan")):  # an exponential v must decay
+        with pytest.raises(ValueError, match="decay"):
+            PairPotential("exponential", 1.0, decay)
     asym = PairPotential("tabulated", table={1: 1.0, -1: 0.5})
     with pytest.raises(ValueError):
         ModelParams(g=1.0, h=0.5, N=2, potential=asym, statistics="fermion")

@@ -37,14 +37,15 @@ def test_chain_validation():
 
 
 def test_chain_counts():
-    assert len(rsv.enumerate_chains(2, "connected_only")) == 1
-    assert len(rsv.enumerate_chains(2, "all")) == 2
-    all3 = rsv.enumerate_chains(3, "all")
-    con3 = rsv.enumerate_chains(3, "connected_only")
+    all2 = rsv.enumerate_chains(2)
+    assert len([c for c in all2 if c.k_s == 1]) == 1
+    assert len(all2) == 2
+    all3 = rsv.enumerate_chains(3)
+    con3 = [c for c in all3 if c.k_s == 1]
     assert len(con3) == 4
     assert len(all3) - len(con3) == 4
     # deterministic order
-    again = rsv.enumerate_chains(3, "all")
+    again = rsv.enumerate_chains(3)
     assert [c.sequence for c in again] == [c.sequence for c in all3]
 
 
@@ -79,7 +80,7 @@ def test_coupling_completeness():
     w = Window(L=3, interior_margin=1)
     full_v = model.build_interaction(p, w, "position").toarray()
     h0 = model.build_h0(p, w, "position").toarray()
-    for chain in rsv.enumerate_chains(3, "all"):
+    for chain in rsv.enumerate_chains(3):
         acc = np.zeros_like(full_v)
         for a, b in zip(chain.sequence, chain.sequence[1:]):
             acc += oracles.pair_interaction(p, w, "position", rsv._new_pairs(a, b)).toarray()
@@ -309,7 +310,7 @@ def test_factored_engine_matches_dense_oracle(basis, n, L, pot, z):
         return out
 
     # the expansion sums over single-merge chains: k_s >= 2 for D, k_s = 1 for I
-    single = [c for c in rsv.enumerate_chains(n, "all") if c.is_single_merge]
+    single = [c for c in rsv.enumerate_chains(n) if c.is_single_merge]
     d, i = rsv.expansion(z, ws)
     for got, k_s_one in ((d, False), (i, True)):
         chains = [c for c in single if (c.k_s == 1) == k_s_one]
@@ -329,7 +330,7 @@ def _perturbed_workspace(basis, size):
         f = ws.block(k)
         h = model.build_hamiltonian(p.with_n(k), w, basis).toarray()
         eye = np.eye(f.eigenvalues.size)
-        if f.factors:
+        if k == p.N:
             factors = tuple(
                 s._replace(vectors=s.vectors + size * rng.standard_normal(s.vectors.shape))
                 for s in f.factors
@@ -410,27 +411,31 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
     p = ModelParams(g=1.0, h=0.5, N=n, potential=SECTOR_POTENTIALS[1])
     w = Window(L=L, interior_margin=1)
     ws = rsv.ResolventWorkspace(p, w, basis)
+
+    def assert_same_factors(got_factors, want_factors):
+        assert len(got_factors) == len(want_factors)
+        for got, exp in zip(got_factors, want_factors):
+            assert got.values.tobytes() == exp.values.tobytes()
+            assert got.vectors.tobytes() == exp.vectors.tobytes()
+            for a, b in zip(got.sectors, exp.sectors, strict=True):
+                assert (a.dim, a.lift_error) == (b.dim, b.lift_error)
+                assert (a.qt != b.qt).nnz == 0
+
     for k in range(2, n + 1):
         f = ws.block(k)
         op = model.build_hamiltonian(p.with_n(k), w, basis)
-        # a block is the one dense solve, spectra.eigh of H^(k), bit for bit;
-        # the N-block is not lifted, and keeps its factors; the others keep none
+        # a block is the one dense solve, spectra.eigh of H^(k), bit for bit,
+        # factors included; the N-block is not lifted
         want = spectra.eigh(op)
         if k == n:
             factors = spectra.sector_eigh(
                 model.split_by_symmetry(op.toarray(), w.n_sites, k)
             ).factors
-            assert f.eigenvectors is None and len(f.factors) == len(factors)
-            for got, exp in zip(f.factors, factors):
-                assert got.values.tobytes() == exp.values.tobytes()
-                assert got.vectors.tobytes() == exp.vectors.tobytes()
-                for a, b in zip(got.sectors, exp.sectors, strict=True):
-                    assert (a.dim, a.lift_error) == (b.dim, b.lift_error)
-                    assert (a.qt != b.qt).nnz == 0
-            f = f._replace(eigenvectors=want.eigenvectors, factors=())
-        else:
-            assert f.factors == ()
-        for name, got, exp in zip(f._fields, f, want._replace(factors=())):
+            assert f.eigenvectors is None
+            assert_same_factors(f.factors, factors)
+            f = f._replace(eigenvectors=want.eigenvectors)
+        assert_same_factors(f.factors, want.factors)
+        for name, got, exp in zip(f._fields, f._replace(factors=()), want._replace(factors=())):
             same = got.tobytes() == exp.tobytes() if isinstance(got, np.ndarray) else got == exp
             assert same, name
         h = op.toarray()
@@ -544,7 +549,7 @@ def test_chain_orbit_counts(n, pot, chains, reps):
     # every representative is the smallest key of its orbit, and its own first image
     identity = tuple(range(2 * n))
     assert all(images[0] == identity for _, images in orbits)
-    single = [c for c in rsv.enumerate_chains(n, "all") if c.is_single_merge and c.k_s >= 2]
+    single = [c for c in rsv.enumerate_chains(n) if c.is_single_merge and c.k_s >= 2]
     assert len(single) == chains
 
 

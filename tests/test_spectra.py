@@ -494,7 +494,7 @@ def test_factor_path_matches_lifted_oracle(basis, n, L):
     w = Window(L=L, interior_margin=1)
     op = model.build_hamiltonian(p, w, basis)
     h = op.toarray()
-    sparse = model.split_by_symmetry(spectra.symmetric_matrix(op), w.n_sites, n)
+    sparse = spectra.split_operator(op)
     dense = model.split_by_symmetry(h, w.n_sites, n)
     assert sparse.serves == dense.serves and sparse.pair_defect == dense.pair_defect
     for got, want in zip(sparse.blocks, dense.blocks):

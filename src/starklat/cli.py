@@ -227,8 +227,8 @@ def _stage(timings: dict, open_stages: list, name: str):
 
 
 def _versions() -> dict:
-    # numpy and scipy each bundle a BLAS: np.linalg runs on the first,
-    # scipy.linalg (and the propagator's gemm) on the second
+    # numpy and scipy each bundle a BLAS; only numpy's is loaded, since no
+    # module imports scipy.linalg, but both builds are recorded
     blas = {
         lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
         for lib in (np, scipy)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import specfun
 from .model import CapacityError, OperatorMatrix, Window, _frobenius
@@ -15,7 +14,7 @@ NORM_TOL = 1e-10
 DENSITY_TOL = 1e-8
 TRUNCATION_FLAG = 1e-4
 SAMPLES_PER_EXPANSION = 8  # trace samples fed by one Chebyshev recurrence
-TERM_BUFFER = 4  # vectors folded in per gemm; >= 3 for the ring of T_k, T_{k-1}, T_{k-2}
+TERM_BUFFER = 16  # terms folded in per product; >= 3 for the ring of U_k, U_{k-1}, U_{k-2}
 CHEB_TOL = 1e-12  # Chebyshev coefficients below this are truncated
 
 
@@ -56,7 +55,11 @@ def gershgorin_bounds(op: OperatorMatrix) -> tuple:
 
 
 def chebyshev_coefficients(tau: float) -> np.ndarray:
-    """c_k = (2 - delta_k0) (-i)^k J_k(tau), truncated below CHEB_TOL."""
+    """a_k = (2 - delta_k0) J_k(tau), truncated below CHEB_TOL.
+
+    e^{-i tau x} = sum_k a_k (-i)^k T_k(x) on [-1, 1]; the phase (-i)^k rides on
+    the propagator's vectors, so the coefficients stay real.
+    """
     k_max = int(abs(tau) + 40 + 10.0 * abs(tau) ** (1.0 / 3.0))
     # bessel_row(0, -k_max, 0, tau) lists J_{k_max}..J_0
     row = specfun.bessel_row(0, -k_max, 0, tau)[::-1]
@@ -64,8 +67,7 @@ def chebyshev_coefficients(tau: float) -> np.ndarray:
     while keep > 1 and abs(row[keep]) < CHEB_TOL and abs(row[keep - 1]) < CHEB_TOL:
         keep -= 1
     k = np.arange(keep + 1)
-    coef = (2.0 - (k == 0)) * (-1j) ** k * row[: keep + 1]
-    return coef
+    return (2.0 - (k == 0)) * row[: keep + 1]
 
 
 def position_stencil(op: OperatorMatrix) -> tuple:
@@ -99,12 +101,15 @@ def position_stencil(op: OperatorMatrix) -> tuple:
 class ChebyshevPropagator:
     """e^{-i t_j H} psi for the offsets t_j = j*dt, j = 1..m, from one recurrence.
 
-    The vectors T_k(hs) psi do not depend on t; only the coefficients
-    c_k(t_j) = (2 - delta_k0) (-i)^k J_k(half*t_j) do. So one recurrence, run
-    to the longest offset's truncation, feeds all m accumulators. Set-up checks
-    that H is real symmetric and in the position basis, and fixes the spectral
-    bounds, each offset's coefficients (truncated at CHEB_TOL, times
-    the phase e^{-i center t_j}) and the rescaled hs = (H - center)/half.
+    With hs = (H - center)/half, e^{-i t H} psi = e^{-i center t} sum_k a_k(t) U_k,
+    where a_k(t) = (2 - delta_k0) J_k(half*t) is real (`chebyshev_coefficients`)
+    and U_k = (-i)^k T_k(hs) psi obeys U_1 = -i hs U_0 and
+    U_{k+1} = -2i hs U_k + U_{k-1} (Tal-Ezer & Kosloff 1984). The U_k do not
+    depend on t; so one recurrence, run to the longest offset's truncation,
+    feeds all m accumulators. Set-up checks that H is real symmetric and in the
+    position basis, and fixes the spectral bounds, the table a_k(t_j) (zero
+    past each offset's truncation at CHEB_TOL), the phases e^{-i center t_j}
+    and the rescaled hs.
 
     hs is applied matrix-free, as a nearest-neighbour stencil: its diagonal
     and one hop constant (`position_stencil`). States live on a padded grid of
@@ -112,9 +117,13 @@ class ChebyshevPropagator:
     layer, so the hop along leg k is two contiguous slice-adds at the flat
     stride (d+1)^k, and a hop off a leg's edge lands on a ghost, zeroed after
     each term. A state is held as its real and imaginary planes, shape (2, P):
-    hs is real, so each term updates both planes at once. TERM_BUFFER Chebyshev
-    vectors at a time are folded into the accumulators by one in-place gemm
-    with the real form of the coefficient table.
+    hs is real, so -i hs maps the planes (x, y) to (hs y, -hs x), and each term
+    reads the previous planes swapped, through the view prev[::-1]. Every
+    TERM_BUFFER terms, one real product (a x u)(u x 2P) folds them into the
+    accumulators of the a offsets whose expansion reaches them: a suffix, since
+    the offsets are sorted by t_j. The phase is applied once per offset after
+    the last fold. The ring of terms, the fold's scratch and the accumulators
+    are allocated once per propagator.
     """
 
     def __init__(self, op: OperatorMatrix, dt: float, m: int, config: PropagatorConfig):
@@ -135,16 +144,12 @@ class ChebyshevPropagator:
             )
         coefs = [chebyshev_coefficients(half * t) for t in offsets]
         self.terms = np.array([c.size for c in coefs])  # expansion terms per offset
-        table = np.zeros((self.terms.max(), m), dtype=complex)
+        self.table = np.zeros((m, self.terms.max()))  # row j: a_k(t_j)
         for j, c in enumerate(coefs):
-            table[: c.size, j] = c * np.exp(-1j * center * offsets[j])
-        # rows (2k, 2k+1) act on the real and imaginary plane of T_k, columns
-        # (2j, 2j+1) give the real and imaginary plane of offset j
-        real = np.empty((table.shape[0], 2, m, 2))
-        real[:, 0, :, 0] = real[:, 1, :, 1] = table.real
-        real[:, 0, :, 1] = table.imag
-        real[:, 1, :, 0] = -table.imag
-        self.table = real.reshape(2 * table.shape[0], 2 * m)
+            self.table[j, : c.size] = c
+        # e^{i phi} (x + iy) = cos phi (x, y) + sin phi (-y, x), phi = -center t_j
+        self.cos = np.cos(center * offsets)[:, None, None]
+        self.turn = -np.sin(center * offsets)[:, None, None] * np.array([[-1.0], [1.0]])
         d, n = op.window.n_sites, op.n_particles
         self.grid = (d,) + (d + 1,) * (n - 1)
         self.interior = (Ellipsis,) + (slice(0, d),) * (n - 1)
@@ -152,27 +157,37 @@ class ChebyshevPropagator:
         self.ghosts = [(Ellipsis, d) + (slice(None),) * (n - 1 - a) for a in range(1, n)]
         padded = np.zeros(self.grid)
         padded[self.interior] = (diag / half - center / half).reshape((d,) * n)
-        self.diag = padded.ravel()
-        # one row per plane: a multiply that broadcasts the diagonal ran 2x slower
-        self.diag2 = np.stack([2.0 * self.diag] * 2)
+        size = padded.size
+        # -i hs on the swapped planes (y, x): one row per plane, a multiply that
+        # broadcasts the diagonal ran 2x slower
+        self.diag1 = np.stack([padded.ravel(), -padded.ravel()])
+        self.diag2 = 2.0 * self.diag1
         self.hop = hop / half
+        self.hop1 = np.array([[self.hop], [-self.hop]])
+        self.hop2 = 2.0 * self.hop1
         self.strides = [(d + 1) ** k for k in range(n)] if hop else []
+        self.ring = np.zeros((TERM_BUFFER, 2, size))  # U_k in slot k % TERM_BUFFER
+        self.acc = np.empty((m, 2, size))
+        self.scratch = np.empty((m, 2 * size))
+        self.hopped = np.empty((2, size))
         self.matvecs = 0  # applications of hs to a state, summed over calls
+        self.norm_drift_max = 0.0  # over every state returned
 
     def step(self, prev: np.ndarray, out: np.ndarray, prev2, hopped: np.ndarray) -> None:
-        """out = 2 hs prev - prev2, or hs prev if prev2 is None, on padded planes (2, P).
+        """out = -2i hs prev + prev2, or -i hs prev if prev2 is None, on padded planes (2, P).
 
         The ghosts of prev must be zero; those of out are zeroed. hopped is scratch.
         """
+        swapped = prev[::-1]
         if prev2 is None:
-            np.multiply(prev, self.diag, out=out)
-            hop = self.hop
+            np.multiply(swapped, self.diag1, out=out)
+            hop = self.hop1
         else:
-            np.multiply(prev, self.diag2, out=out)
-            out -= prev2
-            hop = 2.0 * self.hop
+            np.multiply(swapped, self.diag2, out=out)
+            out += prev2
+            hop = self.hop2
         if self.strides:
-            np.multiply(prev, hop, out=hopped)
+            np.multiply(swapped, hop, out=hopped)
         for s in self.strides:
             out[:, s:] += hopped[:, :-s]
             out[:, :-s] += hopped[:, s:]
@@ -183,34 +198,42 @@ class ChebyshevPropagator:
     def __call__(self, planes: np.ndarray, count: int) -> np.ndarray:
         """The planes of the states at offsets 1..count from planes (2, dim) or (2,) + (d,)*N.
 
-        Returns an unpadded view of shape (count, 2) + (d,)*N; raises if any
-        state's norm drifts.
+        Returns an unpadded view of shape (count, 2) + (d,)*N into the
+        accumulators, overwritten by the next call; raises if any state's norm
+        drifts.
         """
-        size, d = self.diag.size, self.grid[0]
-        n_terms = int(self.terms[:count].max())
-        table = self.table[: 2 * n_terms, : 2 * count]
-        acc = np.zeros((count, 2, size))
-        buf = np.zeros((TERM_BUFFER, 2, size))
-        hopped = np.empty((2, size))
-        acc_f, buf_f = acc.reshape(2 * count, size).T, buf.reshape(2 * TERM_BUFFER, size).T
+        size, d = self.hopped.shape[1], self.grid[0]
+        terms = self.terms[:count]
+        n_terms = int(terms.max())
+        ring = self.ring.reshape(TERM_BUFFER, 2 * size)
+        acc = self.acc[:count]
+        acc_rows = acc.reshape(count, 2 * size)
         for k in range(n_terms):
-            slot = buf[k % TERM_BUFFER]
+            slot = self.ring[k % TERM_BUFFER]
             if k == 0:
                 slot.reshape((2,) + self.grid)[self.interior] = planes.reshape(
                     (2,) + (d,) * len(self.grid)
                 )
             else:
-                prev2 = buf[(k - 2) % TERM_BUFFER] if k > 1 else None
-                self.step(buf[(k - 1) % TERM_BUFFER], slot, prev2, hopped)
+                prev2 = self.ring[(k - 2) % TERM_BUFFER] if k > 1 else None
+                self.step(self.ring[(k - 1) % TERM_BUFFER], slot, prev2, self.hopped)
             used = k % TERM_BUFFER + 1
             if used == TERM_BUFFER or k == n_terms - 1:
-                rows = slice(2 * (k + 1 - used), 2 * (k + 1))
-                blas.dgemm(
-                    1.0, buf_f[:, : 2 * used], table[rows], beta=1.0, c=acc_f, overwrite_c=True
-                )
+                k0 = k + 1 - used
+                # the offsets before `first` were truncated before U_k0
+                first = int(np.argmax(terms > k0))
+                fold = acc_rows if k0 == 0 else self.scratch[first:count]
+                np.matmul(self.table[first:count, k0 : k + 1], ring[:used], out=fold)
+                if k0:
+                    acc_rows[first:] += fold
         self.matvecs += n_terms - 1
+        turned = self.scratch[:count].reshape(acc.shape)
+        np.multiply(acc[:, ::-1], self.turn[:count], out=turned)
+        acc *= self.cos[:count]
+        acc += turned
         for j in range(count):
             drift = abs(_frobenius(acc[j]) - 1.0)
+            self.norm_drift_max = max(self.norm_drift_max, drift)
             if drift > NORM_TOL:
                 lo, hi = self.bounds
                 raise RuntimeError(
@@ -249,11 +272,6 @@ def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
     return rho
 
 
-def tail_mass(rho: np.ndarray, window: Window, r: int) -> float:
-    x = np.arange(-window.L, window.L + 1)
-    return float(rho[np.abs(x) > r].sum())
-
-
 def tail_trace(
     op: OperatorMatrix,
     psi0: np.ndarray,
@@ -271,29 +289,23 @@ def tail_trace(
     m = min(SAMPLES_PER_EXPANSION, config.samples)
     prop = ChebyshevPropagator(op, dt, m, config)
     dens = np.empty((times.size, w.n_sites))
-    tails = np.empty((times.size, radii.size))
-    drift = 0.0
-
-    def record(k: int, psi: np.ndarray) -> None:
-        nonlocal drift
-        drift = max(drift, abs(_frobenius(psi) - 1.0))
-        dens[k] = density(psi, w, n)
-        tails[k] = [tail_mass(dens[k], w, r) for r in radii]
-
-    record(0, psi0.astype(complex))
+    dens[0] = density(psi0.astype(complex), w, n)
     base = _planes(psi0)
     # blocks of m samples, each propagated from the last state of the block before
     for first in range(1, times.size, m):
         block = prop(base, min(m, times.size - first))
         for j in range(block.shape[0]):
-            record(first + j, _state(block[j]))
+            dens[first + j] = density(_state(block[j]), w, n)
         base = block[-1].copy()
-        del block  # release this block's states before the next is computed
-    sup_tails = tails.max(axis=0)
     guard = w.L - w.interior_margin
-    guard_sup = max(tail_mass(dens[k], w, guard) for k in range(times.size))
+    # one column per radius and a last one for the guard: 1 where |x| > r
+    beyond = np.abs(np.arange(-w.L, w.L + 1))[:, None] > np.append(radii, guard)
+    tails = dens @ beyond.astype(float)
+    guard_sup = float(tails[:, -1].max())
+    tails = tails[:, :-1]
+    drift = max(abs(_frobenius(psi0) - 1.0), prop.norm_drift_max)
     return DensityTrace(
-        times, dens, radii, tails, sup_tails, guard_sup <= TRUNCATION_FLAG, float(drift),
+        times, dens, radii, tails, tails.max(axis=0), guard_sup <= TRUNCATION_FLAG, float(drift),
         int(prop.terms.max()), m, prop.matvecs, tuple(prop.bounds), float(dt), guard, guard_sup,
     )
 

@@ -2,9 +2,10 @@
 
 Each restates a quantity the package computes another way (the S_N
 projectors, single stark-basis pair elements, the interaction envelope, the
-decay check after the Bessel transform, the Gram defect of an eigenbasis),
-so that the fast paths in `starklat` have something to be compared against.
-The criterion checks after them (spectral periodicity, the Fredholm probe,
+decay check after the Bessel transform, the Gram defect of an eigenbasis, the
+complex Chebyshev coefficients, the tail mass beyond one radius), so that the
+fast paths in `starklat` have something to be compared against. The
+criterion checks after them (spectral periodicity, the Fredholm probe,
 weighted norms, COM profile summaries, one-shot evolution, cluster
 Hamiltonians) are reported by no task: only the acceptance tests run them.
 """
@@ -173,6 +174,28 @@ def evolve(
     if t == 0.0:
         return psi0.astype(complex)
     return dyn._state(prop(dyn._planes(psi0), 1)[0])
+
+
+def chebyshev_coefficients(tau: float) -> np.ndarray:
+    """c_k = (2 - delta_k0) (-i)^k J_k(tau), truncated below CHEB_TOL.
+
+    The coefficients of e^{-i tau x} = sum_k c_k T_k(x) on the T_k themselves;
+    the propagator carries the phase (-i)^k on its vectors instead.
+    """
+    k_max = int(abs(tau) + 40 + 10.0 * abs(tau) ** (1.0 / 3.0))
+    # bessel_row(0, -k_max, 0, tau) lists J_{k_max}..J_0
+    row = specfun.bessel_row(0, -k_max, 0, tau)[::-1]
+    keep = k_max
+    while keep > 1 and abs(row[keep]) < dyn.CHEB_TOL and abs(row[keep - 1]) < dyn.CHEB_TOL:
+        keep -= 1
+    k = np.arange(keep + 1)
+    return (2.0 - (k == 0)) * (-1j) ** k * row[: keep + 1]
+
+
+def tail_mass(rho: np.ndarray, window: Window, r: int) -> float:
+    """The density mass beyond radius r: rho summed over |x| > r."""
+    x = np.arange(-window.L, window.L + 1)
+    return float(rho[np.abs(x) > r].sum())
 
 
 def parseval_defect(profile: loc.ComProfile):

@@ -34,7 +34,7 @@ def per_sample_evolve(op, psi0, t):
     it before the step was built once per trace; the reference for tail_trace."""
     lo, hi = dyn.gershgorin_bounds(op)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    coef = dyn.chebyshev_coefficients(half * t)
+    coef = oracles.chebyshev_coefficients(half * t)
     hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
     tk_prev = psi0.astype(complex)
     tk = hs @ tk_prev
@@ -119,13 +119,46 @@ def test_stencil_step_matches_dense_rescaled_h(n):
 
     x, y = np.random.default_rng(n).standard_normal((2, 2, op.dim))
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)  # two normalized states
+    u0, u1 = x[0] + 1j * x[1], y[0] + 1j * y[1]
     out, hopped = np.empty_like(padded(x)), np.empty_like(padded(x))
-    prop.step(padded(x), out, None, hopped)  # k = 1: T_1 = hs T_0
-    assert np.abs(unpadded(out) - x @ hs).max() <= 1e-15
+    prop.step(padded(x), out, None, hopped)  # k = 1: U_1 = -i hs U_0
+    want = -1j * hs @ u0
+    assert np.abs(unpadded(out) - [want.real, want.imag]).max() <= 1e-15
     assert np.array_equal(out, padded(unpadded(out)))  # the ghosts are zero
-    prop.step(padded(x), out, padded(y), hopped)  # k >= 2: T_k = 2 hs T_{k-1} - T_{k-2}
-    assert np.abs(unpadded(out) - (2.0 * x @ hs - y)).max() <= 1e-15
+    prop.step(padded(x), out, padded(y), hopped)  # k >= 2: U_k = -2i hs U_{k-1} + U_{k-2}
+    want = -2j * hs @ u0 + u1
+    assert np.abs(unpadded(out) - [want.real, want.imag]).max() <= 1e-15
     assert np.array_equal(out, padded(unpadded(out)))
+
+
+def test_real_coefficients_carry_the_chebyshev_phase():
+    # a_k(t) (-i)^k is the coefficient of T_k in e^{-i half t hs}, for every
+    # offset's row of the propagator's table
+    op = position_op(2)
+    prop = dyn.ChebyshevPropagator(op, 0.7, 8, dyn.PropagatorConfig(5.6, 8))
+    lo, hi = prop.bounds
+    assert prop.table.dtype == float and prop.table.shape == (8, prop.terms.max())
+    for j, t in enumerate(0.7 * np.arange(1, 9)):
+        want = oracles.chebyshev_coefficients(0.5 * (hi - lo) * t)
+        a = prop.table[j, : prop.terms[j]]
+        assert a.size == want.size and not prop.table[j, a.size :].any()
+        phased = a * (-1j) ** np.arange(a.size)
+        assert np.abs(phased - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_folding_active_offsets_matches_folding_every_offset(triple_setup):
+    # with every offset marked as reaching the last term, each fold covers all
+    # offsets and adds the zeros past their truncation
+    p, w, op = triple_setup
+    cfg = dyn.PropagatorConfig(4.0, 8)
+    active = dyn.ChebyshevPropagator(op, 0.5, 8, cfg)
+    every = dyn.ChebyshevPropagator(op, 0.5, 8, cfg)
+    assert active.terms[0] <= active.terms[-1] - dyn.TERM_BUFFER  # some fold skips offsets
+    every.terms = np.full_like(active.terms, active.terms.max())
+    planes = dyn._planes(dyn.product_state(w, (0, 1, -1)))
+    got, want = active(planes, 8).copy(), every(planes, 8)
+    assert np.abs(got - want).max() <= 1e-15
+    assert active.matvecs == every.matvecs
 
 
 def with_pair(op, i, j, value):
@@ -253,6 +286,16 @@ def test_tail_trace_desk(pair_setup):
     assert tr.norm_drift_max <= 1e-10
     assert np.all(np.abs(tr.densities.sum(axis=1) - 2.0) <= 1e-8)
     assert np.all(np.diff(tr.sup_tails) <= 1e-12)  # weakly decreasing in r
+
+
+def test_tail_trace_tails_are_tail_masses(pair_setup):
+    p, w, op = pair_setup
+    psi0 = dyn.product_state(w, (0, 1))
+    tr = dyn.tail_trace(op, psi0, dyn.PropagatorConfig(t_max=10.0, samples=40), [2, 4, 6, 7])
+    want = [[oracles.tail_mass(rho, w, r) for r in tr.radii] for rho in tr.densities]
+    assert np.abs(tr.tails - want).max() <= 1e-14
+    guard = max(oracles.tail_mass(rho, w, tr.guard_radius) for rho in tr.densities)
+    assert abs(tr.guard_tail - guard) <= 1e-14
 
 
 def test_tail_trace_rejects_boundary_state(pair_setup):

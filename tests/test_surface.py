@@ -1,5 +1,8 @@
 """The library surface is closed: every public name of starklat has a caller outside the tests.
 
+Every task also runs on numpy's BLAS alone: no module imports `scipy.linalg`,
+whose import maps scipy's own OpenBLAS next to numpy's.
+
 A public top-level function, class or constant of `src/starklat` must appear
 as a NAME token outside its own definition in `src/starklat/*.py` or
 `perfbench/*.py`; a public non-dunder method of one of its classes must be
@@ -10,11 +13,14 @@ the tests reach belongs in `tests/oracles.py`.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
 import tokenize
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starklat"
@@ -89,12 +95,72 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled() == []
 
 
+def _run_fresh(code: str, *args: str) -> str:
+    """stdout of `code` in a fresh interpreter with src/ on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout
+
+
 def test_cli_import_leaves_sparse_linalg_unloaded():
     # no module of the package needs scipy's sparse solvers
     code = "import sys, starklat.cli; print('scipy.sparse.linalg' in sys.modules)"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    assert _run_fresh(code).strip() == "False"
+
+
+def test_no_module_imports_scipy_linalg():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith("scipy.linalg") for n in names), (path.name, node.lineno)
+
+
+TINY = {"g": 1.0, "h": 0.5, "potential": {"kind": "nearest_neighbor", "strength": 1.0}}
+TASK_CONFIGS = {
+    "selftest": {"model": dict(TINY, N=1), "window": {"L": 8, "interior_margin": 3}},
+    "spectrum": {"model": dict(TINY, N=2), "window": {"L": 4, "interior_margin": 1}},
+    "localization": {"model": dict(TINY, N=2), "window": {"L": 6, "interior_margin": 2}},
+    "cluster-spectrum": {"model": dict(TINY, N=2), "window": {"L": 4, "interior_margin": 1}},
+    "evolve": {
+        "model": dict(TINY, N=2), "window": {"L": 6, "interior_margin": 2},
+        "dynamics": {"t_max": 1.0, "samples": 10, "radii": [1, 2], "initial_sites": [0, 1]},
+    },
+    "resolvent-check": {
+        "model": dict(TINY, N=2), "window": {"L": 4, "interior_margin": 1},
+        "resolvent": {"z_grid": [[0.5, 8.0]]},
+    },
+}
+
+# run one task, then report its exit code, whether scipy.linalg was imported,
+# and the OpenBLAS builds mapped into the process (none listed off Linux)
+RUN_TASK = """
+import json, os, sys
+from starklat import cli
+code = cli.main([sys.argv[1], "--config", sys.argv[2]])
+maps = "/proc/self/maps"
+libs = set()
+if os.path.exists(maps):
+    with open(maps) as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+print(json.dumps([code, "scipy.linalg" in sys.modules, sorted(libs)]))
+"""
+
+
+@pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
+def test_task_runs_without_scipy_linalg(tmp_path, task):
+    config = tmp_path / "config.json"
+    cfg = dict(TASK_CONFIGS[task], task=task, output_dir=str(tmp_path / "out"))
+    config.write_text(json.dumps(cfg))
+    code, linalg, libs = json.loads(_run_fresh(RUN_TASK, task, str(config)).splitlines()[-1])
+    assert code in (0, 2)  # the run completed, whatever its checks said
+    assert not linalg
+    assert len(libs) <= 1, libs

@@ -31,9 +31,6 @@ SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector spli
 # the interior mask's lifts and the resolvent check's column blocks
 CHUNK_COLUMNS = 64
 UNIT_ROUNDOFF = 2.0**-53
-# the S_N sectors of `symmetry_sectors`, in order: two one-dimensional irreps,
-# then the leg-0/1-even and -odd remainders
-SECTOR_KINDS = ("boson", "fermion", "even", "odd")
 
 # the PairPotential fields each kind reads
 POTENTIAL_FIELDS = {
@@ -356,15 +353,16 @@ class Sector:
     """Sparse orthonormal columns Q of one symmetry sector, stored as the rows of Q^T (CSR).
 
     A row of Q has at most `terms` nonzeros, and a lifted fl(Q y) is within
-    lift_error ||y|| of Q y. `kind` is one of SECTOR_KINDS, or "whole" for
-    the whole space, Q = 1 (`SectorSplit.whole`). `abs_gain` bounds
+    lift_error ||y|| of Q y. `irrep` is the partition lambda of N whose
+    irrep the sector's columns carry (`symmetry_sectors`), or () for the
+    whole space, Q = 1 (`SectorSplit.whole`). `abs_gain` bounds
     || |Q| ||_2^2, |Q| the entrywise absolute value.
     """
 
     qt: sp.csr_matrix
     terms: int = 1
     lift_error: float = 0.0
-    kind: str = "whole"
+    irrep: tuple = ()
     abs_gain: float = 1.0
 
     @property
@@ -384,8 +382,9 @@ class SectorSplit:
     """Sectors a dense solve runs in, the blocks it solves, and what the split drops.
 
     Block j stands for Q_s^T a Q_s of each sector s in serves[j]: one sector,
-    or the N = 3 remainder pair, whose blocks agree up to the pair defect and
-    are replaced by their mean.
+    or the dim-lambda partner sectors of one irrep lambda, whose blocks B_T
+    agree up to the pair defect and are replaced by their mean M; spread[j]
+    is sqrt(sum_T ||B_T - M||_F^2) over the sectors it serves (0 for one).
     """
 
     sectors: tuple
@@ -393,8 +392,9 @@ class SectorSplit:
     serves: tuple  # per block, the indices of the sectors it is solved for
     cross_norm: float  # Frobenius norm of the dropped off-diagonal blocks
     basis_defect: float = 0.0  # >= ||Q^T Q - 1||_2 over the stored columns of all sectors
-    pair_defect: Optional[float] = None  # ||B_odd - B_even||_F of the remainders; None: no pair
+    pair_defect: Optional[float] = None  # max ||B_T - B_T0||_F over partners; None: no partners
     norm: float = 0.0  # ||Q^T a Q||_F over all blocks, dropped ones too; 0 for the whole space
+    spread: tuple = (0.0,)
 
     @classmethod
     def whole(cls, a) -> "SectorSplit":
@@ -410,22 +410,33 @@ class SectorSplit:
         return out
 
 
-def _orthogonal_in_span(first: Optional[list], vectors: list) -> list:
-    """Pairwise orthogonal integer vectors spanning span(vectors) minus the line of `first`.
+def enumerate_integer_partitions(n: int) -> list:
+    """All integer partitions of N as descending tuples."""
+    if n > 12:
+        raise ValueError("N too large")
 
-    Exact Gram-Schmidt in integers; `first` (None: no line) lies in the span.
-    """
-    basis, out = ([] if first is None else [first]), []
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    return list(rec(n, n))
+
+
+def _orthogonal_in_span(vectors: list) -> list:
+    """Pairwise orthogonal primitive integer vectors spanning span(vectors): exact Gram-Schmidt."""
+    basis = []
     for v in vectors:
         for b in basis:
             vb, bb = sum(x * y for x, y in zip(v, b)), sum(y * y for y in b)
             v = [bb * x - vb * y for x, y in zip(v, b)]
         g = math.gcd(*v)
         if g:
-            v = [x // g for x in v]
-            basis.append(v)
-            out.append(v)
-    return out
+            basis.append([x // g for x in v])
+    return basis
 
 
 def _unit_columns(vectors: list, size: int) -> np.ndarray:
@@ -438,20 +449,21 @@ def _unit_columns(vectors: list, size: int) -> np.ndarray:
     return cols
 
 
-def _odd_partner(v: list, keys: list, at: dict) -> list:
-    """The leg-0/1-odd part of P v on three legs, P the cyclic leg permutation (1, 2, 0).
+def _tableaux(shape: tuple) -> tuple:
+    """The standard tableaux of `shape` (the (row, column) of each entry 0..n-1), and their moves.
 
-    At n = 3 both remainders are copies of the 2-dim standard irrep, in which
-    P turns by 120 degrees: for a unit even e the odd part of P e is sqrt(3)/2
-    times a unit odd o of the same copy. So the partners of orthogonal even
-    vectors are orthogonal, with 3 times their squared norm before the gcd is
-    divided out, and Q_odd^T a Q_odd = Q_even^T a Q_even for every a that
-    commutes with the leg permutations (Schur's lemma).
+    The first is the row reading one; every other is s_i T of an earlier T
+    (s_i swapping entries i and i + 1, in different rows and columns of T),
+    found breadth first, with the move (index of T, i).
     """
-    pv = [v[at[key[1:] + key[:1]]] for key in keys]
-    w = [x - pv[at[(key[1], key[0]) + key[2:]]] for x, key in zip(pv, keys)]
-    g = math.gcd(*w)
-    return [x // g for x in w]
+    tableaux, moves = [tuple((r, c) for r, m in enumerate(shape) for c in range(m))], [None]
+    for p, t in enumerate(tableaux):
+        for i in range(len(t) - 1):
+            u = t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
+            if t[i][0] != t[i + 1][0] and t[i][1] != t[i + 1][1] and u not in tableaux:
+                tableaux.append(u)
+                moves.append((p, i))
+    return tableaux, moves
 
 
 @functools.cache
@@ -459,72 +471,79 @@ def _orbit_bases(n: int) -> tuple:
     """Local sector bases of the leg-permutation orbits of n >= 2 legs, one per orbit shape.
 
     An orbit is the set of distinct leg arrangements of one sorted index
-    tuple. Its shape says which neighbours of the sorted tuple are equal
-    (bit k: entries k and k + 1), and every orbit of a shape has the same
-    local basis. Per shape: the sorted position on each leg of its arrangements
-    in lexicographic order, and their columns L_s in the boson, fermion, even-
-    and odd-remainder sectors. The even remainder comes from exact Gram-Schmidt
-    inside the leg-0/1-even span after the boson column. At n = 3 the odd
-    remainder is its partner (`_odd_partner`), so the two remainder blocks of
-    a symmetric operator agree; at other n it is the Gram-Schmidt complement
-    of the fermion column in the odd span.
+    tuple, a permutation module of S_n. Its shape says which neighbours of
+    the sorted tuple are equal (bit k: entries k and k + 1), and every orbit
+    of a shape has the same local basis. Per shape: the sorted position on
+    each leg of its arrangements in lexicographic order, and their columns
+    L_s in every sector, Young's orthogonal (Gelfand-Tsetlin) basis. Per
+    irrep lambda (trivial, sign, then the rest by dimension) and copy of it
+    in the orbit, v_T0 spans the joint eigenspace of the Jucys-Murphy
+    elements X_k = sum_{j<k} (j k) for the row reading tableau T0; on the
+    eigenspace of X_1..X_(k-1) the eigenvalues of X_k are the contents of
+    the boxes addable to the shape of entries < k (Okounkov-Vershik), so the
+    product over k of the factors X_k - c, c every such content but c_k,
+    each signed by c_k - c, is a positive multiple of the projector; its
+    images of the unit vectors are made orthogonal by exact Gram-Schmidt.
+    Every other tableau s_i T (`_tableaux`) gets the seminormal move
+    s_i v_T - v_T / r, r = c_T(i + 1) - c_T(i) the axial distance, times
+    |r|. One sector per tableau, one column per copy: the copies share one
+    orthogonal form, so by Schur's lemma the partner blocks Q_T^T a Q_T of
+    lambda agree for every a that commutes with the leg permutations.
 
     Also returned, for the stored (rounded) columns: theta, the largest
     absolute row sum of L^T L - 1 over the shapes' square bases L, computed
     exactly and rounded up. It bounds ||Q^T Q - 1||_2 on the whole index: the
     matrix is symmetric and block-diagonal over orbits. And per sector
-    (m, e): the most nonzeros m in a row of any L_s, and e >= ||fl(Q_s y) -
-    Q_s y|| / ||y|| for `Sector.lift`. With m = 1 each entry is one rounded
-    product, within u of the exact one. With m > 1 every entry, a sum of
-    m_p <= m products on the rows of shape p, is accumulated in np.longdouble
-    (unit roundoff u_l) and rounded once, so it is within u |sum_k x_k| +
-    (1 + u) gamma_(m_p)(u_l) sum_k |x_k|; e adds the largest (1 + u)
-    gamma_(m_p)(u_l) sqrt(k (1 + theta)) over the shapes to u sqrt(1 + theta),
-    L_s having k columns on shape p (sqrt(k (1 + theta)) >= || |L_s| ||_2).
-    The last entry per sector, the largest k (1 + theta), bounds || |Q_s| ||_2^2:
-    |Q_s| is block-diagonal over the orbits.
+    (m, e, lambda, g): the most nonzeros m in a row of any L_s, and
+    e >= ||fl(Q_s y) - Q_s y|| / ||y|| for `Sector.lift`. With m = 1 each
+    entry is one rounded product, within u of the exact one. With m > 1
+    every entry, a sum of m_p <= m products on the rows of shape p, is
+    accumulated in np.longdouble (unit roundoff u_l) and rounded once, so it
+    is within u |sum_k x_k| + (1 + u) gamma_(m_p)(u_l) sum_k |x_k|; e adds
+    the largest (1 + u) gamma_(m_p)(u_l) sqrt(k (1 + theta)) over the shapes
+    to u sqrt(1 + theta), L_s having k columns on shape p
+    (sqrt(k (1 + theta)) >= || |L_s| ||_2). g, the largest k (1 + theta),
+    bounds || |Q_s| ||_2^2: |Q_s| is block-diagonal over the orbits.
     """
     from fractions import Fraction  # first use only: the import is not paid at start-up
 
-    shapes, theta, terms = [], Fraction(0), [[] for _ in range(4)]
+    rest = [p for p in enumerate_integer_partitions(n) if p not in ((n,), (1,) * n)]
+    rest.sort(key=lambda p: len(_tableaux(p)[0]))
+    irreps = [(p, *_tableaux(p)) for p in [(n,), (1,) * n] + rest]
+    labels = [p for p, tableaux, _ in irreps for _ in tableaux]
+    shapes, theta, terms = [], Fraction(0), [[] for _ in labels]
     for code in range(2 ** (n - 1)):
-        labels = [0]
+        values = [0]
         for k in range(n - 1):
-            labels.append(labels[-1] + (0 if code >> k & 1 else 1))
+            values.append(values[-1] + (0 if code >> k & 1 else 1))
         arrangements = {}
         for perm in itertools.permutations(range(n)):
-            arrangements.setdefault(tuple(labels[i] for i in perm), perm)
+            arrangements.setdefault(tuple(values[i] for i in perm), perm)
         keys = sorted(arrangements)
         size = len(keys)
         at = {key: i for i, key in enumerate(keys)}
-        even, odd = [], []
-        for i, key in enumerate(keys):
-            j = at[(key[1], key[0]) + key[2:]]  # the arrangement with legs 0 and 1 swapped
-            for span, sign in ((even, 1), (odd, -1)):
-                if i < j or (i == j and sign > 0):
-                    v = [0] * size
-                    v[j] = sign
-                    v[i] = 1
-                    span.append(v)
-        ones = [1] * size
-        # with all labels distinct each arrangement is its own sorting permutation
-        signs = (
-            [(-1) ** _permutation_parity(key) for key in keys]
-            if size == math.factorial(n)
-            else None
-        )
-        remainder = _orthogonal_in_span(ones, even)
-        local = tuple(
-            _unit_columns(vectors, size)
-            for vectors in (
-                [ones],
-                [] if signs is None else [signs],
-                remainder,
-                [_odd_partner(v, keys, at) for v in remainder]
-                if n == 3
-                else _orthogonal_in_span(signs, odd),
-            )
-        )
+        swaps = {}  # (j, k): the index of each arrangement with legs j and k exchanged
+        for j, k in itertools.combinations(range(n), 2):
+            legs = list(range(n))
+            legs[j], legs[k] = k, j
+            swaps[j, k] = [at[tuple(key[leg] for leg in legs)] for key in keys]
+        local = []
+        for _, tableaux, moves in irreps:
+            first, proj = tableaux[0], np.eye(size, dtype=np.int64)  # entries within n! (n <= 5)
+            for k in range(1, n):
+                rows = [sum(r == row for r, _ in first[:k]) for row in range(k + 1)]
+                addable = {rows[r] - r for r in range(k + 1) if r == 0 or rows[r - 1] > rows[r]}
+                c_k = first[k][1] - first[k][0]
+                for c in addable - {c_k}:
+                    proj = (sum(proj[swaps[j, k]] for j in range(k)) - c * proj) * np.sign(c_k - c)
+            vectors = [_orthogonal_in_span(proj.T.tolist())]
+            for p, i in moves[1:]:
+                t, swap = tableaux[p], swaps[i, i + 1]
+                r = (t[i + 1][1] - t[i + 1][0]) - (t[i][1] - t[i][0])
+                sign = 1 if r > 0 else -1  # each w is |r| (s_i v - v / r)
+                moved = [[sign * (r * v[j] - x) for j, x in zip(swap, v)] for v in vectors[p]]
+                vectors.append(_orthogonal_in_span(moved))  # orthogonal: only their gcds go
+            local += [_unit_columns(v, size) for v in vectors]
         # exact Gram matrix of the rounded floats, on a common power-of-two scale
         ratios = [x.as_integer_ratio() for x in np.hstack(local).ravel().tolist()]
         scale = max(den for _, den in ratios).bit_length() - 1
@@ -535,31 +554,32 @@ def _orbit_bases(n: int) -> tuple:
         for t, b in zip(terms, local):
             if b.size:
                 t.append((int((b != 0).sum(axis=1).max()), b.shape[1]))
-        shapes.append((np.array([arrangements[key] for key in keys]), local))
+        shapes.append((np.array([arrangements[key] for key in keys]), tuple(local)))
     exact, theta = theta, float(theta)
     if Fraction(theta) < exact:
         theta = math.nextafter(theta, math.inf)
     u, u_l = UNIT_ROUNDOFF, float(np.finfo(np.longdouble).eps) / 2
     lift = []
-    for t in terms:
+    for t, label in zip(terms, labels):
         most = max((m for m, _ in t), default=1)
         e = u * math.sqrt(1.0 + theta)
         if most > 1:  # every row of the sector is accumulated in np.longdouble
             gamma = [(m * u_l / (1.0 - m * u_l), k) for m, k in t]
             e += max(g * (1.0 + u) * math.sqrt(k * (1.0 + theta)) for g, k in gamma)
-        lift.append((most, e, max((k for _, k in t), default=1) * (1.0 + theta)))
+        lift.append((most, e, label, max((k for _, k in t), default=1) * (1.0 + theta)))
     return tuple(shapes), theta, tuple(lift)
 
 
 def symmetry_sectors(d: int, n: int) -> tuple:
-    """The nonempty S_N sectors of the d^n tensor index (n >= 2), in a fixed order.
+    """The nonempty S_N sectors of the d^n tensor index (n >= 2): one per irrep and tableau.
 
     Bosons (one column per sorted index tuple, C(d + n - 1, n)), fermions
     (one per strictly sorted tuple, signed by the sorting permutation,
-    C(d, n)), then the complement of the bosons in the leg-0/1-even span and
-    of the fermions in the odd span. Each column lives on one orbit, with at
-    most n! entries; columns run over the orbits in the order of their sorted
-    tuples, then over the local basis of the orbit's shape.
+    C(d, n)), then the dim-lambda partner sectors of every other irrep
+    lambda (`_orbit_bases`). Each column lives on one orbit, with at most n!
+    entries; columns run over the orbits in the order of their sorted tuples,
+    then over the copies of lambda in the orbit, so column j of every
+    partner sector of lambda belongs to the same copy.
     """
     shapes, _, lift = _orbit_bases(n)
     coords = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
@@ -573,7 +593,7 @@ def symmetry_sectors(d: int, n: int) -> tuple:
         flat = np.einsum("j,mjo->mo", strides, coords[:, sorted_tuples[which]][perms])
         orbits.append((which, flat))
     sectors = []
-    for s in range(4):
+    for s in range(len(lift)):
         count = np.zeros(sorted_tuples.size, dtype=np.int64)
         for (which, _), (_, local) in zip(orbits, shapes):
             count[which] = local[s].shape[1]
@@ -590,8 +610,7 @@ def symmetry_sectors(d: int, n: int) -> tuple:
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                 shape=(dim, d**n),
             )
-            most, e, gain = lift[s]
-            sectors.append(Sector(qt, most, e, SECTOR_KINDS[s], gain))
+            sectors.append(Sector(qt, *lift[s]))
     return tuple(sectors)
 
 
@@ -651,10 +670,11 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     is the one sector, as it is for n < 2, and a itself (dense) its one
     block. Beyond the blocks, memory is a few dim x CHUNK_COLUMNS arrays.
 
-    At n = 3 the two remainder blocks are copies (`_odd_partner`): if their
-    measured difference, the pair defect, is within SECTOR_TOL ||Q^T a Q||_F
-    too, one block, their mean, serves both; each remainder then drops half
-    the difference. Otherwise both are kept.
+    The partner sectors of an irrep of dimension k > 1 carry copies of it
+    in the same orthogonal form (`symmetry_sectors`), so their blocks agree:
+    if their measured differences, up to the pair defect, are within
+    SECTOR_TOL ||Q^T a Q||_F too, one block, their mean, serves all k
+    (`sector_split`). Otherwise each is kept.
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
@@ -678,25 +698,39 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
 def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional[SectorSplit]:
     """The split into the blocks Q_s^T a Q_s of `sectors`, or None if it drops too much.
 
-    None when the cross norm is above SECTOR_TOL ||Q^T a Q||_F. At n = 3 the
-    two remainder blocks (the last two) are folded into their mean, in place,
-    when their difference is within that tolerance too (`split_by_symmetry`).
+    None when the cross norm is above SECTOR_TOL ||Q^T a Q||_F. The partner
+    blocks B_T of an irrep of dimension k > 1 are compared with the first,
+    B_T0; when every ||B_T - B_T0||_F is within that tolerance too, one
+    block, their mean M (formed in place), serves them all, with the spread
+    sum_T ||B_T - M||_F^2 = (1/k) sum_{T < T'} ||B_T - B_T'||_F^2.
     """
     norm = math.hypot(cross, *map(_frobenius, blocks))
     tol = SECTOR_TOL * norm
     if cross > tol:
         return None
-    blocks, serves, pair = list(blocks), [(s,) for s in range(len(sectors))], None
-    if n == 3 and sectors[-1].kind == "odd":
-        even, odd = blocks[-2:]
-        pair = _frobenius(odd - even)
-        if pair <= tol:
-            even += odd
-            even *= 0.5
-            del blocks[-1], serves[-1]
-            serves[-1] += (len(sectors) - 1,)
-    theta = 0.0 if sectors[0].kind == "whole" else _orbit_bases(n)[1]
-    return SectorSplit(sectors, tuple(blocks), tuple(serves), cross, theta, pair, norm)
+    kept, serves, spread, defects = [], [], [], []
+    for _, group in itertools.groupby(range(len(sectors)), key=lambda s: sectors[s].irrep):
+        group = list(group)
+        diffs = {
+            (t, u): _frobenius(blocks[u] - blocks[t]) for t, u in itertools.combinations(group, 2)
+        }
+        first = [diffs[group[0], u] for u in group[1:]]  # ||B_T - B_T0||_F
+        defects += first
+        if first and max(first) <= tol:
+            mean = blocks[group[0]]
+            for s in group[1:]:
+                mean += blocks[s]
+            mean /= len(group)
+            kept.append(mean)
+            serves.append(tuple(group))
+            spread.append(math.sqrt(sum(x * x for x in diffs.values()) / len(group)))
+        else:
+            kept += [blocks[s] for s in group]
+            serves += [(s,) for s in group]
+            spread += [0.0] * len(group)
+    theta = 0.0 if sectors[0].irrep == () else _orbit_bases(n)[1]
+    pair = max(defects, default=None)
+    return SectorSplit(sectors, tuple(kept), tuple(serves), cross, theta, pair, norm, tuple(spread))
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:
@@ -757,16 +791,5 @@ def build_hamiltonian(
 
 
 def _permutation_parity(perm: tuple) -> int:
-    seen = [False] * len(perm)
-    parity = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        parity += length - 1
-    return parity % 2
+    """0 for an even permutation, 1 for an odd one: the parity of its inversions."""
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2

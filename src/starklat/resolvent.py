@@ -330,8 +330,8 @@ class ResolventWorkspace:
         """G(z) y of the full H from the rows Q^T y of `sector_rows`; overwrites rows.
 
         Per solve of the N-block's factors, Y^T, delta and Y on the rows of
-        every sector it serves (stacked, so a remainder pair is one batch),
-        then one sparse Q product.
+        every sector it serves (stacked, so the partner sectors of one irrep
+        are one batch), then one sparse Q product.
         """
         f = self.full_factor(z)
         rows = _solve_in_sectors(f.blocks[0][1].factors, f.delta, rows)
@@ -434,16 +434,16 @@ class ColumnChunk(NamedTuple):
     qx: sp.csr_matrix  # Q^T X over the sector columns
 
 
-def _chunk_plan(ws: ResolventWorkspace, xt: sp.csr_matrix, kinds: set) -> tuple:
-    """(mix, Q^T X) of the closed chunk X = xt^T, whose columns lie in sectors of `kinds`."""
+def _chunk_plan(ws: ResolventWorkspace, xt: sp.csr_matrix, irreps: set) -> tuple:
+    """(mix, Q^T X) of the closed chunk X = xt^T, whose columns lie in sectors of `irreps`."""
     n, d = ws.params.N, ws.window.n_sites
     orbits = chain_orbits(n, even_potential(ws.params.potential))
     identity, mix = tuple(range(n)), {}
     for axes in {axes for _, images in orbits for axes in images}:
         legs = axes[:n]
-        if legs == identity or kinds == {"boson"}:
+        if legs == identity or irreps == {(n,)}:
             mix[axes] = 1.0
-        elif kinds == {"fermion"}:
+        elif irreps == {(1,) * n}:
             mix[axes] = -1.0 if _permutation_parity(legs) else 1.0
         else:
             # P^T X gathers the rows of X; M^T = (P^T X)^T X
@@ -458,55 +458,42 @@ def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
     return ColumnChunk(np.eye(ws.dim, dtype=complex), (), *_chunk_plan(ws, xt, set()))
 
 
-def _column_parts(sectors: tuple, n: int, width: int) -> list:
-    """The parts of every chunk: closed column sets of at most `width` columns where possible.
+def _column_parts(sectors: tuple, width: int) -> list:
+    """The parts of every chunk: closed column sets of at most max(width, k) columns.
 
-    Any columns of a one-dimensional sector (or of the whole space, whose
-    group is trivial) are closed. At n = 3 column j of the even remainder and
-    column j of the odd one span an invariant 2-plane (`model._odd_partner`),
-    so matching ranges of the two are one chunk. At n = 4 the remainders are
-    taken whole.
+    The k partner sectors of an irrep (k = 1 for the bosons, the fermions and
+    the whole space) are consecutive, and their columns j span one copy of it
+    (`model.symmetry_sectors`), so matching ranges of width // k columns are closed.
     """
     chunks = []
-    for s, sector in enumerate(sectors):
-        if sector.kind in ("whole", "boson", "fermion"):
-            chunks += [((s, j, min(j + width, sector.dim)),) for j in range(0, sector.dim, width)]
-        elif sector.kind == "even":  # the odd remainder is the next sector
-            odd = sectors[s + 1].dim
-            if n == 3:
-                w = max(1, width // 2)
-                chunks += [
-                    ((s, j, min(j + w, odd)), (s + 1, j, min(j + w, odd)))
-                    for j in range(0, odd, w)
-                ]
-            else:
-                chunks.append(((s, 0, sector.dim), (s + 1, 0, odd)))
+    for _, group in itertools.groupby(range(len(sectors)), key=lambda s: sectors[s].irrep):
+        group = list(group)
+        w, dim = max(1, width // len(group)), sectors[group[0]].dim
+        chunks += [tuple((s, j, min(j + w, dim)) for s in group) for j in range(0, dim, w)]
     return chunks
 
 
 def column_chunks(ws: ResolventWorkspace):
     """The closed column chunks that cover the sector columns of the workspace, in order.
 
-    Each is at most CHUNK_COLUMNS wide, except an n = 3 remainder pair (at
-    least two columns) and the n = 4 remainders (taken whole). A generator:
-    each chunk's X is made when the caller asks for it, from the columns and
-    mixes the workspace caches for every z.
+    Each is at most CHUNK_COLUMNS wide, or one column per partner sector of an
+    irrep of larger dimension. A generator: each chunk's X is made when the
+    caller asks for it, from the columns and mixes the workspace caches for every z.
     """
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:
-        n = ws.params.N
         sectors, q_all, _ = ws.sector_columns()
-        orbits = chain_orbits(n, even_potential(ws.params.potential))
-        if sectors[0].kind == "whole" and any(len(images) > 1 for _, images in orbits):
+        orbits = chain_orbits(ws.params.N, even_potential(ws.params.potential))
+        if sectors[0].irrep == () and any(len(images) > 1 for _, images in orbits):
             # an even v with H^(N) left whole: columns of 1 are not closed
             raise np.linalg.LinAlgError("H^(N) does not split into the S_N sectors")
         bounds = np.cumsum([0] + [s.dim for s in sectors])
         plans = []
-        for parts in _column_parts(sectors, n, CHUNK_COLUMNS):
+        for parts in _column_parts(sectors, CHUNK_COLUMNS):
             rows = [q_all[bounds[s] + j0 : bounds[s] + j1] for s, j0, j1 in parts]
             xt = sp.vstack(rows, format="csr")
-            kinds = {sectors[s].kind for s, _, _ in parts}
-            plans.append((parts, xt.tocoo(), *_chunk_plan(ws, xt, kinds)))
+            irreps = {sectors[s].irrep for s, _, _ in parts}
+            plans.append((parts, xt.tocoo(), *_chunk_plan(ws, xt, irreps)))
         ws.cache[key] = tuple(plans)
     for parts, xt, mix, qx in ws.cache[key]:
         x = np.zeros((ws.dim, xt.shape[0]), dtype=complex)
@@ -612,7 +599,7 @@ def sector_residual(
     for M = (+)_s Y_s diag(delta) Y_s^T over the N-block's factors,
     Q^T R^T X = (1 + Delta) M u - rd. For each part (s, j0, j1) the own rows
     M_s u_s - rd_s are formed from the solve serving sector s (one solve for
-    both halves of an N = 3 remainder pair); the other rows of u (u_off) are
+    every partner sector of an irrep); the other rows of u (u_off) are
     only measured, and their M products are bounded in
     `stream_functional_equation`. The chunk needs parts: X = 1 is the dense
     oracle's `residual_columns`.
@@ -715,7 +702,8 @@ def stream_functional_equation(
     The rows are filed by `model.fill_sector_blocks`, as `split_by_symmetry`
     files its own: the sector rows are columns of the transposed blocks
     Q_s^T D Q_s and Q_s^T I Q_s, the other rows cross blocks. The blocks are
-    split by `model.sector_split`, which measures the pair defect at n = 3.
+    split by `model.sector_split`, which measures the pair defect of the
+    partner sectors.
 
     The residual is formed in sector coordinates (`sector_residual`). With
     Q^T Q = 1 + Delta, ||Delta||_2 <= theta (the basis defect), and
@@ -774,7 +762,7 @@ def stream_functional_equation(
 
 
 def sector_norms(split: SectorSplit) -> list:
-    """`operator_norm` of each sector's block, one entry per sector (a shared block counts twice).
+    """`operator_norm` of each sector's block, one entry per sector (a shared block repeats).
 
     The first block (bosons, or the whole space) starts from Q_b^T 1, where
     operator_norm of the full matrix starts (1 lies in the boson sector);
@@ -808,9 +796,11 @@ def compactness_proxy(i_matrix) -> CompactnessReport:
 
     `i_matrix` is I(z) as its SectorSplit (`stream_functional_equation`, or
     `model.split_by_symmetry` of a dense I(z)), whose SVD runs per sector
-    block. That moves each singular value by at most the reported cross norm,
-    plus half the pair defect when one SVD serves both N = 3 remainders (and
-    a relative basis defect of a few 1e-16). A dense I(z) is taken unsplit.
+    block, one SVD for all the partner sectors of an irrep. That moves each
+    singular value by at most the reported cross norm, plus ||B_T - M||_F
+    for a partner block B_T served by the mean M (at most the block's
+    `SectorSplit.spread`), and a relative basis defect of a few 1e-16. A
+    dense I(z) is taken unsplit.
     """
     split = i_matrix if isinstance(i_matrix, SectorSplit) else SectorSplit.whole(i_matrix)
     s = np.concatenate(

@@ -19,6 +19,7 @@ from .model import (
     _frobenius,
     apply_on_legs,
     build_hamiltonian,
+    enumerate_integer_partitions,
     flat_to_tuples,
     split_by_symmetry,
     stark_basis_matrix,
@@ -184,7 +185,7 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
 
     Each vector lies in one sector of the split, so it is exactly even or odd
     under the leg-0/1 swap when the split is taken. A block that serves the
-    N = 3 remainder pair is solved once for both. The pairs come as the
+    partner sectors of an irrep is solved once for all. The pairs come as the
     per-solve `factors` (`lift_states` lifts them), and nothing of size
     dim x dim is formed: the residual and orthogonality of the lifted pairs
     are bounded from the sector solves alone. A caller that drops a after
@@ -194,7 +195,7 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
     is solved through the symmetric part S_s of its solve's block; K_s (the
-    skew part, and for a remainder half the pair difference) is dropped with
+    skew part, and for a partner B_T - M of the mean M it is solved for) is dropped with
     the blocks C_ts = Q_t^T a Q_s. For y with S_s y - lambda y = rho,
     Q^T (a - lambda) Q_s y = (rho + K_s y (+) C_.s y) - lambda Delta_.s y, so
 
@@ -216,8 +217,9 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
       and ||a||_F <= ||Q^T a Q||_F / (1 - theta - gamma_2c c (1 + theta))
       from the split's `norm`. A whole-space block is a itself, and its
       split's `norm` is 0, so the term is exactly 0.
-    - The remainder mean and the symmetric part 0.5 (b + b^T) round once
-      each: entrywise within gamma_3 |S^_s|, of 2-norm at most gamma_3
+    - The mean of k partner blocks (k - 1 additions and a division) and the
+      symmetric part 0.5 (b + b^T) round at most k + 1 times: entrywise
+      within gamma_m |S^_s|, m = max(3, k + 1), of 2-norm at most gamma_m
       sigma_s, sigma_s the largest absolute row sum of S^_s (>= || |S^_s| ||_2).
     The computed r = fl(fl(S^_s y) - fl(y lambda)) is entrywise within
     gamma_n |S^_s| |y| + u |lambda| |y| + u |r| of S^_s y - lambda y, n the
@@ -225,7 +227,7 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     a factor 1 + gamma_(n+2). So per eigenpair
 
         ||rho|| <= (1 + gamma_(n+3)) ||r|| + (gamma_n sigma_s + u |lambda|
-                   + gamma_2c g_s ||a||_F + gamma_3 sigma_s) ||y||.
+                   + gamma_2c g_s ||a||_F + gamma_m sigma_s) ||y||.
 
     A diagonal S^_s is solved exactly (its sorted diagonal and a permutation),
     so r is exact and only the formation term is added.
@@ -242,13 +244,13 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     c = max(int(np.diff(s.qt.indptr).max()) for s in split.sectors)
     a_frob = split.norm / (1.0 - theta - _gamma(2 * c) * c * (1.0 + theta))
     factors, rho, frob, gram, skew = [], [], [], [], []
-    for b, serves in zip(split.blocks, split.serves):
+    for b, serves, spread in zip(split.blocks, split.serves, split.spread):
         # eigh reads one triangle: solve the symmetric part and drop the skew part
         drop = 0.5 * _frobenius(b - b.T)
         if len(serves) > 1:
-            # B_even, B_odd = M +- Delta with M = b, ||Delta||_F = pair_defect / 2:
-            # ||K_even||^2 + ||K_odd||^2 = 2 (||skew M||^2 + ||Delta||^2)
-            drop = math.sqrt(2.0) * math.hypot(drop, 0.5 * split.pair_defect)
+            # B_T = M + Delta_T over the k partners, M = b, sum_T Delta_T = 0, so
+            # sum_T ||skew M + Delta_T||^2 = k ||skew M||^2 + sum_T ||Delta_T||^2
+            drop = math.hypot(math.sqrt(len(serves)) * drop, spread)
         skew.append(drop)
         b = b + b.T
         b *= 0.5
@@ -272,7 +274,8 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
         del r
         if not diagonal:
             sigma = _abs_row_sum_max(b)
-            rounding = (_gamma(n) + _gamma(3)) * sigma + UNIT_ROUNDOFF * np.abs(w)
+            rounding = (_gamma(n) + _gamma(max(3, len(serves) + 1))) * sigma
+            rounding = rounding + UNIT_ROUNDOFF * np.abs(w)
             rho_b = (1.0 + _gamma(n + 3)) * rho_b + rounding * nu_b
         gain = max(split.sectors[s].abs_gain for s in serves)
         rho_b = rho_b + _gamma(2 * c) * gain * a_frob * nu_b
@@ -359,22 +362,6 @@ def enumerate_set_partitions(n: int) -> list:
         for p in rec(list(range(1, n + 1)))
     ]
     return sorted(parts, key=lambda d: (d.n_blocks, d.canonical()))
-
-
-def enumerate_integer_partitions(n: int) -> list:
-    """All integer partitions of N as descending tuples."""
-    if n > 12:
-        raise ValueError("N too large")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return list(rec(n, n))
 
 
 def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:

@@ -1,7 +1,7 @@
 """Reference implementations that only the tests use: slow, direct and independent.
 
 Each restates a quantity the package computes another way (the S_N
-projectors, single stark-basis pair elements, the interaction envelope, the
+projectors, the sector sizes from the character tables, single stark-basis pair elements, the interaction envelope, the
 decay check after the Bessel transform, the Gram defect of an eigenbasis, the
 complex Chebyshev coefficients, the tail mass beyond one radius), so that the
 fast paths in `starklat` have something to be compared against. The
@@ -57,6 +57,46 @@ def symmetrizer(n_particles: int, window: Window, eta: int) -> OperatorMatrix:
         )
         total = total + mat.tocsr()
     return OperatorMatrix("position", window, n_particles, total)
+
+
+# character tables of S_2, S_3 and S_4: per conjugacy class its size and its
+# number of cycles, then chi_lambda per irrep, in the sector order of
+# `model.symmetry_sectors` (trivial, sign, then the rest by dimension chi_lambda(1))
+S_N_CHARACTERS = {
+    2: ([1, 1], [2, 1], {(2,): [1, 1], (1, 1): [1, -1]}),
+    3: ([1, 3, 2], [3, 2, 1], {(3,): [1, 1, 1], (1, 1, 1): [1, -1, 1], (2, 1): [2, 0, -1]}),
+    4: (
+        [1, 6, 3, 8, 6],  # e, (12), (12)(34), (123), (1234)
+        [4, 3, 2, 2, 1],
+        {
+            (4,): [1, 1, 1, 1, 1],
+            (1, 1, 1, 1): [1, -1, 1, 1, -1],
+            (2, 2): [2, 0, 2, -1, 0],
+            (3, 1): [3, 1, -1, 0, -1],
+            (2, 1, 1): [3, -1, -1, 0, 1],
+        },
+    ),
+}
+
+
+def sector_sizes(d: int, n: int) -> dict:
+    """m_lambda = (1/n!) sum_g chi_lambda(g) d^cycles(g) per irrep: its multiplicity in (C^d)^(x)n."""
+    sizes, cycles, chars = S_N_CHARACTERS[n]
+    return {
+        lam: sum(s * c * d**k for s, c, k in zip(sizes, chi, cycles)) // math.factorial(n)
+        for lam, chi in chars.items()
+    }
+
+
+def sector_irreps(d: int, n: int) -> list:
+    """The irrep of each nonempty sector in split order: dim lambda partner sectors per lambda."""
+    chars = S_N_CHARACTERS[n][2]
+    return [lam for lam, m in sector_sizes(d, n).items() if m for _ in range(chars[lam][0])]
+
+
+def sector_dims(d: int, n: int) -> list:
+    """The nonempty sector sizes in split order."""
+    return [sector_sizes(d, n)[lam] for lam in sector_irreps(d, n)]
 
 
 def pair_element_stark(

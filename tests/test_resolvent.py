@@ -370,11 +370,7 @@ def test_residual_gate_rejects_inexact_factors():
         ws.apply_resolvent(full, 0.5 + 1j, np.eye(ws.dim, dtype=complex))
 
 
-def sector_dims(d, n):
-    """Bosons, fermions and the leg-0/1-even and -odd remainders; empty ones dropped."""
-    bosons, fermions = math.comb(d + n - 1, n), math.comb(d, n)
-    even, odd = d ** (n - 2) * d * (d + 1) // 2, d ** (n - 2) * d * (d - 1) // 2
-    return [m for m in (bosons, fermions, even - bosons, odd - fermions) if m]
+sector_dims = oracles.sector_dims  # from the character tables of S_2, S_3 and S_4
 
 
 SECTOR_POTENTIALS = [
@@ -574,7 +570,7 @@ def _dense_check(ws, z):
     d, i = rsv.expansion(z, ws)
     split = {}
     for name, x in (("d", d), ("i", i)):
-        if ws.sector_columns()[0][0].kind == "whole":
+        if ws.sector_columns()[0][0].irrep == ():
             # the trivial group streams the whole space, even where a split of x
             # exists (D = G_0 at N = 2 commutes with the leg swap for every v)
             split[name] = model.SectorSplit.whole(x)
@@ -648,7 +644,7 @@ def test_streamed_check_with_diagonal_n_block():
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 0.0))
     ws = rsv.ResolventWorkspace(p, Window(L=3, interior_margin=1))
     z = 0.5 + 1j
-    assert ws.block(2).factors != () and ws.sector_columns()[0][0].kind != "whole"
+    assert ws.block(2).factors != () and ws.sector_columns()[0][0].irrep != ()
     d, i, split = _dense_check(ws, z)
     st = rsv.stream_functional_equation(z, ws)
     _assert_streamed_matches(st, d, i, split, ws, z)
@@ -728,7 +724,7 @@ def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
     monkeypatch.setattr(model, "SECTOR_TOL", -1.0)
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     ws = rsv.ResolventWorkspace(p, Window(L=1, interior_margin=1))
-    assert ws.sector_columns()[0][0].kind == "whole"
+    assert ws.sector_columns()[0][0].irrep == ()
     with pytest.raises(np.linalg.LinAlgError, match="S_N sectors"):
         rsv.stream_functional_equation(0.5 + 1j, ws)
 
@@ -750,8 +746,12 @@ def test_chunk_width_does_not_change_results(n, L, pot, width, monkeypatch):
         _assert_streamed_matches(got, d, i, split, ws, z)
     chunks = list(rsv.column_chunks(ws))
     assert sum(c.x.shape[1] for c in chunks) == ws.dim
-    # only the N = 4 remainders, taken whole, may be wider than the width
-    assert all(c.x.shape[1] <= max(width, 2) for c in chunks if n < 4 or len(c.parts) == 1)
+    # every chunk holds columns of one irrep lambda, at most max(width, dim lambda) of them
+    sectors = ws.sector_columns()[0]
+    for c in chunks:
+        (lam,) = {sectors[s].irrep for s, _, _ in c.parts}
+        dim = oracles.S_N_CHARACTERS[n][2][lam][0] if lam else 1  # () is the whole space
+        assert c.x.shape[1] <= max(width, dim), (lam, c.parts)
 
 
 def test_sector_norms_see_every_sector():

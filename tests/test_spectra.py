@@ -202,16 +202,7 @@ SYMMETRIC_POTENTIALS = [
 ASYMMETRIC = PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1})
 
 
-def sector_sizes(d, n):
-    """Bosons, fermions and the leg-0/1-even and -odd remainders, by name."""
-    bosons, fermions = math.comb(d + n - 1, n), math.comb(d, n)
-    even, odd = d ** (n - 1) * (d + 1) // 2, d ** (n - 1) * (d - 1) // 2
-    return {"boson": bosons, "fermion": fermions, "even": even - bosons, "odd": odd - fermions}
-
-
-def sector_dims(d, n):
-    """The nonempty sector sizes in split order."""
-    return [m for m in sector_sizes(d, n).values() if m]
+sector_dims = oracles.sector_dims  # from the character tables of S_2, S_3 and S_4
 
 
 def swap_permutation(w, n):
@@ -245,7 +236,7 @@ def test_sector_eigh_matches_full(basis, n, L, pot):
     even = np.all(swapped == v, axis=0)
     odd = np.all(swapped == -v, axis=0)
     assert np.all(even | odd)
-    # the bosons and the even remainder span the leg-0/1-even space
+    # the even ones span the leg-0/1-even space
     assert even.sum() == w.n_sites ** (n - 1) * (w.n_sites + 1) // 2
 
 
@@ -254,6 +245,9 @@ def test_sector_dims_formula():
     assert sector_dims(11, 3) == [286, 165, 440, 440]
     assert sector_dims(7, 3) == [84, 35, 112, 112]
     assert sector_dims(13, 2) == [91, 78]
+    # N = 4: the trivial and sign irreps, then (2, 2), (3, 1) and (2, 1, 1), once per tableau
+    assert sector_dims(5, 4) == [70, 5] + [50] * 2 + [105] * 3 + [45] * 3
+    assert sector_dims(7, 4) == [210, 35, 196, 196, 378, 378, 378, 210, 210, 210]
 
 
 def exact_ints(x):
@@ -270,23 +264,29 @@ def test_symmetry_sector_columns(n, L):
     d = w.n_sites
     sectors = model.symmetry_sectors(d, n)
     assert [s.dim for s in sectors] == sector_dims(d, n)
-    names = [k for k, m in sector_sizes(d, n).items() if m]
-    q = {k: s.qt.T.toarray() for k, s in zip(names, sectors)}
+    assert [s.irrep for s in sectors] == oracles.sector_irreps(d, n)
+    q = [s.qt.T.toarray() for s in sectors]
     plus = oracles.symmetrizer(n, w, 1).toarray()
     minus = oracles.symmetrizer(n, w, -1).toarray()
     swap = swap_permutation(w, n)
     tol = 1e-15
+    even = 0
     # criterion 04's projectors fix the bosons and the fermions and annihilate the rest
-    for k, cols in q.items():
-        want_plus = cols if k == "boson" else 0.0
-        want_minus = cols if k == "fermion" else 0.0
+    for s, cols in zip(sectors, q):
+        k = s.irrep
+        want_plus = cols if k == (n,) else 0.0
+        want_minus = cols if k == (1,) * n else 0.0
         assert np.abs(plus @ cols - want_plus).max() <= tol, k
         assert np.abs(minus @ cols - want_minus).max() <= tol, k
-        parity = 1.0 if k in ("boson", "even") else -1.0
+        # every column is an exact +-1 eigenvector of the leg-0/1 swap, one sign per sector
+        parity = 1.0 if np.array_equal(cols[swap], cols) else -1.0
         assert np.array_equal(cols[swap], parity * cols), k
+        even += s.dim if parity > 0 else 0
         # each column lives on one orbit of at most n! arrangements
         assert (cols != 0).sum(axis=0).max() <= math.factorial(n)
-    whole = np.hstack(list(q.values()))
+    # the even columns span the leg-0/1-even space
+    assert even == d ** (n - 1) * (d + 1) // 2
+    whole = np.hstack(q)
     assert whole.shape == (d**n, d**n)
     assert (whole != 0).sum(axis=1).max() <= math.factorial(n)  # 6 a row at N = 3
     # the basis defect bounds ||Q^T Q - 1||_2, computed exactly over the whole index
@@ -382,30 +382,43 @@ def served_values(sol):
     return np.concatenate([f.values for f in sol.factors for _ in f.sectors])
 
 
+def swap_images(w, n, i):
+    """Flat index of each tensor index with legs i and i + 1 exchanged."""
+    legs = list(range(n))
+    legs[i], legs[i + 1] = i + 1, i
+    return oracles.tuple_to_flat(w, model.flat_to_tuples(w, n)[:, legs])
+
+
 @pytest.mark.parametrize("basis", model.BASES)
-@pytest.mark.parametrize("L", [2, 3, 4])
-def test_paired_remainder_solve_matches_full(basis, L):
-    # at N = 3 the two remainders are copies of the standard irrep: one solve serves both
-    p = ModelParams(g=1.0, h=0.5, N=3, potential=SYMMETRIC_POTENTIALS[0])
+@pytest.mark.parametrize(
+    "n,L", [(3, 2), (3, 3), (3, 4), (4, 1), (4, 2)], ids=["2", "3", "4", "n4-1", "n4-2"]
+)
+def test_paired_remainder_solve_matches_full(basis, n, L):
+    # the partner sectors of an irrep carry copies of it in one orthogonal form:
+    # one solve serves them all
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=SYMMETRIC_POTENTIALS[0])
     w = Window(L=L, interior_margin=1)
     op = model.build_hamiltonian(p, w, basis)
     dense = op.toarray()
     d = w.n_sites
-    sectors = model.symmetry_sectors(d, 3)
-    even, odd = (s.qt.T.toarray() for s in sectors[2:])
-    # the odd columns are the partners of the even ones: J = (2/sqrt 3) Q_odd^T P Q_even
-    # is the identity for the cyclic leg permutation (P x)[m0, m1, m2] = x[m1, m2, m0]
-    cyclic = np.arange(d**3).reshape(d, d, d).transpose(2, 0, 1).ravel()
-    j = 2.0 / np.sqrt(3.0) * odd.T @ even[cyclic]
-    assert np.abs(j - np.eye(j.shape[0])).max() <= 1e-14
-    sol = spectra.sector_eigh(model.split_by_symmetry(dense, d, 3))
+    sectors = model.symmetry_sectors(d, n)
+    irreps = oracles.sector_irreps(d, n)
+    assert [s.irrep for s in sectors] == irreps
+    # R(s_i)[T, T'] = Q_T[:, j]^T P_i Q_T'[:, j], read off the columns j of each
+    # copy, is the same matrix for every copy j
+    for lam in dict.fromkeys(irreps):
+        q = np.stack([s.qt.T.toarray() for s in sectors if s.irrep == lam], axis=1)
+        for i in range(n - 1):
+            r = np.einsum("xtj,xuj->jtu", q, q[swap_images(w, n, i)])
+            assert np.abs(r - r[0]).max() <= 1e-14, (lam, i)
+    sol = spectra.sector_eigh(model.split_by_symmetry(dense, d, n))
     assert sol.eigenvectors is None
-    assert [len(f.sectors) for f in sol.factors] == [1, 1, 2]
-    assert sol.sectors["sector_dims"] == sector_dims(d, 3)
+    assert [len(f.sectors) for f in sol.factors] == [irreps.count(lam) for lam in dict.fromkeys(irreps)]
+    assert sol.sectors["sector_dims"] == sector_dims(d, n)
     assert 0.0 < sol.sectors["pair_defect"] <= model.SECTOR_TOL * np.linalg.norm(dense)
     want = np.linalg.eigvalsh(dense)
     assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(dense, 2)
-    # the eigenvalues are the factors' values, each remainder value exactly twice
+    # the eigenvalues are the factors' values, each value of an irrep dim-lambda times exactly
     assert np.array_equal(np.sort(served_values(sol)), sol.eigenvalues)
     # the lifted solve is the same solve
     lifted = spectra.eigh(op)
@@ -424,24 +437,26 @@ def test_paired_remainder_solve_matches_full(basis, L):
 
 def test_unequal_remainders_take_two_solves():
     # a = sum_s Q_s B_s Q_s^T with unrelated random blocks: the split holds, but
-    # the two remainder blocks differ, so each is solved on its own
-    d, n = 5, 3
-    rng = np.random.default_rng(7)
-    a = np.zeros((d**n, d**n))
-    for s in model.symmetry_sectors(d, n):
-        b = rng.standard_normal((s.dim, s.dim))
-        q = s.qt.T.toarray()
-        a += q @ (b + b.T) @ q.T
-    split = model.split_by_symmetry(a, d, n)
-    assert split.serves == ((0,), (1,), (2,), (3,)) and len(split.blocks) == 4
-    assert split.pair_defect > model.SECTOR_TOL * np.linalg.norm(a)
-    sol = spectra.sector_eigh(model.split_by_symmetry(a, d, n))
-    assert [len(f.sectors) for f in sol.factors] == [1, 1, 1, 1]
-    assert sol.sectors["pair_defect"] == split.pair_defect
-    want = np.linalg.eigvalsh(a)
-    assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(a, 2)
-    v = spectra.lift_states(sol, np.arange(a.shape[0]))
-    assert np.linalg.norm(a @ v - v * sol.eigenvalues) <= sol.residual_norm <= 1e-10
+    # the partner blocks of each irrep differ, so each is solved on its own
+    for d, n in ((5, 3), (4, 4)):
+        rng = np.random.default_rng(7)
+        a = np.zeros((d**n, d**n))
+        sectors = model.symmetry_sectors(d, n)
+        for s in sectors:
+            b = rng.standard_normal((s.dim, s.dim))
+            q = s.qt.T.toarray()
+            a += q @ (b + b.T) @ q.T
+        split = model.split_by_symmetry(a, d, n)
+        k = len(sectors)
+        assert split.serves == tuple((s,) for s in range(k)) and len(split.blocks) == k
+        assert split.pair_defect > model.SECTOR_TOL * np.linalg.norm(a)
+        sol = spectra.sector_eigh(model.split_by_symmetry(a, d, n))
+        assert [len(f.sectors) for f in sol.factors] == [1] * k
+        assert sol.sectors["pair_defect"] == split.pair_defect
+        want = np.linalg.eigvalsh(a)
+        assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(a, 2)
+        v = spectra.lift_states(sol, np.arange(a.shape[0]))
+        assert np.linalg.norm(a @ v - v * sol.eigenvalues) <= sol.residual_norm <= 1e-10
 
 
 def test_sector_split_refuses_cross_coupling_above_constant():

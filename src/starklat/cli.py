@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -179,7 +180,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"dynamics.symmetrized must be true or false, not {symmetrized!r}")
     if symmetrized and params.N != 2:
         raise ConfigError(f"dynamics.symmetrized needs N = 2, not N = {params.N}")
-    # a radius at or past the face has no tail to measure
+    # a radius at or past the face has no tail to measure, nor has the guard
+    # radius L - interior_margin at margin 0, where truncation_safe always passes
     if section == "dynamics" and (
         len(set(radii)) != len(radii) or not all(0 <= r < window.L for r in radii)
     ):
@@ -187,6 +189,8 @@ def load_config(path: str) -> RunConfig:
             f"dynamics.radii must be distinct integers r with 0 <= r < L = {window.L}, "
             f"not {radii}"
         )
+    if section == "dynamics" and window.interior_margin < 1:
+        raise ConfigError(f"evolve needs window.interior_margin >= 1, not {window.interior_margin}")
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, not {output_dir!r}")
@@ -416,6 +420,8 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         "representatives": len(orbits),
         "even_potential": even,
     }
+    with stage("resolvent.block"):
+        blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
     entries, stream_diagnostics = [], []
     ok = True
     for k, z in enumerate(cfg.z_grid):
@@ -457,7 +463,6 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
     with open(os.path.join(out, "functional_eq.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
     diagnostics["block_eigh"] = {  # a diagonal H^(k), k < N, is not solved and has no sectors
         str(k): _eigh_diagnostics(f) for k, f in blocks.items() if f.sectors
     }
@@ -596,7 +601,8 @@ def _write_manifest(out: str, manifest: dict, checks: dict, timings: dict) -> No
         and os.path.isfile(os.path.join(out, name))
     }
     manifest = dict(
-        manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings, files=files
+        manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings, files=files,
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:

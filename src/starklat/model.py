@@ -7,7 +7,8 @@ stark-basis two-site kernel is the Bessel transform of the position-basis
 pair potential; it is translation invariant, so its CSR entries are read
 from one table over the index offsets (`two_site_kernel`). The S_N sector
 split (`split_by_symmetry`) forms the dense sector blocks of an operator,
-converted to CSR once, a chunk of sector columns at a time.
+converted to CSR once, a chunk of sector columns at a time, one running block
+per irrep.
 """
 
 from __future__ import annotations
@@ -383,8 +384,9 @@ class SectorSplit:
 
     Block j stands for Q_s^T a Q_s of each sector s in serves[j]: one sector,
     or the dim-lambda partner sectors of one irrep lambda, whose blocks B_T
-    agree up to the pair defect and are replaced by their mean M; spread[j]
-    is sqrt(sum_T ||B_T - M||_F^2) over the sectors it serves (0 for one).
+    agree to within the pair defect and are filed as their mean M, one
+    block per irrep (`fill_sector_blocks`); spread[j] is
+    sqrt(sum_T ||B_T - M||_F^2) over the sectors it serves (0 for one).
     """
 
     sectors: tuple
@@ -629,108 +631,112 @@ def _sparse_times(qt: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return qt @ x
 
 
-def fill_sector_blocks(
-    rows: np.ndarray, parts: tuple, blocks: list, bounds: np.ndarray, cross: float
-) -> float:
-    """File the rows Q^T (A^T X) into the transposed sector blocks; the cross norm after them.
+def _column_parts(sectors: tuple, width: int) -> list:
+    """The parts of every chunk: closed column sets of at most max(width, k) columns.
 
-    X = [Q_s[:, j0:j1] for (s, j0, j1) in parts], and `bounds` are the first
-    rows of the sectors in Q^T. Row block s of part (s, j0, j1) is columns
-    j0:j1 of (Q_s^T A Q_s)^T, written into blocks[s]; every other row block
-    is part of a dropped cross block Q_t^T A Q_s, and their Frobenius norms
-    are added to `cross` in quadrature.
+    The k partner sectors of an irrep (k = 1 for the bosons, the fermions and
+    the whole space) are consecutive, and their columns j span one copy of it
+    (`symmetry_sectors`), so matching ranges of width // k columns are closed.
+    A chunk's parts run over the partners of one irrep, in their order.
     """
-    col = 0
+    chunks = []
+    for _, group in itertools.groupby(range(len(sectors)), key=lambda s: sectors[s].irrep):
+        group = list(group)
+        w, dim = max(1, width // len(group)), sectors[group[0]].dim
+        chunks += [tuple((s, j, min(j + w, dim)) for s in group) for j in range(0, dim, w)]
+    return chunks
+
+
+def fill_sector_blocks(
+    rows: np.ndarray, parts: tuple, blocks: dict, diffs: dict, bounds: np.ndarray, cross: float
+) -> float:
+    """File a chunk's rows Q^T (A^T X) into its irrep's running block; the cross norm after them.
+
+    X = [Q_s[:, j0:j1] for (s, j0, j1) in parts], one chunk of `_column_parts`,
+    and `bounds` are the first rows of the sectors in Q^T. Row block s of
+    part (s, j0, j1) is columns j0:j1 of B_s^T, B_s = Q_s^T A Q_s. Keyed by
+    the k partners s (`serves`), their sum in order over k goes into columns
+    j0:j1 of blocks[serves], the transposed mean M^T (made at the irrep's
+    first chunk), and diffs[serves][t, u] gains ||B_t - B_u||_F^2 on them, so
+    no B_s is held. Every other row block is part of a dropped cross block
+    Q_t^T A Q_s, and their Frobenius norms are added to `cross` in quadrature.
+    """
+    own, col = [], 0
     for s, j0, j1 in parts:
         part, (a, b) = rows[:, col : col + j1 - j0], bounds[s : s + 2]
-        blocks[s][:, j0:j1] = part[a:b]
+        own.append(part[a:b])
         cross = math.hypot(cross, _frobenius(part[:a]), _frobenius(part[b:]))
         col += j1 - j0
+    serves = tuple(s for s, _, _ in parts)
+    if serves not in blocks:  # the irrep's first chunk
+        blocks[serves] = np.empty((b - a, b - a), rows.dtype)
+        diffs[serves] = np.zeros((len(own), len(own)))
+    mean = blocks[serves][:, j0:j1]
+    mean[...] = own[0]
+    for x in own[1:]:
+        mean += x
+    if len(own) > 1:
+        mean /= len(own)
+        for (t, x), (u, y) in itertools.combinations(enumerate(own), 2):
+            diffs[serves][t, u] += _frobenius(y - x) ** 2
     return cross
-
-
-def _sector_rows(q_all: sp.csr_matrix, xt: sp.csr_matrix, a: sp.csr_matrix) -> np.ndarray:
-    """Q^T (a^T X) for the sector columns X = xt^T: the sparse X^T a, then times Q."""
-    return _sparse_times(q_all, (xt @ a).toarray().T)
 
 
 def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
 
     a is the CSR H of a solve, or any matrix scipy converts to CSR (an
-    oracle's dense H, or I(z)), converted once. Per chunk of CHUNK_COLUMNS
-    columns X of a sector Q_s, the rows Q^T (a^T X) come from the sparse
-    product X^T a, then times Q, and are filed by `fill_sector_blocks`: its
-    own rows are columns of the block Q_s^T a Q_s, transposed; the
+    oracle's dense H, or I(z)), converted once. Per chunk X of
+    `_column_parts`, the rows Q^T (a^T X) come from the sparse product X^T a,
+    then times Q, and are filed by `fill_sector_blocks`: one running block
+    per irrep, the mean of its partner blocks, which agree for every a that
+    commutes with the leg permutations (`symmetry_sectors`). The
     off-diagonal blocks Q_t^T a Q_s are what the split drops, and the
     Frobenius norm of all of them is measured directly. By Weyl's inequality
     every eigenvalue (a symmetric) and singular value moves by at most that
-    norm, up to the basis defect of the rounded columns. If it is above
-    SECTOR_TOL times ||Q^T a Q||_F (a non-symmetric v, say) the whole space
-    is the one sector, as it is for n < 2, and a itself (dense) its one
-    block. Beyond the blocks, memory is a few dim x CHUNK_COLUMNS arrays.
-
-    The partner sectors of an irrep of dimension k > 1 carry copies of it
-    in the same orthogonal form (`symmetry_sectors`), so their blocks agree:
-    if their measured differences, up to the pair defect, are within
-    SECTOR_TOL ||Q^T a Q||_F too, one block, their mean, serves all k
-    (`sector_split`). Otherwise each is kept.
+    norm, up to the basis defect of the rounded columns. If it or a pair
+    defect is above SECTOR_TOL ||Q^T a Q||_F (`sector_split`; a non-symmetric
+    v, say) the whole space is the one sector, as it is for n < 2, and a
+    itself (dense) its one block. Beyond the blocks, memory is a few
+    dim x CHUNK_COLUMNS arrays.
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
         csr = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)  # read by rows in every chunk
         q_all = sp.vstack([s.qt for s in sectors], format="csr")
         bounds = np.cumsum([0] + [s.dim for s in sectors])
-        # Fortran-ordered, so each block (its transpose) comes out C-ordered
-        blocks = [np.empty((s.dim, s.dim), csr.dtype, order="F") for s in sectors]
-        cross = 0.0
-        for s, sector in enumerate(sectors):
-            for j0 in range(0, sector.dim, CHUNK_COLUMNS):
-                j1 = min(j0 + CHUNK_COLUMNS, sector.dim)
-                rows = _sector_rows(q_all, sector.qt[j0:j1], csr)
-                cross = fill_sector_blocks(rows, ((s, j0, j1),), blocks, bounds, cross)
-        split = sector_split(sectors, [b.T for b in blocks], cross, n)
+        blocks, diffs, cross = {}, {}, 0.0
+        for parts in _column_parts(sectors, CHUNK_COLUMNS):
+            xt = sp.vstack([sectors[s].qt[j0:j1] for s, j0, j1 in parts], format="csr")
+            rows = _sparse_times(q_all, (xt @ csr).toarray().T)  # Q^T (a^T X)
+            cross = fill_sector_blocks(rows, parts, blocks, diffs, bounds, cross)
+        split = sector_split(sectors, blocks, diffs, cross, n)
         if split is not None:
             return split
     return SectorSplit.whole(a)
 
 
-def sector_split(sectors: tuple, blocks: list, cross: float, n: int) -> Optional[SectorSplit]:
-    """The split into the blocks Q_s^T a Q_s of `sectors`, or None if it drops too much.
+def sector_split(
+    sectors: tuple, blocks: dict, diffs: dict, cross: float, n: int
+) -> Optional[SectorSplit]:
+    """The split into the blocks `fill_sector_blocks` filed, or None if it drops too much.
 
-    None when the cross norm is above SECTOR_TOL ||Q^T a Q||_F. The partner
-    blocks B_T of an irrep of dimension k > 1 are compared with the first,
-    B_T0; when every ||B_T - B_T0||_F is within that tolerance too, one
-    block, their mean M (formed in place), serves them all, with the spread
-    sum_T ||B_T - M||_F^2 = (1/k) sum_{T < T'} ||B_T - B_T'||_F^2.
+    With no partner block B_T held, the sums diffs[serves] give the spread
+    sum_T ||B_T - M||_F^2 = (1/k) sum_{t<u} ||B_t - B_u||_F^2 of the k
+    partners about their mean M, the pair defects ||B_T - B_T0||_F, and
+    ||Q^T a Q||_F, as sum_T ||B_T||_F^2 = k ||M||_F^2 + the spread. None
+    when the cross norm or a pair defect is above SECTOR_TOL ||Q^T a Q||_F:
+    either way a does not commute with the leg permutations.
     """
-    norm = math.hypot(cross, *map(_frobenius, blocks))
-    tol = SECTOR_TOL * norm
-    if cross > tol:
+    spread = [math.sqrt(x.sum() / len(x)) for x in diffs.values()]
+    terms = zip(blocks.values(), diffs.values(), spread)
+    norm = math.hypot(cross, *(math.hypot(len(x) ** 0.5 * _frobenius(b), s) for b, x, s in terms))
+    defects = [math.sqrt(v) for x in diffs.values() for v in x[0, 1:]]
+    if max([cross, *defects]) > SECTOR_TOL * norm:
         return None
-    kept, serves, spread, defects = [], [], [], []
-    for _, group in itertools.groupby(range(len(sectors)), key=lambda s: sectors[s].irrep):
-        group = list(group)
-        diffs = {
-            (t, u): _frobenius(blocks[u] - blocks[t]) for t, u in itertools.combinations(group, 2)
-        }
-        first = [diffs[group[0], u] for u in group[1:]]  # ||B_T - B_T0||_F
-        defects += first
-        if first and max(first) <= tol:
-            mean = blocks[group[0]]
-            for s in group[1:]:
-                mean += blocks[s]
-            mean /= len(group)
-            kept.append(mean)
-            serves.append(tuple(group))
-            spread.append(math.sqrt(sum(x * x for x in diffs.values()) / len(group)))
-        else:
-            kept += [blocks[s] for s in group]
-            serves += [(s,) for s in group]
-            spread += [0.0] * len(group)
     theta = 0.0 if sectors[0].irrep == () else _orbit_bases(n)[1]
-    pair = max(defects, default=None)
-    return SectorSplit(sectors, tuple(kept), tuple(serves), cross, theta, pair, norm, tuple(spread))
+    kept, pair = tuple(b.T for b in blocks.values()), max(defects, default=None)
+    return SectorSplit(sectors, kept, tuple(blocks), cross, theta, pair, norm, tuple(spread))
 
 
 def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:

@@ -37,6 +37,7 @@ from .model import (
     PairPotential,
     SectorSplit,
     Window,
+    _column_parts,
     _frobenius,
     _permutation_parity,
     _sparse_times,
@@ -458,27 +459,13 @@ def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
     return ColumnChunk(np.eye(ws.dim, dtype=complex), (), *_chunk_plan(ws, xt, set()))
 
 
-def _column_parts(sectors: tuple, width: int) -> list:
-    """The parts of every chunk: closed column sets of at most max(width, k) columns.
-
-    The k partner sectors of an irrep (k = 1 for the bosons, the fermions and
-    the whole space) are consecutive, and their columns j span one copy of it
-    (`model.symmetry_sectors`), so matching ranges of width // k columns are closed.
-    """
-    chunks = []
-    for _, group in itertools.groupby(range(len(sectors)), key=lambda s: sectors[s].irrep):
-        group = list(group)
-        w, dim = max(1, width // len(group)), sectors[group[0]].dim
-        chunks += [tuple((s, j, min(j + w, dim)) for s in group) for j in range(0, dim, w)]
-    return chunks
-
-
 def column_chunks(ws: ResolventWorkspace):
     """The closed column chunks that cover the sector columns of the workspace, in order.
 
     Each is at most CHUNK_COLUMNS wide, or one column per partner sector of an
-    irrep of larger dimension. A generator: each chunk's X is made when the
-    caller asks for it, from the columns and mixes the workspace caches for every z.
+    irrep of larger dimension (`model._column_parts`, as `split_by_symmetry`).
+    A generator: each chunk's X is made when the caller asks for it, from the
+    columns and mixes the workspace caches for every z.
     """
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:
@@ -700,10 +687,10 @@ def stream_functional_equation(
     Per chunk X of `column_chunks`: (D^T X, I^T X) from `expansion_columns`,
     then the rows r_D = Q^T (D^T X) and Q^T (I^T X) (`ResolventWorkspace.sector_rows`).
     The rows are filed by `model.fill_sector_blocks`, as `split_by_symmetry`
-    files its own: the sector rows are columns of the transposed blocks
-    Q_s^T D Q_s and Q_s^T I Q_s, the other rows cross blocks. The blocks are
-    split by `model.sector_split`, which measures the pair defect of the
-    partner sectors.
+    files its own: the partners' own rows are columns of one running block
+    per irrep, the transposed mean of their blocks Q_s^T D Q_s (Q_s^T I Q_s),
+    the other rows cross blocks. `model.sector_split` splits them, or
+    refuses when the cross norm or the partners' pair defect is too large.
 
     The residual is formed in sector coordinates (`sector_residual`). With
     Q^T Q = 1 + Delta, ||Delta||_2 <= theta (the basis defect), and
@@ -726,7 +713,7 @@ def stream_functional_equation(
     """
     sectors = ws.sector_columns()[0]
     bounds = np.cumsum([0] + [s.dim for s in sectors])
-    blocks = {name: [np.empty((s.dim, s.dim), dtype=complex) for s in sectors] for name in "di"}
+    filed = {name: ({}, {}) for name in "di"}  # (blocks, diffs) of `fill_sector_blocks`
     cross = dict.fromkeys("di", 0.0)
     squares, chunks = np.zeros(3), 0  # sum ||own||^2, ||u_off||^2, ||u||^2
     for chunk in column_chunks(ws):
@@ -737,17 +724,17 @@ def stream_functional_equation(
             squares += sector_residual(z, ws, chunk, rows["d"], rows["i"])
             for name in "di":
                 cross[name] = fill_sector_blocks(
-                    rows[name], chunk.parts, blocks[name], bounds, cross[name]
+                    rows[name], chunk.parts, *filed[name], bounds, cross[name]
                 )
         del chunk, dx, ix, rows
         chunks += 1
     splits = {}
     for name in "di":
-        splits[name] = sector_split(sectors, [b.T for b in blocks[name]], cross[name], ws.params.N)
+        splits[name] = sector_split(sectors, *filed[name], cross[name], ws.params.N)
         if splits[name] is None:
             raise np.linalg.LinAlgError(
                 f"{name.upper()}(z) does not commute with the leg permutations: "
-                f"cross norm {cross[name]:.2e}"
+                f"cross norm {cross[name]:.2e}, or its partner blocks differ"
             )
     theta = splits["i"].basis_defect
     ortho = ws.block(ws.params.N).orthogonality_defect

@@ -217,10 +217,10 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
       and ||a||_F <= ||Q^T a Q||_F / (1 - theta - gamma_2c c (1 + theta))
       from the split's `norm`. A whole-space block is a itself, and its
       split's `norm` is 0, so the term is exactly 0.
-    - The mean of k partner blocks (k - 1 additions and a division) and the
-      symmetric part 0.5 (b + b^T) round at most k + 1 times: entrywise
-      within gamma_m |S^_s|, m = max(3, k + 1), of 2-norm at most gamma_m
-      sigma_s, sigma_s the largest absolute row sum of S^_s (>= || |S^_s| ||_2).
+    - The mean of k partner blocks, summed as they are filed and divided by
+      k, and the symmetric part 0.5 (b + b^T) round at most k + 1 times:
+      entrywise within gamma_m |S^_s|, m = max(3, k + 1), of 2-norm at most
+      gamma_m sigma_s, sigma_s the largest absolute row sum of S^_s (>= || |S^_s| ||_2).
     The computed r = fl(fl(S^_s y) - fl(y lambda)) is entrywise within
     gamma_n |S^_s| |y| + u |lambda| |y| + u |r| of S^_s y - lambda y, n the
     order of the block (any summation order), and its computed norm within

@@ -119,6 +119,8 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         ("evolve", 2, {"dynamics": {"radii": [-1]}}),
         ("evolve", 2, {"dynamics": {"radii": [6]}}),
         ("evolve", 2, {"dynamics": {"radii": [2, 2]}}),
+        # margin 0 puts the guard radius on the face, so truncation_safe would always pass
+        ("evolve", 2, {"window": {"L": 6, "interior_margin": 0}, "dynamics": {"radii": [2]}}),
         ("localization", 1, {"probes": {"fit_range": [4, 12, 99]}}),
         ("localization", 1, {"probes": {"fit_range": [4.5, 12]}}),
         ("localization", 1, {"probes": {"theta_list": [nan]}}),
@@ -638,8 +640,8 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
         "spectrum", "model.build_hamiltonian", "spectra.eigh", "spectra.interior_mask",
     }
     assert set(manifests["resolvent-check"]["timings"]) == {
-        "resolvent-check", "resolvent.expansion", "resolvent.functional_equation",
-        "resolvent.compactness_proxy", "resolvent.operator_norm",
+        "resolvent-check", "resolvent.block", "resolvent.expansion",
+        "resolvent.functional_equation", "resolvent.compactness_proxy", "resolvent.operator_norm",
     }
     # leg-swap orbits: d (d + 1) / 2 even and d (d - 1) / 2 odd at d = 2L + 1
     eigh = manifests["spectrum"]["diagnostics"]["eigh"]

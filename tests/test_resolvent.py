@@ -683,14 +683,14 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
 
     def bound(last):
         squares, cross = np.zeros(3), 0.0
-        blocks = [np.empty((s.dim, s.dim), dtype=complex) for s in sectors]
+        blocks, diffs = {}, {}
         for chunk in chunks:
             dx, ix = rsv.expansion_columns(z, ws, chunk)
             if chunk is chunks[-1]:
                 ix = ix + last
             rd = ws.sector_rows(dx)
             squares += rsv.sector_residual(z, ws, chunk, rd, ws.sector_rows(ix))
-            cross = model.fill_sector_blocks(rd, chunk.parts, blocks, bounds, cross)
+            cross = model.fill_sector_blocks(rd, chunk.parts, blocks, diffs, bounds, cross)
         own, u_off, u = np.sqrt(squares)
         return own / (1.0 - theta), (gamma * u_off + cross + theta * gamma * u) / (1.0 - theta), u
 

@@ -435,9 +435,10 @@ def test_paired_remainder_solve_matches_full(basis, n, L):
     assert resid.max() <= sol.residuals.max()
 
 
-def test_unequal_remainders_take_two_solves():
-    # a = sum_s Q_s B_s Q_s^T with unrelated random blocks: the split holds, but
-    # the partner blocks of each irrep differ, so each is solved on its own
+def test_unequal_partner_blocks_refuse_the_split():
+    # a = sum_s Q_s B_s Q_s^T with unrelated random blocks: no cross block, but
+    # the partner blocks of each irrep differ, so a does not commute with the
+    # leg permutations and the whole space is solved, as for a large cross norm
     for d, n in ((5, 3), (4, 4)):
         rng = np.random.default_rng(7)
         a = np.zeros((d**n, d**n))
@@ -447,12 +448,10 @@ def test_unequal_remainders_take_two_solves():
             q = s.qt.T.toarray()
             a += q @ (b + b.T) @ q.T
         split = model.split_by_symmetry(a, d, n)
-        k = len(sectors)
-        assert split.serves == tuple((s,) for s in range(k)) and len(split.blocks) == k
-        assert split.pair_defect > model.SECTOR_TOL * np.linalg.norm(a)
+        assert len(split.sectors) == 1 and split.sectors[0].irrep == () and split.serves == ((0,),)
+        assert split.pair_defect is None and split.blocks[0] is a
         sol = spectra.sector_eigh(model.split_by_symmetry(a, d, n))
-        assert [len(f.sectors) for f in sol.factors] == [1] * k
-        assert sol.sectors["pair_defect"] == split.pair_defect
+        assert sol.sectors == {"sector_dims": [d**n], "cross_norm": 0.0}
         want = np.linalg.eigvalsh(a)
         assert np.abs(sol.eigenvalues - want).max() <= 1e-12 * np.linalg.norm(a, 2)
         v = spectra.lift_states(sol, np.arange(a.shape[0]))
@@ -602,3 +601,20 @@ def test_no_dim_square_array_in_the_sector_solves(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(grown) == 2 and not base
     assert max(grown) < dim * dim * 8, (grown, dim * dim * 8)
+    # the split alone, at N = 3, L = 8: the partners of (2, 1) are folded as they
+    # are filed, so it holds one block per irrep, n^2 doubles each, beside a few
+    # dim x CHUNK_COLUMNS arrays (the orbit bases are built before the trace)
+    w = Window(L=8, interior_margin=1)
+    dim = w.n_sites**n
+    h = model.build_hamiltonian(p, w, "stark").matrix
+    model._orbit_bases(n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        split = model.split_by_symmetry(h, w.n_sites, n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [b.shape[0] for b in split.blocks] == [969, 680, 1632]
+    budget = sum(b.size for b in split.blocks) * 8 + 8 * dim * model.CHUNK_COLUMNS * 8
+    assert peak <= budget, (peak, budget)

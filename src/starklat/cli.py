@@ -170,6 +170,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid {task} config: {exc}") from exc
     if task in ("cluster-spectrum", "resolvent-check") and params.N < 2:
         raise ConfigError(f"task {task!r} needs N >= 2, not N = {params.N}")
+    # evolve is bounded by its buffers (`dynamics.propagator_bytes`), every other task by N_MAX
+    if task != "evolve" and params.N > model.N_MAX:
+        raise ConfigError(f"task {task!r} needs N <= {model.N_MAX}, not N = {params.N}")
     if len(sites) != params.N or not all(abs(x) < window.L for x in sites):
         raise ConfigError(
             f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
@@ -377,14 +380,17 @@ def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict
 
 
 def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
-    with stage("model.build_hamiltonian"):
-        op = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
+    # refused above the buffer cap before any grid-sized array is made
+    m = min(dynamics.SAMPLES_PER_EXPANSION, cfg.propagator.samples)
+    diagnostics["propagator_bytes"] = dynamics.propagator_bytes(cfg.window, cfg.params.N, m)
+    with stage("dynamics.model_stencil"):
+        stencil = dynamics.model_stencil(cfg.params, cfg.window)
     if cfg.symmetrized:
         psi0 = dynamics.symmetrized_pair(cfg.window, *cfg.initial_sites)
     else:
         psi0 = dynamics.product_state(cfg.window, cfg.initial_sites)
     with stage("dynamics.tail_trace"):
-        trace = dynamics.tail_trace(op, psi0, cfg.propagator, cfg.radii)
+        trace = dynamics.tail_trace(stencil, psi0, cfg.propagator, cfg.radii)
     sample, site = np.nonzero(trace.densities > 1e-16)
     rows = zip(
         trace.times[sample].tolist(),
@@ -514,7 +520,7 @@ def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, st
     checks["chains_n3"] = len(chains) == 8 and sum(c.k_s == 1 for c in chains) == 4
     w2 = Window(5, 2)
     psi = dynamics.product_state(w2, (1, -2))
-    rho = dynamics.density(psi, w2, 2)
+    rho = dynamics.density(np.stack([psi, np.zeros_like(psi)]), w2, 2)
     checks["density_delta"] = rho.sum() == 2.0
 
 

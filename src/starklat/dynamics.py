@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import specfun
-from .model import CapacityError, OperatorMatrix, Window, _frobenius
+from .model import (
+    CapacityError,
+    ModelParams,
+    OperatorMatrix,
+    Window,
+    _frobenius,
+    pairs,
+    potential_matrix,
+    site_range,
+)
 from .spectra import boundary_shell_mass
 
 NORM_TOL = 1e-10
@@ -16,6 +26,7 @@ TRUNCATION_FLAG = 1e-4
 SAMPLES_PER_EXPANSION = 8  # trace samples fed by one Chebyshev recurrence
 TERM_BUFFER = 16  # terms folded in per product; >= 3 for the ring of U_k, U_{k-1}, U_{k-2}
 CHEB_TOL = 1e-12  # Chebyshev coefficients below this are truncated
+BUFFER_CAP = 2**31  # bytes a propagator may hold (`propagator_bytes`)
 
 
 @dataclass
@@ -46,14 +57,6 @@ class DensityTrace:
     guard_tail: float  # sup over t of the tail beyond guard_radius; gates truncation_safe
 
 
-def gershgorin_bounds(op: OperatorMatrix) -> tuple:
-    """Spectral enclosure [min(d - r), max(d + r)] from the row discs."""
-    mat = op.matrix
-    d = mat.diagonal()
-    radius = np.abs(mat).sum(axis=1).A1 - np.abs(d)
-    return float((d - radius).min()), float((d + radius).max())
-
-
 def chebyshev_coefficients(tau: float) -> np.ndarray:
     """a_k = (2 - delta_k0) J_k(tau), truncated below CHEB_TOL.
 
@@ -70,14 +73,62 @@ def chebyshev_coefficients(tau: float) -> np.ndarray:
     return (2.0 - (k == 0)) * row[: keep + 1]
 
 
-def position_stencil(op: OperatorMatrix) -> tuple:
-    """H's diagonal and its one hop, checked exactly against every stored entry.
+class Stencil(NamedTuple):
+    """H^(N) in the position basis: a diagonal plus one constant hop between grid neighbours."""
+
+    window: Window
+    diagonal: np.ndarray  # shape (d,)*N, one axis per leg
+    hop: float  # the entry between neighbours on any one leg; -g
+    bounds: tuple  # the Gershgorin enclosure (lo, hi) of the spectrum (`_disc_bounds`)
+
+
+def _disc_bounds(diagonal: np.ndarray, hop: float) -> tuple:
+    """[min(d - r), max(d + r)] over the Gershgorin discs: r = |hop| times the in-window neighbours."""
+    n, d = diagonal.ndim, diagonal.shape[0]
+    inner = np.full(d, 2.0)  # neighbours along one leg: one at either edge (d >= 3)
+    inner[[0, -1]] = 1.0
+    radius = np.zeros(diagonal.shape)
+    for k in range(n):
+        radius += inner.reshape((d,) + (1,) * (n - 1 - k))
+    radius *= abs(hop)
+    return float((diagonal - radius).min()), float((diagonal + radius).max())
+
+
+def model_stencil(params: ModelParams, window: Window) -> Stencil:
+    """H^(N)'s stencil straight from the model, by broadcasting on the (d,)*N grid.
+
+    The diagonal is -2h x_k summed over the legs in leg order, plus v(x_i - x_j)
+    summed in `pairs(N)` order, the two sums then added: `build_hamiltonian`'s
+    order, so it equals the diagonal of the CSR H bit for bit. The hop is -g.
+    """
+    n, d = params.N, window.n_sites
+
+    def on_legs(values: np.ndarray, legs: tuple) -> np.ndarray:
+        return values.reshape([d if a in legs else 1 for a in range(n)])
+
+    one_site = -2.0 * params.h * site_range(window)
+    pair = potential_matrix(params, window.L)  # v(x_i - x_j) over (x_i, x_j), i < j
+    diagonal, interaction = np.zeros((d,) * n), np.zeros((d,) * n)
+    for k in range(n):
+        diagonal += on_legs(one_site, (k,))
+    for legs in pairs(n):
+        interaction += on_legs(pair, legs)
+    diagonal += interaction
+    return Stencil(window, diagonal, -params.g, _disc_bounds(diagonal, -params.g))
+
+
+def position_stencil(op: OperatorMatrix) -> Stencil:
+    """The stencil of a position-basis H, read from its CSR and checked exactly.
 
     In the position basis H^(N) is diagonal apart from one constant hop between
     grid neighbours on each leg, at flat offsets +-d^k, k < N. Raises ValueError
-    for a hop that varies, an entry at any other offset, or one that wraps
-    across a leg edge.
+    for a complex or non-symmetric H, one in another basis, a hop that varies,
+    an entry at any other offset, or one that wraps across a leg edge.
     """
+    if np.iscomplexobj(op.matrix.data) or op.symmetry_defect() > 1e-12:
+        raise ValueError("propagator needs a real symmetric Hamiltonian")
+    if op.basis_tag != "position":
+        raise ValueError("propagator runs in the position basis only")
     d, n = op.window.n_sites, op.n_particles
     dia = op.matrix.todia()
     strides = [d**k for k in range(n)]
@@ -95,7 +146,29 @@ def position_stencil(op: OperatorMatrix) -> tuple:
             raise ValueError(
                 f"propagator needs one constant nearest-neighbour hop; offset {offset} differs"
             )
-    return dia.diagonal(), hop
+    diagonal = dia.diagonal().reshape((d,) * n)
+    return Stencil(op.window, diagonal, hop, _disc_bounds(diagonal, hop))
+
+
+def propagator_bytes(window: Window, n_particles: int, m: int) -> int:
+    """The bytes a propagator of m offsets holds at N = n_particles, estimated before any is made.
+
+    It holds TERM_BUFFER + m + 3 arrays of 2P doubles, P = d (d+1)^(N-1) the
+    padded grid: the ring of terms, the accumulators, the two signed
+    diagonals and the hop scratch, which the fold shares. The stencil's
+    diagonal, its set-up and a sample's density take about 3 d^N doubles
+    more. Raises CapacityError above BUFFER_CAP.
+    """
+    d = window.n_sites
+    padded = d * (d + 1) ** (n_particles - 1)
+    need = 8 * (2 * padded * (TERM_BUFFER + m + 3) + 3 * d**n_particles)
+    if need > BUFFER_CAP:
+        raise CapacityError(
+            f"the propagator at N = {n_particles}, L = {window.L} would hold about "
+            f"{need / 2**30:.2f} GiB, above the buffer cap {BUFFER_CAP / 2**30:g} GiB; "
+            "shrink L or N"
+        )
+    return need
 
 
 class ChebyshevPropagator:
@@ -106,33 +179,33 @@ class ChebyshevPropagator:
     and U_k = (-i)^k T_k(hs) psi obeys U_1 = -i hs U_0 and
     U_{k+1} = -2i hs U_k + U_{k-1} (Tal-Ezer & Kosloff 1984). The U_k do not
     depend on t; so one recurrence, run to the longest offset's truncation,
-    feeds all m accumulators. Set-up checks that H is real symmetric and in the
-    position basis, and fixes the spectral bounds, the table a_k(t_j) (zero
-    past each offset's truncation at CHEB_TOL), the phases e^{-i center t_j}
-    and the rescaled hs.
+    feeds all m accumulators. Set-up refuses buffers above BUFFER_CAP
+    (`propagator_bytes`) and fixes the table a_k(t_j) (zero past each
+    offset's truncation at CHEB_TOL), the phases e^{-i center t_j} and the
+    rescaled hs, from the stencil's spectral bounds.
 
     hs is applied matrix-free, as a nearest-neighbour stencil: its diagonal
-    and one hop constant (`position_stencil`). States live on a padded grid of
+    and one hop constant (`Stencil`). States live on a padded grid of
     shape (d,) + (d+1,)*(N-1): every leg but the slowest carries one zero ghost
     layer, so the hop along leg k is two contiguous slice-adds at the flat
     stride (d+1)^k, and a hop off a leg's edge lands on a ghost, zeroed after
     each term. A state is held as its real and imaginary planes, shape (2, P):
     hs is real, so -i hs maps the planes (x, y) to (hs y, -hs x), and each term
     reads the previous planes swapped, through the view prev[::-1]. Every
-    TERM_BUFFER terms, one real product (a x u)(u x 2P) folds them into the
+    TERM_BUFFER terms, real products (a x u)(u x 2P) fold them into the
     accumulators of the a offsets whose expansion reaches them: a suffix, since
-    the offsets are sorted by t_j. The phase is applied once per offset after
-    the last fold. The ring of terms, the fold's scratch and the accumulators
-    are allocated once per propagator.
+    the offsets are sorted by t_j. The first fold writes the accumulators; the
+    later ones go a block of 2P/m columns at a time through the hop scratch,
+    which is free between terms. The phase is applied once per offset after
+    the last fold, through the same scratch. The ring of terms, the
+    accumulators and the scratch are allocated once per propagator.
     """
 
-    def __init__(self, op: OperatorMatrix, dt: float, m: int, config: PropagatorConfig):
-        if np.iscomplexobj(op.matrix.data) or op.symmetry_defect() > 1e-12:
-            raise ValueError("propagator needs a real symmetric Hamiltonian")
-        if op.basis_tag != "position":
-            raise ValueError("propagator runs in the position basis only")
-        diag, hop = position_stencil(op)
-        self.bounds = gershgorin_bounds(op)
+    def __init__(self, stencil: Stencil, dt: float, m: int, config: PropagatorConfig):
+        diag, hop = stencil.diagonal, stencil.hop
+        d, n = stencil.window.n_sites, diag.ndim
+        propagator_bytes(stencil.window, n, m)
+        self.bounds = stencil.bounds
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         offsets = dt * np.arange(1, m + 1)
@@ -150,13 +223,12 @@ class ChebyshevPropagator:
         # e^{i phi} (x + iy) = cos phi (x, y) + sin phi (-y, x), phi = -center t_j
         self.cos = np.cos(center * offsets)[:, None, None]
         self.turn = -np.sin(center * offsets)[:, None, None] * np.array([[-1.0], [1.0]])
-        d, n = op.window.n_sites, op.n_particles
         self.grid = (d,) + (d + 1,) * (n - 1)
         self.interior = (Ellipsis,) + (slice(0, d),) * (n - 1)
         # index d on each padded grid axis a = 1..N-1: that axis's ghost layer
         self.ghosts = [(Ellipsis, d) + (slice(None),) * (n - 1 - a) for a in range(1, n)]
         padded = np.zeros(self.grid)
-        padded[self.interior] = (diag / half - center / half).reshape((d,) * n)
+        padded[self.interior] = diag / half - center / half
         size = padded.size
         # -i hs on the swapped planes (y, x): one row per plane, a multiply that
         # broadcasts the diagonal ran 2x slower
@@ -168,7 +240,6 @@ class ChebyshevPropagator:
         self.strides = [(d + 1) ** k for k in range(n)] if hop else []
         self.ring = np.zeros((TERM_BUFFER, 2, size))  # U_k in slot k % TERM_BUFFER
         self.acc = np.empty((m, 2, size))
-        self.scratch = np.empty((m, 2 * size))
         self.hopped = np.empty((2, size))
         self.matvecs = 0  # applications of hs to a state, summed over calls
         self.norm_drift_max = 0.0  # over every state returned
@@ -199,8 +270,9 @@ class ChebyshevPropagator:
         """The planes of the states at offsets 1..count from planes (2, dim) or (2,) + (d,)*N.
 
         Returns an unpadded view of shape (count, 2) + (d,)*N into the
-        accumulators, overwritten by the next call; raises if any state's norm
-        drifts.
+        accumulators, overwritten by the next call; planes may be such a view,
+        since it is read at the first term, before any fold. Raises if any
+        state's norm drifts.
         """
         size, d = self.hopped.shape[1], self.grid[0]
         terms = self.terms[:count]
@@ -208,6 +280,8 @@ class ChebyshevPropagator:
         ring = self.ring.reshape(TERM_BUFFER, 2 * size)
         acc = self.acc[:count]
         acc_rows = acc.reshape(count, 2 * size)
+        scratch = self.hopped.reshape(-1)
+        width = 2 * size // self.acc.shape[0]  # a fold block of <= m rows fits the scratch
         for k in range(n_terms):
             slot = self.ring[k % TERM_BUFFER]
             if k == 0:
@@ -222,24 +296,29 @@ class ChebyshevPropagator:
                 k0 = k + 1 - used
                 # the offsets before `first` were truncated before U_k0
                 first = int(np.argmax(terms > k0))
-                fold = acc_rows if k0 == 0 else self.scratch[first:count]
-                np.matmul(self.table[first:count, k0 : k + 1], ring[:used], out=fold)
-                if k0:
-                    acc_rows[first:] += fold
+                table = self.table[first:count, k0 : k + 1]
+                if k0 == 0:
+                    np.matmul(table, ring[:used], out=acc_rows)
+                    continue
+                for c0 in range(0, 2 * size, width):
+                    c1 = min(c0 + width, 2 * size)
+                    fold = scratch[: (count - first) * (c1 - c0)].reshape(count - first, c1 - c0)
+                    np.matmul(table, ring[:used, c0:c1], out=fold)
+                    acc_rows[first:, c0:c1] += fold
         self.matvecs += n_terms - 1
-        turned = self.scratch[:count].reshape(acc.shape)
-        np.multiply(acc[:, ::-1], self.turn[:count], out=turned)
-        acc *= self.cos[:count]
-        acc += turned
         for j in range(count):
-            drift = abs(_frobenius(acc[j]) - 1.0)
-            self.norm_drift_max = max(self.norm_drift_max, drift)
-            if drift > NORM_TOL:
-                lo, hi = self.bounds
-                raise RuntimeError(
-                    f"norm drift {drift:.2e} at offset {j + 1}; "
-                    f"spectral bounds ({lo:g}, {hi:g}) likely violated"
-                )
+            np.multiply(acc[j, ::-1], self.turn[j], out=self.hopped)
+            acc[j] *= self.cos[j]
+            acc[j] += self.hopped
+        drifts = np.abs(np.sqrt(np.einsum("ij,ij->i", acc_rows, acc_rows)) - 1.0)
+        self.norm_drift_max = max(self.norm_drift_max, float(drifts.max()))
+        over = np.flatnonzero(drifts > NORM_TOL)
+        if over.size:
+            lo, hi = self.bounds
+            raise RuntimeError(
+                f"norm drift {drifts[over[0]]:.2e} at offset {over[0] + 1}; "
+                f"spectral bounds ({lo:g}, {hi:g}) likely violated"
+            )
         return acc.reshape((count, 2) + self.grid)[self.interior]
 
 
@@ -247,21 +326,23 @@ def _planes(psi: np.ndarray) -> np.ndarray:
     return np.array([psi.real, psi.imag], dtype=float)
 
 
-def _state(planes: np.ndarray) -> np.ndarray:
-    return (planes[0] + 1j * planes[1]).ravel()
-
-
 def _check_normalized(psi: np.ndarray) -> None:
     if abs(_frobenius(psi) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
 
 
-def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
-    """One-site particle density rho(x); sums to N."""
+def density(planes: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
+    """One-site particle density rho(x) of a state; sums to N.
+
+    planes are the state's real and imaginary parts (x, y), shape (2, d**N)
+    or (2,) + (d,)*N, and |psi|^2 is read as x^2 + y^2.
+    """
     d = window.n_sites
-    if psi.shape != (d**n_particles,):
+    if planes.size != 2 * d**n_particles:
         raise ValueError("state dimension does not match the window")
-    prob = (np.abs(psi) ** 2).reshape((d,) * n_particles)
+    x, y = planes.reshape((2,) + (d,) * n_particles)
+    prob = x * x
+    prob += y * y
     rho = np.zeros(d)
     for axis in range(n_particles):
         other = tuple(a for a in range(n_particles) if a != axis)
@@ -273,13 +354,18 @@ def density(psi: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
 
 
 def tail_trace(
-    op: OperatorMatrix,
+    source,
     psi0: np.ndarray,
     config: PropagatorConfig,
     radii: list,
 ) -> DensityTrace:
-    """Evolve on a uniform grid and track the density mass beyond each radius."""
-    w, n = op.window, op.n_particles
+    """Evolve on a uniform grid and track the density mass beyond each radius.
+
+    source is H's `Stencil`, or a position-basis `OperatorMatrix` read
+    through `position_stencil`.
+    """
+    stencil = source if isinstance(source, Stencil) else position_stencil(source)
+    w, n = stencil.window, stencil.diagonal.ndim
     if float(boundary_shell_mass(psi0, w, n)[0]) > 1e-10:
         raise ValueError("initial state must be supported in the interior")
     _check_normalized(psi0)
@@ -287,16 +373,16 @@ def tail_trace(
     times = np.linspace(0.0, config.t_max, config.samples + 1)
     dt = times[1] - times[0]
     m = min(SAMPLES_PER_EXPANSION, config.samples)
-    prop = ChebyshevPropagator(op, dt, m, config)
+    prop = ChebyshevPropagator(stencil, dt, m, config)
     dens = np.empty((times.size, w.n_sites))
-    dens[0] = density(psi0.astype(complex), w, n)
     base = _planes(psi0)
+    dens[0] = density(base, w, n)
     # blocks of m samples, each propagated from the last state of the block before
     for first in range(1, times.size, m):
         block = prop(base, min(m, times.size - first))
         for j in range(block.shape[0]):
-            dens[first + j] = density(_state(block[j]), w, n)
-        base = block[-1].copy()
+            dens[first + j] = density(block[j], w, n)
+        base = block[-1]
     guard = w.L - w.interior_margin
     # one column per radius and a last one for the guard: 1 where |x| > r
     beyond = np.abs(np.arange(-w.L, w.L + 1))[:, None] > np.append(radii, guard)

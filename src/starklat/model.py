@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import specfun
 
-N_MAX = 4
+N_MAX = 4  # the largest N of every task but evolve (`cli.load_config`)
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
@@ -94,8 +94,8 @@ class ModelParams:
     def __post_init__(self):
         if abs(self.h) < specfun.H_MIN:
             raise ValueError(f"|h| must be >= {specfun.H_MIN:g} (Stark condition)")
-        if not (1 <= self.N <= N_MAX):
-            raise ValueError(f"N must be in [1, {N_MAX}]")
+        if self.N < 1:
+            raise ValueError("N must be >= 1")
         if self.statistics != "distinguishable":
             raise ValueError(
                 f"statistics {self.statistics!r} is not implemented; only 'distinguishable' "
@@ -713,6 +713,8 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
         split = sector_split(sectors, blocks, diffs, cross, n)
         if split is not None:
             return split
+        # refused: nothing filed is held while a is made dense
+        del sectors, csr, q_all, blocks, diffs, xt, rows
     return SectorSplit.whole(a)
 
 

@@ -20,7 +20,7 @@ from .model import (
     apply_on_legs,
     build_hamiltonian,
     enumerate_integer_partitions,
-    flat_to_tuples,
+    site_range,
     split_by_symmetry,
     stark_basis_matrix,
 )
@@ -77,7 +77,11 @@ def transform_columns(vectors: np.ndarray, xi: np.ndarray, n_particles: int) -> 
 
 def _face_rows(window: Window, n_particles: int) -> np.ndarray:
     """Flat indices of the outermost index shell, max_i |m_i| = L."""
-    return np.flatnonzero(np.abs(flat_to_tuples(window, n_particles)).max(axis=1) == window.L)
+    d, edge = window.n_sites, np.abs(site_range(window)) == window.L
+    face = np.zeros((d,) * n_particles, dtype=bool)
+    for k in range(n_particles):
+        face |= edge.reshape((d,) + (1,) * (n_particles - 1 - k))  # |m_k| = L
+    return np.flatnonzero(face)
 
 
 def boundary_shell_mass(vectors: np.ndarray, window: Window, n_particles: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each restates a quantity the package computes another way (the S_N
 projectors, the sector sizes from the character tables, single stark-basis pair elements, the interaction envelope, the
 decay check after the Bessel transform, the Gram defect of an eigenbasis, the
-complex Chebyshev coefficients, the tail mass beyond one radius), so that the
+complex Chebyshev coefficients, the Gershgorin discs of a CSR H, the tail
+mass beyond one radius), so that the
 fast paths in `starklat` have something to be compared against. The
 criterion checks after them (spectral periodicity, the Fredholm probe,
 weighted norms, COM profile summaries, one-shot evolution, cluster
@@ -209,11 +210,20 @@ def evolve(
     op: OperatorMatrix, psi0: np.ndarray, t: float, config: dyn.PropagatorConfig
 ) -> np.ndarray:
     """psi_t = e^{-itH} psi0 by a Chebyshev expansion on the rescaled spectrum."""
-    prop = dyn.ChebyshevPropagator(op, t, 1, config)
+    prop = dyn.ChebyshevPropagator(dyn.position_stencil(op), t, 1, config)
     dyn._check_normalized(psi0)
     if t == 0.0:
         return psi0.astype(complex)
-    return dyn._state(prop(dyn._planes(psi0), 1)[0])
+    x, y = prop(dyn._planes(psi0), 1)[0]
+    return (x + 1j * y).ravel()
+
+
+def gershgorin_bounds(op: OperatorMatrix) -> tuple:
+    """Spectral enclosure [min(d - r), max(d + r)] from the row discs of the CSR H."""
+    mat = op.matrix
+    d = mat.diagonal()
+    radius = np.abs(mat).sum(axis=1).A1 - np.abs(d)
+    return float((d - radius).min()), float((d + radius).max())
 
 
 def chebyshev_coefficients(tau: float) -> np.ndarray:

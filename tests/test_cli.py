@@ -9,6 +9,8 @@ import pytest
 from starklat import cli, dynamics, localization, model, resolvent, specfun
 from starklat.model import ModelParams, PairPotential, Window
 
+import oracles
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -140,6 +142,8 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         # the cluster spectrum and the expansion need N >= 2; a growing exponential v
         ("cluster-spectrum", 1, {}),
         ("resolvent-check", 1, {}),
+        # N_MAX bounds every task but evolve
+        *((task, model.N_MAX + 1, {}) for task in cli.TASKS if task != "evolve"),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
             "kind": "exponential", "decay": -1.0}}}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
@@ -268,14 +272,15 @@ def test_evolve_run(tmp_path):
     diag = manifest["diagnostics"]
     assert set(diag) == {
         "chebyshev_terms", "samples_per_expansion", "matvecs", "spectral_bounds", "dt",
-        "norm_drift_max", "guard_radius", "guard_tail",
+        "norm_drift_max", "guard_radius", "guard_tail", "propagator_bytes",
     }
+    assert diag["propagator_bytes"] == dynamics.propagator_bytes(Window(12, 3), 2, 8)
     assert isinstance(diag["chebyshev_terms"], int) and diag["chebyshev_terms"] > 2
     # 20 samples: blocks of 8, 8 and 4, each one recurrence
     assert diag["samples_per_expansion"] == dynamics.SAMPLES_PER_EXPANSION == 8
     assert isinstance(diag["matvecs"], int)
     assert 2 * (diag["chebyshev_terms"] - 1) < diag["matvecs"] < 3 * (diag["chebyshev_terms"] - 1)
-    assert set(manifest["timings"]) == {"evolve", "model.build_hamiltonian", "dynamics.tail_trace"}
+    assert set(manifest["timings"]) == {"evolve", "dynamics.model_stencil", "dynamics.tail_trace"}
     assert 0.0 < manifest["timings"]["dynamics.tail_trace"] <= manifest["timings"]["evolve"]
     params = ModelParams(1.0, 0.5, 2, PairPotential("nearest_neighbor", 1.0))
     vals = np.linalg.eigvalsh(model.build_hamiltonian(params, Window(12, 3), "position").toarray())
@@ -500,6 +505,40 @@ def test_evolve_symmetrized_pair(tmp_path):
         assert (got == want) is same
 
 
+def test_evolve_forms_no_operator(tmp_path, monkeypatch):
+    # the stencil comes from the model: no CSR H is assembled or read back
+    def refused(*args, **kwargs):
+        raise AssertionError("evolve formed an operator")
+
+    monkeypatch.setattr(model, "build_hamiltonian", refused)
+    monkeypatch.setattr(dynamics, "position_stencil", refused)
+    monkeypatch.setattr(model.OperatorMatrix, "__post_init__", refused)
+    p = tmp_path / "c.json"
+    write_config(p, **EVOLVE_N2)
+    assert cli.main(["evolve", "--config", str(p)]) == cli.EXIT_OK
+
+
+def test_evolve_past_n_max(tmp_path):
+    # N = 5 runs, and its trace is the CSR route's, bit for bit
+    p = tmp_path / "c.json"
+    dyn = {"t_max": 0.25, "samples": 16, "radii": [1, 2], "initial_sites": [0] * 5}
+    write_config(p, task="evolve", model={"g": 1.0, "h": 0.5, "N": 5},
+                 window={"L": 3, "interior_margin": 1}, dynamics=dyn)
+    assert cli.main(["evolve", "--config", str(p)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    diag = manifest["diagnostics"]
+    assert manifest["complete"] and diag["norm_drift_max"] <= 1e-10
+    assert diag["matvecs"] == 2 * (diag["chebyshev_terms"] - 1)
+    w = Window(3, 1)
+    op = model.build_hamiltonian(ModelParams(1.0, 0.5, 5), w, "position")
+    assert tuple(diag["spectral_bounds"]) == oracles.gershgorin_bounds(op)
+    trace = dynamics.tail_trace(
+        op, dynamics.product_state(w, (0,) * 5), dynamics.PropagatorConfig(0.25, 16), [1, 2]
+    )
+    got = [float(r["rho"]) for r in cli._read_csv(str(tmp_path / "out" / "density_trace.csv"))]
+    assert got == trace.densities[trace.densities > 1e-16].tolist()
+
+
 def test_spectrum_tiny_hopping_matches_g0(tmp_path):
     # J_n(g/h) at g/h = 2e-100 is its leading series term, not a NaN from the recurrence
     eigenvalues = {}
@@ -546,10 +585,11 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
         (dict(task="spectrum", basis="position", model={"g": 1.0, "h": 0.5, "N": 3},
               window={"L": 14, "interior_margin": 7}),
          {"model.build_hamiltonian", "spectra.eigh"}, "spectra.eigh"),
-        # dim 61^4 stops at the nonzero cap before anything is assembled
+        # dim 61^4 stops at the propagator's buffer cap before the stencil is built;
+        # no stage is open then, so the task name stands for it
         (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
               window={"L": 30, "interior_margin": 7}),
-         {"model.build_hamiltonian"}, "model.build_hamiltonian"),
+         set(), "evolve"),
         # dim 21^3 stops when the workspace is made, before any dense matrix is allocated;
         # no stage is open then, so the task name stands for it
         (dict(task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},
@@ -563,7 +603,7 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
         (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 1},
               window={"L": 8, "interior_margin": 3},
               dynamics={"t_max": 1e9, "samples": 1}),
-         {"model.build_hamiltonian", "dynamics.tail_trace"}, "dynamics.tail_trace"),
+         {"dynamics.model_stencil", "dynamics.tail_trace"}, "dynamics.tail_trace"),
     ],
     ids=["dense-cap", "nnz-cap", "resolvent-dense-cap", "kernel-gather-cap", "evolve-step-cap"],
 )

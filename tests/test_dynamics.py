@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,10 +31,11 @@ def spectral_propagate(op, psi0, t):
     return vecs @ (np.exp(-1j * vals * t) * (vecs.T @ psi0))
 
 
-def per_sample_evolve(op, psi0, t):
+def per_sample_evolve(op, psi0, t, bounds=None):
     """The propagator with its set-up redone on every call, as tail_trace used
-    it before the step was built once per trace; the reference for tail_trace."""
-    lo, hi = dyn.gershgorin_bounds(op)
+    it before the step was built once per trace; the reference for tail_trace.
+    bounds default to the Gershgorin discs of the CSR H."""
+    lo, hi = bounds or oracles.gershgorin_bounds(op)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coef = oracles.chebyshev_coefficients(half * t)
     hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
@@ -57,13 +60,13 @@ def block_reference(op, psi0, dt, samples):
 
 
 def traced_states(monkeypatch, op, psi0, config):
-    """tail_trace's state at every sample, read where it takes the density."""
+    """tail_trace's state at every sample, read from the planes it takes the density of."""
     states = []
     density = dyn.density
 
-    def recording(psi, window, n_particles):
-        states.append(psi.copy())
-        return density(psi, window, n_particles)
+    def recording(planes, window, n_particles):
+        states.append((planes[0] + 1j * planes[1]).ravel())
+        return density(planes, window, n_particles)
 
     monkeypatch.setattr(dyn, "density", recording)
     trace = dyn.tail_trace(op, psi0, config, [2])
@@ -79,7 +82,7 @@ def test_config_validation():
 
 def test_gershgorin_encloses_spectrum(pair_setup):
     p, w, op = pair_setup
-    lo, hi = dyn.gershgorin_bounds(op)
+    lo, hi = dyn.model_stencil(p, w).bounds
     vals = np.linalg.eigvalsh(op.toarray())
     assert lo < vals.min() and hi > vals.max()
 
@@ -90,10 +93,79 @@ def test_gershgorin_is_the_disc_enclosure(pair_setup):
     dense = op.toarray()
     d = dense.diagonal()
     r = np.abs(dense).sum(axis=1) - np.abs(d)
-    assert dyn.gershgorin_bounds(op) == ((d - r).min(), (d + r).max())
+    assert oracles.gershgorin_bounds(op) == ((d - r).min(), (d + r).max())
+    assert dyn.model_stencil(p, w).bounds == dyn.position_stencil(op).bounds
+    assert dyn.position_stencil(op).bounds == ((d - r).min(), (d + r).max())
     diag = np.random.default_rng(5).standard_normal(w.n_sites)
     op1 = model.OperatorMatrix("position", w, 1, sp.diags(diag).tocsr())
-    assert dyn.gershgorin_bounds(op1) == (diag.min(), diag.max())
+    assert oracles.gershgorin_bounds(op1) == (diag.min(), diag.max())
+    assert dyn.position_stencil(op1).bounds == (diag.min(), diag.max())
+
+
+POTENTIALS = [
+    PairPotential("nearest_neighbor", 1.0),
+    PairPotential("exponential", 0.7, 0.9),
+    PairPotential("power_law", 1.3, 2.0),
+    PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1}),  # uneven: v(-1) != v(1)
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("pot", POTENTIALS, ids=lambda pot: pot.kind)
+@pytest.mark.parametrize("g", [1.0, 0.3, 0.0])
+def test_model_stencil_matches_the_csr_stencil(n, pot, g):
+    # summed in build_hamiltonian's order, the diagonal is the CSR diagonal bit for bit
+    p = ModelParams(g=g, h=0.5, N=n, potential=pot)
+    w = Window(L=2 if n == 4 else 3, interior_margin=1)
+    op = model.build_hamiltonian(p, w, "position")
+    direct, read = dyn.model_stencil(p, w), dyn.position_stencil(op)
+    assert direct.window == read.window == w
+    assert direct.diagonal.shape == read.diagonal.shape == (w.n_sites,) * n
+    assert np.array_equal(direct.diagonal, read.diagonal)
+    assert direct.hop == read.hop == -g
+    assert direct.bounds == read.bounds
+    # the CSR row sums add |g| next to the diagonal, so they match to rounding
+    want = oracles.gershgorin_bounds(op)
+    if g == 1.0:
+        assert direct.bounds == want
+    scale = np.abs(direct.diagonal).max() + 2 * n * abs(g)
+    assert np.abs(np.subtract(direct.bounds, want)).max() <= 4 * np.spacing(scale)
+
+
+def test_model_stencil_trace_matches_the_csr_trace():
+    # evolve-n3's benchmark config: one propagator from either stencil, the same trace bits
+    p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=12, interior_margin=2)
+    op = model.build_hamiltonian(p, w, "position")
+    psi0 = dyn.product_state(w, (-1, 2, 0))
+    cfg = dyn.PropagatorConfig(t_max=50.0, samples=200)
+    direct = dyn.tail_trace(dyn.model_stencil(p, w), psi0, cfg, list(range(2, 11)))
+    read = dyn.tail_trace(op, psi0, cfg, list(range(2, 11)))
+    for field in dataclasses.fields(dyn.DensityTrace):
+        assert np.array_equal(getattr(direct, field.name), getattr(read, field.name)), field.name
+
+
+def test_density_reads_the_planes():
+    w = Window(L=3, interior_margin=1)
+    psi = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, w.n_sites**3))
+    psi /= np.linalg.norm(psi)
+    want = sum(
+        (np.abs(psi) ** 2).reshape((w.n_sites,) * 3).sum(axis=tuple(b for b in range(3) if b != a))
+        for a in range(3)
+    )
+    for planes in (dyn._planes(psi), dyn._planes(psi).reshape((2,) + (w.n_sites,) * 3)):
+        assert np.abs(dyn.density(planes, w, 3) - want).max() <= 1e-15
+
+
+def test_propagator_bytes_refuses_above_the_cap():
+    # 29 arrays of 2P doubles, about: N=4, L=12 and N=5, L=8 run, N=5, L=12 does not
+    assert dyn.propagator_bytes(Window(12, 2), 4, 8) < 0.25e9
+    assert dyn.propagator_bytes(Window(8, 2), 5, 8) < 0.9e9
+    for w, n in ((Window(12, 2), 5), (Window(30, 7), 4)):
+        with pytest.raises(model.CapacityError, match="buffer cap"):
+            dyn.propagator_bytes(w, n, 8)
+    # fewer samples per expansion, fewer accumulators
+    assert dyn.propagator_bytes(Window(12, 2), 4, 1) < dyn.propagator_bytes(Window(12, 2), 4, 8)
 
 
 def position_op(n, L=3, g=1.0):
@@ -104,7 +176,7 @@ def position_op(n, L=3, g=1.0):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stencil_step_matches_dense_rescaled_h(n):
     op = position_op(n, L=2 if n == 4 else 3)
-    prop = dyn.ChebyshevPropagator(op, 0.1, 1, dyn.PropagatorConfig(1.0, 1))
+    prop = dyn.ChebyshevPropagator(dyn.position_stencil(op), 0.1, 1, dyn.PropagatorConfig(1.0, 1))
     lo, hi = prop.bounds
     hs = (op.toarray() - 0.5 * (hi + lo) * np.eye(op.dim)) / (0.5 * (hi - lo))
     d = op.window.n_sites
@@ -135,7 +207,7 @@ def test_real_coefficients_carry_the_chebyshev_phase():
     # a_k(t) (-i)^k is the coefficient of T_k in e^{-i half t hs}, for every
     # offset's row of the propagator's table
     op = position_op(2)
-    prop = dyn.ChebyshevPropagator(op, 0.7, 8, dyn.PropagatorConfig(5.6, 8))
+    prop = dyn.ChebyshevPropagator(dyn.position_stencil(op), 0.7, 8, dyn.PropagatorConfig(5.6, 8))
     lo, hi = prop.bounds
     assert prop.table.dtype == float and prop.table.shape == (8, prop.terms.max())
     for j, t in enumerate(0.7 * np.arange(1, 9)):
@@ -151,8 +223,8 @@ def test_folding_active_offsets_matches_folding_every_offset(triple_setup):
     # offsets and adds the zeros past their truncation
     p, w, op = triple_setup
     cfg = dyn.PropagatorConfig(4.0, 8)
-    active = dyn.ChebyshevPropagator(op, 0.5, 8, cfg)
-    every = dyn.ChebyshevPropagator(op, 0.5, 8, cfg)
+    active = dyn.ChebyshevPropagator(dyn.position_stencil(op), 0.5, 8, cfg)
+    every = dyn.ChebyshevPropagator(dyn.position_stencil(op), 0.5, 8, cfg)
     assert active.terms[0] <= active.terms[-1] - dyn.TERM_BUFFER  # some fold skips offsets
     every.terms = np.full_like(active.terms, active.terms.max())
     planes = dyn._planes(dyn.product_state(w, (0, 1, -1)))
@@ -180,8 +252,8 @@ def test_propagator_accepts_only_its_stencil():
     for bad in refused:
         assert bad.symmetry_defect() == 0.0
         with pytest.raises(ValueError, match="nearest-neighbour hop"):
-            dyn.ChebyshevPropagator(bad, 0.1, 1, cfg)
-    free = dyn.ChebyshevPropagator(position_op(2, g=0.0), 0.1, 1, cfg)  # no hop at all
+            dyn.position_stencil(bad)
+    free = dyn.ChebyshevPropagator(dyn.position_stencil(position_op(2, g=0.0)), 0.1, 1, cfg)
     assert free.hop == 0.0 and free.strides == []
 
 
@@ -249,7 +321,7 @@ def test_evolve_rejects_unnormalized(pair_setup):
 def test_density_product_state():
     w = Window(L=6, interior_margin=2)
     psi = dyn.product_state(w, (2, 5))
-    rho = dyn.density(psi, w, 2)
+    rho = dyn.density(dyn._planes(psi), w, 2)
     x = np.arange(-6, 7)
     want = (x == 2).astype(float) + (x == 5).astype(float)
     assert np.array_equal(rho, want)
@@ -258,7 +330,7 @@ def test_density_product_state():
 def test_density_symmetrized_pair():
     w = Window(L=6, interior_margin=2)
     psi = dyn.symmetrized_pair(w, 0, 0)
-    rho = dyn.density(psi, w, 2)
+    rho = dyn.density(dyn._planes(psi), w, 2)
     assert rho[6] == pytest.approx(2.0)
     assert rho.sum() == pytest.approx(2.0)
 
@@ -365,21 +437,22 @@ def test_tail_trace_block_edges_n3(triple_setup, monkeypatch, samples):
     check_block_edges(monkeypatch, op, dyn.product_state(w, (0, 1, -1)), samples)
 
 
-def test_norm_gate_fires_at_last_sample_of_block(pair_setup, monkeypatch):
+def test_norm_gate_fires_at_last_sample_of_block(pair_setup):
     # bounds that cut off the top of psi0's spectrum: the truncated expansion
     # drifts only at the longest offset of the first block
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1))
-    dt, bounds = 0.12, (dyn.gershgorin_bounds(op)[0], 6.25)
-    monkeypatch.setattr(dyn, "gershgorin_bounds", lambda op: bounds)
+    stencil = dyn.position_stencil(op)
+    dt, bounds = 0.12, (stencil.bounds[0], 6.25)
+    stencil = stencil._replace(bounds=bounds)
     ref = dyn.PropagatorConfig(M * dt, M)
-    drifts = [abs(np.linalg.norm(per_sample_evolve(op, psi0, j * dt)) - 1.0)
+    drifts = [abs(np.linalg.norm(per_sample_evolve(op, psi0, j * dt, bounds)) - 1.0)
               for j in range(1, M + 1)]
     assert max(drifts[:-1]) <= dyn.NORM_TOL < drifts[-1]
-    short = dyn.tail_trace(op, psi0, dyn.PropagatorConfig((M - 1) * dt, M - 1), [2])
+    short = dyn.tail_trace(stencil, psi0, dyn.PropagatorConfig((M - 1) * dt, M - 1), [2])
     assert short.norm_drift_max <= dyn.NORM_TOL
     with pytest.raises(RuntimeError, match=f"norm drift .* at offset {M};"):
-        dyn.tail_trace(op, psi0, ref, [2])
+        dyn.tail_trace(stencil, psi0, ref, [2])
 
 
 @pytest.mark.parametrize(
@@ -396,13 +469,12 @@ def test_tail_trace_matches_spectral_oracle(monkeypatch, n, L, sites):
         assert np.linalg.norm(state - spectral_propagate(op, psi0, t)) <= 1e-9
 
 
-def test_tail_trace_guards(pair_setup, monkeypatch):
+def test_tail_trace_guards(pair_setup):
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1))
-    with monkeypatch.context() as patch:
-        patch.setattr(dyn, "gershgorin_bounds", lambda op: (-0.5, 0.5))
-        with pytest.raises(RuntimeError, match="norm drift"):
-            dyn.tail_trace(op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
+    narrow = dyn.position_stencil(op)._replace(bounds=(-0.5, 0.5))
+    with pytest.raises(RuntimeError, match="norm drift"):
+        dyn.tail_trace(narrow, psi0, dyn.PropagatorConfig(1.0, 2), [2])
     skew = op.matrix.tolil()
     skew[0, 1] += 0.1  # a varying hop too, but the symmetry check comes first
     bad_op = model.OperatorMatrix("position", w, 2, skew)

@@ -23,7 +23,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(g=1.0, h=0.0, N=1)
     with pytest.raises(ValueError):
-        ModelParams(g=1.0, h=0.5, N=9)
+        ModelParams(g=1.0, h=0.5, N=0)
+    assert ModelParams(g=1.0, h=0.5, N=9).N == 9  # N_MAX is a limit of the tasks (cli)
     for decay in (0.0, -1.0, float("nan")):  # an exponential v must decay
         with pytest.raises(ValueError, match="decay"):
             PairPotential("exponential", 1.0, decay)
@@ -331,3 +332,24 @@ def test_export_coo_csv(tmp_path, params2, win):
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,value"
     assert len(lines) == h.matrix.nnz + 1
+
+
+def test_refused_split_holds_nothing_filed_while_densifying():
+    # an uneven v does not commute with the leg swaps: the split files every
+    # irrep's block, refuses, and densifies the whole H (86.9 MiB at dim 3375)
+    # with none of the filed blocks (14.7 MiB) still held
+    import tracemalloc
+
+    n, w = 3, Window(L=7, interior_margin=1)
+    uneven = PairPotential("tabulated", table={-1: 0.2, 1: 0.7, 2: 0.1})
+    h = model.build_hamiltonian(ModelParams(1.0, 0.5, n, uneven), w, "position").matrix
+    model._orbit_bases(n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        split = model.split_by_symmetry(h, w.n_sites, n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert split.sectors[0].irrep == () and split.blocks[0].shape == (w.n_sites**n,) * 2
+    assert peak <= 92 * 2**20, peak / 2**20

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from . import __version__, dynamics, localization, model, resolvent, spectra
-from .model import ModelParams, PairPotential, Window
+from . import __version__, dynamics, lattice, specfun
+from .lattice import ModelParams, PairPotential, Window
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,7 +51,7 @@ class RunConfig:
     task: str
     output_dir: str
     basis: str
-    probe: localization.DecayProbe
+    probe: localization.DecayProbe | None  # for the task that reads probes
     propagator: dynamics.PropagatorConfig
     radii: list
     initial_sites: tuple
@@ -103,6 +103,7 @@ def _z_grid(grid) -> list:
 
 
 def load_config(path: str) -> RunConfig:
+    global localization, model, resolvent, spectra  # they load scipy.sparse; evolve never does
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -122,6 +123,8 @@ def load_config(path: str) -> RunConfig:
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     _, task_basis, section = TASKS[task]
+    if task != "evolve":  # the solver modules: their import is paid in set-up
+        from . import localization, model, resolvent, spectra
     for sec in ("probes", "dynamics", "resolvent"):
         if sec in raw and sec != section:
             raise ConfigError(f"section {sec!r} is not read by task {task!r}")
@@ -132,10 +135,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"task {task!r} runs in the {task_basis} basis only, not {basis!r}")
     pot_raw = m.get("potential", {})
     _check_keys("potential", pot_raw)
-    probes, dyn = raw.get("probes", {}), raw.get("dynamics", {})
+    probes, dyn, probe = raw.get("probes", {}), raw.get("dynamics", {}), None
     try:
         kind = pot_raw.get("kind", "nearest_neighbor")
-        unread = set(pot_raw) - {"kind"} - model.POTENTIAL_FIELDS.get(kind, set(pot_raw))
+        unread = set(pot_raw) - {"kind"} - lattice.POTENTIAL_FIELDS.get(kind, set(pot_raw))
         if unread:
             raise ConfigError(f"potential kind {kind!r} does not read {sorted(unread)}")
         table = pot_raw.get("table")
@@ -160,7 +163,8 @@ def load_config(path: str) -> RunConfig:
             "fit_range": lambda v: tuple(map(_int, v)),
             "rate_halfwidth": _int,
         }
-        probe = localization.DecayProbe(**{k: cast[k](v) for k, v in probes.items()})
+        if section == "probes":
+            probe = localization.DecayProbe(**{k: cast[k](v) for k, v in probes.items()})
         propagator = dynamics.PropagatorConfig(
             _float(dyn.get("t_max", 50.0)), _int(dyn.get("samples", 200))
         )
@@ -171,8 +175,8 @@ def load_config(path: str) -> RunConfig:
     if task in ("cluster-spectrum", "resolvent-check") and params.N < 2:
         raise ConfigError(f"task {task!r} needs N >= 2, not N = {params.N}")
     # evolve is bounded by its buffers (`dynamics.propagator_bytes`), every other task by N_MAX
-    if task != "evolve" and params.N > model.N_MAX:
-        raise ConfigError(f"task {task!r} needs N <= {model.N_MAX}, not N = {params.N}")
+    if task != "evolve" and params.N > lattice.N_MAX:
+        raise ConfigError(f"task {task!r} needs N <= {lattice.N_MAX}, not N = {params.N}")
     if len(sites) != params.N or not all(abs(x) < window.L for x in sites):
         raise ConfigError(
             f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
@@ -483,8 +487,6 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
 
 
 def _task_selftest(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
-    from . import specfun
-
     checks["bessel_trivial"] = specfun.bessel_j(0, 0.0) == 1.0
     checks["bessel_reflection"] = (
         specfun.bessel_j(-3, 2.5) == -specfun.bessel_j(3, 2.5)
@@ -572,7 +574,7 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
         manifest["complete"] = True
     except Exception as exc:  # noqa: BLE001 - report and mark incomplete
         # a capacity limit is a config error: the run was asked for too much
-        config_fault = isinstance(exc, model.CapacityError)
+        config_fault = isinstance(exc, lattice.CapacityError)
         print(f"{'config error' if config_fault else 'run failed'}: {exc}", file=sys.stderr)
         if not config_fault:
             checks["run_completed"] = False

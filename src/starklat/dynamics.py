@@ -8,17 +8,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .model import (
+from .lattice import (
     CapacityError,
     ModelParams,
-    OperatorMatrix,
     Window,
     _frobenius,
+    boundary_shell_mass,
     pairs,
     potential_matrix,
     site_range,
 )
-from .spectra import boundary_shell_mass
 
 NORM_TOL = 1e-10
 DENSITY_TOL = 1e-8
@@ -117,8 +116,8 @@ def model_stencil(params: ModelParams, window: Window) -> Stencil:
     return Stencil(window, diagonal, -params.g, _disc_bounds(diagonal, -params.g))
 
 
-def position_stencil(op: OperatorMatrix) -> Stencil:
-    """The stencil of a position-basis H, read from its CSR and checked exactly.
+def position_stencil(op) -> Stencil:
+    """The stencil of a position-basis `OperatorMatrix` H, read from its CSR and checked exactly.
 
     In the position basis H^(N) is diagonal apart from one constant hop between
     grid neighbours on each leg, at flat offsets +-d^k, k < N. Raises ValueError
@@ -269,10 +268,10 @@ class ChebyshevPropagator:
     def __call__(self, planes: np.ndarray, count: int) -> np.ndarray:
         """The planes of the states at offsets 1..count from planes (2, dim) or (2,) + (d,)*N.
 
-        Returns an unpadded view of shape (count, 2) + (d,)*N into the
-        accumulators, overwritten by the next call; planes may be such a view,
-        since it is read at the first term, before any fold. Raises if any
-        state's norm drifts.
+        Returns the padded planes, a view of shape (count, 2) + grid into the
+        accumulators with zero ghosts, overwritten by the next call; planes may
+        be its interior (`self.interior`), since it is read at the first term,
+        before any fold. Raises if any state's norm drifts.
         """
         size, d = self.hopped.shape[1], self.grid[0]
         terms = self.terms[:count]
@@ -319,7 +318,7 @@ class ChebyshevPropagator:
                 f"norm drift {drifts[over[0]]:.2e} at offset {over[0] + 1}; "
                 f"spectral bounds ({lo:g}, {hi:g}) likely violated"
             )
-        return acc.reshape((count, 2) + self.grid)[self.interior]
+        return acc.reshape((count, 2) + self.grid)
 
 
 def _planes(psi: np.ndarray) -> np.ndarray:
@@ -334,19 +333,21 @@ def _check_normalized(psi: np.ndarray) -> None:
 def density(planes: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
     """One-site particle density rho(x) of a state; sums to N.
 
-    planes are the state's real and imaginary parts (x, y), shape (2, d**N)
-    or (2,) + (d,)*N, and |psi|^2 is read as x^2 + y^2.
+    planes are the state's real and imaginary parts (x, y), shape (2, d**N), (2,) + (d,)*N
+    or the propagator's padded (2, d) + (d+1,)*(N-1) with zero ghosts, squared as they lie
+    in memory and cut after the sums; |psi|^2 is read as x^2 + y^2.
     """
     d = window.n_sites
-    if planes.size != 2 * d**n_particles:
+    padded = planes.shape[1:] == (d,) + (d + 1,) * (n_particles - 1)
+    if not padded and planes.size != 2 * d**n_particles:
         raise ValueError("state dimension does not match the window")
-    x, y = planes.reshape((2,) + (d,) * n_particles)
+    x, y = planes if padded else planes.reshape((2,) + (d,) * n_particles)
     prob = x * x
     prob += y * y
-    rho = np.zeros(d)
-    for axis in range(n_particles):
-        other = tuple(a for a in range(n_particles) if a != axis)
-        rho += prob.sum(axis=other)
+    rho = prob.sum(axis=tuple(range(1, n_particles)))
+    rest = prob.sum(axis=0)  # the marginals of legs 1..N-1 are sums of this
+    for axis in range(n_particles - 1):
+        rho += rest.sum(axis=tuple(a for a in range(n_particles - 1) if a != axis))[:d]
     total = rho.sum()
     if abs(total - n_particles) > DENSITY_TOL:
         raise RuntimeError(f"density normalization off by {total - n_particles:.2e}")
@@ -382,7 +383,7 @@ def tail_trace(
         block = prop(base, min(m, times.size - first))
         for j in range(block.shape[0]):
             dens[first + j] = density(block[j], w, n)
-        base = block[-1]
+        base = block[-1][prop.interior]
     guard = w.L - w.interior_margin
     # one column per radius and a last one for the guard: 1 where |x| > r
     beyond = np.abs(np.arange(-w.L, w.L + 1))[:, None] > np.append(radii, guard)

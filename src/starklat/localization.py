@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Window, flat_to_tuples
-from .spectra import boundary_shell_mass
+from .lattice import ModelParams, Window, boundary_shell_mass, flat_to_tuples
 
 AMPLITUDE_FLOOR = 1e-14
 RATE_NOISE_BAND = 0.1

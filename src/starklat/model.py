@@ -16,15 +16,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import specfun
+from .lattice import (  # the core this module builds on, re-exported
+    N_MAX,
+    CapacityError,
+    ModelParams,
+    PairPotential,
+    Window,
+    _frobenius,
+    dimension,
+    flat_to_tuples,
+    pairs,
+    potential_matrix,
+    site_range,
+)
 
-N_MAX = 4  # the largest N of every task but evolve (`cli.load_config`)
 NNZ_CAP = 2**24
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
@@ -32,120 +44,7 @@ SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector spli
 # the interior mask's lifts and the resolvent check's column blocks
 CHUNK_COLUMNS = 64
 UNIT_ROUNDOFF = 2.0**-53
-
-# the PairPotential fields each kind reads
-POTENTIAL_FIELDS = {
-    "nearest_neighbor": {"strength"},
-    "exponential": {"strength", "decay"},
-    "power_law": {"strength", "decay"},
-    "tabulated": {"table"},
-}
-POTENTIAL_KINDS = tuple(POTENTIAL_FIELDS)
 BASES = ("position", "stark")
-
-
-@dataclass(frozen=True)
-class PairPotential:
-    """Bounded, decaying pair potential v(n)."""
-
-    kind: str = "nearest_neighbor"
-    strength: float = 1.0
-    decay: float = 1.0
-    table: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "power_law" and self.decay < 1.0:
-            raise ValueError("power-law exponent must be >= 1")
-        if self.kind == "exponential" and not self.decay > 0.0:
-            raise ValueError("exponential decay rate must be > 0")
-        if self.kind == "tabulated":
-            if not self.table:
-                raise ValueError("tabulated potential needs a table")
-            if any(not math.isfinite(v) for v in self.table.values()):
-                raise ValueError("tabulated potential must be bounded")
-
-    def values(self, n: np.ndarray) -> np.ndarray:
-        n = np.asarray(n)
-        a = np.abs(n)
-        if self.kind == "nearest_neighbor":
-            return np.where(a == 1, self.strength, 0.0)
-        if self.kind == "exponential":
-            return self.strength * np.exp(-self.decay * a)
-        if self.kind == "power_law":
-            return self.strength / (1.0 + a) ** self.decay
-        out = np.zeros(n.shape, dtype=float)
-        for k, v in self.table.items():
-            out[n == int(k)] = v
-        return out
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical parameters of H^(N)."""
-
-    g: float
-    h: float
-    N: int
-    potential: PairPotential = field(default_factory=PairPotential)
-    statistics: str = "distinguishable"
-
-    def __post_init__(self):
-        if abs(self.h) < specfun.H_MIN:
-            raise ValueError(f"|h| must be >= {specfun.H_MIN:g} (Stark condition)")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.statistics != "distinguishable":
-            raise ValueError(
-                f"statistics {self.statistics!r} is not implemented; only 'distinguishable' "
-                "runs (boson and fermion sectors are ROADMAP item 2)"
-            )
-
-    @property
-    def x(self) -> float:
-        return self.g / self.h
-
-    def with_n(self, n: int) -> "ModelParams":
-        return ModelParams(self.g, self.h, n, self.potential, self.statistics)
-
-
-@dataclass(frozen=True)
-class Window:
-    """Single-particle truncation window [-L, L] plus the interior margin."""
-
-    L: int
-    interior_margin: int
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("window too small")
-        if not (0 <= self.interior_margin <= self.L):
-            raise ValueError("interior_margin must be in [0, L]")
-
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.L + 1
-
-
-def dimension(window: Window, n_particles: int) -> int:
-    return window.n_sites**n_particles
-
-
-def site_range(window: Window) -> np.ndarray:
-    return np.arange(-window.L, window.L + 1)
-
-
-def flat_to_tuples(window: Window, n_particles: int) -> np.ndarray:
-    """(dim, N) array of index tuples in lexicographic flat order."""
-    d = window.n_sites
-    dim = d**n_particles
-    idx = np.arange(dim)
-    out = np.empty((dim, n_particles), dtype=np.int64)
-    for k in range(n_particles - 1, -1, -1):
-        out[:, k] = idx % d - window.L
-        idx //= d
-    return out
 
 
 @dataclass
@@ -207,10 +106,6 @@ class OperatorMatrix:
         )
 
 
-class CapacityError(ValueError):
-    """A problem size above a fixed capacity limit: a configuration error, not a failed check."""
-
-
 def stark_basis_matrix(params: ModelParams, window: Window, pad: int = 0) -> np.ndarray:
     """Xi[j, m] = J_{m-j}(g/h); rows j in [-L-pad, L+pad], columns m in [-L, L].
 
@@ -224,12 +119,6 @@ def stark_basis_matrix(params: ModelParams, window: Window, pad: int = 0) -> np.
 
 def _kernel_pad(params: ModelParams) -> int:
     return int(math.ceil(2.0 * abs(params.x))) + 20
-
-
-def potential_matrix(params: ModelParams, half_width: int) -> np.ndarray:
-    """v(j1 - j2) on [-half_width, half_width]^2."""
-    j = np.arange(-half_width, half_width + 1)
-    return params.potential.values(j[:, None] - j[None, :])
 
 
 def two_site_kernel(params: ModelParams, window: Window) -> sp.csr_matrix:
@@ -616,13 +505,6 @@ def symmetry_sectors(d: int, n: int) -> tuple:
     return tuple(sectors)
 
 
-def _frobenius(x: np.ndarray) -> float:
-    # an einsum over the real view; a BLAS dot (np.vdot, np.linalg.norm) of a
-    # sector block ran 25x slower with two OpenBLAS threads than with one
-    v = x.ravel().view(np.float64)
-    return math.sqrt(np.einsum("i,i->", v, v))
-
-
 def _sparse_times(qt: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """qt @ x for a dense x, C-ordered first; a complex x as its real view."""
     x = np.ascontiguousarray(x)
@@ -756,10 +638,6 @@ def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_mat
     for legs in leg_list[1:]:
         total = total + embed_on_legs(op, window, n_particles, legs)
     return total
-
-
-def pairs(n_particles: int) -> list:
-    return list(itertools.combinations(range(n_particles), 2))
 
 
 def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:

@@ -20,10 +20,10 @@ from .model import (
     apply_on_legs,
     build_hamiltonian,
     enumerate_integer_partitions,
-    site_range,
     split_by_symmetry,
     stark_basis_matrix,
 )
+from .lattice import _face_rows, boundary_shell_mass  # the latter re-exported
 
 DENSE_CAP = 6000
 INTERIOR_TOL = 1e-10
@@ -73,21 +73,6 @@ def transform_columns(vectors: np.ndarray, xi: np.ndarray, n_particles: int) -> 
     for leg in range(n_particles):
         out = apply_on_legs(xi, out, (leg,), xi.shape[0], n_particles)
     return out[:, 0] if vectors.ndim == 1 else out
-
-
-def _face_rows(window: Window, n_particles: int) -> np.ndarray:
-    """Flat indices of the outermost index shell, max_i |m_i| = L."""
-    d, edge = window.n_sites, np.abs(site_range(window)) == window.L
-    face = np.zeros((d,) * n_particles, dtype=bool)
-    for k in range(n_particles):
-        face |= edge.reshape((d,) + (1,) * (n_particles - 1 - k))  # |m_k| = L
-    return np.flatnonzero(face)
-
-
-def boundary_shell_mass(vectors: np.ndarray, window: Window, n_particles: int) -> np.ndarray:
-    """Squared-norm mass on the outermost index shell (max_i |m_i| = L), per column."""
-    v = vectors[:, None] if vectors.ndim == 1 else vectors
-    return (np.abs(v[_face_rows(window, n_particles)]) ** 2).sum(axis=0)
 
 
 def interior_mask(res: SectorEigh, params: ModelParams, window: Window, basis: str) -> np.ndarray:

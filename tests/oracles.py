@@ -214,7 +214,7 @@ def evolve(
     dyn._check_normalized(psi0)
     if t == 0.0:
         return psi0.astype(complex)
-    x, y = prop(dyn._planes(psi0), 1)[0]
+    x, y = prop(dyn._planes(psi0), 1)[0][prop.interior]
     return (x + 1j * y).ravel()
 
 

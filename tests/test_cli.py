@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starklat import cli, dynamics, localization, model, resolvent, specfun
+from starklat import cli, dynamics, localization, model, resolvent, specfun, spectra
 from starklat.model import ModelParams, PairPotential, Window
 
 import oracles
@@ -556,12 +556,12 @@ def test_spectrum_tiny_hopping_matches_g0(tmp_path):
 def test_resolvent_check_basis(tmp_path, monkeypatch):
     seen = []
 
-    class Spy(cli.resolvent.ResolventWorkspace):
+    class Spy(resolvent.ResolventWorkspace):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             seen.append(self.basis)
 
-    monkeypatch.setattr(cli.resolvent, "ResolventWorkspace", Spy)
+    monkeypatch.setattr(resolvent, "ResolventWorkspace", Spy)
     base = dict(
         task="resolvent-check",
         model={"g": 1.0, "h": 0.5, "N": 2},
@@ -625,7 +625,7 @@ def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("solver exploded")
 
-    monkeypatch.setattr(cli.spectra, "sector_eigh", broken)
+    monkeypatch.setattr(spectra, "sector_eigh", broken)
     p = tmp_path / "c.json"
     write_config(p)
     assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_ASSERT

@@ -31,6 +31,22 @@ def test_params_validation():
     asym = PairPotential("tabulated", table={1: 1.0, -1: 0.5})
     with pytest.raises(ValueError):
         ModelParams(g=1.0, h=0.5, N=2, potential=asym, statistics="fermion")
+    # the library refuses the non-finite values the config loader refuses
+    nan, inf = float("nan"), float("inf")
+    for g, h in ((nan, 0.5), (inf, 0.5), (1.0, nan), (1.0, inf), (1.0, -inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(g=g, h=h, N=2)
+    for kind, strength, decay in (
+        ("power_law", 1.0, nan),
+        ("power_law", 1.0, inf),
+        ("exponential", 1.0, inf),
+        ("exponential", nan, 1.0),
+        ("nearest_neighbor", inf, 1.0),
+        ("nearest_neighbor", -inf, 1.0),
+        ("tabulated", nan, 1.0),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            PairPotential(kind, strength, decay, {1: 1.0} if kind == "tabulated" else None)
 
 
 def test_potential_presets():

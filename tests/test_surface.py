@@ -1,7 +1,9 @@
 """The library surface is closed: every public name of starklat has a caller outside the tests.
 
 Every task also runs on numpy's BLAS alone: no module imports `scipy.linalg`,
-whose import maps scipy's own OpenBLAS next to numpy's.
+whose import maps scipy's own OpenBLAS next to numpy's. And `scipy.sparse` is
+loaded only by the solver modules, which `cli.load_config` imports for every
+task but evolve: importing the CLI, evolve and plot-data never load it.
 
 A public top-level function, class or constant of `src/starklat` must appear
 as a NAME token outside its own definition in `src/starklat/*.py` or
@@ -105,10 +107,16 @@ def _run_fresh(code: str, *args: str) -> str:
     return out.stdout
 
 
-def test_cli_import_leaves_sparse_linalg_unloaded():
-    # no module of the package needs scipy's sparse solvers
-    code = "import sys, starklat.cli; print('scipy.sparse.linalg' in sys.modules)"
+def test_cli_import_and_plot_data_leave_scipy_sparse_unloaded(tmp_path):
+    code = "import sys, starklat.cli; print('scipy.sparse' in sys.modules)"
     assert _run_fresh(code).strip() == "False"
+    (tmp_path / "tail_summary.csv").write_text("r,sup_tail\n2,0.001\n")
+    code = (
+        "import sys; from starklat import cli; "
+        "print(cli.main(['plot-data', '--out', sys.argv[1]]), 'scipy.sparse' in sys.modules)"
+    )
+    assert _run_fresh(code, str(tmp_path)).split() == ["0", "False"]
+    assert (tmp_path / "tail_summary_plot.csv").exists()
 
 
 def test_no_module_imports_scipy_linalg():
@@ -140,18 +148,22 @@ TASK_CONFIGS = {
     },
 }
 
-# run one task, then report its exit code, whether scipy.linalg was imported,
+# load one task's config, then run it; report its exit code, whether scipy.linalg
+# was imported, whether scipy.sparse was after load_config and after the run,
 # and the OpenBLAS builds mapped into the process (none listed off Linux)
 RUN_TASK = """
 import json, os, sys
 from starklat import cli
+cli.load_config(sys.argv[2])
+loaded = "scipy.sparse" in sys.modules
 code = cli.main([sys.argv[1], "--config", sys.argv[2]])
 maps = "/proc/self/maps"
 libs = set()
 if os.path.exists(maps):
     with open(maps) as fh:
         libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-print(json.dumps([code, "scipy.linalg" in sys.modules, sorted(libs)]))
+print(json.dumps([code, "scipy.linalg" in sys.modules, loaded, "scipy.sparse" in sys.modules,
+                  sorted(libs)]))
 """
 
 
@@ -160,7 +172,10 @@ def test_task_runs_without_scipy_linalg(tmp_path, task):
     config = tmp_path / "config.json"
     cfg = dict(TASK_CONFIGS[task], task=task, output_dir=str(tmp_path / "out"))
     config.write_text(json.dumps(cfg))
-    code, linalg, libs = json.loads(_run_fresh(RUN_TASK, task, str(config)).splitlines()[-1])
+    out = json.loads(_run_fresh(RUN_TASK, task, str(config)).splitlines()[-1])
+    code, linalg, loaded, sparse, libs = out
     assert code in (0, 2)  # the run completed, whatever its checks said
     assert not linalg
+    # the solver modules' import is paid in set-up, and evolve never pays it
+    assert loaded == sparse == (task != "evolve")
     assert len(libs) <= 1, libs

@@ -103,7 +103,7 @@ def _z_grid(grid) -> list:
 
 
 def load_config(path: str) -> RunConfig:
-    global localization, model, resolvent, spectra  # they load scipy.sparse; evolve never does
+    global localization, model, resolvent, spectra  # the solver modules; evolve never imports them
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -271,6 +271,11 @@ def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
 
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
     """Build, export if asked, and diagonalize H; return its sector factors and interior mask."""
+    # room in the heap for the temporaries of the build, the split and the solves;
+    # none for a dimension above the dense cap, which the split refuses
+    dim = lattice.dimension(cfg.window, cfg.params.N)
+    if dim <= spectra.DENSE_CAP:
+        model._heap_room(dim)
     with stage("model.build_hamiltonian"):
         h = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     if cfg.export_matrices:

@@ -124,19 +124,28 @@ def position_stencil(op) -> Stencil:
     for a complex or non-symmetric H, one in another basis, a hop that varies,
     an entry at any other offset, or one that wraps across a leg edge.
     """
-    if np.iscomplexobj(op.matrix.data) or op.symmetry_defect() > 1e-12:
+    h = op.matrix
+    if np.iscomplexobj(h.data) or op.symmetry_defect() > 1e-12:
         raise ValueError("propagator needs a real symmetric Hamiltonian")
     if op.basis_tag != "position":
         raise ValueError("propagator runs in the position basis only")
     d, n = op.window.n_sites, op.n_particles
-    dia = op.matrix.todia()
+    rows = h._rows()
+    offsets = h.indices - rows
+    low = np.minimum(rows, h.indices)  # H[i, i + offset] or H[i - offset, i]: the lower index i
+
+    def band(offset: int) -> np.ndarray:
+        vals = np.zeros(op.dim - abs(offset))
+        on = offsets == offset
+        vals[low[on]] = h.data[on]
+        return vals
+
     strides = [d**k for k in range(n)]
-    hop = float(dia.diagonal(1)[0])
-    for offset in set(dia.offsets.tolist()) | {s * k for k in strides for s in (-1, 1)}:
+    hop = float(band(1)[0])
+    for offset in set(offsets.tolist()) | {s * k for k in strides for s in (-1, 1)}:
         if offset == 0:
             continue
-        # H[i, i + offset] or H[i - offset, i]: the pair's lower index is i
-        vals = dia.diagonal(offset)
+        vals = band(offset)
         want = np.zeros(vals.size)
         if abs(offset) in strides:
             lower = np.arange(vals.size)
@@ -145,7 +154,7 @@ def position_stencil(op) -> Stencil:
             raise ValueError(
                 f"propagator needs one constant nearest-neighbour hop; offset {offset} differs"
             )
-    diagonal = dia.diagonal().reshape((d,) * n)
+    diagonal = h.diagonal().reshape((d,) * n)
     return Stencil(op.window, diagonal, hop, _disc_bounds(diagonal, hop))
 
 

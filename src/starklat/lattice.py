@@ -1,8 +1,8 @@
 """The lattice core: model parameters, the window, its index maps, and the face of the window.
 
-numpy only, so that `evolve`, which builds its stencil straight from the model
-(`dynamics.model_stencil`), never loads scipy.sparse; `model` assembles CSR
-operators and the S_N sectors on top of it and re-exports these names.
+`evolve` builds its stencil straight from the model (`dynamics.model_stencil`)
+on this core alone; `model` assembles the CSR operators and the S_N sectors
+on top of it and re-exports these names.
 """
 
 from __future__ import annotations

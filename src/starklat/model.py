@@ -2,13 +2,13 @@
 
 All operators act on the tensor-product window [-L, L]^N with lexicographic
 flat indexing, one leg per particle; H0 and the interaction are sums of a
-one-site and a two-site operator lifted onto legs by `embed_on_legs`. The
-stark-basis two-site kernel is the Bessel transform of the position-basis
-pair potential; it is translation invariant, so its CSR entries are read
-from one table over the index offsets (`two_site_kernel`). The S_N sector
-split (`split_by_symmetry`) forms the dense sector blocks of an operator,
-converted to CSR once, a chunk of sector columns at a time, one running block
-per irrep.
+one-site and a two-site operator lifted onto legs by `embed_on_legs`, each a
+numpy `CSR`. The stark-basis two-site kernel is the Bessel transform of the
+position-basis pair potential; it is translation invariant, so its CSR
+entries are read from one table over the index offsets (`two_site_kernel`).
+The S_N sectors are orbit gathers (`Sector`), and the sector split
+(`split_by_symmetry`) forms the dense sector blocks of an operator, a chunk of
+sector columns at a time, one running block per irrep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import specfun
 from .lattice import (  # the core this module builds on, re-exported
@@ -43,8 +42,115 @@ SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector spli
 # columns per chunk wherever a sector basis is streamed: the split's products,
 # the interior mask's lifts and the resolvent check's column blocks
 CHUNK_COLUMNS = 64
+# dim x CHUNK_COLUMNS complex blocks a solve or a check keeps room for in the heap (`_heap_room`)
+HEAP_CHUNKS = 16
 UNIT_ROUNDOFF = 2.0**-53
 BASES = ("position", "stark")
+
+
+class CSR:
+    """A sparse matrix as compressed rows: numpy arrays only.
+
+    Canonical, as every constructor here leaves it: the columns of each row
+    ascending, none twice, and no stored zero. indices and indptr share one
+    integer type, int32 while it holds every index and count.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple):
+        kind = np.int32 if max(int(indptr[-1]), *shape) < 2**31 else np.int64
+        self.data, self.shape = data, tuple(shape)
+        self.indices, self.indptr = indices.astype(kind, copy=False), indptr.astype(kind, copy=False)
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "CSR":
+        """The nonzero entries of a dense a, row by row."""
+        rows, cols = np.nonzero(a)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=1))])
+        return cls(a[rows, cols], cols, indptr, a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        rows = self._rows()
+        on = self.indices == rows
+        out = np.zeros(min(self.shape), dtype=self.data.dtype)
+        out[rows[on]] = self.data[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self._rows(), self.indices] = self.data
+        return out
+
+
+def _heap_room(dim: int) -> None:
+    """Allocate and free one untouched block of HEAP_CHUNKS dim x CHUNK_COLUMNS complex arrays,
+    so that glibc's malloc keeps the freed blocks of a solve or a check.
+
+    glibc serves a block above its mmap threshold (128 kB at start) with a
+    fresh mapping, returns it on free, and trims the heap top above twice
+    that threshold; freeing a mapped block raises the threshold to its size.
+    The build, the split, the solves and the resolvent check allocate and
+    free many temporaries of up to about this size; with no large block
+    freed before them, their pages were faulted in again call after call (at
+    N=3, L=5: 92k minor page faults against 24k, and 0.35 against 0.18 s of
+    the check's expansion on a 2-vCPU host; at N=2, L=20 the first symmetry
+    check, split and solves of a fresh process took 2.3k, 0.7k and 10.7k
+    faults against 2, 28 and 6.4k). Eight arrays were too few at N=2, L=12:
+    a stream chunk's twenty-odd temporaries passed the trim threshold, twice
+    the block, and a six-z check took 27.2k faults a process against 11.2k
+    with sixteen. The block is never written, so none of its pages becomes
+    resident; on other allocators this is one short-lived allocation.
+    """
+    np.empty(HEAP_CHUNKS * dim * CHUNK_COLUMNS * np.dtype(complex).itemsize, dtype=np.uint8)
+
+
+def _row_keys(a: CSR) -> np.ndarray:
+    """row * n_cols + col of each stored entry: ascending for a canonical a."""
+    return np.repeat(np.arange(a.shape[0]) * a.shape[1], np.diff(a.indptr)) + a.indices
+
+
+def _sum(terms: list) -> CSR:
+    """The canonical CSRs summed left to right, all at once: one stable sort merges their
+    presorted key runs, twins sum in the order of `terms`, and entries that sum to exactly
+    0 are dropped, as each pairwise sum would drop them.
+
+    Only the twins are gathered: a run of consecutive twins adds into the
+    entry before it, its j-th twin in round j, and every other entry is
+    kept as it is.
+    """
+    n_rows, n_cols = terms[0].shape
+    keys = np.concatenate([_row_keys(t) for t in terms])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    data = np.concatenate([t.data for t in terms])[order]
+    del order
+    twin = np.flatnonzero(keys[1:] == keys[:-1]) + 1  # an entry with the key of the one before
+    starts = np.diff(twin, prepend=-1) != 1
+    head = (twin[starts] - 1)[np.cumsum(starts) - 1]  # the key's first entry
+    for j in range(1, int((twin - head).max(initial=0)) + 1):
+        at = twin - head == j
+        data[head[at]] += data[twin[at]]
+    keep = np.ones(keys.size, bool)
+    keep[twin] = False
+    keep[head[data[head] == 0]] = False  # the operands store no zero: only a sum can be 0
+    keys, data = keys[keep], data[keep]
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    cols = keys - np.repeat(np.arange(n_rows) * n_cols, np.diff(indptr))
+    return CSR(data, cols, indptr, (n_rows, n_cols))
+
+
+def _diagonal_csr(values: np.ndarray) -> CSR:
+    """diag(values) with its zeros dropped."""
+    at = np.flatnonzero(values)
+    return CSR(values[at], at, np.concatenate([[0], np.cumsum(values != 0)]), (values.size,) * 2)
 
 
 @dataclass
@@ -54,12 +160,13 @@ class OperatorMatrix:
     basis_tag: str
     window: Window
     n_particles: int
-    matrix: sp.spmatrix
+    matrix: CSR  # a dense array is converted
 
     def __post_init__(self):
         if self.basis_tag not in BASES:
             raise ValueError(f"unknown basis {self.basis_tag!r}")
-        self.matrix = sp.csr_matrix(self.matrix)
+        if not isinstance(self.matrix, CSR):
+            self.matrix = CSR.from_dense(np.asarray(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -71,27 +178,32 @@ class OperatorMatrix:
     def symmetry_defect(self) -> float:
         """max |H - H^T| over the entries.
 
-        When H and the canonical CSR of H^T store the same pattern, their data
-        line up entry by entry, so no sparse H - H^T is formed.
+        H^T's entries in canonical order are H's in the stable order of their
+        columns (a 16-bit column sorts by radix). When they store H's pattern,
+        their data line up entry by entry, so neither H^T nor H - H^T is formed.
         """
         h = self.matrix
-        t = h.T.tocsr()
-        t.sort_indices()
-        if np.array_equal(h.indptr, t.indptr) and np.array_equal(h.indices, t.indices):
+        key = h.indices.astype(np.uint16) if h.shape[1] <= 2**16 else h.indices
+        order = np.argsort(key, kind="stable")
+        rows = np.repeat(np.arange(h.shape[0], dtype=h.indices.dtype), np.diff(h.indptr))
+        counts = np.bincount(h.indices, minlength=h.shape[1])
+        if np.array_equal(counts, np.diff(h.indptr)) and np.array_equal(rows[order], h.indices):
             if h.nnz == 0:
                 return 0.0
-            d = t.data
+            del rows, key
+            d = h.data[order]
             d -= h.data
             return float(np.abs(d, out=d).max())
         # the patterns differ: H is not symmetric, so the rare full difference is paid
-        delta = h - t
+        t = CSR(-h.data[order], rows[order], np.concatenate([[0], np.cumsum(counts)]), h.shape)
+        delta = _sum([h, t])
         return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
 
     def export_coo_csv(self, path) -> None:
-        coo = self.matrix.tocoo()
-        with open(path, "w", newline="\n") as fh:
+        m = self.matrix
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("row,col,value\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
+            for r, c, v in zip(m._rows(), m.indices, m.data):
                 fh.write(f"{r},{c},{v:.17g}\n")
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -102,7 +214,7 @@ class OperatorMatrix:
         ):
             raise ValueError("operator metadata mismatch")
         return OperatorMatrix(
-            self.basis_tag, self.window, self.n_particles, self.matrix + other.matrix
+            self.basis_tag, self.window, self.n_particles, _sum([self.matrix, other.matrix])
         )
 
 
@@ -121,7 +233,7 @@ def _kernel_pad(params: ModelParams) -> int:
     return int(math.ceil(2.0 * abs(params.x))) + 20
 
 
-def two_site_kernel(params: ModelParams, window: Window) -> sp.csr_matrix:
+def two_site_kernel(params: ModelParams, window: Window) -> CSR:
     """Stark-basis kernel V2[(n1,n2),(m1,m2)] as CSR, from one translation-invariant table.
 
     V2 = sum_{j1,j2} J_{n1-j1} J_{m1-j1} v(j1 - j2) J_{n2-j2} J_{m2-j2}. With
@@ -168,53 +280,53 @@ def two_site_kernel(params: ModelParams, window: Window) -> sp.csr_matrix:
         indices.append((nz % (d * d)).astype(np.int32))
         data.append(rows.ravel()[nz])
     data, indices, indptr = (np.concatenate(x) for x in (data, indices, indptr))
-    return sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
+    return CSR(data, indices, indptr, (d * d, d * d))
 
 
-def one_site_operator(params: ModelParams, window: Window, basis: str) -> sp.coo_matrix:
+def one_site_operator(params: ModelParams, window: Window, basis: str) -> CSR:
     """One-particle H0 on [-L, L]: g*Delta - 2h*X (position, Dirichlet cut) or diag(-2h m)."""
-    m = site_range(window)
+    diag = -2.0 * params.h * site_range(window)
     if basis == "stark":
-        return sp.diags(-2.0 * params.h * m, format="coo")
+        return _diagonal_csr(diag)
     off = -params.g * np.ones(window.n_sites - 1)
-    return sp.diags([off, -2.0 * params.h * m, off], [-1, 0, 1], format="coo")
+    return CSR.from_dense(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def two_site_operator(params: ModelParams, window: Window, basis: str) -> sp.spmatrix:
+def two_site_operator(params: ModelParams, window: Window, basis: str) -> CSR:
     """Two-particle interaction on [-L, L]^2: diag v(j1 - j2) (position) or the stark kernel."""
     if basis == "stark":
         return two_site_kernel(params, window)
-    return sp.diags(potential_matrix(params, window.L).ravel(), format="coo")
+    return _diagonal_csr(potential_matrix(params, window.L).ravel())
 
 
-def embed_on_legs(op, window: Window, n_particles: int, legs: tuple) -> sp.csr_matrix:
+def embed_on_legs(op: CSR, window: Window, n_particles: int, legs: tuple) -> CSR:
     """Lift a d^k x d^k operator onto the sorted 0-based legs, identity elsewhere.
 
     The operator's rows and columns index its k legs lexicographically, like
-    the full tensor-product index, so on all n legs it is its own lift: its
-    CSR, which may share its arrays with op.
+    the full tensor-product index, so on all n legs it is its own lift: op
+    itself. Otherwise row R of the lift is op's row at R's digits on the
+    legs, its columns moved to R's digits elsewhere; as the legs are sorted,
+    that move keeps them ascending, so the lift is canonical with no sort.
     """
     d, k = window.n_sites, len(legs)
-    if list(legs) != sorted(set(legs)) or not 0 <= legs[0] <= legs[-1] < n_particles:
+    if not legs or list(legs) != sorted(set(legs)) or not 0 <= legs[0] <= legs[-1] < n_particles:
         raise ValueError(f"invalid legs {legs!r} for {n_particles} particles")
     if op.shape != (d**k, d**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} legs")
     if k == n_particles:
-        return sp.csr_matrix(op)
-    coo = sp.coo_matrix(op)
+        return op
     strides = d ** np.arange(n_particles - 1, -1, -1)
     leg_strides = strides[list(legs)]
-    rows = leg_strides @ np.unravel_index(coo.row, (d,) * k)
-    cols = leg_strides @ np.unravel_index(coo.col, (d,) * k)
-    # offsets of every site tuple on the other legs, where the lift is the identity
-    rest = np.zeros(1, dtype=np.int64)
-    for leg in range(n_particles):
-        if leg not in legs:
-            rest = (rest[:, None] + np.arange(d) * strides[leg]).ravel()
-    rows = (rows[:, None] + rest).ravel()
-    cols = (cols[:, None] + rest).ravel()
-    dim = d**n_particles
-    return sp.coo_matrix((np.repeat(coo.data, rest.size), (rows, cols)), shape=(dim, dim)).tocsr()
+    flat = np.arange(d**n_particles)
+    digits = flat[:, None] // leg_strides % d
+    row = digits @ (d ** np.arange(k - 1, -1, -1))  # op's row of each row of the lift
+    counts = np.diff(op.indptr)[row]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    # the stored entries of op's row, row after row: a ragged arange
+    at = np.repeat(op.indptr[row] - indptr[:-1], counts) + np.arange(indptr[-1])
+    moved = leg_strides @ np.unravel_index(np.arange(d**k), (d,) * k)  # op column -> offset
+    cols = np.repeat(flat - digits @ leg_strides, counts) + moved[op.indices[at]]
+    return CSR(op.data[at], cols, indptr, (flat.size,) * 2)
 
 
 def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) -> np.ndarray:
@@ -238,33 +350,127 @@ def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) ->
     return np.ascontiguousarray(y).reshape(x.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sector:
-    """Sparse orthonormal columns Q of one symmetry sector, stored as the rows of Q^T (CSR).
+    """Orthonormal columns Q of one symmetry sector, as gathers over the leg-permutation orbits.
+
+    Per orbit shape (`symmetry_sectors`): `flat`, the M x o flat indices of
+    the M arrangements of each of its o orbits; `local`, the M x k sector
+    basis L_s shared by those orbits; `cols`, the o x k sector columns they
+    fill. Q^T x is a gather of x by `flat` followed by L_s^T (`rows`), and
+    Q y is L_s times y's rows followed by a scatter by `flat` (`lift`); the
+    orbits partition the index, so the scatter sums nothing.
 
     A row of Q has at most `terms` nonzeros, and a lifted fl(Q y) is within
     lift_error ||y|| of Q y. `irrep` is the partition lambda of N whose
     irrep the sector's columns carry (`symmetry_sectors`), or () for the
-    whole space, Q = 1 (`SectorSplit.whole`). `abs_gain` bounds
+    whole space, Q = 1 (`whole_space`). `abs_gain` bounds
     || |Q| ||_2^2, |Q| the entrywise absolute value.
     """
 
-    qt: sp.csr_matrix
+    orbits: tuple  # per orbit shape: (flat, local, cols)
+    dim: int
     terms: int = 1
     lift_error: float = 0.0
     irrep: tuple = ()
     abs_gain: float = 1.0
 
     @property
-    def dim(self) -> int:
-        return self.qt.shape[0]
+    def size(self) -> int:
+        """d^N, the length of a column of Q."""
+        return sum(flat.size for flat, _, _ in self.orbits)
+
+    @property
+    def orbit_terms(self) -> int:
+        """The most nonzeros in a column of Q: the most terms of a sum in Q^T x."""
+        return max(int((local != 0).sum(axis=0).max()) for _, local, cols in self.orbits if cols.size)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Q^T x."""
+        return _sector_rows((self,), x)
 
     def lift(self, y: np.ndarray, out: np.ndarray) -> None:
         """Write Q y into out; rows of several terms are summed in np.longdouble, rounded once."""
-        if self.terms > 1:
-            out[...] = self.qt.T.astype(np.longdouble) @ y.astype(np.longdouble)
+        _sector_lift((self,), y, out, np.longdouble if self.terms > 1 else np.float64)
+
+
+def whole_space(dim: int) -> Sector:
+    """The whole index as one sector, Q = 1: one orbit per index."""
+    index = np.arange(dim)
+    return Sector(((index[None, :], np.ones((1, 1)), index[:, None]),), dim)
+
+
+def _real_columns(x: np.ndarray) -> np.ndarray:
+    """x as C-ordered real columns: a complex x as its real view, 1-D x as one column."""
+    x = np.ascontiguousarray(x.reshape(x.shape[0], -1))
+    return x.view(np.float64) if np.iscomplexobj(x) else x
+
+
+@functools.lru_cache(maxsize=8)
+def _stacked(sectors: tuple) -> tuple:
+    """Per orbit shape of the stacked sectors (all of one n, or the whole space): its M x o
+    flat indices, the sectors' M x k local bases L side by side, L^T C-ordered, and the
+    k x o rows of the stack that their columns fill; and the stack's size."""
+    starts = np.cumsum([0] + [s.dim for s in sectors])
+    shapes = []
+    for p, (flat, _, _) in enumerate(sectors[0].orbits):
+        local = np.hstack([s.orbits[p][1] for s in sectors])
+        at = np.hstack([start + s.orbits[p][2] for s, start in zip(sectors, starts)])
+        shapes.append((flat, local, local.T.copy(), at.T.copy()))
+    return tuple(shapes), int(starts[-1])
+
+
+def _sector_rows(sectors: tuple, x: np.ndarray, exact: bool = False) -> np.ndarray:
+    """Q^T x over the stacked sectors: per orbit shape one gather of x, then L^T times it.
+
+    The product is one BLAS call per shape. `exact` instead sums each
+    column's terms over an orbit's M arrangements in flat order from 0, one
+    rounding each, as a CSR product of Q^T does, so the split's blocks do
+    not depend on the BLAS kernel: a last-bit change of a block rotates its
+    degenerate eigenvectors, which can move states across the interior
+    mask's threshold (at N = 2, L = 20 the interior count moved 329 -> 333).
+    That sum makes M passes over the gathered columns, so the resolvent
+    check's per-z rows, which need no such order, keep BLAS: on a 2-vCPU host
+    all of the check's Q^T products took 0.03 s of a 0.6 s check at N = 3,
+    L = 5 with BLAS against 0.07 s exact, and 0.13 against 0.63 s of 3.3 s
+    at N = 4, L = 3.
+    """
+    xr = _real_columns(x)
+    shapes, dim = _stacked(sectors)
+    out = np.empty((dim, xr.shape[1]))
+    for flat, local, local_t, at in shapes:
+        if not at.size:
+            continue
+        g = xr[flat]  # (M, o, columns)
+        if exact:  # a zero term adds +-0, which leaves every sum as it is
+            acc, term = np.zeros((2,) + at.shape + g.shape[2:])
+            for row, gathered in zip(local, g):
+                acc += np.multiply(row[:, None, None], gathered, out=term)
+            out[at] = acc
         else:
-            out[...] = self.qt.T @ y
+            out[at] = (local_t @ g.reshape(g.shape[0], -1)).reshape(at.shape + g.shape[2:])
+    if np.iscomplexobj(x):
+        out = out.view(complex)
+    return out.reshape((dim,) + x.shape[1:])
+
+
+def _sector_lift(sectors: tuple, y: np.ndarray, out: np.ndarray, dtype=np.float64) -> None:
+    """Write Q y over the stacked sectors into out: per orbit shape L times y's rows, scattered by `flat`.
+
+    The orbits partition the index, so the scatter sums nothing. In
+    np.longdouble the product is numpy's own loop, which sums each row's
+    terms in column order from 0 and rounds once on the way out.
+    """
+    yr = _real_columns(y)
+    o = out.reshape(out.shape[0], -1)
+    o = o.view(np.float64) if np.iscomplexobj(o) else o
+    for flat, local, _, at in _stacked(sectors)[0]:
+        if not at.size:
+            o[flat] = 0.0
+        else:
+            part = yr[at].astype(dtype, copy=False)  # (k, o, columns)
+            prod = local.astype(dtype, copy=False) @ part.reshape(part.shape[0], -1)
+            o[flat] = prod.reshape(flat.shape + yr.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -290,9 +496,8 @@ class SectorSplit:
     @classmethod
     def whole(cls, a) -> "SectorSplit":
         """a unsplit: the whole space is the one sector (Q = 1), and a (dense) its one block."""
-        block = a.toarray() if sp.issparse(a) else a
-        whole = Sector(sp.identity(a.shape[0], format="csr"))
-        return cls((whole,), (block,), ((0,),), 0.0)
+        block = a.toarray() if isinstance(a, CSR) else a
+        return cls((whole_space(a.shape[0]),), (block,), ((0,),), 0.0)
 
     def diagnostics(self) -> dict:
         out = {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
@@ -489,28 +694,70 @@ def symmetry_sectors(d: int, n: int) -> tuple:
         for (which, _), (_, local) in zip(orbits, shapes):
             count[which] = local[s].shape[1]
         first = np.cumsum(count) - count  # the orbit's first column in the sector
-        rows, cols, vals = [], [], []
-        for (which, flat), (_, local) in zip(orbits, shapes):
-            for i, c in zip(*np.nonzero(local[s])):
-                rows.append(first[which] + c)
-                cols.append(flat[i])
-                vals.append(np.full(which.size, local[s][i, c]))
-        dim = int(count.sum())
-        if dim:
-            qt = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, d**n),
-            )
-            sectors.append(Sector(qt, *lift[s]))
+        gathers = tuple(
+            (flat, local[s], first[which][:, None] + np.arange(local[s].shape[1]))
+            for (which, flat), (_, local) in zip(orbits, shapes)
+        )
+        if count.sum():
+            sectors.append(Sector(gathers, int(count.sum()), *lift[s]))
     return tuple(sectors)
 
 
-def _sparse_times(qt: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """qt @ x for a dense x, C-ordered first; a complex x as its real view."""
-    x = np.ascontiguousarray(x)
-    if np.iscomplexobj(x):
-        return (qt @ x.view(np.float64)).view(complex)
-    return qt @ x
+def chunk_terms(sectors: tuple, parts: tuple) -> tuple:
+    """The nonzeros (f, r, v) of X = [Q_s[:, j0:j1] for (s, j0, j1) in parts], by column r, then row f.
+
+    Read off the orbit gathers: sector column j0 + r' is copy k of orbit o
+    where the shape's `cols` holds it, and its entries are L_s[:, k] at the
+    orbit's flat indices.
+    """
+    f, r, v, start = [], [], [], 0
+    for s, j0, j1 in parts:
+        for flat, local, cols in sectors[s].orbits:
+            orbit, copy = np.nonzero((cols >= j0) & (cols < j1))
+            term, at = np.nonzero(local[:, copy])
+            f.append(flat[term, orbit[at]])
+            r.append(start + cols[orbit, copy][at] - j0)
+            v.append(local[term, copy[at]])
+        start += j1 - j0
+    f, r, v = (np.concatenate(x) for x in (f, r, v))
+    order = np.lexsort((f, r))
+    return f[order], r[order], v[order]
+
+
+def _transpose_times(a: CSR, terms: tuple, width: int) -> np.ndarray:
+    """a^T X, C-ordered, for X of `width` columns given by its nonzeros (`chunk_terms`).
+
+    Bincounts over the rows of a that X reads: every bin (column of a,
+    column r of X) sums a[f, :] X[f, r] over the f of X's column in
+    ascending order from 0, as a sparse product of X^T and a sums it. Whole
+    columns of X go to one bincount, as many as read about 32 rows' worth of
+    a's width, so the gathered terms stay near the size of the dim x width result.
+    """
+    f, r, v = terms
+    n, counts = a.shape[1], np.diff(a.indptr)[f]
+    first = np.searchsorted(r, np.arange(width + 1))  # each column's first term
+    read = np.concatenate([[0], np.cumsum(counts)])[first]  # entries of a read before it
+    out = np.empty((n, width), a.data.dtype)
+    t0 = 0
+    while t0 < width:
+        t1 = int(np.searchsorted(read, read[t0] + 32 * n, side="right")) - 1
+        t1 = min(width, max(t0 + 1, t1))
+        part, c = slice(first[t0], first[t1]), counts[first[t0] : first[t1]]
+        at = np.repeat(a.indptr[f[part]] - np.cumsum(c) + c, c)
+        at += np.arange(at.size)  # the stored entries of a's rows f, row after row
+        bins = a.indices[at].astype(np.int64)
+        bins *= t1 - t0
+        bins += np.repeat(r[part] - t0, c)
+        products = a.data[at]
+        products *= np.repeat(v[part], c)
+        size, block = n * (t1 - t0), out[:, t0:t1]
+        if np.iscomplexobj(products):
+            block.real = np.bincount(bins, products.real, minlength=size).reshape(block.shape)
+            block.imag = np.bincount(bins, products.imag, minlength=size).reshape(block.shape)
+        else:
+            block[...] = np.bincount(bins, products, minlength=size).reshape(block.shape)
+        t0 = t1
+    return out
 
 
 def _column_parts(sectors: tuple, width: int) -> list:
@@ -567,9 +814,9 @@ def fill_sector_blocks(
 def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     """Split a into its S_N sectors (`symmetry_sectors`) if it commutes with leg permutations.
 
-    a is the CSR H of a solve, or any matrix scipy converts to CSR (an
-    oracle's dense H, or I(z)), converted once. Per chunk X of
-    `_column_parts`, the rows Q^T (a^T X) come from the sparse product X^T a,
+    a is the `CSR` H of a solve, or a dense matrix (an oracle's H, or I(z)),
+    converted once. Per chunk X of `_column_parts`, the rows Q^T (a^T X)
+    come from a^T X, gathered from the rows of a that X reads (`_transpose_times`),
     then times Q, and are filed by `fill_sector_blocks`: one running block
     per irrep, the mean of its partner blocks, which agree for every a that
     commutes with the leg permutations (`symmetry_sectors`). The
@@ -580,23 +827,23 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
     defect is above SECTOR_TOL ||Q^T a Q||_F (`sector_split`; a non-symmetric
     v, say) the whole space is the one sector, as it is for n < 2, and a
     itself (dense) its one block. Beyond the blocks, memory is a few
-    dim x CHUNK_COLUMNS arrays.
+    dim x CHUNK_COLUMNS arrays and the rows of a that one chunk reads.
     """
     if n >= 2:
         sectors = symmetry_sectors(d, n)
-        csr = a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)  # read by rows in every chunk
-        q_all = sp.vstack([s.qt for s in sectors], format="csr")
+        csr = a if isinstance(a, CSR) else CSR.from_dense(np.asarray(a))  # read by rows
         bounds = np.cumsum([0] + [s.dim for s in sectors])
         blocks, diffs, cross = {}, {}, 0.0
         for parts in _column_parts(sectors, CHUNK_COLUMNS):
-            xt = sp.vstack([sectors[s].qt[j0:j1] for s, j0, j1 in parts], format="csr")
-            rows = _sparse_times(q_all, (xt @ csr).toarray().T)  # Q^T (a^T X)
+            width = sum(j1 - j0 for _, j0, j1 in parts)
+            ax = _transpose_times(csr, chunk_terms(sectors, parts), width)
+            rows = _sector_rows(sectors, ax, exact=True)  # Q^T (a^T X)
             cross = fill_sector_blocks(rows, parts, blocks, diffs, bounds, cross)
         split = sector_split(sectors, blocks, diffs, cross, n)
         if split is not None:
             return split
         # refused: nothing filed is held while a is made dense
-        del sectors, csr, q_all, blocks, diffs, xt, rows
+        del sectors, csr, blocks, diffs, ax, rows
     return SectorSplit.whole(a)
 
 
@@ -623,7 +870,7 @@ def sector_split(
     return SectorSplit(sectors, kept, tuple(blocks), cross, theta, pair, norm, tuple(spread))
 
 
-def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_matrix:
+def _leg_sum(op: CSR, window: Window, n_particles: int, leg_list: list) -> CSR:
     # each lift of op onto k legs stores nnz(op) d^(N-k) entries; their sum
     # bounds what the CSR of the total stores, checked before anything is lifted
     stored = sum(op.nnz * window.n_sites ** (n_particles - len(legs)) for legs in leg_list)
@@ -632,12 +879,11 @@ def _leg_sum(op, window: Window, n_particles: int, leg_list: list) -> sp.csr_mat
             f"{stored} stored entries exceed the nonzero cap {NNZ_CAP}; shrink L or N"
         )
     if not leg_list:
-        return sp.csr_matrix((dimension(window, n_particles),) * 2)
-    # a lift may share its arrays with op: the sum is never formed in place
-    total = embed_on_legs(op, window, n_particles, leg_list[0])
-    for legs in leg_list[1:]:
-        total = total + embed_on_legs(op, window, n_particles, legs)
-    return total
+        dim = dimension(window, n_particles)
+        return CSR(np.zeros(0), np.zeros(0, int), np.zeros(dim + 1, int), (dim, dim))
+    # summed left to right; a lift may share its arrays with op, and no sum is formed in place
+    lifts = [embed_on_legs(op, window, n_particles, legs) for legs in leg_list]
+    return lifts[0] if len(lifts) == 1 else _sum(lifts)
 
 
 def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:

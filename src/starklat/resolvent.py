@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (
     CHUNK_COLUMNS,
+    CSR,
     CapacityError,
     ModelParams,
     PairPotential,
@@ -39,10 +39,13 @@ from .model import (
     Window,
     _column_parts,
     _frobenius,
+    _heap_room,
     _permutation_parity,
-    _sparse_times,
+    _sector_lift,
+    _sector_rows,
     apply_on_legs,
     build_hamiltonian,
+    chunk_terms,
     fill_sector_blocks,
     sector_split,
     two_site_operator,
@@ -61,8 +64,6 @@ RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
 POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
-# dim x CHUNK_COLUMNS complex blocks the workspace keeps room for in the heap (`_heap_room`)
-HEAP_CHUNKS = 8
 NORM_METHOD = (
     f"max over the S_N sector blocks of a {POWER_STEPS}-step power iteration on B^H B, "
     "the boson block (or the whole space) started from Q_b^T 1, every other from a fixed "
@@ -175,22 +176,6 @@ class FactoredResolvent:
     residual_bound: float  # upper bound on ||(z - H_D) G_D - 1||
 
 
-def _heap_room(nbytes: int) -> None:
-    """Allocate and free one untouched block of nbytes, so that glibc's malloc keeps freed blocks.
-
-    glibc serves a block above its mmap threshold (128 kB at start) with a
-    fresh mapping, returns it on free, and trims the heap top above twice
-    that threshold; freeing a mapped block raises the threshold to its size.
-    The check allocates and frees many dim x CHUNK_COLUMNS temporaries per
-    chunk; with no large block freed before the stream, their pages were
-    faulted in again chunk after chunk (at N=3, L=5: 92k minor page faults
-    against 24k, and 0.35 against 0.18 s of expansion on a 2-vCPU host).
-    The block is never written, so none of its pages becomes resident; on
-    other allocators this is one short-lived allocation.
-    """
-    np.empty(nbytes, dtype=np.uint8)
-
-
 @dataclass
 class ResolventWorkspace:
     """Cache of the block factors, the pair operator and the factored G_D(z)."""
@@ -208,7 +193,7 @@ class ResolventWorkspace:
                 f"dimension {self.dim} above the dense cap {DENSE_CAP} of the dense "
                 "H^(N) solve of the workspace"
             )
-        _heap_room(HEAP_CHUNKS * self.dim * CHUNK_COLUMNS * np.dtype(complex).itemsize)
+        _heap_room(self.dim)
 
     @property
     def dim(self) -> int:
@@ -225,7 +210,7 @@ class ResolventWorkspace:
         """
         key = ("U", k)
         if key not in self.cache:
-            pair = sp.csr_matrix(self.two_site()) if k > 1 else None
+            pair = CSR.from_dense(self.two_site()) if k > 1 else None
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
             del pair
             diag = h.matrix.diagonal()
@@ -241,22 +226,17 @@ class ResolventWorkspace:
         return self.cache[key]
 
     def sector_columns(self) -> tuple:
-        """(sectors, Q^T, Q): the sectors of the N-block's factors, in factor order.
+        """The sectors of the N-block's factors, in factor order: the stacked columns Q.
 
         `apply_resolvent` projects the N-particle block onto these columns,
-        and the resolvent check streams them. Q^T and Q are CSR: the stacked
-        sector columns, the identity when H^(N) was not split (the whole space).
+        and the resolvent check streams them. Q is the identity when H^(N)
+        was not split (the whole space).
         """
-        key = ("Q",)
-        if key not in self.cache:
-            sectors = tuple(s for f in self.block(self.params.N).factors for s in f.sectors)
-            qt = sp.vstack([s.qt for s in sectors], format="csr")
-            self.cache[key] = (sectors, qt, qt.T.tocsr())
-        return self.cache[key]
+        return tuple(s for f in self.block(self.params.N).factors for s in f.sectors)
 
     def sector_rows(self, y: np.ndarray) -> np.ndarray:
-        """Q^T y over `sector_columns`, complex and C-ordered."""
-        return _sparse_times(self.sector_columns()[1], np.asarray(y, dtype=complex))
+        """Q^T y over `sector_columns`, complex and C-ordered: one gather per orbit shape."""
+        return _sector_rows(self.sector_columns(), np.asarray(y, dtype=complex))
 
     def two_site(self) -> np.ndarray:
         """The d^2 x d^2 pair operator, applied on every leg pair (i < j).
@@ -307,8 +287,8 @@ class ResolventWorkspace:
     def apply_resolvent(self, dec: ClusterDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
         """G_D(z) x = W diag(delta) W^T x, one block's legs at a time.
 
-        The N-particle block is applied from its sector factors instead: one
-        sparse Q^T product (`sector_rows`), then `resolve_rows`.
+        The N-particle block is applied from its sector factors instead: the
+        rows Q^T x (`sector_rows`), then `resolve_rows`.
         """
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
@@ -332,11 +312,13 @@ class ResolventWorkspace:
 
         Per solve of the N-block's factors, Y^T, delta and Y on the rows of
         every sector it serves (stacked, so the partner sectors of one irrep
-        are one batch), then one sparse Q product.
+        are one batch), then the lift by Q.
         """
         f = self.full_factor(z)
         rows = _solve_in_sectors(f.blocks[0][1].factors, f.delta, rows)
-        return _sparse_times(self.sector_columns()[2], rows)
+        out = np.empty((self.dim,) + rows.shape[1:], dtype=complex)
+        _sector_lift(self.sector_columns(), rows, out)
+        return out
 
     def apply_coupling(
         self, d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition, x: np.ndarray
@@ -425,38 +407,55 @@ class ColumnChunk(NamedTuple):
     `ResolventWorkspace.sector_columns`, or X = 1 with no parts, so
     P^T X = X M(pi) for every leg permutation pi the expansion images by.
     `mix` maps each image (its axes tuple in `chain_orbits`) to M(pi): the
-    scalar +-1 on a one-dimensional sector (and 1 for the identity),
-    otherwise M(pi)^T as CSR (for X = 1 the permutation P).
+    scalar +-1 on a one-dimensional sector (and 1 for the identity); on the
+    k partner sectors of an irrep, whose parts are of one width w, the dense
+    k x k R(pi) with M = R (x) 1_w on the (k, w) column view; None for X = 1,
+    where M = P^T permutes the column legs as P the row legs.
     """
 
     x: np.ndarray  # dim x b, complex, C-ordered
     parts: tuple
     mix: dict
-    qx: sp.csr_matrix  # Q^T X over the sector columns
+    qx: np.ndarray  # Q^T X over the sector columns, dense
 
 
-def _chunk_plan(ws: ResolventWorkspace, xt: sp.csr_matrix, irreps: set) -> tuple:
-    """(mix, Q^T X) of the closed chunk X = xt^T, whose columns lie in sectors of `irreps`."""
+def _chunk_plan(ws: ResolventWorkspace, x: np.ndarray, parts: tuple) -> tuple:
+    """(mix, Q^T X) of the closed chunk X (real, dim x b) of `parts`; no parts: X = 1."""
     n, d = ws.params.N, ws.window.n_sites
+    sectors = ws.sector_columns()
+    irreps = {sectors[s].irrep for s, _, _ in parts}
     orbits = chain_orbits(n, even_potential(ws.params.potential))
     identity, mix = tuple(range(n)), {}
     for axes in {axes for _, images in orbits for axes in images}:
         legs = axes[:n]
-        if legs == identity or irreps == {(n,)}:
+        if not parts:
+            mix[axes] = None
+        elif legs == identity or irreps == {(n,)}:
             mix[axes] = 1.0
         elif irreps == {(1,) * n}:
             mix[axes] = -1.0 if _permutation_parity(legs) else 1.0
         else:
-            # P^T X gathers the rows of X; M^T = (P^T X)^T X
+            # P^T X gathers the rows of X, and M = X^T P^T X is R(pi) on every
+            # column of the parts: read it off their first columns
             rows = np.arange(ws.dim).reshape((d,) * n).transpose(np.argsort(legs)).ravel()
-            mix[axes] = (xt[:, rows] @ xt.T).tocsr()
-    return mix, (ws.sector_columns()[1] @ xt.T).tocsr()
+            first = x[:, :: parts[0][2] - parts[0][1]]
+            mix[axes] = first.T @ first[rows]
+    # in CSR order: where it gives an exact 0, a BLAS product's fused terms can leave
+    # a rounding-level entry, and `column_chunks` keeps Q^T X by its nonzeros
+    return mix, _sector_rows(sectors, x, exact=True)
 
 
 def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
     """X = 1 as a chunk: the dense D^T, I^T and residual of the same kernels."""
-    xt = sp.identity(ws.dim, format="csr")
-    return ColumnChunk(np.eye(ws.dim, dtype=complex), (), *_chunk_plan(ws, xt, set()))
+    return ColumnChunk(np.eye(ws.dim, dtype=complex), (), *_chunk_plan(ws, np.eye(ws.dim), ()))
+
+
+def _dense(nonzeros: tuple, dtype) -> np.ndarray:
+    """X from the (rows, cols, values, shape) of its nonzero entries, as a chunk caches it."""
+    rows, cols, values, shape = nonzeros
+    out = np.zeros(shape, dtype)
+    out[rows, cols] = values
+    return out
 
 
 def column_chunks(ws: ResolventWorkspace):
@@ -464,44 +463,50 @@ def column_chunks(ws: ResolventWorkspace):
 
     Each is at most CHUNK_COLUMNS wide, or one column per partner sector of an
     irrep of larger dimension (`model._column_parts`, as `split_by_symmetry`).
-    A generator: each chunk's X is made when the caller asks for it, from the
-    columns and mixes the workspace caches for every z.
+    A generator: each chunk's X and Q^T X are made when the caller asks for
+    them, from the nonzeros and mixes the workspace caches for every z: X's
+    nonzeros with int32 rows and columns (the workspace dimension is below
+    DENSE_CAP), and Q^T X as a `CSR`.
     """
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:
-        sectors, q_all, _ = ws.sector_columns()
+        sectors = ws.sector_columns()
         orbits = chain_orbits(ws.params.N, even_potential(ws.params.potential))
         if sectors[0].irrep == () and any(len(images) > 1 for _, images in orbits):
             # an even v with H^(N) left whole: columns of 1 are not closed
             raise np.linalg.LinAlgError("H^(N) does not split into the S_N sectors")
-        bounds = np.cumsum([0] + [s.dim for s in sectors])
         plans = []
         for parts in _column_parts(sectors, CHUNK_COLUMNS):
-            rows = [q_all[bounds[s] + j0 : bounds[s] + j1] for s, j0, j1 in parts]
-            xt = sp.vstack(rows, format="csr")
-            irreps = {sectors[s].irrep for s, _, _ in parts}
-            plans.append((parts, xt.tocoo(), *_chunk_plan(ws, xt, irreps)))
+            f, r, v = chunk_terms(sectors, parts)
+            width = sum(j1 - j0 for _, j0, j1 in parts)
+            x = (f.astype(np.int32), r.astype(np.int32), v, (ws.dim, width))
+            mix, qx = _chunk_plan(ws, _dense(x, np.float64), parts)
+            plans.append((parts, x, mix, CSR.from_dense(qx)))
         ws.cache[key] = tuple(plans)
-    for parts, xt, mix, qx in ws.cache[key]:
-        x = np.zeros((ws.dim, xt.shape[0]), dtype=complex)
-        x[xt.col, xt.row] = xt.data
-        yield ColumnChunk(x, parts, mix, qx)
+    for parts, x, mix, qx in ws.cache[key]:
+        yield ColumnChunk(_dense(x, complex), parts, mix, qx.toarray())
 
 
 def _add_images(acc: np.ndarray, x: np.ndarray, images: tuple, mix: dict, d: int, n: int) -> None:
-    """acc += P x M(pi) for each image: a strided add of the row legs, then the column mix."""
+    """acc += P x M(pi) for each image: the columns mixed by M, then a strided add of the row legs."""
     b = x.shape[1]
     acc_t, x_t = acc.reshape((d,) * n + (b,)), x.reshape((d,) * n + (b,))
     for axes in images:
         m = mix[axes]
-        if isinstance(m, float):
+        if m is None:  # X = 1: P x P^T
+            full = acc.reshape((d,) * (2 * n))
+            full += x.reshape((d,) * (2 * n)).transpose(axes)
+        elif isinstance(m, float):
             if m > 0.0:
                 acc_t += x_t.transpose(axes[:n] + (n,))
             else:
                 acc_t -= x_t.transpose(axes[:n] + (n,))
-        else:  # (P x) M = (M^T (P x)^T)^T
-            xt = np.ascontiguousarray(x_t.transpose((n,) + axes[:n])).reshape(b, -1)
-            acc += _sparse_times(m, xt).T
+        else:  # (P x) M = P (x M): R(pi)^T on the partner axis of x's real (dim, k, 2w) view
+            k = m.shape[0]
+            view = (d,) * n + (k, 2 * b // k)
+            mixed = np.matmul(m.T, np.ascontiguousarray(x).view(np.float64).reshape(-1, *view[n:]))
+            acc_r = acc.view(np.float64).reshape(view)
+            acc_r += mixed.reshape(view).transpose(axes[:n] + (n, n + 1))
 
 
 def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) -> tuple:
@@ -572,7 +577,7 @@ def residual_columns(
     applied from the N-block's sector factors to the rows Q^T (X - I^T X) =
     Q^T X - ri (`ResolventWorkspace.resolve_rows`), so X is not projected again.
     """
-    r = ws.resolve_rows(z, chunk.qx.toarray() - ri)
+    r = ws.resolve_rows(z, chunk.qx - ri)
     r -= dx
     return r
 
@@ -596,8 +601,8 @@ def sector_residual(
     for fac in f.blocks[0][1].factors:
         solves += [(fac, first)] * len(fac.sectors)
         first += fac.values.size
-    bounds = np.cumsum([0] + [s.dim for s in ws.sector_columns()[0]])
-    u = chunk.qx.toarray() - ri
+    bounds = np.cumsum([0] + [s.dim for s in ws.sector_columns()])
+    u = chunk.qx - ri
     own = off = inside = 0.0
     col = 0
     for s, j0, j1 in chunk.parts:
@@ -711,7 +716,7 @@ def stream_functional_equation(
     applied on each column's own sector only, and no row is lifted back by Q.
     `stage(name)` is entered around each chunk's expansion and residual.
     """
-    sectors = ws.sector_columns()[0]
+    sectors = ws.sector_columns()
     bounds = np.cumsum([0] + [s.dim for s in sectors])
     filed = {name: ({}, {}) for name in "di"}  # (blocks, diffs) of `fill_sector_blocks`
     cross = dict.fromkeys("di", 0.0)
@@ -760,8 +765,8 @@ def sector_norms(split: SectorSplit) -> list:
     out = [0.0] * len(split.sectors)
     for j, (b, serves) in enumerate(zip(split.blocks, split.serves)):
         if j == 0:
-            qt = split.sectors[serves[0]].qt
-            start = qt @ np.ones(qt.shape[1])
+            boson = split.sectors[serves[0]]
+            start = boson.rows(np.ones(boson.size))
         else:
             start = np.random.default_rng(j).standard_normal(b.shape[1])
         est = operator_norm(b, start.astype(complex))

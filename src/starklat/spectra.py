@@ -199,8 +199,8 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     rho is bounded from the computed residual r of the solved block S^_s,
     with gamma_k = k u / (1 - k u) for k roundings. S^_s differs from S_s
     by F_s, from three roundings:
-    - The block is fl(Q^T fl(X^T a)), two sparse products whose entries sum
-      at most c terms each, c the largest orbit (row of Q_s^T) of the
+    - The block is fl(Q^T fl(X^T a)), two products whose entries sum at
+      most c terms each, c the largest orbit (row of Q_s^T) of the
       sector: entrywise within gamma_2c |Q_s|^T |a^T| |Q_s|, of 2-norm at
       most gamma_2c g_s ||a||_F, with g_s >= || |Q_s| ||_2^2 (`Sector.abs_gain`)
       and ||a||_F <= ||Q^T a Q||_F / (1 - theta - gamma_2c c (1 + theta))
@@ -229,8 +229,8 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     those of the symmetric part of a, plus its skew part.
     """
     theta = split.basis_defect
-    # c: the largest orbit, the most terms of a sum in the block products
-    c = max(int(np.diff(s.qt.indptr).max()) for s in split.sectors)
+    # c: the most terms of a sum in the block products, at most the largest orbit
+    c = max(s.orbit_terms for s in split.sectors)
     a_frob = split.norm / (1.0 - theta - _gamma(2 * c) * c * (1.0 + theta))
     factors, rho, frob, gram, skew = [], [], [], [], []
     for b, serves, spread in zip(split.blocks, split.serves, split.spread):

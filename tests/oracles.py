@@ -1,7 +1,9 @@
 """Reference implementations that only the tests use: slow, direct and independent.
 
-Each restates a quantity the package computes another way (the S_N
-projectors, the sector sizes from the character tables, single stark-basis pair elements, the interaction envelope, the
+Each restates a quantity the package computes another way (the scipy.sparse
+assembly of H and the CSR rows Q^T of the S_N sectors with the split built
+from their products, the S_N projectors, the sector sizes from the character
+tables, single stark-basis pair elements, the interaction envelope, the
 decay check after the Bessel transform, the Gram defect of an eigenbasis, the
 complex Chebyshev coefficients, the Gershgorin discs of a CSR H, the tail
 mass beyond one radius), so that the
@@ -57,7 +59,130 @@ def symmetrizer(n_particles: int, window: Window, eta: int) -> OperatorMatrix:
             (np.full(dim, sign / nfact), (target, np.arange(dim))), shape=(dim, dim)
         )
         total = total + mat.tocsr()
-    return OperatorMatrix("position", window, n_particles, total)
+    return OperatorMatrix("position", window, n_particles, from_scipy(total))
+
+
+def scipy_csr(m) -> sp.csr_matrix:
+    """A `model.CSR` (or an OperatorMatrix's) as scipy's CSR, sharing its arrays."""
+    m = getattr(m, "matrix", m)
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def from_scipy(m) -> model.CSR:
+    """A scipy sparse matrix as a canonical `model.CSR`."""
+    m = sp.csr_matrix(m)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return model.CSR(m.data, m.indices, m.indptr, m.shape)
+
+
+def scipy_embed_on_legs(op, window: Window, n_particles: int, legs: tuple) -> sp.csr_matrix:
+    """The scipy lift `model.embed_on_legs` replaced: a COO of every lifted entry, then tocsr."""
+    d, k = window.n_sites, len(legs)
+    if k == n_particles:
+        return sp.csr_matrix(op)
+    coo = sp.coo_matrix(op)
+    strides = d ** np.arange(n_particles - 1, -1, -1)
+    leg_strides = strides[list(legs)]
+    rows = leg_strides @ np.unravel_index(coo.row, (d,) * k)
+    cols = leg_strides @ np.unravel_index(coo.col, (d,) * k)
+    rest = np.zeros(1, dtype=np.int64)
+    for leg in range(n_particles):
+        if leg not in legs:
+            rest = (rest[:, None] + np.arange(d) * strides[leg]).ravel()
+    rows = (rows[:, None] + rest).ravel()
+    cols = (cols[:, None] + rest).ravel()
+    dim = d**n_particles
+    return sp.coo_matrix((np.repeat(coo.data, rest.size), (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def scipy_hamiltonian(params: ModelParams, window: Window, basis: str) -> sp.csr_matrix:
+    """H as scipy.sparse assembled it: H0 and the interaction, each a left-to-right sum of lifts."""
+    m = model.site_range(window)
+    if basis == "stark":
+        one = sp.diags(-2.0 * params.h * m, format="coo")
+        pair = scipy_csr(model.two_site_kernel(params, window))
+    else:
+        off = -params.g * np.ones(window.n_sites - 1)
+        one = sp.diags([off, -2.0 * params.h * m, off], [-1, 0, 1], format="coo")
+        pair = sp.diags(model.potential_matrix(params, window.L).ravel(), format="coo")
+    dim = model.dimension(window, params.N)
+    parts = []
+    for op, leg_list in ((one, [(k,) for k in range(params.N)]), (pair, model.pairs(params.N))):
+        if not leg_list:
+            parts.append(sp.csr_matrix((dim, dim)))
+            continue
+        total = scipy_embed_on_legs(op, window, params.N, leg_list[0])
+        for legs in leg_list[1:]:
+            total = total + scipy_embed_on_legs(op, window, params.N, legs)
+        parts.append(total)
+    return parts[0] + parts[1]
+
+
+def csr_sector_rows(d: int, n: int) -> tuple:
+    """The CSR Q_s^T of each sector of `model.symmetry_sectors`, built from the orbit bases."""
+    shapes, _, lift = model._orbit_bases(n)
+    coords = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
+    steps = np.diff(coords, axis=0)
+    sorted_tuples = np.flatnonzero((steps >= 0).all(axis=0))
+    shape = (steps[:, sorted_tuples] == 0).T @ (1 << np.arange(n - 1))
+    strides = d ** np.arange(n - 1, -1, -1)
+    orbits = []
+    for code, (perms, _) in enumerate(shapes):
+        which = np.flatnonzero(shape == code)
+        flat = np.einsum("j,mjo->mo", strides, coords[:, sorted_tuples[which]][perms])
+        orbits.append((which, flat))
+    out = []
+    for s in range(len(lift)):
+        count = np.zeros(sorted_tuples.size, dtype=np.int64)
+        for (which, _), (_, local) in zip(orbits, shapes):
+            count[which] = local[s].shape[1]
+        first = np.cumsum(count) - count
+        rows, cols, vals = [], [], []
+        for (which, flat), (_, local) in zip(orbits, shapes):
+            for i, c in zip(*np.nonzero(local[s])):
+                rows.append(first[which] + c)
+                cols.append(flat[i])
+                vals.append(np.full(which.size, local[s][i, c]))
+        dim = int(count.sum())
+        if dim:
+            out.append(sp.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(dim, d**n),
+            ))
+    return tuple(out)
+
+
+def csr_times(q: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """q @ x for a dense x, C-ordered first; a complex x as its real view."""
+    x = np.ascontiguousarray(x)
+    if np.iscomplexobj(x):
+        return (q @ x.view(np.float64)).view(complex)
+    return q @ x
+
+
+def csr_split(a, d: int, n: int):
+    """`model.split_by_symmetry` from CSR products: per chunk X^T a, then Q^T, as scipy formed them.
+
+    None where the split refuses (the model then takes the whole space).
+    """
+    sectors, qts = model.symmetry_sectors(d, n), csr_sector_rows(d, n)
+    csr = sp.csr_matrix(a)
+    q_all = sp.vstack(qts, format="csr")
+    bounds = np.cumsum([0] + [s.dim for s in sectors])
+    blocks, diffs, cross = {}, {}, 0.0
+    for parts in model._column_parts(sectors, model.CHUNK_COLUMNS):
+        xt = sp.vstack([qts[s][j0:j1] for s, j0, j1 in parts], format="csr")
+        rows = csr_times(q_all, (xt @ csr).toarray().T)
+        cross = model.fill_sector_blocks(rows, parts, blocks, diffs, bounds, cross)
+    return model.sector_split(sectors, blocks, diffs, cross, n)
+
+
+def dense_q(sector: model.Sector) -> np.ndarray:
+    """The sector's columns Q as a dense d^N x dim array (the lift of 1 is exact)."""
+    out = np.empty((sector.size, sector.dim))
+    sector.lift(np.eye(sector.dim), out)
+    return out
 
 
 # character tables of S_2, S_3 and S_4: per conjugacy class its size and its
@@ -185,8 +310,8 @@ def pair_interaction(
     dim = model.dimension(window, params.N)
     total = sp.csr_matrix((dim, dim))
     for legs in pair_list:
-        total = total + model.embed_on_legs(op, window, params.N, legs)
-    return OperatorMatrix(basis, window, params.N, total)
+        total = total + scipy_csr(model.embed_on_legs(op, window, params.N, legs))
+    return OperatorMatrix(basis, window, params.N, from_scipy(total))
 
 
 def build_cluster_hamiltonian(
@@ -220,7 +345,7 @@ def evolve(
 
 def gershgorin_bounds(op: OperatorMatrix) -> tuple:
     """Spectral enclosure [min(d - r), max(d + r)] from the row discs of the CSR H."""
-    mat = op.matrix
+    mat = scipy_csr(op)
     d = mat.diagonal()
     radius = np.abs(mat).sum(axis=1).A1 - np.abs(d)
     return float((d - radius).min()), float((d + radius).max())

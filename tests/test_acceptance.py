@@ -248,9 +248,10 @@ def test_criterion_13_dynamics_corollary():
     assert np.all(np.abs(tr.densities.sum(axis=1) - 2.0) <= 1e-8)
     assert np.all(np.diff(tr.sup_tails) <= 1e-12)
     assert tr.truncation_safe  # tail at r = L - margin below 1e-4
-    e0 = psi0 @ (op.matrix @ psi0)
+    h = oracles.scipy_csr(op)
+    e0 = psi0 @ (h @ psi0)
     psi_t = oracles.evolve(op, psi0.astype(complex), 50.0, cfg)
-    assert abs(np.real(np.conj(psi_t) @ (op.matrix @ psi_t)) - e0) <= 1e-8
+    assert abs(np.real(np.conj(psi_t) @ (h @ psi_t)) - e0) <= 1e-8
     dense = op.toarray()
     vals, vecs = np.linalg.eigh(dense)
     oracle = vecs @ (np.exp(-1j * vals * 50.0) * (vecs.T @ psi0))

@@ -216,6 +216,25 @@ def test_export_matrices_flag(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+# sha256 of hamiltonian_coo.csv at N = 2, L = 3 (nearest-neighbour v = 1, g = 1,
+# h = 0.5): the bytes the export wrote when H was assembled by scipy.sparse
+EXPORT_SHA256 = {
+    "stark": "adaedfac0dc1e31e324620e01554fd95e5ec23d34f17e41881a79d4d766c3bde",
+    "position": "a00df38e0b560c2ab5f0d2fec659e232d90947135928d3b9303751def86717f0",
+}
+
+
+@pytest.mark.parametrize("basis", sorted(EXPORT_SHA256))
+def test_exported_hamiltonian_bytes_are_pinned(tmp_path, basis):
+    p = tmp_path / "c.json"
+    model_cfg = {"g": 1.0, "h": 0.5, "N": 2, "potential": {"kind": "nearest_neighbor", "strength": 1.0}}
+    write_config(p, model=model_cfg, window={"L": 3, "interior_margin": 1}, basis=basis)
+    code = cli.main(["spectrum", "--config", str(p), "--out", str(tmp_path / "m"), "--export-matrices"])
+    assert code in (cli.EXIT_OK, cli.EXIT_ASSERT)  # the export precedes every check
+    data = (tmp_path / "m" / "hamiltonian_coo.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EXPORT_SHA256[basis]
+
+
 def test_write_csv_formats(tmp_path):
     rows = [
         (0, 0.1, -0.0, float("nan"), float("inf"), np.float64(1e-300), "2+1", True),
@@ -604,8 +623,13 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
               window={"L": 8, "interior_margin": 3},
               dynamics={"t_max": 1e9, "samples": 1}),
          {"dynamics.model_stencil", "dynamics.tail_trace"}, "dynamics.tail_trace"),
+        # dim 61^4 stops at the nonzero cap of the build; no room is made in the heap before it
+        (dict(task="spectrum", model={"g": 1.0, "h": 0.5, "N": 4},
+              window={"L": 30, "interior_margin": 7}),
+         {"model.build_hamiltonian"}, "model.build_hamiltonian"),
     ],
-    ids=["dense-cap", "nnz-cap", "resolvent-dense-cap", "kernel-gather-cap", "evolve-step-cap"],
+    ids=["dense-cap", "nnz-cap", "resolvent-dense-cap", "kernel-gather-cap", "evolve-step-cap",
+         "spectrum-nnz-cap"],
 )
 def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_stage):
     p = tmp_path / "c.json"

@@ -38,7 +38,7 @@ def per_sample_evolve(op, psi0, t, bounds=None):
     lo, hi = bounds or oracles.gershgorin_bounds(op)
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coef = oracles.chebyshev_coefficients(half * t)
-    hs = (op.matrix - center * sp.identity(op.dim, format="csr")) / half
+    hs = (oracles.scipy_csr(op) - center * sp.identity(op.dim, format="csr")) / half
     tk_prev = psi0.astype(complex)
     tk = hs @ tk_prev
     acc = coef[0] * tk_prev + coef[1] * tk
@@ -100,7 +100,7 @@ def test_gershgorin_is_the_disc_enclosure(pair_setup):
     assert dyn.model_stencil(p, w).bounds == dyn.position_stencil(op).bounds
     assert dyn.position_stencil(op).bounds == ((d - r).min(), (d + r).max())
     diag = np.random.default_rng(5).standard_normal(w.n_sites)
-    op1 = model.OperatorMatrix("position", w, 1, sp.diags(diag).tocsr())
+    op1 = model.OperatorMatrix("position", w, 1, np.diag(diag))
     assert oracles.gershgorin_bounds(op1) == (diag.min(), diag.max())
     assert dyn.position_stencil(op1).bounds == (diag.min(), diag.max())
 
@@ -238,9 +238,9 @@ def test_folding_active_offsets_matches_folding_every_offset(triple_setup):
 
 def with_pair(op, i, j, value):
     """op with the symmetric pair of entries (i, j), (j, i) set to value."""
-    mat = op.matrix.tolil()
+    mat = oracles.scipy_csr(op).tolil()
     mat[i, j] = mat[j, i] = value
-    return model.OperatorMatrix("position", op.window, op.n_particles, mat)
+    return model.OperatorMatrix("position", op.window, op.n_particles, oracles.from_scipy(mat))
 
 
 def test_propagator_accepts_only_its_stencil():
@@ -309,9 +309,10 @@ def test_evolve_group_property(pair_setup):
 def test_evolve_energy_conservation(pair_setup):
     p, w, op = pair_setup
     psi0 = dyn.product_state(w, (0, 1)).astype(complex)
-    e0 = np.real(np.conj(psi0) @ (op.matrix @ psi0))
+    h = oracles.scipy_csr(op)
+    e0 = np.real(np.conj(psi0) @ (h @ psi0))
     psi_t = oracles.evolve(op, psi0, 50.0, dyn.PropagatorConfig(50.0, 1))
-    e_t = np.real(np.conj(psi_t) @ (op.matrix @ psi_t))
+    e_t = np.real(np.conj(psi_t) @ (h @ psi_t))
     assert abs(e_t - e0) <= 1e-8
 
 
@@ -478,9 +479,9 @@ def test_tail_trace_guards(pair_setup):
     narrow = dyn.position_stencil(op)._replace(bounds=(-0.5, 0.5))
     with pytest.raises(RuntimeError, match="norm drift"):
         dyn.tail_trace(narrow, psi0, dyn.PropagatorConfig(1.0, 2), [2])
-    skew = op.matrix.tolil()
+    skew = oracles.scipy_csr(op).tolil()
     skew[0, 1] += 0.1  # a varying hop too, but the symmetry check comes first
-    bad_op = model.OperatorMatrix("position", w, 2, skew)
+    bad_op = model.OperatorMatrix("position", w, 2, oracles.from_scipy(skew))
     with pytest.raises(ValueError, match="symmetric"):
         dyn.tail_trace(bad_op, psi0, dyn.PropagatorConfig(1.0, 2), [2])
     with pytest.raises(ValueError, match="normalized"):

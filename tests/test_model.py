@@ -69,10 +69,10 @@ def test_h0_position_3x3_example():
 
 
 def test_h0_stark_diagonal(params2, win):
-    h0 = model.build_h0(params2, win, "stark")
+    h0 = oracles.scipy_csr(model.build_h0(params2, win, "stark"))
     f = oracles.tuple_to_flat(win, np.array([2, -1]))
-    assert h0.matrix[f, f] == pytest.approx(-2 * params2.h * 1)
-    off = h0.matrix - np.diag(h0.matrix.diagonal())
+    assert h0[f, f] == pytest.approx(-2 * params2.h * 1)
+    off = h0 - np.diag(h0.diagonal())
     assert abs(off).max() == 0.0
 
 
@@ -111,8 +111,9 @@ def test_kernel_matches_per_element(win):
     pairs = model.flat_to_tuples(win, 2)
     for g, pot in itertools.product([1.0, 0.0, 10.0], KERNEL_POTENTIALS):  # g/h = 2, 0, 20
         params = ModelParams(g=g, h=0.5, N=2, potential=pot)
-        k = model.two_site_kernel(params, win)
-        assert k.shape == (d * d, d * d) and k.indices.dtype == np.int32
+        kernel = model.two_site_kernel(params, win)
+        assert kernel.shape == (d * d, d * d) and kernel.indices.dtype == np.int32
+        k = oracles.scipy_csr(kernel)
         assert (k != k.T).nnz == 0  # exactly symmetric
         rng = np.random.default_rng(7)
         for _ in range(15):
@@ -131,11 +132,11 @@ def test_kernel_matches_per_element(win):
 
 def test_interaction_position_diagonal(params2):
     w = Window(L=6, interior_margin=2)
-    v = model.build_interaction(params2, w, "position")
+    v = oracles.scipy_csr(model.build_interaction(params2, w, "position"))
     f = oracles.tuple_to_flat(w, np.array([3, 4]))
-    assert v.matrix[f, f] == pytest.approx(1.0)
+    assert v[f, f] == pytest.approx(1.0)
     f2 = oracles.tuple_to_flat(w, np.array([3, 6]))
-    assert v.matrix[f2, f2] == 0.0
+    assert v[f2, f2] == 0.0
 
 
 def test_three_pair_terms():
@@ -151,10 +152,11 @@ def test_three_pair_terms():
 
 
 def test_hamiltonian_is_sum(params2, win):
-    h = model.build_hamiltonian(params2, win, "stark")
-    h0 = model.build_h0(params2, win, "stark")
-    v = model.build_interaction(params2, win, "stark")
-    assert abs((h.matrix - (h0.matrix + v.matrix))).max() == 0.0
+    h, h0, v = (
+        oracles.scipy_csr(build(params2, win, "stark"))
+        for build in (model.build_hamiltonian, model.build_h0, model.build_interaction)
+    )
+    assert abs((h - (h0 + v))).max() == 0.0
 
 
 def test_embed_and_apply_on_legs_match_kron():
@@ -169,14 +171,15 @@ def test_embed_and_apply_on_legs_match_kron():
         back = list(np.argsort(perm))
         want = np.kron(op, np.eye(d ** (n - k))).reshape((d,) * (2 * n))
         want = want.transpose(back + [n + a for a in back]).reshape(d**n, d**n)
-        got = model.embed_on_legs(op, w, n, legs)
+        got = model.embed_on_legs(model.CSR.from_dense(op), w, n, legs)
         assert np.array_equal(got.toarray(), want)
         x = rng.standard_normal((d**n, 3)) + 1j * rng.standard_normal((d**n, 3))
-        assert np.abs(model.apply_on_legs(op, x, legs, d, n) - got @ x).max() <= 1e-13
+        product = oracles.scipy_csr(got) @ x
+        assert np.abs(model.apply_on_legs(op, x, legs, d, n) - product).max() <= 1e-13
     with pytest.raises(ValueError):
-        model.embed_on_legs(np.eye(d * d), w, n, (1, 0))
+        model.embed_on_legs(model.CSR.from_dense(np.eye(d * d)), w, n, (1, 0))
     with pytest.raises(ValueError):
-        model.embed_on_legs(np.eye(d), w, n, (0, 1))
+        model.embed_on_legs(model.CSR.from_dense(np.eye(d)), w, n, (0, 1))
 
 
 def test_prebuilt_pair_operator_is_left_unchanged(params2, win):
@@ -214,7 +217,7 @@ def test_symmetry_defect_matches_full_difference(entries):
     for (i, j), v in entries.items():
         a[i, j] = v
     op = model.OperatorMatrix("position", w, 1, a)
-    m = op.matrix
+    m = oracles.scipy_csr(op)
     want = abs(m - m.T).max() if entries else 0.0
     assert op.symmetry_defect() == want
     assert np.array_equal(op.toarray(), a)  # the check leaves H as it was
@@ -223,7 +226,8 @@ def test_symmetry_defect_matches_full_difference(entries):
         Window(L=4, interior_margin=1),
         "stark",
     )
-    assert big.symmetry_defect() == abs(big.matrix - big.matrix.T).max()
+    m = oracles.scipy_csr(big)
+    assert big.symmetry_defect() == abs(m - m.T).max()
 
 
 def test_determinism(params2):
@@ -251,8 +255,8 @@ def test_cluster_hamiltonian():
     mid = ClusterDecomposition(((1, 2), (3,)))
     got = oracles.build_cluster_hamiltonian(p, w, mid, "position").toarray()
     want = (
-        model.build_h0(p, w, "position").matrix
-        + oracles.pair_interaction(p, w, "position", [(0, 1)]).matrix
+        oracles.scipy_csr(model.build_h0(p, w, "position"))
+        + oracles.scipy_csr(oracles.pair_interaction(p, w, "position", [(0, 1)]))
     ).toarray()
     assert np.array_equal(got, want)
     bad = ClusterDecomposition(((1, 2),))
@@ -369,3 +373,36 @@ def test_refused_split_holds_nothing_filed_while_densifying():
         tracemalloc.stop()
     assert split.sectors[0].irrep == () and split.blocks[0].shape == (w.n_sites**n,) * 2
     assert peak <= 92 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", [(1, 4), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("pot", KERNEL_POTENTIALS, ids=lambda p: p.kind)
+def test_hamiltonian_is_bit_identical_to_the_scipy_assembly(basis, n, L, pot):
+    # the numpy lifts and linear-time merges store what scipy's COO lifts and
+    # CSR sums stored: the same entries, in the same order, with the same sums
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    w = Window(L=L, interior_margin=1)
+    got = model.build_hamiltonian(p, w, basis).matrix
+    want = oracles.scipy_hamiltonian(p, w, basis)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.shape == want.shape and got.nnz == want.nnz
+
+
+def test_embed_on_legs_rejects_empty_legs():
+    w = Window(L=1, interior_margin=0)
+    op = model.CSR.from_dense(np.eye(1))
+    with pytest.raises(ValueError, match="invalid legs"):
+        model.embed_on_legs(op, w, 2, ())
+
+
+def test_sum_drops_cancelled_entries():
+    # a + b merges two canonical CSRs; entries that cancel exactly are not stored
+    a = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
+    b = np.array([[-1.0, 0.0, 0.0], [4.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    w = Window(L=1, interior_margin=0)
+    total = model.OperatorMatrix("position", w, 1, a) + model.OperatorMatrix("position", w, 1, b)
+    assert total.matrix.nnz == 4
+    assert np.array_equal(total.toarray(), a + b)

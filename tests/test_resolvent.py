@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from starklat import model, resolvent as rsv, spectra
 from starklat.model import ModelParams, PairPotential, Window
@@ -162,7 +161,7 @@ def test_pair_kernel_built_once_per_workspace(n, L, monkeypatch):
     ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
     st = rsv.stream_functional_equation(0.5 + 1j, ws)
     assert len(calls) == 1 and st.residual <= 1e-12
-    assert not any(sp.issparse(v) for v in ws.cache.values())
+    assert not any(isinstance(v, model.CSR) for v in ws.cache.values())
     assert np.array_equal(ws.two_site(), kernel(p, ws.window).toarray())
     for k in range(2, n + 1):
         h = model.build_hamiltonian(p.with_n(k), ws.window, "stark").toarray()
@@ -335,7 +334,7 @@ def _perturbed_workspace(basis, size):
                 s._replace(vectors=s.vectors + size * rng.standard_normal(s.vectors.shape))
                 for s in f.factors
             )
-            u = np.hstack([q.qt.T @ s.vectors for s in factors for q in s.sectors])
+            u = np.hstack([oracles.dense_q(q) @ s.vectors for s in factors for q in s.sectors])
             eps = np.concatenate([s.values for s in factors for _ in s.sectors])
             f = f._replace(factors=factors)
         else:
@@ -415,7 +414,8 @@ def test_block_bounds_cover_full_matrix_defects(basis, n, L):
             assert got.vectors.tobytes() == exp.vectors.tobytes()
             for a, b in zip(got.sectors, exp.sectors, strict=True):
                 assert (a.dim, a.lift_error) == (b.dim, b.lift_error)
-                assert (a.qt != b.qt).nnz == 0
+                for got_gather, want_gather in zip(a.orbits, b.orbits, strict=True):
+                    assert all(map(np.array_equal, got_gather, want_gather))
 
     for k in range(2, n + 1):
         f = ws.block(k)
@@ -570,7 +570,7 @@ def _dense_check(ws, z):
     d, i = rsv.expansion(z, ws)
     split = {}
     for name, x in (("d", d), ("i", i)):
-        if ws.sector_columns()[0][0].irrep == ():
+        if ws.sector_columns()[0].irrep == ():
             # the trivial group streams the whole space, even where a split of x
             # exists (D = G_0 at N = 2 commutes with the leg swap for every v)
             split[name] = model.SectorSplit.whole(x)
@@ -644,7 +644,7 @@ def test_streamed_check_with_diagonal_n_block():
     p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 0.0))
     ws = rsv.ResolventWorkspace(p, Window(L=3, interior_margin=1))
     z = 0.5 + 1j
-    assert ws.block(2).factors != () and ws.sector_columns()[0][0].irrep != ()
+    assert ws.block(2).factors != () and ws.sector_columns()[0].irrep != ()
     d, i, split = _dense_check(ws, z)
     st = rsv.stream_functional_equation(z, ws)
     _assert_streamed_matches(st, d, i, split, ws, z)
@@ -672,7 +672,7 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
     z = 0.5 + 1j
     d, i = rsv.expansion(z, ws)
     st = rsv.stream_functional_equation(z, ws)
-    sectors, _, q = ws.sector_columns()
+    sectors = ws.sector_columns()
     bounds = np.cumsum([0] + [s.dim for s in sectors])
     chunks = list(rsv.column_chunks(ws))
     rng = np.random.default_rng(5)
@@ -703,7 +703,8 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
     cols = np.concatenate([np.arange(bounds[s] + j0, bounds[s] + j1) for s, j0, j1 in parts])
     w = np.zeros((ws.dim, ws.dim), dtype=complex)
     w[:, cols] = perturbation
-    e = np.linalg.solve(q.toarray().T, w.T)
+    q = np.hstack([oracles.dense_q(s) for s in sectors])
+    e = np.linalg.solve(q.T, w.T)
     want = rsv.functional_equation(z, ws, d, i + e).residual
     sector, dropped, u = bound(perturbation)
     got = sector + dropped
@@ -724,7 +725,7 @@ def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
     monkeypatch.setattr(model, "SECTOR_TOL", -1.0)
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     ws = rsv.ResolventWorkspace(p, Window(L=1, interior_margin=1))
-    assert ws.sector_columns()[0][0].irrep == ()
+    assert ws.sector_columns()[0].irrep == ()
     with pytest.raises(np.linalg.LinAlgError, match="S_N sectors"):
         rsv.stream_functional_equation(0.5 + 1j, ws)
 
@@ -747,7 +748,7 @@ def test_chunk_width_does_not_change_results(n, L, pot, width, monkeypatch):
     chunks = list(rsv.column_chunks(ws))
     assert sum(c.x.shape[1] for c in chunks) == ws.dim
     # every chunk holds columns of one irrep lambda, at most max(width, dim lambda) of them
-    sectors = ws.sector_columns()[0]
+    sectors = ws.sector_columns()
     for c in chunks:
         (lam,) = {sectors[s].irrep for s, _, _ in c.parts}
         dim = oracles.S_N_CHARACTERS[n][2][lam][0] if lam else 1  # () is the whole space

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from starklat import model, spectra
 from starklat.model import ModelParams, PairPotential, Window
@@ -73,9 +74,7 @@ def test_eigh_single_particle_ladder():
 
 def test_eigh_rejects_asymmetric():
     w = Window(L=2, interior_margin=1)
-    import scipy.sparse as sp
-
-    bad = model.OperatorMatrix("position", w, 1, sp.csr_matrix(np.triu(np.ones((5, 5)))))
+    bad = model.OperatorMatrix("position", w, 1, np.triu(np.ones((5, 5))))
     with pytest.raises(ValueError):
         spectra.eigh(bad)
 
@@ -265,7 +264,7 @@ def test_symmetry_sector_columns(n, L):
     sectors = model.symmetry_sectors(d, n)
     assert [s.dim for s in sectors] == sector_dims(d, n)
     assert [s.irrep for s in sectors] == oracles.sector_irreps(d, n)
-    q = [s.qt.T.toarray() for s in sectors]
+    q = [oracles.dense_q(s) for s in sectors]
     plus = oracles.symmetrizer(n, w, 1).toarray()
     minus = oracles.symmetrizer(n, w, -1).toarray()
     swap = swap_permutation(w, n)
@@ -305,7 +304,7 @@ def test_symmetry_sector_columns(n, L):
         y = rng.standard_normal((s.dim, 3))
         out = np.zeros((d**n, 3))
         s.lift(y, out)
-        qs, qscale = exact_ints(s.qt.T.toarray())
+        qs, qscale = exact_ints(oracles.dense_q(s))
         ys, yscale = exact_ints(y)
         exact = qs.dot(ys)
         for j in range(3):
@@ -407,7 +406,7 @@ def test_paired_remainder_solve_matches_full(basis, n, L):
     # R(s_i)[T, T'] = Q_T[:, j]^T P_i Q_T'[:, j], read off the columns j of each
     # copy, is the same matrix for every copy j
     for lam in dict.fromkeys(irreps):
-        q = np.stack([s.qt.T.toarray() for s in sectors if s.irrep == lam], axis=1)
+        q = np.stack([oracles.dense_q(s) for s in sectors if s.irrep == lam], axis=1)
         for i in range(n - 1):
             r = np.einsum("xtj,xuj->jtu", q, q[swap_images(w, n, i)])
             assert np.abs(r - r[0]).max() <= 1e-14, (lam, i)
@@ -429,7 +428,7 @@ def test_paired_remainder_solve_matches_full(basis, n, L):
     for got, want in zip(lifted.factors, sol.factors, strict=True):
         assert got.vectors.tobytes() == want.vectors.tobytes()
     # each served sector's lifted columns Q_s Y are eigenvectors within the bounds
-    v = np.hstack([s.qt.T @ f.vectors for f in sol.factors for s in f.sectors])
+    v = np.hstack([oracles.dense_q(s) @ f.vectors for f in sol.factors for s in f.sectors])
     resid = np.linalg.norm(dense @ v - v * served_values(sol), axis=0)
     assert np.linalg.norm(resid) <= sol.residual_norm
     assert resid.max() <= sol.residuals.max()
@@ -445,7 +444,7 @@ def test_unequal_partner_blocks_refuse_the_split():
         sectors = model.symmetry_sectors(d, n)
         for s in sectors:
             b = rng.standard_normal((s.dim, s.dim))
-            q = s.qt.T.toarray()
+            q = oracles.dense_q(s)
             a += q @ (b + b.T) @ q.T
         split = model.split_by_symmetry(a, d, n)
         assert len(split.sectors) == 1 and split.sectors[0].irrep == () and split.serves == ((0,),)
@@ -494,7 +493,7 @@ def test_capacity_errors():
 
 def lifted_by_dense_q(res):
     """Every eigenvector in eigenvalue order, as dense Q_s Y_s products (no `Sector.lift`)."""
-    v = np.hstack([s.qt.T @ f.vectors for f in res.factors for s in f.sectors])
+    v = np.hstack([oracles.dense_q(s) @ f.vectors for f in res.factors for s in f.sectors])
     return v[:, np.argsort(served_values(res), kind="stable")]
 
 
@@ -618,3 +617,66 @@ def test_no_dim_square_array_in_the_sector_solves(tmp_path, monkeypatch):
     assert [b.shape[0] for b in split.blocks] == [969, 680, 1632]
     budget = sum(b.size for b in split.blocks) * 8 + 8 * dim * model.CHUNK_COLUMNS * 8
     assert peak <= budget, (peak, budget)
+
+
+@pytest.mark.parametrize("n,L", [(2, 3), (3, 2), (4, 1)])
+def test_sector_gathers_match_the_csr_products(n, L):
+    # Q^T x by orbit gathers, exact, sums its terms in the order a CSR product of
+    # the sector rows does, and so does every lift of one sector (one term a row,
+    # or np.longdouble): they agree bit for bit; the BLAS products to rounding
+    d = 2 * L + 1
+    sectors, qts = model.symmetry_sectors(d, n), oracles.csr_sector_rows(d, n)
+    assert [s.dim for s in sectors] == [q.shape[0] for q in qts]
+    assert [s.orbit_terms for s in sectors] == [int(np.diff(q.indptr).max()) for q in qts]
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((d**n, 5)) + 1j * rng.standard_normal((d**n, 5))
+    q_all = sp.vstack(qts, format="csr")
+    for s, qt in zip(sectors, qts):
+        assert s.size == d**n
+        want = qt @ x.real
+        assert np.array_equal(model._sector_rows((s,), x.real, exact=True), want)
+        assert np.abs(s.rows(x.real) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(s.rows(x.real[:, 0]).shape, (s.dim,))
+        y = rng.standard_normal((s.dim, 3))
+        out = np.empty((d**n, 3))
+        s.lift(y, out)
+        if s.terms > 1:
+            want = qt.T.astype(np.longdouble) @ y.astype(np.longdouble)
+        else:
+            want = qt.T @ y
+        assert np.array_equal(out, want.astype(np.float64))
+    want = oracles.csr_times(q_all, x)
+    assert np.array_equal(model._sector_rows(sectors, x, exact=True), want)
+    assert np.abs(model._sector_rows(sectors, x) - want).max() <= 1e-14 * np.abs(want).max()
+    y = rng.standard_normal((q_all.shape[0], 4)) + 1j * rng.standard_normal((q_all.shape[0], 4))
+    out = np.empty((d**n, 4), dtype=complex)
+    model._sector_lift(sectors, y, out)
+    want = oracles.csr_times(q_all.T.tocsr(), y)
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", [(2, 4), (3, 2), (4, 1)])
+@pytest.mark.parametrize("pot", [*SYMMETRIC_POTENTIALS[:2], ASYMMETRIC], ids=lambda p: p.kind)
+def test_split_matches_the_csr_split(basis, n, L, pot):
+    # the split's blocks, cross norm, pair defects and spread from the gathered
+    # products equal those of the CSR products X^T a and Q^T (a^T X) bit for bit
+    w = Window(L=L, interior_margin=1)
+    op = model.build_hamiltonian(ModelParams(g=1.0, h=0.5, N=n, potential=pot), w, basis)
+    got = model.split_by_symmetry(op.matrix, w.n_sites, n)
+    want = oracles.csr_split(oracles.scipy_csr(op), w.n_sites, n)
+    if want is None:  # an uneven v: both refuse, and the whole H is the one block
+        assert got.sectors[0].irrep == () and np.array_equal(got.blocks[0], op.toarray())
+        return
+    assert got.serves == want.serves and len(got.blocks) == len(want.blocks)
+    for a, b in zip(got.blocks, want.blocks):
+        assert a.tobytes() == b.tobytes()
+    assert got.cross_norm == want.cross_norm and got.pair_defect == want.pair_defect
+    assert got.spread == want.spread and got.norm == want.norm
+    # a dense complex a takes the same path
+    dense = op.toarray() * (1.0 + 0.5j)
+    got = model.split_by_symmetry(dense, w.n_sites, n)
+    want = oracles.csr_split(dense, w.n_sites, n)
+    for a, b in zip(got.blocks, want.blocks, strict=True):
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+    assert abs(got.cross_norm - want.cross_norm) <= 1e-15 * got.norm

@@ -1,9 +1,9 @@
 """The library surface is closed: every public name of starklat has a caller outside the tests.
 
 Every task also runs on numpy's BLAS alone: no module imports `scipy.linalg`,
-whose import maps scipy's own OpenBLAS next to numpy's. And `scipy.sparse` is
-loaded only by the solver modules, which `cli.load_config` imports for every
-task but evolve: importing the CLI, evolve and plot-data never load it.
+whose import maps scipy's own OpenBLAS next to numpy's. And no module imports
+`scipy.sparse` (H is a numpy CSR and the S_N sectors are orbit gathers), so
+no task loads it: neither importing the CLI nor any task's config and run.
 
 A public top-level function, class or constant of `src/starklat` must appear
 as a NAME token outside its own definition in `src/starklat/*.py` or
@@ -119,7 +119,9 @@ def test_cli_import_and_plot_data_leave_scipy_sparse_unloaded(tmp_path):
     assert (tmp_path / "tail_summary_plot.csv").exists()
 
 
-def test_no_module_imports_scipy_linalg():
+def imported_names() -> list:
+    """(file, line, dotted names) of every import statement in src/starklat."""
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -129,7 +131,19 @@ def test_no_module_imports_scipy_linalg():
                 names = [base] + [f"{base}.{a.name}" for a in node.names]
             else:
                 continue
-            assert not any(n.startswith("scipy.linalg") for n in names), (path.name, node.lineno)
+            out.append((path.name, node.lineno, names))
+    return out
+
+
+def test_no_module_imports_scipy_linalg():
+    for name, line, names in imported_names():
+        assert not any(n.startswith("scipy.linalg") for n in names), (name, line)
+
+
+def test_no_module_imports_scipy_sparse():
+    assert imported_names()  # the scan sees the imports
+    for name, line, names in imported_names():
+        assert not any(n.startswith("scipy.sparse") for n in names), (name, line)
 
 
 TINY = {"g": 1.0, "h": 0.5, "potential": {"kind": "nearest_neighbor", "strength": 1.0}}
@@ -176,6 +190,6 @@ def test_task_runs_without_scipy_linalg(tmp_path, task):
     code, linalg, loaded, sparse, libs = out
     assert code in (0, 2)  # the run completed, whatever its checks said
     assert not linalg
-    # the solver modules' import is paid in set-up, and evolve never pays it
-    assert loaded == sparse == (task != "evolve")
+    # no task loads scipy.sparse, in its set-up or its run
+    assert not loaded and not sparse
     assert len(libs) <= 1, libs

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__, dynamics, lattice, specfun
 from .lattice import ModelParams, PairPotential, Window
@@ -134,6 +133,8 @@ def load_config(path: str) -> RunConfig:
     if task_basis not in (None, basis):
         raise ConfigError(f"task {task!r} runs in the {task_basis} basis only, not {basis!r}")
     pot_raw = m.get("potential", {})
+    if not isinstance(pot_raw, dict):
+        raise ConfigError("model.potential must be an object")
     _check_keys("potential", pot_raw)
     probes, dyn, probe = raw.get("probes", {}), raw.get("dynamics", {}), None
     try:
@@ -238,18 +239,12 @@ def _stage(timings: dict, open_stages: list, name: str):
 
 
 def _versions() -> dict:
-    # numpy and scipy each bundle a BLAS; only numpy's is loaded, since no
-    # module imports scipy.linalg, but both builds are recorded
-    blas = {
-        lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        for lib in (np, scipy)
-    }
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "starklat": __version__,
-        "blas": {name: f"{b.get('name')} {b.get('version')}" for name, b in blas.items()},
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "cpu_count": os.cpu_count(),
     }

@@ -420,34 +420,15 @@ def _stacked(sectors: tuple) -> tuple:
     return tuple(shapes), int(starts[-1])
 
 
-def _sector_rows(sectors: tuple, x: np.ndarray, exact: bool = False) -> np.ndarray:
-    """Q^T x over the stacked sectors: per orbit shape one gather of x, then L^T times it.
-
-    The product is one BLAS call per shape. `exact` instead sums each
-    column's terms over an orbit's M arrangements in flat order from 0, one
-    rounding each, as a CSR product of Q^T does, so the split's blocks do
-    not depend on the BLAS kernel: a last-bit change of a block rotates its
-    degenerate eigenvectors, which can move states across the interior
-    mask's threshold (at N = 2, L = 20 the interior count moved 329 -> 333).
-    That sum makes M passes over the gathered columns, so the resolvent
-    check's per-z rows, which need no such order, keep BLAS: on a 2-vCPU host
-    all of the check's Q^T products took 0.03 s of a 0.6 s check at N = 3,
-    L = 5 with BLAS against 0.07 s exact, and 0.13 against 0.63 s of 3.3 s
-    at N = 4, L = 3.
-    """
+def _sector_rows(sectors: tuple, x: np.ndarray) -> np.ndarray:
+    """Q^T x over the stacked sectors: per orbit shape one gather of x, then one BLAS
+    product of L^T with it."""
     xr = _real_columns(x)
     shapes, dim = _stacked(sectors)
     out = np.empty((dim, xr.shape[1]))
-    for flat, local, local_t, at in shapes:
-        if not at.size:
-            continue
-        g = xr[flat]  # (M, o, columns)
-        if exact:  # a zero term adds +-0, which leaves every sum as it is
-            acc, term = np.zeros((2,) + at.shape + g.shape[2:])
-            for row, gathered in zip(local, g):
-                acc += np.multiply(row[:, None, None], gathered, out=term)
-            out[at] = acc
-        else:
+    for flat, _, local_t, at in shapes:
+        if at.size:
+            g = xr[flat]  # (M, o, columns)
             out[at] = (local_t @ g.reshape(g.shape[0], -1)).reshape(at.shape + g.shape[2:])
     if np.iscomplexobj(x):
         out = out.view(complex)
@@ -728,8 +709,7 @@ def _transpose_times(a: CSR, terms: tuple, width: int) -> np.ndarray:
     """a^T X, C-ordered, for X of `width` columns given by its nonzeros (`chunk_terms`).
 
     Bincounts over the rows of a that X reads: every bin (column of a,
-    column r of X) sums a[f, :] X[f, r] over the f of X's column in
-    ascending order from 0, as a sparse product of X^T and a sums it. Whole
+    column r of X) sums a[f, :] X[f, r] over the f of X's column. Whole
     columns of X go to one bincount, as many as read about 32 rows' worth of
     a's width, so the gathered terms stay near the size of the dim x width result.
     """
@@ -837,7 +817,7 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
         for parts in _column_parts(sectors, CHUNK_COLUMNS):
             width = sum(j1 - j0 for _, j0, j1 in parts)
             ax = _transpose_times(csr, chunk_terms(sectors, parts), width)
-            rows = _sector_rows(sectors, ax, exact=True)  # Q^T (a^T X)
+            rows = _sector_rows(sectors, ax)  # Q^T (a^T X)
             cross = fill_sector_blocks(rows, parts, blocks, diffs, bounds, cross)
         split = sector_split(sectors, blocks, diffs, cross, n)
         if split is not None:

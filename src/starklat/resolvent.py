@@ -66,8 +66,8 @@ POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
 NORM_METHOD = (
     f"max over the S_N sector blocks of a {POWER_STEPS}-step power iteration on B^H B, "
-    "the boson block (or the whole space) started from Q_b^T 1, every other from a fixed "
-    "random vector"
+    "the boson block (or the whole space) started from Q_b^T 1, every other from e_j, "
+    "j its column of largest norm"
 )
 
 
@@ -151,17 +151,24 @@ def _power_norm(a: np.ndarray, v: np.ndarray) -> float:
     return float(est)
 
 
+def _largest_column(a: np.ndarray) -> np.ndarray:
+    """e_j, j the column of a of largest norm: A^H A e_j != 0 for every nonzero A."""
+    start = np.zeros(a.shape[1])
+    start[np.argmax(np.linalg.norm(a, axis=0))] = 1.0
+    return start
+
+
 def operator_norm(a: np.ndarray, start: Optional[np.ndarray] = None) -> float:
     """2-norm estimate (a lower bound): power iteration on A*A.
 
     Starts from `start` (default the all-ones vector); if the iterate
     collapses because that vector is orthogonal to the row space, restarts
-    from a fixed-seed random vector, so a nonzero matrix does not come out as 0.
+    from e_j, j the column of largest norm (`_largest_column`), from which no
+    iterate of a nonzero matrix collapses.
     """
     est = _power_norm(a, np.ones(a.shape[1], dtype=complex) if start is None else start)
     if est == 0.0:
-        rng = np.random.default_rng(0)
-        est = _power_norm(a, rng.standard_normal(a.shape[1]) + 0j)
+        est = _power_norm(a, _largest_column(a))
     return est
 
 
@@ -440,9 +447,7 @@ def _chunk_plan(ws: ResolventWorkspace, x: np.ndarray, parts: tuple) -> tuple:
             rows = np.arange(ws.dim).reshape((d,) * n).transpose(np.argsort(legs)).ravel()
             first = x[:, :: parts[0][2] - parts[0][1]]
             mix[axes] = first.T @ first[rows]
-    # in CSR order: where it gives an exact 0, a BLAS product's fused terms can leave
-    # a rounding-level entry, and `column_chunks` keeps Q^T X by its nonzeros
-    return mix, _sector_rows(sectors, x, exact=True)
+    return mix, _sector_rows(sectors, x)
 
 
 def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
@@ -758,9 +763,9 @@ def sector_norms(split: SectorSplit) -> list:
 
     The first block (bosons, or the whole space) starts from Q_b^T 1, where
     operator_norm of the full matrix starts (1 lies in the boson sector);
-    block j >= 1 starts from a fixed random vector of seed j. The max over the
-    sectors lies between that boson-only estimate and the 2-norm (to within
-    the basis defect).
+    every other block starts from e_j, j its column of largest norm
+    (`_largest_column`). The max over the sectors lies between that
+    boson-only estimate and the 2-norm (to within the basis defect).
     """
     out = [0.0] * len(split.sectors)
     for j, (b, serves) in enumerate(zip(split.blocks, split.serves)):
@@ -768,8 +773,8 @@ def sector_norms(split: SectorSplit) -> list:
             boson = split.sectors[serves[0]]
             start = boson.rows(np.ones(boson.size))
         else:
-            start = np.random.default_rng(j).standard_normal(b.shape[1])
-        est = operator_norm(b, start.astype(complex))
+            start = _largest_column(b)
+        est = operator_norm(b, start)
         for s in serves:
             out[s] = est
     return out

@@ -1,9 +1,9 @@
 """The library surface is closed: every public name of starklat has a caller outside the tests.
 
-Every task also runs on numpy's BLAS alone: no module imports `scipy.linalg`,
-whose import maps scipy's own OpenBLAS next to numpy's. And no module imports
-`scipy.sparse` (H is a numpy CSR and the S_N sectors are orbit gathers), so
-no task loads it: neither importing the CLI nor any task's config and run.
+numpy is the whole runtime: no module imports scipy (H is a numpy CSR, the
+S_N sectors are orbit gathers, and the solves are numpy's), so no task loads
+it, nor `numpy.random`: neither importing the CLI nor any task's config and
+run. Every task runs on numpy's BLAS alone, and with scipy unimportable.
 
 A public top-level function, class or constant of `src/starklat` must appear
 as a NAME token outside its own definition in `src/starklat/*.py` or
@@ -107,15 +107,21 @@ def _run_fresh(code: str, *args: str) -> str:
     return out.stdout
 
 
+# defines unwanted(): the loaded modules a run of starklat must not load, scipy's and numpy.random
+UNWANTED = (
+    "import sys\n"
+    "unwanted = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+    "or m == 'numpy.random')\n"
+)
+
+
 def test_cli_import_and_plot_data_leave_scipy_sparse_unloaded(tmp_path):
-    code = "import sys, starklat.cli; print('scipy.sparse' in sys.modules)"
-    assert _run_fresh(code).strip() == "False"
+    assert _run_fresh(UNWANTED + "import starklat.cli; print(unwanted())").strip() == "[]"
     (tmp_path / "tail_summary.csv").write_text("r,sup_tail\n2,0.001\n")
-    code = (
-        "import sys; from starklat import cli; "
-        "print(cli.main(['plot-data', '--out', sys.argv[1]]), 'scipy.sparse' in sys.modules)"
+    code = UNWANTED + (
+        "from starklat import cli; print(cli.main(['plot-data', '--out', sys.argv[1]]), unwanted())"
     )
-    assert _run_fresh(code, str(tmp_path)).split() == ["0", "False"]
+    assert _run_fresh(code, str(tmp_path)).split() == ["0", "[]"]
     assert (tmp_path / "tail_summary_plot.csv").exists()
 
 
@@ -135,15 +141,10 @@ def imported_names() -> list:
     return out
 
 
-def test_no_module_imports_scipy_linalg():
-    for name, line, names in imported_names():
-        assert not any(n.startswith("scipy.linalg") for n in names), (name, line)
-
-
-def test_no_module_imports_scipy_sparse():
+def test_no_module_imports_scipy():
     assert imported_names()  # the scan sees the imports
     for name, line, names in imported_names():
-        assert not any(n.startswith("scipy.sparse") for n in names), (name, line)
+        assert not any(n.split(".")[0] == "scipy" for n in names), (name, line)
 
 
 TINY = {"g": 1.0, "h": 0.5, "potential": {"kind": "nearest_neighbor", "strength": 1.0}}
@@ -162,34 +163,48 @@ TASK_CONFIGS = {
     },
 }
 
-# load one task's config, then run it; report its exit code, whether scipy.linalg
-# was imported, whether scipy.sparse was after load_config and after the run,
-# and the OpenBLAS builds mapped into the process (none listed off Linux)
-RUN_TASK = """
-import json, os, sys
+# load one task's config, then run it; report its exit code, the unwanted modules
+# loaded after load_config and after the run, and the OpenBLAS builds mapped into
+# the process (none listed off Linux)
+RUN_TASK = UNWANTED + """
+import json, os
 from starklat import cli
 cli.load_config(sys.argv[2])
-loaded = "scipy.sparse" in sys.modules
+loaded = unwanted()
 code = cli.main([sys.argv[1], "--config", sys.argv[2]])
 maps = "/proc/self/maps"
 libs = set()
 if os.path.exists(maps):
     with open(maps) as fh:
         libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-print(json.dumps([code, "scipy.linalg" in sys.modules, loaded, "scipy.sparse" in sys.modules,
-                  sorted(libs)]))
+print(json.dumps([code, loaded, unwanted(), sorted(libs)]))
 """
+
+
+def _task_config(tmp_path, task: str) -> pathlib.Path:
+    config = tmp_path / f"{task}.json"
+    cfg = dict(TASK_CONFIGS[task], task=task, output_dir=str(tmp_path / task))
+    config.write_text(json.dumps(cfg))
+    return config
 
 
 @pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
 def test_task_runs_without_scipy_linalg(tmp_path, task):
-    config = tmp_path / "config.json"
-    cfg = dict(TASK_CONFIGS[task], task=task, output_dir=str(tmp_path / "out"))
-    config.write_text(json.dumps(cfg))
-    out = json.loads(_run_fresh(RUN_TASK, task, str(config)).splitlines()[-1])
-    code, linalg, loaded, sparse, libs = out
+    out = json.loads(_run_fresh(RUN_TASK, task, str(_task_config(tmp_path, task))).splitlines()[-1])
+    code, loaded, after, libs = out
     assert code in (0, 2)  # the run completed, whatever its checks said
-    assert not linalg
-    # no task loads scipy.sparse, in its set-up or its run
-    assert not loaded and not sparse
+    # no task loads scipy or numpy.random, in its set-up or its run
+    assert loaded == [] and after == []
     assert len(libs) <= 1, libs
+
+
+def test_every_task_runs_with_scipy_unimportable(tmp_path):
+    # sys.modules["scipy"] = None makes every import of scipy raise ImportError
+    code = (
+        "import sys; sys.modules['scipy'] = None; from starklat import cli; "
+        "runs = zip(sys.argv[1::2], sys.argv[2::2]); "
+        "print([cli.main([task, '--config', path]) for task, path in runs])"
+    )
+    args = [a for task in sorted(TASK_CONFIGS) for a in (task, str(_task_config(tmp_path, task)))]
+    codes = json.loads(_run_fresh(code, *args).splitlines()[-1])
+    assert len(codes) == len(TASK_CONFIGS) and set(codes) <= {0, 2}, codes

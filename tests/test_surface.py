@@ -141,10 +141,24 @@ def imported_names() -> list:
     return out
 
 
+def _assert_no_import_under(package: str) -> None:
+    """No import statement in src/starklat names `package` or one of its submodules."""
+    found = imported_names()
+    assert found  # the scan sees the imports
+    for name, line, names in found:
+        assert not any(n == package or n.startswith(package + ".") for n in names), (name, line)
+
+
 def test_no_module_imports_scipy():
-    assert imported_names()  # the scan sees the imports
-    for name, line, names in imported_names():
-        assert not any(n.split(".")[0] == "scipy" for n in names), (name, line)
+    _assert_no_import_under("scipy")
+
+
+def test_no_module_imports_scipy_linalg():
+    _assert_no_import_under("scipy.linalg")
+
+
+def test_no_module_imports_scipy_sparse():
+    _assert_no_import_under("scipy.sparse")
 
 
 TINY = {"g": 1.0, "h": 0.5, "potential": {"kind": "nearest_neighbor", "strength": 1.0}}

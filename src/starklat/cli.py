@@ -175,8 +175,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid {task} config: {exc}") from exc
     if task in ("cluster-spectrum", "resolvent-check") and params.N < 2:
         raise ConfigError(f"task {task!r} needs N >= 2, not N = {params.N}")
-    # evolve is bounded by its buffers (`dynamics.propagator_bytes`), every other task by N_MAX
-    if task != "evolve" and params.N > lattice.N_MAX:
+    # N_MAX limits the chain enumeration; every other size goes by the memory budget
+    if task == "resolvent-check" and params.N > lattice.N_MAX:
         raise ConfigError(f"task {task!r} needs N <= {lattice.N_MAX}, not N = {params.N}")
     if len(sites) != params.N or not all(abs(x) < window.L for x in sites):
         raise ConfigError(
@@ -266,11 +266,10 @@ def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
 
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
     """Build, export if asked, and diagonalize H; return its sector factors and interior mask."""
-    # room in the heap for the temporaries of the build, the split and the solves;
-    # none for a dimension above the dense cap, which the split refuses
-    dim = lattice.dimension(cfg.window, cfg.params.N)
-    if dim <= spectra.DENSE_CAP:
-        model._heap_room(dim)
+    # the split and the solves are checked against the memory budget before the build,
+    # and room is made in the heap for the temporaries of a run that fits
+    spectra.solve_budget(cfg.window, cfg.params.N)
+    model._heap_room(lattice.dimension(cfg.window, cfg.params.N))
     with stage("model.build_hamiltonian"):
         h = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     if cfg.export_matrices:
@@ -569,6 +568,7 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
         "diagnostics": diagnostics,
     }
     t0 = time.monotonic()
+    lattice.take_largest_estimate()  # the manifest reports this run's estimates only
     try:
         TASKS[cfg.task][0](cfg, out, checks, diagnostics, stage)
         manifest["complete"] = True
@@ -611,6 +611,9 @@ def _write_manifest(out: str, manifest: dict, checks: dict, timings: dict) -> No
     manifest = dict(
         manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings, files=files,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        # the largest byte estimate a capacity gate checked, against the budget it had
+        memory_estimate_mb=lattice.take_largest_estimate() / 2**20,
+        memory_budget_mb=lattice.MEMORY_BUDGET / 2**20,
     )
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ from .lattice import (
     pairs,
     potential_matrix,
     site_range,
+    within_budget,
 )
 
 NORM_TOL = 1e-10
@@ -25,7 +26,6 @@ TRUNCATION_FLAG = 1e-4
 SAMPLES_PER_EXPANSION = 8  # trace samples fed by one Chebyshev recurrence
 TERM_BUFFER = 16  # terms folded in per product; >= 3 for the ring of U_k, U_{k-1}, U_{k-2}
 CHEB_TOL = 1e-12  # Chebyshev coefficients below this are truncated
-BUFFER_CAP = 2**31  # bytes a propagator may hold (`propagator_bytes`)
 
 
 @dataclass
@@ -165,18 +165,12 @@ def propagator_bytes(window: Window, n_particles: int, m: int) -> int:
     padded grid: the ring of terms, the accumulators, the two signed
     diagonals and the hop scratch, which the fold shares. The stencil's
     diagonal, its set-up and a sample's density take about 3 d^N doubles
-    more. Raises CapacityError above BUFFER_CAP.
+    more. Raises CapacityError above the memory budget (`lattice.within_budget`).
     """
     d = window.n_sites
     padded = d * (d + 1) ** (n_particles - 1)
     need = 8 * (2 * padded * (TERM_BUFFER + m + 3) + 3 * d**n_particles)
-    if need > BUFFER_CAP:
-        raise CapacityError(
-            f"the propagator at N = {n_particles}, L = {window.L} would hold about "
-            f"{need / 2**30:.2f} GiB, above the buffer cap {BUFFER_CAP / 2**30:g} GiB; "
-            "shrink L or N"
-        )
-    return need
+    return within_budget(need, f"the propagator at N = {n_particles}, L = {window.L}")
 
 
 class ChebyshevPropagator:
@@ -187,7 +181,7 @@ class ChebyshevPropagator:
     and U_k = (-i)^k T_k(hs) psi obeys U_1 = -i hs U_0 and
     U_{k+1} = -2i hs U_k + U_{k-1} (Tal-Ezer & Kosloff 1984). The U_k do not
     depend on t; so one recurrence, run to the longest offset's truncation,
-    feeds all m accumulators. Set-up refuses buffers above BUFFER_CAP
+    feeds all m accumulators. Set-up refuses buffers above the memory budget
     (`propagator_bytes`) and fixes the table a_k(t_j) (zero past each
     offset's truncation at CHEB_TOL), the phases e^{-i center t_j} and the
     rescaled hs, from the stencil's spectral bounds.

@@ -16,7 +16,10 @@ import numpy as np
 
 from . import specfun
 
-N_MAX = 4  # the largest N of every task but evolve (`cli.load_config`)
+N_MAX = 4  # the largest N of resolvent-check, whose chain enumeration it limits (`cli.load_config`)
+# bytes one step of a task may plan to hold: every capacity refusal compares an estimate with it
+MEMORY_BUDGET = 2**32
+_largest_estimate = 0  # the largest estimate `within_budget` checked since `take_largest_estimate`
 
 # the PairPotential fields each kind reads
 POTENTIAL_FIELDS = {
@@ -87,7 +90,7 @@ class ModelParams:
         if self.statistics != "distinguishable":
             raise ValueError(
                 f"statistics {self.statistics!r} is not implemented; only 'distinguishable' "
-                "runs (boson and fermion sectors are ROADMAP item 2)"
+                "runs (boson and fermion sectors are ROADMAP item 11)"
             )
 
     @property
@@ -138,6 +141,30 @@ def flat_to_tuples(window: Window, n_particles: int) -> np.ndarray:
 
 class CapacityError(ValueError):
     """A problem size above a fixed capacity limit: a configuration error, not a failed check."""
+
+
+def within_budget(need: int, what: str, remedy: str = "shrink L or N") -> int:
+    """need, the bytes `what` is estimated to hold, checked against MEMORY_BUDGET before it is made.
+
+    Raises CapacityError, naming the estimate and the budget, above it. The
+    largest estimate checked is kept for the run's manifest
+    (`take_largest_estimate`), as ru_maxrss keeps the largest resident size.
+    """
+    global _largest_estimate
+    _largest_estimate = max(_largest_estimate, need)
+    if need > MEMORY_BUDGET:
+        raise CapacityError(
+            f"{what} would hold about {need / 2**30:.2f} GiB, above the memory budget of "
+            f"{MEMORY_BUDGET / 2**30:g} GiB; {remedy}"
+        )
+    return need
+
+
+def take_largest_estimate() -> int:
+    """The largest estimate `within_budget` checked since the last call (0 if none), and reset."""
+    global _largest_estimate
+    out, _largest_estimate = _largest_estimate, 0
+    return out
 
 
 def potential_matrix(params: ModelParams, half_width: int) -> np.ndarray:

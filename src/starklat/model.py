@@ -34,9 +34,13 @@ from .lattice import (  # the core this module builds on, re-exported
     pairs,
     potential_matrix,
     site_range,
+    within_budget,
 )
 
-NNZ_CAP = 2**24
+# bytes the assembly holds at its peak per entry stored by its leg lifts: the lifts'
+# values and int32 columns, then `_sum`'s int64 keys and order and the sorted copies
+# (44-47 measured at N = 2-4, both bases)
+ENTRY_BYTES = 48
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
 # columns per chunk wherever a sector basis is streamed: the split's products,
@@ -179,18 +183,23 @@ class OperatorMatrix:
         """max |H - H^T| over the entries.
 
         H^T's entries in canonical order are H's in the stable order of their
-        columns (a 16-bit column sorts by radix). When they store H's pattern,
-        their data line up entry by entry, so neither H^T nor H - H^T is formed.
+        columns: one in-place sort of the int64 keys (column << 32) | position
+        (nnz < 2^32, far past the memory budget), whose low bits are then that
+        order. When they store H's pattern, their data line up entry by entry,
+        so neither H^T nor H - H^T is formed.
         """
         h = self.matrix
-        key = h.indices.astype(np.uint16) if h.shape[1] <= 2**16 else h.indices
-        order = np.argsort(key, kind="stable")
+        order = h.indices.astype(np.int64)
+        order <<= 32
+        order |= np.arange(h.nnz)
+        order.sort()
+        order &= 2**32 - 1
         rows = np.repeat(np.arange(h.shape[0], dtype=h.indices.dtype), np.diff(h.indptr))
         counts = np.bincount(h.indices, minlength=h.shape[1])
         if np.array_equal(counts, np.diff(h.indptr)) and np.array_equal(rows[order], h.indices):
             if h.nnz == 0:
                 return 0.0
-            del rows, key
+            del rows
             d = h.data[order]
             d -= h.data
             return float(np.abs(d, out=d).max())
@@ -246,16 +255,17 @@ def two_site_kernel(params: ModelParams, window: Window) -> CSR:
     d x d window T(-L - n1 .. L - n1, -L - n2 .. L - n2, n1 - n2) of the table,
     read one n1 (d rows) at a time, so no d^2 x d^2 array is formed. The
     product gathers (2w + 1)(2 pad + 1)^2 potential values, w = 2L, with their
-    int64 indices: above NNZ_CAP of them a CapacityError is raised first.
+    int64 indices, and the table and its partner gather take a few (2w + 1)^3
+    arrays: their bytes are checked against the memory budget first.
     """
     L, pad, d = window.L, _kernel_pad(params), window.n_sites
     w = 2 * L  # every offset lies in [-w, w]; table index = offset + w
     gathered = (2 * w + 1) * (2 * pad + 1) ** 2
-    if gathered > NNZ_CAP:
-        raise CapacityError(
-            f"the stark pair kernel at |g/h| = {abs(params.x):g}, L = {L} gathers {gathered} "
-            f"potential values, above the cap {NNZ_CAP}; shrink |g/h| or L"
-        )
+    within_budget(
+        16 * gathered + 8 * (2 * w + 1) ** 2 * (2 * pad + 1) + 56 * (2 * w + 1) ** 3,
+        f"the stark pair kernel at |g/h| = {abs(params.x):g}, L = {L}",
+        "shrink |g/h| or L",
+    )
     row = specfun.bessel_row(0, -(w + pad), w + pad, params.x)  # row[i] = J_{w+pad-i}
     p = np.arange(-pad, pad + 1)
     off = np.arange(-w, w + 1)
@@ -466,7 +476,7 @@ class SectorSplit:
     """
 
     sectors: tuple
-    blocks: tuple
+    blocks: list  # a solve spends them (`spectra.sector_eigh`)
     serves: tuple  # per block, the indices of the sectors it is solved for
     cross_norm: float  # Frobenius norm of the dropped off-diagonal blocks
     basis_defect: float = 0.0  # >= ||Q^T Q - 1||_2 over the stored columns of all sectors
@@ -476,15 +486,53 @@ class SectorSplit:
 
     @classmethod
     def whole(cls, a) -> "SectorSplit":
-        """a unsplit: the whole space is the one sector (Q = 1), and a (dense) its one block."""
-        block = a.toarray() if isinstance(a, CSR) else a
-        return cls((whole_space(a.shape[0]),), (block,), ((0,),), 0.0)
+        """a unsplit: the whole space is the one sector (Q = 1), and a (dense) its one block.
+
+        A CSR a is made dense only once its solve fits the memory budget (`split_bytes`).
+        """
+        dim = a.shape[0]
+        if isinstance(a, CSR):
+            within_budget(split_bytes([dim], dim), f"the whole-space solve at dim {dim}")
+            a = a.toarray()
+        return cls((whole_space(dim),), [a], ((0,),), 0.0)
 
     def diagnostics(self) -> dict:
         out = {"sector_dims": [s.dim for s in self.sectors], "cross_norm": self.cross_norm}
         if self.pair_defect is not None:
             out["pair_defect"] = self.pair_defect
         return out
+
+
+def irrep_dims(d: int, n: int) -> list:
+    """The order of each sector block of a d^n operator (`split_by_symmetry`), before any is made.
+
+    One block per irrep lambda of S_n (n >= 2) with at most d rows: the
+    lambda-multiplicity of the tensor power, the dimension of the GL(d)
+    irrep lambda (Schur-Weyl), prod over the boxes of (d + content) / hook.
+    For n < 2 the whole space, d^n.
+    """
+    if n < 2:
+        return [d**n]
+    dims = []
+    for shape in enumerate_integer_partitions(n):
+        if len(shape) <= d:
+            cols = [sum(m > j for m in shape) for j in range(shape[0])]
+            boxes = [(i, j) for i, m in enumerate(shape) for j in range(m)]
+            top = math.prod(d + j - i for i, j in boxes)
+            hooks = math.prod(shape[i] - j + cols[j] - i - 1 for i, j in boxes)
+            dims.append(top // hooks)
+    return dims
+
+
+def split_bytes(blocks: list, dim: int) -> int:
+    """Estimated bytes of the sector split of a real dim x dim operator into `blocks` and its solves.
+
+    The split holds every block (m^2 doubles) and streams a few
+    dim x CHUNK_COLUMNS arrays; the largest solve takes 4 m^2 doubles more
+    (numpy's eigh copies its input, and takes 2 m^2 of workspace and m^2 of
+    vectors). A solved block is replaced by its factor, of its size.
+    """
+    return 8 * (sum(m * m for m in blocks) + 4 * max(blocks) ** 2 + 8 * dim * CHUNK_COLUMNS)
 
 
 def enumerate_integer_partitions(n: int) -> list:
@@ -846,18 +894,20 @@ def sector_split(
     if max([cross, *defects]) > SECTOR_TOL * norm:
         return None
     theta = 0.0 if sectors[0].irrep == () else _orbit_bases(n)[1]
-    kept, pair = tuple(b.T for b in blocks.values()), max(defects, default=None)
+    kept, pair = [b.T for b in blocks.values()], max(defects, default=None)
     return SectorSplit(sectors, kept, tuple(blocks), cross, theta, pair, norm, tuple(spread))
 
 
+def _leg_entries(op: CSR, window: Window, n_particles: int, leg_list: list) -> int:
+    """The entries the lifts of op onto the legs of leg_list store: nnz(op) d^(N-k) for k legs."""
+    return sum(op.nnz * window.n_sites ** (n_particles - len(legs)) for legs in leg_list)
+
+
 def _leg_sum(op: CSR, window: Window, n_particles: int, leg_list: list) -> CSR:
-    # each lift of op onto k legs stores nnz(op) d^(N-k) entries; their sum
-    # bounds what the CSR of the total stores, checked before anything is lifted
-    stored = sum(op.nnz * window.n_sites ** (n_particles - len(legs)) for legs in leg_list)
-    if stored > NNZ_CAP:
-        raise CapacityError(
-            f"{stored} stored entries exceed the nonzero cap {NNZ_CAP}; shrink L or N"
-        )
+    # the lifts' entries bound what the CSR of the total stores, and set the
+    # assembly's bytes: checked against the budget before anything is lifted
+    stored = _leg_entries(op, window, n_particles, leg_list)
+    within_budget(ENTRY_BYTES * stored, f"a leg sum of {stored} stored entries")
     if not leg_list:
         dim = dimension(window, n_particles)
         return CSR(np.zeros(0), np.zeros(0, int), np.zeros(dim + 1, int), (dim, dim))
@@ -896,7 +946,24 @@ def build_interaction(
 def build_hamiltonian(
     params: ModelParams, window: Window, basis: str, pair_operator=None
 ) -> OperatorMatrix:
-    """H = H0 + the interaction on every pair; `pair_operator` as in `build_interaction`."""
+    """H = H0 + the interaction on every pair; `pair_operator` as in `build_interaction`.
+
+    The pair operator is made first, and the entries of every leg lift of both
+    sums set the assembly's bytes (ENTRY_BYTES each), checked against the
+    memory budget before anything is lifted.
+    """
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    n, pair_list = params.N, pairs(params.N)
+    if pair_operator is None and pair_list:
+        pair_operator = two_site_operator(params, window, basis)
+    one = [(k,) for k in range(n)]
+    stored = _leg_entries(one_site_operator(params, window, basis), window, n, one)
+    if pair_list:
+        stored += _leg_entries(pair_operator, window, n, pair_list)
+    within_budget(
+        ENTRY_BYTES * stored, f"the assembly of H at N = {n}, L = {window.L} ({basis} basis)"
+    )
     return build_h0(params, window, basis) + build_interaction(
         params, window, basis, pair_operator=pair_operator
     )

@@ -29,10 +29,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .lattice import within_budget
 from .model import (
     CHUNK_COLUMNS,
     CSR,
-    CapacityError,
     ModelParams,
     PairPotential,
     SectorSplit,
@@ -47,15 +47,16 @@ from .model import (
     build_hamiltonian,
     chunk_terms,
     fill_sector_blocks,
+    irrep_dims,
     sector_split,
+    split_bytes,
     two_site_operator,
 )
 from .spectra import (
-    DENSE_CAP,
     ClusterDecomposition,
     SectorEigh,
-    eigh,
     enumerate_set_partitions,
+    lift_states,
     sector_eigh,
     split_operator,
 )
@@ -183,6 +184,21 @@ class FactoredResolvent:
     residual_bound: float  # upper bound on ||(z - H_D) G_D - 1||
 
 
+def workspace_bytes(params: ModelParams, window: Window) -> int:
+    """Estimated bytes of a workspace: its H^(N) solve, or one z of the streamed check.
+
+    The solve is the sector split of H^(N) (`model.split_bytes`). A z of the
+    check holds, beside the factors (m^2 doubles per irrep block), the
+    complex running blocks of D and I (2 m^2 complex) and a chunk's
+    expansion temporaries, a few dozen dim x CHUNK_COLUMNS complex arrays.
+    """
+    d, n = window.n_sites, params.N
+    blocks = irrep_dims(d, n)
+    held = sum(m * m for m in blocks)
+    stream = 8 * held + 32 * held + 16 * 32 * d**n * CHUNK_COLUMNS
+    return max(split_bytes(blocks, d**n), stream)
+
+
 @dataclass
 class ResolventWorkspace:
     """Cache of the block factors, the pair operator and the factored G_D(z)."""
@@ -193,13 +209,10 @@ class ResolventWorkspace:
     cache: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        # the N-particle block is solved in dense sector blocks of H^(N) (`block`);
-        # D and I are streamed by column blocks, so they set no cap of their own
-        if self.dim > DENSE_CAP:
-            raise CapacityError(
-                f"dimension {self.dim} above the dense cap {DENSE_CAP} of the dense "
-                "H^(N) solve of the workspace"
-            )
+        within_budget(
+            workspace_bytes(self.params, self.window),
+            f"the resolvent workspace at N = {self.params.N}, L = {self.window.L}",
+        )
         _heap_room(self.dim)
 
     @property
@@ -209,11 +222,12 @@ class ResolventWorkspace:
     def block(self, k: int) -> SectorEigh:
         """Eigendecomposition of H^(k), shared by every block of k particles.
 
-        The k = N block is `spectra.sector_eigh` of H^(N) and is applied from
-        its sector factors; blocks with k < N are `spectra.eigh` of H^(k),
-        factors and lifted d^k x d^k U, and are applied leg-wise by U,
-        unless H^(k) is diagonal: then U = 1 exactly, with its diagonal in
-        index order, `eigenvectors` None, no factors and zero defects.
+        Every block is `spectra.sector_eigh` of H^(k)'s split. The k = N
+        block is applied from its sector factors; blocks with k < N are
+        applied leg-wise by their d^k x d^k U, every column lifted by
+        `spectra.lift_states`, unless H^(k) is diagonal: then U = 1 exactly,
+        with its diagonal in index order, `eigenvectors` None, no factors and
+        zero defects.
         """
         key = ("U", k)
         if key not in self.cache:
@@ -221,14 +235,15 @@ class ResolventWorkspace:
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
             del pair
             diag = h.matrix.diagonal()
-            if k == self.params.N:
-                split = split_operator(h)
-                del h, diag  # the split was the last reader of H^(N)
-                res = sector_eigh(split)
-            elif np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
+            if k < self.params.N and np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
                 res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
-                res = eigh(h)
+                split = split_operator(h)
+                del h, diag  # the split was the last reader of H^(k)
+                res = sector_eigh(split)
+                del split
+                if k < self.params.N:
+                    res = res._replace(eigenvectors=lift_states(res, np.arange(res.eigenvalues.size)))
             self.cache[key] = res
         return self.cache[key]
 
@@ -470,8 +485,8 @@ def column_chunks(ws: ResolventWorkspace):
     irrep of larger dimension (`model._column_parts`, as `split_by_symmetry`).
     A generator: each chunk's X and Q^T X are made when the caller asks for
     them, from the nonzeros and mixes the workspace caches for every z: X's
-    nonzeros with int32 rows and columns (the workspace dimension is below
-    DENSE_CAP), and Q^T X as a `CSR`.
+    nonzeros with int32 rows and columns (a dimension within the memory
+    budget is far below 2^31), and Q^T X as a `CSR`.
     """
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:

@@ -11,7 +11,6 @@ import numpy as np
 from .model import (
     CHUNK_COLUMNS,
     UNIT_ROUNDOFF,
-    CapacityError,
     ModelParams,
     OperatorMatrix,
     SectorSplit,
@@ -20,12 +19,13 @@ from .model import (
     apply_on_legs,
     build_hamiltonian,
     enumerate_integer_partitions,
+    irrep_dims,
     split_by_symmetry,
+    split_bytes,
     stark_basis_matrix,
 )
-from .lattice import _face_rows, boundary_shell_mass  # the latter re-exported
+from .lattice import _face_rows, boundary_shell_mass, within_budget  # the second re-exported
 
-DENSE_CAP = 6000
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
 
@@ -169,8 +169,31 @@ def _abs_row_sum_max(b: np.ndarray) -> float:
     return max(float(np.abs(b[i : i + CHUNK_COLUMNS]).sum(axis=1).max()) for i in rows)
 
 
+def _symmetrize(b: np.ndarray) -> float:
+    """Overwrite b with its symmetric part, each entry fl(b_ij + b_ji) * 0.5; return ||b - b^T||_F.
+
+    Tile pairs (I, J), I <= J, of CHUNK_COLUMNS rows and columns pass through
+    one buffer, so no n x n temporary is formed.
+    """
+    n, t = b.shape[0], CHUNK_COLUMNS
+    buf, squares = np.empty(t * t, b.dtype), 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = b[i : i + t, j : j + t], b[j : j + t, i : i + t]
+            s = buf[: upper.size].reshape(upper.shape)
+            np.subtract(upper, lower.T, out=s)
+            v = s.reshape(-1).view(np.float64)
+            # a tile off the diagonal stands for its mirror too
+            squares += np.einsum("i,i->", v, v) * (1.0 if i == j else 2.0)
+            np.add(upper, lower.T, out=s)
+            s *= 0.5
+            upper[...] = s
+            lower[...] = s.T
+    return math.sqrt(squares)
+
+
 def sector_eigh(split: SectorSplit) -> SectorEigh:
-    """Eigenpairs of a symmetric a from its S_N sector split (`split_operator`).
+    """Eigenpairs of a symmetric a from its S_N sector split (`split_operator`); spends the split.
 
     Each vector lies in one sector of the split, so it is exactly even or odd
     under the leg-0/1 swap when the split is taken. A block that serves the
@@ -180,6 +203,13 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     are bounded from the sector solves alone. A caller that drops a after
     the split has it freed before the solves (unless a is dense and the one
     whole-space block).
+
+    The solve owns the split's blocks: each is symmetrized in place
+    (`_symmetrize`), solved largest first, beside the unsolved blocks and the
+    factors of the solved ones only, and dropped from `split.blocks` once its
+    residual is formed, so the split holds no block afterwards. A dense a
+    that the split keeps as its one block is overwritten by its symmetric
+    part. The factors, bounds and diagnostics come in split order.
 
     Let Q = [Q_s] be the stored sector columns, with Q^T Q = 1 + Delta and
     ||Delta|| <= theta (the split's basis defect). Each block B_s = S_s + K_s
@@ -232,17 +262,19 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     # c: the most terms of a sum in the block products, at most the largest orbit
     c = max(s.orbit_terms for s in split.sectors)
     a_frob = split.norm / (1.0 - theta - _gamma(2 * c) * c * (1.0 + theta))
-    factors, rho, frob, gram, skew = [], [], [], [], []
-    for b, serves, spread in zip(split.blocks, split.serves, split.spread):
+    blocks = split.blocks
+    # per block, in split order
+    factors, rho, frob, gram, skew = ([None] * len(blocks) for _ in range(5))
+    for j in sorted(range(len(blocks)), key=lambda j: -blocks[j].shape[0]):
+        b, blocks[j] = blocks[j], None
+        serves = split.serves[j]
         # eigh reads one triangle: solve the symmetric part and drop the skew part
-        drop = 0.5 * _frobenius(b - b.T)
+        drop = 0.5 * _symmetrize(b)
         if len(serves) > 1:
             # B_T = M + Delta_T over the k partners, M = b, sum_T Delta_T = 0, so
             # sum_T ||skew M + Delta_T||^2 = k ||skew M||^2 + sum_T ||Delta_T||^2
-            drop = math.hypot(math.sqrt(len(serves)) * drop, spread)
-        skew.append(drop)
-        b = b + b.T
-        b *= 0.5
+            drop = math.hypot(math.sqrt(len(serves)) * drop, split.spread[j])
+        b = b if b.flags.c_contiguous else b.T  # symmetric now: its C-ordered view
         n, diag = b.shape[0], b.diagonal()
         # a diagonal block is its own eigendecomposition, and nothing below rounds
         diagonal = np.count_nonzero(b) == np.count_nonzero(diag)
@@ -253,23 +285,30 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
             w, y = np.linalg.eigh(b)
         g = y.T @ y
         g.flat[:: n + 1] -= 1.0
-        gram.extend([_frobenius(g)] * len(serves))
+        gram_b = _frobenius(g)
         del g
-        nu_b = math.sqrt(1.0 + gram[-1])  # >= ||y|| for every column of this solve
+        nu_b = math.sqrt(1.0 + gram_b)  # >= ||y|| for every column of this solve
         r = b @ y
-        r -= y * w
+        for k in range(0, n, CHUNK_COLUMNS):  # r -= y * w, with no n x n product
+            r[:, k : k + CHUNK_COLUMNS] -= y[:, k : k + CHUNK_COLUMNS] * w[k : k + CHUNK_COLUMNS]
         rho_b = np.sqrt(np.einsum("ij,ij->j", r, r))
-        frob.extend([_frobenius(r)] * len(serves))
+        frob_b = _frobenius(r)
         del r
         if not diagonal:
             sigma = _abs_row_sum_max(b)
             rounding = (_gamma(n) + _gamma(max(3, len(serves) + 1))) * sigma
             rounding = rounding + UNIT_ROUNDOFF * np.abs(w)
             rho_b = (1.0 + _gamma(n + 3)) * rho_b + rounding * nu_b
+        del b, diag  # the residual was the block's last reader
         gain = max(split.sectors[s].abs_gain for s in serves)
         rho_b = rho_b + _gamma(2 * c) * gain * a_frob * nu_b
-        rho.extend([rho_b] * len(serves))
-        factors.append(SectorFactor(w, y, tuple(split.sectors[s] for s in serves)))
+        factors[j] = SectorFactor(w, y, tuple(split.sectors[s] for s in serves))
+        rho[j], frob[j], gram[j], skew[j] = rho_b, frob_b, gram_b, drop
+    blocks.clear()
+    # one entry per sector served
+    rho, frob, gram = (
+        [x for x, fac in zip(xs, factors) for _ in fac.sectors] for xs in (rho, frob, gram)
+    )
     vals = np.concatenate([fac.values for fac in factors for _ in fac.sectors])
     rho = np.concatenate(rho)
     e = np.concatenate(
@@ -307,14 +346,26 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
     )
 
 
+def solve_budget(window: Window, n: int) -> int:
+    """The bytes of the sector split and solves of an n-particle H on window, within the budget.
+
+    `model.split_bytes` of its irrep blocks, checked by `lattice.within_budget`.
+    """
+    d = window.n_sites
+    return within_budget(
+        split_bytes(irrep_dims(d, n), d**n), f"the sector split and solves at N = {n}, L = {window.L}"
+    )
+
+
 def split_operator(op: OperatorMatrix) -> SectorSplit:
-    """op's S_N sector split, after the capacity and symmetry gates of every dense solve.
+    """op's S_N sector split, after the memory and symmetry gates of every dense solve.
 
     The one path from an operator to `sector_eigh`: a caller that can drop
-    op does so before the solves (`split = split_operator(h); del h`).
+    op does so before the solves (`split = split_operator(h); del h`). The
+    split and its solves (`model.split_bytes` of its irrep blocks) are
+    checked against the memory budget (`solve_budget`) before any block is made.
     """
-    if op.dim > DENSE_CAP:
-        raise CapacityError(f"dimension {op.dim} above the dense cap {DENSE_CAP}")
+    solve_budget(op.window, op.n_particles)
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
     return split_by_symmetry(op.matrix, op.window.n_sites, op.n_particles)
@@ -324,8 +375,8 @@ def eigh(op: OperatorMatrix) -> SectorEigh:
     """Full dense symmetric eigendecomposition, solved in the S_N sectors (`sector_eigh`).
 
     Its factors, and every column lifted by `lift_states` as the dense
-    `eigenvectors`: the U of a resolvent block H^(k < N), and the small-size
-    oracle. `op` stays referenced through the solve.
+    `eigenvectors`: the small-size oracle. `op` stays referenced through the
+    solve.
     """
     res = sector_eigh(split_operator(op))
     return res._replace(eigenvectors=lift_states(res, np.arange(op.dim)))

@@ -3,10 +3,11 @@
 Each restates a quantity the package computes another way (the scipy.sparse
 assembly of H and the CSR rows Q^T of the S_N sectors with the split built
 from their products, the S_N projectors, the sector sizes from the character
-tables, single stark-basis pair elements, the interaction envelope, the
-decay check after the Bessel transform, the Gram defect of an eigenbasis, the
-complex Chebyshev coefficients, the Gershgorin discs of a CSR H, the tail
-mass beyond one radius), so that the
+tables, the sector solve that copies its blocks, single stark-basis pair
+elements, the interaction envelope, the decay check after the Bessel
+transform, the Gram defect of an eigenbasis, the complex Chebyshev
+coefficients, the Gershgorin discs of a CSR H, the tail mass beyond one
+radius), so that the
 fast paths in `starklat` have something to be compared against. The
 criterion checks after them (spectral periodicity, the Fredholm probe,
 weighted norms, COM profile summaries, one-shot evolution, cluster
@@ -223,6 +224,72 @@ def sector_irreps(d: int, n: int) -> list:
 def sector_dims(d: int, n: int) -> list:
     """The nonempty sector sizes in split order."""
     return [sector_sizes(d, n)[lam] for lam in sector_irreps(d, n)]
+
+
+def copying_sector_eigh(split) -> spectra.SectorEigh:
+    """`spectra.sector_eigh` as it was before it owned its split: each block solved in split
+    order, beside its symmetrized copy b + b^T and the skew temporary b - b^T, and every
+    block kept. The owning solve must give the same bits."""
+    gamma, u = spectra._gamma, model.UNIT_ROUNDOFF
+    theta = split.basis_defect
+    c = max(s.orbit_terms for s in split.sectors)
+    a_frob = split.norm / (1.0 - theta - gamma(2 * c) * c * (1.0 + theta))
+    factors, rho, frob, gram, skew = [], [], [], [], []
+    for b, serves, spread in zip(split.blocks, split.serves, split.spread):
+        drop = 0.5 * model._frobenius(b - b.T)
+        if len(serves) > 1:
+            drop = math.hypot(math.sqrt(len(serves)) * drop, spread)
+        skew.append(drop)
+        b = b + b.T
+        b *= 0.5
+        n, diag = b.shape[0], b.diagonal()
+        diagonal = np.count_nonzero(b) == np.count_nonzero(diag)
+        if diagonal:
+            perm = np.argsort(diag, kind="stable")
+            w, y = diag[perm], np.eye(n)[:, perm]
+        else:
+            w, y = np.linalg.eigh(b)
+        g = y.T @ y
+        g.flat[:: n + 1] -= 1.0
+        gram.extend([model._frobenius(g)] * len(serves))
+        nu_b = math.sqrt(1.0 + gram[-1])
+        r = b @ y
+        r -= y * w
+        rho_b = np.sqrt(np.einsum("ij,ij->j", r, r))
+        frob.extend([model._frobenius(r)] * len(serves))
+        if not diagonal:
+            sigma = spectra._abs_row_sum_max(b)
+            rounding = (gamma(n) + gamma(max(3, len(serves) + 1))) * sigma + u * np.abs(w)
+            rho_b = (1.0 + gamma(n + 3)) * rho_b + rounding * nu_b
+        gain = max(split.sectors[s].abs_gain for s in serves)
+        rho.extend([rho_b + gamma(2 * c) * gain * a_frob * nu_b] * len(serves))
+        factors.append(spectra.SectorFactor(w, y, tuple(split.sectors[s] for s in serves)))
+    vals = np.concatenate([fac.values for fac in factors for _ in fac.sectors])
+    rho = np.concatenate(rho)
+    e = np.concatenate(
+        [np.full(fac.values.size, s.lift_error) for fac in factors for s in fac.sectors]
+    )
+    order = spectra._served_order(factors)
+    o = max(gram)
+    nu = np.sqrt(1.0 + o)
+    dropped = split.cross_norm + np.linalg.norm(skew)
+    lam = np.abs(vals)
+    kappa = 1.0 / np.sqrt(1.0 - theta)
+    norm_s = (nu * lam.max() + max(frob)) / np.sqrt(1.0 - o) if o < 1.0 else np.inf
+    norm_a = (norm_s + dropped) / (1.0 - theta)
+    lift_err = e * nu * (norm_a + lam) if e.any() else np.zeros_like(lam)
+    residuals = kappa * (rho + (dropped + theta * lam) * nu) + lift_err
+    residual_norm = kappa * (
+        np.linalg.norm(frob) + (dropped + theta * np.linalg.norm(lam)) * nu
+    ) + np.linalg.norm(lift_err)
+    f = np.linalg.norm(e)
+    orthogonality = np.linalg.norm(gram) + nu**2 * (
+        theta * np.sqrt(lam.size) + f * (2.0 * np.sqrt(1.0 + theta) + f)
+    )
+    return spectra.SectorEigh(
+        vals[order], None, residuals[order], float(residual_norm), float(orthogonality),
+        split.diagnostics(), tuple(factors),
+    )
 
 
 def pair_element_stark(

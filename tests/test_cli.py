@@ -142,8 +142,9 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         # the cluster spectrum and the expansion need N >= 2; a growing exponential v
         ("cluster-spectrum", 1, {}),
         ("resolvent-check", 1, {}),
-        # N_MAX bounds every task but evolve
-        *((task, model.N_MAX + 1, {}) for task in cli.TASKS if task != "evolve"),
+        # N_MAX bounds the chain enumeration of resolvent-check; every other task goes by
+        # the memory budget
+        ("resolvent-check", model.N_MAX + 1, {}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
             "kind": "exponential", "decay": -1.0}}}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
@@ -597,45 +598,50 @@ def test_resolvent_check_basis(tmp_path, monkeypatch):
     assert cli.main(["resolvent-check", "--config", str(p)]) == cli.EXIT_CONFIG
 
 
+BUDGET = "GiB, above the memory budget of 4 GiB"
+
+
 @pytest.mark.parametrize(
-    "overrides, stages, failed_stage",
+    "overrides, stages, failed_stage, message",
     [
-        # dim 24389 passes the nonzero cap and stops at the dense cap
+        # dim 33^3 (position): its sector solves, about 6 GiB, are refused before the
+        # build; no stage is open then, so the task name stands for it
         (dict(task="spectrum", basis="position", model={"g": 1.0, "h": 0.5, "N": 3},
-              window={"L": 14, "interior_margin": 7}),
-         {"model.build_hamiltonian", "spectra.eigh"}, "spectra.eigh"),
-        # dim 61^4 stops at the propagator's buffer cap before the stencil is built;
+              window={"L": 16, "interior_margin": 7}),
+         set(), "spectrum", BUDGET),
+        # dim 61^4 stops at the propagator's budget before the stencil is built;
         # no stage is open then, so the task name stands for it
         (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 4},
               window={"L": 30, "interior_margin": 7}),
-         set(), "evolve"),
-        # dim 21^3 stops when the workspace is made, before any dense matrix is allocated;
+         set(), "evolve", BUDGET),
+        # dim 29^3 stops when the workspace is made, before any dense matrix is allocated;
         # no stage is open then, so the task name stands for it
         (dict(task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": 3},
-              window={"L": 10, "interior_margin": 2}),
-         set(), "resolvent-check"),
+              window={"L": 14, "interior_margin": 2}),
+         set(), "resolvent-check", BUDGET),
         # |g/h| = 2000 stops before the stark pair kernel gathers its table
         (dict(task="spectrum", model={"g": 1000.0, "h": 0.5, "N": 2},
               window={"L": 3, "interior_margin": 1}),
-         {"model.build_hamiltonian"}, "model.build_hamiltonian"),
+         {"model.build_hamiltonian"}, "model.build_hamiltonian", BUDGET),
         # one sample over t_max = 1e9: the Chebyshev step's Bessel argument is above X_MAX
         (dict(task="evolve", model={"g": 1.0, "h": 0.5, "N": 1},
               window={"L": 8, "interior_margin": 3},
               dynamics={"t_max": 1e9, "samples": 1}),
-         {"dynamics.model_stencil", "dynamics.tail_trace"}, "dynamics.tail_trace"),
-        # dim 61^4 stops at the nonzero cap of the build; no room is made in the heap before it
+         {"dynamics.model_stencil", "dynamics.tail_trace"}, "dynamics.tail_trace", "Bessel cap"),
+        # dim 61^4 stops at the budget of its solves, before the build and before any
+        # room is made in the heap
         (dict(task="spectrum", model={"g": 1.0, "h": 0.5, "N": 4},
               window={"L": 30, "interior_margin": 7}),
-         {"model.build_hamiltonian"}, "model.build_hamiltonian"),
+         set(), "spectrum", BUDGET),
     ],
     ids=["dense-cap", "nnz-cap", "resolvent-dense-cap", "kernel-gather-cap", "evolve-step-cap",
          "spectrum-nnz-cap"],
 )
-def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_stage):
+def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_stage, message):
     p = tmp_path / "c.json"
     write_config(p, **overrides)
     assert cli.main([overrides["task"], "--config", str(p)]) == cli.EXIT_CONFIG
-    assert "cap" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["complete"] is False
     assert manifest["failed_stage"] == failed_stage
@@ -643,6 +649,48 @@ def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_
     assert "run_completed" not in manifest["checks"]
     # the task total, and each stage entered up to the one that stopped
     assert set(manifest["timings"]) == {overrides["task"]} | stages
+
+
+def test_over_budget_refused_before_the_allocation(tmp_path):
+    # localization at N = 3, L = 16 (stark): its sector solves would hold about 6 GiB.
+    # A fresh process exits 1 with the estimate and the budget named, before the build,
+    # so its own peak stays near the interpreter's; the manifest records the estimate
+    import subprocess
+    import sys
+
+    p = tmp_path / "c.json"
+    write_config(p, task="localization", model={"g": 1.0, "h": 0.5, "N": 3},
+                 window={"L": 16, "interior_margin": 7})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # a process exec'd straight from this one starts its ru_maxrss at this process's peak:
+    # a small launcher in between gives the run a peak of its own
+    launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "starklat.cli",
+                          "localization", "--config", str(p)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == cli.EXIT_CONFIG
+    assert "config error: the sector split and solves at N = 3, L = 16 would hold about" in run.stderr
+    assert "GiB, above the memory budget of 4 GiB" in run.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exception"] == "CapacityError" and manifest["failed_stage"] == "localization"
+    assert set(manifest["timings"]) == {"localization"}
+    assert manifest["memory_estimate_mb"] > manifest["memory_budget_mb"] == 4096
+    assert manifest["peak_rss_mb"] <= 150, manifest["peak_rss_mb"]
+
+
+def test_spectrum_past_n_max_goes_by_the_budget(tmp_path):
+    # N = 5, L = 2 (dim 3125): no interior state at L = 2, so exit 2, with the solve's
+    # residual bound passing and its estimate well within the budget
+    p = tmp_path / "c.json"
+    write_config(p, model={"g": 1.0, "h": 0.5, "N": 5}, window={"L": 2, "interior_margin": 1})
+    assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_ASSERT
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"] and manifest["checks"] == {
+        "diagonalization_residual": True, "interior_nonempty": False,
+    }
+    assert sum(manifest["diagnostics"]["eigh"]["sector_dims"]) == 5**5
+    assert 0 < manifest["memory_estimate_mb"] < 100
 
 
 def test_failed_stage_on_run_failure(tmp_path, monkeypatch):
@@ -675,7 +723,7 @@ def test_potential_that_is_not_an_object_is_a_config_error(tmp_path, capsys, pot
 def test_statistics_other_than_distinguishable_rejected(tmp_path, capsys, statistics):
     p = tmp_path / "c.json"
     write_config(p, model={"g": 1.0, "h": 0.5, "N": 2, "statistics": statistics})
-    with pytest.raises(cli.ConfigError, match="ROADMAP item 2"):
+    with pytest.raises(cli.ConfigError, match="ROADMAP item 11"):
         cli.load_config(str(p))
     assert cli.main(["spectrum", "--config", str(p)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()

@@ -165,7 +165,7 @@ def test_propagator_bytes_refuses_above_the_cap():
     assert dyn.propagator_bytes(Window(12, 2), 4, 8) < 0.25e9
     assert dyn.propagator_bytes(Window(8, 2), 5, 8) < 0.9e9
     for w, n in ((Window(12, 2), 5), (Window(30, 7), 4)):
-        with pytest.raises(model.CapacityError, match="buffer cap"):
+        with pytest.raises(model.CapacityError, match="GiB, above the memory budget"):
             dyn.propagator_bytes(w, n, 8)
     # fewer samples per expansion, fewer accumulators
     assert dyn.propagator_bytes(Window(12, 2), 4, 1) < dyn.propagator_bytes(Window(12, 2), 4, 8)

@@ -230,6 +230,25 @@ def test_symmetry_defect_matches_full_difference(entries):
     assert big.symmetry_defect() == abs(m - m.T).max()
 
 
+@pytest.mark.parametrize("pattern", ["symmetric", "values differ", "patterns differ"])
+def test_symmetry_defect_packed_sort_matches_dense(pattern):
+    # the column order of H^T's entries comes from one sort of (column << 32) | position
+    # keys: equal columns keep their positions, so the maximum is exactly the dense one
+    rng = np.random.default_rng(len(pattern))
+    n = 300
+    a = np.where(rng.random((n, n)) < 0.05, rng.standard_normal((n, n)), 0.0)
+    a = a + a.T
+    if pattern == "values differ":
+        on = np.flatnonzero(a)[::7]
+        a.flat[on] *= 1.0 + 1e-9 * rng.standard_normal(on.size)
+    elif pattern == "patterns differ":
+        a[np.triu_indices(n, 1)] *= rng.random(n * (n - 1) // 2) < 0.5
+    op = model.OperatorMatrix("position", Window(L=1, interior_margin=0), 1, a)
+    want = float(np.abs(a - a.T).max())
+    assert op.symmetry_defect() == want
+    assert (want == 0.0) == (pattern == "symmetric")
+
+
 def test_determinism(params2):
     w = Window(L=8, interior_margin=3)
     a = model.build_hamiltonian(params2, w, "stark").toarray()
@@ -337,12 +356,18 @@ def test_stark_basis_matrix_is_entrywise_bessel(pad, g):
 
 
 def test_nnz_cap():
-    # the cap counts what the lifts store: H0 at dim 81^4, and the stark kernel
-    # (400,479 entries) lifted onto the 3 pairs of N = 3 at L = 14, 34.8M in all
-    cases = [(4, 40, model.build_h0, "position"), (3, 14, model.build_interaction, "stark")]
+    # the budget counts ENTRY_BYTES per entry the lifts store: H0 at dim 81^4, and the
+    # stark kernel (840,175 entries) lifted onto the 3 pairs of N = 3 at L = 22,
+    # 113.4M in all (5.07 GiB); refused before anything is lifted
+    cases = [(4, 40, model.build_h0, "position"), (3, 22, model.build_interaction, "stark")]
     for n, L, build, basis in cases:
-        with pytest.raises(model.CapacityError):
+        with pytest.raises(model.CapacityError, match="GiB, above the memory budget"):
             build(ModelParams(g=1.0, h=0.5, N=n), Window(L=L, interior_margin=7), basis)
+    # H as a whole: the pair kernel is made, then both sums are refused before either
+    # is lifted (H0 alone, 2.4 GiB at N = 4, L = 30, would fit)
+    with pytest.raises(model.CapacityError, match=r"the assembly of H at N = 4, L = 30"):
+        model.build_hamiltonian(ModelParams(g=1.0, h=0.5, N=4), Window(L=30, interior_margin=7),
+                                "stark")
 
 
 def test_export_coo_csv(tmp_path, params2, win):

@@ -485,10 +485,83 @@ def test_sector_split_refuses_cross_coupling_above_constant():
 
 
 def test_capacity_errors():
+    # dim 33^3: the irrep blocks 6545, 5456 and 11968 and the largest solve's eigh
+    # would hold about 6 GiB, refused before the symmetry check or any block
     p = ModelParams(g=1.0, h=0.5, N=3)
-    big = model.build_h0(p, Window(L=9, interior_margin=3), "position")  # dim 6859
-    with pytest.raises(model.CapacityError):
+    big = model.build_h0(p, Window(L=16, interior_margin=3), "position")
+    with pytest.raises(model.CapacityError, match=r"about 6\.\d\d GiB, above the memory budget"):
         spectra.eigh(big)
+
+
+def test_irrep_dims_match_the_character_tables():
+    # the block orders the budget reads, by the hook-content formula, against the
+    # multiplicities from the S_N characters (one block per irrep), and past the
+    # tables (n = 5) against the sectors the split builds
+    for d, n in ((1, 2), (2, 3), (5, 3), (4, 4), (29, 3), (13, 4)):
+        want = sorted(m for m in oracles.sector_sizes(d, n).values() if m)
+        assert sorted(model.irrep_dims(d, n)) == want
+        assert model.irrep_dims(d, 1) == [d]
+    built = {s.irrep: s.dim for s in model.symmetry_sectors(3, 5)}
+    assert sorted(model.irrep_dims(3, 5)) == sorted(built.values())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_symmetrize_in_place(n):
+    # every entry fl(b_ij + b_ji) * 0.5, as b + b^T halved gives it, on a C- or
+    # F-ordered block of any order, with the skew norm of the whole block
+    rng = np.random.default_rng(n)
+    for b in (rng.standard_normal((n, n)), rng.standard_normal((n, n)).T):
+        want, skew = (b + b.T) * 0.5, model._frobenius(b - b.T)
+        got = spectra._symmetrize(b)
+        assert np.array_equal(b, want) and np.array_equal(b, b.T)
+        assert got == pytest.approx(skew, rel=1e-13)
+
+
+@pytest.mark.parametrize("basis", model.BASES)
+@pytest.mark.parametrize("n,L", [(2, 6), (2, 8), (2, 10), (2, 12), (3, 3), (3, 4), (3, 5)])
+def test_owning_solve_matches_the_copying_oracle(basis, n, L):
+    # the solve that symmetrizes its split's blocks in place, largest first, and drops
+    # each once solved gives the eigenvalues, interior set and lifted states of the
+    # solve that copied them, bit for bit, and spends its split
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    w = Window(L=L, interior_margin=1)
+    op = model.build_hamiltonian(p, w, basis)
+    want = oracles.copying_sector_eigh(spectra.split_operator(op))
+    split = spectra.split_operator(op)
+    got = spectra.sector_eigh(split)
+    assert split.blocks == []
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    mask = spectra.interior_mask(got, p, w, basis)
+    assert np.array_equal(mask, spectra.interior_mask(want, p, w, basis))
+    every = np.arange(got.eigenvalues.size)
+    assert np.array_equal(spectra.lift_states(got, every), spectra.lift_states(want, every))
+    assert got.sectors == want.sectors
+    # the bounds read the skew norm summed by tiles: equal to the last digits
+    assert np.allclose(got.residuals, want.residuals, rtol=1e-12, atol=0.0)
+    assert got.orthogonality_defect == want.orthogonality_defect
+
+
+def test_owning_solve_holds_a_block_less():
+    # at N = 2, L = 12 (blocks 325 and 300): the copying solve held b + b^T, b - b^T
+    # and y * w beside every block; the owning one holds at least one n_max^2 block less
+    import tracemalloc
+
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
+    op = model.build_hamiltonian(p, Window(L=12, interior_margin=1), "stark")
+    peaks = {}
+    for name, solve in (("copying", oracles.copying_sector_eigh), ("owning", spectra.sector_eigh)):
+        split = spectra.split_operator(op)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve(split)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        del split
+    n_max = max(model.irrep_dims(25, 2))
+    assert n_max == 325
+    assert peaks["owning"] <= peaks["copying"] - 8 * n_max**2, peaks
 
 
 def lifted_by_dense_q(res):

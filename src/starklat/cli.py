@@ -175,9 +175,11 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"invalid {task} config: {exc}") from exc
     if task in ("cluster-spectrum", "resolvent-check") and params.N < 2:
         raise ConfigError(f"task {task!r} needs N >= 2, not N = {params.N}")
-    # N_MAX limits the chain enumeration; every other size goes by the memory budget
-    if task == "resolvent-check" and params.N > lattice.N_MAX:
-        raise ConfigError(f"task {task!r} needs N <= {lattice.N_MAX}, not N = {params.N}")
+    # N_MAX limits the chain enumeration, SPLIT_N_MAX the S_N split's orbit bases, which
+    # the memory budget does not count; evolve splits nothing and goes by its budget alone
+    n_max = {"resolvent-check": lattice.N_MAX, "evolve": None}.get(task, lattice.SPLIT_N_MAX)
+    if n_max is not None and params.N > n_max:
+        raise ConfigError(f"task {task!r} needs N <= {n_max}, not N = {params.N}")
     if len(sites) != params.N or not all(abs(x) < window.L for x in sites):
         raise ConfigError(
             f"dynamics.initial_sites must be {params.N} integer sites with |x| < L = "
@@ -268,7 +270,7 @@ def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> 
     """Build, export if asked, and diagonalize H; return its sector factors and interior mask."""
     # the split and the solves are checked against the memory budget before the build,
     # and room is made in the heap for the temporaries of a run that fits
-    spectra.solve_budget(cfg.window, cfg.params.N)
+    diagnostics["memory_estimate_mb"] = spectra.solve_budget(cfg.window, cfg.params.N) / 2**20
     model._heap_room(lattice.dimension(cfg.window, cfg.params.N))
     with stage("model.build_hamiltonian"):
         h = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
@@ -383,9 +385,10 @@ def _task_localization(cfg: RunConfig, out: str, checks: dict, diagnostics: dict
 
 
 def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
-    # refused above the buffer cap before any grid-sized array is made
+    # refused above the memory budget before any grid-sized array is made
     m = min(dynamics.SAMPLES_PER_EXPANSION, cfg.propagator.samples)
     diagnostics["propagator_bytes"] = dynamics.propagator_bytes(cfg.window, cfg.params.N, m)
+    diagnostics["memory_estimate_mb"] = diagnostics["propagator_bytes"] / 2**20
     with stage("dynamics.model_stencil"):
         stencil = dynamics.model_stencil(cfg.params, cfg.window)
     if cfg.symmetrized:
@@ -422,6 +425,7 @@ def _task_evolve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stag
 
 def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> None:
     ws = resolvent.ResolventWorkspace(cfg.params, cfg.window, cfg.basis)
+    diagnostics["memory_estimate_mb"] = ws.estimate / 2**20
     even = resolvent.even_potential(cfg.params.potential)
     orbits = resolvent.chain_orbits(cfg.params.N, even)
     diagnostics["expansion"] = {
@@ -568,7 +572,6 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
         "diagnostics": diagnostics,
     }
     t0 = time.monotonic()
-    lattice.take_largest_estimate()  # the manifest reports this run's estimates only
     try:
         TASKS[cfg.task][0](cfg, out, checks, diagnostics, stage)
         manifest["complete"] = True
@@ -578,6 +581,8 @@ def run(config_path: str, out_override=None, export_matrices=False, expect_task=
         print(f"{'config error' if config_fault else 'run failed'}: {exc}", file=sys.stderr)
         if not config_fault:
             checks["run_completed"] = False
+        elif exc.estimate is not None:  # the refused estimate, in place of any checked before
+            diagnostics["memory_estimate_mb"] = exc.estimate / 2**20
         manifest.update(failed_stage=open_stages[-1], exception=type(exc).__name__)
         timings[cfg.task] = time.monotonic() - t0
         _write_manifest(out, manifest, checks, timings)
@@ -611,9 +616,7 @@ def _write_manifest(out: str, manifest: dict, checks: dict, timings: dict) -> No
     manifest = dict(
         manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings, files=files,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        # the largest byte estimate a capacity gate checked, against the budget it had
-        memory_estimate_mb=lattice.take_largest_estimate() / 2**20,
-        memory_budget_mb=lattice.MEMORY_BUDGET / 2**20,
+        memory_budget_mb=lattice.MEMORY_BUDGET / 2**20,  # the task's estimate: diagnostics
     )
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:

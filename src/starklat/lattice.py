@@ -17,9 +17,11 @@ import numpy as np
 from . import specfun
 
 N_MAX = 4  # the largest N of resolvent-check, whose chain enumeration it limits (`cli.load_config`)
+# the largest N of the tasks that split by S_N symmetry, the largest the split is tested at:
+# its orbit bases walk n! arrangements per orbit shape (`model._orbit_bases`), unbudgeted
+SPLIT_N_MAX = 5
 # bytes one step of a task may plan to hold: every capacity refusal compares an estimate with it
 MEMORY_BUDGET = 2**32
-_largest_estimate = 0  # the largest estimate `within_budget` checked since `take_largest_estimate`
 
 # the PairPotential fields each kind reads
 POTENTIAL_FIELDS = {
@@ -140,31 +142,28 @@ def flat_to_tuples(window: Window, n_particles: int) -> np.ndarray:
 
 
 class CapacityError(ValueError):
-    """A problem size above a fixed capacity limit: a configuration error, not a failed check."""
+    """A problem size above a fixed capacity limit: a configuration error, not a failed check.
+
+    `estimate` is the refused byte estimate (`within_budget`), None for any other limit.
+    """
+
+    def __init__(self, message: str, estimate: Optional[int] = None):
+        super().__init__(message)
+        self.estimate = estimate
 
 
-def within_budget(need: int, what: str, remedy: str = "shrink L or N") -> int:
+def within_budget(need: int, what: str) -> int:
     """need, the bytes `what` is estimated to hold, checked against MEMORY_BUDGET before it is made.
 
-    Raises CapacityError, naming the estimate and the budget, above it. The
-    largest estimate checked is kept for the run's manifest
-    (`take_largest_estimate`), as ru_maxrss keeps the largest resident size.
+    Returns need; raises CapacityError, naming the estimate and the budget, above it.
     """
-    global _largest_estimate
-    _largest_estimate = max(_largest_estimate, need)
     if need > MEMORY_BUDGET:
         raise CapacityError(
             f"{what} would hold about {need / 2**30:.2f} GiB, above the memory budget of "
-            f"{MEMORY_BUDGET / 2**30:g} GiB; {remedy}"
+            f"{MEMORY_BUDGET / 2**30:g} GiB",
+            need,
         )
     return need
-
-
-def take_largest_estimate() -> int:
-    """The largest estimate `within_budget` checked since the last call (0 if none), and reset."""
-    global _largest_estimate
-    out, _largest_estimate = _largest_estimate, 0
-    return out
 
 
 def potential_matrix(params: ModelParams, half_width: int) -> np.ndarray:

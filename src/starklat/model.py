@@ -24,6 +24,7 @@ import numpy as np
 from . import specfun
 from .lattice import (  # the core this module builds on, re-exported
     N_MAX,
+    SPLIT_N_MAX,
     CapacityError,
     ModelParams,
     PairPotential,
@@ -264,7 +265,6 @@ def two_site_kernel(params: ModelParams, window: Window) -> CSR:
     within_budget(
         16 * gathered + 8 * (2 * w + 1) ** 2 * (2 * pad + 1) + 56 * (2 * w + 1) ** 3,
         f"the stark pair kernel at |g/h| = {abs(params.x):g}, L = {L}",
-        "shrink |g/h| or L",
     )
     row = specfun.bessel_row(0, -(w + pad), w + pad, params.x)  # row[i] = J_{w+pad-i}
     p = np.arange(-pad, pad + 1)
@@ -654,7 +654,8 @@ def _orbit_bases(n: int) -> tuple:
             swaps[j, k] = [at[tuple(key[leg] for leg in legs)] for key in keys]
         local = []
         for _, tableaux, moves in irreps:
-            first, proj = tableaux[0], np.eye(size, dtype=np.int64)  # entries within n! (n <= 5)
+            # entries within n! for n <= SPLIT_N_MAX, the largest n a task splits at
+            first, proj = tableaux[0], np.eye(size, dtype=np.int64)
             for k in range(1, n):
                 rows = [sum(r == row for r, _ in first[:k]) for row in range(k + 1)]
                 addable = {rows[r] - r for r in range(k + 1) if r == 0 or rows[r - 1] > rows[r]}
@@ -904,10 +905,6 @@ def _leg_entries(op: CSR, window: Window, n_particles: int, leg_list: list) -> i
 
 
 def _leg_sum(op: CSR, window: Window, n_particles: int, leg_list: list) -> CSR:
-    # the lifts' entries bound what the CSR of the total stores, and set the
-    # assembly's bytes: checked against the budget before anything is lifted
-    stored = _leg_entries(op, window, n_particles, leg_list)
-    within_budget(ENTRY_BYTES * stored, f"a leg sum of {stored} stored entries")
     if not leg_list:
         dim = dimension(window, n_particles)
         return CSR(np.zeros(0), np.zeros(0, int), np.zeros(dim + 1, int), (dim, dim))
@@ -917,7 +914,11 @@ def _leg_sum(op: CSR, window: Window, n_particles: int, leg_list: list) -> CSR:
 
 
 def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
-    """Free Hamiltonian: the one-site operator on every leg."""
+    """Free Hamiltonian: the one-site operator on every leg.
+
+    Not checked against the memory budget: `build_hamiltonian`, the assembly
+    of every task, checks both sums at once.
+    """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     op = one_site_operator(params, window, basis)
@@ -931,7 +932,8 @@ def build_interaction(
     """Pair interaction summed over every particle pair.
 
     `pair_operator` is `two_site_operator(params, window, basis)` when the
-    caller has already built it; it is built here otherwise.
+    caller has already built it; it is built here otherwise. Not checked
+    against the memory budget, as `build_h0`.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")

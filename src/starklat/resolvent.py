@@ -65,6 +65,10 @@ RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
 POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
+# dim x CHUNK_COLUMNS complex arrays a z of the check is estimated to add beside its blocks
+# (`workspace_bytes`): one z's peak RSS above a bare run's, less the blocks and the pair
+# operator, came to 11.7-29.0 of them at N = 2 (L = 12-30), N = 3 (L = 5-10), N = 4 (L = 3, 4)
+STREAM_ARRAYS = 32
 NORM_METHOD = (
     f"max over the S_N sector blocks of a {POWER_STEPS}-step power iteration on B^H B, "
     "the boson block (or the whole space) started from Q_b^T 1, every other from e_j, "
@@ -187,16 +191,18 @@ class FactoredResolvent:
 def workspace_bytes(params: ModelParams, window: Window) -> int:
     """Estimated bytes of a workspace: its H^(N) solve, or one z of the streamed check.
 
-    The solve is the sector split of H^(N) (`model.split_bytes`). A z of the
-    check holds, beside the factors (m^2 doubles per irrep block), the
-    complex running blocks of D and I (2 m^2 complex) and a chunk's
-    expansion temporaries, a few dozen dim x CHUNK_COLUMNS complex arrays.
+    Both sit beside the dense d^2 x d^2 pair operator (`two_site`), as large
+    as a dense H at N = 2. The solve is the sector split of H^(N)
+    (`model.split_bytes`). A z of the check holds, beside the factors (m^2
+    doubles per irrep block), the complex running blocks of D and I (2 m^2
+    complex) and a chunk's temporaries, STREAM_ARRAYS dim x CHUNK_COLUMNS
+    complex arrays.
     """
     d, n = window.n_sites, params.N
     blocks = irrep_dims(d, n)
     held = sum(m * m for m in blocks)
-    stream = 8 * held + 32 * held + 16 * 32 * d**n * CHUNK_COLUMNS
-    return max(split_bytes(blocks, d**n), stream)
+    stream = 8 * held + 32 * held + 16 * STREAM_ARRAYS * d**n * CHUNK_COLUMNS
+    return 8 * d**4 + max(split_bytes(blocks, d**n), stream)
 
 
 @dataclass
@@ -207,9 +213,10 @@ class ResolventWorkspace:
     window: Window
     basis: str = "stark"
     cache: dict = field(default_factory=dict, init=False)
+    estimate: int = field(default=0, init=False)  # workspace_bytes, checked against the budget
 
     def __post_init__(self):
-        within_budget(
+        self.estimate = within_budget(
             workspace_bytes(self.params, self.window),
             f"the resolvent workspace at N = {self.params.N}, L = {self.window.L}",
         )

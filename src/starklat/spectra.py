@@ -350,6 +350,8 @@ def solve_budget(window: Window, n: int) -> int:
     """The bytes of the sector split and solves of an n-particle H on window, within the budget.
 
     `model.split_bytes` of its irrep blocks, checked by `lattice.within_budget`.
+    Every solve checks it before its H is built: `cli._solve`, `eigh`,
+    `cluster_spectrum` and the resolvent workspace (`resolvent.workspace_bytes`).
     """
     d = window.n_sites
     return within_budget(
@@ -358,14 +360,13 @@ def solve_budget(window: Window, n: int) -> int:
 
 
 def split_operator(op: OperatorMatrix) -> SectorSplit:
-    """op's S_N sector split, after the memory and symmetry gates of every dense solve.
+    """op's S_N sector split, after the symmetry gate of every dense solve.
 
     The one path from an operator to `sector_eigh`: a caller that can drop
     op does so before the solves (`split = split_operator(h); del h`). The
-    split and its solves (`model.split_bytes` of its irrep blocks) are
-    checked against the memory budget (`solve_budget`) before any block is made.
+    caller has checked the split and its solves against the memory budget
+    (`solve_budget`) before it built op.
     """
-    solve_budget(op.window, op.n_particles)
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
     return split_by_symmetry(op.matrix, op.window.n_sites, op.n_particles)
@@ -376,8 +377,9 @@ def eigh(op: OperatorMatrix) -> SectorEigh:
 
     Its factors, and every column lifted by `lift_states` as the dense
     `eigenvectors`: the small-size oracle. `op` stays referenced through the
-    solve.
+    solve, which is checked against the memory budget (`solve_budget`) first.
     """
+    solve_budget(op.window, op.n_particles)
     res = sector_eigh(split_operator(op))
     return res._replace(eigenvectors=lift_states(res, np.arange(op.dim)))
 
@@ -413,6 +415,7 @@ def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:
     interior_spectra = {}
     for n_sub in needed:
         sub = params.with_n(n_sub)
+        solve_budget(window, n_sub)
         # H and its split are temporaries: neither outlives its last reader
         res = sector_eigh(split_operator(build_hamiltonian(sub, window, "stark")))
         interior_spectra[n_sub] = res.eigenvalues[interior_mask(res, sub, window, "stark")]

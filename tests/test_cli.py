@@ -142,9 +142,14 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         # the cluster spectrum and the expansion need N >= 2; a growing exponential v
         ("cluster-spectrum", 1, {}),
         ("resolvent-check", 1, {}),
-        # N_MAX bounds the chain enumeration of resolvent-check; every other task goes by
-        # the memory budget
+        # N_MAX bounds the chain enumeration of resolvent-check, SPLIT_N_MAX every task
+        # that splits by S_N symmetry: its orbit bases at N = 6, and the partitions the
+        # budget reads at N = 13, are past what the split is tested at
         ("resolvent-check", model.N_MAX + 1, {}),
+        ("spectrum", model.SPLIT_N_MAX + 1, {}),
+        ("localization", model.SPLIT_N_MAX + 1, {}),
+        ("cluster-spectrum", model.SPLIT_N_MAX + 1, {}),
+        ("spectrum", 13, {}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
             "kind": "exponential", "decay": -1.0}}}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
@@ -292,9 +297,10 @@ def test_evolve_run(tmp_path):
     diag = manifest["diagnostics"]
     assert set(diag) == {
         "chebyshev_terms", "samples_per_expansion", "matvecs", "spectral_bounds", "dt",
-        "norm_drift_max", "guard_radius", "guard_tail", "propagator_bytes",
+        "norm_drift_max", "guard_radius", "guard_tail", "propagator_bytes", "memory_estimate_mb",
     }
     assert diag["propagator_bytes"] == dynamics.propagator_bytes(Window(12, 3), 2, 8)
+    assert diag["memory_estimate_mb"] == diag["propagator_bytes"] / 2**20
     assert isinstance(diag["chebyshev_terms"], int) and diag["chebyshev_terms"] > 2
     # 20 samples: blocks of 8, 8 and 4, each one recurrence
     assert diag["samples_per_expansion"] == dynamics.SAMPLES_PER_EXPANSION == 8
@@ -353,7 +359,7 @@ def test_plot_data(tmp_path):
     diag = manifest["diagnostics"]
     assert set(diag) == {
         "eigh", "interior_states", "isolated_states", "shell_fits_failed", "com_checks_failed",
-        "final_rate_min",
+        "final_rate_min", "memory_estimate_mb",
     }
     # one particle: one sector, a diagonal stark H, and no cluster spectrum,
     # so the eigenpairs are exact and every interior state is isolated
@@ -675,7 +681,7 @@ def test_over_budget_refused_before_the_allocation(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["exception"] == "CapacityError" and manifest["failed_stage"] == "localization"
     assert set(manifest["timings"]) == {"localization"}
-    assert manifest["memory_estimate_mb"] > manifest["memory_budget_mb"] == 4096
+    assert manifest["diagnostics"]["memory_estimate_mb"] > manifest["memory_budget_mb"] == 4096
     assert manifest["peak_rss_mb"] <= 150, manifest["peak_rss_mb"]
 
 
@@ -690,7 +696,7 @@ def test_spectrum_past_n_max_goes_by_the_budget(tmp_path):
         "diagonalization_residual": True, "interior_nonempty": False,
     }
     assert sum(manifest["diagnostics"]["eigh"]["sector_dims"]) == 5**5
-    assert 0 < manifest["memory_estimate_mb"] < 100
+    assert 0 < manifest["diagnostics"]["memory_estimate_mb"] < 100
 
 
 def test_failed_stage_on_run_failure(tmp_path, monkeypatch):

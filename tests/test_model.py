@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from starklat import model, specfun
+from starklat import lattice, model, specfun
 from starklat.model import ModelParams, PairPotential, Window
 
 import oracles
@@ -356,18 +356,18 @@ def test_stark_basis_matrix_is_entrywise_bessel(pad, g):
 
 
 def test_nnz_cap():
-    # the budget counts ENTRY_BYTES per entry the lifts store: H0 at dim 81^4, and the
-    # stark kernel (840,175 entries) lifted onto the 3 pairs of N = 3 at L = 22,
-    # 113.4M in all (5.07 GiB); refused before anything is lifted
-    cases = [(4, 40, model.build_h0, "position"), (3, 22, model.build_interaction, "stark")]
-    for n, L, build, basis in cases:
-        with pytest.raises(model.CapacityError, match="GiB, above the memory budget"):
-            build(ModelParams(g=1.0, h=0.5, N=n), Window(L=L, interior_margin=7), basis)
-    # H as a whole: the pair kernel is made, then both sums are refused before either
-    # is lifted (H0 alone, 2.4 GiB at N = 4, L = 30, would fit)
-    with pytest.raises(model.CapacityError, match=r"the assembly of H at N = 4, L = 30"):
-        model.build_hamiltonian(ModelParams(g=1.0, h=0.5, N=4), Window(L=30, interior_margin=7),
-                                "stark")
+    # the budget counts ENTRY_BYTES per entry the leg lifts of both sums store: H0 at
+    # dim 81^4; the stark kernel (840,175 entries) lifted onto the 3 pairs of N = 3 at
+    # L = 22, 113.4M entries with H0's; and at N = 4, L = 30 both sums, where H0 alone
+    # (2.4 GiB) would fit. Each is refused once the pair kernel is made, before any lift
+    cases = [(4, 40, "position"), (3, 22, "stark"), (4, 30, "stark")]
+    for n, L, basis in cases:
+        with pytest.raises(
+            model.CapacityError, match=rf"the assembly of H at N = {n}, L = {L} .* GiB, above"
+        ) as err:
+            model.build_hamiltonian(ModelParams(g=1.0, h=0.5, N=n),
+                                    Window(L=L, interior_margin=7), basis)
+        assert err.value.estimate > lattice.MEMORY_BUDGET
 
 
 def test_export_coo_csv(tmp_path, params2, win):

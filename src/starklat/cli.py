@@ -268,10 +268,8 @@ def _eigh_diagnostics(sol: spectra.SectorEigh) -> dict:
 
 def _solve(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, stage) -> tuple:
     """Build, export if asked, and diagonalize H; return its sector factors and interior mask."""
-    # the split and the solves are checked against the memory budget before the build,
-    # and room is made in the heap for the temporaries of a run that fits
+    # the split and the solves are checked against the memory budget before the build
     diagnostics["memory_estimate_mb"] = spectra.solve_budget(cfg.window, cfg.params.N) / 2**20
-    model._heap_room(lattice.dimension(cfg.window, cfg.params.N))
     with stage("model.build_hamiltonian"):
         h = model.build_hamiltonian(cfg.params, cfg.window, cfg.basis)
     if cfg.export_matrices:
@@ -436,10 +434,13 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
     with stage("resolvent.block"):
         blocks = {k: ws.block(k) for k in range(1, cfg.params.N + 1)}
     entries, stream_diagnostics = [], []
-    ok = True
+    ok, fe = True, None
     for k, z in enumerate(cfg.z_grid):
-        # the expansion and residual stages are entered once per column chunk
-        fe = resolvent.stream_functional_equation(z, ws, stage)
+        # the expansion and residual stages are entered once per column chunk; each z
+        # writes over the sector blocks of the one before
+        fe = resolvent.stream_functional_equation(z, ws, stage, out=fe)
+        if k == len(cfg.z_grid) - 1:
+            ws.drop_buffers()  # their memory is free for the SVD and the norms
         if k == 0:
             with stage("resolvent.compactness_proxy"):
                 rep = resolvent.compactness_proxy(fe.i)
@@ -471,7 +472,6 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         if k == 0:  # the largest singular value of the sector SVD: ||I||_2 to the cross norm
             stream_diagnostics[0]["norm_I_svd"] = float(rep.singular_values[0])
         ok &= fe.residual <= 1e-6
-        del fe  # free this z's sector blocks before the next z builds its own
     diagnostics["functional_equation"] = stream_diagnostics
     with open(os.path.join(out, "functional_eq.json"), "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1, sort_keys=True)
@@ -606,6 +606,21 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """The run's peak resident memory: VmHWM of /proc/self/status, of this address space only.
+
+    ru_maxrss is kept across exec on Linux, so a run started by a larger
+    process would report that process's peak; it stands in where the file
+    is absent.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(kb) / 1024
+
+
 def _write_manifest(out: str, manifest: dict, checks: dict, timings: dict) -> None:
     files = {
         name: _sha256(os.path.join(out, name))
@@ -615,7 +630,7 @@ def _write_manifest(out: str, manifest: dict, checks: dict, timings: dict) -> No
     }
     manifest = dict(
         manifest, checks={k: bool(v) for k, v in checks.items()}, timings=timings, files=files,
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        peak_rss_mb=_peak_rss_mb(),
         memory_budget_mb=lattice.MEMORY_BUDGET / 2**20,  # the task's estimate: diagnostics
     )
     tmp = os.path.join(out, "manifest.json.tmp")

@@ -181,10 +181,11 @@ class ChebyshevPropagator:
     and U_k = (-i)^k T_k(hs) psi obeys U_1 = -i hs U_0 and
     U_{k+1} = -2i hs U_k + U_{k-1} (Tal-Ezer & Kosloff 1984). The U_k do not
     depend on t; so one recurrence, run to the longest offset's truncation,
-    feeds all m accumulators. Set-up refuses buffers above the memory budget
-    (`propagator_bytes`) and fixes the table a_k(t_j) (zero past each
-    offset's truncation at CHEB_TOL), the phases e^{-i center t_j} and the
-    rescaled hs, from the stencil's spectral bounds.
+    feeds all m accumulators. Set-up fixes the table a_k(t_j) (zero past
+    each offset's truncation at CHEB_TOL), the phases e^{-i center t_j} and
+    the rescaled hs, from the stencil's spectral bounds. Its buffers are
+    checked against the memory budget (`propagator_bytes`) once, by the
+    `evolve` task before the stencil is built.
 
     hs is applied matrix-free, as a nearest-neighbour stencil: its diagonal
     and one hop constant (`Stencil`). States live on a padded grid of
@@ -206,7 +207,6 @@ class ChebyshevPropagator:
     def __init__(self, stencil: Stencil, dt: float, m: int, config: PropagatorConfig):
         diag, hop = stencil.diagonal, stencil.hop
         d, n = stencil.window.n_sites, diag.ndim
-        propagator_bytes(stencil.window, n, m)
         self.bounds = stencil.bounds
         lo, hi = self.bounds
         center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

@@ -3,7 +3,9 @@
 All operators act on the tensor-product window [-L, L]^N with lexicographic
 flat indexing, one leg per particle; H0 and the interaction are sums of a
 one-site and a two-site operator lifted onto legs by `embed_on_legs`, each a
-numpy `CSR`. The stark-basis two-site kernel is the Bessel transform of the
+numpy `CSR`. H is assembled one slab of rows at a time (`_assemble`), each
+slab's lifts merged and written into H's arrays, made once at the bound of
+the entries the lifts store. The stark-basis two-site kernel is the Bessel transform of the
 position-basis pair potential; it is translation invariant, so its CSR
 entries are read from one table over the index offsets (`two_site_kernel`).
 The S_N sectors are orbit gathers (`Sector`), and the sector split
@@ -38,17 +40,15 @@ from .lattice import (  # the core this module builds on, re-exported
     within_budget,
 )
 
-# bytes the assembly holds at its peak per entry stored by its leg lifts: the lifts'
-# values and int32 columns, then `_sum`'s int64 keys and order and the sorted copies
-# (44-47 measured at N = 2-4, both bases)
-ENTRY_BYTES = 48
+# bytes the assembly holds per entry the leg lifts of one slab store, beside H's arrays:
+# the lifts' values and columns, `_sum`'s int64 keys and order, the sorted copies and the
+# merged slab (tracemalloc: 45-48 at N = 2, 52-57 at N = 3 and 4, stark basis)
+ENTRY_BYTES = 64
 DROP_TOL = 1e-14
 SECTOR_TOL = 1e-13  # largest ||cross block||_F / ||A||_F a symmetry-sector split may drop
 # columns per chunk wherever a sector basis is streamed: the split's products,
 # the interior mask's lifts and the resolvent check's column blocks
 CHUNK_COLUMNS = 64
-# dim x CHUNK_COLUMNS complex blocks a solve or a check keeps room for in the heap (`_heap_room`)
-HEAP_CHUNKS = 16
 UNIT_ROUNDOFF = 2.0**-53
 BASES = ("position", "stark")
 
@@ -95,28 +95,6 @@ class CSR:
         return out
 
 
-def _heap_room(dim: int) -> None:
-    """Allocate and free one untouched block of HEAP_CHUNKS dim x CHUNK_COLUMNS complex arrays,
-    so that glibc's malloc keeps the freed blocks of a solve or a check.
-
-    glibc serves a block above its mmap threshold (128 kB at start) with a
-    fresh mapping, returns it on free, and trims the heap top above twice
-    that threshold; freeing a mapped block raises the threshold to its size.
-    The build, the split, the solves and the resolvent check allocate and
-    free many temporaries of up to about this size; with no large block
-    freed before them, their pages were faulted in again call after call (at
-    N=3, L=5: 92k minor page faults against 24k, and 0.35 against 0.18 s of
-    the check's expansion on a 2-vCPU host; at N=2, L=20 the first symmetry
-    check, split and solves of a fresh process took 2.3k, 0.7k and 10.7k
-    faults against 2, 28 and 6.4k). Eight arrays were too few at N=2, L=12:
-    a stream chunk's twenty-odd temporaries passed the trim threshold, twice
-    the block, and a six-z check took 27.2k faults a process against 11.2k
-    with sixteen. The block is never written, so none of its pages becomes
-    resident; on other allocators this is one short-lived allocation.
-    """
-    np.empty(HEAP_CHUNKS * dim * CHUNK_COLUMNS * np.dtype(complex).itemsize, dtype=np.uint8)
-
-
 def _row_keys(a: CSR) -> np.ndarray:
     """row * n_cols + col of each stored entry: ascending for a canonical a."""
     return np.repeat(np.arange(a.shape[0]) * a.shape[1], np.diff(a.indptr)) + a.indices
@@ -131,6 +109,8 @@ def _sum(terms: list) -> CSR:
     entry before it, its j-th twin in round j, and every other entry is
     kept as it is.
     """
+    if len(terms) == 1:
+        return terms[0]
     n_rows, n_cols = terms[0].shape
     keys = np.concatenate([_row_keys(t) for t in terms])
     order = np.argsort(keys, kind="stable")
@@ -309,7 +289,9 @@ def two_site_operator(params: ModelParams, window: Window, basis: str) -> CSR:
     return _diagonal_csr(potential_matrix(params, window.L).ravel())
 
 
-def embed_on_legs(op: CSR, window: Window, n_particles: int, legs: tuple) -> CSR:
+def embed_on_legs(
+    op: CSR, window: Window, n_particles: int, legs: tuple, rows: Optional[range] = None
+) -> CSR:
     """Lift a d^k x d^k operator onto the sorted 0-based legs, identity elsewhere.
 
     The operator's rows and columns index its k legs lexicographically, like
@@ -317,17 +299,25 @@ def embed_on_legs(op: CSR, window: Window, n_particles: int, legs: tuple) -> CSR
     itself. Otherwise row R of the lift is op's row at R's digits on the
     legs, its columns moved to R's digits elsewhere; as the legs are sorted,
     that move keeps them ascending, so the lift is canonical with no sort.
+    With `rows`, a range of consecutive rows, only those rows of the lift
+    are made: a len(rows) x d^n CSR.
     """
     d, k = window.n_sites, len(legs)
     if not legs or list(legs) != sorted(set(legs)) or not 0 <= legs[0] <= legs[-1] < n_particles:
         raise ValueError(f"invalid legs {legs!r} for {n_particles} particles")
     if op.shape != (d**k, d**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} legs")
+    dim = d**n_particles
+    rows = range(dim) if rows is None else rows
     if k == n_particles:
-        return op
+        if len(rows) == dim:
+            return op
+        a, b = op.indptr[rows.start], op.indptr[rows.stop]
+        return CSR(op.data[a:b], op.indices[a:b], op.indptr[rows.start : rows.stop + 1] - a,
+                   (len(rows), dim))
     strides = d ** np.arange(n_particles - 1, -1, -1)
     leg_strides = strides[list(legs)]
-    flat = np.arange(d**n_particles)
+    flat = np.arange(rows.start, rows.stop)
     digits = flat[:, None] // leg_strides % d
     row = digits @ (d ** np.arange(k - 1, -1, -1))  # op's row of each row of the lift
     counts = np.diff(op.indptr)[row]
@@ -336,28 +326,43 @@ def embed_on_legs(op: CSR, window: Window, n_particles: int, legs: tuple) -> CSR
     at = np.repeat(op.indptr[row] - indptr[:-1], counts) + np.arange(indptr[-1])
     moved = leg_strides @ np.unravel_index(np.arange(d**k), (d,) * k)  # op column -> offset
     cols = np.repeat(flat - digits @ leg_strides, counts) + moved[op.indices[at]]
-    return CSR(op.data[at], cols, indptr, (flat.size,) * 2)
+    return CSR(op.data[at], cols, indptr, (flat.size, dim))
 
 
-def apply_on_legs(op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int) -> np.ndarray:
+def apply_on_legs(
+    op: np.ndarray, x: np.ndarray, legs: tuple, d: int, n: int, out=None, scratch=None
+) -> np.ndarray:
     """Apply the real operator `op` to the row legs `legs` (sorted, 0-based) of x.
 
     x has d**n rows, one leg per particle in lexicographic order, and any
     number of columns; a complex x is handled as its real view, so each step
-    is one real BLAS product.
+    is one real BLAS product. The result goes into `out` (C-ordered, of x's
+    shape and type), a new array when none is given. On legs that are not
+    consecutive x is staged in out, and the product goes through `scratch`;
+    with none, through x itself (overwritten) when out is given, else
+    through a new array.
     """
     if np.iscomplexobj(x):
+        real = [None if a is None else a.view(np.float64) for a in (out, scratch)]
         x = np.ascontiguousarray(x).view(np.float64)
-        return apply_on_legs(op, x, legs, d, n).view(complex)
+        return apply_on_legs(op, x, legs, d, n, *real).view(complex)
     k, a = len(legs), legs[0]
+    fresh = out is None
+    out = np.empty(x.shape) if fresh else out
     if legs == tuple(range(a, a + k)):
-        y = np.matmul(op, x.reshape(d**a, d**k, -1))
-    else:
-        t = x.reshape((d,) * n + (-1,))
-        perm = list(legs) + [ax for ax in range(n + 1) if ax not in legs]
-        y = op @ t.transpose(perm).reshape(d**k, -1)
-        y = y.reshape([t.shape[ax] for ax in perm]).transpose(np.argsort(perm))
-    return np.ascontiguousarray(y).reshape(x.shape)
+        batch = (d**a, d**k, -1)
+        np.matmul(op, x.reshape(batch), out=out.reshape(batch))
+        return out
+    t = x.reshape((d,) * n + (-1,))
+    perm = list(legs) + [ax for ax in range(n + 1) if ax not in legs]
+    shape = [t.shape[ax] for ax in perm]
+    staged = out.reshape(shape)
+    np.copyto(staged, t.transpose(perm))
+    if scratch is None:
+        scratch = np.empty(x.shape) if fresh else x
+    y = np.matmul(op, staged.reshape(d**k, -1), out=scratch.reshape(d**k, -1))
+    np.copyto(out.reshape(t.shape), y.reshape(shape).transpose(np.argsort(perm)))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,19 +435,33 @@ def _stacked(sectors: tuple) -> tuple:
     return tuple(shapes), int(starts[-1])
 
 
-def _sector_rows(sectors: tuple, x: np.ndarray) -> np.ndarray:
+def _sector_rows(sectors: tuple, x: np.ndarray, out=None, scratch=()) -> np.ndarray:
     """Q^T x over the stacked sectors: per orbit shape one gather of x, then one BLAS
-    product of L^T with it."""
+    product of L^T with it.
+
+    With `out` (C-ordered, x's type, one row per sector column) the rows are
+    written there, and with `scratch`, two arrays of at least x's size, the
+    gathers and the products go through them.
+    """
     xr = _real_columns(x)
     shapes, dim = _stacked(sectors)
-    out = np.empty((dim, xr.shape[1]))
+    rows = np.empty((dim, xr.shape[1])) if out is None else out.reshape(dim, -1).view(np.float64)
+    held = [a.reshape(-1).view(np.float64) for a in scratch] or [None, None]
     for flat, _, local_t, at in shapes:
         if at.size:
-            g = xr[flat]  # (M, o, columns)
-            out[at] = (local_t @ g.reshape(g.shape[0], -1)).reshape(at.shape + g.shape[2:])
+            g = _carve(held[0], flat.shape + xr.shape[1:])  # (M, o, columns)
+            g = np.take(xr, flat, axis=0, mode="clip", out=g).reshape(flat.shape[0], -1)
+            prod = np.matmul(local_t, g, out=_carve(held[1], (local_t.shape[0], g.shape[1])))
+            rows[at] = prod.reshape(at.shape + xr.shape[1:])
     if np.iscomplexobj(x):
-        out = out.view(complex)
-    return out.reshape((dim,) + x.shape[1:])
+        rows = rows.view(complex)
+    return rows.reshape((dim,) + x.shape[1:])
+
+
+def _carve(flat, shape: tuple):
+    """The first prod(shape) entries of a flat buffer as a C-ordered array of that shape;
+    None for no buffer."""
+    return None if flat is None else flat[: math.prod(shape)].reshape(shape)
 
 
 def _sector_lift(sectors: tuple, y: np.ndarray, out: np.ndarray, dtype=np.float64) -> None:
@@ -527,8 +546,9 @@ def irrep_dims(d: int, n: int) -> list:
 def split_bytes(blocks: list, dim: int) -> int:
     """Estimated bytes of the sector split of a real dim x dim operator into `blocks` and its solves.
 
-    The split holds every block (m^2 doubles) and streams a few
-    dim x CHUNK_COLUMNS arrays; the largest solve takes 4 m^2 doubles more
+    The split holds every block (m^2 doubles), its four dim x CHUNK_COLUMNS
+    arrays and a chunk's bincounts (eight such arrays are counted); the
+    largest solve takes 4 m^2 doubles more
     (numpy's eigh copies its input, and takes 2 m^2 of workspace and m^2 of
     vectors). A solved block is replaced by its factor, of its size.
     """
@@ -754,8 +774,9 @@ def chunk_terms(sectors: tuple, parts: tuple) -> tuple:
     return f[order], r[order], v[order]
 
 
-def _transpose_times(a: CSR, terms: tuple, width: int) -> np.ndarray:
-    """a^T X, C-ordered, for X of `width` columns given by its nonzeros (`chunk_terms`).
+def _transpose_times(a: CSR, terms: tuple, width: int, out=None) -> np.ndarray:
+    """a^T X, C-ordered, for X of `width` columns given by its nonzeros (`chunk_terms`);
+    written into `out` when given.
 
     Bincounts over the rows of a that X reads: every bin (column of a,
     column r of X) sums a[f, :] X[f, r] over the f of X's column. Whole
@@ -766,7 +787,7 @@ def _transpose_times(a: CSR, terms: tuple, width: int) -> np.ndarray:
     n, counts = a.shape[1], np.diff(a.indptr)[f]
     first = np.searchsorted(r, np.arange(width + 1))  # each column's first term
     read = np.concatenate([[0], np.cumsum(counts)])[first]  # entries of a read before it
-    out = np.empty((n, width), a.data.dtype)
+    out = np.empty((n, width), a.data.dtype) if out is None else out
     t0 = 0
     while t0 < width:
         t1 = int(np.searchsorted(read, read[t0] + 32 * n, side="right")) - 1
@@ -815,7 +836,8 @@ def fill_sector_blocks(
     part (s, j0, j1) is columns j0:j1 of B_s^T, B_s = Q_s^T A Q_s. Keyed by
     the k partners s (`serves`), their sum in order over k goes into columns
     j0:j1 of blocks[serves], the transposed mean M^T (made at the irrep's
-    first chunk), and diffs[serves][t, u] gains ||B_t - B_u||_F^2 on them, so
+    first chunk unless blocks holds one to write over), and
+    diffs[serves][t, u] gains ||B_t - B_u||_F^2 on them, so
     no B_s is held. Every other row block is part of a dropped cross block
     Q_t^T A Q_s, and their Frobenius norms are added to `cross` in quadrature.
     """
@@ -828,6 +850,7 @@ def fill_sector_blocks(
     serves = tuple(s for s, _, _ in parts)
     if serves not in blocks:  # the irrep's first chunk
         blocks[serves] = np.empty((b - a, b - a), rows.dtype)
+    if serves not in diffs:
         diffs[serves] = np.zeros((len(own), len(own)))
     mean = blocks[serves][:, j0:j1]
     mean[...] = own[0]
@@ -863,16 +886,20 @@ def split_by_symmetry(a, d: int, n: int) -> SectorSplit:
         csr = a if isinstance(a, CSR) else CSR.from_dense(np.asarray(a))  # read by rows
         bounds = np.cumsum([0] + [s.dim for s in sectors])
         blocks, diffs, cross = {}, {}, 0.0
-        for parts in _column_parts(sectors, CHUNK_COLUMNS):
-            width = sum(j1 - j0 for _, j0, j1 in parts)
-            ax = _transpose_times(csr, chunk_terms(sectors, parts), width)
-            rows = _sector_rows(sectors, ax)  # Q^T (a^T X)
+        chunks = _column_parts(sectors, CHUNK_COLUMNS)
+        chunks = [(parts, sum(j1 - j0 for _, j0, j1 in parts)) for parts in chunks]
+        # a^T X, Q^T (a^T X) and the gathers of `_sector_rows`, made once for every chunk
+        held = np.empty((4, csr.shape[1] * max(width for _, width in chunks)), csr.data.dtype)
+        for parts, width in chunks:
+            ax = _carve(held[0], (csr.shape[1], width))
+            ax = _transpose_times(csr, chunk_terms(sectors, parts), width, ax)
+            rows = _sector_rows(sectors, ax, _carve(held[1], ax.shape), held[2:])  # Q^T (a^T X)
             cross = fill_sector_blocks(rows, parts, blocks, diffs, bounds, cross)
         split = sector_split(sectors, blocks, diffs, cross, n)
         if split is not None:
             return split
         # refused: nothing filed is held while a is made dense
-        del sectors, csr, blocks, diffs, ax, rows
+        del sectors, csr, blocks, diffs, ax, rows, held
     return SectorSplit.whole(a)
 
 
@@ -899,76 +926,129 @@ def sector_split(
     return SectorSplit(sectors, kept, tuple(blocks), cross, theta, pair, norm, tuple(spread))
 
 
-def _leg_entries(op: CSR, window: Window, n_particles: int, leg_list: list) -> int:
-    """The entries the lifts of op onto the legs of leg_list store: nnz(op) d^(N-k) for k legs."""
-    return sum(op.nnz * window.n_sites ** (n_particles - len(legs)) for legs in leg_list)
+def _slab_entries(op: CSR, d: int, n: int, legs: tuple) -> np.ndarray:
+    """The entries the lift of op onto `legs` stores in each of the d slabs of a d^n operator.
+
+    Slab s holds the d^(n-1) rows whose particle 1 sits at site s. A lift
+    on leg 0 reads op's rows whose first digit is s, d^(n-k) times over
+    the k legs; any other lift repeats all of op d^(n-k-1) times per slab.
+    """
+    k = len(legs)
+    if legs[0] == 0:
+        return np.diff(op.indptr[:: d ** (k - 1)]).astype(np.int64) * d ** (n - k)
+    return np.full(d, op.nnz * d ** (n - k - 1), dtype=np.int64)
 
 
-def _leg_sum(op: CSR, window: Window, n_particles: int, leg_list: list) -> CSR:
-    if not leg_list:
-        dim = dimension(window, n_particles)
-        return CSR(np.zeros(0), np.zeros(0, int), np.zeros(dim + 1, int), (dim, dim))
-    # summed left to right; a lift may share its arrays with op, and no sum is formed in place
-    lifts = [embed_on_legs(op, window, n_particles, legs) for legs in leg_list]
-    return lifts[0] if len(lifts) == 1 else _sum(lifts)
+def _slabs(sums: list, d: int, n: int) -> np.ndarray:
+    """The entries the leg lifts of `sums`, (op, leg list) pairs, store in each slab."""
+    per_slab = np.zeros(d, dtype=np.int64)
+    for op, leg_list in sums:
+        for legs in leg_list:
+            per_slab += _slab_entries(op, d, n, legs)
+    return per_slab
 
 
-def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
-    """Free Hamiltonian: the one-site operator on every leg.
+def _assembly_bytes(sums: list, window: Window, n: int) -> int:
+    """Estimated bytes `_assemble` holds: H's arrays at the stored-entry bound, and one slab.
+
+    Per entry of the largest slab (`_slabs`) its lifts, `_sum`'s keys and
+    order and the merged slab take ENTRY_BYTES.
+    """
+    d = window.n_sites
+    slabs = _slabs(sums, d, n)
+    stored = int(slabs.sum())
+    index = 4 if max(stored, d**n) < 2**31 else 8
+    return (8 + index) * stored + index * (d**n + 1) + ENTRY_BYTES * int(slabs.max())
+
+
+def _assemble(sums: list, window: Window, n: int) -> CSR:
+    """The sum of the leg sums of `sums`, (op, leg list) pairs, one slab of d^(n-1) rows at a time.
+
+    Per slab the lifts of each leg sum are summed left to right by `_sum`,
+    then the leg sums are (H0 + V). `_sum` merges row by row, so the slabs
+    store exactly what the whole lifts' sums would. Each slab is written into
+    H's arrays, made once at the stored-entry bound (`_slabs`) and trimmed
+    in place to the entries kept.
+    """
+    d, sums = window.n_sites, [(op, legs) for op, legs in sums if legs]
+    dim, rows = d**n, d ** (n - 1)
+    stored = int(_slabs(sums, d, n).sum())
+    kind = np.int32 if max(stored, dim) < 2**31 else np.int64
+    data, indices, indptr = np.empty(stored), np.empty(stored, kind), np.zeros(dim + 1, kind)
+    at = 0
+    for r0 in range(0, dim, rows) if sums else ():
+        span = range(r0, r0 + rows)
+        slab = _sum([_sum([embed_on_legs(op, window, n, legs, span) for legs in leg_list])
+                     for op, leg_list in sums])
+        end = at + slab.nnz
+        data[at:end], indices[at:end] = slab.data, slab.indices
+        indptr[r0 + 1 : r0 + rows + 1] = slab.indptr[1:]
+        indptr[r0 + 1 : r0 + rows + 1] += at
+        at = end
+    data.resize(at, refcheck=False)  # in place: nothing else refers to them
+    indices.resize(at, refcheck=False)
+    return CSR(data, indices, indptr, (dim, dim))
+
+
+def _one_site_sum(params: ModelParams, window: Window, basis: str) -> tuple:
+    return one_site_operator(params, window, basis), [(k,) for k in range(params.N)]
+
+
+def _build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
+    """Free Hamiltonian: the one-site operator on every leg, assembled slab by slab (`_assemble`).
 
     Not checked against the memory budget: `build_hamiltonian`, the assembly
     of every task, checks both sums at once.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    op = one_site_operator(params, window, basis)
-    legs = [(k,) for k in range(params.N)]
-    return OperatorMatrix(basis, window, params.N, _leg_sum(op, window, params.N, legs))
+    return OperatorMatrix(
+        basis, window, params.N, _assemble([_one_site_sum(params, window, basis)], window, params.N)
+    )
 
 
-def build_interaction(
+def _pair_sum(params: ModelParams, window: Window, basis: str, pair_operator) -> tuple:
+    """(the pair operator, the leg pairs): with no pair to place (N = 1) none is built."""
+    pair_list = pairs(params.N)
+    if pair_operator is None and pair_list:
+        pair_operator = two_site_operator(params, window, basis)
+    return pair_operator, pair_list
+
+
+def _build_interaction(
     params: ModelParams, window: Window, basis: str, pair_operator=None
 ) -> OperatorMatrix:
-    """Pair interaction summed over every particle pair.
+    """Pair interaction summed over every particle pair, assembled as `_build_h0`.
 
     `pair_operator` is `two_site_operator(params, window, basis)` when the
     caller has already built it; it is built here otherwise. Not checked
-    against the memory budget, as `build_h0`.
+    against the memory budget, as `_build_h0`.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    pair_list = pairs(params.N)
-    # with no pair to place (N = 1) the operator is not needed
-    op = pair_operator
-    if op is None and pair_list:
-        op = two_site_operator(params, window, basis)
-    return OperatorMatrix(basis, window, params.N, _leg_sum(op, window, params.N, pair_list))
+    pair = _pair_sum(params, window, basis, pair_operator)
+    return OperatorMatrix(basis, window, params.N, _assemble([pair], window, params.N))
 
 
 def build_hamiltonian(
     params: ModelParams, window: Window, basis: str, pair_operator=None
 ) -> OperatorMatrix:
-    """H = H0 + the interaction on every pair; `pair_operator` as in `build_interaction`.
+    """H = H0 + the interaction on every pair; `pair_operator` as in `_build_interaction`.
 
-    The pair operator is made first, and the entries of every leg lift of both
-    sums set the assembly's bytes (ENTRY_BYTES each), checked against the
-    memory budget before anything is lifted.
+    One slab at a time, the H0 lifts and the pair lifts are each summed,
+    then H0 + V (`_assemble`). The pair operator is made first, and the
+    assembly's bytes (`_assembly_bytes`) are checked against the memory
+    budget before anything is lifted.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    n, pair_list = params.N, pairs(params.N)
-    if pair_operator is None and pair_list:
-        pair_operator = two_site_operator(params, window, basis)
-    one = [(k,) for k in range(n)]
-    stored = _leg_entries(one_site_operator(params, window, basis), window, n, one)
-    if pair_list:
-        stored += _leg_entries(pair_operator, window, n, pair_list)
+    sums = [_one_site_sum(params, window, basis), _pair_sum(params, window, basis, pair_operator)]
+    n = params.N
     within_budget(
-        ENTRY_BYTES * stored, f"the assembly of H at N = {n}, L = {window.L} ({basis} basis)"
+        _assembly_bytes(sums, window, n),
+        f"the assembly of H at N = {n}, L = {window.L} ({basis} basis)",
     )
-    return build_h0(params, window, basis) + build_interaction(
-        params, window, basis, pair_operator=pair_operator
-    )
+    return OperatorMatrix(basis, window, n, _assemble(sums, window, n))
 
 
 def _permutation_parity(perm: tuple) -> int:

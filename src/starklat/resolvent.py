@@ -37,9 +37,9 @@ from .model import (
     PairPotential,
     SectorSplit,
     Window,
+    _carve,
     _column_parts,
     _frobenius,
-    _heap_room,
     _permutation_parity,
     _sector_lift,
     _sector_rows,
@@ -65,10 +65,9 @@ RESIDUAL_TOL = 1e-10
 COND_CAP = 1e12
 POWER_STEPS = 30
 COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest count as dropped
-# dim x CHUNK_COLUMNS complex arrays a z of the check is estimated to add beside its blocks
-# (`workspace_bytes`): one z's peak RSS above a bare run's, less the blocks and the pair
-# operator, came to 11.7-29.0 of them at N = 2 (L = 12-30), N = 3 (L = 5-10), N = 4 (L = 3, 4)
-STREAM_ARRAYS = 32
+# the check's dim x CHUNK_COLUMNS complex buffers beside its N - 1 path levels (`_Buffers`):
+# D^T X, I^T X and three work arrays
+STREAM_ARRAYS = 5
 NORM_METHOD = (
     f"max over the S_N sector blocks of a {POWER_STEPS}-step power iteration on B^H B, "
     "the boson block (or the whole space) started from Q_b^T 1, every other from e_j, "
@@ -191,18 +190,24 @@ class FactoredResolvent:
 def workspace_bytes(params: ModelParams, window: Window) -> int:
     """Estimated bytes of a workspace: its H^(N) solve, or one z of the streamed check.
 
-    Both sit beside the dense d^2 x d^2 pair operator (`two_site`), as large
-    as a dense H at N = 2. The solve is the sector split of H^(N)
-    (`model.split_bytes`). A z of the check holds, beside the factors (m^2
-    doubles per irrep block), the complex running blocks of D and I (2 m^2
-    complex) and a chunk's temporaries, STREAM_ARRAYS dim x CHUNK_COLUMNS
-    complex arrays.
+    Both sit beside the pair operator, a CSR of at most d^4 entries until the
+    last block is built and the dense d^2 x d^2 `two_site` after (12 d^4
+    bytes cover either), and the lifted U of every H^(k), k < N. The solve is
+    the sector split of H^(N) (`model.split_bytes`). A z of the check holds,
+    beside the factors (m^2 doubles per irrep block), the complex running
+    blocks of D and I (2 m^2 complex), the chunk plan's nonzeros of X and
+    Q^T X (at most N! per column) and its buffers, STREAM_ARRAYS + N - 1
+    dim x CHUNK_COLUMNS complex arrays (`_Buffers`); and the SVD and norm
+    estimates of its largest block take two more complex copies of it.
     """
     d, n = window.n_sites, params.N
-    blocks = irrep_dims(d, n)
+    blocks, dim = irrep_dims(d, n), d**n
     held = sum(m * m for m in blocks)
-    stream = 8 * held + 32 * held + 16 * STREAM_ARRAYS * d**n * CHUNK_COLUMNS
-    return 8 * d**4 + max(split_bytes(blocks, d**n), stream)
+    plan = 32 * math.factorial(n) * dim
+    buffers = 16 * (STREAM_ARRAYS + n - 1) * dim * CHUNK_COLUMNS
+    stream = 8 * held + 32 * held + plan + buffers + 32 * max(blocks) ** 2
+    lifted = 8 * sum(d ** (2 * k) for k in range(1, n))
+    return 12 * d**4 + lifted + max(split_bytes(blocks, dim), stream)
 
 
 @dataclass
@@ -220,7 +225,6 @@ class ResolventWorkspace:
             workspace_bytes(self.params, self.window),
             f"the resolvent workspace at N = {self.params.N}, L = {self.window.L}",
         )
-        _heap_room(self.dim)
 
     @property
     def dim(self) -> int:
@@ -238,7 +242,7 @@ class ResolventWorkspace:
         """
         key = ("U", k)
         if key not in self.cache:
-            pair = CSR.from_dense(self.two_site()) if k > 1 else None
+            pair = self._pair_csr() if k > 1 else None
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
             del pair
             diag = h.matrix.diagonal()
@@ -252,6 +256,9 @@ class ResolventWorkspace:
                 if k < self.params.N:
                     res = res._replace(eigenvectors=lift_states(res, np.arange(res.eigenvalues.size)))
             self.cache[key] = res
+            if k > 1 and all(("U", j) in self.cache for j in range(2, self.params.N + 1)):
+                self.two_site()  # the couplings' dense copy, made before its CSR goes
+                del self.cache[("V2", "CSR")]
         return self.cache[key]
 
     def sector_columns(self) -> tuple:
@@ -263,18 +270,33 @@ class ResolventWorkspace:
         """
         return tuple(s for f in self.block(self.params.N).factors for s in f.sectors)
 
-    def sector_rows(self, y: np.ndarray) -> np.ndarray:
-        """Q^T y over `sector_columns`, complex and C-ordered: one gather per orbit shape."""
-        return _sector_rows(self.sector_columns(), np.asarray(y, dtype=complex))
+    def sector_rows(self, y: np.ndarray, out=None, scratch=()) -> np.ndarray:
+        """Q^T y over `sector_columns`, complex and C-ordered: one gather per orbit shape.
+
+        `out` and `scratch` as in `model._sector_rows`.
+        """
+        return _sector_rows(self.sector_columns(), np.asarray(y, dtype=complex), out, scratch)
 
     def two_site(self) -> np.ndarray:
-        """The d^2 x d^2 pair operator, applied on every leg pair (i < j).
-
-        Built once per workspace; every H^(k), k >= 2, is assembled from its CSR.
-        """
+        """The d^2 x d^2 pair operator applied on every leg pair (i < j), made dense once."""
         key = ("V2",)
         if key not in self.cache:
-            self.cache[key] = two_site_operator(self.params, self.window, self.basis).toarray()
+            self.cache[key] = self._pair_csr().toarray()
+        return self.cache[key]
+
+    def drop_buffers(self) -> None:
+        """Free the streamed check's buffers (`column_chunks`) once no z is left to stream."""
+        self.cache.pop(("buffers",), None)
+
+    def _pair_csr(self) -> CSR:
+        """The pair operator as built (`two_site_operator`), once per workspace.
+
+        Every H^(k), k >= 2, is assembled from it, and `two_site` densifies it;
+        `block` drops it once the last of them is built.
+        """
+        key = ("V2", "CSR")
+        if key not in self.cache:
+            self.cache[key] = two_site_operator(self.params, self.window, self.basis)
         return self.cache[key]
 
     def factor(self, dec: ClusterDecomposition, z: complex) -> FactoredResolvent:
@@ -313,23 +335,31 @@ class ResolventWorkspace:
         self.cache[key] = FactoredResolvent(blocks, delta, bound)
         return self.cache[key]
 
-    def apply_resolvent(self, dec: ClusterDecomposition, z: complex, x: np.ndarray) -> np.ndarray:
+    def apply_resolvent(
+        self, dec: ClusterDecomposition, z: complex, x: np.ndarray, out=None, spare=None
+    ) -> np.ndarray:
         """G_D(z) x = W diag(delta) W^T x, one block's legs at a time.
 
         The N-particle block is applied from its sector factors instead: the
-        rows Q^T x (`sector_rows`), then `resolve_rows`.
+        rows Q^T x (`sector_rows`), then `resolve_rows`. Any other block
+        goes back and forth between `spare` and `out`, complex arrays of x's
+        shape (out may be x itself), and overwrites x; without `out` both
+        are new and x is left as it is.
         """
         d, n = self.window.n_sites, self.params.N
         f = self.factor(dec, z)
         if len(f.blocks[0][0]) == n:
             return self.resolve_rows(z, self.sector_rows(x))
-        for legs, b in f.blocks:
-            if b.eigenvectors is not None:
-                x = apply_on_legs(b.eigenvectors.T, x, legs, d, n)
-        x = f.delta[:, None] * x
-        for legs, b in f.blocks:
-            if b.eigenvectors is not None:
-                x = apply_on_legs(b.eigenvectors, x, legs, d, n)
+        if out is None:
+            x = np.array(x, dtype=complex)
+            out, spare = np.empty_like(x), np.empty_like(x)
+        solved = [(legs, b.eigenvectors) for legs, b in f.blocks if b.eigenvectors is not None]
+        hops = iter([spare, out] * len(solved))  # an even count of hops ends in out
+        for legs, u in solved:
+            x = apply_on_legs(u.T, x, legs, d, n, out=next(hops))
+        x = np.multiply(f.delta[:, None], x, out=x if solved else out)
+        for legs, u in solved:
+            x = apply_on_legs(u, x, legs, d, n, out=next(hops))
         return x
 
     def full_factor(self, z: complex) -> FactoredResolvent:
@@ -350,15 +380,26 @@ class ResolventWorkspace:
         return out
 
     def apply_coupling(
-        self, d_fine: ClusterDecomposition, d_coarse: ClusterDecomposition, x: np.ndarray
+        self,
+        d_fine: ClusterDecomposition,
+        d_coarse: ClusterDecomposition,
+        x: np.ndarray,
+        out=None,
+        scratch=(None, None),
     ) -> np.ndarray:
-        """V_{D,D'} x: the two-site operator on each leg pair the step joins."""
+        """V_{D,D'} x: the two-site operator on each leg pair the step joins.
+
+        With `out` and `scratch`, two more arrays of x's shape, the sum is
+        written into out, each later pair's product through the first
+        scratch (the second stages pairs that are not consecutive); x is left
+        as it is.
+        """
         d, n = self.window.n_sites, self.params.N
         v2 = self.two_site()
         first, *rest = _new_pairs(d_fine, d_coarse)
-        out = apply_on_legs(v2, x, first, d, n)
+        out = apply_on_legs(v2, x, first, d, n, out, scratch[0])
         for legs in rest:
-            out += apply_on_legs(v2, x, legs, d, n)
+            out += apply_on_legs(v2, x, legs, d, n, *scratch)
         return out
 
 
@@ -439,13 +480,52 @@ class ColumnChunk(NamedTuple):
     scalar +-1 on a one-dimensional sector (and 1 for the identity); on the
     k partner sectors of an irrep, whose parts are of one width w, the dense
     k x k R(pi) with M = R (x) 1_w on the (k, w) column view; None for X = 1,
-    where M = P^T permutes the column legs as P the row legs.
+    where M = P^T permutes the column legs as P the row legs. X and Q^T X
+    are kept as their nonzeros (`_dense`); the stream writes X into the
+    buffer it runs through (`_buffers`).
     """
 
-    x: np.ndarray  # dim x b, complex, C-ordered
+    terms: tuple  # X's nonzeros: (rows, cols, values, shape)
     parts: tuple
     mix: dict
-    qx: np.ndarray  # Q^T X over the sector columns, dense
+    qx: tuple  # Q^T X's nonzeros over the sector columns, the same way
+
+    @property
+    def width(self) -> int:
+        return self.terms[3][1]
+
+    @property
+    def x(self) -> np.ndarray:
+        """X as a new dense complex array."""
+        return _dense(self.terms, complex)
+
+
+class _Buffers(NamedTuple):
+    """The dim x width complex arrays one chunk of the check runs through: N + 4 of them.
+
+    In `expansion_columns`: X, written into the first of the N - 1 path
+    levels and resolved there; D^T X and I^T X; and the work arrays, through
+    which every coupling, resolvent and dense mix goes (the first takes each
+    product, the second stages a later leg pair that is not consecutive, the
+    third sums the couplings of an I term). After it: Q^T (D^T X) in the
+    third work array, Q^T (I^T X) over D^T X and u of `sector_residual`
+    over I^T X, each read by then, through the first work array and level.
+    """
+
+    levels: tuple
+    d: np.ndarray
+    i: np.ndarray
+    work: tuple
+
+
+def _buffers(ws: "ResolventWorkspace", width: int) -> _Buffers:
+    """The chunk plan's buffers (`column_chunks`) as dim x width arrays; new ones for X = 1."""
+    n, size = ws.params.N, ws.dim * width
+    held = ws.cache.get(("buffers",))
+    if held is None or held.shape[1] < size:
+        held = np.empty((STREAM_ARRAYS + n - 1, size), dtype=complex)
+    views = [a[:size].reshape(ws.dim, width) for a in held]
+    return _Buffers(tuple(views[: n - 1]), views[n - 1], views[n], tuple(views[n + 1 :]))
 
 
 def _chunk_plan(ws: ResolventWorkspace, x: np.ndarray, parts: tuple) -> tuple:
@@ -474,15 +554,45 @@ def _chunk_plan(ws: ResolventWorkspace, x: np.ndarray, parts: tuple) -> tuple:
 
 def _identity_chunk(ws: ResolventWorkspace) -> ColumnChunk:
     """X = 1 as a chunk: the dense D^T, I^T and residual of the same kernels."""
-    return ColumnChunk(np.eye(ws.dim, dtype=complex), (), *_chunk_plan(ws, np.eye(ws.dim), ()))
+    index = np.arange(ws.dim, dtype=np.int32)
+    mix, qx = _chunk_plan(ws, np.eye(ws.dim), ())
+    return ColumnChunk((index, index, np.ones(ws.dim), (ws.dim, ws.dim)), (), mix, _nonzeros(qx))
 
 
-def _dense(nonzeros: tuple, dtype) -> np.ndarray:
-    """X from the (rows, cols, values, shape) of its nonzero entries, as a chunk caches it."""
+def _nonzeros(a: np.ndarray) -> tuple:
+    """(rows, cols, values, shape) of a's nonzero entries, int32 indices (a dimension within the
+    memory budget is far below 2^31)."""
+    rows, cols = np.nonzero(a)
+    return rows.astype(np.int32), cols.astype(np.int32), a[rows, cols], a.shape
+
+
+def _dense(nonzeros: tuple, dtype, out=None) -> np.ndarray:
+    """X from the (rows, cols, values, shape) of its nonzero entries, as a chunk caches it;
+    written into `out` when given."""
     rows, cols, values, shape = nonzeros
-    out = np.zeros(shape, dtype)
+    if out is None:
+        out = np.zeros(shape, dtype)
+    else:
+        out.fill(0)
     out[rows, cols] = values
     return out
+
+
+def _copied(a: np.ndarray, flat) -> np.ndarray:
+    """The complex a as a C-ordered array: copied into the real flat buffer `flat` when given."""
+    if flat is None:
+        return np.ascontiguousarray(a)
+    out = _carve(flat, a.shape[:-1] + (2 * a.shape[-1],)).view(complex)
+    np.copyto(out, a)
+    return out
+
+
+def _minus_rows(qx: tuple, ri: np.ndarray, out=None) -> np.ndarray:
+    """Q^T X - ri from the nonzeros of Q^T X, entry for entry as the dense difference rounds it."""
+    rows, cols, values, _ = qx
+    u = np.subtract(0.0, ri, out=out)
+    u.real[rows, cols] = values - ri.real[rows, cols]
+    return u
 
 
 def column_chunks(ws: ResolventWorkspace):
@@ -490,10 +600,10 @@ def column_chunks(ws: ResolventWorkspace):
 
     Each is at most CHUNK_COLUMNS wide, or one column per partner sector of an
     irrep of larger dimension (`model._column_parts`, as `split_by_symmetry`).
-    A generator: each chunk's X and Q^T X are made when the caller asks for
-    them, from the nonzeros and mixes the workspace caches for every z: X's
-    nonzeros with int32 rows and columns (a dimension within the memory
-    budget is far below 2^31), and Q^T X as a `CSR`.
+    The workspace caches, for every z, each chunk's nonzeros of X and Q^T X
+    and its mixes, and the plan's buffers: STREAM_ARRAYS + N - 1 arrays of
+    dim x the widest chunk, complex (`_buffers`), made once and written by
+    every chunk of every z.
     """
     key = ("chunks", CHUNK_COLUMNS)
     if key not in ws.cache:
@@ -508,14 +618,21 @@ def column_chunks(ws: ResolventWorkspace):
             width = sum(j1 - j0 for _, j0, j1 in parts)
             x = (f.astype(np.int32), r.astype(np.int32), v, (ws.dim, width))
             mix, qx = _chunk_plan(ws, _dense(x, np.float64), parts)
-            plans.append((parts, x, mix, CSR.from_dense(qx)))
+            plans.append(ColumnChunk(x, parts, mix, _nonzeros(qx)))
         ws.cache[key] = tuple(plans)
-    for parts, x, mix, qx in ws.cache[key]:
-        yield ColumnChunk(_dense(x, complex), parts, mix, qx.toarray())
+    if ("buffers",) not in ws.cache:  # made once per plan, or again after `drop_buffers`
+        size = ws.dim * max(c.width for c in ws.cache[key])
+        ws.cache[("buffers",)] = np.empty((STREAM_ARRAYS + ws.params.N - 1, size), dtype=complex)
+    yield from ws.cache[key]
 
 
-def _add_images(acc: np.ndarray, x: np.ndarray, images: tuple, mix: dict, d: int, n: int) -> None:
-    """acc += P x M(pi) for each image: the columns mixed by M, then a strided add of the row legs."""
+def _add_images(
+    acc: np.ndarray, x: np.ndarray, images: tuple, mix: dict, d: int, n: int, scratch=None
+) -> None:
+    """acc += P x M(pi) for each image: the columns mixed by M, then a strided add of the row legs.
+
+    A dense M's product goes through `scratch` (x's size) when given.
+    """
     b = x.shape[1]
     acc_t, x_t = acc.reshape((d,) * n + (b,)), x.reshape((d,) * n + (b,))
     for axes in images:
@@ -531,7 +648,9 @@ def _add_images(acc: np.ndarray, x: np.ndarray, images: tuple, mix: dict, d: int
         else:  # (P x) M = P (x M): R(pi)^T on the partner axis of x's real (dim, k, 2w) view
             k = m.shape[0]
             view = (d,) * n + (k, 2 * b // k)
-            mixed = np.matmul(m.T, np.ascontiguousarray(x).view(np.float64).reshape(-1, *view[n:]))
+            xr = np.ascontiguousarray(x).view(np.float64).reshape(-1, *view[n:])
+            held = None if scratch is None else scratch.view(np.float64).reshape(xr.shape)
+            mixed = np.matmul(m.T, xr, out=held)
             acc_r = acc.view(np.float64).reshape(view)
             acc_r += mixed.reshape(view).transpose(axes[:n] + (n, n + 1))
 
@@ -546,6 +665,8 @@ def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) ->
     (P V_{D_k, full})^T X to I^T X. Each term is added once per image of its
     chain (`chain_orbits`): image pi of a term T contributes P T P^T, and
     P T P^T X = P (T X) M(pi) since the chunk is closed (`ColumnChunk`).
+    Every array is one of the chunk plan's buffers (`_buffers`), so the two
+    returned are overwritten by the next chunk.
     """
     n = ws.params.N
     if n < 2:
@@ -553,24 +674,31 @@ def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) ->
     d = ws.window.n_sites
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
     orbits = chain_orbits(n, even_potential(ws.params.potential))
+    buf = _buffers(ws, chunk.width)
+    work = buf.work
+    root = orbits[0][0].sequence[0]
+    q = _dense(chunk.terms, complex, buf.levels[0])
+    ws.apply_resolvent(root, z, q, q, work[0])
     # the first chain is the root; in lexicographic order every later chain
     # extends a prefix of the one before it, so `path` keeps just the prefixes
-    # the next chain extends, and drops the rest before the I term is built
-    root = orbits[0][0].sequence[0]
-    q = ws.apply_resolvent(root, z, chunk.x)
+    # the next chain extends, each in the level buffer of its depth
     path = [(root, q)]
-    d_t, i_t = q.copy(), np.zeros(q.shape, dtype=complex)  # no page of i_t touched until added to
+    d_t, i_t = buf.d, buf.i
+    np.copyto(d_t, q)
+    i_t.fill(0.0)
     next_lengths = [len(c.sequence) for c, _ in orbits[1:]] + [1]
     for (c, images), next_length in zip(orbits, next_lengths):
         dec = c.sequence[-1]
         if len(c.sequence) > 1:
-            del q
-            q = ws.apply_resolvent(dec, z, ws.apply_coupling(path[-1][0], dec, path[-1][1]))
+            q = buf.levels[len(c.sequence) - 1]
+            ws.apply_coupling(path[-1][0], dec, path[-1][1], q, work[:2])
+            ws.apply_resolvent(dec, z, q, q, work[0])
             path.append((dec, q))
-            _add_images(d_t, q, images, chunk.mix, d, n)
+            _add_images(d_t, q, images, chunk.mix, d, n, work[0])
         del path[next_length - 1 :]
         if dec.n_blocks == 2:
-            _add_images(i_t, ws.apply_coupling(dec, full, q), images, chunk.mix, d, n)
+            coupled = ws.apply_coupling(dec, full, q, work[2], work[:2])
+            _add_images(i_t, coupled, images, chunk.mix, d, n, work[0])
     return d_t, i_t
 
 
@@ -604,13 +732,14 @@ def residual_columns(
     applied from the N-block's sector factors to the rows Q^T (X - I^T X) =
     Q^T X - ri (`ResolventWorkspace.resolve_rows`), so X is not projected again.
     """
-    r = ws.resolve_rows(z, chunk.qx - ri)
+    r = ws.resolve_rows(z, _minus_rows(chunk.qx, ri))
     r -= dx
     return r
 
 
 def sector_residual(
-    z: complex, ws: ResolventWorkspace, chunk: ColumnChunk, rd: np.ndarray, ri: np.ndarray
+    z: complex, ws: ResolventWorkspace, chunk: ColumnChunk, rd: np.ndarray, ri: np.ndarray,
+    buffers: Optional[_Buffers] = None,
 ) -> tuple:
     """Squared Frobenius norms (own, u_off, u) of a chunk's residual in sector coordinates.
 
@@ -621,7 +750,9 @@ def sector_residual(
     every partner sector of an irrep); the other rows of u (u_off) are
     only measured, and their M products are bounded in
     `stream_functional_equation`. The chunk needs parts: X = 1 is the dense
-    oracle's `residual_columns`.
+    oracle's `residual_columns`. With the chunk plan's `buffers` (`_Buffers`),
+    u is written over I^T X and the products go through the first level and
+    work array.
     """
     f = ws.full_factor(z)
     solves, first = [], 0
@@ -629,19 +760,23 @@ def sector_residual(
         solves += [(fac, first)] * len(fac.sectors)
         first += fac.values.size
     bounds = np.cumsum([0] + [s.dim for s in ws.sector_columns()])
-    u = chunk.qx - ri
+    held = (None, None)
+    if buffers is not None:
+        held = tuple(a.reshape(-1).view(np.float64) for a in (buffers.levels[0], buffers.work[0]))
+    u = _minus_rows(chunk.qx, ri, None if buffers is None else buffers.i)
     own = off = inside = 0.0
     col = 0
     for s, j0, j1 in chunk.parts:
         (fac, first), (a, b), cols = solves[s], bounds[s : s + 2], slice(col, col + j1 - j0)
         part = u[:, cols]
         off += _frobenius(part[:a]) ** 2 + _frobenius(part[b:]) ** 2
-        own_u = np.ascontiguousarray(part[a:b])
+        own_u = _copied(part[a:b], held[0])
         inside += _frobenius(own_u) ** 2
-        t = fac.vectors.T @ own_u.view(np.float64)
+        shape = (b - a, 2 * (j1 - j0))  # the real view of own_u
+        t = np.matmul(fac.vectors.T, own_u.view(np.float64), out=_carve(held[1], shape))
         scaled = t.view(complex)
         scaled *= f.delta[first : first + fac.values.size, None]
-        r = (fac.vectors @ t).view(complex)
+        r = np.matmul(fac.vectors, t, out=_carve(held[0], shape)).view(complex)
         r -= rd[a:b, cols]
         own += _frobenius(r) ** 2
         col += j1 - j0
@@ -712,7 +847,7 @@ class StreamedFunctionalEquation:
 
 
 def stream_functional_equation(
-    z: complex, ws: ResolventWorkspace, stage=contextlib.nullcontext
+    z: complex, ws: ResolventWorkspace, stage=contextlib.nullcontext, out=None
 ) -> StreamedFunctionalEquation:
     """R = G - D - I G, and the sector blocks of D and I, with no dim x dim array formed.
 
@@ -742,23 +877,31 @@ def stream_functional_equation(
     is the first term over 1 - theta, `residual_dropped` the rest. G is
     applied on each column's own sector only, and no row is lifted back by Q.
     `stage(name)` is entered around each chunk's expansion and residual.
+    With `out`, the result of an earlier z on the same workspace, its sector
+    blocks of D and I are written over instead of made anew.
     """
     sectors = ws.sector_columns()
     bounds = np.cumsum([0] + [s.dim for s in sectors])
-    filed = {name: ({}, {}) for name in "di"}  # (blocks, diffs) of `fill_sector_blocks`
+    # (blocks, diffs) of `fill_sector_blocks`; the blocks of `out` are written over
+    filed = {name: ({}, {}) for name in "di"}
+    if out is not None:
+        for name, split in (("d", out.d), ("i", out.i)):
+            filed[name][0].update((serves, b.T) for b, serves in zip(split.blocks, split.serves))
     cross = dict.fromkeys("di", 0.0)
     squares, chunks = np.zeros(3), 0  # sum ||own||^2, ||u_off||^2, ||u||^2
     for chunk in column_chunks(ws):
         with stage("resolvent.expansion"):
             dx, ix = expansion_columns(z, ws, chunk)
         with stage("resolvent.functional_equation"):
-            rows = {"d": ws.sector_rows(dx), "i": ws.sector_rows(ix)}
-            squares += sector_residual(z, ws, chunk, rows["d"], rows["i"])
+            buf = _buffers(ws, chunk.width)
+            work = (buf.work[0], buf.levels[0])
+            # each of D^T X and I^T X is read once: D^T X's array takes Q^T (I^T X)
+            rows = {"d": ws.sector_rows(dx, buf.work[2], work), "i": ws.sector_rows(ix, dx, work)}
+            squares += sector_residual(z, ws, chunk, rows["d"], rows["i"], buf)
             for name in "di":
                 cross[name] = fill_sector_blocks(
                     rows[name], chunk.parts, *filed[name], bounds, cross[name]
                 )
-        del chunk, dx, ix, rows
         chunks += 1
     splits = {}
     for name in "di":

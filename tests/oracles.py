@@ -98,7 +98,13 @@ def scipy_embed_on_legs(op, window: Window, n_particles: int, legs: tuple) -> sp
 
 
 def scipy_hamiltonian(params: ModelParams, window: Window, basis: str) -> sp.csr_matrix:
-    """H as scipy.sparse assembled it: H0 and the interaction, each a left-to-right sum of lifts."""
+    """H as scipy.sparse assembled it: H0 plus the interaction (`scipy_sums`)."""
+    h0, v = scipy_sums(params, window, basis)
+    return h0 + v
+
+
+def scipy_sums(params: ModelParams, window: Window, basis: str) -> tuple:
+    """(H0, the interaction) as scipy.sparse assembled them: each a left-to-right sum of lifts."""
     m = model.site_range(window)
     if basis == "stark":
         one = sp.diags(-2.0 * params.h * m, format="coo")
@@ -117,7 +123,7 @@ def scipy_hamiltonian(params: ModelParams, window: Window, basis: str) -> sp.csr
         for legs in leg_list[1:]:
             total = total + scipy_embed_on_legs(op, window, params.N, legs)
         parts.append(total)
-    return parts[0] + parts[1]
+    return tuple(parts)
 
 
 def csr_sector_rows(d: int, n: int) -> tuple:
@@ -393,7 +399,7 @@ def build_cluster_hamiltonian(
     for b in blocks:
         for i, j in itertools.combinations(b, 2):
             intra.append((i - 1, j - 1))
-    return model.build_h0(params, window, basis) + pair_interaction(
+    return model._build_h0(params, window, basis) + pair_interaction(
         params, window, basis, sorted(intra)
     )
 

@@ -657,6 +657,22 @@ def test_capacity_limit_exit_config(tmp_path, capsys, overrides, stages, failed_
     assert set(manifest["timings"]) == {overrides["task"]} | stages
 
 
+def test_peak_rss_falls_back_to_ru_maxrss(monkeypatch):
+    # VmHWM of /proc/self/status where it exists; ru_maxrss (the same kB) where it does not
+    import resource
+
+    with open("/proc/self/status", encoding="ascii") as fh:
+        hwm = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+    assert hwm / 1024 <= cli._peak_rss_mb()  # the peak can only rise in between
+
+    def absent(*args, **kwargs):
+        raise FileNotFoundError(args[0])
+
+    monkeypatch.setattr(cli, "open", absent, raising=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert before <= cli._peak_rss_mb() <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def test_over_budget_refused_before_the_allocation(tmp_path):
     # localization at N = 3, L = 16 (stark): its sector solves would hold about 6 GiB.
     # A fresh process exits 1 with the estimate and the budget named, before the build,
@@ -669,11 +685,8 @@ def test_over_budget_refused_before_the_allocation(tmp_path):
                  window={"L": 16, "interior_margin": 7})
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    # a process exec'd straight from this one starts its ru_maxrss at this process's peak:
-    # a small launcher in between gives the run a peak of its own
-    launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
-    run = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "starklat.cli",
-                          "localization", "--config", str(p)],
+    # started straight from this process: its peak_rss_mb is its own (VmHWM), not this one's
+    run = subprocess.run([sys.executable, "-m", "starklat.cli", "localization", "--config", str(p)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == cli.EXIT_CONFIG
     assert "config error: the sector split and solves at N = 3, L = 16 would hold about" in run.stderr

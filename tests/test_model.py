@@ -63,13 +63,13 @@ def test_potential_presets():
 def test_h0_position_3x3_example():
     p = ModelParams(g=1.0, h=0.5, N=1)
     w = Window(L=1, interior_margin=0)
-    got = model.build_h0(p, w, "position").toarray()
+    got = model._build_h0(p, w, "position").toarray()
     want = np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]])
     assert np.array_equal(got, want)
 
 
 def test_h0_stark_diagonal(params2, win):
-    h0 = oracles.scipy_csr(model.build_h0(params2, win, "stark"))
+    h0 = oracles.scipy_csr(model._build_h0(params2, win, "stark"))
     f = oracles.tuple_to_flat(win, np.array([2, -1]))
     assert h0[f, f] == pytest.approx(-2 * params2.h * 1)
     off = h0 - np.diag(h0.diagonal())
@@ -79,7 +79,7 @@ def test_h0_stark_diagonal(params2, win):
 def test_g0_degeneration():
     p = ModelParams(g=0.0, h=0.5, N=2, potential=PairPotential("exponential", 0.8, 0.7))
     w = Window(L=5, interior_margin=2)
-    for build in (model.build_h0, model.build_interaction, model.build_hamiltonian):
+    for build in (model._build_h0, model._build_interaction, model.build_hamiltonian):
         a = build(p, w, "position").toarray()
         b = build(p, w, "stark").toarray()
         assert np.array_equal(a, b)
@@ -132,7 +132,7 @@ def test_kernel_matches_per_element(win):
 
 def test_interaction_position_diagonal(params2):
     w = Window(L=6, interior_margin=2)
-    v = oracles.scipy_csr(model.build_interaction(params2, w, "position"))
+    v = oracles.scipy_csr(model._build_interaction(params2, w, "position"))
     f = oracles.tuple_to_flat(w, np.array([3, 4]))
     assert v[f, f] == pytest.approx(1.0)
     f2 = oracles.tuple_to_flat(w, np.array([3, 6]))
@@ -143,7 +143,7 @@ def test_three_pair_terms():
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     assert len(model.pairs(3)) == 3
     w = Window(L=3, interior_margin=1)
-    v_all = model.build_interaction(p, w, "position").toarray()
+    v_all = model._build_interaction(p, w, "position").toarray()
     v_sum = sum(
         oracles.pair_interaction(p, w, "position", [pr]).toarray()
         for pr in model.pairs(3)
@@ -154,7 +154,7 @@ def test_three_pair_terms():
 def test_hamiltonian_is_sum(params2, win):
     h, h0, v = (
         oracles.scipy_csr(build(params2, win, "stark"))
-        for build in (model.build_hamiltonian, model.build_h0, model.build_interaction)
+        for build in (model.build_hamiltonian, model._build_h0, model._build_interaction)
     )
     assert abs((h - (h0 + v))).max() == 0.0
 
@@ -269,12 +269,12 @@ def test_cluster_hamiltonian():
     finest = ClusterDecomposition(((1,), (2,), (3,)))
     assert np.array_equal(
         oracles.build_cluster_hamiltonian(p, w, finest, "position").toarray(),
-        model.build_h0(p, w, "position").toarray(),
+        model._build_h0(p, w, "position").toarray(),
     )
     mid = ClusterDecomposition(((1, 2), (3,)))
     got = oracles.build_cluster_hamiltonian(p, w, mid, "position").toarray()
     want = (
-        oracles.scipy_csr(model.build_h0(p, w, "position"))
+        oracles.scipy_csr(model._build_h0(p, w, "position"))
         + oracles.scipy_csr(oracles.pair_interaction(p, w, "position", [(0, 1)]))
     ).toarray()
     assert np.array_equal(got, want)
@@ -333,7 +333,7 @@ def test_stark_transform_diagonalizes_h0():
     p = ModelParams(g=1.0, h=0.5, N=1)
     w = Window(L=20, interior_margin=7)
     xi = model.stark_basis_matrix(p, w)
-    h0 = model.build_h0(p, w, "position").toarray()
+    h0 = model._build_h0(p, w, "position").toarray()
     d = xi.T @ h0 @ xi
     m = np.arange(-w.L, w.L + 1)
     interior = np.abs(m) <= w.L - w.interior_margin
@@ -356,11 +356,11 @@ def test_stark_basis_matrix_is_entrywise_bessel(pad, g):
 
 
 def test_nnz_cap():
-    # the budget counts ENTRY_BYTES per entry the leg lifts of both sums store: H0 at
-    # dim 81^4; the stark kernel (840,175 entries) lifted onto the 3 pairs of N = 3 at
-    # L = 22, 113.4M entries with H0's; and at N = 4, L = 30 both sums, where H0 alone
-    # (2.4 GiB) would fit. Each is refused once the pair kernel is made, before any lift
-    cases = [(4, 40, "position"), (3, 22, "stark"), (4, 30, "stark")]
+    # the budget counts H's arrays at the stored-entry bound and ENTRY_BYTES per entry of
+    # the largest slab: H0 at dim 81^4; the stark kernel (1,829,491 entries) lifted onto
+    # the 3 pairs of N = 3 at L = 40, 5.4 GiB with H0's; and at N = 4, L = 30 both sums.
+    # Each is refused once the pair kernel is made, before any lift
+    cases = [(4, 40, "position"), (3, 40, "stark"), (4, 30, "stark")]
     for n, L, basis in cases:
         with pytest.raises(
             model.CapacityError, match=rf"the assembly of H at N = {n}, L = {L} .* GiB, above"
@@ -371,7 +371,7 @@ def test_nnz_cap():
 
 
 def test_export_coo_csv(tmp_path, params2, win):
-    h = model.build_h0(params2, win, "stark")
+    h = model._build_h0(params2, win, "stark")
     path = tmp_path / "h0.csv"
     h.export_coo_csv(path)
     lines = path.read_text().splitlines()
@@ -400,20 +400,80 @@ def test_refused_split_holds_nothing_filed_while_densifying():
     assert peak <= 92 * 2**20, peak / 2**20
 
 
+# uneven, v(1) = -v(-1): the pair lifts cancel on the diagonal at (0, 1, 0), and at
+# h = 0.5 H0 + V cancels at (1, ..., 1, 0)
+CANCELLING = PairPotential("tabulated", table={1: 1.0, -1: -1.0, 2: 2.0})
+
+
 @pytest.mark.parametrize("basis", model.BASES)
 @pytest.mark.parametrize("n,L", [(1, 4), (2, 3), (3, 2), (4, 2)])
-@pytest.mark.parametrize("pot", KERNEL_POTENTIALS, ids=lambda p: p.kind)
+@pytest.mark.parametrize(
+    "pot", KERNEL_POTENTIALS + [CANCELLING], ids=lambda p: "cancelling" if p is CANCELLING else p.kind
+)
 def test_hamiltonian_is_bit_identical_to_the_scipy_assembly(basis, n, L, pot):
-    # the numpy lifts and linear-time merges store what scipy's COO lifts and
-    # CSR sums stored: the same entries, in the same order, with the same sums
+    # the slab-by-slab lifts and merges store what scipy's COO lifts and CSR
+    # sums stored: the same entries, in the same order, with the same sums,
+    # and no entry whose twins sum to exactly 0; so do H0 and V alone
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     w = Window(L=L, interior_margin=1)
-    got = model.build_hamiltonian(p, w, basis).matrix
-    want = oracles.scipy_hamiltonian(p, w, basis)
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.shape == want.shape and got.nnz == want.nnz
+    h0, v = oracles.scipy_sums(p, w, basis)
+    for build, want in ((model.build_hamiltonian, h0 + v), (model._build_h0, h0),
+                        (model._build_interaction, v)):
+        got = build(p, w, basis).matrix
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (build.__name__, name)
+        assert got.shape == want.shape and got.nnz == want.nnz
+    if basis == "position" and pot is CANCELLING and n > 1:
+        # twins that sum to exactly 0 are not stored: H0 + V at (1, ..., 1, 0), V at (0, 1, 0)
+        cases = [(model.build_hamiltonian, (1,) * (n - 1) + (0,)),
+                 (model._build_interaction, (0, 1, 0))]
+        for build, site in cases[: 2 if n == 3 else 1]:
+            got = build(p, w, basis).matrix
+            i = int(oracles.tuple_to_flat(w, np.array(site)))
+            assert i not in got.indices[got.indptr[i] : got.indptr[i + 1]] and got.data.all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_embed_on_legs_row_range_is_the_rows_of_the_full_lift(n):
+    w = Window(L=1, interior_margin=0)
+    d, dim = w.n_sites, w.n_sites**n
+    rng = np.random.default_rng(3)
+    for legs in [(0,), (n - 1,), (0, 1), (0, n - 1), (1, n - 1), tuple(range(n))]:
+        if len(set(legs)) < len(legs):
+            continue
+        op = rng.standard_normal((d ** len(legs),) * 2)
+        op[rng.random(op.shape) < 0.4] = 0.0
+        op = model.CSR.from_dense(op)
+        full = model.embed_on_legs(op, w, n, legs)
+        # each slab (one site of particle 1), and ranges that cut across slabs
+        slabs = [(s * dim // d, (s + 1) * dim // d) for s in range(d)]
+        for r0, r1 in slabs + [(1, dim - 2), (5, 6)]:
+            part = model.embed_on_legs(op, w, n, legs, range(r0, r1))
+            a, b = full.indptr[r0], full.indptr[r1]
+            assert part.shape == (r1 - r0, dim)
+            assert np.array_equal(part.data, full.data[a:b])
+            assert np.array_equal(part.indices, full.indices[a:b])
+            assert np.array_equal(part.indptr, full.indptr[r0 : r1 + 1] - a)
+
+
+def test_assembly_holds_h_and_one_slab():
+    # N = 3, L = 8 (stark): H's arrays are made once at the stored-entry bound and
+    # trimmed in place, so the traced peak, the kernel's build included, stays
+    # below 1.5 H plus one slab (H / d); the whole-H merge held about 4 H
+    import tracemalloc
+
+    p, w = ModelParams(g=1.0, h=0.5, N=3), Window(L=8, interior_margin=2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        h = model.build_hamiltonian(p, w, "stark").matrix
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+    assert h.nnz == 3997205 and h.data.base is None  # trimmed, not copied into a view
+    assert peak < 1.5 * size + size / w.n_sites, (peak / size, size)
 
 
 def test_embed_on_legs_rejects_empty_legs():

@@ -53,7 +53,7 @@ def test_coupling_n2_full_interaction(pair_ws):
     coarse = ClusterDecomposition(((1, 2),))
     p, w = pair_ws.params, pair_ws.window
     v = oracles.pair_interaction(p, w, "stark", rsv._new_pairs(fine, coarse)).toarray()
-    full = model.build_interaction(p, w, "stark").toarray()
+    full = model._build_interaction(p, w, "stark").toarray()
     assert np.array_equal(v, full)
 
 
@@ -77,8 +77,8 @@ def test_coupling_completeness():
     # couplings along any chain + intra terms of the endpoint rebuild V
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     w = Window(L=3, interior_margin=1)
-    full_v = model.build_interaction(p, w, "position").toarray()
-    h0 = model.build_h0(p, w, "position").toarray()
+    full_v = model._build_interaction(p, w, "position").toarray()
+    h0 = model._build_h0(p, w, "position").toarray()
     for chain in rsv.enumerate_chains(3):
         acc = np.zeros_like(full_v)
         for a, b in zip(chain.sequence, chain.sequence[1:]):
@@ -111,7 +111,7 @@ def test_cluster_resolvent_diagonal(pair_ws):
     fine = ClusterDecomposition(((1,), (2,)))
     z = 8j
     g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
-    h0 = model.build_h0(pair_ws.params, pair_ws.window, "stark").toarray()
+    h0 = model._build_h0(pair_ws.params, pair_ws.window, "stark").toarray()
     want = np.diag(1.0 / (z - np.diag(h0)))
     assert np.abs(g0 - want).max() <= 1e-14
 
@@ -174,7 +174,7 @@ def test_build_I_n2_closed_form(pair_ws):
     z = 8j
     fine = ClusterDecomposition(((1,), (2,)))
     g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
-    v = model.build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
+    v = model._build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
     assert np.abs(rsv.build_I(z, pair_ws) - g0 @ v).max() <= 1e-14
 
 
@@ -186,7 +186,7 @@ def test_build_D_n2_is_g0(pair_ws):
 
 
 def test_norm_decay_ladder(pair_ws):
-    v = model.build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
+    v = model._build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
     vnorm = np.abs(np.linalg.eigvalsh(v)).max()  # exact ||V||_2 of the symmetric V
     prev = np.inf
     for k in (2, 4, 8, 16, 32):
@@ -716,6 +716,38 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
     # ||own|| <= ||Q^T R^T X|| + theta gamma ||u|| and ||Q^T R^T Q||_F <= (1 + theta) ||R||_F
     slack = theta * gamma * u / (1.0 - theta) + 1e-14 * scale
     assert got <= (1.0 + theta) / (1.0 - theta) * want + dropped + slack
+
+
+@pytest.mark.parametrize("n,L,pot", [(2, 8, STREAM_CASES[1][3]), (3, 3, STREAM_CASES[1][3]),
+                                     (3, 3, ORACLE_POINTS[3][0]), (4, 2, STREAM_CASES[1][3])])
+def test_second_z_allocates_no_chunk_array(n, L, pot):
+    # every chunk of every z runs through the N + 4 buffers the chunk plan owns: past
+    # what the second z keeps (its sector blocks), its traced peak holds less than
+    # one dim x CHUNK_COLUMNS complex array (the parent's stream held about 7.5)
+    import tracemalloc
+
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
+    ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
+    first = rsv.stream_functional_equation(0.5 + 1j, ws)
+    buffers = ws.cache[("buffers",)]
+    assert buffers.shape == (rsv.STREAM_ARRAYS + n - 1, ws.dim * model.CHUNK_COLUMNS)
+    tracemalloc.start()
+    try:
+        second = rsv.stream_functional_equation(-0.5 + 2j, ws)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 16 * ws.dim * model.CHUNK_COLUMNS, (peak - kept) / (16 * ws.dim * 64)
+    assert ws.cache[("buffers",)] is buffers and second.chunks == first.chunks
+    ws.drop_buffers()  # a later z makes them again
+    again = rsv.stream_functional_equation(-0.5 + 2j, ws)
+    assert ws.cache[("buffers",)] is not buffers and again.residual == second.residual
+    # a z written over the sector blocks of an earlier one stores what a fresh z stores
+    over = rsv.stream_functional_equation(-0.5 + 2j, ws, out=first)
+    assert over.residual == second.residual
+    for got, want, old in ((over.d, second.d, first.d), (over.i, second.i, first.i)):
+        for a, b, c in zip(got.blocks, want.blocks, old.blocks, strict=True):
+            assert np.array_equal(a, b) and np.shares_memory(a, c)
 
 
 def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):

@@ -488,7 +488,7 @@ def test_capacity_errors():
     # dim 33^3: the irrep blocks 6545, 5456 and 11968 and the largest solve's eigh
     # would hold about 6 GiB, refused before the symmetry check or any block
     p = ModelParams(g=1.0, h=0.5, N=3)
-    big = model.build_h0(p, Window(L=16, interior_margin=3), "position")
+    big = model._build_h0(p, Window(L=16, interior_margin=3), "position")
     with pytest.raises(model.CapacityError, match=r"about 6\.\d\d GiB, above the memory budget"):
         spectra.eigh(big)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -28,6 +29,23 @@ from .lattice import _face_rows, boundary_shell_mass, within_budget  # the secon
 
 INTERIOR_TOL = 1e-10
 DEDUP_TOL = 1e-8
+# glibc's malloc_trim, or None on another C library
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)
+
+
+def _release_free_heap() -> None:
+    """Return the free pages of the C heap to the system (glibc's malloc_trim).
+
+    glibc keeps freed blocks below its trim threshold resident, and that
+    threshold and the blocks' places move with the order of earlier frees,
+    so a later block might reuse resident free memory or fault in new pages
+    depending on the heap's layout: at N=2, L=20 the peak of the solves was
+    78 or 85 MB with the same inputs, by the length of the source path.
+    Called before the split and around each dense solve, it makes their peak
+    the memory they hold. Elsewhere it does nothing.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 @dataclass(frozen=True)
@@ -282,7 +300,9 @@ def sector_eigh(split: SectorSplit) -> SectorEigh:
             perm = np.argsort(diag, kind="stable")
             w, y = diag[perm], np.eye(n)[:, perm]
         else:
+            _release_free_heap()  # the solve's workspace is then all new pages
             w, y = np.linalg.eigh(b)
+            _release_free_heap()  # and none of it stays resident for the residual
         g = y.T @ y
         g.flat[:: n + 1] -= 1.0
         gram_b = _frobenius(g)
@@ -369,6 +389,7 @@ def split_operator(op: OperatorMatrix) -> SectorSplit:
     """
     if op.symmetry_defect() > 1e-12:
         raise ValueError("matrix is not symmetric")
+    _release_free_heap()  # none of the build's freed temporaries stays resident
     return split_by_symmetry(op.matrix, op.window.n_sites, op.n_particles)
 
 

@@ -2,7 +2,7 @@
 
 `evolve` builds its stencil straight from the model (`dynamics.model_stencil`)
 on this core alone; `model` assembles the CSR operators and the S_N sectors
-on top of it and re-exports these names.
+on top of it.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ class Window:
     @property
     def n_sites(self) -> int:
         return 2 * self.L + 1
-
-
-def dimension(window: Window, n_particles: int) -> int:
-    return window.n_sites**n_particles
 
 
 def site_range(window: Window) -> np.ndarray:

@@ -47,7 +47,6 @@ class DecayProbe:
 
 @dataclass
 class ComDecayReport:
-    theta: float
     c_fit: float
     tail_slope: float
     n_points: int
@@ -62,7 +61,6 @@ class ShellFitReport:
     fitted_radii: np.ndarray
     monotone: bool
     final_rate: float
-    thetas_cleared: dict
     passed: bool
     note: str = ""
 
@@ -135,7 +133,7 @@ def com_decay_check(profile: ComProfile, theta: float):
     slope = np.where(n_live >= 3, _line_slopes(dist.T, log_norms.T, live.T), -np.inf)
     passed = (n_live < 3) | (np.isfinite(c_fit) & (slope <= -theta + 0.05))
     reports = [
-        ComDecayReport(theta, float(c), float(t), int(m), bool(p))
+        ComDecayReport(float(c), float(t), int(m), bool(p))
         for c, t, m, p in zip(c_fit, slope, n_live, passed)
     ]
     return reports[0] if profile.norms.ndim == 1 else reports
@@ -202,18 +200,14 @@ def _shell_verdict(
     if live.sum() <= 1:
         # point mass: decay is instantaneous, every rate is cleared vacuously
         return ShellFitReport(
-            radii, s, np.array([]), np.array([]), True, np.inf,
-            {t: True for t in probe.theta_list}, True, "point support",
+            radii, s, np.array([]), np.array([]), True, np.inf, True, "point support"
         )
     lo, hi = probe.fit_range
     usable = np.isfinite(rates) & (radii >= lo) & (radii <= hi)
     fitted = radii[usable]
     note = ""
     if fitted.size < 2:
-        return ShellFitReport(
-            radii, s, rates, fitted, False, np.nan,
-            {t: False for t in probe.theta_list}, False, "fit range degenerate",
-        )
+        return ShellFitReport(radii, s, rates, fitted, False, np.nan, False, "fit range degenerate")
     if fitted[-1] < hi:
         note = f"amplitudes underflowed past r={fitted[-1]}"
     fr = rates[usable]
@@ -221,8 +215,7 @@ def _shell_verdict(
     final = float(fr[-1])
     cleared = {t: final > t for t in probe.theta_list}
     return ShellFitReport(
-        radii, s, rates, fitted, monotone, final, cleared,
-        monotone and all(cleared.values()), note,
+        radii, s, rates, fitted, monotone, final, monotone and all(cleared.values()), note
     )
 
 

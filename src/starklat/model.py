@@ -24,16 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import specfun
-from .lattice import (  # the core this module builds on, re-exported
-    N_MAX,
-    SPLIT_N_MAX,
-    CapacityError,
+from .lattice import (  # ModelParams, PairPotential and Window are also read through model
     ModelParams,
     PairPotential,
     Window,
     _frobenius,
-    dimension,
-    flat_to_tuples,
     pairs,
     potential_matrix,
     site_range,
@@ -195,17 +190,6 @@ class OperatorMatrix:
             fh.write("row,col,value\n")
             for r, c, v in zip(m._rows(), m.indices, m.data):
                 fh.write(f"{r},{c},{v:.17g}\n")
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if (self.basis_tag, self.window, self.n_particles) != (
-            other.basis_tag,
-            other.window,
-            other.n_particles,
-        ):
-            raise ValueError("operator metadata mismatch")
-        return OperatorMatrix(
-            self.basis_tag, self.window, self.n_particles, _sum([self.matrix, other.matrix])
-        )
 
 
 def stark_basis_matrix(params: ModelParams, window: Window, pad: int = 0) -> np.ndarray:
@@ -994,19 +978,6 @@ def _one_site_sum(params: ModelParams, window: Window, basis: str) -> tuple:
     return one_site_operator(params, window, basis), [(k,) for k in range(params.N)]
 
 
-def _build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
-    """Free Hamiltonian: the one-site operator on every leg, assembled slab by slab (`_assemble`).
-
-    Not checked against the memory budget: `build_hamiltonian`, the assembly
-    of every task, checks both sums at once.
-    """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    return OperatorMatrix(
-        basis, window, params.N, _assemble([_one_site_sum(params, window, basis)], window, params.N)
-    )
-
-
 def _pair_sum(params: ModelParams, window: Window, basis: str, pair_operator) -> tuple:
     """(the pair operator, the leg pairs): with no pair to place (N = 1) none is built."""
     pair_list = pairs(params.N)
@@ -1015,30 +986,16 @@ def _pair_sum(params: ModelParams, window: Window, basis: str, pair_operator) ->
     return pair_operator, pair_list
 
 
-def _build_interaction(
-    params: ModelParams, window: Window, basis: str, pair_operator=None
-) -> OperatorMatrix:
-    """Pair interaction summed over every particle pair, assembled as `_build_h0`.
-
-    `pair_operator` is `two_site_operator(params, window, basis)` when the
-    caller has already built it; it is built here otherwise. Not checked
-    against the memory budget, as `_build_h0`.
-    """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    pair = _pair_sum(params, window, basis, pair_operator)
-    return OperatorMatrix(basis, window, params.N, _assemble([pair], window, params.N))
-
-
 def build_hamiltonian(
     params: ModelParams, window: Window, basis: str, pair_operator=None
 ) -> OperatorMatrix:
-    """H = H0 + the interaction on every pair; `pair_operator` as in `_build_interaction`.
+    """H = H0 + the interaction on every pair.
 
-    One slab at a time, the H0 lifts and the pair lifts are each summed,
-    then H0 + V (`_assemble`). The pair operator is made first, and the
-    assembly's bytes (`_assembly_bytes`) are checked against the memory
-    budget before anything is lifted.
+    `pair_operator` is the caller's `two_site_operator(params, window, basis)`,
+    or None to build it here. One slab at a time, the H0 lifts and the pair
+    lifts are each summed, then H0 + V (`_assemble`). The pair operator is
+    made first, and the assembly's bytes (`_assembly_bytes`) are checked
+    against the memory budget before anything is lifted.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")

@@ -212,7 +212,7 @@ def workspace_bytes(params: ModelParams, window: Window) -> int:
 
 @dataclass
 class ResolventWorkspace:
-    """Cache of the block factors, the pair operator and the factored G_D(z)."""
+    """Cache of the block factors, the pair operator and the factored G_D(z) at one z."""
 
     params: ModelParams
     window: Window
@@ -304,6 +304,9 @@ class ResolventWorkspace:
         key = ("F", dec.canonical(), complex(z))
         if key in self.cache:
             return self.cache[key]
+        # one z's factors at a time: each holds a dim-sized delta, and callers finish a z first
+        for old in [k for k in self.cache if k[0] == "F" and k[2] != key[2]]:
+            del self.cache[old]
         d, n = self.window.n_sites, self.params.N
         blocks = tuple(
             (tuple(i - 1 for i in legs), self.block(len(legs))) for legs in dec.canonical()
@@ -416,12 +419,20 @@ def _solve_in_sectors(factors: tuple, delta: np.ndarray, x: np.ndarray) -> np.nd
     for fac in factors:
         m, r = fac.values.size, len(fac.sectors)
         rows = xr[start : start + r * m].reshape(r, m, -1)
-        t = np.matmul(fac.vectors.T, rows, out=buf[: rows.size].reshape(rows.shape))
-        scaled = t.view(complex)
-        scaled *= delta[first : first + m, None]
-        np.matmul(fac.vectors, t, out=rows)
+        _scaled_solve(fac.vectors, delta[first : first + m], rows, _carve(buf, rows.shape), rows)
         start, first = start + r * m, first + m
     return x
+
+
+def _scaled_solve(y: np.ndarray, delta: np.ndarray, rows: np.ndarray, t, out) -> np.ndarray:
+    """Y diag(delta) Y^T on `rows`, the real view of complex rows; Y^T rows goes into t.
+
+    t and out are real arrays of rows' shape, or None for new ones; out may be rows.
+    """
+    t = np.matmul(y.T, rows, out=t)
+    scaled = t.view(complex)
+    scaled *= delta[:, None]
+    return np.matmul(y, t, out=out)
 
 
 def even_potential(potential: PairPotential) -> bool:
@@ -493,11 +504,6 @@ class ColumnChunk(NamedTuple):
     @property
     def width(self) -> int:
         return self.terms[3][1]
-
-    @property
-    def x(self) -> np.ndarray:
-        """X as a new dense complex array."""
-        return _dense(self.terms, complex)
 
 
 class _Buffers(NamedTuple):
@@ -773,10 +779,9 @@ def sector_residual(
         own_u = _copied(part[a:b], held[0])
         inside += _frobenius(own_u) ** 2
         shape = (b - a, 2 * (j1 - j0))  # the real view of own_u
-        t = np.matmul(fac.vectors.T, own_u.view(np.float64), out=_carve(held[1], shape))
-        scaled = t.view(complex)
-        scaled *= f.delta[first : first + fac.values.size, None]
-        r = np.matmul(fac.vectors, t, out=_carve(held[0], shape)).view(complex)
+        t, out = _carve(held[1], shape), _carve(held[0], shape)
+        delta = f.delta[first : first + fac.values.size]
+        r = _scaled_solve(fac.vectors, delta, own_u.view(np.float64), t, out).view(complex)
         r -= rd[a:b, cols]
         own += _frobenius(r) ** 2
         col += j1 - j0

@@ -32,9 +32,7 @@ class BoundReport:
     recorded in `fitted` instead of being asserted.
     """
 
-    bound_name: str
     max_ratio: float
-    witnesses: list = field(default_factory=list)
     fitted: dict = field(default_factory=dict)
 
     @property
@@ -110,7 +108,6 @@ def check_upper_bound(n_max: int, x: float) -> BoundReport:
         raise ValueError("n_max must be >= 0")
     row = bessel_row(0, -n_max, n_max, x)[::-1]  # J_{-n_max} .. J_{n_max}
     worst = 0.0
-    witnesses = []
     for n, val in zip(range(-n_max, n_max + 1), row):
         k = abs(n)
         lhs = abs(float(val))
@@ -126,10 +123,8 @@ def check_upper_bound(n_max: int, x: float) -> BoundReport:
             ratio = math.inf
         else:
             ratio = lhs / math.exp(log_rhs)
-        if ratio > worst:
-            worst = ratio
-            witnesses.append(((n,), lhs, math.exp(log_rhs) if log_rhs > -700 else 0.0))
-    return BoundReport("upper_bound", worst, witnesses[-3:])
+        worst = max(worst, ratio)
+    return BoundReport(worst)
 
 
 def check_summability(x: float, tail: int) -> BoundReport:
@@ -140,13 +135,7 @@ def check_summability(x: float, tail: int) -> BoundReport:
     row = bessel_row(0, -tail, tail, x)
     total = float(np.sum(np.abs(row)))
     bound = 2.0 * math.exp(abs(x) / 2.0) - 1.0
-    ratio = total / bound
-    return BoundReport(
-        "summability",
-        ratio,
-        [((0,), total, bound)],
-        fitted={"sum": total, "bound": bound},
-    )
+    return BoundReport(total / bound, fitted={"sum": total, "bound": bound})
 
 
 def pair_decay_sum(n: int, m: int, x: float, tail: int) -> BoundReport:
@@ -166,8 +155,5 @@ def pair_decay_sum(n: int, m: int, x: float, tail: int) -> BoundReport:
     log_env = c * abs(m - n) - math.lgamma(half + 1.0)
     c_fit = value / math.exp(log_env)
     return BoundReport(
-        "pair_decay",
-        0.0 if value == 0.0 else 1.0,
-        [((n, m), value, math.exp(log_env))],
-        fitted={"value": value, "c": c, "C_fit": c_fit},
+        0.0 if value == 0.0 else 1.0, fitted={"value": value, "c": c, "C_fit": c_fit}
     )

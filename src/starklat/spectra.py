@@ -82,7 +82,6 @@ class ClusterDecomposition:
 class ClusterSpectrum:
     points: np.ndarray
     generators: list
-    window: Window
 
 
 def transform_columns(vectors: np.ndarray, xi: np.ndarray, n_particles: int) -> np.ndarray:
@@ -458,7 +457,7 @@ def cluster_spectrum(params: ModelParams, window: Window) -> ClusterSpectrum:
             continue
         keep_pts.append(val)
         keep_gens.append(g)
-    return ClusterSpectrum(np.array(keep_pts), keep_gens, window)
+    return ClusterSpectrum(np.array(keep_pts), keep_gens)
 
 
 def dist_to_cluster(lam: float, sigma: ClusterSpectrum) -> float:

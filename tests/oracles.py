@@ -1,17 +1,18 @@
 """Reference implementations that only the tests use: slow, direct and independent.
 
-Each restates a quantity the package computes another way (the scipy.sparse
-assembly of H and the CSR rows Q^T of the S_N sectors with the split built
-from their products, the S_N projectors, the sector sizes from the character
-tables, the sector solve that copies its blocks, single stark-basis pair
-elements, the interaction envelope, the decay check after the Bessel
-transform, the Gram defect of an eigenbasis, the complex Chebyshev
-coefficients, the Gershgorin discs of a CSR H, the tail mass beyond one
-radius), so that the
-fast paths in `starklat` have something to be compared against. The
-criterion checks after them (spectral periodicity, the Fredholm probe,
-weighted norms, COM profile summaries, one-shot evolution, cluster
-Hamiltonians) are reported by no task: only the acceptance tests run them.
+H0 and the interaction alone are assembled here as the package assembles H
+(`build_h0`, `build_interaction`). Each other function restates a quantity
+the package computes another way (the scipy.sparse assembly of H and the CSR
+rows Q^T of the S_N sectors with the split built from their products, the
+S_N projectors, the sector sizes from the character tables, the sector solve
+that copies its blocks, single stark-basis pair elements, the interaction
+envelope, the decay check after the Bessel transform, the Gram defect of an
+eigenbasis, the complex Chebyshev coefficients, the Gershgorin discs of a CSR
+H, the tail mass beyond one radius), so that the fast paths in `starklat`
+have something to be compared against. The criterion checks after them
+(spectral periodicity, the Fredholm probe, weighted norms, COM profile
+summaries, one-shot evolution, cluster Hamiltonians) are reported by no task:
+only the acceptance tests run them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 
 from starklat import dynamics as dyn
 from starklat import localization as loc
-from starklat import model, resolvent, specfun, spectra
+from starklat import lattice, model, resolvent, specfun, spectra
 from starklat.model import ModelParams, OperatorMatrix, Window
 
 PERIODICITY_TOL = 1e-6
@@ -45,11 +46,11 @@ def symmetrizer(n_particles: int, window: Window, eta: int) -> OperatorMatrix:
     """Orthogonal projector onto the bosonic (+1) or fermionic (-1) subspace."""
     if eta not in (1, -1):
         raise ValueError("eta must be +1 or -1")
-    if n_particles > model.N_MAX:
-        raise ValueError(f"N must be <= {model.N_MAX}")
+    if n_particles > lattice.N_MAX:
+        raise ValueError(f"N must be <= {lattice.N_MAX}")
     d = window.n_sites
     dim = d**n_particles
-    coords = model.flat_to_tuples(window, n_particles)
+    coords = lattice.flat_to_tuples(window, n_particles)
     total = sp.csr_matrix((dim, dim))
     nfact = math.factorial(n_particles)
     for perm in itertools.permutations(range(n_particles)):
@@ -97,6 +98,21 @@ def scipy_embed_on_legs(op, window: Window, n_particles: int, legs: tuple) -> sp
     return sp.coo_matrix((np.repeat(coo.data, rest.size), (rows, cols)), shape=(dim, dim)).tocsr()
 
 
+def _assembled(params: ModelParams, window: Window, basis: str, leg_sum) -> OperatorMatrix:
+    """One leg sum, (operator, leg list), assembled slab by slab as H is (`model._assemble`)."""
+    return OperatorMatrix(basis, window, params.N, model._assemble([leg_sum], window, params.N))
+
+
+def build_h0(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
+    """The free Hamiltonian: the one-site operator on every leg."""
+    return _assembled(params, window, basis, model._one_site_sum(params, window, basis))
+
+
+def build_interaction(params: ModelParams, window: Window, basis: str) -> OperatorMatrix:
+    """The pair interaction summed over every particle pair."""
+    return _assembled(params, window, basis, model._pair_sum(params, window, basis, None))
+
+
 def scipy_hamiltonian(params: ModelParams, window: Window, basis: str) -> sp.csr_matrix:
     """H as scipy.sparse assembled it: H0 plus the interaction (`scipy_sums`)."""
     h0, v = scipy_sums(params, window, basis)
@@ -113,7 +129,7 @@ def scipy_sums(params: ModelParams, window: Window, basis: str) -> tuple:
         off = -params.g * np.ones(window.n_sites - 1)
         one = sp.diags([off, -2.0 * params.h * m, off], [-1, 0, 1], format="coo")
         pair = sp.diags(model.potential_matrix(params, window.L).ravel(), format="coo")
-    dim = model.dimension(window, params.N)
+    dim = window.n_sites**params.N
     parts = []
     for op, leg_list in ((one, [(k,) for k in range(params.N)]), (pair, model.pairs(params.N))):
         if not leg_list:
@@ -380,7 +396,7 @@ def pair_interaction(
 ) -> OperatorMatrix:
     """The pair interaction summed over the given 0-based leg pairs only."""
     op = model.two_site_operator(params, window, basis)
-    dim = model.dimension(window, params.N)
+    dim = window.n_sites**params.N
     total = sp.csr_matrix((dim, dim))
     for legs in pair_list:
         total = total + scipy_csr(model.embed_on_legs(op, window, params.N, legs))
@@ -399,9 +415,9 @@ def build_cluster_hamiltonian(
     for b in blocks:
         for i, j in itertools.combinations(b, 2):
             intra.append((i - 1, j - 1))
-    return model._build_h0(params, window, basis) + pair_interaction(
-        params, window, basis, sorted(intra)
-    )
+    v = pair_interaction(params, window, basis, sorted(intra))
+    total = model._sum([build_h0(params, window, basis).matrix, v.matrix])
+    return OperatorMatrix(basis, window, params.N, total)
 
 
 def evolve(
@@ -464,7 +480,7 @@ def weighted_norm(
         raise ValueError("coordinate index out of range")
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    coords = model.flat_to_tuples(window, n_particles)
+    coords = lattice.flat_to_tuples(window, n_particles)
     w = np.exp(theta * np.abs(coords[:, i - 1]))
     return float(np.linalg.norm(w * psi))
 

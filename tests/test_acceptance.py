@@ -135,7 +135,7 @@ def test_criterion_06_functional_equation(pair_ws10):
 
 
 def test_criterion_07_norm_decay(pair_ws10):
-    v = model._build_interaction(pair_ws10.params, pair_ws10.window, "stark").toarray()
+    v = oracles.build_interaction(pair_ws10.params, pair_ws10.window, "stark").toarray()
     vnorm = np.abs(np.linalg.eigvalsh(v)).max()  # exact ||V||_2 of the symmetric V
     prev = np.inf
     for k in (2, 4, 8, 16, 32):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starklat import cli, dynamics, localization, model, resolvent, specfun, spectra
+from starklat import cli, dynamics, lattice, localization, model, resolvent, specfun, spectra
 from starklat.model import ModelParams, PairPotential, Window
 
 import oracles
@@ -145,10 +145,10 @@ def test_load_config_rejects_bad_physics(tmp_path, monkeypatch):
         # N_MAX bounds the chain enumeration of resolvent-check, SPLIT_N_MAX every task
         # that splits by S_N symmetry: its orbit bases at N = 6, and the partitions the
         # budget reads at N = 13, are past what the split is tested at
-        ("resolvent-check", model.N_MAX + 1, {}),
-        ("spectrum", model.SPLIT_N_MAX + 1, {}),
-        ("localization", model.SPLIT_N_MAX + 1, {}),
-        ("cluster-spectrum", model.SPLIT_N_MAX + 1, {}),
+        ("resolvent-check", lattice.N_MAX + 1, {}),
+        ("spectrum", lattice.SPLIT_N_MAX + 1, {}),
+        ("localization", lattice.SPLIT_N_MAX + 1, {}),
+        ("cluster-spectrum", lattice.SPLIT_N_MAX + 1, {}),
         ("spectrum", 13, {}),
         ("spectrum", 2, {"model": {"g": 1.0, "h": 0.5, "N": 2, "potential": {
             "kind": "exponential", "decay": -1.0}}}),

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from starklat import dynamics as dyn
-from starklat import model
+from starklat import lattice, model
 from starklat.model import ModelParams, PairPotential, Window
 
 import oracles
@@ -165,7 +165,7 @@ def test_propagator_bytes_refuses_above_the_cap():
     assert dyn.propagator_bytes(Window(12, 2), 4, 8) < 0.25e9
     assert dyn.propagator_bytes(Window(8, 2), 5, 8) < 0.9e9
     for w, n in ((Window(12, 2), 5), (Window(30, 7), 4)):
-        with pytest.raises(model.CapacityError, match="GiB, above the memory budget"):
+        with pytest.raises(lattice.CapacityError, match="GiB, above the memory budget"):
             dyn.propagator_bytes(w, n, 8)
     # fewer samples per expansion, fewer accumulators
     assert dyn.propagator_bytes(Window(12, 2), 4, 1) < dyn.propagator_bytes(Window(12, 2), 4, 8)
@@ -488,5 +488,5 @@ def test_tail_trace_guards(pair_setup):
         dyn.tail_trace(op, 2.0 * psi0, dyn.PropagatorConfig(1.0, 2), [2])
     # one sample over t_max = 1e9: the expansion's Bessel argument half * t_max is
     # above specfun.X_MAX, refused before any coefficient is computed
-    with pytest.raises(model.CapacityError, match=r"t_max = 1e\+09 over samples = 1"):
+    with pytest.raises(lattice.CapacityError, match=r"t_max = 1e\+09 over samples = 1"):
         dyn.tail_trace(op, psi0, dyn.PropagatorConfig(1e9, 1), [2])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starklat import localization as loc
-from starklat import model, spectra
+from starklat import lattice, model, spectra
 from starklat.model import ModelParams, PairPotential, Window
 
 import oracles
@@ -220,7 +220,7 @@ def test_position_decay_g0_identity():
 # The per-state probes as they ran before the column-block form: one state per
 # call, np.maximum.at / np.bincount shells and a np.polyfit per rate window.
 def _ref_com(psi, lam, p, w, n, theta):
-    coords = model.flat_to_tuples(w, n)
+    coords = lattice.flat_to_tuples(w, n)
     a = coords.sum(axis=1)
     lo = int(a.min())
     norms = np.sqrt(np.bincount(a - lo, weights=np.abs(psi) ** 2))
@@ -236,7 +236,7 @@ def _ref_com(psi, lam, p, w, n, theta):
 
 
 def _ref_shells(psi, w, n, stat, center):
-    r = np.abs(model.flat_to_tuples(w, n) - center).sum(axis=1)
+    r = np.abs(lattice.flat_to_tuples(w, n) - center).sum(axis=1)
     n_shells = int(r.max()) + 1
     a = np.abs(psi)
     if stat == "max":
@@ -284,7 +284,7 @@ def _probe_states(n):
     res = spectra.eigh(model.build_hamiltonian(p, w, "stark"))
     keep = spectra.boundary_shell_mass(res.eigenvectors, w, n) <= loc.BOUNDARY_TOL
     vecs, lams = res.eigenvectors[:, keep][:, ::3], res.eigenvalues[keep][::3]
-    coords = model.flat_to_tuples(w, n)
+    coords = lattice.flat_to_tuples(w, n)
     r = np.abs(coords).sum(axis=1)
     rng = np.random.default_rng(n)
     synth = []

@@ -63,13 +63,13 @@ def test_potential_presets():
 def test_h0_position_3x3_example():
     p = ModelParams(g=1.0, h=0.5, N=1)
     w = Window(L=1, interior_margin=0)
-    got = model._build_h0(p, w, "position").toarray()
+    got = oracles.build_h0(p, w, "position").toarray()
     want = np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]])
     assert np.array_equal(got, want)
 
 
 def test_h0_stark_diagonal(params2, win):
-    h0 = oracles.scipy_csr(model._build_h0(params2, win, "stark"))
+    h0 = oracles.scipy_csr(oracles.build_h0(params2, win, "stark"))
     f = oracles.tuple_to_flat(win, np.array([2, -1]))
     assert h0[f, f] == pytest.approx(-2 * params2.h * 1)
     off = h0 - np.diag(h0.diagonal())
@@ -79,7 +79,7 @@ def test_h0_stark_diagonal(params2, win):
 def test_g0_degeneration():
     p = ModelParams(g=0.0, h=0.5, N=2, potential=PairPotential("exponential", 0.8, 0.7))
     w = Window(L=5, interior_margin=2)
-    for build in (model._build_h0, model._build_interaction, model.build_hamiltonian):
+    for build in (oracles.build_h0, oracles.build_interaction, model.build_hamiltonian):
         a = build(p, w, "position").toarray()
         b = build(p, w, "stark").toarray()
         assert np.array_equal(a, b)
@@ -108,7 +108,7 @@ KERNEL_POTENTIALS = [
 
 def test_kernel_matches_per_element(win):
     d = win.n_sites
-    pairs = model.flat_to_tuples(win, 2)
+    pairs = lattice.flat_to_tuples(win, 2)
     for g, pot in itertools.product([1.0, 0.0, 10.0], KERNEL_POTENTIALS):  # g/h = 2, 0, 20
         params = ModelParams(g=g, h=0.5, N=2, potential=pot)
         kernel = model.two_site_kernel(params, win)
@@ -132,7 +132,7 @@ def test_kernel_matches_per_element(win):
 
 def test_interaction_position_diagonal(params2):
     w = Window(L=6, interior_margin=2)
-    v = oracles.scipy_csr(model._build_interaction(params2, w, "position"))
+    v = oracles.scipy_csr(oracles.build_interaction(params2, w, "position"))
     f = oracles.tuple_to_flat(w, np.array([3, 4]))
     assert v[f, f] == pytest.approx(1.0)
     f2 = oracles.tuple_to_flat(w, np.array([3, 6]))
@@ -143,7 +143,7 @@ def test_three_pair_terms():
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     assert len(model.pairs(3)) == 3
     w = Window(L=3, interior_margin=1)
-    v_all = model._build_interaction(p, w, "position").toarray()
+    v_all = oracles.build_interaction(p, w, "position").toarray()
     v_sum = sum(
         oracles.pair_interaction(p, w, "position", [pr]).toarray()
         for pr in model.pairs(3)
@@ -154,7 +154,7 @@ def test_three_pair_terms():
 def test_hamiltonian_is_sum(params2, win):
     h, h0, v = (
         oracles.scipy_csr(build(params2, win, "stark"))
-        for build in (model.build_hamiltonian, model._build_h0, model._build_interaction)
+        for build in (model.build_hamiltonian, oracles.build_h0, oracles.build_interaction)
     )
     assert abs((h - (h0 + v))).max() == 0.0
 
@@ -269,12 +269,12 @@ def test_cluster_hamiltonian():
     finest = ClusterDecomposition(((1,), (2,), (3,)))
     assert np.array_equal(
         oracles.build_cluster_hamiltonian(p, w, finest, "position").toarray(),
-        model._build_h0(p, w, "position").toarray(),
+        oracles.build_h0(p, w, "position").toarray(),
     )
     mid = ClusterDecomposition(((1, 2), (3,)))
     got = oracles.build_cluster_hamiltonian(p, w, mid, "position").toarray()
     want = (
-        oracles.scipy_csr(model._build_h0(p, w, "position"))
+        oracles.scipy_csr(oracles.build_h0(p, w, "position"))
         + oracles.scipy_csr(oracles.pair_interaction(p, w, "position", [(0, 1)]))
     ).toarray()
     assert np.array_equal(got, want)
@@ -333,7 +333,7 @@ def test_stark_transform_diagonalizes_h0():
     p = ModelParams(g=1.0, h=0.5, N=1)
     w = Window(L=20, interior_margin=7)
     xi = model.stark_basis_matrix(p, w)
-    h0 = model._build_h0(p, w, "position").toarray()
+    h0 = oracles.build_h0(p, w, "position").toarray()
     d = xi.T @ h0 @ xi
     m = np.arange(-w.L, w.L + 1)
     interior = np.abs(m) <= w.L - w.interior_margin
@@ -363,7 +363,7 @@ def test_nnz_cap():
     cases = [(4, 40, "position"), (3, 40, "stark"), (4, 30, "stark")]
     for n, L, basis in cases:
         with pytest.raises(
-            model.CapacityError, match=rf"the assembly of H at N = {n}, L = {L} .* GiB, above"
+            lattice.CapacityError, match=rf"the assembly of H at N = {n}, L = {L} .* GiB, above"
         ) as err:
             model.build_hamiltonian(ModelParams(g=1.0, h=0.5, N=n),
                                     Window(L=L, interior_margin=7), basis)
@@ -371,7 +371,7 @@ def test_nnz_cap():
 
 
 def test_export_coo_csv(tmp_path, params2, win):
-    h = model._build_h0(params2, win, "stark")
+    h = oracles.build_h0(params2, win, "stark")
     path = tmp_path / "h0.csv"
     h.export_coo_csv(path)
     lines = path.read_text().splitlines()
@@ -417,8 +417,8 @@ def test_hamiltonian_is_bit_identical_to_the_scipy_assembly(basis, n, L, pot):
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     w = Window(L=L, interior_margin=1)
     h0, v = oracles.scipy_sums(p, w, basis)
-    for build, want in ((model.build_hamiltonian, h0 + v), (model._build_h0, h0),
-                        (model._build_interaction, v)):
+    for build, want in ((model.build_hamiltonian, h0 + v), (oracles.build_h0, h0),
+                        (oracles.build_interaction, v)):
         got = build(p, w, basis).matrix
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
@@ -427,7 +427,7 @@ def test_hamiltonian_is_bit_identical_to_the_scipy_assembly(basis, n, L, pot):
     if basis == "position" and pot is CANCELLING and n > 1:
         # twins that sum to exactly 0 are not stored: H0 + V at (1, ..., 1, 0), V at (0, 1, 0)
         cases = [(model.build_hamiltonian, (1,) * (n - 1) + (0,)),
-                 (model._build_interaction, (0, 1, 0))]
+                 (oracles.build_interaction, (0, 1, 0))]
         for build, site in cases[: 2 if n == 3 else 1]:
             got = build(p, w, basis).matrix
             i = int(oracles.tuple_to_flat(w, np.array(site)))
@@ -484,10 +484,9 @@ def test_embed_on_legs_rejects_empty_legs():
 
 
 def test_sum_drops_cancelled_entries():
-    # a + b merges two canonical CSRs; entries that cancel exactly are not stored
+    # _sum merges two canonical CSRs; entries that cancel exactly are not stored
     a = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
     b = np.array([[-1.0, 0.0, 0.0], [4.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
-    w = Window(L=1, interior_margin=0)
-    total = model.OperatorMatrix("position", w, 1, a) + model.OperatorMatrix("position", w, 1, b)
-    assert total.matrix.nnz == 4
+    total = model._sum([model.CSR.from_dense(a), model.CSR.from_dense(b)])
+    assert total.nnz == 4
     assert np.array_equal(total.toarray(), a + b)

@@ -53,7 +53,7 @@ def test_coupling_n2_full_interaction(pair_ws):
     coarse = ClusterDecomposition(((1, 2),))
     p, w = pair_ws.params, pair_ws.window
     v = oracles.pair_interaction(p, w, "stark", rsv._new_pairs(fine, coarse)).toarray()
-    full = model._build_interaction(p, w, "stark").toarray()
+    full = oracles.build_interaction(p, w, "stark").toarray()
     assert np.array_equal(v, full)
 
 
@@ -77,8 +77,8 @@ def test_coupling_completeness():
     # couplings along any chain + intra terms of the endpoint rebuild V
     p = ModelParams(g=1.0, h=0.5, N=3, potential=PairPotential("nearest_neighbor", 1.0))
     w = Window(L=3, interior_margin=1)
-    full_v = model._build_interaction(p, w, "position").toarray()
-    h0 = model._build_h0(p, w, "position").toarray()
+    full_v = oracles.build_interaction(p, w, "position").toarray()
+    h0 = oracles.build_h0(p, w, "position").toarray()
     for chain in rsv.enumerate_chains(3):
         acc = np.zeros_like(full_v)
         for a, b in zip(chain.sequence, chain.sequence[1:]):
@@ -111,7 +111,7 @@ def test_cluster_resolvent_diagonal(pair_ws):
     fine = ClusterDecomposition(((1,), (2,)))
     z = 8j
     g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
-    h0 = model._build_h0(pair_ws.params, pair_ws.window, "stark").toarray()
+    h0 = oracles.build_h0(pair_ws.params, pair_ws.window, "stark").toarray()
     want = np.diag(1.0 / (z - np.diag(h0)))
     assert np.abs(g0 - want).max() <= 1e-14
 
@@ -150,6 +150,17 @@ def test_resolvent_cache_reused(pair_ws):
     assert not one.residuals.any() and one.residuals.shape == one.eigenvalues.shape
 
 
+def test_second_z_keeps_only_its_own_factors(pair_ws):
+    # each factored G_D(z) holds a dim-sized delta: a second z drops the first z's
+    ws = rsv.ResolventWorkspace(pair_ws.params, pair_ws.window)
+    parts = spectra.enumerate_set_partitions(2)
+    for z in (4j, 0.5 + 8j):
+        held = {p.canonical(): ws.factor(p, z) for p in parts}
+        factors = {k: v for k, v in ws.cache.items() if k[0] == "F"}
+        assert factors.keys() == {("F", dec, z) for dec in held}
+        assert all(factors[("F", dec, z)] is f for dec, f in held.items())
+
+
 @pytest.mark.parametrize("n,L", [(2, 3), (3, 2)])
 def test_pair_kernel_built_once_per_workspace(n, L, monkeypatch):
     # every H^(k), k >= 2, is assembled from the one dense pair operator the
@@ -174,7 +185,7 @@ def test_build_I_n2_closed_form(pair_ws):
     z = 8j
     fine = ClusterDecomposition(((1,), (2,)))
     g0 = pair_ws.apply_resolvent(fine, z, np.eye(pair_ws.dim, dtype=complex))
-    v = model._build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
+    v = oracles.build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
     assert np.abs(rsv.build_I(z, pair_ws) - g0 @ v).max() <= 1e-14
 
 
@@ -186,7 +197,7 @@ def test_build_D_n2_is_g0(pair_ws):
 
 
 def test_norm_decay_ladder(pair_ws):
-    v = model._build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
+    v = oracles.build_interaction(pair_ws.params, pair_ws.window, "stark").toarray()
     vnorm = np.abs(np.linalg.eigvalsh(v)).max()  # exact ||V||_2 of the symmetric V
     prev = np.inf
     for k in (2, 4, 8, 16, 32):
@@ -652,7 +663,7 @@ def test_streamed_check_with_diagonal_n_block():
     square = 0.0
     for chunk in rsv.column_chunks(ws):
         dx, ix = rsv.expansion_columns(z, ws, chunk)
-        ix = ix + 1e-3 * chunk.x
+        ix = ix + 1e-3 * rsv._dense(chunk.terms, complex)
         ri = ws.sector_rows(ix)
         square += np.linalg.norm(rsv.residual_columns(z, ws, chunk, dx, ri)) ** 2
     h = model.build_hamiltonian(p, ws.window, "stark").toarray()
@@ -676,7 +687,7 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
     bounds = np.cumsum([0] + [s.dim for s in sectors])
     chunks = list(rsv.column_chunks(ws))
     rng = np.random.default_rng(5)
-    shape = (ws.dim, chunks[-1].x.shape[1])
+    shape = (ws.dim, chunks[-1].width)
     perturbation = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     theta = st.i.basis_defect
     gamma = np.abs(ws.full_factor(z).delta).max() * (1.0 + ws.block(n).orthogonality_defect)
@@ -778,13 +789,13 @@ def test_chunk_width_does_not_change_results(n, L, pot, width, monkeypatch):
     for got in (default, st):
         _assert_streamed_matches(got, d, i, split, ws, z)
     chunks = list(rsv.column_chunks(ws))
-    assert sum(c.x.shape[1] for c in chunks) == ws.dim
+    assert sum(c.width for c in chunks) == ws.dim
     # every chunk holds columns of one irrep lambda, at most max(width, dim lambda) of them
     sectors = ws.sector_columns()
     for c in chunks:
         (lam,) = {sectors[s].irrep for s, _, _ in c.parts}
         dim = oracles.S_N_CHARACTERS[n][2][lam][0] if lam else 1  # () is the whole space
-        assert c.x.shape[1] <= max(width, dim), (lam, c.parts)
+        assert c.width <= max(width, dim), (lam, c.parts)
 
 
 def test_sector_norms_see_every_sector():

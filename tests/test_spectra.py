@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from starklat import model, spectra
+from starklat import lattice, model, spectra
 from starklat.model import ModelParams, PairPotential, Window
 from starklat.spectra import ClusterDecomposition
 
@@ -167,11 +167,11 @@ def test_cluster_spectrum_n3_includes_pair_energies():
 
 
 def test_dist_to_cluster():
-    sig = spectra.ClusterSpectrum(np.array([-1.0, 0.0, 2.0]), [(1, 1)] * 3, Window(2, 1))
+    sig = spectra.ClusterSpectrum(np.array([-1.0, 0.0, 2.0]), [(1, 1)] * 3)
     assert spectra.dist_to_cluster(0.4, sig) == pytest.approx(0.4)
     assert spectra.dist_to_cluster(1.6, sig) == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        spectra.dist_to_cluster(0.0, spectra.ClusterSpectrum(np.array([]), [], Window(2, 1)))
+        spectra.dist_to_cluster(0.0, spectra.ClusterSpectrum(np.array([]), []))
 
 
 def test_periodicity_interacting(params2):
@@ -206,7 +206,7 @@ sector_dims = oracles.sector_dims  # from the character tables of S_2, S_3 and S
 
 def swap_permutation(w, n):
     """Flat index of each tensor index with legs 0 and 1 exchanged."""
-    coords = model.flat_to_tuples(w, n)
+    coords = lattice.flat_to_tuples(w, n)
     return oracles.tuple_to_flat(w, coords[:, [1, 0] + list(range(2, n))])
 
 
@@ -385,7 +385,7 @@ def swap_images(w, n, i):
     """Flat index of each tensor index with legs i and i + 1 exchanged."""
     legs = list(range(n))
     legs[i], legs[i + 1] = i + 1, i
-    return oracles.tuple_to_flat(w, model.flat_to_tuples(w, n)[:, legs])
+    return oracles.tuple_to_flat(w, lattice.flat_to_tuples(w, n)[:, legs])
 
 
 @pytest.mark.parametrize("basis", model.BASES)
@@ -488,8 +488,8 @@ def test_capacity_errors():
     # dim 33^3: the irrep blocks 6545, 5456 and 11968 and the largest solve's eigh
     # would hold about 6 GiB, refused before the symmetry check or any block
     p = ModelParams(g=1.0, h=0.5, N=3)
-    big = model._build_h0(p, Window(L=16, interior_margin=3), "position")
-    with pytest.raises(model.CapacityError, match=r"about 6\.\d\d GiB, above the memory budget"):
+    big = oracles.build_h0(p, Window(L=16, interior_margin=3), "position")
+    with pytest.raises(lattice.CapacityError, match=r"about 6\.\d\d GiB, above the memory budget"):
         spectra.eigh(big)
 
 

@@ -9,12 +9,14 @@ A public top-level function, class or constant of `src/starklat` must appear
 as a NAME token outside its own definition in `src/starklat/*.py` or
 `perfbench/*.py`; a public non-dunder method of one of its classes must be
 read as an attribute (`x.name`) there, outside its own definition. A name only
-the tests reach belongs in `tests/oracles.py`.
+the tests reach belongs in `tests/oracles.py`. Each starklat name a benchmark
+script imports or reads off a starklat module resolves.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -95,6 +97,56 @@ def uncalled() -> list:
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert public_definitions()  # the scan sees the package
     assert uncalled() == []
+
+
+def _module(name: str):
+    """The module `name`, imported, or None when no module has that name."""
+    try:
+        return importlib.import_module(name)
+    except ImportError:
+        return None
+
+
+def _in_starklat(module: str) -> bool:
+    return module.split(".")[0] == "starklat"
+
+
+def perfbench_reads() -> list:
+    """(file, line, module, name) of each starklat name a perfbench script imports or reads.
+
+    A read is `from starklat.X import name`, or `m.name` on a name `m` bound to a
+    starklat module by an import.
+    """
+    out = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the starklat module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if _in_starklat(a.name):
+                        modules[a.asname or "starklat"] = a.name if a.asname else "starklat"
+            elif isinstance(node, ast.ImportFrom) and _in_starklat(node.module or ""):
+                for a in node.names:
+                    out.append((path.name, node.lineno, node.module, a.name))
+                    if _module(f"{node.module}.{a.name}") is not None:
+                        modules[a.asname or a.name] = f"{node.module}.{a.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    out.append((path.name, node.lineno, modules[node.value.id], node.attr))
+    return out
+
+
+def _resolves(module: str, name: str) -> bool:
+    return hasattr(importlib.import_module(module), name) or _module(f"{module}.{name}") is not None
+
+
+def test_perfbench_reads_only_names_src_defines():
+    reads = perfbench_reads()
+    # the scan sees the benchmark's reads
+    assert ("starklat.model", "PairPotential") in {(m, n) for _, _, m, n in reads}
+    assert [r for r in reads if not _resolves(r[2], r[3])] == []
 
 
 def _run_fresh(code: str, *args: str) -> str:

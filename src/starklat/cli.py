@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, dynamics, lattice, specfun
+from . import __version__, lattice, specfun
 from .lattice import ModelParams, PairPotential, Window
 
 EXIT_OK = 0
@@ -51,7 +51,7 @@ class RunConfig:
     output_dir: str
     basis: str
     probe: localization.DecayProbe | None  # for the task that reads probes
-    propagator: dynamics.PropagatorConfig
+    propagator: dynamics.PropagatorConfig | None  # for the task that reads dynamics
     radii: list
     initial_sites: tuple
     symmetrized: bool
@@ -102,7 +102,7 @@ def _z_grid(grid) -> list:
 
 
 def load_config(path: str) -> RunConfig:
-    global localization, model, resolvent, spectra  # the solver modules; evolve never imports them
+    global dynamics, localization, model, resolvent, spectra  # imported by the tasks that use them
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -122,8 +122,15 @@ def load_config(path: str) -> RunConfig:
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     _, task_basis, section = TASKS[task]
-    if task != "evolve":  # the solver modules: their import is paid in set-up
-        from . import localization, model, resolvent, spectra
+    # each task's modules, imported here so that their import is paid in set-up
+    if task != "evolve":
+        from . import model, spectra
+    if task in ("localization", "selftest"):
+        from . import localization
+    if task in ("resolvent-check", "selftest"):
+        from . import resolvent
+    if task in ("evolve", "selftest"):
+        from . import dynamics
     for sec in ("probes", "dynamics", "resolvent"):
         if sec in raw and sec != section:
             raise ConfigError(f"section {sec!r} is not read by task {task!r}")
@@ -136,7 +143,7 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(pot_raw, dict):
         raise ConfigError("model.potential must be an object")
     _check_keys("potential", pot_raw)
-    probes, dyn, probe = raw.get("probes", {}), raw.get("dynamics", {}), None
+    probes, dyn, probe, propagator = raw.get("probes", {}), raw.get("dynamics", {}), None, None
     try:
         kind = pot_raw.get("kind", "nearest_neighbor")
         unread = set(pot_raw) - {"kind"} - lattice.POTENTIAL_FIELDS.get(kind, set(pot_raw))
@@ -166,9 +173,10 @@ def load_config(path: str) -> RunConfig:
         }
         if section == "probes":
             probe = localization.DecayProbe(**{k: cast[k](v) for k, v in probes.items()})
-        propagator = dynamics.PropagatorConfig(
-            _float(dyn.get("t_max", 50.0)), _int(dyn.get("samples", 200))
-        )
+        if section == "dynamics":
+            propagator = dynamics.PropagatorConfig(
+                _float(dyn.get("t_max", 50.0)), _int(dyn.get("samples", 200))
+            )
         radii = [_int(r) for r in dyn.get("radii", [2, 4, 6])]
         sites = tuple(map(_int, dyn.get("initial_sites", (0,) * params.N)))
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -15,7 +15,9 @@ single pass over the chain tree on a column block X, one chain per orbit of
 the particle relabellings that leave H invariant. The resolvent check streams
 X over closed chunks of the S_N sector columns, so no dim x dim D, I or
 residual is formed, and applies G to each column's own sector rows only;
-the dense D and I are the X = 1 case.
+the dense D and I are the X = 1 case. At N = 2 in the stark basis the
+chunk's rows come from W = Q^T V Q instead, with no pair operator applied
+(`chunk_rows`).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .model import (
     _permutation_parity,
     _sector_lift,
     _sector_rows,
+    _transpose_times,
     apply_on_legs,
     build_hamiltonian,
     chunk_terms,
@@ -156,9 +159,20 @@ def _power_norm(a: np.ndarray, v: np.ndarray) -> float:
 
 
 def _largest_column(a: np.ndarray) -> np.ndarray:
-    """e_j, j the column of a of largest norm: A^H A e_j != 0 for every nonzero A."""
-    start = np.zeros(a.shape[1])
-    start[np.argmax(np.linalg.norm(a, axis=0))] = 1.0
+    """e_j, j the column of a of largest norm: A^H A e_j != 0 for every nonzero A.
+
+    The norms are taken CHUNK_COLUMNS columns at a time, so no copy of a is
+    made, and each column is summed in the order the whole block's norm sums
+    it; a last chunk of one column joins the one before, as numpy sums a
+    lone column pairwise.
+    """
+    m = a.shape[1]
+    cuts = list(range(CHUNK_COLUMNS, m, CHUNK_COLUMNS))
+    if cuts and m - cuts[-1] == 1:
+        cuts.pop()
+    norms = np.concatenate([np.linalg.norm(part, axis=0) for part in np.split(a, cuts, axis=1)])
+    start = np.zeros(m)
+    start[np.argmax(norms)] = 1.0
     return start
 
 
@@ -191,21 +205,23 @@ def workspace_bytes(params: ModelParams, window: Window) -> int:
     """Estimated bytes of a workspace: its H^(N) solve, or one z of the streamed check.
 
     Both sit beside the pair operator, a CSR of at most d^4 entries until the
-    last block is built and the dense d^2 x d^2 `two_site` after (12 d^4
-    bytes cover either), and the lifted U of every H^(k), k < N. The solve is
-    the sector split of H^(N) (`model.split_bytes`). A z of the check holds,
-    beside the factors (m^2 doubles per irrep block), the complex running
-    blocks of D and I (2 m^2 complex), the chunk plan's nonzeros of X and
-    Q^T X (at most N! per column) and its buffers, STREAM_ARRAYS + N - 1
-    dim x CHUNK_COLUMNS complex arrays (`_Buffers`); and the SVD and norm
-    estimates of its largest block take two more complex copies of it.
+    last block is built and after it the dense d^2 x d^2 `two_site`, or at
+    N = 2 with a diagonal H^(1) the d^2 x d^2 W = Q^T V Q in its place
+    (`chunk_rows`; 12 d^4 bytes cover each), and the lifted U of every
+    H^(k), k < N. The solve is the sector split of H^(N) (`model.split_bytes`).
+    A z of the check holds, beside the factors (m^2 doubles per irrep
+    block), the complex running blocks of D and I (2 m^2 complex), the chunk
+    plan's nonzeros of X and Q^T X (at most N! per column) and its buffers,
+    STREAM_ARRAYS + N - 1 dim x CHUNK_COLUMNS complex arrays (`_Buffers`);
+    and the SVD of its largest block takes one more complex copy of it (the
+    norm estimates take none, `_largest_column`).
     """
     d, n = window.n_sites, params.N
     blocks, dim = irrep_dims(d, n), d**n
     held = sum(m * m for m in blocks)
     plan = 32 * math.factorial(n) * dim
     buffers = 16 * (STREAM_ARRAYS + n - 1) * dim * CHUNK_COLUMNS
-    stream = 8 * held + 32 * held + plan + buffers + 32 * max(blocks) ** 2
+    stream = 8 * held + 32 * held + plan + buffers + 16 * max(blocks) ** 2
     lifted = 8 * sum(d ** (2 * k) for k in range(1, n))
     return 12 * d**4 + lifted + max(split_bytes(blocks, dim), stream)
 
@@ -257,7 +273,12 @@ class ResolventWorkspace:
                     res = res._replace(eigenvectors=lift_states(res, np.arange(res.eigenvalues.size)))
             self.cache[key] = res
             if k > 1 and all(("U", j) in self.cache for j in range(2, self.params.N + 1)):
-                self.two_site()  # the couplings' dense copy, made before its CSR goes
+                if self.params.N == 2 and self.block(1).eigenvectors is None:
+                    # the stream runs in sector coordinates (`chunk_rows`), from W in
+                    # the place of the couplings' dense copy
+                    self.cache[("W",)] = self._sector_coupling()
+                else:
+                    self.two_site()  # the couplings' dense copy, made before its CSR goes
                 del self.cache[("V2", "CSR")]
         return self.cache[key]
 
@@ -278,11 +299,34 @@ class ResolventWorkspace:
         return _sector_rows(self.sector_columns(), np.asarray(y, dtype=complex), out, scratch)
 
     def two_site(self) -> np.ndarray:
-        """The d^2 x d^2 pair operator applied on every leg pair (i < j), made dense once."""
+        """The d^2 x d^2 pair operator applied on every leg pair (i < j), made dense once.
+
+        Where W took its place (`block`) only the dense oracle (`expansion`)
+        reads it, and it is made anew from the pair operator.
+        """
         key = ("V2",)
         if key not in self.cache:
-            self.cache[key] = self._pair_csr().toarray()
+            if ("W",) in self.cache:
+                self.cache[key] = two_site_operator(self.params, self.window, self.basis).toarray()
+            else:
+                self.cache[key] = self._pair_csr().toarray()
         return self.cache[key]
+
+    def _sector_coupling(self) -> np.ndarray:
+        """W = Q^T V Q over `sector_columns` at N = 2, real, from the pair operator V.
+
+        Column chunk by column chunk of Q, V X from the rows of V that X reads
+        (`model._transpose_times`; V is exactly symmetric), then Q^T of it. At
+        N = 2 every irrep is one sector, so a chunk is one run of columns.
+        """
+        sectors = self.sector_columns()
+        starts = np.cumsum([0] + [s.dim for s in sectors])
+        w = np.empty((self.dim, self.dim))
+        for parts in _column_parts(sectors, CHUNK_COLUMNS):
+            [(s, j0, j1)] = parts
+            vx = _transpose_times(self._pair_csr(), chunk_terms(sectors, parts), j1 - j0)
+            w[:, starts[s] + j0 : starts[s] + j1] = _sector_rows(sectors, vx)
+        return w
 
     def drop_buffers(self) -> None:
         """Free the streamed check's buffers (`column_chunks`) once no z is left to stream."""
@@ -291,8 +335,9 @@ class ResolventWorkspace:
     def _pair_csr(self) -> CSR:
         """The pair operator as built (`two_site_operator`), once per workspace.
 
-        Every H^(k), k >= 2, is assembled from it, and `two_site` densifies it;
-        `block` drops it once the last of them is built.
+        Every H^(k), k >= 2, is assembled from it, and `two_site` densifies it
+        (or `_sector_coupling` makes W of it); `block` drops it once the last
+        of them is built.
         """
         key = ("V2", "CSR")
         if key not in self.cache:
@@ -513,9 +558,10 @@ class _Buffers(NamedTuple):
     levels and resolved there; D^T X and I^T X; and the work arrays, through
     which every coupling, resolvent and dense mix goes (the first takes each
     product, the second stages a later leg pair that is not consecutive, the
-    third sums the couplings of an I term). After it: Q^T (D^T X) in the
-    third work array, Q^T (I^T X) over D^T X and u of `sector_residual`
-    over I^T X, each read by then, through the first work array and level.
+    third sums the couplings of an I term). After it, or in its place
+    (`chunk_rows`): Q^T (D^T X) in the third work array, Q^T (I^T X) over
+    D^T X and u of `sector_residual` over I^T X, each read by then, through
+    the first work array and level.
     """
 
     levels: tuple
@@ -708,6 +754,37 @@ def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) ->
     return d_t, i_t
 
 
+def chunk_rows(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) -> tuple:
+    """(Q^T (D(z)^T X), Q^T (I(z)^T X)) for a chunk X of `column_chunks`: the rows the stream uses.
+
+    At N = 2 with a diagonal H^(1) (the stark basis) the chain tree is its
+    root, whose resolvent G_0 = diag(delta) takes one value on each orbit of
+    the leg swap (fl(eps_a + eps_b) = fl(eps_b + eps_a)), and every column of
+    X lies on one orbit. So G_0 X = X Delta, one delta per column,
+    D^T X = X Delta and I^T X = V X Delta, and the rows are (Q^T X) Delta,
+    from the chunk plan's nonzeros of Q^T X, and W[:, cols] Delta, from the
+    workspace's W = Q^T V Q (`block`): no pair operator is applied. Otherwise
+    they are `ResolventWorkspace.sector_rows` of `expansion_columns`. The
+    first is written into the third work array of the plan's buffers, the
+    second over D^T X (`_Buffers`).
+    """
+    buf = _buffers(ws, chunk.width)
+    w = ws.cache.get(("W",))
+    if w is None:
+        dx, ix = expansion_columns(z, ws, chunk)
+        work = (buf.work[0], buf.levels[0])
+        # each of D^T X and I^T X is read once: D^T X's array takes Q^T (I^T X)
+        return ws.sector_rows(dx, buf.work[2], work), ws.sector_rows(ix, dx, work)
+    [(s, j0, j1)] = chunk.parts  # at N = 2 every irrep is one sector
+    rows, cols = chunk.terms[:2]
+    root = ws.factor(ClusterDecomposition(((1,), (2,))), z)
+    delta = root.delta[rows[np.searchsorted(cols, np.arange(chunk.width))]]
+    qr, qc, qv, shape = chunk.qx
+    rd = _dense((qr, qc, qv * delta[qc], shape), complex, buf.work[2])
+    start = sum(sector.dim for sector in ws.sector_columns()[:s])
+    return rd, np.multiply(w[:, start + j0 : start + j1], delta, out=buf.d)
+
+
 def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
     """(D(z), I(z)) as dense matrices: `expansion_columns` of X = 1, transposed."""
     d_t, i_t = expansion_columns(z, ws, _identity_chunk(ws))
@@ -856,12 +933,11 @@ def stream_functional_equation(
 ) -> StreamedFunctionalEquation:
     """R = G - D - I G, and the sector blocks of D and I, with no dim x dim array formed.
 
-    Per chunk X of `column_chunks`: (D^T X, I^T X) from `expansion_columns`,
-    then the rows r_D = Q^T (D^T X) and Q^T (I^T X) (`ResolventWorkspace.sector_rows`).
-    The rows are filed by `model.fill_sector_blocks`, as `split_by_symmetry`
-    files its own: the partners' own rows are columns of one running block
-    per irrep, the transposed mean of their blocks Q_s^T D Q_s (Q_s^T I Q_s),
-    the other rows cross blocks. `model.sector_split` splits them, or
+    Per chunk X of `column_chunks`, the rows r_D = Q^T (D^T X) and
+    Q^T (I^T X) (`chunk_rows`). They are filed by `model.fill_sector_blocks`,
+    as `split_by_symmetry` files its own: the partners' own rows are columns
+    of one running block per irrep, the transposed mean of their blocks
+    Q_s^T D Q_s (Q_s^T I Q_s), the other rows cross blocks. `model.sector_split` splits them, or
     refuses when the cross norm or the partners' pair defect is too large.
 
     The residual is formed in sector coordinates (`sector_residual`). With
@@ -881,7 +957,7 @@ def stream_functional_equation(
     where sqrt(sum ||r_D,off||^2) is the cross norm of D. `residual_sector`
     is the first term over 1 - theta, `residual_dropped` the rest. G is
     applied on each column's own sector only, and no row is lifted back by Q.
-    `stage(name)` is entered around each chunk's expansion and residual.
+    `stage(name)` is entered around each chunk's rows (the expansion) and residual.
     With `out`, the result of an earlier z on the same workspace, its sector
     blocks of D and I are written over instead of made anew.
     """
@@ -896,12 +972,9 @@ def stream_functional_equation(
     squares, chunks = np.zeros(3), 0  # sum ||own||^2, ||u_off||^2, ||u||^2
     for chunk in column_chunks(ws):
         with stage("resolvent.expansion"):
-            dx, ix = expansion_columns(z, ws, chunk)
+            rows = dict(zip("di", chunk_rows(z, ws, chunk)))
         with stage("resolvent.functional_equation"):
             buf = _buffers(ws, chunk.width)
-            work = (buf.work[0], buf.levels[0])
-            # each of D^T X and I^T X is read once: D^T X's array takes Q^T (I^T X)
-            rows = {"d": ws.sector_rows(dx, buf.work[2], work), "i": ws.sector_rows(ix, dx, work)}
             squares += sector_residual(z, ws, chunk, rows["d"], rows["i"], buf)
             for name in "di":
                 cross[name] = fill_sector_blocks(

@@ -163,8 +163,9 @@ def test_second_z_keeps_only_its_own_factors(pair_ws):
 
 @pytest.mark.parametrize("n,L", [(2, 3), (3, 2)])
 def test_pair_kernel_built_once_per_workspace(n, L, monkeypatch):
-    # every H^(k), k >= 2, is assembled from the one dense pair operator the
-    # workspace keeps, and no sparse copy of it outlives a block build
+    # every H^(k), k >= 2, is assembled from the one pair operator the workspace
+    # builds, and no sparse copy of it outlives a block build; at N = 2 the
+    # workspace keeps W in the place of its dense copy, which `two_site` makes anew
     calls = []
     kernel = model.two_site_kernel
     monkeypatch.setattr(model, "two_site_kernel", lambda *a: calls.append(a) or kernel(*a))
@@ -574,6 +575,7 @@ STREAM_CASES = [
     ("position", 3, 3, PairPotential("nearest_neighbor", 1.0)),
     ("stark", 4, 2, PairPotential("nearest_neighbor", 1.0)),
     ("stark", 3, 2, ORACLE_POINTS[3][0]),  # v(n) != v(-n): the trivial group, identity columns
+    ("position", 2, 6, PairPotential("nearest_neighbor", 1.0)),  # H^(1) not diagonal: no W
 ]
 
 
@@ -693,20 +695,21 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
     gamma = np.abs(ws.full_factor(z).delta).max() * (1.0 + ws.block(n).orthogonality_defect)
 
     def bound(last):
+        # each chunk's rows from the stream's own entry point, Q^T of `last` added to
+        # the last chunk's Q^T (I^T X)
         squares, cross = np.zeros(3), 0.0
         blocks, diffs = {}, {}
         for chunk in chunks:
-            dx, ix = rsv.expansion_columns(z, ws, chunk)
-            if chunk is chunks[-1]:
-                ix = ix + last
-            rd = ws.sector_rows(dx)
-            squares += rsv.sector_residual(z, ws, chunk, rd, ws.sector_rows(ix))
+            rd, ri = rsv.chunk_rows(z, ws, chunk)
+            if chunk is chunks[-1] and last is not None:
+                ri = ri + ws.sector_rows(last)
+            squares += rsv.sector_residual(z, ws, chunk, rd, ri)
             cross = model.fill_sector_blocks(rd, chunk.parts, blocks, diffs, bounds, cross)
         own, u_off, u = np.sqrt(squares)
         return own / (1.0 - theta), (gamma * u_off + cross + theta * gamma * u) / (1.0 - theta), u
 
     # unperturbed, the terms are the stream's own
-    sector, dropped, _ = bound(0.0)
+    sector, dropped, _ = bound(None)
     assert (sector, dropped) == (st.residual_sector, st.residual_dropped)
     assert st.residual == sector + dropped
     # E with E^T X = the perturbation on the last chunk's columns X of Q, 0 on the others
@@ -761,6 +764,55 @@ def test_second_z_allocates_no_chunk_array(n, L, pot):
             assert np.array_equal(a, b) and np.shares_memory(a, c)
 
 
+def test_n2_stark_stream_applies_no_pair_operator(monkeypatch):
+    # at N = 2 in the stark basis each chunk's rows come from W = Q^T V Q and the cached
+    # Q^T X (`chunk_rows`): over three z on one workspace, each written over the last,
+    # the stream applies no operator on legs and runs no chain-tree pass, W stands in
+    # the place of the dense pair copy, and every z matches the dense oracle
+    calls = []
+    for module, name in ((rsv, "apply_on_legs"), (model, "apply_on_legs"),
+                         (rsv, "expansion_columns")):
+        real = getattr(module, name)
+        counted = lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)  # noqa: E731
+        monkeypatch.setattr(module, name, counted)
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=6, interior_margin=1))
+    st = None
+    for k, z in enumerate((0.5 + 1j, -1.0 + 2j, 0.25 + 8j)):
+        del calls[:]
+        st = rsv.stream_functional_equation(z, ws, out=st)
+        assert calls == []  # none at the first z either: no H^(k) at N = 2 is applied by legs
+        if k == 0:
+            assert ("W",) in ws.cache and ("V2",) not in ws.cache
+            assert ws.cache[("W",)].shape == (ws.dim, ws.dim)
+        d, i, split = _dense_check(ws, z)  # makes the dense pair copy anew, for the oracle only
+        assert "expansion_columns" in calls
+        _assert_streamed_matches(st, d, i, split, ws, z)
+
+
+def test_largest_column_holds_no_copy_of_its_block():
+    # the column norms go CHUNK_COLUMNS columns at a time, each column summed as the
+    # whole block's norm sums it (a last lone column joins the chunk before)
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    for m in (1, 65, 129, 200):
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for b in (a, a.T):
+            want = np.zeros(m)
+            want[np.argmax(np.linalg.norm(b, axis=0))] = 1.0
+            assert np.array_equal(rsv._largest_column(b), want)
+    a = rng.standard_normal((1000, 1000)) + 1j * rng.standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        start = rsv._largest_column(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes, peak / a.nbytes
+    assert start[np.argmax(np.linalg.norm(a, axis=0))] == 1.0 and start.sum() == 1.0
+
+
 def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
     # the chunks follow the N-block's sectors; with an even v and H^(N) left
     # whole, columns of 1 are not closed under the leg permutations (N = 3
@@ -774,10 +826,11 @@ def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
 
 
 @pytest.mark.parametrize("n,L,pot", [(3, 2, STREAM_CASES[1][3]), (4, 1, STREAM_CASES[1][3]),
-                                     (2, 3, ORACLE_POINTS[3][0])])
+                                     (2, 3, ORACLE_POINTS[3][0]), (2, 3, STREAM_CASES[0][3])])
 @pytest.mark.parametrize("width", [1, 7])
 def test_chunk_width_does_not_change_results(n, L, pot, width, monkeypatch):
-    # N = 4, L = 1 has no fermion sector (3 sites, 4 particles)
+    # N = 4, L = 1 has no fermion sector (3 sites, 4 particles); N = 2 streams from W
+    # (`chunk_rows`), over the whole space for the asymmetric v
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
     z = 0.5 + 1j

@@ -264,6 +264,30 @@ def test_task_runs_without_scipy_linalg(tmp_path, task):
     assert len(libs) <= 1, libs
 
 
+# run one task in-process; report its exit code and which task modules it loaded
+TASK_MODULES = ("starklat.dynamics", "starklat.localization", "starklat.resolvent")
+RUN_LOADS = f"""
+import json, sys
+from starklat import cli
+code = cli.main([sys.argv[1], "--config", sys.argv[2]])
+print(json.dumps([code, sorted(m for m in sys.modules if m in {TASK_MODULES!r})]))
+"""
+
+
+@pytest.mark.parametrize("task,modules", [
+    ("localization", ["starklat.localization"]),
+    ("resolvent-check", ["starklat.resolvent"]),
+    ("evolve", ["starklat.dynamics"]),
+])
+def test_task_loads_only_its_own_modules(tmp_path, task, modules):
+    # `load_config` imports each task module for the tasks that use it: localization
+    # loads neither the resolvent algebra nor dynamics, resolvent-check neither
+    # localization nor dynamics, and evolve only dynamics
+    out = _run_fresh(RUN_LOADS, task, str(_task_config(tmp_path, task)))
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code in (0, 2) and loaded == modules
+
+
 def test_every_task_runs_with_scipy_unimportable(tmp_path):
     # sys.modules["scipy"] = None makes every import of scipy raise ImportError
     code = (

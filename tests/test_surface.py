@@ -288,6 +288,33 @@ def test_task_loads_only_its_own_modules(tmp_path, task, modules):
     assert code in (0, 2) and loaded == modules
 
 
+# run one task with its task function wrapped to read numpy's huge-page advice;
+# report its exit code and the advice before, during and after the run
+RUN_ADVICE = """
+import json, sys
+from starklat import cli
+def advised():
+    was = cli._set_madvise_hugepage(True)
+    cli._set_madvise_hugepage(was)
+    return was
+task, basis, section = cli.TASKS[sys.argv[1]]
+seen = []
+cli.TASKS[sys.argv[1]] = (lambda *a: (seen.append(advised()), task(*a))[1], basis, section)
+before = advised()
+code = cli.main([sys.argv[1], "--config", sys.argv[2]])
+print(json.dumps([code, before, seen, advised()]))
+"""
+
+
+def test_task_runs_without_huge_page_advice(tmp_path):
+    # a 2 MB huge page under a partly used array moved the peak memory between
+    # runs of the same inputs, so the task runs without numpy's advice for them,
+    # and the process's setting is restored after it
+    out = _run_fresh(RUN_ADVICE, "localization", str(_task_config(tmp_path, "localization")))
+    code, before, seen, after = json.loads(out.splitlines()[-1])
+    assert code in (0, 2) and seen == [False] and after == before
+
+
 def test_every_task_runs_with_scipy_unimportable(tmp_path):
     # sys.modules["scipy"] = None makes every import of scipy raise ImportError
     code = (

@@ -449,16 +449,18 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
     entries, stream_diagnostics = [], []
     ok, fe = True, None
     for k, z in enumerate(cfg.z_grid):
-        # the expansion and residual stages are entered once per column chunk; each z
-        # writes over the sector blocks of the one before
+        # the expansion and residual stages are entered once per column chunk, or once per
+        # z on the sector pass; each z writes over the sector blocks of the one before
         fe = resolvent.stream_functional_equation(z, ws, stage, out=fe)
-        if k == len(cfg.z_grid) - 1:
-            ws.drop_buffers()  # their memory is free for the SVD and the norms
+        if k in (0, len(cfg.z_grid) - 1):
+            ws.drop_buffers()  # free for the SVD and the norms; a later z makes them again
         if k == 0:
             with stage("resolvent.compactness_proxy"):
                 rep = resolvent.compactness_proxy(fe.i)
         with stage("resolvent.operator_norm"):
-            norms_i, norms_d = resolvent.sector_norms(fe.i), resolvent.sector_norms(fe.d)
+            # the first z's SVD already holds each sector block's 2-norm of I
+            norms_i = rep.sector_norms if k == 0 else resolvent.sector_norms(fe.i)
+            norms_d = resolvent.sector_norms(fe.d)
         entries.append(
             {
                 "z": [z.real, z.imag],
@@ -471,6 +473,7 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
         )
         stream_diagnostics.append(
             {
+                "path": fe.path,
                 "chunk_columns": fe.chunk_columns,
                 "chunks": fe.chunks,
                 "residual_sector": fe.residual_sector,
@@ -479,7 +482,10 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
                 "cross_norm_I": fe.i.cross_norm,
                 "sector_norms_D": norms_d,
                 "sector_norms_I": norms_i,
-                "norm_method": resolvent.NORM_METHOD,
+                "norm_method": {
+                    "D": resolvent.NORM_METHOD,
+                    "I": resolvent.SVD_NORM_METHOD if k == 0 else resolvent.NORM_METHOD,
+                },
             }
         )
         if k == 0:  # the largest singular value of the sector SVD: ||I||_2 to the cross norm

@@ -15,9 +15,10 @@ single pass over the chain tree on a column block X, one chain per orbit of
 the particle relabellings that leave H invariant. The resolvent check streams
 X over closed chunks of the S_N sector columns, so no dim x dim D, I or
 residual is formed, and applies G to each column's own sector rows only;
-the dense D and I are the X = 1 case. At N = 2 in the stark basis the
-chunk's rows come from W = Q^T V Q instead, with no pair operator applied
-(`chunk_rows`).
+the dense D and I are the X = 1 case. At N = 2 with a diagonal H^(1) (the
+stark basis) the check runs one pass per sector on its m x m blocks instead,
+from W = Q^T V Q, with no pair operator applied and no chunk plan
+(`stream_functional_equation`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .model import (
     chunk_terms,
     fill_sector_blocks,
     irrep_dims,
+    one_site_operator,
     sector_split,
     split_bytes,
     two_site_operator,
@@ -72,9 +74,12 @@ COMPACT_REL_TOL = 1e-6  # singular values below this fraction of the largest cou
 # D^T X, I^T X and three work arrays
 STREAM_ARRAYS = 5
 NORM_METHOD = (
-    f"max over the S_N sector blocks of a {POWER_STEPS}-step power iteration on B^H B, "
-    "the boson block (or the whole space) started from Q_b^T 1, every other from e_j, "
-    "j its column of largest norm"
+    "max over the S_N sector blocks of max |B_jj| for an exactly diagonal block B, else of a "
+    f"{POWER_STEPS}-step power iteration on B^H B, the boson block (or the whole space) "
+    "started from Q_b^T 1, every other from e_j, j its column of largest norm"
+)
+SVD_NORM_METHOD = (
+    "max over the S_N sector blocks of the largest singular value of the compactness SVD"
 )
 
 
@@ -201,27 +206,39 @@ class FactoredResolvent:
     residual_bound: float  # upper bound on ||(z - H_D) G_D - 1||
 
 
-def workspace_bytes(params: ModelParams, window: Window) -> int:
+def _is_diagonal(a: CSR) -> bool:
+    """Every stored nonzero of a lies on its diagonal."""
+    return np.count_nonzero(a.data) == np.count_nonzero(a.diagonal())
+
+
+def workspace_bytes(params: ModelParams, window: Window, basis: str) -> int:
     """Estimated bytes of a workspace: its H^(N) solve, or one z of the streamed check.
 
     Both sit beside the pair operator, a CSR of at most d^4 entries until the
     last block is built and after it the dense d^2 x d^2 `two_site`, or at
     N = 2 with a diagonal H^(1) the d^2 x d^2 W = Q^T V Q in its place
-    (`chunk_rows`; 12 d^4 bytes cover each), and the lifted U of every
-    H^(k), k < N. The solve is the sector split of H^(N) (`model.split_bytes`).
-    A z of the check holds, beside the factors (m^2 doubles per irrep
-    block), the complex running blocks of D and I (2 m^2 complex), the chunk
-    plan's nonzeros of X and Q^T X (at most N! per column) and its buffers,
-    STREAM_ARRAYS + N - 1 dim x CHUNK_COLUMNS complex arrays (`_Buffers`);
-    and the SVD of its largest block takes one more complex copy of it (the
-    norm estimates take none, `_largest_column`).
+    (12 d^4 bytes cover each), and the lifted U of every H^(k), k < N. The
+    solve is the sector split of H^(N) (`model.split_bytes`). A z of the
+    check holds, beside the factors (m^2 doubles per irrep block), the
+    complex blocks of D and I (2 m^2 complex), and the SVD of its largest
+    block takes one more complex copy of it (the norm estimates take none,
+    `_largest_column`). The chunked stream adds the chunk plan's nonzeros of
+    X and Q^T X (at most N! per column) and its buffers, STREAM_ARRAYS + N - 1
+    dim x CHUNK_COLUMNS complex arrays (`_Buffers`); the sector pass at N = 2
+    with a diagonal H^(1) adds B_s = Y_s^T W_ss (m^2 doubles per sector), its
+    two m x CHUNK_COLUMNS complex scratch arrays, and per sector column the
+    orbit index, q and off-sector norm of `_SectorTerms` and one z's
+    delta_0 (40 bytes).
     """
     d, n = window.n_sites, params.N
     blocks, dim = irrep_dims(d, n), d**n
     held = sum(m * m for m in blocks)
-    plan = 32 * math.factorial(n) * dim
-    buffers = 16 * (STREAM_ARRAYS + n - 1) * dim * CHUNK_COLUMNS
-    stream = 8 * held + 32 * held + plan + buffers + 16 * max(blocks) ** 2
+    if n == 2 and _is_diagonal(one_site_operator(params, window, basis)):
+        work = 8 * held + 32 * max(blocks) * CHUNK_COLUMNS + 40 * dim
+    else:
+        plan = 32 * math.factorial(n) * dim
+        work = plan + 16 * (STREAM_ARRAYS + n - 1) * dim * CHUNK_COLUMNS
+    stream = 8 * held + 32 * held + work + 16 * max(blocks) ** 2
     lifted = 8 * sum(d ** (2 * k) for k in range(1, n))
     return 12 * d**4 + lifted + max(split_bytes(blocks, dim), stream)
 
@@ -238,7 +255,7 @@ class ResolventWorkspace:
 
     def __post_init__(self):
         self.estimate = within_budget(
-            workspace_bytes(self.params, self.window),
+            workspace_bytes(self.params, self.window, self.basis),
             f"the resolvent workspace at N = {self.params.N}, L = {self.window.L}",
         )
 
@@ -262,7 +279,7 @@ class ResolventWorkspace:
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
             del pair
             diag = h.matrix.diagonal()
-            if k < self.params.N and np.count_nonzero(h.matrix.data) == np.count_nonzero(diag):
+            if k < self.params.N and _is_diagonal(h.matrix):
                 res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
             else:
                 split = split_operator(h)
@@ -274,8 +291,8 @@ class ResolventWorkspace:
             self.cache[key] = res
             if k > 1 and all(("U", j) in self.cache for j in range(2, self.params.N + 1)):
                 if self.params.N == 2 and self.block(1).eigenvectors is None:
-                    # the stream runs in sector coordinates (`chunk_rows`), from W in
-                    # the place of the couplings' dense copy
+                    # the check runs one pass per sector (`stream_functional_equation`),
+                    # from W in the place of the couplings' dense copy
                     self.cache[("W",)] = self._sector_coupling()
                 else:
                     self.two_site()  # the couplings' dense copy, made before its CSR goes
@@ -328,9 +345,36 @@ class ResolventWorkspace:
             w[:, starts[s] + j0 : starts[s] + j1] = _sector_rows(sectors, vx)
         return w
 
+    def sector_terms(self) -> "_SectorTerms":
+        """What the sector pass reads beside W = Q^T V Q (`block`), made once per workspace.
+
+        Per sector column j: a flat index of its orbit, where the root's delta
+        is read; q_j, the diagonal of Q^T Q; and the squared norm of W's
+        column j off its own sector. Per sector s, B_s = Y_s^T W_ss, with Y_s
+        the vectors of the N-block's solve that serves s.
+        """
+        key = ("B",)
+        if key not in self.cache:
+            w, sectors = self.cache[("W",)], self.sector_columns()
+            bounds = np.cumsum([0] + [s.dim for s in sectors])
+            orbit, q = np.empty(self.dim, dtype=np.int64), np.empty(self.dim)
+            for sector, a in zip(sectors, bounds):
+                for flat, local, cols in sector.orbits:
+                    orbit[a + cols] = flat[0][:, None]
+                    q[a + cols] = np.einsum("ij,ij->j", local, local)
+            off, products = np.empty(self.dim), []
+            solves = [f.vectors for f in self.block(self.params.N).factors for _ in f.sectors]
+            for y, a, b in zip(solves, bounds, bounds[1:]):
+                above, below = w[:a, a:b], w[b:, a:b]
+                off[a:b] = np.einsum("ij,ij->j", above, above) + np.einsum("ij,ij->j", below, below)
+                products.append(y.T @ w[a:b, a:b])
+            self.cache[key] = _SectorTerms(bounds, orbit, q, off, tuple(products))
+        return self.cache[key]
+
     def drop_buffers(self) -> None:
-        """Free the streamed check's buffers (`column_chunks`) once no z is left to stream."""
+        """Free the check's buffers (`column_chunks`) and scratch (`_scratch`); a z remakes them."""
         self.cache.pop(("buffers",), None)
+        self.cache.pop(("scratch",), None)
 
     def _pair_csr(self) -> CSR:
         """The pair operator as built (`two_site_operator`), once per workspace.
@@ -551,6 +595,16 @@ class ColumnChunk(NamedTuple):
         return self.terms[3][1]
 
 
+class _SectorTerms(NamedTuple):
+    """The sector pass's reading of W = Q^T V Q (`ResolventWorkspace.sector_terms`)."""
+
+    bounds: np.ndarray  # the first row of each sector in Q^T, then dim
+    orbit: np.ndarray  # per sector column, a flat index of its orbit
+    q: np.ndarray  # per sector column, (Q^T Q)_jj
+    off: np.ndarray  # per column j of W, its squared norm over the rows off j's sector
+    products: tuple  # per sector s, B_s = Y_s^T W_ss
+
+
 class _Buffers(NamedTuple):
     """The dim x width complex arrays one chunk of the check runs through: N + 4 of them.
 
@@ -558,8 +612,8 @@ class _Buffers(NamedTuple):
     levels and resolved there; D^T X and I^T X; and the work arrays, through
     which every coupling, resolvent and dense mix goes (the first takes each
     product, the second stages a later leg pair that is not consecutive, the
-    third sums the couplings of an I term). After it, or in its place
-    (`chunk_rows`): Q^T (D^T X) in the third work array, Q^T (I^T X) over
+    third sums the couplings of an I term). After it (`chunk_rows`):
+    Q^T (D^T X) in the third work array, Q^T (I^T X) over
     D^T X and u of `sector_residual` over I^T X, each read by then, through
     the first work array and level.
     """
@@ -757,32 +811,15 @@ def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) ->
 def chunk_rows(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) -> tuple:
     """(Q^T (D(z)^T X), Q^T (I(z)^T X)) for a chunk X of `column_chunks`: the rows the stream uses.
 
-    At N = 2 with a diagonal H^(1) (the stark basis) the chain tree is its
-    root, whose resolvent G_0 = diag(delta) takes one value on each orbit of
-    the leg swap (fl(eps_a + eps_b) = fl(eps_b + eps_a)), and every column of
-    X lies on one orbit. So G_0 X = X Delta, one delta per column,
-    D^T X = X Delta and I^T X = V X Delta, and the rows are (Q^T X) Delta,
-    from the chunk plan's nonzeros of Q^T X, and W[:, cols] Delta, from the
-    workspace's W = Q^T V Q (`block`): no pair operator is applied. Otherwise
-    they are `ResolventWorkspace.sector_rows` of `expansion_columns`. The
-    first is written into the third work array of the plan's buffers, the
-    second over D^T X (`_Buffers`).
+    `ResolventWorkspace.sector_rows` of `expansion_columns`: the first is
+    written into the third work array of the plan's buffers, the second over
+    D^T X (`_Buffers`).
     """
     buf = _buffers(ws, chunk.width)
-    w = ws.cache.get(("W",))
-    if w is None:
-        dx, ix = expansion_columns(z, ws, chunk)
-        work = (buf.work[0], buf.levels[0])
-        # each of D^T X and I^T X is read once: D^T X's array takes Q^T (I^T X)
-        return ws.sector_rows(dx, buf.work[2], work), ws.sector_rows(ix, dx, work)
-    [(s, j0, j1)] = chunk.parts  # at N = 2 every irrep is one sector
-    rows, cols = chunk.terms[:2]
-    root = ws.factor(ClusterDecomposition(((1,), (2,))), z)
-    delta = root.delta[rows[np.searchsorted(cols, np.arange(chunk.width))]]
-    qr, qc, qv, shape = chunk.qx
-    rd = _dense((qr, qc, qv * delta[qc], shape), complex, buf.work[2])
-    start = sum(sector.dim for sector in ws.sector_columns()[:s])
-    return rd, np.multiply(w[:, start + j0 : start + j1], delta, out=buf.d)
+    dx, ix = expansion_columns(z, ws, chunk)
+    work = (buf.work[0], buf.levels[0])
+    # each of D^T X and I^T X is read once: D^T X's array takes Q^T (I^T X)
+    return ws.sector_rows(dx, buf.work[2], work), ws.sector_rows(ix, dx, work)
 
 
 def expansion(z: complex, ws: ResolventWorkspace) -> tuple:
@@ -919,8 +956,9 @@ class StreamedFunctionalEquation:
     residual_dropped: float
     dist_to_spectrum: float
     resolvent_residual_bound: float
-    chunks: int
+    chunks: int  # column blocks run
     chunk_columns: int  # CHUNK_COLUMNS of the run
+    path: str  # "sectors" (`_sector_pass`) or "chunks" (`column_chunks`)
 
     @property
     def residual(self) -> float:
@@ -939,6 +977,9 @@ def stream_functional_equation(
     of one running block per irrep, the transposed mean of their blocks
     Q_s^T D Q_s (Q_s^T I Q_s), the other rows cross blocks. `model.sector_split` splits them, or
     refuses when the cross norm or the partners' pair defect is too large.
+    At N = 2 with a diagonal H^(1), where the workspace holds W = Q^T V Q
+    (`ResolventWorkspace.block`), `_sector_pass` takes the place of the
+    chunks, one pass per sector on its blocks.
 
     The residual is formed in sector coordinates (`sector_residual`). With
     Q^T Q = 1 + Delta, ||Delta||_2 <= theta (the basis defect), and
@@ -962,25 +1003,30 @@ def stream_functional_equation(
     blocks of D and I are written over instead of made anew.
     """
     sectors = ws.sector_columns()
-    bounds = np.cumsum([0] + [s.dim for s in sectors])
     # (blocks, diffs) of `fill_sector_blocks`; the blocks of `out` are written over
     filed = {name: ({}, {}) for name in "di"}
     if out is not None:
         for name, split in (("d", out.d), ("i", out.i)):
             filed[name][0].update((serves, b.T) for b, serves in zip(split.blocks, split.serves))
-    cross = dict.fromkeys("di", 0.0)
-    squares, chunks = np.zeros(3), 0  # sum ||own||^2, ||u_off||^2, ||u||^2
-    for chunk in column_chunks(ws):
-        with stage("resolvent.expansion"):
-            rows = dict(zip("di", chunk_rows(z, ws, chunk)))
-        with stage("resolvent.functional_equation"):
-            buf = _buffers(ws, chunk.width)
-            squares += sector_residual(z, ws, chunk, rows["d"], rows["i"], buf)
-            for name in "di":
-                cross[name] = fill_sector_blocks(
-                    rows[name], chunk.parts, *filed[name], bounds, cross[name]
-                )
-        chunks += 1
+    if ("W",) in ws.cache:
+        squares, cross, chunks = _sector_pass(z, ws, filed, stage)
+        path = "sectors"
+    else:
+        bounds = np.cumsum([0] + [s.dim for s in sectors])
+        cross = dict.fromkeys("di", 0.0)
+        squares, chunks = np.zeros(3), 0  # sum ||own||^2, ||u_off||^2, ||u||^2
+        for chunk in column_chunks(ws):
+            with stage("resolvent.expansion"):
+                rows = dict(zip("di", chunk_rows(z, ws, chunk)))
+            with stage("resolvent.functional_equation"):
+                buf = _buffers(ws, chunk.width)
+                squares += sector_residual(z, ws, chunk, rows["d"], rows["i"], buf)
+                for name in "di":
+                    cross[name] = fill_sector_blocks(
+                        rows[name], chunk.parts, *filed[name], bounds, cross[name]
+                    )
+            chunks += 1
+        path = "chunks"
     splits = {}
     for name in "di":
         splits[name] = sector_split(sectors, *filed[name], cross[name], ws.params.N)
@@ -997,27 +1043,107 @@ def stream_functional_equation(
     dropped = (gamma * u_off + cross["d"] + theta * gamma * u) / (1.0 - theta)
     return StreamedFunctionalEquation(
         complex(z), splits["d"], splits["i"], sector, dropped, *_gates(z, ws), chunks,
-        CHUNK_COLUMNS,
+        CHUNK_COLUMNS, path,
     )
 
 
-def sector_norms(split: SectorSplit) -> list:
-    """`operator_norm` of each sector's block, one entry per sector (a shared block repeats).
+def _scratch(ws: ResolventWorkspace, size: int) -> np.ndarray:
+    """Two flat complex arrays of at least `size` entries, owned by the workspace across z."""
+    held = ws.cache.get(("scratch",))
+    if held is None or held.shape[1] < size:
+        held = ws.cache[("scratch",)] = np.empty((2, size), dtype=complex)
+    return held
 
-    The first block (bosons, or the whole space) starts from Q_b^T 1, where
-    operator_norm of the full matrix starts (1 lies in the boson sector);
-    every other block starts from e_j, j its column of largest norm
-    (`_largest_column`). The max over the sectors lies between that
-    boson-only estimate and the 2-norm (to within the basis defect).
+
+def _sector_pass(z: complex, ws: ResolventWorkspace, filed: dict, stage) -> tuple:
+    """The stream at N = 2 with a diagonal H^(1), one pass per sector: (squares, cross, chunks).
+
+    The chain tree is its root, whose G_0 = diag(delta) takes one value on
+    each orbit of the leg swap (fl(eps_a + eps_b) = fl(eps_b + eps_a)), and
+    every sector column lies on one orbit: with Delta_0 the root's delta on
+    each column's orbit, D^T Q = Q Delta_0 and I^T Q = V Q Delta_0. So
+    Q^T D^T Q = (Q^T Q) Delta_0, whose sector block s is diag(q_s delta_0)
+    exactly (a sector's columns lie on distinct orbits), and its cross
+    blocks are 0 exactly (a boson and a fermion column on one orbit give
+    c^2 - c^2); Q^T I^T Q = W Delta_0, filed as `fill_sector_blocks` files
+    its rows, so I_s = Delta_0 W_ss. The residual's u = Q^T Q - W Delta_0
+    is -W Delta_0 off each column's sector, so ||u_off||^2 = ||cross of I||^2
+    = sum_j |delta_0,j|^2 c_j^2 with c_j the norm of W's column j off its
+    sector, and its own rows give
+    own = Y [delta o (Y^T diag(q) - B Delta_0)] - diag(q delta_0), B = Y^T W_ss
+    (`ResolventWorkspace.sector_terms`), CHUNK_COLUMNS columns at a time
+    through the workspace's two m x CHUNK_COLUMNS scratch arrays. The root's
+    gate runs first, as in the chunked stream; `stage` is entered once
+    around forming D and I, once around the residual. `filed` is
+    `stream_functional_equation`'s, and its blocks are written over.
+    """
+    w, terms = ws.cache[("W",)], ws.sector_terms()
+    bounds = terms.bounds
+    with stage("resolvent.expansion"):
+        delta0 = ws.factor(ClusterDecomposition(((1,), (2,))), z).delta[terms.orbit]
+        for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            for blocks, diffs in filed.values():
+                if (s,) not in blocks:  # no earlier z's block to write over
+                    blocks[(s,)] = np.empty((b - a, b - a), complex)
+                diffs[(s,)] = np.zeros((1, 1))
+            d_s, i_s = filed["d"][0][(s,)], filed["i"][0][(s,)]
+            d_s.fill(0.0)
+            np.fill_diagonal(d_s, terms.q[a:b] * delta0[a:b])
+            np.multiply(w[a:b, a:b], delta0[a:b], out=i_s)
+        cross_i = math.sqrt(float(np.dot(np.abs(delta0) ** 2, terms.off)))
+    with stage("resolvent.functional_equation"):
+        f = ws.full_factor(z)
+        held = _scratch(ws, int(np.diff(bounds).max()) * CHUNK_COLUMNS)
+        own = inside = 0.0
+        chunks, first, s = 0, 0, 0
+        for fac in f.blocks[0][1].factors:
+            y, m = fac.vectors, fac.values.size
+            delta = f.delta[first : first + m, None]
+            for _ in fac.sectors:
+                a = bounds[s]
+                q, d0 = terms.q[a : a + m], delta0[a : a + m]
+                i_s, b_s = filed["i"][0][(s,)], terms.products[s]
+                # u on the own rows is diag(q) - i_s
+                inside += _frobenius(i_s) ** 2 - 2.0 * np.dot(q, np.diagonal(i_s).real) + q @ q
+                for j0 in range(0, m, CHUNK_COLUMNS):
+                    j1 = min(j0 + CHUNK_COLUMNS, m)
+                    t, r = (_carve(x, (m, j1 - j0)) for x in held)
+                    diag = (np.arange(j0, j1), np.arange(j1 - j0))
+                    np.multiply(y[j0:j1].T, q[j0:j1], out=t)  # Y^T u = Y^T diag(q) - B Delta_0
+                    t -= np.multiply(b_s[:, j0:j1], d0[j0:j1], out=r)
+                    t *= delta
+                    np.matmul(y, t.view(np.float64), out=r.view(np.float64))
+                    r[diag] -= q[j0:j1] * d0[j0:j1]
+                    own += _frobenius(r) ** 2
+                    chunks += 1
+                s += 1
+            first += m
+    squares = np.array([own, cross_i**2, inside + cross_i**2])
+    return squares, {"d": 0.0, "i": cross_i}, chunks
+
+
+def sector_norms(split: SectorSplit) -> list:
+    """The 2-norm of each sector's block, one entry per sector (a shared block repeats).
+
+    An exactly diagonal block (D at N = 2 with a diagonal H^(1),
+    `_sector_pass`) gets its exact 2-norm, max |b_jj|. Any other gets
+    `operator_norm`: the first block (bosons, or the whole space) starts
+    from Q_b^T 1, where operator_norm of the full matrix starts (1 lies in
+    the boson sector); every other block starts from e_j, j its column of
+    largest norm (`_largest_column`). The max over the sectors lies between
+    that boson-only estimate and the 2-norm (to within the basis defect).
     """
     out = [0.0] * len(split.sectors)
     for j, (b, serves) in enumerate(zip(split.blocks, split.serves)):
-        if j == 0:
+        diag = np.diagonal(b)
+        # the first row rules out a dense block before the whole block is counted
+        if np.count_nonzero(b[:1]) <= 1 and np.count_nonzero(b) == np.count_nonzero(diag):
+            est = float(np.abs(diag).max(initial=0.0))
+        elif j == 0:
             boson = split.sectors[serves[0]]
-            start = boson.rows(np.ones(boson.size))
+            est = operator_norm(b, boson.rows(np.ones(boson.size)))
         else:
-            start = _largest_column(b)
-        est = operator_norm(b, start)
+            est = operator_norm(b, _largest_column(b))
         for s in serves:
             out[s] = est
     return out
@@ -1029,6 +1155,7 @@ class CompactnessReport:
     k_drop: Optional[int]
     passed: bool
     sectors: dict = field(default_factory=dict)  # SectorSplit.diagnostics of the SVD
+    sector_norms: list = field(default_factory=list)  # largest singular value per sector
 
 
 def compactness_proxy(i_matrix) -> CompactnessReport:
@@ -1040,20 +1167,21 @@ def compactness_proxy(i_matrix) -> CompactnessReport:
     singular value by at most the reported cross norm, plus ||B_T - M||_F
     for a partner block B_T served by the mean M (at most the block's
     `SectorSplit.spread`), and a relative basis defect of a few 1e-16. A
-    dense I(z) is taken unsplit.
+    dense I(z) is taken unsplit. `sector_norms` is the largest singular value
+    of each sector's block, its 2-norm, in `sector_norms`' order.
     """
     split = i_matrix if isinstance(i_matrix, SectorSplit) else SectorSplit.whole(i_matrix)
-    s = np.concatenate(
-        [
-            np.tile(np.linalg.svd(b, compute_uv=False), len(serves))
-            for b, serves in zip(split.blocks, split.serves)
-        ]
-    )
+    per_block = [np.linalg.svd(b, compute_uv=False) for b in split.blocks]
+    norms = [0.0] * len(split.sectors)
+    for sv, serves in zip(per_block, split.serves):
+        for t in serves:
+            norms[t] = float(sv[0]) if sv.size else 0.0
+    s = np.concatenate([np.tile(sv, len(serves)) for sv, serves in zip(per_block, split.serves)])
     s = np.sort(s)[::-1]
     sectors = split.diagnostics()
     if s.size == 0 or s[0] == 0.0:
-        return CompactnessReport(s, 0, True, sectors)
+        return CompactnessReport(s, 0, True, sectors, norms)
     below = np.nonzero(s <= COMPACT_REL_TOL * s[0])[0]
     k = int(below[0]) if below.size else None
     passed = k is not None and k < s.size / 2
-    return CompactnessReport(s, k, passed, sectors)
+    return CompactnessReport(s, k, passed, sectors, norms)

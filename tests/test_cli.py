@@ -437,6 +437,65 @@ def test_resolvent_z_on_spectrum_fails_without_warnings(tmp_path, capsys):
     assert manifest["exception"] == "LinAlgError"
 
 
+def _resolvent_config(path, n, L, z_grid):
+    pot = {"kind": "nearest_neighbor", "strength": 1.0}
+    write_config(path, task="resolvent-check", model={"g": 1.0, "h": 0.5, "N": n, "potential": pot},
+                 window={"L": L, "interior_margin": 1}, resolvent={"z_grid": z_grid})
+
+
+@pytest.mark.parametrize("n,L", [(2, 6), (3, 3)])
+def test_first_z_norm_i_is_its_2_norm(tmp_path, n, L):
+    # the first z's norm_I is the compactness SVD's largest singular value over the
+    # sector blocks, ||I||_2 to within the cross norm; a later z keeps the power estimate,
+    # and the manifest says which z used which
+    p = tmp_path / "c.json"
+    _resolvent_config(p, n, L, [[0.5, 8.0], [0.5, 1.0]])
+    cli.main(["resolvent-check", "--config", str(p)])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    entries = json.loads((tmp_path / "out" / "functional_eq.json").read_text())
+    stream = manifest["diagnostics"]["functional_equation"]
+    assert manifest["complete"] and len(entries) == 2
+    assert [s["path"] for s in stream] == ["sectors" if n == 2 else "chunks"] * 2
+    assert [s["norm_method"] for s in stream] == [
+        {"D": resolvent.NORM_METHOD, "I": resolvent.SVD_NORM_METHOD},
+        {"D": resolvent.NORM_METHOD, "I": resolvent.NORM_METHOD},
+    ]
+    params = ModelParams(1.0, 0.5, n, PairPotential("nearest_neighbor", 1.0))
+    i = resolvent.build_I(0.5 + 8j, resolvent.ResolventWorkspace(params, Window(L, 1)))
+    exact = np.linalg.norm(i, 2)
+    assert abs(entries[0]["norm_I"] - exact) <= 1e-12 * exact
+    assert entries[0]["norm_I"] == stream[0]["norm_I_svd"]
+
+
+def test_chunk_buffers_dropped_before_the_first_svd(tmp_path, monkeypatch):
+    # over two z at N = 3 the chunk buffers are freed before the first z's SVD, and the
+    # second z makes them again
+    made, seen = [], []
+
+    class Workspace(resolvent.ResolventWorkspace):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    proxy = resolvent.compactness_proxy
+
+    def checked(i):
+        seen.append(("buffers",) in made[0].cache)
+        return proxy(i)
+
+    monkeypatch.setattr(resolvent, "ResolventWorkspace", Workspace)
+    monkeypatch.setattr(resolvent, "compactness_proxy", checked)
+    p = tmp_path / "c.json"
+    _resolvent_config(p, 3, 3, [[0.5, 8.0], [0.5, 1.0]])
+    cli.main(["resolvent-check", "--config", str(p)])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    stream = manifest["diagnostics"]["functional_equation"]
+    assert manifest["complete"] and len(made) == 1 and seen == [False]
+    assert [s["path"] for s in stream] == ["chunks"] * 2
+    assert stream[0]["chunks"] == stream[1]["chunks"]
+    assert ("buffers",) not in made[0].cache  # dropped again after the last z
+
+
 @pytest.mark.parametrize(
     "table,even,reps",
     [({"-1": 1.0, "1": 1.0}, True, 2), ({"-1": 0.2, "1": 0.7, "2": 0.1}, False, 4)],
@@ -796,22 +855,24 @@ def test_manifest_versions_and_sector_diagnostics(tmp_path):
     assert set(diag["block_eigh"]["2"]) == set(eigh)
     for entry in (diag["block_eigh"]["2"], diag["compactness_svd"]):
         assert entry["sector_dims"] == [153, 136] and 0.0 <= entry["cross_norm"] <= 1e-10
-    # per z, the column stream: 64-column chunks of the 153 bosons and 136 fermions,
+    # per z, the sector pass: 64-column blocks of the 153 bosons and 136 fermions,
     # and the norms of each sector's blocks, whose max is what functional_eq.json reports
     entries = json.loads((tmp_path / "resolvent-check" / "functional_eq.json").read_text())
     assert len(diag["functional_equation"]) == len(entries) == 2
     for k, (stream, entry) in enumerate(zip(diag["functional_equation"], entries)):
         # the compactness SVD runs at the first z only, and gives ||I||_2 there
         assert set(stream) == {
-            "chunk_columns", "chunks", "residual_sector", "residual_dropped", "cross_norm_D",
-            "cross_norm_I", "sector_norms_D", "sector_norms_I", "norm_method",
+            "path", "chunk_columns", "chunks", "residual_sector", "residual_dropped",
+            "cross_norm_D", "cross_norm_I", "sector_norms_D", "sector_norms_I", "norm_method",
         } | ({"norm_I_svd"} if k == 0 else set())
+        assert stream["path"] == "sectors"
         assert stream["chunk_columns"] == resolvent.CHUNK_COLUMNS == 64 and stream["chunks"] == 6
         assert stream["residual_sector"] + stream["residual_dropped"] == entry["residual"]
         assert 0.0 < stream["residual_dropped"] <= 1e-12
         if k == 0:
             assert stream["norm_I_svd"] >= entry["norm_I"] * (1.0 - 1e-12)
-        assert stream["norm_method"] == resolvent.NORM_METHOD
+        svd = resolvent.SVD_NORM_METHOD if k == 0 else resolvent.NORM_METHOD
+        assert stream["norm_method"] == {"D": resolvent.NORM_METHOD, "I": svd}
         for name in ("D", "I"):
             assert 0.0 <= stream[f"cross_norm_{name}"] <= 1e-10
             assert len(stream[f"sector_norms_{name}"]) == 2

@@ -675,14 +675,51 @@ def test_streamed_check_with_diagonal_n_block():
     assert want > 1e-6 and abs(got - want) <= 1e-12 * np.linalg.norm(g)
 
 
+def _assert_sector_pass_bound_holds_off_sector(ws, z, monkeypatch):
+    # the sector pass (N = 2, a diagonal H^(1)) forms no row off a column's own sector:
+    # W's off-sector blocks enter only through their column norms. Perturbed far above
+    # rounding (and the split's refusal of such an I lifted), the bound still holds
+    # against the dense residual of the I the perturbed W stands for
+    d, i = rsv.expansion(z, ws)  # from the pair operator, not from W
+    sectors = ws.sector_columns()
+    a = sectors[0].dim
+    rng = np.random.default_rng(5)
+    e_w = np.zeros((ws.dim, ws.dim))
+    e_w[:a, a:] = 1e-3 * rng.standard_normal((a, ws.dim - a))
+    e_w[a:, :a] = e_w[:a, a:].T
+    ws.cache[("W",)] += e_w  # before the first pass, which reads W's column norms
+    monkeypatch.setattr(model, "SECTOR_TOL", np.inf)
+    st = rsv.stream_functional_equation(z, ws)
+    assert st.path == "sectors" and st.residual == st.residual_sector + st.residual_dropped
+    # Q^T I^T Q = W Delta_0, so the perturbation is E with Q^T E^T Q = E_W Delta_0
+    q = np.hstack([oracles.dense_q(s) for s in sectors])
+    root = ws.factor(ClusterDecomposition(((1,), (2,))), z)
+    delta0 = root.delta[ws.sector_terms().orbit]
+    e = np.linalg.solve(q.T, np.linalg.solve(q.T, (e_w * delta0).T).T).T
+    want = rsv.functional_equation(z, ws, d, i + e).residual
+    got, dropped = st.residual, st.residual_dropped
+    theta = st.i.basis_defect
+    gamma = np.abs(ws.full_factor(z).delta).max() * (1.0 + ws.block(2).orthogonality_defect)
+    u = np.linalg.norm(q.T @ q - ws.cache[("W",)] * delta0)
+    scale = np.linalg.norm(d) + np.linalg.norm(i)
+    assert want > 1e-6 and dropped > 1e-6
+    assert want <= got + 1e-14 * scale
+    # ||own|| <= ||Q^T R^T X|| + theta gamma ||u|| and ||Q^T R^T Q||_F <= (1 + theta) ||R||_F
+    slack = theta * gamma * u / (1.0 - theta) + 1e-14 * scale
+    assert got <= (1.0 + theta) / (1.0 - theta) * want + dropped + slack
+
+
 @pytest.mark.parametrize("basis,n,L,pot", STREAM_CASES)
-def test_streamed_bound_holds_off_sector(basis, n, L, pot):
+def test_streamed_bound_holds_off_sector(basis, n, L, pot, monkeypatch):
     # I^T X of the last chunk plus a perturbation that no leg permutation leaves
     # invariant: the rows off each column's sector, which the stream bounds
     # instead of forming, are then far from rounding level
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1), basis)
     z = 0.5 + 1j
+    ws.block(n)
+    if ("W",) in ws.cache:
+        return _assert_sector_pass_bound_holds_off_sector(ws, z, monkeypatch)
     d, i = rsv.expansion(z, ws)
     st = rsv.stream_functional_equation(z, ws)
     sectors = ws.sector_columns()
@@ -737,25 +774,35 @@ def test_streamed_bound_holds_off_sector(basis, n, L, pot):
 def test_second_z_allocates_no_chunk_array(n, L, pot):
     # every chunk of every z runs through the N + 4 buffers the chunk plan owns: past
     # what the second z keeps (its sector blocks), its traced peak holds less than
-    # one dim x CHUNK_COLUMNS complex array (the parent's stream held about 7.5)
+    # one dim x CHUNK_COLUMNS complex array (the parent's stream held about 7.5). At
+    # N = 2 (a diagonal H^(1)) the sector pass makes no chunk buffers, and every column
+    # block runs through two m x CHUNK_COLUMNS complex scratch arrays the workspace
+    # owns: a second z's peak stays under their size
     import tracemalloc
 
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
     first = rsv.stream_functional_equation(0.5 + 1j, ws)
-    buffers = ws.cache[("buffers",)]
-    assert buffers.shape == (rsv.STREAM_ARRAYS + n - 1, ws.dim * model.CHUNK_COLUMNS)
+    if n == 2:
+        assert first.path == "sectors" and ("buffers",) not in ws.cache
+        key, m = ("scratch",), max(s.dim for s in ws.sector_columns())
+        limit = 2 * 16 * m * model.CHUNK_COLUMNS
+    else:
+        key, limit = ("buffers",), 16 * ws.dim * model.CHUNK_COLUMNS
+        assert ws.cache[key].shape == (rsv.STREAM_ARRAYS + n - 1, ws.dim * model.CHUNK_COLUMNS)
+    buffers = ws.cache[key]
     tracemalloc.start()
     try:
         second = rsv.stream_functional_equation(-0.5 + 2j, ws)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - kept < 16 * ws.dim * model.CHUNK_COLUMNS, (peak - kept) / (16 * ws.dim * 64)
-    assert ws.cache[("buffers",)] is buffers and second.chunks == first.chunks
+    assert peak - kept < limit, (peak - kept) / limit
+    assert ws.cache[key] is buffers and second.chunks == first.chunks
     ws.drop_buffers()  # a later z makes them again
     again = rsv.stream_functional_equation(-0.5 + 2j, ws)
-    assert ws.cache[("buffers",)] is not buffers and again.residual == second.residual
+    assert ws.cache[key] is not buffers and again.residual == second.residual
+    assert n > 2 or ("buffers",) not in ws.cache
     # a z written over the sector blocks of an earlier one stores what a fresh z stores
     over = rsv.stream_functional_equation(-0.5 + 2j, ws, out=first)
     assert over.residual == second.residual
@@ -765,8 +812,8 @@ def test_second_z_allocates_no_chunk_array(n, L, pot):
 
 
 def test_n2_stark_stream_applies_no_pair_operator(monkeypatch):
-    # at N = 2 in the stark basis each chunk's rows come from W = Q^T V Q and the cached
-    # Q^T X (`chunk_rows`): over three z on one workspace, each written over the last,
+    # at N = 2 in the stark basis the check runs one pass per sector from W = Q^T V Q
+    # (`_sector_pass`): over three z on one workspace, each written over the last,
     # the stream applies no operator on legs and runs no chain-tree pass, W stands in
     # the place of the dense pair copy, and every z matches the dense oracle
     calls = []
@@ -782,6 +829,7 @@ def test_n2_stark_stream_applies_no_pair_operator(monkeypatch):
         del calls[:]
         st = rsv.stream_functional_equation(z, ws, out=st)
         assert calls == []  # none at the first z either: no H^(k) at N = 2 is applied by legs
+        assert st.path == "sectors" and ("chunks", model.CHUNK_COLUMNS) not in ws.cache
         if k == 0:
             assert ("W",) in ws.cache and ("V2",) not in ws.cache
             assert ws.cache[("W",)].shape == (ws.dim, ws.dim)
@@ -829,8 +877,8 @@ def test_stream_refuses_unsplit_n_block_with_even_v(monkeypatch):
                                      (2, 3, ORACLE_POINTS[3][0]), (2, 3, STREAM_CASES[0][3])])
 @pytest.mark.parametrize("width", [1, 7])
 def test_chunk_width_does_not_change_results(n, L, pot, width, monkeypatch):
-    # N = 4, L = 1 has no fermion sector (3 sites, 4 particles); N = 2 streams from W
-    # (`chunk_rows`), over the whole space for the asymmetric v
+    # N = 4, L = 1 has no fermion sector (3 sites, 4 particles); N = 2 runs the sector
+    # pass from W, over the whole space for the asymmetric v
     p = ModelParams(g=1.0, h=0.5, N=n, potential=pot)
     ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
     z = 0.5 + 1j
@@ -867,3 +915,45 @@ def test_sector_norms_see_every_sector():
     norm_i, boson_i = max(rsv.sector_norms(st.i)), rsv.operator_norm(i)
     assert norm_i > 1.01 * boson_i
     assert abs(norm_i - np.linalg.norm(i, 2)) <= 1e-9 * norm_i
+
+
+def test_sector_norms_exact_on_a_diagonal_block(monkeypatch):
+    # at N = 2 with a diagonal H^(1) each sector block of D is exactly diagonal, and its
+    # norm is max |diag|, its 2-norm, with no power iteration; I's dense blocks still
+    # run operator_norm
+    calls = []
+    real = rsv.operator_norm
+    monkeypatch.setattr(rsv, "operator_norm", lambda b, *a: calls.append(b.shape) or real(b, *a))
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=PairPotential("nearest_neighbor", 1.0))
+    ws = rsv.ResolventWorkspace(p, Window(L=6, interior_margin=1))
+    z = 0.5 + 1j
+    st = rsv.stream_functional_equation(z, ws)
+    d, i = rsv.expansion(z, ws)
+    norms = rsv.sector_norms(st.d)
+    exact = np.linalg.norm(d, 2)
+    assert calls == [] and abs(max(norms) - exact) <= 1e-15 * exact
+    assert norms == [float(np.abs(np.diagonal(b)).max()) for b in st.d.blocks]
+    rsv.sector_norms(st.i)
+    assert calls == [b.shape for b in st.i.blocks]
+
+
+@pytest.mark.parametrize("n,L", [(2, 12), (3, 5)])
+def test_workspace_bytes_bounds_block_one_z_and_the_svd(n, L):
+    # what a workspace holds through its blocks, one z of the check and the first z's
+    # SVD (the CLI drops the chunk buffers before it) stays within its estimate
+    import tracemalloc
+
+    p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
+    tracemalloc.start()
+    try:
+        ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
+        for k in range(1, n + 1):
+            ws.block(k)
+        fe = rsv.stream_functional_equation(0.5 + 8j, ws)
+        ws.drop_buffers()
+        rsv.compactness_proxy(fe.i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fe.path == ("sectors" if n == 2 else "chunks")
+    assert peak <= ws.estimate, peak / ws.estimate

@@ -467,6 +467,21 @@ def test_first_z_norm_i_is_its_2_norm(tmp_path, n, L):
     assert entries[0]["norm_I"] == stream[0]["norm_I_svd"]
 
 
+@pytest.mark.parametrize("n,L", [(2, 6), (3, 3)])
+def test_compactness_svd_is_real_on_the_sector_pass(tmp_path, monkeypatch, n, L):
+    # at N = 2 with a diagonal H^(1) the first z's SVD runs on the real |Delta_0| W_ss,
+    # which have the singular values of I_s = Delta_0 W_ss; the chunked stream (N = 3)
+    # still takes them from its complex blocks
+    kinds, svd = [], np.linalg.svd
+    recorded = lambda a, *r, **k: kinds.append(a.dtype) or svd(a, *r, **k)  # noqa: E731
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    p = tmp_path / "c.json"
+    _resolvent_config(p, n, L, [[0.5, 8.0], [0.5, 1.0]])
+    cli.main(["resolvent-check", "--config", str(p)])  # 7 sites fail compactness at N = 3
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["complete"]
+    assert kinds and set(kinds) == {np.dtype(float if n == 2 else complex)}, kinds
+
+
 def test_chunk_buffers_dropped_before_the_first_svd(tmp_path, monkeypatch):
     # over two z at N = 3 the chunk buffers are freed before the first z's SVD, and the
     # second z makes them again

@@ -687,12 +687,20 @@ def _assert_sector_pass_bound_holds_off_sector(ws, z, monkeypatch):
     e_w = np.zeros((ws.dim, ws.dim))
     e_w[:a, a:] = 1e-3 * rng.standard_normal((a, ws.dim - a))
     e_w[a:, :a] = e_w[:a, a:].T
-    ws.cache[("W",)] += e_w  # before the first pass, which reads W's column norms
+    # the workspace keeps W's sector blocks and its column norms off them: W + E_W is
+    # the dense Q^T V Q off the sectors and the kept blocks on them, plus E_W, and its
+    # off-sector norms go in before the first pass, which reads them
+    q = np.hstack([oracles.dense_q(s) for s in sectors])
+    (boson, fermion), _ = ws.cache[("W",)]
+    w = q.T @ ws.two_site() @ q
+    w[:a, :a], w[a:, a:] = boson, fermion
+    w += e_w
+    off = np.concatenate([np.einsum("ij,ij->j", x, x) for x in (w[a:, :a], w[:a, a:])])
+    ws.cache[("W",)] = ((boson, fermion), off)
     monkeypatch.setattr(model, "SECTOR_TOL", np.inf)
     st = rsv.stream_functional_equation(z, ws)
     assert st.path == "sectors" and st.residual == st.residual_sector + st.residual_dropped
     # Q^T I^T Q = W Delta_0, so the perturbation is E with Q^T E^T Q = E_W Delta_0
-    q = np.hstack([oracles.dense_q(s) for s in sectors])
     root = ws.factor(ClusterDecomposition(((1,), (2,))), z)
     delta0 = root.delta[ws.sector_terms().orbit]
     e = np.linalg.solve(q.T, np.linalg.solve(q.T, (e_w * delta0).T).T).T
@@ -700,7 +708,7 @@ def _assert_sector_pass_bound_holds_off_sector(ws, z, monkeypatch):
     got, dropped = st.residual, st.residual_dropped
     theta = st.i.basis_defect
     gamma = np.abs(ws.full_factor(z).delta).max() * (1.0 + ws.block(2).orthogonality_defect)
-    u = np.linalg.norm(q.T @ q - ws.cache[("W",)] * delta0)
+    u = np.linalg.norm(q.T @ q - w * delta0)
     scale = np.linalg.norm(d) + np.linalg.norm(i)
     assert want > 1e-6 and dropped > 1e-6
     assert want <= got + 1e-14 * scale
@@ -814,8 +822,9 @@ def test_second_z_allocates_no_chunk_array(n, L, pot):
 def test_n2_stark_stream_applies_no_pair_operator(monkeypatch):
     # at N = 2 in the stark basis the check runs one pass per sector from W = Q^T V Q
     # (`_sector_pass`): over three z on one workspace, each written over the last,
-    # the stream applies no operator on legs and runs no chain-tree pass, W stands in
-    # the place of the dense pair copy, and every z matches the dense oracle
+    # the stream applies no operator on legs and runs no chain-tree pass, W's sector
+    # blocks stand in the place of the dense pair copy, and every z matches the dense
+    # oracle
     calls = []
     for module, name in ((rsv, "apply_on_legs"), (model, "apply_on_legs"),
                          (rsv, "expansion_columns")):
@@ -832,7 +841,9 @@ def test_n2_stark_stream_applies_no_pair_operator(monkeypatch):
         assert st.path == "sectors" and ("chunks", model.CHUNK_COLUMNS) not in ws.cache
         if k == 0:
             assert ("W",) in ws.cache and ("V2",) not in ws.cache
-            assert ws.cache[("W",)].shape == (ws.dim, ws.dim)
+            blocks, off = ws.cache[("W",)]  # W's sector blocks and its off-sector norms only
+            assert [b.shape for b in blocks] == [(s.dim,) * 2 for s in ws.sector_columns()]
+            assert off.shape == (ws.dim,)
         d, i, split = _dense_check(ws, z)  # makes the dense pair copy anew, for the oracle only
         assert "expansion_columns" in calls
         _assert_streamed_matches(st, d, i, split, ws, z)
@@ -937,10 +948,11 @@ def test_sector_norms_exact_on_a_diagonal_block(monkeypatch):
     assert calls == [b.shape for b in st.i.blocks]
 
 
-@pytest.mark.parametrize("n,L", [(2, 12), (3, 5)])
+@pytest.mark.parametrize("n,L", [(2, 12), (3, 5), (2, 20)])
 def test_workspace_bytes_bounds_block_one_z_and_the_svd(n, L):
     # what a workspace holds through its blocks, one z of the check and the first z's
-    # SVD (the CLI drops the chunk buffers before it) stays within its estimate
+    # SVD (the CLI drops the chunk buffers before it, and on the sector pass takes it
+    # from the real blocks) stays within its estimate
     import tracemalloc
 
     p = ModelParams(g=1.0, h=0.5, N=n, potential=PairPotential("nearest_neighbor", 1.0))
@@ -951,9 +963,67 @@ def test_workspace_bytes_bounds_block_one_z_and_the_svd(n, L):
             ws.block(k)
         fe = rsv.stream_functional_equation(0.5 + 8j, ws)
         ws.drop_buffers()
-        rsv.compactness_proxy(fe.i)
+        real = (ws.real_sector_blocks(0.5 + 8j),) if fe.path == "sectors" else ()
+        rsv.compactness_proxy(fe.i, *real)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert fe.path == ("sectors" if n == 2 else "chunks")
     assert peak <= ws.estimate, peak / ws.estimate
+
+
+SECTOR_PASS_POTENTIALS = [PairPotential("nearest_neighbor", 1.0),
+                          PairPotential("nearest_neighbor", -1.0),
+                          PairPotential("exponential", 1.0, 1.0)]
+
+
+def _sector_pass_c_norm(ws, z):
+    # sqrt(sum_s ||C_s||_2^2) with ||C_s||_2 = max_j |q_j delta_0,j|: the scale of the Gram term
+    terms = ws.sector_terms()
+    c = np.abs(terms.q * ws.factor(ClusterDecomposition(((1,), (2,))), z).delta[terms.orbit])
+    bounds = terms.bounds
+    return math.sqrt(sum(c[a:b].max(initial=0.0) ** 2 for a, b in zip(bounds, bounds[1:])))
+
+
+@pytest.mark.parametrize("pot", SECTOR_PASS_POTENTIALS)
+@pytest.mark.parametrize("L", [6, 8, 12])
+def test_sector_pass_residual_is_a_tight_upper_bound(L, pot):
+    # the sector pass bounds each sector's own rows in the solve's eigenbasis,
+    # ||own_s|| <= sqrt(1 + o) ||E_s|| + o ||C_s||, with no product by Y. It stays above
+    # the dense residual; and since ||E_s|| <= (||own_s|| + o ||C_s||) / sqrt(1 - o), it
+    # exceeds the formed ||own|| (the dense residual, to rounding) by at most the Gram term
+    # (kappa - 1) residual_sector + (kappa + 1) o ||C|| / (1 - theta), kappa^2 = (1 + o) / (1 - o)
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=pot)
+    ws = rsv.ResolventWorkspace(p, Window(L=L, interior_margin=1))
+    o = ws.block(2).orthogonality_defect
+    kappa = math.sqrt((1.0 + o) / (1.0 - o))
+    st = None
+    for z in (0.5 + 1j, -1.0 + 2j, 0.25 + 8j):
+        st = rsv.stream_functional_equation(z, ws, out=st)
+        d, i = rsv.expansion(z, ws)
+        dense = rsv.functional_equation(z, ws, d, i).residual
+        scale = np.linalg.norm(d) + np.linalg.norm(i)
+        theta = st.i.basis_defect
+        gram = (kappa - 1.0) * st.residual_sector + (
+            (kappa + 1.0) * o * _sector_pass_c_norm(ws, z) / (1.0 - theta))
+        assert st.path == "sectors"
+        assert dense <= st.residual + 1e-14 * scale
+        assert st.residual <= dense + gram + 1e-14 * scale, (st.residual, dense, gram)
+
+
+@pytest.mark.parametrize("pot", SECTOR_PASS_POTENTIALS)
+def test_real_sector_blocks_have_the_singular_values_of_i(pot):
+    # |delta_0| W_ss differs from I_s = Delta_0 W_ss by the diagonal unitary of delta_0's
+    # phases: the SVD of the real blocks gives the dense oracle I's sector singular values
+    p = ModelParams(g=1.0, h=0.5, N=2, potential=pot)
+    ws = rsv.ResolventWorkspace(p, Window(L=6, interior_margin=1))
+    for z in (0.5 + 1j, -1.0 + 2j, 0.25 + 8j):
+        st = rsv.stream_functional_equation(z, ws)
+        rep = rsv.compactness_proxy(st.i, ws.real_sector_blocks(z))
+        split = model.split_by_symmetry(rsv.expansion(z, ws)[1], ws.window.n_sites, 2)
+        per_block = [np.linalg.svd(b, compute_uv=False) for b in split.blocks]
+        want = np.sort(np.concatenate(per_block))[::-1]
+        assert rep.singular_values.shape == want.shape
+        assert np.abs(rep.singular_values - want).max() <= 2e-15 * want[0]
+        for got, sv in zip(rep.sector_norms, per_block, strict=True):
+            assert abs(got - sv[0]) <= 2e-15 * want[0]

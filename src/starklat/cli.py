@@ -456,9 +456,7 @@ def _task_resolvent(cfg: RunConfig, out: str, checks: dict, diagnostics: dict, s
             ws.drop_buffers()  # free for the SVD and the norms; a later z makes them again
         if k == 0:
             with stage("resolvent.compactness_proxy"):
-                # on the sector pass, real blocks with I's singular values
-                real = (ws.real_sector_blocks(z),) if fe.path == "sectors" else ()
-                rep = resolvent.compactness_proxy(fe.i, *real)
+                rep = resolvent.compactness_proxy(fe.i, ws.svd_blocks(z))
         with stage("resolvent.operator_norm"):
             # the first z's SVD already holds each sector block's 2-norm of I
             norms_i = rep.sector_norms if k == 0 else resolvent.sector_norms(fe.i)

@@ -221,13 +221,12 @@ def two_site_kernel(params: ModelParams, window: Window) -> CSR:
     read one n1 (d rows) at a time, so no d^2 x d^2 array is formed. The
     product gathers (2w + 1)(2 pad + 1)^2 potential values, w = 2L, with their
     int64 indices, and the table and its partner gather take a few (2w + 1)^3
-    arrays: their bytes are checked against the memory budget first.
+    arrays: their bytes (`two_site_bytes`) are checked against the budget first.
     """
     L, pad, d = window.L, _kernel_pad(params), window.n_sites
     w = 2 * L  # every offset lies in [-w, w]; table index = offset + w
-    gathered = (2 * w + 1) * (2 * pad + 1) ** 2
     within_budget(
-        16 * gathered + 8 * (2 * w + 1) ** 2 * (2 * pad + 1) + 56 * (2 * w + 1) ** 3,
+        two_site_bytes(params, window, "stark"),
         f"the stark pair kernel at |g/h| = {abs(params.x):g}, L = {L}",
     )
     row = specfun.bessel_row(0, -(w + pad), w + pad, params.x)  # row[i] = J_{w+pad-i}
@@ -255,6 +254,14 @@ def two_site_kernel(params: ModelParams, window: Window) -> CSR:
         data.append(rows.ravel()[nz])
     data, indices, indptr = (np.concatenate(x) for x in (data, indices, indptr))
     return CSR(data, indices, indptr, (d * d, d * d))
+
+
+def two_site_bytes(params: ModelParams, window: Window, basis: str) -> int:
+    """Bytes `two_site_operator` holds beside its result while made: the stark kernel's tables."""
+    if basis != "stark":
+        return 0
+    offsets, terms = 4 * window.L + 1, 2 * _kernel_pad(params) + 1
+    return 16 * offsets * terms**2 + 8 * offsets**2 * terms + 56 * offsets**3
 
 
 def one_site_operator(params: ModelParams, window: Window, basis: str) -> CSR:

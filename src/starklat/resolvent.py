@@ -16,9 +16,9 @@ the particle relabellings that leave H invariant. The resolvent check streams
 X over closed chunks of the S_N sector columns, so no dim x dim D, I or
 residual is formed, and applies G to each column's own sector rows only;
 the dense D and I are the X = 1 case. At N = 2 with a diagonal H^(1) (the
-stark basis) the check runs one pass per sector on its m x m blocks instead,
-from W = Q^T V Q, with no pair operator applied and no chunk plan
-(`stream_functional_equation`).
+stark basis, or g = 0; `stream_path`) the check runs one pass per sector on
+its m x m blocks instead, from W = Q^T V Q, with no pair operator applied
+and no chunk plan (`stream_functional_equation`).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .model import (
     one_site_operator,
     sector_split,
     split_bytes,
+    two_site_bytes,
     two_site_operator,
 )
 from .spectra import (
@@ -215,91 +216,147 @@ def _is_diagonal(a: CSR) -> bool:
     return np.count_nonzero(a.data) == np.count_nonzero(a.diagonal())
 
 
-def workspace_bytes(params: ModelParams, window: Window, basis: str) -> int:
-    """Estimated bytes of a workspace: its H^(N) solve, or one z of the streamed check.
+def stream_path(params: ModelParams, window: Window, basis: str) -> str:
+    """The check's path: "sectors" (`_sector_pass`) at N = 2 with a diagonal H^(1), else
+    "chunks" (`column_chunks`)."""
+    diagonal = params.N == 2 and _is_diagonal(one_site_operator(params, window, basis))
+    return "sectors" if diagonal else "chunks"
 
-    Both sit beside the lifted U of every H^(k), k < N. The solve is the
-    sector split of H^(N) (`model.split_bytes`) beside the pair operator, a
-    CSR of at most d^4 entries (12 d^4 bytes). A z of the check holds the
+
+def workspace_bytes(params: ModelParams, window: Window, basis: str) -> int:
+    """Estimated bytes of a workspace: its build, or one z of the streamed check.
+
+    Both sit beside the lifted U of every H^(k), k < N. The build holds the
+    pair operator, a CSR of at most d^4 entries (12 d^4 bytes), beside the
+    larger of the kernel's transients while it is made (`model.two_site_bytes`)
+    and a solve: H^(k) as a CSR of at most C(N, 2) d^(N + 2) + N d^(N + 1)
+    entries (the lifts of the pair and one-site operators) and its sector
+    split (`model.split_bytes`). A z of the check holds the
     factors (m^2 doubles per irrep block) and the complex blocks of D and I
     (2 m^2 complex); the SVD of its largest block takes one more complex copy
     of it, or the real |Delta_0| W_ss and its copy. The chunked stream sits
     beside the dense `two_site` (12 d^4 bytes) and adds the chunk plan's
     nonzeros of X and Q^T X (at most N! per column) and its buffers
-    (`_Buffers`); the sector pass at N = 2 with a diagonal H^(1) holds no
-    pair operator, and adds W_ss and B_s = Y_s^T W_ss (2 m^2 doubles per
-    sector), its two m x CHUNK_COLUMNS complex scratch arrays, and 40 bytes
-    per sector column (`_SectorTerms` and one z's delta_0).
+    (`_Buffers`); the sector pass holds no pair operator, and adds W_ss and
+    B_s = Y_s^T W_ss (2 m^2 doubles per sector), its two m x CHUNK_COLUMNS
+    complex scratch arrays, and 40 bytes per sector column (`_SectorTerms`
+    and one z's delta_0).
     """
     d, n = window.n_sites, params.N
     blocks, dim = irrep_dims(d, n), d**n
     held = sum(m * m for m in blocks)
     pair = 12 * d**4
-    if n == 2 and _is_diagonal(one_site_operator(params, window, basis)):
+    if stream_path(params, window, basis) == "sectors":
         work, pair = 16 * held + 32 * max(blocks) * CHUNK_COLUMNS + 40 * dim, 0
     else:
         plan = 32 * math.factorial(n) * dim
         work = plan + 16 * (STREAM_ARRAYS + n - 1) * dim * CHUNK_COLUMNS
     stream = 8 * held + 32 * held + work + 16 * max(blocks) ** 2
     lifted = 8 * sum(d ** (2 * k) for k in range(1, n))
-    return lifted + max(12 * d**4 + split_bytes(blocks, dim), pair + stream)
+    solve = 12 * (math.comb(n, 2) * d ** (n + 2) + n * d ** (n + 1)) + split_bytes(blocks, dim)
+    build = 12 * d**4 + max(two_site_bytes(params, window, basis), solve)
+    return lifted + max(build, pair + stream)
 
 
 @dataclass
 class ResolventWorkspace:
-    """Cache of the block factors, the pair operator and the factored G_D(z) at one z."""
+    """The block solves, what the check's path reads of the pair operator, and G_D(z) at one z.
+
+    The path is fixed when the workspace is made; the first `block` builds the rest (`_build`).
+    """
 
     params: ModelParams
     window: Window
     basis: str = "stark"
-    cache: dict = field(default_factory=dict, init=False)
     estimate: int = field(default=0, init=False)  # workspace_bytes, checked against the budget
+    path: str = field(default="", init=False)  # `stream_path`
+    blocks: dict = field(default_factory=dict, init=False)  # k -> SectorEigh of H^(k)
+    terms: Optional[_SectorTerms] = field(default=None, init=False)  # read on "sectors"
+    coupling: Optional[np.ndarray] = field(default=None, init=False)  # `two_site`
+    z: Optional[complex] = field(default=None, init=False)  # the z of `factors`
+    factors: dict = field(default_factory=dict, init=False)  # canonical partition -> `factor`
+    plan: Optional[tuple] = field(default=None, init=False)  # (CHUNK_COLUMNS, `column_chunks`)
+    buffer: Optional[np.ndarray] = field(default=None, init=False)  # `_owned`
 
     def __post_init__(self):
         self.estimate = within_budget(
             workspace_bytes(self.params, self.window, self.basis),
             f"the resolvent workspace at N = {self.params.N}, L = {self.window.L}",
         )
+        self.path = stream_path(self.params, self.window, self.basis)
 
     @property
     def dim(self) -> int:
         return self.window.n_sites**self.params.N
 
     def block(self, k: int) -> SectorEigh:
-        """Eigendecomposition of H^(k), shared by every block of k particles.
+        """Eigendecomposition of H^(k), shared by every block of k particles (`_build`)."""
+        if not self.blocks:
+            self._build()
+        return self.blocks[k]
 
-        Every block is `spectra.sector_eigh` of H^(k)'s split. The k = N
-        block is applied from its sector factors; blocks with k < N are
-        applied leg-wise by their d^k x d^k U, every column lifted by
-        `spectra.lift_states`, unless H^(k) is diagonal: then U = 1 exactly,
-        with its diagonal in index order, `eigenvectors` None, no factors and
-        zero defects.
+    def _build(self) -> None:
+        """Solve every H^(k) from one pair operator, then make of it what the path reads.
+
+        Every block is `spectra.sector_eigh` of H^(k)'s split, H^(k) assembled
+        from the one pair operator. The k = N block is applied from its
+        sector factors; blocks with k < N are applied leg-wise by their
+        d^k x d^k U, every column lifted by `spectra.lift_states`, unless
+        H^(k) is diagonal: then U = 1 exactly, with its diagonal in index
+        order, `eigenvectors` None, no factors and zero defects. Then on
+        "chunks" the pair operator is made dense (`coupling`), and on
+        "sectors" W's sector blocks are made of it (`_sector_terms`); its CSR
+        goes then, before B_s = Y_s^T W_ss is made, with Y_s the vectors of the
+        N-block's solve that serves sector s.
         """
-        key = ("U", k)
-        if key not in self.cache:
-            pair = self._pair_csr() if k > 1 else None
+        n = self.params.N
+        pair = two_site_operator(self.params, self.window, self.basis) if n > 1 else None
+        for k in range(1, n + 1):
             h = build_hamiltonian(self.params.with_n(k), self.window, self.basis, pair)
+            if k < n and _is_diagonal(h.matrix):
+                diag = h.matrix.diagonal()
+                self.blocks[k] = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
+                continue
+            split = split_operator(h)
+            del h  # the split was the last reader of H^(k)
+            res = sector_eigh(split)
+            del split
+            if k < n:
+                res = res._replace(eigenvectors=lift_states(res, np.arange(res.eigenvalues.size)))
+            self.blocks[k] = res
+        if self.path == "sectors":
+            terms = self._sector_terms(pair)
             del pair
-            diag = h.matrix.diagonal()
-            if k < self.params.N and _is_diagonal(h.matrix):
-                res = SectorEigh(diag, None, np.zeros_like(diag), 0.0, 0.0, {})
-            else:
-                split = split_operator(h)
-                del h, diag  # the split was the last reader of H^(k)
-                res = sector_eigh(split)
-                del split
-                if k < self.params.N:
-                    res = res._replace(eigenvectors=lift_states(res, np.arange(res.eigenvalues.size)))
-            self.cache[key] = res
-            if k > 1 and all(("U", j) in self.cache for j in range(2, self.params.N + 1)):
-                if self.params.N == 2 and self.block(1).eigenvectors is None:
-                    # the check runs one pass per sector (`stream_functional_equation`),
-                    # from W's sector blocks in the place of the couplings' dense copy
-                    self.cache[("W",)] = self._sector_coupling()
-                else:
-                    self.two_site()  # the couplings' dense copy, made before its CSR goes
-                del self.cache[("V2", "CSR")]
-        return self.cache[key]
+            solves = [f.vectors for f in self.blocks[n].factors for _ in f.sectors]
+            self.terms = terms._replace(products=tuple(y.T @ w for y, w in zip(solves, terms.w)))
+        elif pair is not None:
+            self.coupling = pair.toarray()
+
+    def _sector_terms(self, pair: CSR) -> _SectorTerms:
+        """What the sector pass reads of W = Q^T V Q at N = 2, from the pair operator V; no B yet.
+
+        W is real. Per column chunk X of Q, V X from the rows of V that X
+        reads (`model._transpose_times`; V is exactly symmetric), then Q^T of
+        it; at N = 2 a chunk is one run of one sector. Of it are kept the
+        sector blocks W_ss and the squared norm of each column of W off its
+        own sector. Per sector column j: a flat index of its orbit, where the
+        root's delta is read, and q_j, the diagonal of Q^T Q.
+        """
+        sectors = self.sector_columns()
+        bounds = np.cumsum([0] + [s.dim for s in sectors])
+        w = tuple(np.empty((s.dim, s.dim)) for s in sectors)
+        orbit, q, off = np.empty(self.dim, dtype=np.int64), np.empty(self.dim), np.empty(self.dim)
+        for parts in _column_parts(sectors, CHUNK_COLUMNS):
+            [(s, j0, j1)] = parts
+            vx = _transpose_times(pair, chunk_terms(sectors, parts), j1 - j0)
+            rows, (a, b) = _sector_rows(sectors, vx), bounds[s : s + 2]
+            w[s][:, j0:j1], rest = rows[a:b], np.delete(rows, np.s_[a:b], axis=0)
+            off[a + j0 : a + j1] = np.einsum("ij,ij->j", rest, rest)
+        for sector, a in zip(sectors, bounds):
+            for flat, local, cols in sector.orbits:
+                orbit[a + cols] = flat[0][:, None]
+                q[a + cols] = np.einsum("ij,ij->j", local, local)
+        return _SectorTerms(bounds, orbit, q, off, w, ())
 
     def sector_columns(self) -> tuple:
         """The sectors of the N-block's factors, in factor order: the stacked columns Q.
@@ -320,94 +377,48 @@ class ResolventWorkspace:
     def two_site(self) -> np.ndarray:
         """The d^2 x d^2 pair operator applied on every leg pair (i < j), made dense once.
 
-        Where W's sector blocks took its place (`block`) only the dense oracle (`expansion`)
-        reads it, and it is made anew from the pair operator.
+        On "chunks" the build makes it; on "sectors" only the dense oracle
+        (`expansion`) reads it, and it is made here from a new pair operator.
         """
-        key = ("V2",)
-        if key not in self.cache:
-            if ("W",) in self.cache:
-                self.cache[key] = two_site_operator(self.params, self.window, self.basis).toarray()
-            else:
-                self.cache[key] = self._pair_csr().toarray()
-        return self.cache[key]
+        if self.coupling is None:
+            self.coupling = two_site_operator(self.params, self.window, self.basis).toarray()
+        return self.coupling
 
-    def _sector_coupling(self) -> tuple:
-        """(W_ss per sector, each column's squared norm off its sector) of W = Q^T V Q at N = 2.
+    def svd_blocks(self, z: complex):
+        """Blocks with the singular values of I(z)'s sector blocks, for `compactness_proxy`.
 
-        Real, from the pair operator V: per column chunk X of Q, V X from the
-        rows of V that X reads (`model._transpose_times`; V is exactly
-        symmetric), then Q^T of it. At N = 2 a chunk is one run of one sector.
+        On "sectors", |Delta_0| W_ss per sector for I_s = Delta_0 W_ss: the
+        phases of delta_0 are a diagonal unitary, so each has I_s's singular
+        values. Each is written over the one before, in one buffer. On
+        "chunks", None: the SVD takes I's own blocks.
         """
-        sectors = self.sector_columns()
-        bounds = np.cumsum([0] + [s.dim for s in sectors])
-        blocks, off = tuple(np.empty((s.dim, s.dim)) for s in sectors), np.empty(self.dim)
-        for parts in _column_parts(sectors, CHUNK_COLUMNS):
-            [(s, j0, j1)] = parts
-            vx = _transpose_times(self._pair_csr(), chunk_terms(sectors, parts), j1 - j0)
-            w, (a, b) = _sector_rows(sectors, vx), bounds[s : s + 2]
-            blocks[s][:, j0:j1], rest = w[a:b], np.delete(w, np.s_[a:b], axis=0)
-            off[a + j0 : a + j1] = np.einsum("ij,ij->j", rest, rest)
-        return blocks, off
-
-    def sector_terms(self) -> "_SectorTerms":
-        """What the sector pass reads beside the blocks W_ss (`block`), made once per workspace.
-
-        Per sector column j: a flat index of its orbit, where the root's delta
-        is read; q_j, the diagonal of Q^T Q; and the squared norm of W's
-        column j off its own sector. Per sector s, B_s = Y_s^T W_ss, with Y_s
-        the vectors of the N-block's solve that serves s.
-        """
-        key = ("B",)
-        if key not in self.cache:
-            (w, off), sectors = self.cache[("W",)], self.sector_columns()
-            bounds = np.cumsum([0] + [s.dim for s in sectors])
-            orbit, q = np.empty(self.dim, dtype=np.int64), np.empty(self.dim)
-            for sector, a in zip(sectors, bounds):
-                for flat, local, cols in sector.orbits:
-                    orbit[a + cols] = flat[0][:, None]
-                    q[a + cols] = np.einsum("ij,ij->j", local, local)
-            solves = [f.vectors for f in self.block(self.params.N).factors for _ in f.sectors]
-            products = tuple(y.T @ w_ss for y, w_ss in zip(solves, w))
-            self.cache[key] = _SectorTerms(bounds, orbit, q, off, products)
-        return self.cache[key]
-
-    def real_sector_blocks(self, z: complex):
-        """|Delta_0| W_ss per sector for the sector pass's I_s = Delta_0 W_ss, at its last z.
-
-        The phases of delta_0 are a diagonal unitary, so each has I_s's singular
-        values. Each is written over the one before, in one buffer.
-        """
-        terms, (w_ss, _) = self.sector_terms(), self.cache[("W",)]
+        if self.path == "chunks":
+            return None
+        terms, bounds = self.terms, self.terms.bounds
         delta0 = np.abs(self.factor(ClusterDecomposition(((1,), (2,))), z).delta[terms.orbit])
-        buf = np.empty(max(w.size for w in w_ss))
-        for w, a, b in zip(w_ss, terms.bounds, terms.bounds[1:]):
-            yield np.multiply(w, delta0[a:b], out=_carve(buf, w.shape))
+        buf = np.empty(max(w.size for w in terms.w))
+        return (np.multiply(w, delta0[a:b], out=_carve(buf, w.shape))
+                for w, a, b in zip(terms.w, bounds, bounds[1:]))
+
+    def _owned(self, rows: int, size: int) -> np.ndarray:
+        """The workspace's complex buffer, made at least (rows, size); kept until `drop_buffers`."""
+        held = self.buffer
+        if held is None or held.shape[0] < rows or held.shape[1] < size:
+            held = self.buffer = np.empty((rows, size), dtype=complex)
+        return held
 
     def drop_buffers(self) -> None:
-        """Free the check's buffers (`column_chunks`) and scratch (`_scratch`); a z remakes them."""
-        self.cache.pop(("buffers",), None)
-        self.cache.pop(("scratch",), None)
-
-    def _pair_csr(self) -> CSR:
-        """The pair operator as built (`two_site_operator`), once per workspace.
-
-        Every H^(k), k >= 2, is assembled from it, and `two_site` densifies it
-        (or `_sector_coupling` makes W of it); `block` drops it once the last
-        of them is built.
-        """
-        key = ("V2", "CSR")
-        if key not in self.cache:
-            self.cache[key] = two_site_operator(self.params, self.window, self.basis)
-        return self.cache[key]
+        """Free the owned buffer (the chunk plan's or the sector pass's); a z remakes it."""
+        self.buffer = None
 
     def factor(self, dec: ClusterDecomposition, z: complex) -> FactoredResolvent:
         """G_D(z) in factored form, after the near-spectrum and residual gates."""
-        key = ("F", dec.canonical(), complex(z))
-        if key in self.cache:
-            return self.cache[key]
-        # one z's factors at a time: each holds a dim-sized delta, and callers finish a z first
-        for old in [k for k in self.cache if k[0] == "F" and k[2] != key[2]]:
-            del self.cache[old]
+        key = dec.canonical()
+        if complex(z) != self.z:
+            # one z's factors at a time: each holds a dim-sized delta, and callers finish a z first
+            self.z, self.factors = complex(z), {}
+        if key in self.factors:
+            return self.factors[key]
         d, n = self.window.n_sites, self.params.N
         blocks = tuple(
             (tuple(i - 1 for i in legs), self.block(len(legs))) for legs in dec.canonical()
@@ -436,8 +447,8 @@ class ResolventWorkspace:
         bound = ortho + r_w * delta_max * w_norm
         if bound > RESIDUAL_TOL:
             raise np.linalg.LinAlgError(f"resolvent residual bound {bound:.2e}")
-        self.cache[key] = FactoredResolvent(blocks, delta, bound)
-        return self.cache[key]
+        self.factors[key] = FactoredResolvent(blocks, delta, bound)
+        return self.factors[key]
 
     def apply_resolvent(
         self, dec: ClusterDecomposition, z: complex, x: np.ndarray, out=None, spare=None
@@ -608,12 +619,13 @@ class ColumnChunk(NamedTuple):
 
 
 class _SectorTerms(NamedTuple):
-    """The sector pass's reading of W = Q^T V Q (`ResolventWorkspace.sector_terms`)."""
+    """The sector pass's reading of W = Q^T V Q (`ResolventWorkspace._sector_terms`)."""
 
     bounds: np.ndarray  # the first row of each sector in Q^T, then dim
     orbit: np.ndarray  # per sector column, a flat index of its orbit
     q: np.ndarray  # per sector column, (Q^T Q)_jj
     off: np.ndarray  # per column j of W, its squared norm over the rows off j's sector
+    w: tuple  # per sector s, W_ss
     products: tuple  # per sector s, B_s = Y_s^T W_ss
 
 
@@ -636,13 +648,12 @@ class _Buffers(NamedTuple):
     work: tuple
 
 
-def _buffers(ws: "ResolventWorkspace", width: int) -> _Buffers:
+def _buffers(ws: "ResolventWorkspace", chunk: ColumnChunk) -> _Buffers:
     """The chunk plan's buffers (`column_chunks`) as dim x width arrays; new ones for X = 1."""
-    n, size = ws.params.N, ws.dim * width
-    held = ws.cache.get(("buffers",))
-    if held is None or held.shape[1] < size:
-        held = np.empty((STREAM_ARRAYS + n - 1, size), dtype=complex)
-    views = [a[:size].reshape(ws.dim, width) for a in held]
+    n, width = ws.params.N, chunk.width
+    rows, size = STREAM_ARRAYS + n - 1, ws.dim * width
+    held = ws._owned(rows, size) if chunk.parts else np.empty((rows, size), dtype=complex)
+    views = [a[:size].reshape(ws.dim, width) for a in held[:rows]]
     return _Buffers(tuple(views[: n - 1]), views[n - 1], views[n], tuple(views[n + 1 :]))
 
 
@@ -696,15 +707,6 @@ def _dense(nonzeros: tuple, dtype, out=None) -> np.ndarray:
     return out
 
 
-def _copied(a: np.ndarray, flat) -> np.ndarray:
-    """The complex a as a C-ordered array: copied into the real flat buffer `flat` when given."""
-    if flat is None:
-        return np.ascontiguousarray(a)
-    out = _carve(flat, a.shape[:-1] + (2 * a.shape[-1],)).view(complex)
-    np.copyto(out, a)
-    return out
-
-
 def _minus_rows(qx: tuple, ri: np.ndarray, out=None) -> np.ndarray:
     """Q^T X - ri from the nonzeros of Q^T X, entry for entry as the dense difference rounds it."""
     rows, cols, values, _ = qx
@@ -718,13 +720,12 @@ def column_chunks(ws: ResolventWorkspace):
 
     Each is at most CHUNK_COLUMNS wide, or one column per partner sector of an
     irrep of larger dimension (`model._column_parts`, as `split_by_symmetry`).
-    The workspace caches, for every z, each chunk's nonzeros of X and Q^T X
-    and its mixes, and the plan's buffers: STREAM_ARRAYS + N - 1 arrays of
-    dim x the widest chunk, complex (`_buffers`), made once and written by
-    every chunk of every z.
+    The workspace keeps, for every z, each chunk's nonzeros of X and Q^T X
+    and its mixes (`plan`), and owns the plan's buffers: STREAM_ARRAYS + N - 1
+    arrays of dim x the widest chunk, complex (`_buffers`), made once and
+    written by every chunk of every z.
     """
-    key = ("chunks", CHUNK_COLUMNS)
-    if key not in ws.cache:
+    if ws.plan is None or ws.plan[0] != CHUNK_COLUMNS:
         sectors = ws.sector_columns()
         orbits = chain_orbits(ws.params.N, even_potential(ws.params.potential))
         if sectors[0].irrep == () and any(len(images) > 1 for _, images in orbits):
@@ -737,11 +738,11 @@ def column_chunks(ws: ResolventWorkspace):
             x = (f.astype(np.int32), r.astype(np.int32), v, (ws.dim, width))
             mix, qx = _chunk_plan(ws, _dense(x, np.float64), parts)
             plans.append(ColumnChunk(x, parts, mix, _nonzeros(qx)))
-        ws.cache[key] = tuple(plans)
-    if ("buffers",) not in ws.cache:  # made once per plan, or again after `drop_buffers`
-        size = ws.dim * max(c.width for c in ws.cache[key])
-        ws.cache[("buffers",)] = np.empty((STREAM_ARRAYS + ws.params.N - 1, size), dtype=complex)
-    yield from ws.cache[key]
+        ws.plan = (CHUNK_COLUMNS, tuple(plans))
+    chunks = ws.plan[1]
+    # made once per plan, or again after `drop_buffers`
+    ws._owned(STREAM_ARRAYS + ws.params.N - 1, ws.dim * max(c.width for c in chunks))
+    yield from chunks
 
 
 def _add_images(
@@ -792,7 +793,7 @@ def expansion_columns(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) ->
     d = ws.window.n_sites
     full = ClusterDecomposition((tuple(range(1, n + 1)),))
     orbits = chain_orbits(n, even_potential(ws.params.potential))
-    buf = _buffers(ws, chunk.width)
+    buf = _buffers(ws, chunk)
     work = buf.work
     root = orbits[0][0].sequence[0]
     q = _dense(chunk.terms, complex, buf.levels[0])
@@ -827,7 +828,7 @@ def chunk_rows(z: complex, ws: ResolventWorkspace, chunk: ColumnChunk) -> tuple:
     written into the third work array of the plan's buffers, the second over
     D^T X (`_Buffers`).
     """
-    buf = _buffers(ws, chunk.width)
+    buf = _buffers(ws, chunk)
     dx, ix = expansion_columns(z, ws, chunk)
     work = (buf.work[0], buf.levels[0])
     # each of D^T X and I^T X is read once: D^T X's array takes Q^T (I^T X)
@@ -868,8 +869,7 @@ def residual_columns(
 
 
 def sector_residual(
-    z: complex, ws: ResolventWorkspace, chunk: ColumnChunk, rd: np.ndarray, ri: np.ndarray,
-    buffers: Optional[_Buffers] = None,
+    z: complex, ws: ResolventWorkspace, chunk: ColumnChunk, rd: np.ndarray, ri: np.ndarray
 ) -> tuple:
     """Squared Frobenius norms (own, u_off, u) of a chunk's residual in sector coordinates.
 
@@ -880,8 +880,8 @@ def sector_residual(
     every partner sector of an irrep); the other rows of u (u_off) are
     only measured, and their M products are bounded in
     `stream_functional_equation`. The chunk needs parts: X = 1 is the dense
-    oracle's `residual_columns`. With the chunk plan's `buffers` (`_Buffers`),
-    u is written over I^T X and the products go through the first level and
+    oracle's `residual_columns`. u is written over I^T X of the chunk plan's
+    buffers (`_Buffers`), and the products go through the first level and
     work array.
     """
     f = ws.full_factor(z)
@@ -890,19 +890,19 @@ def sector_residual(
         solves += [(fac, first)] * len(fac.sectors)
         first += fac.values.size
     bounds = np.cumsum([0] + [s.dim for s in ws.sector_columns()])
-    held = (None, None)
-    if buffers is not None:
-        held = tuple(a.reshape(-1).view(np.float64) for a in (buffers.levels[0], buffers.work[0]))
-    u = _minus_rows(chunk.qx, ri, None if buffers is None else buffers.i)
+    buffers = _buffers(ws, chunk)
+    held = tuple(a.reshape(-1).view(np.float64) for a in (buffers.levels[0], buffers.work[0]))
+    u = _minus_rows(chunk.qx, ri, buffers.i)
     own = off = inside = 0.0
     col = 0
     for s, j0, j1 in chunk.parts:
         (fac, first), (a, b), cols = solves[s], bounds[s : s + 2], slice(col, col + j1 - j0)
         part = u[:, cols]
         off += _frobenius(part[:a]) ** 2 + _frobenius(part[b:]) ** 2
-        own_u = _copied(part[a:b], held[0])
+        shape = (b - a, 2 * (j1 - j0))  # the real view of own_u, a C-ordered copy
+        own_u = _carve(held[0], shape).view(complex)
+        np.copyto(own_u, part[a:b])
         inside += _frobenius(own_u) ** 2
-        shape = (b - a, 2 * (j1 - j0))  # the real view of own_u
         t, out = _carve(held[1], shape), _carve(held[0], shape)
         delta = f.delta[first : first + fac.values.size]
         r = _scaled_solve(fac.vectors, delta, own_u.view(np.float64), t, out).view(complex)
@@ -984,9 +984,9 @@ def stream_functional_equation(
     of one running block per irrep, the transposed mean of their blocks
     Q_s^T D Q_s (Q_s^T I Q_s), the other rows cross blocks. `model.sector_split` splits them, or
     refuses when the cross norm or the partners' pair defect is too large.
-    At N = 2 with a diagonal H^(1), where the workspace holds the sector
-    blocks of W = Q^T V Q (`ResolventWorkspace.block`), `_sector_pass` takes
-    the place of the chunks, one pass per sector on its blocks.
+    On the workspace's "sectors" path (`stream_path`: N = 2 with a diagonal
+    H^(1)), where it holds the sector blocks of W = Q^T V Q, `_sector_pass`
+    takes the place of the chunks, one pass per sector on its blocks.
 
     The residual is formed in sector coordinates (`sector_residual`). With
     Q^T Q = 1 + Delta, ||Delta||_2 <= theta (the basis defect), and
@@ -1018,9 +1018,8 @@ def stream_functional_equation(
     if out is not None:
         for name, split in (("d", out.d), ("i", out.i)):
             filed[name][0].update((serves, b.T) for b, serves in zip(split.blocks, split.serves))
-    if ("W",) in ws.cache:
+    if ws.path == "sectors":
         squares, cross, chunks = _sector_pass(z, ws, filed, stage)
-        path = "sectors"
     else:
         bounds = np.cumsum([0] + [s.dim for s in sectors])
         cross = dict.fromkeys("di", 0.0)
@@ -1029,14 +1028,12 @@ def stream_functional_equation(
             with stage("resolvent.expansion"):
                 rows = dict(zip("di", chunk_rows(z, ws, chunk)))
             with stage("resolvent.functional_equation"):
-                buf = _buffers(ws, chunk.width)
-                squares += sector_residual(z, ws, chunk, rows["d"], rows["i"], buf)
+                squares += sector_residual(z, ws, chunk, rows["d"], rows["i"])
                 for name in "di":
                     cross[name] = fill_sector_blocks(
                         rows[name], chunk.parts, *filed[name], bounds, cross[name]
                     )
             chunks += 1
-        path = "chunks"
     splits = {}
     for name in "di":
         splits[name] = sector_split(sectors, *filed[name], cross[name], ws.params.N)
@@ -1053,16 +1050,8 @@ def stream_functional_equation(
     dropped = (gamma * u_off + cross["d"] + theta * gamma * u) / (1.0 - theta)
     return StreamedFunctionalEquation(
         complex(z), splits["d"], splits["i"], sector, dropped, *_gates(z, ws), chunks,
-        CHUNK_COLUMNS, path,
+        CHUNK_COLUMNS, ws.path,
     )
-
-
-def _scratch(ws: ResolventWorkspace, size: int) -> np.ndarray:
-    """Two flat complex arrays of at least `size` entries, owned by the workspace across z."""
-    held = ws.cache.get(("scratch",))
-    if held is None or held.shape[1] < size:
-        held = ws.cache[("scratch",)] = np.empty((2, size), dtype=complex)
-    return held
 
 
 def _sector_pass(z: complex, ws: ResolventWorkspace, filed: dict, stage) -> tuple:
@@ -1080,7 +1069,7 @@ def _sector_pass(z: complex, ws: ResolventWorkspace, filed: dict, stage) -> tupl
     is -W Delta_0 off each column's sector, so ||u_off||^2 = ||cross of I||^2
     = sum_j |delta_0,j|^2 c_j^2 with c_j the norm of W's column j off its
     sector. Its own rows are own = Y (delta o T) - C, T = Y^T diag(q) - B Delta_0,
-    C = diag(q delta_0), B = Y^T W_ss (`ResolventWorkspace.sector_terms`); with
+    C = diag(q delta_0), B = Y^T W_ss (`ResolventWorkspace._sector_terms`); with
     E = delta o T - Y^T C, own = Y E + (Y Y^T - 1) C. The square Y has
     ||Y||_2^2 <= 1 + o and ||Y Y^T - 1||_F = ||Y^T Y - 1||_F <= o (the N-block's
     orthogonality defect), so ||own||_F <= sqrt(1 + o) ||E||_F + o max_j |q_j delta_0,j|
@@ -1089,8 +1078,8 @@ def _sector_pass(z: complex, ws: ResolventWorkspace, filed: dict, stage) -> tupl
     arrays. The root's gate runs first; `stage` wraps forming D and I, then
     the residual; the blocks of `filed` (the stream's) are written over.
     """
-    (w, _), terms = ws.cache[("W",)], ws.sector_terms()
-    bounds = terms.bounds
+    terms = ws.terms
+    w, bounds = terms.w, terms.bounds
     with stage("resolvent.expansion"):
         delta0 = ws.factor(ClusterDecomposition(((1,), (2,))), z).delta[terms.orbit]
         for s, (a, b) in enumerate(zip(bounds, bounds[1:])):
@@ -1106,7 +1095,7 @@ def _sector_pass(z: complex, ws: ResolventWorkspace, filed: dict, stage) -> tupl
     with stage("resolvent.functional_equation"):
         f = ws.full_factor(z)
         o = f.blocks[0][1].orthogonality_defect
-        held = _scratch(ws, int(np.diff(bounds).max()) * CHUNK_COLUMNS)
+        held = ws._owned(2, int(np.diff(bounds).max()) * CHUNK_COLUMNS)
         own = inside = 0.0
         chunks, first, s = 0, 0, 0
         for fac in f.blocks[0][1].factors:
@@ -1183,7 +1172,7 @@ def compactness_proxy(i_matrix, blocks=None) -> CompactnessReport:
     dense I(z) is taken unsplit. `sector_norms` is the largest singular value
     of each sector's block, its 2-norm, in `sector_norms`' order. `blocks`,
     when given, yields for each block of the split, in order, one with its
-    singular values (`ResolventWorkspace.real_sector_blocks`), each SVD'd as it comes.
+    singular values (`ResolventWorkspace.svd_blocks`), each SVD'd as it comes.
     """
     split = i_matrix if isinstance(i_matrix, SectorSplit) else SectorSplit.whole(i_matrix)
     per_block = [np.linalg.svd(b, compute_uv=False) for b in (blocks or split.blocks)]

@@ -494,9 +494,9 @@ def test_chunk_buffers_dropped_before_the_first_svd(tmp_path, monkeypatch):
 
     proxy = resolvent.compactness_proxy
 
-    def checked(i):
-        seen.append(("buffers",) in made[0].cache)
-        return proxy(i)
+    def checked(i, blocks=None):
+        seen.append(made[0].buffer is not None)
+        return proxy(i, blocks)
 
     monkeypatch.setattr(resolvent, "ResolventWorkspace", Workspace)
     monkeypatch.setattr(resolvent, "compactness_proxy", checked)
@@ -508,7 +508,7 @@ def test_chunk_buffers_dropped_before_the_first_svd(tmp_path, monkeypatch):
     assert manifest["complete"] and len(made) == 1 and seen == [False]
     assert [s["path"] for s in stream] == ["chunks"] * 2
     assert stream[0]["chunks"] == stream[1]["chunks"]
-    assert ("buffers",) not in made[0].cache  # dropped again after the last z
+    assert made[0].buffer is None  # dropped again after the last z
 
 
 @pytest.mark.parametrize(
